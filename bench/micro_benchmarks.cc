@@ -117,24 +117,16 @@ void BM_Knn(benchmark::State& state) {
 }
 BENCHMARK(BM_Knn)->Arg(1)->Arg(10)->Arg(100);
 
-// ---- Arena vs global-new ablation ----------------------------------------
-// Same workloads, allocation policy toggled via PhTreeConfig::use_arena
-// (second Arg: 1 = slab arena, 0 = plain new/delete). The arena rows show
-// what the slab/freelist design buys on allocation-heavy paths.
-
-PhTreeConfig ArenaConfig(bool use_arena) {
-  PhTreeConfig config;
-  config.use_arena = use_arena;
-  return config;
-}
+// ---- Arena hot paths ----------------------------------------------------
+// The slab arena's freelist recycling and O(slabs) Clear(). The arena-vs-
+// global-new comparison these rows once ran is recorded in EXPERIMENTS.md.
 
 void BM_ArenaChurn(benchmark::State& state) {
   // Insert/erase churn: every erase returns node slots and buffer blocks
   // that the following inserts immediately reuse — the freelist hot path.
   const uint32_t dim = static_cast<uint32_t>(state.range(0));
-  const bool use_arena = state.range(1) != 0;
   const auto keys = RandomKeys(50000, dim, 2);
-  PhTree tree(dim, ArenaConfig(use_arena));
+  PhTree tree(dim);
   for (const auto& key : keys) {
     tree.Insert(key, 1);
   }
@@ -150,22 +142,16 @@ void BM_ArenaChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(2 * half));
 }
-BENCHMARK(BM_ArenaChurn)
-    ->Args({3, 1})
-    ->Args({3, 0})
-    ->Args({8, 1})
-    ->Args({8, 0})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ArenaChurn)->Arg(3)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void BM_ArenaClear(benchmark::State& state) {
-  // Clear() latency: O(slabs) arena reset vs recursive delete of every node.
-  // Iterations are pinned because each one pays an untimed 50k-entry refill;
-  // letting the harness chase min_time on a microsecond-scale timed section
-  // would schedule unbounded refill work.
+  // Clear() latency: an O(slabs) arena reset, no tree walk. Iterations are
+  // pinned because each one pays an untimed 50k-entry refill; letting the
+  // harness chase min_time on a microsecond-scale timed section would
+  // schedule unbounded refill work.
   const uint32_t dim = 3;
-  const bool use_arena = state.range(0) != 0;
   const auto keys = RandomKeys(50000, dim, 3);
-  PhTree tree(dim, ArenaConfig(use_arena));
+  PhTree tree(dim);
   for (auto _ : state) {
     state.PauseTiming();
     for (const auto& key : keys) {
@@ -175,11 +161,7 @@ void BM_ArenaClear(benchmark::State& state) {
     tree.Clear();
   }
 }
-BENCHMARK(BM_ArenaClear)
-    ->Arg(1)
-    ->Arg(0)
-    ->Iterations(30)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ArenaClear)->Iterations(30)->Unit(benchmark::kMicrosecond);
 
 void BM_SortableDoubleBits(benchmark::State& state) {
   Rng rng(6);

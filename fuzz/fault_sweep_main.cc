@@ -3,10 +3,11 @@
 // fail allocation-site hit 0, 1, 2, ... until the op runs clean; every
 // injected failure must roll back to an oracle-identical tree. This is
 // the acceptance harness for the commit-or-rollback contract; CI runs it
-// as the `fault_sweep_acceptance` ctest.
+// as the `fault_sweep_acceptance` ctest, and with --mvcc (the tree under
+// the copy-on-write publish policy) as `fault_sweep_acceptance_mvcc`.
 //
 // Usage: fault_sweep [--ops N] [--seed S] [--dim K] [--grid-bits B]
-//                    [--deep-every N]
+//                    [--deep-every N] [--mvcc]
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -59,6 +60,8 @@ int main(int argc, char** argv) {
           static_cast<uint32_t>(ParseU64("--grid-bits", value()));
     } else if (arg == "--deep-every") {
       opts.deep_every = ParseU64("--deep-every", value());
+    } else if (arg == "--mvcc") {
+      opts.mvcc = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
@@ -67,11 +70,11 @@ int main(int argc, char** argv) {
 
   const FaultSweepReport report = RunFaultSweep(opts);
   std::printf(
-      "fault_sweep: seed=%llu dim=%u grid_bits=%u ops=%zu "
+      "fault_sweep: seed=%llu dim=%u grid_bits=%u mvcc=%d ops=%zu "
       "injected_failures=%zu absorbed_faults=%zu deep_checks=%zu\n",
       static_cast<unsigned long long>(opts.seed), opts.commands.dim,
-      opts.commands.grid_bits, report.ops_run, report.injected_failures,
-      report.absorbed_faults, report.deep_checks);
+      opts.commands.grid_bits, opts.mvcc ? 1 : 0, report.ops_run,
+      report.injected_failures, report.absorbed_faults, report.deep_checks);
   if (!report.ok()) {
     std::fprintf(stderr, "ROLLBACK VIOLATION: %s\n", report.failure.c_str());
     return 1;

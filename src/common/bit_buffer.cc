@@ -80,8 +80,8 @@ void BitBuffer::EnsureCapacity(uint64_t words) {
     return;
   }
   // Heap buffers grow geometrically (amortised O(1) append, like
-  // std::vector); pooled buffers get the pool's size-class rounding, which
-  // is itself geometric.
+  // std::vector); pool-backed buffers get the pool's size-class rounding,
+  // which is itself geometric.
   const uint64_t request =
       pool_ != nullptr ? words : std::max(words, cap_words_ * 2);
   Reallocate(request);
@@ -174,7 +174,7 @@ BitBuffer& BitBuffer::operator=(const BitBuffer& other) {
   const uint64_t want =
       used == 0 ? 0 : (pool_ != nullptr ? pool_->GrantWords(used) : used);
   if (pool_ != nullptr && want != cap_words_) {
-    // Re-establish the pooled exact-grant invariant for the new size.
+    // Re-establish the pool-backed exact-grant invariant for the new size.
     if (want == 0) {
       ReleaseStorage();
     } else {
@@ -278,7 +278,7 @@ void BitBuffer::RemoveBits(uint64_t pos, uint64_t n) {
     std::memmove(words_ + wi, words_ + wi + nw,
                  (used - wi - nw) * sizeof(uint64_t));
     std::memset(words_ + used - nw, 0, nw * sizeof(uint64_t));
-    Resize(size_bits_ - n);  // applies the pooled shrink rule
+    Resize(size_bits_ - n);  // applies the pool-backed shrink rule
     return;
   }
   // Shift the tail [pos+n, size) left by n bits, processing forward.

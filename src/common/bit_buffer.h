@@ -38,8 +38,8 @@ class WordPool {
 
   /// The block size AllocateWords(min_words, ...) would grant, without
   /// allocating. Must be a pure function of `min_words`: BitBuffer keeps
-  /// pooled capacity == GrantWords(used words), which makes the measured
-  /// footprint a pure function of the stored data (insertion-order
+  /// pool-backed capacity == GrantWords(used words), which makes the
+  /// measured footprint a pure function of the stored data (insertion-order
   /// independent), like the paper's space accounting.
   virtual uint64_t GrantWords(uint64_t min_words) const = 0;
 };
@@ -94,7 +94,7 @@ class BitBuffer {
   /// Fallible Resize: returns false — leaving the buffer byte-identical to
   /// its prior state — if a required allocation fails. A failed *shrink*
   /// block trade is absorbed: the buffer keeps its oversized block and
-  /// TryResize still returns true (only the pooled exact-grant space
+  /// TryResize still returns true (only the pool-backed exact-grant space
   /// invariant is relaxed, never correctness).
   [[nodiscard]] bool TryResize(uint64_t size_bits);
 
@@ -110,7 +110,7 @@ class BitBuffer {
     return nw > cap_words_;
   }
 
-  /// Removes all bits and releases pooled storage to the pool.
+  /// Removes all bits and releases pool-backed storage to the pool.
   void Clear();
 
   /// Reads `n` bits (0 <= n <= 64) starting at bit `pos`, right-aligned.
@@ -199,12 +199,11 @@ class BitBuffer {
   }
 
   /// Bytes of the backing block actually held by this buffer. Exact: for
-  /// pooled buffers this is the granted size-class block, for heap buffers
-  /// the allocated array (the malloc header is accounted separately by the
-  /// owner's estimate).
+  /// pool-backed buffers this is the granted size-class block, for heap
+  /// buffers the allocated array.
   uint64_t MemoryBytes() const { return cap_words_ * sizeof(uint64_t); }
 
-  /// Releases excess capacity (pooled buffers drop to the smallest
+  /// Releases excess capacity (pool-backed buffers drop to the smallest
   /// size class covering the current size).
   void ShrinkToFit();
 

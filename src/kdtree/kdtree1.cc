@@ -105,14 +105,14 @@ const KdTree1::KdNode* KdTree1::FindMin(const KdNode* node, uint32_t depth,
 bool KdTree1::Erase(std::span<const double> key) {
   assert(key.size() == dim_);
   bool erased = false;
-  root_ = EraseRec(root_, 0, key, &erased);
+  root_ = RemoveRec(root_, 0, key, &erased);
   if (erased) {
     --size_;
   }
   return erased;
 }
 
-KdTree1::KdNode* KdTree1::EraseRec(KdNode* node, uint32_t depth,
+KdTree1::KdNode* KdTree1::RemoveRec(KdNode* node, uint32_t depth,
                                    std::span<const double> key,
                                    bool* erased) {
   if (node == nullptr) {
@@ -126,7 +126,7 @@ KdTree1::KdNode* KdTree1::EraseRec(KdNode* node, uint32_t depth,
       node->point = min->point;
       node->value = min->value;
       bool dummy = false;
-      node->right = EraseRec(node->right, depth + 1, node->point, &dummy);
+      node->right = RemoveRec(node->right, depth + 1, node->point, &dummy);
     } else if (node->left != nullptr) {
       // Move the left subtree to the right after replacing with its minimum
       // (keeps the "< goes left" invariant).
@@ -134,7 +134,7 @@ KdTree1::KdNode* KdTree1::EraseRec(KdNode* node, uint32_t depth,
       node->point = min->point;
       node->value = min->value;
       bool dummy = false;
-      node->right = EraseRec(node->left, depth + 1, node->point, &dummy);
+      node->right = RemoveRec(node->left, depth + 1, node->point, &dummy);
       node->left = nullptr;
     } else {
       delete node;
@@ -143,9 +143,9 @@ KdTree1::KdNode* KdTree1::EraseRec(KdNode* node, uint32_t depth,
     return node;
   }
   if (key[cd] < node->point[cd]) {
-    node->left = EraseRec(node->left, depth + 1, key, erased);
+    node->left = RemoveRec(node->left, depth + 1, key, erased);
   } else {
-    node->right = EraseRec(node->right, depth + 1, key, erased);
+    node->right = RemoveRec(node->right, depth + 1, key, erased);
   }
   return node;
 }

@@ -56,7 +56,7 @@ class KdTree1 {
  private:
   struct KdNode;
 
-  KdNode* EraseRec(KdNode* node, uint32_t depth, std::span<const double> key,
+  KdNode* RemoveRec(KdNode* node, uint32_t depth, std::span<const double> key,
                    bool* erased);
   const KdNode* FindMin(const KdNode* node, uint32_t depth, uint32_t target_d,
                         const KdNode* best) const;

@@ -167,12 +167,10 @@ void SlabWordPool::Reset() {
 // ---- NodeArena ------------------------------------------------------------
 
 NodeArena::~NodeArena() {
-  // Pooled: slabs and the word pool free everything wholesale; skipping the
-  // Node destructors is safe because the only resource a Node owns is its
-  // BitBuffer block, which lives in word_pool_. Heap arenas own nothing —
-  // the tree must have deleted its nodes (PhTree::Clear walks the tree in
-  // heap mode). Retired nodes pending reclamation go the same wholesale way.
-  assert(pooled_ || live_nodes_ == 0);
+  // Slabs and the word pool free everything wholesale; skipping the Node
+  // destructors is safe because the only resource a Node owns is its
+  // BitBuffer block, which lives in word_pool_. Retired nodes pending
+  // reclamation go the same wholesale way.
   for (const auto& slab : node_slabs_) {
     PHTREE_UNPOISON_SLOT(slab.get(), kNodesPerSlab * sizeof(NodeSlot));
   }
@@ -248,27 +246,6 @@ NodeRef NodeArena::NewNode(uint32_t dim, uint32_t infix_len,
   if (FaultHit(FaultSite::kArenaNodeAlloc)) {
     return {};
   }
-  if (!pooled_) {
-    Node* node = nullptr;
-    try {
-      node = new Node(dim, infix_len, postfix_len, store_values,
-                      /*pool=*/nullptr);
-      NodeHandle h;
-      if (!heap_free_.empty()) {
-        h = heap_free_.back();
-        heap_free_.pop_back();
-        heap_nodes_[h] = node;
-      } else {
-        h = static_cast<NodeHandle>(heap_nodes_.size());
-        heap_nodes_.push_back(node);
-      }
-      ++live_nodes_;
-      return {node, h};
-    } catch (const std::bad_alloc&) {
-      delete node;
-      return {};
-    }
-  }
   const NodeHandle h = TakeSlot();
   if (h == kInvalidNodeHandle) {
     return {};
@@ -295,12 +272,6 @@ void NodeArena::DeleteNode(NodeRef ref) {
   assert(Owns(ref.ptr));
   assert(NodeAt(ref.handle) == ref.ptr);
   --live_nodes_;
-  if (!pooled_) {
-    delete ref.ptr;
-    heap_nodes_[ref.handle] = nullptr;
-    heap_free_.push_back(ref.handle);
-    return;
-  }
   // Run the destructor so the BitBuffer block returns to the size-class
   // freelist, then thread the slot onto the handle-linked freelist.
   ref.ptr->~Node();
@@ -313,7 +284,6 @@ void NodeArena::DeleteNode(NodeRef ref) {
 }
 
 void NodeArena::SetEpochManager(EpochManager* epochs) {
-  assert(pooled_ || epochs == nullptr);
   assert(retired_.empty());
   epochs_ = epochs;
 }
@@ -349,7 +319,6 @@ void NodeArena::Reclaim() {
 }
 
 void NodeArena::Reset() {
-  assert(pooled_);
   // Wholesale-drop any deferred-free queue: Reset's contract is that no
   // reader is alive, and the slots and word blocks are reclaimed with the
   // rest of the arena.
@@ -367,9 +336,6 @@ void NodeArena::Reset() {
 }
 
 void NodeArena::ReserveNodes(size_t n) {
-  if (!pooled_) {
-    return;
-  }
   const size_t want_slabs =
       (live_nodes_ + free_node_count_ + n + kNodesPerSlab - 1) / kNodesPerSlab;
   while (node_slabs_.size() < want_slabs) {
@@ -384,9 +350,6 @@ void NodeArena::ReserveNodes(size_t n) {
 bool NodeArena::Owns(const Node* node) const {
   if (node == nullptr) {
     return false;
-  }
-  if (!pooled_) {
-    return true;  // provenance is unknowable for plain heap nodes
   }
   // Walk the RCU directory snapshot, not node_slabs_: lock-free readers
   // assert Owns() mid-traversal while the writer may be growing the vector.
@@ -406,24 +369,15 @@ bool NodeArena::Owns(const Node* node) const {
 }
 
 uint64_t NodeArena::SlabBytes() const {
-  if (!pooled_) {
-    return 0;
-  }
   return node_slabs_.size() * kNodesPerSlab * sizeof(NodeSlot) +
          word_pool_.SlabBytes();
 }
 
 uint64_t NodeArena::LiveBytes() const {
-  if (!pooled_) {
-    return 0;
-  }
   return live_nodes_ * sizeof(Node) + word_pool_.LiveBytes();
 }
 
 uint64_t NodeArena::FreeListBytes() const {
-  if (!pooled_) {
-    return 0;
-  }
   return free_node_count_ * sizeof(NodeSlot) + word_pool_.FreeListBytes();
 }
 

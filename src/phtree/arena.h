@@ -9,10 +9,6 @@
 //   * Clear() is an O(slabs) arena reset instead of a recursive delete,
 //   * ComputeStats() reports exact bytes (slab / live / freelist) — the
 //     space tables measure, rather than model, the allocator.
-//
-// A NodeArena in heap mode (pooled() == false) routes every request to the
-// global allocator; it exists so the arena-vs-new ablation and the
-// historical estimated accounting stay runnable from the same code path.
 #ifndef PHTREE_PHTREE_ARENA_H_
 #define PHTREE_PHTREE_ARENA_H_
 
@@ -226,27 +222,19 @@ class NodeArena {
   static constexpr uint32_t kSlabShift = 8;
   static constexpr uint32_t kSlotMask = kNodesPerSlab - 1;
 
-  /// `pooled` = false creates a pass-through arena: plain new/delete with a
-  /// handle table instead of slab-encoded handles, no slabs, estimated (not
-  /// exact) accounting. Used by the arena-vs-new ablation.
-  explicit NodeArena(bool pooled = true) : pooled_(pooled) {}
+  NodeArena() = default;
   NodeArena(const NodeArena&) = delete;
   NodeArena& operator=(const NodeArena&) = delete;
   ~NodeArena();
 
-  bool pooled() const { return pooled_; }
-
-  /// Resolves a handle to the node it names. O(1): a slab lookup (pooled)
-  /// or a table lookup (heap). The handle must name a live node. Safe to
-  /// call from lock-free readers concurrently with writer-side slab growth:
-  /// the slab directory is an RCU snapshot published with release semantics
-  /// before any handle referencing a new slab becomes visible.
+  /// Resolves a handle to the node it names: O(1), one slab lookup. The
+  /// handle must name a live node. Safe to call from lock-free readers
+  /// concurrently with writer-side slab growth: the slab directory is an
+  /// RCU snapshot published with release semantics before any handle
+  /// referencing a new slab becomes visible.
   Node* NodeAt(NodeHandle h) {
-    if (pooled_) {
-      NodeSlot** dir = slab_dir_.load(std::memory_order_acquire);
-      return reinterpret_cast<Node*>(&dir[h >> kSlabShift][h & kSlotMask]);
-    }
-    return heap_nodes_[h];
+    NodeSlot** dir = slab_dir_.load(std::memory_order_acquire);
+    return reinterpret_cast<Node*>(&dir[h >> kSlabShift][h & kSlotMask]);
   }
   const Node* NodeAt(NodeHandle h) const {
     return const_cast<NodeArena*>(this)->NodeAt(h);
@@ -260,14 +248,13 @@ class NodeArena {
   NodeRef NewNode(uint32_t dim, uint32_t infix_len, uint32_t postfix_len,
                   bool store_values);
 
-  /// Destroys the node and recycles its slot (pooled) or frees it and
-  /// parks its table index (heap).
+  /// Destroys the node and recycles its slot.
   void DeleteNode(NodeRef ref);
 
   /// Attaches (or detaches, nullptr) the epoch manager that gates deferred
-  /// reclamation. Pooled arenas only. While attached, RetireNode defers the
-  /// DeleteNode of unlinked-but-possibly-still-read nodes until every
-  /// epoch-guarded reader of the retire epoch has exited.
+  /// reclamation. While attached, RetireNode defers the DeleteNode of
+  /// unlinked-but-possibly-still-read nodes until every epoch-guarded
+  /// reader of the retire epoch has exited.
   void SetEpochManager(EpochManager* epochs);
   EpochManager* epoch_manager() const { return epochs_; }
 
@@ -295,31 +282,26 @@ class NodeArena {
   /// node destructors are skipped because the only resource a Node owns is
   /// its BitBuffer block, and the word pool is reset wholesale. Slabs are
   /// retained, so refilling the tree is allocation-free until it outgrows
-  /// its previous high-water mark. Pooled arenas only.
+  /// its previous high-water mark.
   void Reset();
 
-  /// Pre-allocates node slabs for at least `n` additional nodes (pooled
-  /// arenas; no-op in heap mode).
+  /// Pre-allocates node slabs for at least `n` additional nodes.
   void ReserveNodes(size_t n);
 
-  /// True iff `node` lives in one of this arena's slots. Heap arenas own
-  /// whatever they allocated but cannot prove it; they accept any non-null
-  /// pointer. Debug/validation only: O(slabs).
+  /// True iff `node` lives in one of this arena's slots. Debug/validation
+  /// only: O(slabs).
   bool Owns(const Node* node) const;
 
   /// Number of nodes currently allocated and not yet deleted.
   size_t live_nodes() const { return live_nodes_; }
 
   /// Exact bytes reserved from the system: node slabs + word slabs + large
-  /// word blocks. Zero in heap mode (unknowable there).
+  /// word blocks.
   uint64_t SlabBytes() const;
   /// Exact bytes in use by live nodes: live slots + their buffer blocks.
   uint64_t LiveBytes() const;
   /// Exact recyclable bytes: free node slots + word-pool freelists.
   uint64_t FreeListBytes() const;
-
-  /// The word pool backing node BitBuffers (nullptr in heap mode).
-  WordPool* word_pool() { return pooled_ ? &word_pool_ : nullptr; }
 
  private:
   // A raw, Node-sized and Node-aligned slot. Free slots store the freelist
@@ -328,7 +310,7 @@ class NodeArena {
     unsigned char bytes[sizeof(Node)];
   };
 
-  /// Claims a free pooled slot and returns its handle.
+  /// Claims a free slot and returns its handle.
   NodeHandle TakeSlot();
 
   /// Mirrors a newly grown node_slabs_ entry into the RCU slab directory,
@@ -345,12 +327,11 @@ class NodeArena {
     uint64_t bytes;
   };
 
-  bool pooled_;
   SlabWordPool word_pool_;
   std::vector<std::unique_ptr<NodeSlot[]>> node_slabs_;
   size_t cur_node_slab_ = 0;
   size_t node_slab_off_ = 0;
-  /// Pooled free-slot list: head handle, next links stored in slot bytes.
+  /// Free-slot list: head handle, next links stored in slot bytes.
   NodeHandle free_head_ = kInvalidNodeHandle;
   size_t free_node_count_ = 0;
   size_t live_nodes_ = 0;
@@ -365,9 +346,6 @@ class NodeArena {
   std::deque<Retired> retired_;
   uint64_t retired_bytes_ = 0;
   uint64_t reclaimed_total_ = 0;
-  /// Heap mode: handle table (index == handle) and recyclable indices.
-  std::vector<Node*> heap_nodes_;
-  std::vector<NodeHandle> heap_free_;
 };
 
 }  // namespace phtree

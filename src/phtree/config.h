@@ -45,15 +45,6 @@ struct PhTreeConfig {
   /// pointers are kept, and Find() returns 0 for present keys. Cuts 8+
   /// bytes per entry (see bench/table1_space, row "PH(set)").
   bool store_values = true;
-
-  /// When true (default), nodes and their bit streams are carved out of the
-  /// tree's NodeArena: slab allocation with freelist recycling, O(slabs)
-  /// Clear(), and exact space accounting (PhTreeStats::arena_*_bytes).
-  /// When false, every node is a separate new/delete and the space
-  /// accounting falls back to the historical per-allocation estimate. The
-  /// flag exists for the arena-vs-new ablation (bench/micro_benchmarks);
-  /// it changes allocation policy only, never tree shape. Not serialized.
-  bool use_arena = true;
 };
 
 }  // namespace phtree

@@ -6,14 +6,6 @@
 #include <new>
 
 namespace phtree {
-namespace {
-
-// Estimated allocator overhead per heap block, used for heap-backed nodes
-// only (glibc malloc: 8-16 bytes header + alignment). Arena-backed nodes
-// report exact bytes instead.
-constexpr uint64_t kAllocOverhead = 16;
-
-}  // namespace
 
 Node::Node(uint32_t dim, uint32_t infix_len, uint32_t postfix_len,
            bool store_values, WordPool* pool)
@@ -568,27 +560,6 @@ void Node::SetSubAt(uint64_t ord, NodeHandle child) {
   bits_.WriteBits(lhc_subs_base() + srank * 32, 32, child);
 }
 
-void Node::SetPayloadAt(uint64_t ord, uint64_t value) {
-  assert(!OrdinalIsSub(ord));
-  if (!store_values_) {
-    return;
-  }
-  uint64_t slot;
-  switch (repr_) {
-    case Repr::kHc:
-      slot = ord;
-      break;
-    case Repr::kBhc:
-      slot = BhcRank(ord);
-      break;
-    case Repr::kLhc:
-    default:
-      slot = LhcPostfixRank(ord);
-      break;
-  }
-  bits_.WriteBits(slot * 64, 64, value);
-}
-
 void Node::SetPostfixAt(uint64_t ord, std::span<const uint64_t> key) {
   assert(!OrdinalIsSub(ord));
   if (postfix_len_ == 0) {
@@ -625,7 +596,7 @@ bool Node::TryRelocatePostfix(uint64_t old_addr, uint64_t new_addr,
   const uint64_t mid_bits = ReprBitsEx(repr_, uint64_t{num_entries_} - 1,
                                        num_postfixes() - 1, infix_bits());
   // mid_bits == 0 (single-entry root, zero infix): the shrink would release
-  // the pooled block outright, making the grow-back fallible.
+  // the pool block outright, making the grow-back fallible.
   if (mid_bits == 0 || bits_.ResizeWouldRelocate(mid_bits)) {
     return false;
   }
@@ -950,19 +921,11 @@ bool Node::TryRebuild(Repr target, const EntryDelta& delta) {
 // ---- Accounting ---------------------------------------------------------
 
 uint64_t Node::MemoryBytes() const {
-  if (bits_.pool() != nullptr) {
-    // Exact: the arena slot plus the granted size-class block (a pure
-    // function of the stored bits — see BitBuffer::Resize). Summed over all
-    // nodes this equals NodeArena::LiveBytes() — the space tables measure
-    // the allocator instead of modelling it.
-    return sizeof(Node) + bits_.MemoryBytes();
-  }
-  // Heap mode (ablation): the historical estimate — logical buffer size
-  // plus a per-allocation overhead guess. Uses the logical size, not the
-  // heap block's capacity, because the latter depends on growth history.
-  const uint64_t words = (bits_.size_bits() + 63) / 64;
-  const uint64_t buf = words == 0 ? 0 : words * 8 + kAllocOverhead;
-  return sizeof(Node) + kAllocOverhead + buf;
+  // The arena slot plus the granted size-class block (a pure function of
+  // the stored bits — see BitBuffer::Resize). Summed over all nodes this
+  // equals NodeArena::LiveBytes() — the space tables measure the allocator
+  // instead of modelling it.
+  return sizeof(Node) + bits_.MemoryBytes();
 }
 
 }  // namespace phtree

@@ -30,11 +30,10 @@
 
 namespace phtree {
 
-/// 32-bit arena handle of a Node. Pooled arenas encode slab index and slot
-/// offset; heap arenas index a handle table. Half the width of a Node*, so
-/// in-node child slots cost 32 bits, and nodes never store raw pointers to
-/// each other (making them relocatable in principle). Resolved through
-/// NodeArena::NodeAt.
+/// 32-bit arena handle of a Node: slab index and slot offset. Half the
+/// width of a Node*, so in-node child slots cost 32 bits, and nodes never
+/// store raw pointers to each other (making them relocatable in principle).
+/// Resolved through NodeArena::NodeAt.
 using NodeHandle = uint32_t;
 
 /// Sentinel handle meaning "no node".
@@ -193,9 +192,6 @@ class Node {
   /// Updates the child handle of the sub-node entry at ordinal `ord`.
   void SetSubAt(uint64_t ord, NodeHandle child);
 
-  /// Updates the payload of the postfix entry at ordinal `ord`.
-  void SetPayloadAt(uint64_t ord, uint64_t value);
-
   /// Overwrites the postfix record of the postfix entry at ordinal `ord`
   /// with bits [0, postfix_len) of `key`. The entry's address is unchanged,
   /// so this is purely in-place and infallible (the Update fast path for a
@@ -224,7 +220,7 @@ class Node {
 
   /// Atomically republishes the payload of postfix entry `ord` with release
   /// ordering (value slots are always 64-bit aligned at the stream head).
-  /// Keeps "payload overwrite never allocates" true in COW mode.
+  /// The payload rewrite of both mutation policies: it never allocates.
   void PublishPayloadAt(uint64_t ord, uint64_t value);
 
   /// Replaces this node's contents with a bit-identical copy of `src`
@@ -247,10 +243,8 @@ class Node {
 
   // ---- Accounting ---------------------------------------------------------
 
-  /// Bytes owned by this node. Arena-backed nodes (pool != nullptr) report
-  /// exact bytes: the slab slot plus the granted word-pool block. Heap
-  /// nodes fall back to the historical estimate with a per-allocation
-  /// overhead constant (see DESIGN.md, space accounting).
+  /// Bytes owned by this node, exact: the slab slot plus the granted
+  /// word-pool block (for a standalone node, its heap array).
   uint64_t MemoryBytes() const;
 
   /// Exact bit sizes each representation would need for the current

@@ -25,29 +25,64 @@ void CopyKey(std::span<const uint64_t> src, std::span<uint64_t> dst) {
   }
 }
 
+/// A fixed-capacity stack whose slots start uninitialised. Every mutation
+/// keeps its descent path and node lists on the stack; value-initialising
+/// kBitWidth-deep arrays of node references on each call would cost more
+/// than the typical one-node edit.
+template <typename T, size_t N>
+class FixedStack {
+ public:
+  FixedStack() {}  // leaves items_ uninitialised
+  void push_back(const T& v) {
+    assert(size_ < N);
+    new (&items_[size_++]) T(v);
+  }
+  const T* begin() const { return items_; }
+  const T* end() const { return items_ + size_; }
+  size_t size() const { return size_; }
+
+ private:
+  union {
+    T items_[N];
+  };
+  size_t size_ = 0;
+};
+
+/// Runs one mutation of the engine. Under MVCC the writer pins the epoch
+/// too — the advance scan's load of this slot's exit store is what orders
+/// the publication before any later reclamation (see EpochManager) — and
+/// each mutation ends with a reclamation pass.
+template <typename Fn>
+auto WriteScope(NodeArena* arena, Fn&& fn) {
+  EpochManager* epochs = arena != nullptr ? arena->epoch_manager() : nullptr;
+  if (epochs == nullptr) {
+    return fn();
+  }
+  const auto result = [&] {
+    EpochManager::ReadGuard guard(*epochs);
+    return fn();
+  }();
+  arena->Reclaim();
+  return result;
+}
+
 }  // namespace
 
 PhTree::PhTree(uint32_t dim, const PhTreeConfig& config)
-    : dim_(dim),
-      config_(config),
-      arena_(std::make_unique<NodeArena>(config.use_arena)) {
+    : dim_(dim), config_(config), arena_(std::make_unique<NodeArena>()) {
   assert(dim >= 1 && dim <= kMaxDims);
 }
 
-PhTree::~PhTree() {
-  // Destruction is never concurrent with readers (wrappers quiesce through
-  // the epoch manager before deleting a tree), so even an MVCC tree may
-  // tear down with the wholesale O(slabs) arena reset.
-  cow_ = false;
-  Clear();
-}
+// Destruction is never concurrent with readers (wrappers quiesce through
+// the epoch manager before deleting a tree), so even an MVCC tree tears
+// down with the arena's wholesale O(slabs) release.
+PhTree::~PhTree() = default;
 
 PhTree::PhTree(PhTree&& other) noexcept
     : dim_(other.dim_),
       config_(other.config_),
       size_(other.size_.load(std::memory_order_relaxed)),
       update_stats_(other.update_stats_),
-      cow_(other.cow_),
       root_(other.root_),
       root_ptr_(other.root_.ptr),
       arena_(std::move(other.arena_)) {
@@ -57,19 +92,17 @@ PhTree::PhTree(PhTree&& other) noexcept
   other.root_ptr_.store(nullptr, std::memory_order_relaxed);
   other.size_.store(0, std::memory_order_relaxed);
   other.update_stats_ = PhUpdateStats{};
-  other.cow_ = false;
 }
 
 PhTree& PhTree::operator=(PhTree&& other) noexcept {
   if (this != &other) {
-    cow_ = false;  // moves are never concurrent with readers of *this
-    Clear();
+    // Replacing the arena releases the old tree wholesale; moves are never
+    // concurrent with readers of *this.
     dim_ = other.dim_;
     config_ = other.config_;
     size_.store(other.size_.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
     update_stats_ = other.update_stats_;
-    cow_ = other.cow_;
     root_ = other.root_;
     root_ptr_.store(other.root_.ptr, std::memory_order_relaxed);
     arena_ = std::move(other.arena_);
@@ -77,41 +110,30 @@ PhTree& PhTree::operator=(PhTree&& other) noexcept {
     other.root_ptr_.store(nullptr, std::memory_order_relaxed);
     other.size_.store(0, std::memory_order_relaxed);
     other.update_stats_ = PhUpdateStats{};
-    other.cow_ = false;
   }
   return *this;
 }
 
 void PhTree::EnableMvcc(EpochManager* epochs) {
-  assert(arena_ != nullptr && arena_->pooled());
+  assert(arena_ != nullptr);
   assert(epochs != nullptr);
   arena_->SetEpochManager(epochs);
-  cow_ = true;
 }
 
 void PhTree::Clear() {
-  if (cow_) {
-    // Readers may be traversing: unpublish the root atomically, then
-    // retire the whole subtree through the epoch queue instead of the
-    // wholesale reset (which would recycle slots under the readers).
-    CowClear();
-    return;
-  }
-  if (arena_ != nullptr && arena_->pooled()) {
-    // O(slabs): drop every node and word block wholesale; no tree walk.
-    arena_->Reset();
-  } else if (root_) {
-    DeleteSubtree(root_);
-  }
-  root_ = NodeRef{};
-  root_ptr_.store(nullptr, std::memory_order_relaxed);
-  size_.store(0, std::memory_order_relaxed);
-}
-
-void PhTree::CowClear() {
   const NodeRef old_root = root_;
   SetRoot(NodeRef{});
   size_.store(0, std::memory_order_relaxed);
+  if (!mvcc_enabled()) {
+    // O(slabs): drop every node and word block wholesale; no tree walk.
+    if (arena_ != nullptr) {
+      arena_->Reset();
+    }
+    return;
+  }
+  // Readers may be traversing: the root was unpublished atomically above;
+  // retire the whole subtree through the epoch queue instead of the
+  // wholesale reset (which would recycle slots under the readers).
   if (old_root) {
     EpochManager::ReadGuard guard(*arena_->epoch_manager());
     RetireSubtree(old_root);
@@ -139,20 +161,9 @@ void PhTree::ReserveNodes(size_t n) {
 NodeRef PhTree::NewNode(uint32_t infix_len, uint32_t postfix_len) {
   if (arena_ == nullptr) {
     // Moved-from tree being refilled: give it a fresh arena.
-    arena_ = std::make_unique<NodeArena>(config_.use_arena);
+    arena_ = std::make_unique<NodeArena>();
   }
   return arena_->NewNode(dim_, infix_len, postfix_len, config_.store_values);
-}
-
-void PhTree::DeleteSubtree(NodeRef node) {
-  for (uint64_t ord = node.ptr->FirstOrdinal(); ord != Node::kNoOrdinal;
-       ord = node.ptr->NextOrdinal(ord)) {
-    if (node.ptr->OrdinalIsSub(ord)) {
-      const NodeHandle ch = node.ptr->OrdinalSub(ord);
-      DeleteSubtree(NodeRef{arena_->NodeAt(ch), ch});
-    }
-  }
-  arena_->DeleteNode(node);
 }
 
 bool PhTree::Insert(std::span<const uint64_t> key, uint64_t value) {
@@ -173,67 +184,15 @@ bool PhTree::InsertOrAssign(std::span<const uint64_t> key, uint64_t value) {
 
 OpStatus PhTree::TryInsert(std::span<const uint64_t> key, uint64_t value) {
   assert(key.size() == dim_);
-  if (cow_) {
-    OpStatus st;
-    {
-      // The writer pins the epoch too: the advance scan's load of this
-      // slot's exit store is what orders the publication before any later
-      // reclamation (see EpochManager).
-      EpochManager::ReadGuard guard(*arena_->epoch_manager());
-      st = CowInsert(key, value, /*assign=*/false);
-    }
-    arena_->Reclaim();
-    return st;
-  }
-  if (!root_) {
-    // Build the root off-tree; publish (SetRoot) only once it is complete.
-    NodeRef r = NewNode(/*infix_len=*/0, /*postfix_len=*/kBitWidth - 1);
-    if (!r) {
-      return OpStatus::kNoMem;
-    }
-    if (!r.ptr->TryInsertPostfix(HcAddressAt(key, kBitWidth - 1), key, value,
-                                 config_)) {
-      arena_->DeleteNode(r);
-      return OpStatus::kNoMem;
-    }
-    SetRoot(r);
-    size_.store(1, std::memory_order_relaxed);
-    return OpStatus::kApplied;
-  }
-  NodeRef new_root{};
-  const OpStatus st = InsertRec(root_, key, value, /*assign=*/false,
-                                &new_root);
-  if (st == OpStatus::kApplied) {
-    assert(new_root.ptr == root_.ptr);  // the root has no infix, never splits
-    SetRoot(new_root);
-    size_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return st;
+  return WriteScope(arena_.get(),
+                    [&] { return InsertEntry(key, value, /*assign=*/false); });
 }
 
 OpStatus PhTree::TryInsertOrAssign(std::span<const uint64_t> key,
                                    uint64_t value) {
   assert(key.size() == dim_);
-  if (cow_) {
-    OpStatus st;
-    {
-      EpochManager::ReadGuard guard(*arena_->epoch_manager());
-      st = CowInsert(key, value, /*assign=*/true);
-    }
-    arena_->Reclaim();
-    return st;
-  }
-  if (!root_) {
-    return TryInsert(key, value);
-  }
-  NodeRef new_root{};
-  const OpStatus st = InsertRec(root_, key, value, /*assign=*/true,
-                                &new_root);
-  if (st == OpStatus::kApplied) {
-    SetRoot(new_root);
-    size_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return st;
+  return WriteScope(arena_.get(),
+                    [&] { return InsertEntry(key, value, /*assign=*/true); });
 }
 
 size_t PhTree::BulkLoad(std::span<const PhEntry> entries) {
@@ -246,99 +205,35 @@ size_t PhTree::BulkLoad(std::span<const PhEntry> entries) {
   return inserted;
 }
 
-OpStatus PhTree::InsertRec(NodeRef node, std::span<const uint64_t> key,
-                           uint64_t value, bool assign, NodeRef* out) {
-  *out = node;
-  const int mis = node.ptr->MatchInfix(key);
-  if (mis >= 0) {
-    // The key diverges from this node's infix at key bit `mis`: split the
-    // node by inserting a new parent at that depth (paper Sect. 3.6; this
-    // plus the entry insertion below are the "at most two nodes" touched).
-    //
-    // Failure atomicity: the new parent is fully assembled off-tree first
-    // (its failures cost nothing but the node itself), and trimming `node`'s
-    // infix — the only mutation of live state — comes last. TryTrimInfixToLow
-    // is itself commit-or-rollback, so a failure at any point leaves the
-    // tree bit-identical; after it commits only infallible steps remain
-    // (the caller's SetSubAt handle swap).
-    const uint32_t pl = node.ptr->postfix_len();
-    const uint32_t il = node.ptr->infix_len();
-    KeyBuf rep;
-    CopyKey(key, rep.span(dim_));
-    node.ptr->ReadInfixInto(rep.span(dim_));
-    const uint64_t addr_node = HcAddressAt(rep.span(dim_), mis);
-    const uint64_t addr_key = HcAddressAt(key, mis);
-    assert(addr_node != addr_key);
+bool PhTree::Erase(std::span<const uint64_t> key) {
+  const OpStatus st = TryErase(key);
+  if (st == OpStatus::kNoMem) {
+    throw std::bad_alloc();
+  }
+  return st == OpStatus::kApplied;
+}
 
-    NodeRef parent = NewNode(pl + il - static_cast<uint32_t>(mis),
-                             static_cast<uint32_t>(mis));
-    if (!parent) {
-      return OpStatus::kNoMem;
-    }
-    parent.ptr->SetInfixFromKey(key);
-    if (!parent.ptr->TryInsertSub(addr_node, node.handle, config_) ||
-        !parent.ptr->TryInsertPostfix(addr_key, key, value, config_) ||
-        !node.ptr->TryTrimInfixToLow(static_cast<uint32_t>(mis) - 1 - pl,
-                                     config_)) {
-      arena_->DeleteNode(parent);
-      return OpStatus::kNoMem;
-    }
-    *out = parent;
-    return OpStatus::kApplied;
-  }
+OpStatus PhTree::TryErase(std::span<const uint64_t> key) {
+  assert(key.size() == dim_);
+  return WriteScope(arena_.get(), [&] { return EraseEntry(key); });
+}
 
-  const uint64_t addr = HcAddressAt(key, node.ptr->postfix_len());
-  const uint64_t ord = node.ptr->FindOrdinal(addr);
-  if (ord == Node::kNoOrdinal) {
-    return node.ptr->TryInsertPostfix(addr, key, value, config_)
-               ? OpStatus::kApplied
-               : OpStatus::kNoMem;
+UpdateOutcome PhTree::Update(std::span<const uint64_t> old_key,
+                             std::span<const uint64_t> new_key,
+                             std::optional<uint64_t> value) {
+  const UpdateOutcome out = TryUpdate(old_key, new_key, value);
+  if (out == UpdateOutcome::kNoMem) {
+    throw std::bad_alloc();
   }
-  if (node.ptr->OrdinalIsSub(ord)) {
-    const NodeHandle ch = node.ptr->OrdinalSub(ord);
-    const NodeRef child{arena_->NodeAt(ch), ch};
-    NodeRef replacement{};
-    const OpStatus st = InsertRec(child, key, value, assign, &replacement);
-    if (st == OpStatus::kApplied && replacement.handle != ch) {
-      // `node` was not mutated since FindOrdinal, so `ord` is still valid.
-      node.ptr->SetSubAt(ord, replacement.handle);
-    }
-    return st;
-  }
-  // Postfix collision.
-  const int div = node.ptr->PostfixDivergence(ord, key);
-  if (div < 0) {
-    // Exact duplicate.
-    if (assign) {
-      node.ptr->SetPayloadAt(ord, value);
-    }
-    return OpStatus::kNoop;
-  }
-  // Both keys share bits (div, postfix_len) below this node; create a child
-  // at depth `div` holding the two postfixes. The child is fully built
-  // off-tree; TryReplaceEntryWithSub is the single fallible step that
-  // touches `node`, so failure anywhere unwinds to the pre-call tree.
-  const uint32_t pl = node.ptr->postfix_len();
-  KeyBuf old_key;
-  CopyKey(key, old_key.span(dim_));
-  node.ptr->ReadPostfixInto(ord, old_key.span(dim_));
-  const uint64_t old_value = node.ptr->OrdinalPayload(ord);
+  return out;
+}
 
-  NodeRef child = NewNode(pl - 1 - static_cast<uint32_t>(div),
-                          static_cast<uint32_t>(div));
-  if (!child) {
-    return OpStatus::kNoMem;
-  }
-  child.ptr->SetInfixFromKey(key);
-  if (!child.ptr->TryInsertPostfix(HcAddressAt(old_key.span(dim_), div),
-                                   old_key.span(dim_), old_value, config_) ||
-      !child.ptr->TryInsertPostfix(HcAddressAt(key, div), key, value,
-                                   config_) ||
-      !node.ptr->TryReplaceEntryWithSub(addr, child.handle, config_)) {
-    arena_->DeleteNode(child);
-    return OpStatus::kNoMem;
-  }
-  return OpStatus::kApplied;
+UpdateOutcome PhTree::TryUpdate(std::span<const uint64_t> old_key,
+                                std::span<const uint64_t> new_key,
+                                std::optional<uint64_t> value) {
+  assert(old_key.size() == dim_ && new_key.size() == dim_);
+  return WriteScope(arena_.get(),
+                    [&] { return MoveEntry(old_key, new_key, value); });
 }
 
 std::optional<uint64_t> PhTree::Find(std::span<const uint64_t> key) const {
@@ -450,678 +345,401 @@ std::vector<std::optional<uint64_t>> PhTree::FindBatch(
   return results;
 }
 
-bool PhTree::Erase(std::span<const uint64_t> key) {
-  const OpStatus st = TryErase(key);
-  if (st == OpStatus::kNoMem) {
-    throw std::bad_alloc();
-  }
-  return st == OpStatus::kApplied;
-}
-
-OpStatus PhTree::TryErase(std::span<const uint64_t> key) {
-  assert(key.size() == dim_);
-  if (cow_) {
-    OpStatus st;
-    {
-      EpochManager::ReadGuard guard(*arena_->epoch_manager());
-      st = CowErase(key);
-    }
-    arena_->Reclaim();
-    return st;
-  }
-  if (!root_) {
-    return OpStatus::kNoop;
-  }
-  const OpStatus st = EraseRec(nullptr, 0, root_, key);
-  if (st == OpStatus::kApplied) {
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    if (root_.ptr->num_entries() == 0) {
-      arena_->DeleteNode(root_);
-      SetRoot(NodeRef{});
-    }
-  }
-  return st;
-}
-
-OpStatus PhTree::EraseRec(Node* parent, uint64_t addr_in_parent, NodeRef node,
-                          std::span<const uint64_t> key) {
-  if (node.ptr->MatchInfix(key) >= 0) {
-    return OpStatus::kNoop;
-  }
-  const uint64_t addr = HcAddressAt(key, node.ptr->postfix_len());
-  const uint64_t ord = node.ptr->FindOrdinal(addr);
-  if (ord == Node::kNoOrdinal) {
-    return OpStatus::kNoop;
-  }
-  if (node.ptr->OrdinalIsSub(ord)) {
-    const NodeHandle ch = node.ptr->OrdinalSub(ord);
-    return EraseRec(node.ptr, addr, NodeRef{arena_->NodeAt(ch), ch}, key);
-  }
-  if (node.ptr->PostfixDivergence(ord, key) >= 0) {
-    return OpStatus::kNoop;
-  }
-  // The key lives here. A removal that would leave a non-root node with a
-  // single entry is executed as a pre-planned merge instead of
-  // remove-then-restructure: `node` is deleted wholesale (never mutated)
-  // and its surviving entry is folded into `parent` — the paper's second
-  // affected node — with exactly one fallible step, placed before any
-  // mutation of live state. Failure atomicity falls out: either nothing has
-  // happened yet, or only infallible steps remain.
-  if (parent != nullptr && node.ptr->num_entries() == 2) {
-    uint64_t sord = node.ptr->FirstOrdinal();  // the surviving entry
-    if (sord == ord) {
-      sord = node.ptr->NextOrdinal(sord);
-    }
-    const uint64_t saddr = node.ptr->OrdinalAddr(sord);
-    if (node.ptr->OrdinalIsSub(sord)) {
-      // Splice: the grandchild absorbs `node`'s infix and address bit
-      // (commit-or-rollback), then the parent's child slot is repointed.
-      const NodeHandle gh = node.ptr->OrdinalSub(sord);
-      if (!arena_->NodeAt(gh)->TryAbsorbParentInfix(*node.ptr, saddr,
-                                                    config_)) {
-        return OpStatus::kNoMem;
-      }
-      const uint64_t pord = parent->FindOrdinal(addr_in_parent);
-      parent->SetSubAt(pord, gh);
-      arena_->DeleteNode(node);
-      return OpStatus::kApplied;
-    }
-    // Merge: rebuild the surviving entry's bits below `parent` (node infix +
-    // node address bit + node postfix) and store them as a parent postfix.
-    KeyBuf buf;
-    for (uint32_t d = 0; d < dim_; ++d) {
-      buf.data[d] = 0;
-    }
-    node.ptr->ReadPostfixInto(sord, buf.span(dim_));
-    ApplyHcAddress(saddr, node.ptr->postfix_len(), buf.span(dim_));
-    node.ptr->ReadInfixInto(buf.span(dim_));
-    const uint64_t value = node.ptr->OrdinalPayload(sord);
-    if (!parent->TryReplaceSubWithPostfix(addr_in_parent, buf.span(dim_),
-                                          value, config_)) {
-      return OpStatus::kNoMem;
-    }
-    arena_->DeleteNode(node);
-    return OpStatus::kApplied;
-  }
-  return node.ptr->TryRemoveEntry(addr, config_) ? OpStatus::kApplied
-                                                 : OpStatus::kNoMem;
-}
-
-// ---- Copy-on-write mutation path (MVCC mode) ------------------------------
+// ---- The mutation engine ---------------------------------------------------
 //
-// The paper's ≤2-touched-nodes guarantee makes COW publication cheap: every
-// structural mutation below replaces at most two reachable nodes. The shape
-// is always the same — descend along the key recording (node, sub-ordinal)
-// frames, build the replacement node(s) privately (the same fallible seams
-// as the in-place path: kArenaNodeAlloc for slots, kWordAlloc for streams),
-// then publish the replacement subtree with exactly ONE atomic store: a
-// child-handle slot in the deepest untouched ancestor, or the root pointer.
-// On any failure the private nodes are deleted directly (they were never
-// published) and the live tree is bit-identical to its pre-call state — the
-// historical commit-or-rollback contract. Replaced nodes are retired through
-// the arena's epoch queue, never freed inline.
+// Insert, erase and update share one shape, the paper's "an update touches
+// at most two nodes" (Sect. 3.6): one iterative descent along the key that
+// records its (node, sub-ordinal) path (Descend), then one edit step for the
+// structural case at hand, then one publication of the edited node in the
+// place of the node it replaces. Each case is written once:
+//   insert: empty slot, postfix collision, infix split, payload rewrite;
+//   erase:  plain remove, merge into the parent, splice of the grandchild;
+//   update: in-node relocation and payload rewrite, else insert-then-erase.
+//
+// The edit steps work through a per-call Mutation record whose calls hide
+// the publish policy, derived from whether the arena has an EpochManager:
+//   * in place (plain trees): Writable(node) is the live node itself, and
+//     Publish is a plain child-handle or root store;
+//   * copy-on-write (EnableMvcc): Writable(node) is a private clone, and
+//     Publish is one atomic store — a child-handle slot in the deepest
+//     ancestor that admits one, or the root pointer — so a lock-free
+//     reader sees either the old node or the complete replacement.
+// Fresh nodes (new parents and children) are the same in both policies.
+//
+// One ordering rule keeps every Try* mutation commit-or-rollback under both
+// policies: every fallible step on fresh nodes comes first, and the single
+// commit-or-rollback step on the writable node comes last (Node's Try*
+// mutators leave the node bit-identical on failure). In place this order is
+// what makes failure atomic; on a clone it is merely harmless. On any
+// failure Finish deletes the created nodes, which were never published. On
+// success the replaced nodes leave the tree through RetireNode: deleted at
+// once in place, freed only after their epoch grace period under MVCC.
+// The fallible seams are kArenaNodeAlloc for slots and kWordAlloc for bit
+// streams, in both policies.
 
-NodeRef PhTree::CowClone(const Node& src) {
-  NodeRef copy = NewNode(src.infix_len(), src.postfix_len());
-  if (!copy) {
-    return NodeRef{};
-  }
-  if (!copy.ptr->TryAssignFrom(src)) {
-    arena_->DeleteNode(copy);
-    return NodeRef{};
-  }
-  return copy;
-}
+struct PhTree::Descent {
+  FixedStack<Frame, kBitWidth> path;
+  NodeRef node;        ///< the node where the key leaves the tree
+  int mismatch = -1;   ///< key bit where node's infix diverges, or -1
+  uint64_t addr = 0;   ///< the key's hypercube address in node
+  uint64_t ord = Node::kNoOrdinal;  ///< entry at addr (kNoOrdinal: empty)
+  int div = -1;        ///< postfix divergence at ord (-1: exact match)
 
-bool PhTree::CowPublish(NodeRef replacement, const CowFrame* path,
-                        size_t depth, NodeRef* created, size_t* n_created,
-                        NodeRef* retire, size_t* n_retire) {
-  // Climb the recorded path until a frame's child slot admits a single
-  // atomic store. A key-only HC ancestor keeps sub handles in an unaligned
-  // tail, so it cannot be republished in place: clone it, swing the handle
-  // in the private copy, and keep climbing (the cascade ends at the root
-  // pointer at the latest).
-  size_t i = depth;
-  while (i > 0) {
-    const CowFrame& f = path[i - 1];
-    if (f.node.ptr->CanPublishSubAt(f.ord)) {
-      f.node.ptr->PublishSubAt(f.ord, replacement.handle);
-      return true;
+  bool found() const {
+    return mismatch < 0 && ord != Node::kNoOrdinal && div < 0;
+  }
+};
+
+class PhTree::Mutation {
+ public:
+  explicit Mutation(PhTree* tree)
+      : tree_(tree), copy_on_write_(tree->mvcc_enabled()) {}
+
+  /// A node built by this call, recorded as created.
+  NodeRef Fresh(uint32_t infix_len, uint32_t postfix_len) {
+    const NodeRef n = tree_->NewNode(infix_len, postfix_len);
+    if (n) {
+      created_.push_back(n);
     }
-    NodeRef pc = CowClone(*f.node.ptr);
-    if (!pc) {
+    return n;
+  }
+
+  /// The node this call edits in place of `node`: `node` itself in place;
+  /// under MVCC a private clone (created), with `node` recorded as
+  /// replaced. Empty on allocation failure.
+  NodeRef Writable(NodeRef node) {
+    if (!copy_on_write_) {
+      return node;
+    }
+    const NodeRef copy =
+        Fresh(node.ptr->infix_len(), node.ptr->postfix_len());
+    if (!copy || !copy.ptr->TryAssignFrom(*node.ptr)) {
+      return NodeRef{};
+    }
+    Replaced(node);
+    return copy;
+  }
+
+  /// `node` leaves the tree once this call commits.
+  void Replaced(NodeRef node) { replaced_.push_back(node); }
+
+  /// If `ok`, publishes `replacement` in the place of the node at level
+  /// `depth` of `path` (the root for depth 0) and commits; otherwise, or
+  /// if publication fails, deletes every created node. Returns whether
+  /// the mutation took effect.
+  bool Finish(bool ok, NodeRef replacement, const Frame* path,
+              size_t depth) {
+    if (!ok || !Publish(replacement, path, depth)) {
+      for (const NodeRef& n : created_) {
+        tree_->arena_->DeleteNode(n);
+      }
       return false;
     }
-    created[(*n_created)++] = pc;
-    pc.ptr->SetSubAt(f.ord, replacement.handle);
-    retire[(*n_retire)++] = f.node;
-    replacement = pc;
-    --i;
+    for (const NodeRef& n : replaced_) {
+      tree_->arena_->RetireNode(n);
+    }
+    return true;
   }
-  SetRoot(replacement);
-  return true;
+
+ private:
+  bool Publish(NodeRef replacement, const Frame* path, size_t depth) {
+    // Climb until a frame's child slot takes the store. A node edited in
+    // place is already linked, and in place every slot takes the store.
+    // Under MVCC a key-only HC ancestor keeps sub handles in an unaligned
+    // tail that no atomic store can republish: swing the handle in a
+    // private clone instead and keep climbing (the cascade ends at the
+    // root pointer at the latest).
+    for (; depth > 0; --depth) {
+      const Frame& f = path[depth - 1];
+      if (f.child == replacement.handle) {
+        return true;
+      }
+      if (f.node.ptr->CanPublishSubAt(f.ord)) {
+        f.node.ptr->PublishSubAt(f.ord, replacement.handle);
+        return true;
+      }
+      const NodeRef parent = Writable(f.node);
+      if (!parent) {
+        return false;
+      }
+      parent.ptr->SetSubAt(f.ord, replacement.handle);
+      if (parent.ptr == f.node.ptr) {
+        return true;
+      }
+      replacement = parent;
+    }
+    tree_->SetRoot(replacement);
+    return true;
+  }
+
+  PhTree* tree_;
+  bool copy_on_write_;
+  FixedStack<NodeRef, kBitWidth + 2> created_;
+  FixedStack<NodeRef, kBitWidth + 2> replaced_;
+};
+
+void PhTree::Descend(std::span<const uint64_t> key, Descent* d) const {
+  NodeRef node = root_;
+  for (;;) {
+    d->node = node;
+    d->mismatch = node.ptr->MatchInfix(key);
+    if (d->mismatch >= 0) {
+      return;
+    }
+    d->addr = HcAddressAt(key, node.ptr->postfix_len());
+    d->ord = node.ptr->FindOrdinal(d->addr);
+    if (d->ord == Node::kNoOrdinal) {
+      return;
+    }
+    if (!node.ptr->OrdinalIsSub(d->ord)) {
+      d->div = node.ptr->PostfixDivergence(d->ord, key);
+      return;
+    }
+    const NodeHandle ch = node.ptr->OrdinalSub(d->ord);
+    d->path.push_back(Frame{node, d->ord, ch});
+    node = NodeRef{arena_->NodeAt(ch), ch};
+  }
 }
 
-OpStatus PhTree::CowInsert(std::span<const uint64_t> key, uint64_t value,
-                           bool assign) {
-  if (!root_) {
-    NodeRef r = NewNode(/*infix_len=*/0, /*postfix_len=*/kBitWidth - 1);
-    if (!r) {
-      return OpStatus::kNoMem;
-    }
-    if (!r.ptr->TryInsertPostfix(HcAddressAt(key, kBitWidth - 1), key, value,
-                                 config_)) {
-      arena_->DeleteNode(r);
-      return OpStatus::kNoMem;
-    }
-    SetRoot(r);
-    size_.store(1, std::memory_order_relaxed);
-    return OpStatus::kApplied;
+OpStatus PhTree::InsertEntry(std::span<const uint64_t> key, uint64_t value,
+                             bool assign) {
+  Descent d;
+  if (root_) {
+    Descend(key, &d);
   }
-  CowFrame path[kBitWidth];
-  size_t depth = 0;
-  NodeRef created[kBitWidth + 2];
-  size_t n_created = 0;
-  NodeRef retire[kBitWidth + 2];
-  size_t n_retire = 0;
-  NodeRef node = root_;
-  NodeRef replacement{};
-  bool fail = false;
-  for (;;) {
-    const int mis = node.ptr->MatchInfix(key);
-    if (mis >= 0) {
-      // Infix split (paper Sect. 3.6), COW form: a trimmed clone of `node`
-      // plus a fresh parent holding {clone, new postfix}; the live node is
-      // never touched and is retired after publication.
-      const uint32_t pl = node.ptr->postfix_len();
-      const uint32_t il = node.ptr->infix_len();
-      KeyBuf rep;
-      CopyKey(key, rep.span(dim_));
-      node.ptr->ReadInfixInto(rep.span(dim_));
-      const uint64_t addr_node = HcAddressAt(rep.span(dim_), mis);
-      const uint64_t addr_key = HcAddressAt(key, mis);
-      assert(addr_node != addr_key);
-
-      NodeRef trimmed = CowClone(*node.ptr);
-      if (!trimmed) {
-        fail = true;
-        break;
-      }
-      created[n_created++] = trimmed;
-      NodeRef parent = NewNode(pl + il - static_cast<uint32_t>(mis),
-                               static_cast<uint32_t>(mis));
-      if (!parent) {
-        fail = true;
-        break;
-      }
-      created[n_created++] = parent;
-      parent.ptr->SetInfixFromKey(key);
-      if (!trimmed.ptr->TryTrimInfixToLow(
-              static_cast<uint32_t>(mis) - 1 - pl, config_) ||
-          !parent.ptr->TryInsertSub(addr_node, trimmed.handle, config_) ||
-          !parent.ptr->TryInsertPostfix(addr_key, key, value, config_)) {
-        fail = true;
-        break;
-      }
-      retire[n_retire++] = node;
-      replacement = parent;
-      break;
+  Mutation m(this);
+  NodeRef replacement;  // takes d.node's place (the root's, if empty)
+  bool ok = false;
+  if (!root_) {
+    // Empty tree: the root is built off-tree and published once complete.
+    replacement = m.Fresh(/*infix_len=*/0, /*postfix_len=*/kBitWidth - 1);
+    ok = replacement &&
+         replacement.ptr->TryInsertPostfix(HcAddressAt(key, kBitWidth - 1),
+                                           key, value, config_);
+  } else if (d.mismatch >= 0) {
+    // Infix split: the key diverges from d.node's infix at key bit `mis`.
+    // A fresh parent at that depth takes {d.node with its infix trimmed,
+    // the key's postfix}; the root has no infix and never splits.
+    const uint32_t mis = static_cast<uint32_t>(d.mismatch);
+    const uint32_t pl = d.node.ptr->postfix_len();
+    const uint32_t il = d.node.ptr->infix_len();
+    KeyBuf rep;
+    CopyKey(key, rep.span(dim_));
+    d.node.ptr->ReadInfixInto(rep.span(dim_));
+    const uint64_t addr_node = HcAddressAt(rep.span(dim_), mis);
+    const uint64_t addr_key = HcAddressAt(key, mis);
+    assert(addr_node != addr_key);
+    replacement = m.Fresh(pl + il - mis, mis);
+    if (replacement) {
+      replacement.ptr->SetInfixFromKey(key);
     }
-    const uint64_t addr = HcAddressAt(key, node.ptr->postfix_len());
-    const uint64_t ord = node.ptr->FindOrdinal(addr);
-    if (ord == Node::kNoOrdinal) {
-      // Plain insert: the entry lands in a clone of this node.
-      NodeRef copy = CowClone(*node.ptr);
-      if (!copy) {
-        fail = true;
-        break;
-      }
-      created[n_created++] = copy;
-      if (!copy.ptr->TryInsertPostfix(addr, key, value, config_)) {
-        fail = true;
-        break;
-      }
-      retire[n_retire++] = node;
-      replacement = copy;
-      break;
+    const NodeRef w = replacement ? m.Writable(d.node) : NodeRef{};
+    ok = w && replacement.ptr->TryInsertSub(addr_node, w.handle, config_) &&
+         replacement.ptr->TryInsertPostfix(addr_key, key, value, config_) &&
+         w.ptr->TryTrimInfixToLow(mis - 1 - pl, config_);
+  } else if (d.ord == Node::kNoOrdinal) {
+    // Empty slot: the postfix lands in d.node itself.
+    replacement = m.Writable(d.node);
+    ok = replacement &&
+         replacement.ptr->TryInsertPostfix(d.addr, key, value, config_);
+  } else if (d.div < 0) {
+    // Exact duplicate. The payload rewrite is one atomic store into an
+    // aligned value slot in both policies and never allocates.
+    if (assign) {
+      d.node.ptr->PublishPayloadAt(d.ord, value);
     }
-    if (node.ptr->OrdinalIsSub(ord)) {
-      assert(depth < kBitWidth);
-      path[depth++] = CowFrame{node, ord};
-      const NodeHandle ch = node.ptr->OrdinalSub(ord);
-      node = NodeRef{arena_->NodeAt(ch), ch};
-      continue;
-    }
-    const int div = node.ptr->PostfixDivergence(ord, key);
-    if (div < 0) {
-      // Exact duplicate: payload overwrite is the one mutation that stays
-      // in place — a single atomic store into an aligned value slot.
-      if (assign) {
-        node.ptr->PublishPayloadAt(ord, value);
-      }
-      return OpStatus::kNoop;
-    }
-    // Postfix collision: fresh child holding both postfixes, plus a clone
-    // of `node` whose colliding entry becomes the sub.
-    const uint32_t pl = node.ptr->postfix_len();
+    return OpStatus::kNoop;
+  } else {
+    // Postfix collision: both keys share bits (div, postfix_len) below
+    // d.node; a fresh child at depth `div` holds the two postfixes and
+    // takes the colliding entry's slot.
+    const uint32_t div = static_cast<uint32_t>(d.div);
+    const uint32_t pl = d.node.ptr->postfix_len();
     KeyBuf old_key;
     CopyKey(key, old_key.span(dim_));
-    node.ptr->ReadPostfixInto(ord, old_key.span(dim_));
-    const uint64_t old_value = node.ptr->OrdinalPayload(ord);
-    NodeRef child = NewNode(pl - 1 - static_cast<uint32_t>(div),
-                            static_cast<uint32_t>(div));
-    if (!child) {
-      fail = true;
-      break;
+    d.node.ptr->ReadPostfixInto(d.ord, old_key.span(dim_));
+    const uint64_t old_value = d.node.ptr->OrdinalPayload(d.ord);
+    const NodeRef child = m.Fresh(pl - 1 - div, div);
+    if (child) {
+      child.ptr->SetInfixFromKey(key);
     }
-    created[n_created++] = child;
-    child.ptr->SetInfixFromKey(key);
-    NodeRef copy = CowClone(*node.ptr);
-    if (!copy) {
-      fail = true;
-      break;
-    }
-    created[n_created++] = copy;
-    if (!child.ptr->TryInsertPostfix(HcAddressAt(old_key.span(dim_), div),
+    ok = child &&
+         child.ptr->TryInsertPostfix(HcAddressAt(old_key.span(dim_), div),
                                      old_key.span(dim_), old_value,
-                                     config_) ||
-        !child.ptr->TryInsertPostfix(HcAddressAt(key, div), key, value,
-                                     config_) ||
-        !copy.ptr->TryReplaceEntryWithSub(addr, child.handle, config_)) {
-      fail = true;
-      break;
-    }
-    retire[n_retire++] = node;
-    replacement = copy;
-    break;
+                                     config_) &&
+         child.ptr->TryInsertPostfix(HcAddressAt(key, div), key, value,
+                                     config_);
+    replacement = ok ? m.Writable(d.node) : NodeRef{};
+    ok = replacement && replacement.ptr->TryReplaceEntryWithSub(
+                            d.addr, child.handle, config_);
   }
-  if (!fail) {
-    fail = !CowPublish(replacement, path, depth, created, &n_created, retire,
-                       &n_retire);
-  }
-  if (fail) {
-    for (size_t i = 0; i < n_created; ++i) {
-      arena_->DeleteNode(created[i]);  // never published: direct delete
-    }
+  if (!m.Finish(ok, replacement, d.path.begin(), d.path.size())) {
     return OpStatus::kNoMem;
-  }
-  for (size_t i = 0; i < n_retire; ++i) {
-    arena_->RetireNode(retire[i]);
   }
   size_.fetch_add(1, std::memory_order_relaxed);
   return OpStatus::kApplied;
 }
 
-OpStatus PhTree::CowErase(std::span<const uint64_t> key) {
+OpStatus PhTree::EraseEntry(std::span<const uint64_t> key) {
   if (!root_) {
     return OpStatus::kNoop;
   }
-  CowFrame path[kBitWidth];
-  size_t depth = 0;
-  NodeRef node = root_;
-  uint64_t addr;
-  uint64_t ord;
-  for (;;) {
-    if (node.ptr->MatchInfix(key) >= 0) {
-      return OpStatus::kNoop;
-    }
-    addr = HcAddressAt(key, node.ptr->postfix_len());
-    ord = node.ptr->FindOrdinal(addr);
-    if (ord == Node::kNoOrdinal) {
-      return OpStatus::kNoop;
-    }
-    if (node.ptr->OrdinalIsSub(ord)) {
-      assert(depth < kBitWidth);
-      path[depth++] = CowFrame{node, ord};
-      const NodeHandle ch = node.ptr->OrdinalSub(ord);
-      node = NodeRef{arena_->NodeAt(ch), ch};
-      continue;
-    }
-    if (node.ptr->PostfixDivergence(ord, key) >= 0) {
-      return OpStatus::kNoop;
-    }
-    break;
+  Descent d;
+  Descend(key, &d);
+  if (!d.found()) {
+    return OpStatus::kNoop;
   }
-  if (depth == 0 && node.ptr->num_entries() == 1) {
-    // Last entry of the tree: publish the empty root.
-    SetRoot(NodeRef{});
-    arena_->RetireNode(node);
-    size_.store(0, std::memory_order_relaxed);
-    return OpStatus::kApplied;
-  }
-  NodeRef created[kBitWidth + 2];
-  size_t n_created = 0;
-  NodeRef retire[kBitWidth + 2];
-  size_t n_retire = 0;
-  NodeRef replacement{};
-  size_t publish_depth = depth;
-  bool fail = false;
-  if (depth > 0 && node.ptr->num_entries() == 2) {
-    // The removal leaves a non-root node with one entry: execute the
-    // paper's second-node restructuring as COW. Both affected live nodes
-    // are retired; the survivor is rebuilt privately.
-    const CowFrame& pf = path[depth - 1];
-    uint64_t sord = node.ptr->FirstOrdinal();  // the surviving entry
-    if (sord == ord) {
+  Mutation m(this);
+  const NodeRef node = d.node;
+  NodeRef replacement;   // published at level `at` of the path
+  size_t at = d.path.size();
+  bool ok = false;
+  if (d.path.size() == 0 && node.ptr->num_entries() == 1) {
+    // The tree's last entry: publish the empty root.
+    m.Replaced(node);
+    ok = true;
+  } else if (d.path.size() > 0 && node.ptr->num_entries() == 2) {
+    // The removal would leave a non-root node with a single entry, so the
+    // node goes as a whole and its surviving entry moves up — the paper's
+    // second affected node.
+    uint64_t sord = node.ptr->FirstOrdinal();
+    if (sord == d.ord) {
       sord = node.ptr->NextOrdinal(sord);
     }
     const uint64_t saddr = node.ptr->OrdinalAddr(sord);
+    m.Replaced(node);
     if (node.ptr->OrdinalIsSub(sord)) {
-      // Splice: an infix-absorbing clone of the grandchild takes `node`'s
-      // slot in the parent.
+      // Splice: the grandchild absorbs node's infix and address bit and
+      // takes node's slot in the parent.
       const NodeHandle gh = node.ptr->OrdinalSub(sord);
-      NodeRef grand{arena_->NodeAt(gh), gh};
-      NodeRef g2 = CowClone(*grand.ptr);
-      if (!g2) {
-        fail = true;
-      } else {
-        created[n_created++] = g2;
-        if (!g2.ptr->TryAbsorbParentInfix(*node.ptr, saddr, config_)) {
-          fail = true;
-        } else {
-          retire[n_retire++] = node;
-          retire[n_retire++] = grand;
-          replacement = g2;
-        }
-      }
+      replacement = m.Writable(NodeRef{arena_->NodeAt(gh), gh});
+      ok = replacement && replacement.ptr->TryAbsorbParentInfix(
+                              *node.ptr, saddr, config_);
     } else {
-      // Merge: a clone of the parent folds the surviving postfix back in,
-      // replacing its sub entry for `node`.
+      // Merge: the surviving entry's bits below the parent (node infix +
+      // node address bit + node postfix) replace the parent's sub entry.
       KeyBuf buf;
-      for (uint32_t d = 0; d < dim_; ++d) {
-        buf.data[d] = 0;
+      for (uint32_t i = 0; i < dim_; ++i) {
+        buf.data[i] = 0;
       }
       node.ptr->ReadPostfixInto(sord, buf.span(dim_));
       ApplyHcAddress(saddr, node.ptr->postfix_len(), buf.span(dim_));
       node.ptr->ReadInfixInto(buf.span(dim_));
       const uint64_t value = node.ptr->OrdinalPayload(sord);
+      const Frame& pf = *(d.path.end() - 1);
       const uint64_t addr_in_parent = pf.node.ptr->OrdinalAddr(pf.ord);
-      NodeRef p2 = CowClone(*pf.node.ptr);
-      if (!p2) {
-        fail = true;
-      } else {
-        created[n_created++] = p2;
-        if (!p2.ptr->TryReplaceSubWithPostfix(addr_in_parent, buf.span(dim_),
-                                              value, config_)) {
-          fail = true;
-        } else {
-          retire[n_retire++] = pf.node;
-          retire[n_retire++] = node;
-          replacement = p2;
-          publish_depth = depth - 1;  // p2 replaces the parent itself
-        }
-      }
+      replacement = m.Writable(pf.node);
+      ok = replacement && replacement.ptr->TryReplaceSubWithPostfix(
+                              addr_in_parent, buf.span(dim_), value, config_);
+      at = d.path.size() - 1;  // the edited parent replaces the parent
     }
   } else {
-    // Plain removal from a clone of this node.
-    NodeRef copy = CowClone(*node.ptr);
-    if (!copy) {
-      fail = true;
-    } else {
-      created[n_created++] = copy;
-      if (!copy.ptr->TryRemoveEntry(addr, config_)) {
-        fail = true;
-      } else {
-        retire[n_retire++] = node;
-        replacement = copy;
-      }
-    }
+    // Plain remove.
+    replacement = m.Writable(node);
+    ok = replacement && replacement.ptr->TryRemoveEntry(d.addr, config_);
   }
-  if (!fail) {
-    fail = !CowPublish(replacement, path, publish_depth, created, &n_created,
-                       retire, &n_retire);
-  }
-  if (fail) {
-    for (size_t i = 0; i < n_created; ++i) {
-      arena_->DeleteNode(created[i]);
-    }
+  if (!m.Finish(ok, replacement, d.path.begin(), at)) {
     return OpStatus::kNoMem;
-  }
-  for (size_t i = 0; i < n_retire; ++i) {
-    arena_->RetireNode(retire[i]);
   }
   size_.fetch_sub(1, std::memory_order_relaxed);
   return OpStatus::kApplied;
 }
 
-UpdateOutcome PhTree::CowUpdate(std::span<const uint64_t> old_key,
+UpdateOutcome PhTree::MoveEntry(std::span<const uint64_t> old_key,
                                 std::span<const uint64_t> new_key,
                                 std::optional<uint64_t> value) {
   if (!root_) {
     return UpdateOutcome::kOldMissing;
   }
-  uint64_t agg = 0;
-  for (uint32_t d = 0; d < dim_; ++d) {
-    agg |= old_key[d] ^ new_key[d];
-  }
-  CowFrame path[kBitWidth];
-  size_t depth = 0;
-  NodeRef node = root_;
-  uint64_t addr;
-  uint64_t ord;
-  for (;;) {
-    if (node.ptr->MatchInfix(old_key) >= 0) {
-      return UpdateOutcome::kOldMissing;
-    }
-    addr = HcAddressAt(old_key, node.ptr->postfix_len());
-    ord = node.ptr->FindOrdinal(addr);
-    if (ord == Node::kNoOrdinal) {
-      return UpdateOutcome::kOldMissing;
-    }
-    if (!node.ptr->OrdinalIsSub(ord)) {
-      if (node.ptr->PostfixDivergence(ord, old_key) >= 0) {
-        return UpdateOutcome::kOldMissing;
-      }
-      break;
-    }
-    assert(depth < kBitWidth);
-    path[depth++] = CowFrame{node, ord};
-    const NodeHandle ch = node.ptr->OrdinalSub(ord);
-    node = NodeRef{arena_->NodeAt(ch), ch};
-  }
-
-  if (agg == 0) {
-    // Pure payload rewrite: in place, one atomic store, no allocation.
-    if (value.has_value()) {
-      node.ptr->PublishPayloadAt(ord, *value);
-    }
-    ++update_stats_.fast_path;
-    return UpdateOutcome::kMoved;
-  }
-
-  const uint32_t hb = static_cast<uint32_t>(std::bit_width(agg)) - 1;
-  const uint32_t pl = node.ptr->postfix_len();
-  const uint64_t v = value.has_value() ? *value : node.ptr->OrdinalPayload(ord);
-
-  if (hb <= pl) {
-    // The move stays inside this node: a single-clone publication, so a
-    // reader sees the entry jump atomically from old_key to new_key.
-    const uint64_t new_addr = HcAddressAt(new_key, pl);
-    const uint64_t nord =
-        new_addr == addr ? Node::kNoOrdinal : node.ptr->FindOrdinal(new_addr);
-    if (nord != Node::kNoOrdinal && !node.ptr->OrdinalIsSub(nord) &&
-        node.ptr->PostfixDivergence(nord, new_key) < 0) {
-      return UpdateOutcome::kNewOccupied;
-    }
-    if (new_addr == addr || nord == Node::kNoOrdinal) {
-      NodeRef copy = CowClone(*node.ptr);
-      if (!copy) {
-        return UpdateOutcome::kNoMem;
-      }
-      bool ok = true;
-      if (new_addr == addr) {
-        copy.ptr->SetPostfixAt(ord, new_key);
-        copy.ptr->SetPayloadAt(ord, v);
-      } else if (!copy.ptr->TryRelocatePostfix(addr, new_addr, new_key, v)) {
-        // The clone is private, so a transiently one-smaller stream is
-        // fine here — unlike the in-place path, remove+reinsert needs no
-        // rollback protection beyond deleting the clone.
-        ok = copy.ptr->TryRemoveEntry(addr, config_) &&
-             copy.ptr->TryInsertPostfix(new_addr, new_key, v, config_);
-      }
-      if (!ok) {
-        arena_->DeleteNode(copy);
-        return UpdateOutcome::kNoMem;
-      }
-      NodeRef created[kBitWidth + 2];
-      size_t n_created = 0;
-      created[n_created++] = copy;
-      NodeRef retire[kBitWidth + 2];
-      size_t n_retire = 0;
-      retire[n_retire++] = node;
-      if (!CowPublish(copy, path, depth, created, &n_created, retire,
-                      &n_retire)) {
-        for (size_t i = 0; i < n_created; ++i) {
-          arena_->DeleteNode(created[i]);
-        }
-        return UpdateOutcome::kNoMem;
-      }
-      for (size_t i = 0; i < n_retire; ++i) {
-        arena_->RetireNode(retire[i]);
-      }
-      ++update_stats_.fast_path;
-      return UpdateOutcome::kMoved;
-    }
-    // new_addr holds a sub (or a diverging postfix): the generic path
-    // resolves the conflict through the insert itself.
-  }
-
-  // Generic fallback: insert-then-erase, each itself a COW publication.
-  // Readers may transiently observe both keys — the documented MVCC
-  // relaxation for structural moves.
-  const OpStatus ins = TryInsert(new_key, v);
-  if (ins == OpStatus::kNoMem) {
-    return UpdateOutcome::kNoMem;
-  }
-  if (ins == OpStatus::kNoop) {
-    return UpdateOutcome::kNewOccupied;
-  }
-  const OpStatus er = TryErase(old_key);
-  if (er == OpStatus::kApplied) {
-    ++update_stats_.fallback;
-    return UpdateOutcome::kMoved;
-  }
-  assert(er == OpStatus::kNoMem);
-  {
-    FaultInjectorSuspend suspend;
-    const OpStatus undo = TryErase(new_key);
-    (void)undo;
-    assert(undo == OpStatus::kApplied);
-  }
-  return UpdateOutcome::kNoMem;
-}
-
-UpdateOutcome PhTree::Update(std::span<const uint64_t> old_key,
-                             std::span<const uint64_t> new_key,
-                             std::optional<uint64_t> value) {
-  const UpdateOutcome out = TryUpdate(old_key, new_key, value);
-  if (out == UpdateOutcome::kNoMem) {
-    throw std::bad_alloc();
-  }
-  return out;
-}
-
-UpdateOutcome PhTree::TryUpdate(std::span<const uint64_t> old_key,
-                                std::span<const uint64_t> new_key,
-                                std::optional<uint64_t> value) {
-  assert(old_key.size() == dim_ && new_key.size() == dim_);
-  if (cow_) {
-    UpdateOutcome out;
-    {
-      EpochManager::ReadGuard guard(*arena_->epoch_manager());
-      out = CowUpdate(old_key, new_key, value);
-    }
-    arena_->Reclaim();
-    return out;
-  }
-  if (!root_) {
+  Descent d;
+  Descend(old_key, &d);
+  if (!d.found()) {
     return UpdateOutcome::kOldMissing;
   }
   // First differing bit of the two keys across all dimensions — the level
   // of their lowest common ancestor (the FindBatch shared-prefix logic).
   uint64_t agg = 0;
-  for (uint32_t d = 0; d < dim_; ++d) {
-    agg |= old_key[d] ^ new_key[d];
+  for (uint32_t i = 0; i < dim_; ++i) {
+    agg |= old_key[i] ^ new_key[i];
   }
-
-  // Single descent along old_key. Invariant: every visited node's infix
-  // (and the path above it) matches old_key.
-  Node* node = root_.ptr;
-  uint64_t addr;
-  uint64_t ord;
-  while (true) {
-    if (node->MatchInfix(old_key) >= 0) {
-      return UpdateOutcome::kOldMissing;
-    }
-    addr = HcAddressAt(old_key, node->postfix_len());
-    ord = node->FindOrdinal(addr);
-    if (ord == Node::kNoOrdinal) {
-      return UpdateOutcome::kOldMissing;
-    }
-    if (!node->OrdinalIsSub(ord)) {
-      if (node->PostfixDivergence(ord, old_key) >= 0) {
-        return UpdateOutcome::kOldMissing;
-      }
-      break;  // old_key found: postfix `ord` of `node`
-    }
-    node = arena_->NodeAt(node->OrdinalSub(ord));
-  }
-
   if (agg == 0) {
-    // old_key == new_key: pure payload rewrite, always in place.
+    // Payload rewrite (old_key == new_key), as in InsertEntry.
     if (value.has_value()) {
-      node->SetPayloadAt(ord, *value);
+      d.node.ptr->PublishPayloadAt(d.ord, *value);
     }
     ++update_stats_.fast_path;
     return UpdateOutcome::kMoved;
   }
 
   const uint32_t hb = static_cast<uint32_t>(std::bit_width(agg)) - 1;
-  const uint32_t pl = node->postfix_len();
-  const uint64_t v = value.has_value() ? *value : node->OrdinalPayload(ord);
-
+  const uint32_t pl = d.node.ptr->postfix_len();
+  const uint64_t v =
+      value.has_value() ? *value : d.node.ptr->OrdinalPayload(d.ord);
   if (hb <= pl) {
     // The keys agree on every bit above `pl`, so new_key belongs in this
-    // same node: the move is a slot change (or a pure postfix rewrite).
+    // same node: the move is a slot change, or a pure postfix rewrite when
+    // the slot is unchanged (that slot holds old_key itself, so new_key
+    // cannot exist anywhere else).
     const uint64_t new_addr = HcAddressAt(new_key, pl);
-    if (new_addr == addr) {
-      // Same slot, and that slot holds old_key itself — new_key cannot
-      // exist anywhere else, so the rewrite is conflict-free.
-      node->SetPostfixAt(ord, new_key);
-      if (value.has_value()) {
-        node->SetPayloadAt(ord, v);
-      }
-      ++update_stats_.fast_path;
-      return UpdateOutcome::kMoved;
+    const uint64_t nord = new_addr == d.addr
+                              ? Node::kNoOrdinal
+                              : d.node.ptr->FindOrdinal(new_addr);
+    if (nord != Node::kNoOrdinal && !d.node.ptr->OrdinalIsSub(nord) &&
+        d.node.ptr->PostfixDivergence(nord, new_key) < 0) {
+      return UpdateOutcome::kNewOccupied;
     }
-    const uint64_t nord = node->FindOrdinal(new_addr);
     if (nord == Node::kNoOrdinal) {
-      if (node->TryRelocatePostfix(addr, new_addr, new_key, v)) {
+      // In-node relocation: one node touched, published with one store, so
+      // an MVCC reader sees the entry jump from old_key to new_key.
+      Mutation m(this);
+      const NodeRef w = m.Writable(d.node);
+      bool ok = static_cast<bool>(w);
+      bool relocated = true;
+      if (ok && new_addr == d.addr) {
+        w.ptr->SetPostfixAt(d.ord, new_key);
+        if (value.has_value()) {
+          w.ptr->PublishPayloadAt(d.ord, *value);
+        }
+      } else if (ok &&
+                 !w.ptr->TryRelocatePostfix(d.addr, new_addr, new_key, v)) {
+        // The one policy branch. The relocation refuses when the transient
+        // one-entry-smaller stream would trade its block, making the
+        // grow-back fallible. On a private clone remove+reinsert is still
+        // safe — a failure costs only the clone. On the live node it is
+        // not rollback-safe: take the insert-then-erase path below.
+        if (w.ptr == d.node.ptr) {
+          relocated = false;
+        } else {
+          ok = w.ptr->TryRemoveEntry(d.addr, config_) &&
+               w.ptr->TryInsertPostfix(new_addr, new_key, v, config_);
+        }
+      }
+      if (relocated) {
+        if (!m.Finish(ok, w, d.path.begin(), d.path.size())) {
+          return UpdateOutcome::kNoMem;
+        }
         ++update_stats_.fast_path;
         return UpdateOutcome::kMoved;
       }
-      // Intermediate shrink would trade the backing block: not provably
-      // rollback-safe in place, take the generic path below.
-    } else if (!node->OrdinalIsSub(nord) &&
-               node->PostfixDivergence(nord, new_key) < 0) {
-      return UpdateOutcome::kNewOccupied;
     }
-    // Occupied slot (split needed) or conflict deeper down: generic path,
-    // which detects an occupied new_key through the insert itself.
+    // Otherwise new_addr holds a sub (or a diverging postfix): the insert
+    // below resolves the conflict and detects an occupied new_key.
   }
 
-  // Generic fallback: insert-then-erase, each commit-or-rollback. old_key
+  // Structural move: insert-then-erase, each commit-or-rollback. old_key
   // is proven present by the descent above, so the old-missing-beats-
   // new-occupied precedence holds, and a kNoop from the insert can only
-  // mean a different entry already owns new_key (old != new here).
-  const OpStatus ins = TryInsert(new_key, v);
+  // mean a different entry already owns new_key (old != new here). Under
+  // MVCC a reader may transiently observe both keys — the documented
+  // relaxation for structural moves.
+  const OpStatus ins = InsertEntry(new_key, v, /*assign=*/false);
   if (ins == OpStatus::kNoMem) {
     return UpdateOutcome::kNoMem;
   }
   if (ins == OpStatus::kNoop) {
     return UpdateOutcome::kNewOccupied;
   }
-  const OpStatus er = TryErase(old_key);
+  const OpStatus er = EraseEntry(old_key);
   if (er == OpStatus::kApplied) {
     ++update_stats_.fallback;
     return UpdateOutcome::kMoved;
@@ -1134,12 +752,13 @@ UpdateOutcome PhTree::TryUpdate(std::span<const uint64_t> old_key,
   assert(er == OpStatus::kNoMem);
   {
     FaultInjectorSuspend suspend;
-    const OpStatus undo = TryErase(new_key);
+    const OpStatus undo = EraseEntry(new_key);
     (void)undo;
     assert(undo == OpStatus::kApplied);
   }
   return UpdateOutcome::kNoMem;
 }
+
 
 void PhTree::ForEach(
     const std::function<void(const PhKey&, uint64_t)>& fn) const {
@@ -1157,7 +776,7 @@ PhTreeStats PhTree::ComputeStats() const {
   if (root_) {
     StatsRec(root_.ptr, 1, &stats);
   }
-  if (arena_ != nullptr && arena_->pooled()) {
+  if (arena_ != nullptr) {
     // Exact, measured allocator state. Invariant (checked by the arena
     // tests): memory_bytes accumulated above plus retired-but-unreclaimed
     // bytes == arena_live_bytes (retired nodes are unreachable from the

@@ -76,7 +76,7 @@ inline const char* UpdateOutcomeName(UpdateOutcome outcome) {
 
 /// Cumulative counters of how Update moves were executed (per tree).
 struct PhUpdateStats {
-  uint64_t fast_path = 0;  ///< in-place relocations (at most one node touched)
+  uint64_t fast_path = 0;  ///< in-node relocations (one node touched)
   uint64_t fallback = 0;   ///< erase+insert fallbacks (structural moves)
 };
 
@@ -103,10 +103,12 @@ class PhTree {
   /// one atomic child-handle or root store) and replaced nodes are retired
   /// through `epochs` instead of freed, so concurrent readers holding an
   /// EpochManager::ReadGuard may traverse lock-free while one writer
-  /// mutates. Requires the pooled arena; call before any concurrent use.
-  /// Plain trees (the default) keep the historical in-place mutation path.
+  /// mutates. Call before any concurrent use. Plain trees (the default) run
+  /// the same mutation engine but edit the live nodes in place.
   void EnableMvcc(EpochManager* epochs);
-  bool mvcc_enabled() const { return cow_; }
+  bool mvcc_enabled() const {
+    return arena_ != nullptr && arena_->epoch_manager() != nullptr;
+  }
 
   /// Inserts `key` -> `value`. Returns false (and stores nothing) if the key
   /// already exists — the PH-tree stores no duplicates (paper Sect. 3.6).
@@ -188,13 +190,13 @@ class PhTree {
   /// mutations; moves transfer them with the tree).
   const PhUpdateStats& update_stats() const { return update_stats_; }
 
-  /// Removes all entries. With the arena (default) this is an O(slabs)
-  /// arena reset — no tree walk, no per-node free — and the slabs are kept
-  /// warm for refilling.
+  /// Removes all entries. This is an O(slabs) arena reset — no tree walk,
+  /// no per-node free — and the slabs are kept warm for refilling. An MVCC
+  /// tree instead unpublishes the root and retires every node.
   void Clear();
 
   /// Pre-allocates arena capacity for about `n` additional nodes (a tree
-  /// holds at most one node per entry). No-op without the arena.
+  /// holds at most one node per entry).
   void ReserveNodes(size_t n);
 
   /// Calls `fn(key, value)` for every stored entry, in z-order (ascending
@@ -251,22 +253,32 @@ class PhTree {
  private:
   friend class PhTreeValidator;
 
-  NodeRef NewNode(uint32_t infix_len, uint32_t postfix_len);
-  OpStatus InsertRec(NodeRef node, std::span<const uint64_t> key,
-                     uint64_t value, bool assign, NodeRef* out);
-  OpStatus EraseRec(Node* parent, uint64_t addr_in_parent, NodeRef node,
-                    std::span<const uint64_t> key);
-  void DeleteSubtree(NodeRef node);
-  void StatsRec(const Node* node, size_t depth, PhTreeStats* stats) const;
+  // ---- The mutation engine (phtree.cc) ------------------------------------
 
-  // ---- Copy-on-write mutation path (MVCC mode, see EnableMvcc) -----------
-
-  /// One level of the recorded descent: `ord` is the sub entry of `node`
-  /// the descent followed — the slot a replacement child gets published to.
-  struct CowFrame {
+  /// One level of a recorded descent: `ord` is the sub entry of `node` the
+  /// descent followed — the slot a replacement child gets published to —
+  /// and `child` the handle that slot held.
+  struct Frame {
     NodeRef node;
-    uint64_t ord = 0;
+    uint64_t ord;
+    NodeHandle child;
   };
+  /// Where a descent along one key leaves the tree, plus its path.
+  struct Descent;
+  /// Per-call record of the nodes one mutation creates and replaces; its
+  /// calls hide whether the tree edits in place or copy-on-write.
+  class Mutation;
+
+  NodeRef NewNode(uint32_t infix_len, uint32_t postfix_len);
+  void Descend(std::span<const uint64_t> key, Descent* d) const;
+  OpStatus InsertEntry(std::span<const uint64_t> key, uint64_t value,
+                       bool assign);
+  OpStatus EraseEntry(std::span<const uint64_t> key);
+  UpdateOutcome MoveEntry(std::span<const uint64_t> old_key,
+                          std::span<const uint64_t> new_key,
+                          std::optional<uint64_t> value);
+  void RetireSubtree(NodeRef node);
+  void StatsRec(const Node* node, size_t depth, PhTreeStats* stats) const;
 
   /// Publishes root_/root_ptr_ together; the release store is the MVCC
   /// root publication point.
@@ -275,24 +287,10 @@ class PhTree {
     root_ptr_.store(r.ptr, std::memory_order_release);
   }
 
-  NodeRef CowClone(const Node& src);
-  OpStatus CowInsert(std::span<const uint64_t> key, uint64_t value,
-                     bool assign);
-  OpStatus CowErase(std::span<const uint64_t> key);
-  UpdateOutcome CowUpdate(std::span<const uint64_t> old_key,
-                          std::span<const uint64_t> new_key,
-                          std::optional<uint64_t> value);
-  bool CowPublish(NodeRef replacement, const CowFrame* path, size_t depth,
-                  NodeRef* created, size_t* n_created, NodeRef* retire,
-                  size_t* n_retire);
-  void CowClear();
-  void RetireSubtree(NodeRef node);
-
   uint32_t dim_;
   PhTreeConfig config_;
   std::atomic<size_t> size_{0};
   PhUpdateStats update_stats_;
-  bool cow_ = false;
   NodeRef root_;
   /// Mirror of root_.ptr for lock-free readers (root_ itself also carries
   /// the handle, which only the writer needs).

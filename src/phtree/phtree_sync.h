@@ -37,9 +37,7 @@ namespace phtree {
 /// Thread-safe facade over PhTree with wait-free reads. All methods are
 /// safe to call from any number of threads concurrently; read-side methods
 /// (Find/FindBatch/QueryWindow/CountWindow/QueryWindowPage/KnnSearch/size)
-/// never block and never take a lock. Requires the pooled node arena
-/// (config.use_arena, the default) — MVCC publication and deferred
-/// reclamation are arena features.
+/// never block and never take a lock.
 class PhTreeSync {
  public:
   explicit PhTreeSync(uint32_t dim, const PhTreeConfig& config = PhTreeConfig{})
@@ -210,21 +208,7 @@ class PhTreeSync {
           "snapshot dimensionality " + std::to_string(loaded->dim()) +
               " does not match tree dimensionality " + std::to_string(dim()));
     }
-    PhTree* fresh;
-    if (loaded->config().use_arena) {
-      fresh = new PhTree(std::move(*loaded));
-    } else {
-      // MVCC publication and deferred reclamation are arena features, so
-      // the wrapper pins use_arena: rebuild the stream's entries into a
-      // pooled tree.
-      PhTreeConfig cfg = loaded->config();
-      cfg.use_arena = true;
-      fresh = new PhTree(loaded->dim(), cfg);
-      fresh->ReserveNodes(loaded->size());
-      loaded->ForEach([fresh](const PhKey& key, uint64_t value) {
-        fresh->Insert(key, value);
-      });
-    }
+    PhTree* fresh = new PhTree(std::move(*loaded));
     fresh->EnableMvcc(&epochs_);
     PhTree* old = nullptr;
     {

@@ -614,10 +614,7 @@ Status PhTreeSharded::Load(const std::string& path,
   loaded->ForEach([&entries](const PhKey& key, uint64_t value) {
     entries.push_back(PhEntry{key, value});
   });
-  // MVCC publication and deferred reclamation are arena features, so the
-  // wrapper pins use_arena regardless of what the stream's config says.
-  PhTreeConfig cfg = loaded->config();
-  cfg.use_arena = true;
+  const PhTreeConfig cfg = loaded->config();
   // Replacement shards are built in parallel while readers keep using the
   // old ones; the swap below is the only all-shard exclusive section.
   std::vector<PhTree> trees = BuildShardTrees(entries, cfg);

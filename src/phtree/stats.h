@@ -24,14 +24,12 @@ struct PhTreeStats {
   uint64_t lhc_node_bytes = 0;
   uint64_t bhc_node_bytes = 0;
   /// Total bytes of the structure (paper Tables 1-2, "bytes per entry" =
-  /// memory_bytes / n_entries). With the node arena (config.use_arena,
-  /// default) this is *measured*: the sum of slab slots and granted
-  /// word-pool blocks of all live nodes, equal to arena_live_bytes.
-  /// Without the arena it is the historical estimate (logical bytes plus a
-  /// per-allocation overhead constant).
+  /// memory_bytes / n_entries). *Measured*: the sum of the arena slots and
+  /// granted word-pool blocks of all reachable nodes, equal to
+  /// arena_live_bytes minus arena_retired_bytes.
   uint64_t memory_bytes = 0;
   /// Exact bytes the tree's arena reserved from the system: node slabs,
-  /// word slabs, and large word blocks. Zero when use_arena is false.
+  /// word slabs, and large word blocks.
   uint64_t arena_slab_bytes = 0;
   /// Exact bytes in use by live nodes (slots + their bit-stream blocks).
   uint64_t arena_live_bytes = 0;

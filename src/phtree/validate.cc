@@ -23,7 +23,7 @@ struct ValidateState {
   size_t bhc_nodes = 0;
   uint64_t node_bytes = 0;
   // Independently measured bytes per representation; their sum must equal
-  // node_bytes and (pooled) the arena's live-byte meter.
+  // node_bytes and the arena's live-byte meter.
   uint64_t hc_bytes = 0;
   uint64_t lhc_bytes = 0;
   uint64_t bhc_bytes = 0;
@@ -324,11 +324,11 @@ std::string Validate(const PhTree& tree, const DeepValidateOptions* deep) {
     return os.str();
   }
   // Arena bookkeeping invariants: the arena must account exactly the
-  // reachable nodes (no leaked, no double-freed slots), and in pooled mode
-  // its live-byte meter must equal the sum of per-node exact sizes. In
-  // MVCC mode, nodes unlinked by a copy-on-write publication stay in the
-  // arena's accounting until their epoch grace period expires, so the
-  // reachable side of each cross-check carries the retired queue.
+  // reachable nodes (no leaked, no double-freed slots), and its live-byte
+  // meter must equal the sum of per-node exact sizes. In MVCC mode, nodes
+  // unlinked by a copy-on-write publication stay in the arena's accounting
+  // until their epoch grace period expires, so the reachable side of each
+  // cross-check carries the retired queue.
   const NodeArena* arena = tree.arena();
   if (arena != nullptr &&
       arena->live_nodes() != state.nodes + arena->retired_nodes()) {
@@ -346,7 +346,7 @@ std::string Validate(const PhTree& tree, const DeepValidateOptions* deep) {
        << " != total node bytes " << state.node_bytes;
     return os.str();
   }
-  if (arena != nullptr && arena->pooled() &&
+  if (arena != nullptr &&
       arena->LiveBytes() != state.hc_bytes + state.lhc_bytes +
                                state.bhc_bytes + arena->RetiredBytes()) {
     std::ostringstream os;
@@ -395,7 +395,7 @@ std::string Validate(const PhTree& tree, const DeepValidateOptions* deep) {
     } else if (stats.sum_node_depth != state.sum_node_depth) {
       os << "stats sum_node_depth " << stats.sum_node_depth
          << " != walked " << state.sum_node_depth;
-    } else if (arena != nullptr && arena->pooled()) {
+    } else if (arena != nullptr) {
       // Arena accounting cross-checks: the stats snapshot must restate the
       // arena meters exactly, and the meters must satisfy the slab
       // conservation law (live + parked-for-reuse never exceeds what was

@@ -19,8 +19,8 @@ namespace phtree {
 ///     representation beyond the hysteresis band (and HC never appears
 ///     above hc_max_dim or under kLhcOnly),
 ///  7. every reachable node is owned by the tree's arena, the arena's live
-///     node count equals the reachable node count, and (pooled mode) its
-///     live-byte meter equals the sum of per-node exact sizes.
+///     node count equals the reachable node count, and its live-byte meter
+///     equals the sum of per-node exact sizes.
 /// Returns an empty string if all invariants hold, else a description of the
 /// first violation.
 std::string ValidatePhTree(const PhTree& tree);
@@ -30,7 +30,7 @@ struct DeepValidateOptions {
   /// Cross-check ComputeStats() against an independent walk: node/entry/
   /// HC/LHC counts, depths, infix bit volume, memory bytes — and the arena
   /// meters against PhTreeStats::arena_{slab,live,freelist}_bytes, plus the
-  /// accounting identity slab >= live + freelist (pooled mode).
+  /// accounting identity slab >= live + freelist.
   bool check_stats = true;
 
   /// Reconstruct every stored key from the walk (prefix path + infix +

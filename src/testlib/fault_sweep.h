@@ -40,7 +40,7 @@ struct FaultSweepOptions {
   /// 1 = always deep-check.
   size_t deep_every = 128;
   /// Run the swept tree in MVCC mode (PhTree::EnableMvcc with a private
-  /// EpochManager): every mutation goes through the copy-on-write path, so
+  /// EpochManager): every mutation runs the copy-on-write policy, so
   /// the sweep exercises the clone-side kArenaNodeAlloc/kWordAlloc sites
   /// and their rollback (created copies deleted, nothing published).
   bool mvcc = false;

@@ -29,12 +29,6 @@ std::vector<PhKey> RandomKeys(size_t n, uint32_t dim, uint64_t seed) {
   return keys;
 }
 
-PhTreeConfig HeapConfig() {
-  PhTreeConfig config;
-  config.use_arena = false;
-  return config;
-}
-
 // ---- SlabWordPool ---------------------------------------------------------
 
 TEST(SlabWordPool, GrantWordsIsMonotoneAndClassRounded) {
@@ -118,22 +112,6 @@ TEST(NodeArena, OwnsRejectsForeignNodes) {
   other.DeleteNode(foreign);
 }
 
-TEST(NodeArena, HandlesResolveInHeapMode) {
-  NodeArena arena(/*pooled=*/false);
-  NodeRef a = arena.NewNode(2, 0, 63, true);
-  NodeRef b = arena.NewNode(2, 1, 30, true);
-  EXPECT_NE(a.handle, b.handle);
-  EXPECT_EQ(arena.NodeAt(a.handle), a.ptr);
-  EXPECT_EQ(arena.NodeAt(b.handle), b.ptr);
-  arena.DeleteNode(a);
-  // Freed heap handle is recycled for the next allocation.
-  NodeRef c = arena.NewNode(3, 0, 63, false);
-  EXPECT_EQ(c.handle, a.handle);
-  EXPECT_EQ(arena.NodeAt(c.handle), c.ptr);
-  arena.DeleteNode(b);
-  arena.DeleteNode(c);
-}
-
 // ---- PhTree integration ---------------------------------------------------
 
 TEST(PhTreeArena, ExactAccountingMatchesLiveBytes) {
@@ -144,7 +122,6 @@ TEST(PhTreeArena, ExactAccountingMatchesLiveBytes) {
   }
   const PhTreeStats stats = tree.ComputeStats();
   ASSERT_NE(tree.arena(), nullptr);
-  EXPECT_TRUE(tree.arena()->pooled());
   // The headline invariant: the per-node sum equals the arena's meter —
   // the space tables measure the allocator, they do not model it.
   EXPECT_EQ(stats.memory_bytes, stats.arena_live_bytes);
@@ -152,29 +129,6 @@ TEST(PhTreeArena, ExactAccountingMatchesLiveBytes) {
   EXPECT_GE(stats.arena_slab_bytes,
             stats.arena_live_bytes + stats.arena_freelist_bytes);
   EXPECT_EQ(ValidatePhTree(tree), "");
-}
-
-TEST(PhTreeArena, HeapModeMatchesArenaModeStructurally) {
-  const auto keys = RandomKeys(1500, 2, 23);
-  PhTree pooled(2);
-  PhTree heap(2, HeapConfig());
-  for (const auto& key : keys) {
-    EXPECT_EQ(pooled.Insert(key, 7), heap.Insert(key, 7));
-  }
-  const PhTreeStats ps = pooled.ComputeStats();
-  const PhTreeStats hs = heap.ComputeStats();
-  // Allocation policy must not change the tree shape, only the accounting.
-  EXPECT_EQ(ps.n_nodes, hs.n_nodes);
-  EXPECT_EQ(ps.n_hc_nodes, hs.n_hc_nodes);
-  EXPECT_EQ(ps.max_depth, hs.max_depth);
-  EXPECT_EQ(hs.arena_live_bytes, 0u);  // heap mode: meters unknowable
-  EXPECT_GT(ps.arena_live_bytes, 0u);
-  for (const auto& key : keys) {
-    EXPECT_TRUE(pooled.Contains(key));
-    EXPECT_TRUE(heap.Contains(key));
-  }
-  EXPECT_EQ(ValidatePhTree(pooled), "");
-  EXPECT_EQ(ValidatePhTree(heap), "");
 }
 
 TEST(PhTreeArena, MemoryBytesIsInsertionOrderIndependentUnderChurn) {
@@ -214,20 +168,6 @@ TEST(PhTreeArena, ClearThenReuse) {
   EXPECT_EQ(tree.arena()->SlabBytes(), slab_bytes);
   for (const auto& key : keys) {
     EXPECT_EQ(tree.Find(key), std::optional<uint64_t>(2));
-  }
-  EXPECT_EQ(ValidatePhTree(tree), "");
-}
-
-TEST(PhTreeArena, ClearThenReuseHeapMode) {
-  PhTree tree(2, HeapConfig());
-  const auto keys = RandomKeys(500, 2, 37);
-  for (const auto& key : keys) {
-    tree.Insert(key, 1);
-  }
-  tree.Clear();
-  EXPECT_EQ(tree.size(), 0u);
-  for (const auto& key : keys) {
-    EXPECT_TRUE(tree.Insert(key, 2));
   }
   EXPECT_EQ(ValidatePhTree(tree), "");
 }
@@ -317,7 +257,6 @@ TEST(PhTreeArena, SerializeRoundTripBuildsIntoDestinationArena) {
   std::optional<PhTree> loaded = DeserializePhTree(bytes);
   ASSERT_TRUE(loaded.has_value());
   ASSERT_NE(loaded->arena(), nullptr);
-  EXPECT_TRUE(loaded->arena()->pooled());
   EXPECT_EQ(loaded->arena()->live_nodes(),
             tree.ComputeStats().n_nodes);
   // Identical content => identical measured footprint (shape and capacities

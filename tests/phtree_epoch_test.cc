@@ -1,12 +1,14 @@
 // Epoch-based reclamation: EpochManager advance rules, the deferred-free
 // ordering contract (a retired node's memory stays intact — and is never
 // recycled — while any read guard that could see it is open), and the
-// fault sweep over the copy-on-write allocation sites. The read-after-
-// retire checks double as ASan canaries: if the arena freed (and poisoned)
-// a retired node before its grace period, the reads here would abort the
-// Asan tier-1 leg.
+// fault sweep over the copy-on-write allocation sites, and parity of the
+// mutation engine's two publish policies. The read-after-retire checks
+// double as ASan canaries: if the arena freed (and poisoned) a retired
+// node before its grace period, the reads here would abort the Asan
+// tier-1 leg.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -14,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "phtree/arena.h"
 #include "phtree/phtree.h"
 #include "phtree/phtree_sync.h"
@@ -183,6 +186,94 @@ TEST(EpochReclaim, FaultSweepCoversCowAllocationSites) {
   const testlib::FaultSweepReport report = testlib::RunFaultSweep(opts);
   EXPECT_TRUE(report.ok()) << report.failure;
   EXPECT_GT(report.injected_failures, 0u);
+}
+
+// The two publish policies of the mutation engine — in place, and copy-on-
+// write under MVCC — must build the same tree, not just hold the same
+// entries: one seeded insert/erase/update stream drives a plain tree and
+// an MVCC tree, every op must report the same outcome, and every 500 ops
+// the structural statistics must agree exactly.
+TEST(PolicyParity, InPlaceAndCopyOnWriteBuildTheSameTree) {
+  for (const uint32_t dim : {2u, 3u, 6u}) {
+    for (const uint32_t grid_bits : {4u, 8u, 20u, 64u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "dim=" << dim << " grid_bits=" << grid_bits);
+      const uint64_t mask =
+          grid_bits == 64 ? ~uint64_t{0} : (uint64_t{1} << grid_bits) - 1;
+      Rng rng(dim * 100 + grid_bits);
+      const auto random_key = [&] {
+        PhKey key(dim);
+        for (auto& v : key) {
+          v = rng.NextU64() & mask;
+        }
+        return key;
+      };
+      EpochManager epochs;
+      PhTree plain(dim);
+      PhTree mvcc(dim);
+      mvcc.EnableMvcc(&epochs);
+      std::vector<PhKey> live;
+      for (uint64_t op = 1; op <= 3000; ++op) {
+        const uint64_t kind = rng.NextBounded(10);
+        // Three in four ops target a live key; a random key may be live
+        // too on the small grids, so its index is looked up.
+        PhKey key;
+        size_t pick;
+        if (!live.empty() && rng.NextBounded(4) != 0) {
+          pick = rng.NextBounded(live.size());
+          key = live[pick];
+        } else {
+          key = random_key();
+          pick = std::find(live.begin(), live.end(), key) - live.begin();
+        }
+        if (kind < 4) {
+          const bool inserted = plain.Insert(key, op);
+          ASSERT_EQ(inserted, mvcc.Insert(key, op)) << "op " << op;
+          if (inserted) {
+            live.push_back(key);
+          }
+        } else if (kind < 6) {
+          const bool erased = plain.Erase(key);
+          ASSERT_EQ(erased, mvcc.Erase(key)) << "op " << op;
+          if (erased) {
+            live[pick] = live.back();
+            live.pop_back();
+          }
+        } else {
+          // Mostly short moves (the in-node relocation), some teleports.
+          PhKey to = key;
+          if (rng.NextBounded(4) == 0) {
+            to = random_key();
+          } else {
+            to[rng.NextBounded(dim)] ^= rng.NextBounded(8) & mask;
+          }
+          const UpdateOutcome out = plain.Update(key, to);
+          ASSERT_EQ(out, mvcc.Update(key, to)) << "op " << op;
+          if (out == UpdateOutcome::kMoved) {
+            live[pick] = to;
+          }
+        }
+        if (op % 500 == 0) {
+          const PhTreeStats a = plain.ComputeStats();
+          const PhTreeStats b = mvcc.ComputeStats();
+          ASSERT_EQ(a.n_entries, b.n_entries) << "op " << op;
+          ASSERT_EQ(a.n_nodes, b.n_nodes) << "op " << op;
+          ASSERT_EQ(a.n_hc_nodes, b.n_hc_nodes) << "op " << op;
+          ASSERT_EQ(a.n_lhc_nodes, b.n_lhc_nodes) << "op " << op;
+          ASSERT_EQ(a.n_bhc_nodes, b.n_bhc_nodes) << "op " << op;
+          ASSERT_EQ(a.memory_bytes, b.memory_bytes) << "op " << op;
+          ASSERT_EQ(a.sum_node_depth, b.sum_node_depth) << "op " << op;
+        }
+      }
+      // The fast-path/fallback split may differ (a refused in-node
+      // relocation falls back in place but not on a private clone); the
+      // number of moves may not.
+      EXPECT_EQ(plain.update_stats().fast_path + plain.update_stats().fallback,
+                mvcc.update_stats().fast_path + mvcc.update_stats().fallback);
+      EXPECT_EQ(ValidatePhTree(plain), "");
+      EXPECT_EQ(ValidatePhTree(mvcc), "");
+    }
+  }
 }
 
 TEST(EpochReclaim, SyncLoadSwapsUnderLockFreeReaders) {

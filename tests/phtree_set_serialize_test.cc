@@ -213,35 +213,40 @@ TEST(Serialize, RejectsCorruptStreamsWithTypedErrors) {
             StatusCode::kHeaderCorrupt);
 }
 
-TEST(Serialize, RoundTripsUnderBothArenaModes) {
-  // use_arena changes allocation policy only — the serialised bytes and
-  // the round-tripped structure must be identical in both modes.
+TEST(Serialize, RoundTripsUnderBothMutationPolicies) {
+  // The publish policy (in place, or copy-on-write under MVCC) changes how
+  // nodes are replaced, never what they hold: the serialised bytes and the
+  // round-tripped structure must be identical under both.
   Rng rng(21);
-  PhTreeConfig arena_cfg;    // use_arena = true (default)
-  PhTreeConfig no_arena_cfg;
-  no_arena_cfg.use_arena = false;
-  PhTree with_arena(3, arena_cfg);
-  PhTree without_arena(3, no_arena_cfg);
+  EpochManager epochs;
+  PhTree in_place(3);
+  PhTree mvcc(3);
+  mvcc.EnableMvcc(&epochs);
   for (int i = 0; i < 3000; ++i) {
     const PhKey key{rng.NextU64() & 0xFFFFF, rng.NextU64(),
                     rng.NextU64() & 0xFFF};
-    with_arena.InsertOrAssign(key, i);
-    without_arena.InsertOrAssign(key, i);
+    in_place.InsertOrAssign(key, i);
+    mvcc.InsertOrAssign(key, i);
+    if (i % 3 == 0) {
+      in_place.Erase(key);
+      mvcc.Erase(key);
+    }
   }
-  const auto bytes_arena = SerializePhTree(with_arena);
-  const auto bytes_no_arena = SerializePhTree(without_arena);
-  EXPECT_EQ(bytes_arena, bytes_no_arena);
+  const auto bytes_in_place = SerializePhTree(in_place);
+  const auto bytes_mvcc = SerializePhTree(mvcc);
+  EXPECT_EQ(bytes_in_place, bytes_mvcc);
 
   LoadOptions paranoid;
   paranoid.validate_structure = true;
-  auto back = DeserializePhTreeOr(bytes_no_arena, paranoid);
+  auto back = DeserializePhTreeOr(bytes_mvcc, paranoid);
   ASSERT_TRUE(back.has_value()) << back.error().ToString();
-  EXPECT_EQ(back->size(), with_arena.size());
-  const auto a = with_arena.ComputeStats();
+  EXPECT_EQ(back->size(), in_place.size());
+  const auto a = in_place.ComputeStats();
   const auto b = back->ComputeStats();
   EXPECT_EQ(a.n_nodes, b.n_nodes);
+  EXPECT_EQ(a.memory_bytes, b.memory_bytes);
   EXPECT_EQ(ValidatePhTree(*back), "");
-  without_arena.ForEach([&](const PhKey& k, uint64_t v) {
+  mvcc.ForEach([&](const PhKey& k, uint64_t v) {
     const auto found = back->Find(k);
     ASSERT_TRUE(found.has_value());
     EXPECT_EQ(*found, v);
