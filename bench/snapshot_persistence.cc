@@ -62,19 +62,6 @@ void BM_SerializeV2(benchmark::State& state) {
 }
 BENCHMARK(BM_SerializeV2)->Arg(100000)->Unit(benchmark::kMillisecond);
 
-void BM_SerializeV1(benchmark::State& state) {
-  const PhTree tree = BuildTree(static_cast<size_t>(state.range(0)), 3, 2);
-  size_t bytes = 0;
-  for (auto _ : state) {
-    const auto out = SerializePhTreeV1(tree);
-    bytes = out.size();
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(bytes));
-}
-BENCHMARK(BM_SerializeV1)->Arg(100000)->Unit(benchmark::kMillisecond);
-
 void DeserializeBench(benchmark::State& state, const LoadOptions& opts) {
   const PhTree tree = BuildTree(static_cast<size_t>(state.range(0)), 3, 2);
   const auto bytes = SerializePhTree(tree);

@@ -13,7 +13,6 @@
 #include "kdtree/kdtree1.h"
 #include "kdtree/kdtree2.h"
 #include "phtree/phtree_d.h"
-#include "phtree/phtree_sync.h"
 #include "phtree/sharded.h"
 
 namespace phtree::bench {
@@ -74,37 +73,10 @@ class PhSetAdapter {
   PhTreeD tree_;
 };
 
-/// Adapter for the coarse-lock thread-safe wrapper (PhTreeSync): double
-/// keys encoded through Sect. 3.3 like PhAdapter, one shared_mutex over
-/// the whole tree. Baseline of the concurrency benchmarks; unlike the
-/// adapters above it is safe to drive from many threads at once.
-class PhSyncAdapter {
- public:
-  static constexpr const char* kName = "PH(sync)";
-  explicit PhSyncAdapter(uint32_t dim) : tree_(dim) {}
-  bool Insert(std::span<const double> p, uint64_t v) {
-    return tree_.Insert(EncodeKeyD(p), v);
-  }
-  bool Erase(std::span<const double> p) { return tree_.Erase(EncodeKeyD(p)); }
-  bool Contains(std::span<const double> p) const {
-    return tree_.Contains(EncodeKeyD(p));
-  }
-  size_t CountWindow(std::span<const double> lo,
-                     std::span<const double> hi) const {
-    return tree_.CountWindow(EncodeKeyD(lo), EncodeKeyD(hi));
-  }
-  uint64_t MemoryBytes() const { return tree_.ComputeStats().memory_bytes; }
-  size_t size() const { return tree_.size(); }
-  const PhTreeSync& tree() const { return tree_; }
-  PhTreeSync& tree() { return tree_; }
-
- private:
-  PhTreeSync tree_;
-};
-
 /// Adapter for the lock-striped sharded tree (PhTreeSharded, 8 shards —
-/// the concurrency benchmark's default configuration). Thread-safe like
-/// PhSyncAdapter; writers on different shards run in parallel. Uses hash
+/// the concurrency benchmark's default configuration): double keys encoded
+/// through Sect. 3.3 like PhAdapter, lock-free reads, writers on different
+/// shards in parallel; safe to drive from many threads at once. Uses hash
 /// routing: the benchmarks feed SortableDoubleBits-encoded doubles, whose
 /// shared sign/exponent top bits would send every key to one z-prefix
 /// shard (see sharded.h "Routing modes").

@@ -22,7 +22,6 @@
 namespace phtree {
 namespace {
 
-constexpr uint8_t kMagicV1[4] = {'P', 'H', 'T', '1'};
 constexpr uint8_t kMagicV2[4] = {'P', 'H', 'T', '2'};
 
 // v2 header: magic(4) + payload_len(4) + payload + header CRC(4). The
@@ -317,84 +316,6 @@ Expected<PhTree, SnapshotError> DeserializeV2(
   return tree;
 }
 
-/// Rebuilds the tree from a legacy v1 stream (no framing, no checksums).
-Expected<PhTree, SnapshotError> DeserializeV1(
-    const std::vector<uint8_t>& bytes, const LoadOptions& options) {
-  Reader r(bytes.data(), 4, bytes.size());
-  const size_t dim_offset = r.pos();
-  const uint32_t dim = r.GetU32();
-  if (!r.ok()) {
-    return Err(StatusCode::kTruncated, dim_offset,
-               "v1 stream ends inside the header");
-  }
-  if (dim < 1 || dim > kMaxDims) {
-    return Err(StatusCode::kHeaderCorrupt, dim_offset,
-               "dimensionality " + std::to_string(dim) + " outside [1, " +
-                   std::to_string(kMaxDims) + "]");
-  }
-  PhTreeConfig config;
-  const size_t repr_offset = r.pos();
-  const uint8_t repr = r.GetU8();
-  if (r.ok() && repr > static_cast<uint8_t>(NodeRepr::kBhcOnly)) {
-    return Err(StatusCode::kHeaderCorrupt, repr_offset,
-               "unknown node representation " + std::to_string(repr));
-  }
-  config.repr = static_cast<NodeRepr>(repr);
-  config.hysteresis = std::bit_cast<double>(r.GetU64());
-  config.hc_max_dim = r.GetU32();
-  config.store_values = r.GetU8() != 0;
-  const uint64_t n = r.GetU64();
-  if (!r.ok()) {
-    return Err(StatusCode::kTruncated, r.pos(),
-               "v1 stream ends inside the header");
-  }
-  PhTree tree(dim, config);
-  const uint64_t max_entries = bytes.size() / (dim + 8);
-  tree.ReserveNodes(static_cast<size_t>(std::min<uint64_t>(n, max_entries)));
-  PhKey key(dim, 0);
-  for (uint64_t i = 0; i < n; ++i) {
-    const size_t entry_offset = r.pos();
-    for (uint32_t d = 0; d < dim; ++d) {
-      key[d] ^= r.GetDelta();
-    }
-    const uint64_t value = r.GetU64();  // v1 stores values unconditionally
-    if (!r.ok()) {
-      return Err(StatusCode::kTruncated, entry_offset,
-                 "v1 stream ends inside entry " + std::to_string(i) + " of " +
-                     std::to_string(n));
-    }
-    if (!tree.Insert(key, value)) {
-      return Err(StatusCode::kRecordCorrupt, entry_offset,
-                 "entry " + std::to_string(i) + " duplicates an earlier key");
-    }
-  }
-  if (!r.AtEnd()) {
-    return Err(StatusCode::kTrailerCorrupt, r.pos(),
-               std::to_string(r.remaining()) +
-                   " trailing garbage bytes after the last entry");
-  }
-  if (tree.size() != n) {
-    return Err(StatusCode::kCountMismatch, r.pos(),
-               "header declares " + std::to_string(n) +
-                   " entries but the stream rebuilt " +
-                   std::to_string(tree.size()));
-  }
-  if (options.validate_structure) {
-    const std::string violation = ValidatePhTree(tree);
-    if (!violation.empty()) {
-      return Err(StatusCode::kStructureInvalid, Status::kNoOffset,
-                 "rebuilt tree fails validation: " + violation);
-    }
-  }
-  if (options.legacy_warning != nullptr) {
-    *options.legacy_warning = Err(
-        StatusCode::kLegacyUnchecksummed, Status::kNoOffset,
-        "legacy v1 snapshot loaded without checksum protection; re-save to "
-        "upgrade to format v2");
-  }
-  return tree;
-}
-
 Status IoError(const std::string& what) {
   return Status(StatusCode::kIoError, Status::kNoOffset,
                 what + ": " + std::strerror(errno));
@@ -571,26 +492,6 @@ std::vector<uint8_t> SerializePhTree(const PhTree& tree,
   return out;
 }
 
-std::vector<uint8_t> SerializePhTreeV1(const PhTree& tree) {
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kMagicV1, kMagicV1 + 4);
-  PutU32(&out, tree.dim());
-  PutU8(&out, static_cast<uint8_t>(tree.config().repr));
-  PutU64(&out, std::bit_cast<uint64_t>(tree.config().hysteresis));
-  PutU32(&out, tree.config().hc_max_dim);
-  PutU8(&out, tree.config().store_values ? 1 : 0);
-  PutU64(&out, tree.size());
-  PhKey prev(tree.dim(), 0);
-  tree.ForEach([&](const PhKey& key, uint64_t value) {
-    for (uint32_t d = 0; d < tree.dim(); ++d) {
-      PutDelta(&out, key[d] ^ prev[d]);
-    }
-    PutU64(&out, value);
-    prev = key;
-  });
-  return out;
-}
-
 Expected<PhTree, SnapshotError> DeserializePhTreeOr(
     const std::vector<uint8_t>& bytes, const LoadOptions& options) {
   if (bytes.size() < 4) {
@@ -600,18 +501,11 @@ Expected<PhTree, SnapshotError> DeserializePhTreeOr(
   if (std::memcmp(bytes.data(), kMagicV2, 4) == 0) {
     return DeserializeV2(bytes, options);
   }
-  if (std::memcmp(bytes.data(), kMagicV1, 4) == 0) {
-    if (!options.accept_legacy_v1) {
-      return Err(StatusCode::kUnsupportedVersion, 0,
-                 "legacy v1 snapshot rejected (accept_legacy_v1 is off)");
-    }
-    return DeserializeV1(bytes, options);
-  }
   if (std::memcmp(bytes.data(), "PHT", 3) == 0) {
     return Err(StatusCode::kUnsupportedVersion, 3,
                "snapshot version '" +
                    std::string(1, static_cast<char>(bytes[3])) +
-                   "' is not readable by this build (knows v1, v2)");
+                   "' is not readable by this build (knows v2 only)");
   }
   return Err(StatusCode::kBadMagic, 0, "not a PH-tree snapshot");
 }
@@ -688,10 +582,6 @@ StatusOr<SnapshotLayout> DescribeSnapshot(const std::vector<uint8_t>& bytes) {
   if (bytes.size() < 4) {
     return Err(StatusCode::kTruncated, bytes.size(),
                "stream is shorter than the 4-byte magic");
-  }
-  if (std::memcmp(bytes.data(), kMagicV1, 4) == 0) {
-    return Err(StatusCode::kUnsupportedVersion, 0,
-               "v1 snapshots have no record framing to describe");
   }
   if (std::memcmp(bytes.data(), kMagicV2, 4) != 0) {
     return Err(StatusCode::kBadMagic, 0, "not a PH-tree snapshot");

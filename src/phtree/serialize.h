@@ -14,10 +14,6 @@
 // Status/Expected (common/status.h) with the error class and byte offset;
 // saves are atomic and durable (tmp file + fsync + rename + dir fsync).
 // Full byte layout: DESIGN.md, "Snapshot format v2".
-//
-// Legacy v1 streams (magic "PHT1", no checksums) still load by default but
-// surface a kLegacyUnchecksummed warning through LoadOptions::legacy_warning;
-// set LoadOptions::accept_legacy_v1 = false to reject them outright.
 #ifndef PHTREE_PHTREE_SERIALIZE_H_
 #define PHTREE_PHTREE_SERIALIZE_H_
 
@@ -35,8 +31,7 @@ namespace phtree {
 /// codes follow the snapshot error-class contract (see StatusCode).
 using SnapshotError = Status;
 
-inline constexpr uint32_t kSnapshotVersionLegacy = 1;  ///< "PHT1", no CRCs
-inline constexpr uint32_t kSnapshotVersion = 2;        ///< "PHT2", current
+inline constexpr uint32_t kSnapshotVersion = 2;  ///< "PHT2", current
 
 /// Writer knobs.
 struct SaveOptions {
@@ -48,33 +43,22 @@ struct SaveOptions {
 
 /// Loader knobs ("paranoid load" = both verifications on).
 struct LoadOptions {
-  /// Verify header, per-record and whole-stream CRC32C checksums (v2 only;
-  /// v1 streams have none). Turning this off trades integrity for load
-  /// speed — see bench/snapshot_persistence.
+  /// Verify header, per-record and whole-stream CRC32C checksums. Turning
+  /// this off trades integrity for load speed — see
+  /// bench/snapshot_persistence.
   bool verify_checksums = true;
 
   /// Run ValidatePhTree on the rebuilt tree and fail with
   /// kStructureInvalid if any structural invariant is violated.
   bool validate_structure = false;
-
-  /// Accept legacy v1 streams. When false they fail with
-  /// kUnsupportedVersion instead of loading.
-  bool accept_legacy_v1 = true;
-
-  /// Optional out-parameter: set to a kLegacyUnchecksummed warning when a
-  /// v1 stream loads successfully (left untouched otherwise).
-  Status* legacy_warning = nullptr;
 };
 
 /// Serialises `tree` into a format-v2 byte buffer.
 std::vector<uint8_t> SerializePhTree(const PhTree& tree,
                                      const SaveOptions& options = {});
 
-/// Legacy v1 writer, kept for migration tooling and v1->v2 compatibility
-/// tests. New snapshots should always be v2.
-std::vector<uint8_t> SerializePhTreeV1(const PhTree& tree);
-
-/// Reconstructs a tree from SerializePhTree / SerializePhTreeV1 output.
+/// Reconstructs a tree from SerializePhTree output. Any other "PHT"
+/// version fails with kUnsupportedVersion.
 /// On failure the error carries the class, the byte offset of the problem
 /// and a message naming what broke (e.g. a CRC mismatch with both values).
 /// The configuration of the returned tree is taken from the stream.
@@ -96,7 +80,8 @@ Status SavePhTreeOr(const PhTree& tree, const std::string& path,
 /// The atomic-durable half of SavePhTreeOr on its own: writes an already
 /// serialised snapshot byte stream to `path` with the same tmp + fsync +
 /// rename + dir-fsync protocol. Lets callers that must serialise under a
-/// lock (PhTreeSync::Save) do the disk I/O outside their critical section.
+/// lock (the one-shard PhTreeSharded::Save) do the disk I/O outside their
+/// critical section.
 Status WriteSnapshotFileOr(const std::vector<uint8_t>& bytes,
                            const std::string& path);
 
@@ -133,8 +118,7 @@ struct SnapshotLayout {
 };
 
 /// Walks a v2 stream's framing. Fails with the usual snapshot error
-/// classes on unframeable input; v1 streams yield kUnsupportedVersion
-/// (v1 has no record framing to describe).
+/// classes on unframeable input.
 StatusOr<SnapshotLayout> DescribeSnapshot(const std::vector<uint8_t>& bytes);
 
 /// DescribeSnapshot on a file. Missing/unreadable files, directories and

@@ -42,7 +42,7 @@ PhTreeSharded::PhTreeSharded(uint32_t dim, uint32_t num_shards,
     : dim_(dim),
       routing_(routing),
       config_(config),
-      pool_(pool != nullptr ? pool : &ThreadPool::Shared()) {
+      pool_(pool != nullptr || num_shards <= 1 ? pool : &ThreadPool::Shared()) {
   assert(dim >= 1);
   assert(num_shards >= 1 && (num_shards & (num_shards - 1)) == 0 &&
          "num_shards must be a power of two");
@@ -57,6 +57,17 @@ PhTreeSharded::PhTreeSharded(uint32_t dim, uint32_t num_shards,
   for (uint32_t s = 0; s < num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(dim, config, &epochs_));
   }
+}
+
+void PhTreeSharded::ParallelFor(
+    size_t n, const std::function<void(size_t)>& fn) const {
+  if (n <= 1) {
+    if (n == 1) {
+      fn(0);
+    }
+    return;
+  }
+  pool_->ParallelFor(n, fn);
 }
 
 uint32_t PhTreeSharded::ShardOf(std::span<const uint64_t> key) const {
@@ -288,7 +299,7 @@ size_t PhTreeSharded::BulkLoad(std::span<const PhEntry> entries) {
     part[ShardOf(entries[i].key)].push_back(i);
   }
   std::vector<size_t> inserted(S, 0);
-  pool_->ParallelFor(S, [&](size_t s) {
+  ParallelFor(S, [&](size_t s) {
     const std::vector<size_t>& idx = part[s];
     if (idx.empty()) {
       return;
@@ -324,7 +335,7 @@ std::vector<std::pair<PhKey, uint64_t>> PhTreeSharded::QueryWindow(
     return shards_[hit[0]]->reader()->QueryWindow(min, max);
   }
   std::vector<std::vector<std::pair<PhKey, uint64_t>>> per(hit.size());
-  pool_->ParallelFor(hit.size(), [&](size_t i) {
+  ParallelFor(hit.size(), [&](size_t i) {
     // Pool threads announce themselves: epoch slots are per reader, not
     // per API call.
     EpochManager::ReadGuard guard(epochs_);
@@ -375,7 +386,7 @@ size_t PhTreeSharded::CountWindow(std::span<const uint64_t> min,
     return 0;
   }
   std::vector<size_t> counts(hit.size(), 0);
-  pool_->ParallelFor(hit.size(), [&](size_t i) {
+  ParallelFor(hit.size(), [&](size_t i) {
     EpochManager::ReadGuard guard(epochs_);
     counts[i] = shards_[hit[i]]->reader()->CountWindow(min, max);
   });
@@ -410,7 +421,7 @@ WindowPage PhTreeSharded::QueryWindowPage(
     // the union of every shard's first page_size + 1 entries after it —
     // fetch those in parallel, z-merge, truncate below.
     std::vector<WindowPage> per(num_shards());
-    pool_->ParallelFor(num_shards(), [&](size_t s) {
+    ParallelFor(num_shards(), [&](size_t s) {
       EpochManager::ReadGuard guard(epochs_);
       per[s] = shards_[s]->reader()->QueryWindowPage(min, max, page_size + 1,
                                                      resume_after);
@@ -481,7 +492,7 @@ std::vector<KnnResult> PhTreeSharded::KnnSearch(
   }
   if (!rest.empty()) {
     std::vector<std::vector<KnnResult>> per(rest.size());
-    pool_->ParallelFor(rest.size(), [&](size_t i) {
+    ParallelFor(rest.size(), [&](size_t i) {
       per[i] = search_shard(rest[i]);
     });
     size_t extra = 0;
@@ -561,7 +572,7 @@ std::vector<PhTree> PhTreeSharded::BuildShardTrees(
   for (uint32_t s = 0; s < S; ++s) {
     trees.emplace_back(dim_, config);
   }
-  pool_->ParallelFor(S, [&](size_t s) {
+  ParallelFor(S, [&](size_t s) {
     trees[s].ReserveNodes(part[s].size());
     for (const size_t i : part[s]) {
       trees[s].Insert(entries[i].key, entries[i].value);
@@ -573,6 +584,16 @@ std::vector<PhTree> PhTreeSharded::BuildShardTrees(
 Status PhTreeSharded::Save(const std::string& path,
                            const SaveOptions& options) const {
   const uint32_t S = num_shards();
+  if (S == 1) {
+    // One shard is already the canonical tree: serialise it in place,
+    // write it out unlocked.
+    std::vector<uint8_t> bytes;
+    {
+      std::lock_guard lock(shards_[0]->mutex);
+      bytes = SerializePhTree(*shards_[0]->reader(), options);
+    }
+    return WriteSnapshotFileOr(bytes, path);
+  }
   // All writer mutexes taken together (in index order, like every
   // cross-shard path here) => the snapshot is the one cross-shard
   // consistent view. Lock-free readers are unaffected throughout.
@@ -609,15 +630,20 @@ Status PhTreeSharded::Load(const std::string& path,
             " does not match sharded tree dimensionality " +
             std::to_string(dim_));
   }
-  std::vector<PhEntry> entries;
-  entries.reserve(loaded->size());
-  loaded->ForEach([&entries](const PhKey& key, uint64_t value) {
-    entries.push_back(PhEntry{key, value});
-  });
   const PhTreeConfig cfg = loaded->config();
-  // Replacement shards are built in parallel while readers keep using the
-  // old ones; the swap below is the only all-shard exclusive section.
-  std::vector<PhTree> trees = BuildShardTrees(entries, cfg);
+  std::vector<PhTree> trees;
+  if (num_shards() == 1) {
+    trees.push_back(std::move(*loaded));
+  } else {
+    std::vector<PhEntry> entries;
+    entries.reserve(loaded->size());
+    loaded->ForEach([&entries](const PhKey& key, uint64_t value) {
+      entries.push_back(PhEntry{key, value});
+    });
+    // Replacement shards are built in parallel while readers keep using
+    // the old ones; the swap below is the only all-shard exclusive section.
+    trees = BuildShardTrees(entries, cfg);
+  }
   std::vector<PhTree*> old(num_shards(), nullptr);
   {
     std::vector<std::unique_lock<std::mutex>> locks;

@@ -1,7 +1,7 @@
-// Sharded concurrent PH-tree (paper Sect. 5, third outlook item). Where
-// PhTreeSync serialises every writer behind one tree-wide lock, this class
+// Sharded concurrent PH-tree (paper Sect. 5, third outlook item). The class
 // partitions the key space by the top bits of the z-interleaved address
-// into S = 2^b shards. Each shard is an independent PhTree with its own
+// into S = 2^b shards; S = 1 is the plain thread-safe tree (PhTreeSync,
+// phtree_sync.h). Each shard is an independent PhTree with its own
 // NodeArena and its own writer mutex; all shards share ONE EpochManager
 // and run in MVCC mode (PhTree::EnableMvcc), so:
 //   * readers never lock anywhere — point, window and kNN reads announce
@@ -37,6 +37,11 @@
 // quantifies the trade-off; pick kZPrefix for integer/full-range keys,
 // kHash for write-heavy double workloads.
 //
+// Thread pool. Every parallel fan-out hands the pool at most S tasks (one
+// per shard, or per intersecting shard), and a fan-out of one task runs
+// inline on the caller. A one-shard tree therefore never uses a pool: it
+// does not even resolve ThreadPool::Shared(), so it starts no threads.
+//
 // Consistency model: operations are linearisable per shard, not across
 // shards. A query that fans out over multiple shards sees each shard at a
 // (possibly different) consistent point in time; size() is a sum of
@@ -58,6 +63,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "phtree/arena.h"
+#include "phtree/cursor.h"
 #include "phtree/knn.h"
 #include "phtree/phtree.h"
 #include "phtree/serialize.h"
@@ -87,7 +93,8 @@ class PhTreeSharded {
   /// Creates `num_shards` (a power of two, >= 1) empty shards for
   /// `dim`-dimensional keys. Parallel bulk loads and query fan-outs run on
   /// `pool` (not owned; must outlive the tree); nullptr uses the
-  /// process-wide ThreadPool::Shared().
+  /// process-wide ThreadPool::Shared() when num_shards > 1 (one shard
+  /// needs no pool).
   explicit PhTreeSharded(uint32_t dim, uint32_t num_shards = 8,
                          ShardRouting routing = ShardRouting::kZPrefix,
                          const PhTreeConfig& config = PhTreeConfig{},
@@ -234,26 +241,28 @@ class PhTreeSharded {
 
   // ---- Persistence (single-stream merge; see DESIGN.md) -----------------
 
-  /// Saves all shards as ONE format-v2 snapshot (SavePhTreeOr): every
-  /// shard's reader lock is taken (in index order) for the duration, the
-  /// entries are merged into a temporary single PhTree — the tree's shape
-  /// is a pure function of its entries, so the merge is canonical and the
-  /// snapshot is byte-identical to one from an unsharded tree with the
-  /// same content — and written atomically. Costs one transient unsharded
-  /// copy of the tree; the payoff is full reuse of the checksummed v2
-  /// format, its tooling and its fault-injection coverage.
+  /// Saves all shards as ONE format-v2 snapshot, atomically and durably
+  /// like SavePhTreeOr. The snapshot is taken under every shard's writer
+  /// mutex (in index order); lock-free readers are unaffected and the disk
+  /// I/O runs after the locks are released. One shard is serialised as it
+  /// is (WriteSnapshotFileOr). Several shards are first merged into a
+  /// temporary single PhTree — the tree's shape is a pure function of its
+  /// entries, so the merge is canonical and the snapshot is byte-identical
+  /// to one from an unsharded tree with the same content. The merge costs
+  /// one transient unsharded copy; the payoff is full reuse of the
+  /// checksummed v2 format, its tooling and its fault-injection coverage.
   Status Save(const std::string& path, const SaveOptions& options = {}) const;
 
-  /// Replaces the whole content from a v2 (or legacy v1) snapshot written
-  /// by Save() or by SavePhTreeOr on a plain tree: the stream is loaded
-  /// and verified (LoadPhTreeOr), its entries are re-partitioned and the
-  /// replacement shards built in parallel off-line, then all writer
-  /// mutexes are taken and the shard trees swapped in with one atomic
-  /// pointer store each; the displaced trees are destroyed after a full
-  /// epoch grace period, so in-flight lock-free readers finish on their
-  /// snapshot. The stream's dimensionality must match (kInvalidArgument
-  /// otherwise); the stream's stored config replaces this tree's config,
-  /// like LoadPhTreeOr.
+  /// Replaces the whole content from a v2 snapshot written by Save() or by
+  /// SavePhTreeOr on a plain tree: the stream is loaded and verified
+  /// (LoadPhTreeOr) off-line. One shard takes the loaded tree as it is;
+  /// several shards re-partition its entries and build the replacement
+  /// shards in parallel. Then all writer mutexes are taken and the shard
+  /// trees swapped in with one atomic pointer store each; the displaced
+  /// trees are destroyed after a full epoch grace period, so in-flight
+  /// lock-free readers finish on their snapshot. The stream's
+  /// dimensionality must match (kInvalidArgument otherwise); the stream's
+  /// stored config replaces this tree's config, like LoadPhTreeOr.
   Status Load(const std::string& path, const LoadOptions& options = {});
 
  private:
@@ -275,6 +284,10 @@ class PhTreeSharded {
     }
   };
 
+  /// Runs fn(0) .. fn(n - 1) on the pool; n <= 1 runs inline, which keeps
+  /// a one-shard tree (whose pool_ may be null) off the pool.
+  void ParallelFor(size_t n, const std::function<void(size_t)>& fn) const;
+
   /// True iff shard `s`'s region intersects the box [min, max].
   bool ShardIntersects(uint32_t s, std::span<const uint64_t> min,
                        std::span<const uint64_t> max) const;
@@ -293,7 +306,7 @@ class PhTreeSharded {
   uint32_t shard_bits_;  // log2(num_shards)
   ShardRouting routing_;
   PhTreeConfig config_;
-  ThreadPool* pool_;
+  ThreadPool* pool_;  // null only for a one-shard tree built without a pool
   // One epoch manager for ALL shards: a reader announces itself once per
   // API call, however many shards the operation fans out to. Declared
   // before shards_ so it outlives every shard's arena.

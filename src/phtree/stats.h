@@ -55,6 +55,10 @@ struct PhTreeStats {
   /// Total postfix entry count across all nodes (== n_entries).
   size_t n_postfix_entries = 0;
 
+  /// Field-by-field equality (every field, so an aggregate that drops one
+  /// is caught).
+  friend bool operator==(const PhTreeStats&, const PhTreeStats&) = default;
+
   double BytesPerEntry() const {
     return n_entries == 0 ? 0.0
                           : static_cast<double>(memory_bytes) /

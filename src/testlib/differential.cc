@@ -306,94 +306,6 @@ class CowAdapter : public PlainAdapter {
   EpochManager epochs_;
 };
 
-class SyncAdapter : public VariantAdapter {
- public:
-  explicit SyncAdapter(uint32_t dim) : tree_(dim) {}
-
-  const char* name() const override { return "PhTreeSync"; }
-  size_t Size() const override { return tree_.size(); }
-  bool Insert(const Command& cmd) override {
-    return tree_.Insert(cmd.key, cmd.value);
-  }
-  bool InsertOrAssign(const Command& cmd) override {
-    return tree_.InsertOrAssign(cmd.key, cmd.value);
-  }
-  bool Erase(const Command& cmd) override { return tree_.Erase(cmd.key); }
-  UpdateOutcome Update(const Command& cmd) override {
-    return tree_.Update(cmd.key, cmd.key2,
-                        cmd.update_keep_value
-                            ? std::nullopt
-                            : std::optional<uint64_t>(cmd.value));
-  }
-  std::optional<uint64_t> Find(const Command& cmd) const override {
-    return tree_.Find(cmd.key);
-  }
-  std::vector<std::optional<uint64_t>> FindBatch(
-      const Command& cmd) const override {
-    return tree_.FindBatch(cmd.batch);
-  }
-  Entries Window(const Command& cmd, bool* ordered) const override {
-    *ordered = true;
-    return tree_.QueryWindow(cmd.key, cmd.key2);
-  }
-  size_t CountWindow(const Command& cmd) const override {
-    return tree_.CountWindow(cmd.key, cmd.key2);
-  }
-  std::optional<WindowPage> PageQuery(
-      const Command& cmd,
-      std::span<const uint64_t> resume_after) const override {
-    return tree_.QueryWindowPage(cmd.key, cmd.key2, cmd.page_size,
-                                 resume_after);
-  }
-  std::optional<std::vector<KnnResult>> Knn(
-      const Command& cmd) const override {
-    return tree_.KnnSearch(cmd.key, cmd.knn_n, KnnMetric::kL2Double);
-  }
-  void Clear() override {
-    // PhTreeSync has no Clear(); drain through the public API (also
-    // exercises the erase path under the writer lock).
-    Entries all = Content();
-    for (const auto& [key, value] : all) {
-      tree_.Erase(key);
-    }
-  }
-  std::optional<std::string> SaveLoad(const std::string& tmp_dir) override {
-    if (tmp_dir.empty()) {
-      return std::nullopt;
-    }
-    const std::string path = tmp_dir + "/diff_sync.snapshot";
-    if (Status s = tree_.Save(path); !s.ok()) {
-      return s.ToString();
-    }
-    LoadOptions load;
-    load.validate_structure = true;
-    if (Status s = tree_.Load(path, load); !s.ok()) {
-      return s.ToString();
-    }
-    return std::string();
-  }
-  size_t BulkLoad(const Command& cmd) override {
-    size_t inserted = 0;
-    for (const PhEntry& e : cmd.bulk) {
-      inserted += tree_.Insert(e.key, e.value) ? 1 : 0;
-    }
-    return inserted;
-  }
-  Entries Content() const override {
-    Entries out;
-    out.reserve(tree_.size());
-    tree_.UnsafeTree().ForEach(
-        [&out](const PhKey& k, uint64_t v) { out.emplace_back(k, v); });
-    return out;
-  }
-  std::string Validate() const override {
-    return ValidatePhTreeDeep(tree_.UnsafeTree());
-  }
-
- private:
-  PhTreeSync tree_;
-};
-
 class ShardedAdapter : public VariantAdapter {
  public:
   ShardedAdapter(uint32_t dim, uint32_t shards, ShardRouting routing)
@@ -624,7 +536,10 @@ class Runner {
     // BulkLoad mutates on thread-pool threads where an injected bad_alloc
     // would terminate the process instead of reaching our handler.
     if (opts.include_concurrent && !fault_mode_) {
-      adapters_.push_back(std::make_unique<SyncAdapter>(dim));
+      // One shard is PhTreeSync: routing-free, pool-free, whole-tree
+      // Save/Load.
+      adapters_.push_back(
+          std::make_unique<ShardedAdapter>(dim, 1, ShardRouting::kZPrefix));
       for (const uint32_t shards : opts.shard_counts) {
         adapters_.push_back(std::make_unique<ShardedAdapter>(
             dim, shards, ShardRouting::kZPrefix));
@@ -1175,7 +1090,7 @@ class ConcurrentRunner {
   Entries TreeContent() const {
     Entries out;
     out.reserve(tree_.size());
-    tree_.UnsafeTree().ForEach(
+    tree_.UnsafeShard(0).ForEach(
         [&out](const PhKey& k, uint64_t v) { out.emplace_back(k, v); });
     return out;
   }
@@ -1325,13 +1240,10 @@ class ConcurrentRunner {
         break;
       }
       case OpKind::kClear: {
-        // PhTreeSync has no Clear; drain through erases. Readers watch
-        // the tree shrink one COW publication at a time.
+        // The whole tree retires behind one root store while the readers
+        // keep walking the old one.
         model_.Clear();
-        const Entries all = TreeContent();
-        for (const auto& [key, value] : all) {
-          tree_.Erase(key);
-        }
+        tree_.Clear();
         break;
       }
       case OpKind::kSaveLoad: {
@@ -1390,7 +1302,7 @@ class ConcurrentRunner {
     // The tree is quiescent from here to the last ack: deep-validate it
     // on the writer (the only thread allowed to read arena accounting),
     // then publish the oracle snapshot and raise the ticket.
-    if (std::string err = ValidatePhTreeDeep(tree_.UnsafeTree());
+    if (std::string err = ValidatePhTreeDeep(tree_.UnsafeShard(0));
         !err.empty()) {
       report->divergence = "audit after op " +
                            std::to_string(report->ops_run) +

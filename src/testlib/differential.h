@@ -1,7 +1,7 @@
 // Model-based differential runner: replays one command stream against the
 // ReferenceModel oracle and every tree variant of the repository at once —
-// PhTree, PhTreeSync, PhTreeSharded (both routing modes, several shard
-// counts), KD1, KD2 and CB1 — asserting identical observable results after
+// PhTree, PhTreeSharded (one shard, i.e. PhTreeSync, plus several shard
+// counts in both routing modes), KD1, KD2 and CB1 — asserting identical observable results after
 // every operation, with periodic full-content comparison and the deepened
 // structural validator (ValidatePhTreeDeep) on every PH-tree involved.
 //
@@ -38,13 +38,14 @@ struct DiffOptions {
 
   /// Include the double-keyed baselines KD1 / KD2 / CB1.
   bool include_baselines = true;
-  /// Include PhTreeSync and the PhTreeSharded configurations.
+  /// Include the PhTreeSharded configurations: one z-prefix shard (the
+  /// PhTreeSync configuration) plus `shard_counts` in both routing modes.
   bool include_concurrent = true;
   /// Shard counts instantiated per routing mode (powers of two).
   std::vector<uint32_t> shard_counts = {2, 8};
 
-  /// Directory for the file-based snapshot round-trips (PhTreeSync /
-  /// PhTreeSharded Save+Load). Empty: those variants skip kSaveLoad; the
+  /// Directory for the file-based snapshot round-trips (PhTreeSharded
+  /// Save+Load). Empty: those variants skip kSaveLoad; the
   /// plain PhTree always round-trips in memory through
   /// SerializePhTree / DeserializePhTreeOr (paranoid options).
   std::string tmp_dir;

@@ -55,7 +55,7 @@ TEST(DifferentialTest, SeededRunAcrossAllVariantsHasZeroDivergence) {
   EXPECT_EQ(report.divergence, "");
   EXPECT_EQ(report.ops_run, opts.ops);
   // plain, forced-BHC plain, forced-scalar-kernel plain, MVCC/COW plain,
-  // sync, 4x sharded, KD1/KD2/CB1
+  // one-shard sharded (PhTreeSync), 4x sharded, KD1/KD2/CB1
   EXPECT_EQ(report.variants, 12u);
   EXPECT_GT(report.replayed, opts.ops * 7);
   EXPECT_GT(report.max_size, 100u);

@@ -1,6 +1,6 @@
 // Multithreaded stress tests for the concurrent PH-tree entry points:
-// PhTreeSync (one tree-wide reader/writer lock) and PhTreeSharded
-// (lock-striped shards). Designed to run under the Tsan build preset
+// PhTreeSync (one tree, one writer mutex, lock-free readers) and
+// PhTreeSharded (lock-striped shards). Designed to run under the Tsan build preset
 // (-DCMAKE_BUILD_TYPE=Tsan): every test mixes concurrent insert, erase,
 // point and window reads, then checks structural invariants with
 // validate.h after the threads join. Thread and op counts are sized so

@@ -193,11 +193,15 @@ TEST(Serialize, RejectsCorruptStreamsWithTypedErrors) {
   bad[0] = 'X';
   EXPECT_FALSE(DeserializePhTree(bad).has_value());
   EXPECT_EQ(DeserializePhTreeOr(bad).error().code(), StatusCode::kBadMagic);
-  // Unknown version: known "PHT" prefix, unreadable version byte.
+  // Unknown version: known "PHT" prefix, unreadable version byte. The
+  // retired unchecksummed v1 format is one of them.
   auto bad_version = bytes;
-  bad_version[3] = '9';
-  EXPECT_EQ(DeserializePhTreeOr(bad_version).error().code(),
-            StatusCode::kUnsupportedVersion);
+  for (const char version : {'9', '1'}) {
+    bad_version[3] = static_cast<uint8_t>(version);
+    EXPECT_EQ(DeserializePhTreeOr(bad_version).error().code(),
+              StatusCode::kUnsupportedVersion)
+        << version;
+  }
   // Trailing garbage.
   auto long_stream = bytes;
   long_stream.push_back(0);
@@ -251,65 +255,6 @@ TEST(Serialize, RoundTripsUnderBothMutationPolicies) {
     ASSERT_TRUE(found.has_value());
     EXPECT_EQ(*found, v);
   });
-}
-
-TEST(Serialize, LegacyV1StreamsLoadWithWarning) {
-  Rng rng(22);
-  PhTree tree(2);
-  for (int i = 0; i < 1000; ++i) {
-    tree.InsertOrAssign(PhKey{rng.NextU64(), rng.NextU64() & 0xFFFF}, i);
-  }
-  const auto v1 = SerializePhTreeV1(tree);
-  // The v2 writer produces a different (checksummed) stream.
-  EXPECT_NE(v1, SerializePhTree(tree));
-
-  Status warning;
-  LoadOptions opts;
-  opts.legacy_warning = &warning;
-  opts.validate_structure = true;
-  auto back = DeserializePhTreeOr(v1, opts);
-  ASSERT_TRUE(back.has_value()) << back.error().ToString();
-  EXPECT_EQ(back->size(), tree.size());
-  EXPECT_EQ(ValidatePhTree(*back), "");
-  EXPECT_EQ(warning.code(), StatusCode::kLegacyUnchecksummed);
-  EXPECT_NE(warning.message().find("re-save"), std::string::npos);
-  tree.ForEach([&](const PhKey& k, uint64_t v) {
-    const auto found = back->Find(k);
-    ASSERT_TRUE(found.has_value());
-    EXPECT_EQ(*found, v);
-  });
-
-  // The optional shim also still accepts v1 (silently).
-  EXPECT_TRUE(DeserializePhTree(v1).has_value());
-
-  // Strict mode rejects v1 outright.
-  LoadOptions strict;
-  strict.accept_legacy_v1 = false;
-  const auto rejected = DeserializePhTreeOr(v1, strict);
-  ASSERT_FALSE(rejected.has_value());
-  EXPECT_EQ(rejected.error().code(), StatusCode::kUnsupportedVersion);
-}
-
-TEST(Serialize, LegacyV1CorruptionGetsTypedErrors) {
-  PhTree tree(2);
-  tree.Insert(PhKey{1, 2}, 3);
-  tree.Insert(PhKey{9, 9}, 4);
-  const auto v1 = SerializePhTreeV1(tree);
-  // Forged entry count at byte offset 22 (the v1 header's u64 count).
-  auto forged = v1;
-  forged[22] = 200;
-  const auto too_many = DeserializePhTreeOr(forged);
-  ASSERT_FALSE(too_many.has_value());
-  EXPECT_EQ(too_many.error().code(), StatusCode::kTruncated);
-  forged[22] = 1;
-  const auto too_few = DeserializePhTreeOr(forged);
-  ASSERT_FALSE(too_few.has_value());
-  EXPECT_EQ(too_few.error().code(), StatusCode::kTrailerCorrupt);
-  // Truncation inside an entry.
-  std::vector<uint8_t> trunc(v1.begin(), v1.end() - 3);
-  const auto cut = DeserializePhTreeOr(trunc);
-  ASSERT_FALSE(cut.has_value());
-  EXPECT_EQ(cut.error().code(), StatusCode::kTruncated);
 }
 
 TEST(Serialize, FileRoundTrip) {

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -381,56 +383,81 @@ TEST(PhTreeSharded, ClearEmptiesEveryShard) {
 TEST(PhTreeSharded, SingleShardDegeneratesToPlainTree) {
   const auto keys = RandomKeys(1000, 2, 41);
   PhTree plain(2);
-  PhTreeSharded sharded(2, 1);
+  PhTreeSync sync(2);
   for (size_t i = 0; i < keys.size(); ++i) {
     plain.Insert(keys[i], i);
-    sharded.Insert(keys[i], i);
+    sync.Insert(keys[i], i);
+  }
+  // Copy-on-write churn, so the retire/reclaim meters are non-zero too.
+  for (size_t i = 0; i < keys.size(); i += 3) {
+    plain.Erase(keys[i]);
+    sync.Erase(keys[i]);
   }
   const PhTreeStats a = plain.ComputeStats();
-  const PhTreeStats b = sharded.ComputeStats();
+  const PhTreeStats b = sync.ComputeStats();
   EXPECT_EQ(a.n_nodes, b.n_nodes);
   EXPECT_EQ(a.memory_bytes, b.memory_bytes);
   EXPECT_EQ(a.max_depth, b.max_depth);
+  // The aggregate over one shard is that shard's stats, every field of it.
+  const PhTreeStats shard = sync.UnsafeShard(0).ComputeStats();
+  EXPECT_GT(shard.arena_reclaimed_nodes + shard.arena_retired_nodes, 0u);
+  EXPECT_GT(shard.epoch, 0u);
+  EXPECT_TRUE(b == shard);
 }
 
 TEST(PhTreeSharded, SaveLoadRoundTripAcrossShardCounts) {
   const uint32_t dim = 2;
   const auto keys = RandomKeys(2000, dim, 51);
-  PhTreeSharded original(dim, 8);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    original.Insert(keys[i], i);
-  }
-  const std::string path = TempPath("sharded_snapshot.pht");
-  ASSERT_TRUE(original.Save(path).ok());
-
-  // Reload into a different shard count: content must be identical.
-  PhTreeSharded reloaded(dim, 2);
-  ASSERT_TRUE(reloaded.Load(path).ok());
-  EXPECT_EQ(reloaded.size(), original.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(reloaded.Find(keys[i]), std::optional<uint64_t>(i));
-  }
-  for (uint32_t s = 0; s < reloaded.num_shards(); ++s) {
-    EXPECT_EQ(ValidatePhTree(reloaded.UnsafeShard(s)), "");
-  }
-
-  // The sharded snapshot is a plain v2 stream: a single tree loads it too,
-  // byte-identically to a tree built from the same entries.
-  auto plain = LoadPhTreeOr(path);
-  ASSERT_TRUE(plain.has_value()) << plain.error().ToString();
-  EXPECT_EQ(plain->size(), original.size());
   PhTree rebuilt(dim);
   for (size_t i = 0; i < keys.size(); ++i) {
     rebuilt.Insert(keys[i], i);
   }
-  EXPECT_EQ(SerializePhTree(*plain), SerializePhTree(rebuilt));
+  const std::string path = TempPath("sharded_snapshot.pht");
+  for (const uint32_t shards : {1u, 8u}) {
+    PhTreeSharded original(dim, shards);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      original.Insert(keys[i], i);
+    }
+    ASSERT_TRUE(original.Save(path).ok());
 
-  // And the other direction: a plain SavePhTreeOr snapshot loads sharded.
+    // The sharded snapshot is a plain v2 stream, byte-identical to the one
+    // of a single tree built from the same entries.
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<uint8_t> file((std::istreambuf_iterator<char>(in)),
+                                    std::istreambuf_iterator<char>());
+    EXPECT_EQ(file, SerializePhTree(rebuilt)) << shards << " shards";
+
+    // Reload into other shard counts: content must be identical.
+    for (const uint32_t into : {1u, 2u}) {
+      PhTreeSharded reloaded(dim, into);
+      ASSERT_TRUE(reloaded.Load(path).ok());
+      EXPECT_EQ(reloaded.size(), original.size());
+      for (size_t i = 0; i < keys.size(); ++i) {
+        EXPECT_EQ(reloaded.Find(keys[i]), std::optional<uint64_t>(i));
+      }
+      for (uint32_t s = 0; s < reloaded.num_shards(); ++s) {
+        EXPECT_EQ(ValidatePhTree(reloaded.UnsafeShard(s)), "");
+      }
+    }
+  }
+
+  // And the other direction: a plain SavePhTreeOr snapshot loads sharded,
+  // and the stream's config (here set mode) replaces the tree's.
+  PhTreeConfig set_config;
+  set_config.store_values = false;
+  PhTree set_tree(dim, set_config);
+  for (const PhKey& key : keys) {
+    set_tree.Insert(key, 0);
+  }
   const std::string plain_path = TempPath("plain_snapshot.pht");
-  ASSERT_TRUE(SavePhTreeOr(rebuilt, plain_path).ok());
-  PhTreeSharded from_plain(dim, 16);
-  ASSERT_TRUE(from_plain.Load(plain_path).ok());
-  EXPECT_EQ(from_plain.size(), rebuilt.size());
+  ASSERT_TRUE(SavePhTreeOr(set_tree, plain_path).ok());
+  for (const uint32_t into : {1u, 16u}) {
+    PhTreeSharded from_plain(dim, into);
+    ASSERT_TRUE(from_plain.Load(plain_path).ok());
+    EXPECT_EQ(from_plain.size(), set_tree.size());
+    EXPECT_FALSE(from_plain.config().store_values);
+    EXPECT_FALSE(from_plain.UnsafeShard(0).config().store_values);
+  }
 
   std::remove(path.c_str());
   std::remove(plain_path.c_str());

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <filesystem>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,6 +24,59 @@ TEST(PhTreeSync, BasicOperations) {
   EXPECT_EQ(tree.CountWindow(PhKey{0, 0}, PhKey{5, 5}), 1u);
   EXPECT_TRUE(tree.Erase(PhKey{1, 2}));
   EXPECT_EQ(tree.size(), 0u);
+}
+
+size_t ThreadCount() {
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator()));
+}
+
+TEST(PhTreeSync, StartsNoThreads) {
+  // One shard means every fan-out has one task and runs inline, so the
+  // tree never resolves the shared thread pool.
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task";
+  }
+  const size_t before = ThreadCount();
+  {
+    PhTreeSync tree(2);
+    std::vector<PhEntry> entries;
+    for (uint64_t i = 0; i < 500; ++i) {
+      entries.push_back(PhEntry{PhKey{i << 40, i * 7}, i});
+    }
+    EXPECT_EQ(tree.BulkLoad(entries), 500u);
+    EXPECT_TRUE(tree.Insert(PhKey{1, 1}, 1));
+    EXPECT_FALSE(tree.InsertOrAssign(PhKey{1, 1}, 2));
+    EXPECT_EQ(tree.Update(PhKey{1, 1}, PhKey{2, 2}), UpdateOutcome::kMoved);
+    EXPECT_EQ(tree.TryUpdate(PhKey{2, 2}, PhKey{1, 1}), UpdateOutcome::kMoved);
+    EXPECT_TRUE(tree.Erase(PhKey{1, 1}));
+    EXPECT_TRUE(tree.Contains(entries[3].key));
+    EXPECT_EQ(tree.Find(entries[4].key), std::optional<uint64_t>(4));
+    const std::vector<PhKey> batch{entries[5].key, PhKey{3, 3}};
+    EXPECT_EQ(tree.FindBatch(batch).size(), 2u);
+    const PhKey lo{0, 0};
+    const PhKey hi{~uint64_t{0}, ~uint64_t{0}};
+    EXPECT_EQ(tree.QueryWindow(lo, hi).size(), 500u);
+    size_t visited = 0;
+    tree.QueryWindow(lo, hi, [&](const PhKey&, uint64_t) { ++visited; });
+    EXPECT_EQ(visited, 500u);
+    EXPECT_EQ(tree.CountWindow(lo, hi), 500u);
+    EXPECT_EQ(tree.QueryWindowPage(lo, hi, 10).entries.size(), 10u);
+    EXPECT_EQ(tree.KnnSearch(lo, 5).size(), 5u);
+    size_t each = 0;
+    tree.ForEach([&](const PhKey&, uint64_t) { ++each; });
+    EXPECT_EQ(each, 500u);
+    EXPECT_EQ(tree.ComputeStats().n_entries, 500u);
+    const std::string path = testing::TempDir() + "/sync_no_threads.pht";
+    ASSERT_TRUE(tree.Save(path).ok());
+    tree.Clear();
+    EXPECT_EQ(tree.size(), 0u);
+    ASSERT_TRUE(tree.Load(path).ok());
+    EXPECT_EQ(tree.size(), 500u);
+    std::remove(path.c_str());
+  }
+  EXPECT_EQ(ThreadCount(), before);
 }
 
 TEST(PhTreeSync, ConcurrentDisjointWriters) {
