@@ -122,8 +122,8 @@ BENCHMARK(BM_Knn)->Arg(1)->Arg(10)->Arg(100);
 // global-new comparison these rows once ran is recorded in EXPERIMENTS.md.
 
 void BM_ArenaChurn(benchmark::State& state) {
-  // Insert/erase churn: every erase returns node slots and buffer blocks
-  // that the following inserts immediately reuse — the freelist hot path.
+  // Insert/erase churn: every erase returns node blocks that the
+  // following inserts immediately reuse — the freelist hot path.
   const uint32_t dim = static_cast<uint32_t>(state.range(0));
   const auto keys = RandomKeys(50000, dim, 2);
   PhTree tree(dim);
@@ -176,10 +176,10 @@ BENCHMARK(BM_SortableDoubleBits);
 void BM_BitBufferShift(benchmark::State& state) {
   // The LHC insert cost driver: shifting a node-sized bit stream.
   const uint64_t bits = static_cast<uint64_t>(state.range(0));
-  BitBuffer buf(bits);
+  std::vector<uint64_t> words(WordsFor(bits + 130));
   for (auto _ : state) {
-    buf.InsertBits(bits / 2, 130);
-    buf.RemoveBits(bits / 2, 130);
+    InsertBits(words.data(), bits, bits / 2, 130);
+    RemoveBits(words.data(), bits + 130, bits / 2, 130);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(bits / 8));

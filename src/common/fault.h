@@ -17,8 +17,8 @@ namespace phtree {
 /// the corresponding syscall return an error (the FaultyVfs picks the
 /// errno).
 enum class FaultSite : uint8_t {
-  kArenaNodeAlloc = 0,  ///< NodeArena::NewNode (slot + node construction)
-  kWordAlloc,           ///< BitBuffer::TryReallocate (all word-block growth)
+  kArenaNodeAlloc = 0,  ///< a new node's block (NewNode, Node::TryClone)
+  kWordAlloc,           ///< a moved node's block (Node::TryRebuild)
   kVfsOpen,
   kVfsRead,
   kVfsWrite,

@@ -1,10 +1,12 @@
-// Per-tree slab allocator for PH-tree nodes and their bit-stream storage.
+// Per-tree block allocator for PH-tree nodes.
 //
-// The paper's headline claim is space efficiency, so the reproduction must
-// account for (and minimise) allocator overhead instead of estimating it:
-// every Node object is carved out of fixed-size slabs with a freelist for
-// recycling, and every node's BitBuffer words come from a bump-allocated
-// word pool with power-of-two size-class freelists. Consequences:
+// The paper stores each node as one packed bit stream (Sect. 3.4) and leads
+// with space, so every node is exactly one arena block: a 16-byte header
+// (class Node) followed directly by the node's bit-stream words. Resolving a
+// child handle therefore lands on the header and the first stream words in
+// the same 64-byte cache line, and a descent waits on one memory access per
+// level. Blocks come from 64 KiB slabs in power-of-two size classes with
+// per-class freelists. Consequences:
 //   * insert splits / erase splices never pay a malloc round-trip,
 //   * Clear() is an O(slabs) arena reset instead of a recursive delete,
 //   * ComputeStats() reports exact bytes (slab / live / freelist) — the
@@ -13,13 +15,14 @@
 #define PHTREE_PHTREE_ARENA_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "common/bit_buffer.h"
+#include "common/fault.h"
 #include "phtree/node.h"
 
 namespace phtree {
@@ -131,124 +134,211 @@ class EpochManager {
   Slot slots_[kSlots];
 };
 
-/// WordPool over bump-allocated slabs with power-of-two size-class
-/// freelists. Blocks of up to kMaxClassWords words are rounded up to a
-/// power of two and recycled through per-class freelists (LHC shift
-/// grow/shrink churns these); larger blocks (huge HC nodes) fall back to
-/// individually tracked heap blocks so Reset() can release them in one
-/// sweep.
-class SlabWordPool final : public WordPool {
+/// The block allocator under every node. Blocks are whole 16-byte granules
+/// of 64-byte-aligned 64 KiB slabs, in power-of-two size classes of 2 to
+/// kMaxClassWords words recycled through per-class freelists; a bump
+/// cursor carves fresh blocks. A block of kLineWords words or fewer never
+/// straddles a cache line, and a larger one starts on a line boundary: the
+/// cursor aligns each block to min(size, kLineWords) words and parks the
+/// skipped granules on the freelists. A block larger than the biggest class
+/// (a huge HC node) gets its own line-aligned allocation and directory
+/// entry.
+///
+/// Blocks are named by 32-bit handles: a slab-directory index in the high
+/// bits and a granule offset in the low kGranuleBits. The directory is
+/// published RCU-style, so lock-free readers resolve handles concurrently
+/// with the writer growing it.
+class SlabWordPool {
  public:
   /// 64 KiB slabs: large enough that typical nodes never straddle a malloc,
   /// small enough that a mostly-empty tree does not pin megabytes.
   static constexpr uint64_t kSlabWords = 8192;
+  /// Handle granule: the smallest block (a bare 16-byte node header).
+  static constexpr uint64_t kGranuleWords = 2;
+  static constexpr uint32_t kGranuleBits = 12;
+  static_assert(kSlabWords == kGranuleWords << kGranuleBits);
+  /// One 64-byte cache line.
+  static constexpr uint64_t kLineWords = 8;
   /// Largest size-class block: half a slab.
   static constexpr uint64_t kMaxClassWords = kSlabWords / 2;
+  /// Directory capacity: every slab index below this fits the handle, and
+  /// the all-ones handle (kInvalidNodeHandle) names no block. 2^20 - 1
+  /// slabs of 64 KiB cap one tree at 64 GiB.
+  static constexpr uint32_t kMaxSlabs =
+      (uint32_t{1} << (32 - kGranuleBits)) - 1;
 
-  SlabWordPool() = default;
+  /// Granted block size: next power of two (at least one granule) up to
+  /// kMaxClassWords, then the next multiple of kMaxClassWords. A pure
+  /// function of `min_words`, so a node holding exactly its grant has an
+  /// insertion-order-independent size.
+  static constexpr uint64_t GrantWords(uint64_t min_words) {
+    if (min_words > kMaxClassWords) {
+      // Large blocks grow in kMaxClassWords granules: deterministic (the
+      // size tables must not depend on growth history) yet coarse enough
+      // that a giant HC node moves once per 32 KiB of growth, not per
+      // insert.
+      return (min_words + kMaxClassWords - 1) / kMaxClassWords *
+             kMaxClassWords;
+    }
+    return std::bit_ceil(min_words < kGranuleWords ? kGranuleWords
+                                                   : min_words);
+  }
+
+  /// The handle of granule `granule` of directory entry `slab`, or
+  /// kInvalidNodeHandle if either lies outside the handle's range (an
+  /// allocation past the cap fails instead of wrapping).
+  static NodeHandle EncodeHandle(uint64_t slab, uint64_t granule) {
+    if (slab >= kMaxSlabs || granule >= (uint64_t{1} << kGranuleBits)) {
+      return kInvalidNodeHandle;
+    }
+    return static_cast<NodeHandle>(slab << kGranuleBits | granule);
+  }
+  static uint32_t HandleSlab(NodeHandle h) { return h >> kGranuleBits; }
+  static uint32_t HandleGranule(NodeHandle h) {
+    return h & ((uint32_t{1} << kGranuleBits) - 1);
+  }
+
+  /// A block: its first word and its handle.
+  struct Block {
+    uint64_t* words = nullptr;
+    NodeHandle handle = kInvalidNodeHandle;
+  };
+
+  /// `max_slabs` caps the directory below kMaxSlabs (tests exercise the
+  /// cap without reserving 64 GiB).
+  explicit SlabWordPool(uint32_t max_slabs = kMaxSlabs);
   SlabWordPool(const SlabWordPool&) = delete;
   SlabWordPool& operator=(const SlabWordPool&) = delete;
-  ~SlabWordPool() override;
+  ~SlabWordPool();
 
-  uint64_t* AllocateWords(uint64_t min_words, uint64_t* actual_words) override;
-  void DeallocateWords(uint64_t* block, uint64_t words) override;
+  /// Returns a zeroed block of GrantWords(min_words) words, or an empty
+  /// Block if memory or the handle space is exhausted.
+  Block Allocate(uint64_t min_words);
 
-  /// Granted block size: next power of two up to kMaxClassWords, then the
-  /// next multiple of kMaxClassWords. A pure function of `min_words`, so a
-  /// buffer holding exactly its grant has insertion-order-independent size.
-  uint64_t GrantWords(uint64_t min_words) const override;
+  /// Returns the block `h` of `words` granted words to its freelist (a
+  /// large block to the system).
+  void Deallocate(NodeHandle h, uint64_t words);
+
+  /// First word of block `h`: O(1), one directory lookup. Safe to call from
+  /// lock-free readers concurrently with writer-side growth: the directory
+  /// is an RCU snapshot, and an entry is written before any handle naming
+  /// it is published.
+  uint64_t* At(NodeHandle h) const {
+    const DirEntry* dir = dir_.load(std::memory_order_acquire);
+    return dir[HandleSlab(h)].base.load(std::memory_order_relaxed) +
+           uint64_t{HandleGranule(h)} * kGranuleWords;
+  }
 
   /// Drops every outstanding block in O(slabs): rewinds the bump cursor,
-  /// clears the freelists, frees the large-block list. All blocks handed
-  /// out before the call become invalid; slabs are retained for reuse.
+  /// clears the freelists, frees the large blocks. All blocks handed out
+  /// before the call become invalid; slabs are retained for reuse.
   void Reset();
+
+  /// Pre-allocates slabs until at least `words` words lie ahead of the
+  /// bump cursor. Throws std::bad_alloc on failure.
+  void Reserve(uint64_t words);
+
+  /// True iff `p` is the start of a granule of one of this pool's slabs or
+  /// the start of one of its large blocks. O(slabs).
+  bool Owns(const void* p) const;
+
+  /// True iff block `h` can hold a granted block of `words` words: inside
+  /// its slab at an offset aligned for its class, or a large block of
+  /// exactly that size.
+  bool IsGrantedBlock(NodeHandle h, uint64_t words) const;
+
+  /// True iff block `h` of `words` words is on its class freelist.
+  /// Debug/test only: O(freelist length).
+  bool OnFreelist(NodeHandle h, uint64_t words) const;
 
   /// Total bytes reserved from the system (slabs + large blocks).
   uint64_t SlabBytes() const {
     return slabs_.size() * kSlabWords * sizeof(uint64_t) + large_bytes_;
   }
-  /// Bytes currently handed out to live buffers.
+  /// Bytes currently handed out.
   uint64_t LiveBytes() const { return live_bytes_; }
   /// Bytes parked in size-class freelists, ready for reuse.
   uint64_t FreeListBytes() const { return free_bytes_; }
 
  private:
-  struct LargeBlock {
-    LargeBlock* prev;
-    LargeBlock* next;
-    uint64_t words;
-    // Block data follows the header.
+  /// One directory entry: a slab, a large block, or free (base == null,
+  /// `large_words` then links the next free entry).
+  struct DirEntry {
+    std::atomic<uint64_t*> base{nullptr};
+    std::atomic<uint64_t> large_words{0};  ///< 0 for a slab
   };
 
-  static constexpr uint32_t kNumClasses = 13;  // 2^0 .. 2^12 words
+  static constexpr uint32_t kNumClasses = 13;  // 2^1 .. 2^12 words
+  static constexpr uint32_t kNoEntry = ~uint32_t{0};
 
-  uint64_t* AllocateLarge(uint64_t words);
-  void DeallocateLarge(uint64_t* block);
-  void FreeAllLarge();
+  static uint32_t ClassFor(uint64_t words) {
+    return static_cast<uint32_t>(std::bit_width(words - 1));
+  }
 
-  std::vector<std::unique_ptr<uint64_t[]>> slabs_;
-  size_t cur_slab_ = 0;      // slab the bump cursor points into
-  uint64_t slab_off_ = 0;    // word offset of the bump cursor
-  uint64_t* free_[kNumClasses] = {};  // freelist heads; next ptr in word 0
-  LargeBlock* large_head_ = nullptr;
+  Block AllocateLarge(uint64_t words);
+  /// Appends a fresh slab to the bump order; false (nothing changed) on
+  /// failure.
+  bool AddSlab();
+  /// Moves the bump cursor to the start of the next slab, allocating one
+  /// if none is retained. False (cursor unchanged) on failure.
+  bool NextSlab();
+  /// Pushes block `h` of `words` words onto its class freelist.
+  void PushFree(NodeHandle h, uint64_t words);
+  /// Stores a directory entry and returns its index, or kNoEntry at the
+  /// cap or if the directory cannot grow.
+  uint32_t AddEntry(uint64_t* base, uint64_t large_words);
+  void ReleaseEntry(uint32_t index);
+  DirEntry& Entry(uint32_t index) const {
+    return dir_.load(std::memory_order_relaxed)[index];
+  }
+
+  uint32_t max_slabs_;
+  /// Directory indices of the slabs, in bump order.
+  std::vector<uint32_t> slabs_;
+  size_t cur_slab_ = 0;    // slabs_ position of the bump cursor
+  uint64_t slab_off_ = 0;  // word offset of the bump cursor
+  /// Freelist heads; each free block links the next in its last word.
+  NodeHandle free_[kNumClasses];
+  uint32_t free_entry_ = kNoEntry;  // head of the free directory entries
   uint64_t large_bytes_ = 0;
   uint64_t live_bytes_ = 0;
   uint64_t free_bytes_ = 0;
+  /// RCU snapshot of the directory; old snapshots are parked until
+  /// destruction (lock-free readers may still load them).
+  std::atomic<DirEntry*> dir_{nullptr};
+  std::atomic<uint64_t> dir_count_{0};
+  uint64_t dir_capacity_ = 0;
+  std::vector<std::unique_ptr<DirEntry[]>> old_dirs_;
 };
 
-/// A freshly allocated node: its address plus its 32-bit arena handle.
-/// Nodes store only handles of their children (halving the child-slot
-/// width), so callers must keep the handle alongside the pointer until the
-/// child link is written.
-struct NodeRef {
-  Node* ptr = nullptr;
-  NodeHandle handle = kInvalidNodeHandle;
-
-  explicit operator bool() const { return ptr != nullptr; }
-};
-
-/// Owner of every Node of one PhTree. Nodes are placement-constructed into
-/// slots of fixed-size slabs and addressed by 32-bit handles that encode
-/// (slab index, slot index); deleted nodes go on a freelist whose links —
-/// themselves handles — reuse the slot memory. The arena address is stable
-/// for the lifetime of the owning tree (PhTree holds it behind a
-/// unique_ptr), so Node pointers resolved from handles and the word-pool
-/// pointer baked into each BitBuffer never dangle across a PhTree move.
+/// Owner of every Node of one PhTree: each node is one SlabWordPool block,
+/// a 16-byte header followed by its bit stream, addressed by its block's
+/// 32-bit handle. The arena address is stable for the lifetime of the
+/// owning tree (PhTree holds it behind a unique_ptr), so Node pointers
+/// resolved from handles never dangle across a PhTree move.
 class NodeArena {
  public:
-  /// Nodes per slab; at ~56 bytes per Node one slab is ~14 KiB. Must stay a
-  /// power of two: handles are slab_index * kNodesPerSlab + slot_index.
-  static constexpr size_t kNodesPerSlab = 256;
-  static constexpr uint32_t kSlabShift = 8;
-  static constexpr uint32_t kSlotMask = kNodesPerSlab - 1;
-
-  NodeArena() = default;
+  explicit NodeArena(uint32_t max_slabs = SlabWordPool::kMaxSlabs)
+      : pool_(max_slabs) {}
   NodeArena(const NodeArena&) = delete;
   NodeArena& operator=(const NodeArena&) = delete;
-  ~NodeArena();
 
-  /// Resolves a handle to the node it names: O(1), one slab lookup. The
-  /// handle must name a live node. Safe to call from lock-free readers
-  /// concurrently with writer-side slab growth: the slab directory is an
-  /// RCU snapshot published with release semantics before any handle
-  /// referencing a new slab becomes visible.
-  Node* NodeAt(NodeHandle h) {
-    NodeSlot** dir = slab_dir_.load(std::memory_order_acquire);
-    return reinterpret_cast<Node*>(&dir[h >> kSlabShift][h & kSlotMask]);
-  }
+  /// Resolves a handle to the node it names: O(1), one directory lookup.
+  /// The handle must name a live node. Safe from lock-free readers (see
+  /// SlabWordPool::At).
+  Node* NodeAt(NodeHandle h) { return reinterpret_cast<Node*>(pool_.At(h)); }
   const Node* NodeAt(NodeHandle h) const {
-    return const_cast<NodeArena*>(this)->NodeAt(h);
+    return reinterpret_cast<const Node*>(pool_.At(h));
   }
 
-  /// Constructs a Node whose BitBuffer draws from this arena's word pool.
-  /// Returns an empty NodeRef (ptr == nullptr) if the slot or the node's
-  /// infix buffer cannot be allocated — the fallible seam the tree's
-  /// commit-or-rollback mutations are built on (kArenaNodeAlloc fault
-  /// site).
+  /// Builds an empty node in a fresh block sized for its (zero) infix.
+  /// Returns an empty NodeRef if the block cannot be allocated — the
+  /// fallible seam the tree's commit-or-rollback mutations are built on
+  /// (kArenaNodeAlloc fault site).
   NodeRef NewNode(uint32_t dim, uint32_t infix_len, uint32_t postfix_len,
                   bool store_values);
 
-  /// Destroys the node and recycles its slot.
+  /// Returns the node's block to the pool.
   void DeleteNode(NodeRef ref);
 
   /// Attaches (or detaches, nullptr) the epoch manager that gates deferred
@@ -258,11 +348,10 @@ class NodeArena {
   void SetEpochManager(EpochManager* epochs);
   EpochManager* epoch_manager() const { return epochs_; }
 
-  /// Retires a node that was just unlinked from the tree by a copy-on-write
-  /// publication: without an epoch manager this is DeleteNode; with one the
-  /// node is stamped with the current epoch and queued — its memory (slot
-  /// and bit-stream words) stays intact and readable until Reclaim proves
-  /// no reader can still hold it.
+  /// Retires a node that was just unlinked from the tree by a publication:
+  /// without an epoch manager this is DeleteNode; with one the node is
+  /// stamped with the current epoch and queued — its block stays intact
+  /// and readable until Reclaim proves no reader can still hold it.
   void RetireNode(NodeRef ref);
 
   /// Tries to advance the epoch and deletes every retired node whose stamp
@@ -270,55 +359,63 @@ class NodeArena {
   /// harmless to call any time).
   void Reclaim();
 
-  /// Bytes held by retired-but-not-yet-reclaimed nodes (slot + bit-stream
-  /// block). LiveBytes() == reachable-tree bytes + RetiredBytes().
+  /// Bytes held by retired-but-not-yet-reclaimed nodes.
+  /// LiveBytes() == reachable-tree bytes + RetiredBytes().
   uint64_t RetiredBytes() const { return retired_bytes_; }
   /// Number of retired-but-not-yet-reclaimed nodes.
   size_t retired_nodes() const { return retired_.size(); }
   /// Total nodes whose deferred DeleteNode has completed.
   uint64_t reclaimed_nodes_total() const { return reclaimed_total_; }
+  /// Calls `fn(ref, bytes)` for every retired-but-not-yet-reclaimed node.
+  template <typename Fn>
+  void ForEachRetired(Fn&& fn) const {
+    for (const Retired& r : retired_) {
+      fn(r.ref, r.bytes);
+    }
+  }
 
-  /// Destroys every outstanding node in O(slabs), without walking the tree:
-  /// node destructors are skipped because the only resource a Node owns is
-  /// its BitBuffer block, and the word pool is reset wholesale. Slabs are
-  /// retained, so refilling the tree is allocation-free until it outgrows
-  /// its previous high-water mark.
+  /// Destroys every outstanding node in O(slabs), without walking the tree
+  /// (nodes own nothing but their block). Slabs are retained, so refilling
+  /// the tree is allocation-free until it outgrows its previous high-water
+  /// mark.
   void Reset();
 
-  /// Pre-allocates node slabs for at least `n` additional nodes.
+  /// Pre-allocates slabs for about `n` additional nodes.
   void ReserveNodes(size_t n);
 
-  /// True iff `node` lives in one of this arena's slots. Debug/validation
+  /// True iff `node` starts one of this arena's blocks. Debug/validation
   /// only: O(slabs).
-  bool Owns(const Node* node) const;
+  bool Owns(const Node* node) const { return pool_.Owns(node); }
+
+  /// True iff `ref`'s block is exactly the block its node's contents are
+  /// granted (Node::BlockWords), placed as the pool places such a block.
+  bool IsGrantedBlock(NodeRef ref) const;
+
+  /// True iff block `h` of `words` words is free and parked for reuse.
+  /// Debug/test only: O(freelist length).
+  bool OnFreelist(NodeHandle h, uint64_t words) const {
+    return pool_.OnFreelist(h, words);
+  }
 
   /// Number of nodes currently allocated and not yet deleted.
   size_t live_nodes() const { return live_nodes_; }
 
-  /// Exact bytes reserved from the system: node slabs + word slabs + large
-  /// word blocks.
-  uint64_t SlabBytes() const;
-  /// Exact bytes in use by live nodes: live slots + their buffer blocks.
-  uint64_t LiveBytes() const;
-  /// Exact recyclable bytes: free node slots + word-pool freelists.
-  uint64_t FreeListBytes() const;
+  /// Exact bytes reserved from the system: slabs + large blocks.
+  uint64_t SlabBytes() const { return pool_.SlabBytes(); }
+  /// Exact bytes in use by live nodes (their blocks).
+  uint64_t LiveBytes() const { return pool_.LiveBytes(); }
+  /// Exact recyclable bytes parked in the freelists.
+  uint64_t FreeListBytes() const { return pool_.FreeListBytes(); }
 
  private:
-  // A raw, Node-sized and Node-aligned slot. Free slots store the freelist
-  // link in their first bytes.
-  struct alignas(alignof(Node)) NodeSlot {
-    unsigned char bytes[sizeof(Node)];
-  };
+  friend class Node;
 
-  /// Claims a free slot and returns its handle.
-  NodeHandle TakeSlot();
-
-  /// Mirrors a newly grown node_slabs_ entry into the RCU slab directory,
-  /// republishing a larger snapshot array when capacity is exhausted. Old
-  /// snapshots are parked until destruction (readers may still load them).
-  /// Returns false (directory unchanged) if the grown array allocation
-  /// fails.
-  bool PublishSlab(NodeSlot* slab);
+  /// Allocates a zeroed block for a node with a stream of `stream_bits`
+  /// bits and constructs an empty node header in it; empty on failure.
+  /// Every node block comes from here, and `site` names its fault site.
+  NodeRef AllocateNode(uint32_t dim, uint32_t infix_len, uint32_t postfix_len,
+                       bool store_values, uint64_t stream_bits,
+                       FaultSite site);
 
   /// One deferred-free record; stamps are non-decreasing in queue order.
   struct Retired {
@@ -327,20 +424,8 @@ class NodeArena {
     uint64_t bytes;
   };
 
-  SlabWordPool word_pool_;
-  std::vector<std::unique_ptr<NodeSlot[]>> node_slabs_;
-  size_t cur_node_slab_ = 0;
-  size_t node_slab_off_ = 0;
-  /// Free-slot list: head handle, next links stored in slot bytes.
-  NodeHandle free_head_ = kInvalidNodeHandle;
-  size_t free_node_count_ = 0;
+  SlabWordPool pool_;
   size_t live_nodes_ = 0;
-  /// RCU snapshot of the slab pointer table: readers resolve handles
-  /// through this (never through node_slabs_, whose vector buffer moves).
-  std::atomic<NodeSlot**> slab_dir_{nullptr};
-  std::atomic<uint64_t> slab_count_{0};
-  uint64_t slab_dir_capacity_ = 0;
-  std::vector<std::unique_ptr<NodeSlot*[]>> old_slab_dirs_;
   /// Epoch-deferred reclamation state (COW/MVCC mode only).
   EpochManager* epochs_ = nullptr;
   std::deque<Retired> retired_;

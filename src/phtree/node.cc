@@ -3,20 +3,21 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <new>
+#include <cstring>
+
+#include "common/fault.h"
+#include "phtree/arena.h"
 
 namespace phtree {
 
 Node::Node(uint32_t dim, uint32_t infix_len, uint32_t postfix_len,
-           bool store_values, WordPool* pool)
+           bool store_values)
     : dim_(static_cast<uint16_t>(dim)),
       infix_len_(static_cast<uint8_t>(infix_len)),
       postfix_len_(static_cast<uint8_t>(postfix_len)),
-      store_values_(store_values),
-      bits_(pool) {
+      store_values_(store_values) {
   assert(dim >= 1 && dim <= kMaxDims);
   assert(infix_len + 1 + postfix_len <= kBitWidth);
-  bits_.Resize(infix_bits());  // empty LHC node: just the (zero) infix
 }
 
 // ---- Infix ------------------------------------------------------------
@@ -29,7 +30,7 @@ void Node::SetInfixFromKey(std::span<const uint64_t> key) {
   const uint64_t base = infix_base();
   for (uint32_t d = 0; d < dim_; ++d) {
     const uint64_t seg = (key[d] >> (postfix_len_ + 1)) & LowMask(il);
-    bits_.WriteBits(base + static_cast<uint64_t>(d) * il, il, seg);
+    WriteBits(words(), base + static_cast<uint64_t>(d) * il, il, seg);
   }
 }
 
@@ -37,51 +38,43 @@ void Node::ReplaceInfix(uint32_t new_infix_len,
                         std::span<const uint64_t> segments) {
   // The infix precedes every region it can shift in all three
   // representations, so a resize-in-place is safe repr-independently.
+  const uint64_t size = CurrentReprBits();
   const uint64_t base = infix_base();
   const uint64_t old_bits = infix_bits();
   const uint64_t new_bits = static_cast<uint64_t>(dim_) * new_infix_len;
   if (new_bits > old_bits) {
-    bits_.InsertBits(base, new_bits - old_bits);
+    InsertBits(words(), size, base, new_bits - old_bits);
   } else if (new_bits < old_bits) {
-    bits_.RemoveBits(base, old_bits - new_bits);
+    RemoveBits(words(), size, base, old_bits - new_bits);
   }
   infix_len_ = static_cast<uint8_t>(new_infix_len);
   for (uint32_t d = 0; d < dim_; ++d) {
-    bits_.WriteBits(base + static_cast<uint64_t>(d) * new_infix_len,
-                    new_infix_len, segments[d]);
+    WriteBits(words(), base + static_cast<uint64_t>(d) * new_infix_len,
+              new_infix_len, segments[d]);
   }
 }
 
-void Node::TrimInfixToLow(uint32_t new_infix_len, const PhTreeConfig& cfg) {
-  if (!TryTrimInfixToLow(new_infix_len, cfg)) {
-    throw std::bad_alloc();
-  }
-}
-
-bool Node::TryTrimInfixToLow(uint32_t new_infix_len, const PhTreeConfig& cfg) {
+NodeRef Node::TryTrimInfixToLow(NodeArena& arena, NodeHandle self,
+                                uint32_t new_infix_len,
+                                const PhTreeConfig& cfg) {
   assert(new_infix_len <= infix_len_);
   const uint32_t il = infix_len_;
   const uint64_t base = infix_base();
   uint64_t segments[kMaxDims];
   for (uint32_t d = 0; d < dim_; ++d) {
-    const uint64_t seg = bits_.ReadBits(base + static_cast<uint64_t>(d) * il,
-                                        il);
+    const uint64_t seg =
+        ReadBits(words(), base + static_cast<uint64_t>(d) * il, il);
     segments[d] = seg & LowMask(new_infix_len);
   }
   // The infix length changes the representation sizes too, so the new infix
   // and any prescribed representation switch commit together.
-  return TryReplaceInfixPolicy(new_infix_len, segments, cfg);
+  return TryReplaceInfixPolicy(arena, self, new_infix_len, segments, cfg);
 }
 
-void Node::AbsorbParentInfix(const Node& parent, uint64_t addr_in_parent,
-                             const PhTreeConfig& cfg) {
-  if (!TryAbsorbParentInfix(parent, addr_in_parent, cfg)) {
-    throw std::bad_alloc();
-  }
-}
-
-bool Node::TryAbsorbParentInfix(const Node& parent, uint64_t addr_in_parent,
-                                const PhTreeConfig& cfg) {
+NodeRef Node::TryAbsorbParentInfix(NodeArena& arena, NodeHandle self,
+                                   const Node& parent,
+                                   uint64_t addr_in_parent,
+                                   const PhTreeConfig& cfg) {
   const uint32_t il = infix_len_;
   const uint32_t pil = parent.infix_len_;
   const uint32_t new_il = il + 1 + pil;
@@ -91,35 +84,35 @@ bool Node::TryAbsorbParentInfix(const Node& parent, uint64_t addr_in_parent,
   uint64_t segments[kMaxDims];
   for (uint32_t d = 0; d < dim_; ++d) {
     const uint64_t my_seg =
-        il > 0 ? bits_.ReadBits(base + static_cast<uint64_t>(d) * il, il) : 0;
+        il > 0 ? ReadBits(words(), base + static_cast<uint64_t>(d) * il, il)
+               : 0;
     const uint64_t parent_seg =
-        pil > 0
-            ? parent.bits_.ReadBits(pbase + static_cast<uint64_t>(d) * pil,
-                                    pil)
-            : 0;
+        pil > 0 ? ReadBits(parent.words(),
+                           pbase + static_cast<uint64_t>(d) * pil, pil)
+                : 0;
     const uint64_t addr_bit = (addr_in_parent >> (dim_ - 1 - d)) & 1u;
     segments[d] = (parent_seg << (1 + il)) | (addr_bit << il) | my_seg;
   }
-  return TryReplaceInfixPolicy(new_il, segments, cfg);
+  return TryReplaceInfixPolicy(arena, self, new_il, segments, cfg);
 }
 
-bool Node::TryReplaceInfixPolicy(uint32_t new_infix_len,
-                                 const uint64_t* segments,
-                                 const PhTreeConfig& cfg) {
+NodeRef Node::TryReplaceInfixPolicy(NodeArena& arena, NodeHandle self,
+                                    uint32_t new_infix_len,
+                                    const uint64_t* segments,
+                                    const PhTreeConfig& cfg) {
   const uint64_t ib2 = static_cast<uint64_t>(dim_) * new_infix_len;
   const uint64_t n = num_entries_;
   const uint64_t np = num_postfixes();
   const Repr target = PickRepr(n, num_subs_, ib2, cfg);
-  if (target == repr_ &&
-      !bits_.ResizeWouldRelocate(ReprBitsEx(target, n, np, ib2))) {
+  if (target == repr_ && !WouldMove(ReprBitsEx(target, n, np, ib2))) {
     ReplaceInfix(new_infix_len, {segments, dim_});
-    return true;
+    return {this, self};
   }
   EntryDelta d;
   d.new_infix = true;
   d.new_infix_len = new_infix_len;
   d.infix_segments = segments;
-  return TryRebuild(target, d);
+  return TryRebuild(arena, target, d);
 }
 
 // Lookup and ordinal iteration are inline in node.h (query hot path).
@@ -130,17 +123,8 @@ void Node::WritePostfixRecord(uint64_t record_pos,
                               std::span<const uint64_t> key) {
   const uint32_t pl = postfix_len_;
   for (uint32_t d = 0; d < dim_; ++d) {
-    bits_.WriteBits(record_pos + static_cast<uint64_t>(d) * pl, pl,
-                    key[d] & LowMask(pl));
-  }
-}
-
-void Node::ZeroBits(uint64_t pos, uint64_t n) {
-  while (n > 0) {
-    const uint32_t chunk = n >= 64 ? 64 : static_cast<uint32_t>(n);
-    bits_.WriteBits(pos, chunk, 0);
-    pos += chunk;
-    n -= chunk;
+    WriteBits(words(), record_pos + static_cast<uint64_t>(d) * pl, pl,
+              key[d] & LowMask(pl));
   }
 }
 
@@ -167,32 +151,32 @@ void Node::LhcInsertEntry(uint64_t p, uint64_t addr, bool is_sub,
   const uint64_t n_flg = n_inf + ib;
   const uint64_t n_adr = n_flg + (n + 1);
   const uint64_t n_rec = n_adr + (n + 1) * dim_;
-  bits_.Resize(n_rec + (np + has_rec) * st);
-  // Move each segment exactly once, highest source first (all displacements
+  // The grown tail is zero already (the stream's zero tail); move each
+  // segment exactly once, highest source first (all displacements
   // are rightward, so later (lower) sources are never clobbered).
-  bits_.MoveBits(o_rec + rank * st, n_rec + (rank + has_rec) * st,
-                 (np - rank) * st);
-  bits_.MoveBits(o_rec, n_rec, rank * st);
-  bits_.MoveBits(o_adr + p * dim_, n_adr + (p + 1) * dim_, (n - p) * dim_);
-  bits_.MoveBits(o_adr, n_adr, p * dim_);
-  bits_.MoveBits(o_flg + p, n_flg + p + 1, n - p);
-  bits_.MoveBits(o_flg, n_flg, p);
-  bits_.MoveBits(o_inf, n_inf, ib);
+  MoveBits(words(), o_rec + rank * st, n_rec + (rank + has_rec) * st,
+           (np - rank) * st);
+  MoveBits(words(), o_rec, n_rec, rank * st);
+  MoveBits(words(), o_adr + p * dim_, n_adr + (p + 1) * dim_, (n - p) * dim_);
+  MoveBits(words(), o_adr, n_adr, p * dim_);
+  MoveBits(words(), o_flg + p, n_flg + p + 1, n - p);
+  MoveBits(words(), o_flg, n_flg, p);
+  MoveBits(words(), o_inf, n_inf, ib);
   if (is_sub) {
-    bits_.MoveBits(o_sub + srank * 32, n_sub + (srank + 1) * 32,
-                   (ns - srank) * 32);
-    bits_.MoveBits(o_sub, n_sub, srank * 32);
-    bits_.WriteBits(n_sub + srank * 32, 32, payload);
+    MoveBits(words(), o_sub + srank * 32, n_sub + (srank + 1) * 32,
+             (ns - srank) * 32);
+    MoveBits(words(), o_sub, n_sub, srank * 32);
+    WriteBits(words(), n_sub + srank * 32, 32, payload);
   } else {
-    bits_.MoveBits(o_sub, n_sub, ns * 32);
+    MoveBits(words(), o_sub, n_sub, ns * 32);
     if (v > 0) {
-      bits_.MoveBits(rank * 64, (rank + 1) * 64, (np - rank) * 64);
-      bits_.WriteBits(rank * 64, 64, payload);
+      MoveBits(words(), rank * 64, (rank + 1) * 64, (np - rank) * 64);
+      WriteBits(words(), rank * 64, 64, payload);
     }
   }
   // Write the new entry (every field is fully overwritten).
-  bits_.SetBit(n_flg + p, is_sub ? 1 : 0);
-  bits_.WriteBits(n_adr + p * dim_, dim_, addr);
+  SetBit(words(), n_flg + p, is_sub ? 1 : 0);
+  WriteBits(words(), n_adr + p * dim_, dim_, addr);
   ++num_entries_;
   if (is_sub) {
     ++num_subs_;
@@ -225,25 +209,25 @@ void Node::LhcRemoveEntry(uint64_t p) {
   const uint64_t n_rec = n_adr + (n - 1) * dim_;
   // Leftward displacements: process lowest source first.
   if (was_sub) {
-    bits_.MoveBits(o_sub, n_sub, srank * 32);
-    bits_.MoveBits(o_sub + (srank + 1) * 32, n_sub + srank * 32,
-                   (ns - 1 - srank) * 32);
+    MoveBits(words(), o_sub, n_sub, srank * 32);
+    MoveBits(words(), o_sub + (srank + 1) * 32, n_sub + srank * 32,
+             (ns - 1 - srank) * 32);
   } else {
     if (v > 0) {
-      bits_.MoveBits((rank + 1) * 64, rank * 64, (np - 1 - rank) * 64);
+      MoveBits(words(), (rank + 1) * 64, rank * 64, (np - 1 - rank) * 64);
     }
-    bits_.MoveBits(o_sub, n_sub, ns * 32);
+    MoveBits(words(), o_sub, n_sub, ns * 32);
   }
-  bits_.MoveBits(o_inf, n_inf, ib);
-  bits_.MoveBits(o_flg, n_flg, p);
-  bits_.MoveBits(o_flg + p + 1, n_flg + p, n - 1 - p);
-  bits_.MoveBits(o_adr, n_adr, p * dim_);
-  bits_.MoveBits(o_adr + (p + 1) * dim_, n_adr + p * dim_,
-                 (n - 1 - p) * dim_);
-  bits_.MoveBits(o_rec, n_rec, rank * st);
-  bits_.MoveBits(o_rec + (rank + has_rec) * st, n_rec + rank * st,
-                 (np - rank - has_rec) * st);
-  bits_.Resize(n_rec + (np - has_rec) * st);
+  MoveBits(words(), o_inf, n_inf, ib);
+  MoveBits(words(), o_flg, n_flg, p);
+  MoveBits(words(), o_flg + p + 1, n_flg + p, n - 1 - p);
+  MoveBits(words(), o_adr, n_adr, p * dim_);
+  MoveBits(words(), o_adr + (p + 1) * dim_, n_adr + p * dim_,
+           (n - 1 - p) * dim_);
+  MoveBits(words(), o_rec, n_rec, rank * st);
+  MoveBits(words(), o_rec + (rank + has_rec) * st, n_rec + rank * st,
+           (np - rank - has_rec) * st);
+  ClearBits(words(), n_rec + (np - has_rec) * st, o_rec + np * st);
   --num_entries_;
   if (was_sub) {
     --num_subs_;
@@ -263,18 +247,17 @@ void Node::BhcInsertEntry(uint64_t addr, uint64_t value, const uint64_t* key) {
   const uint64_t n_inf = o_inf + v;
   const uint64_t n_pres = n_inf + ib;
   const uint64_t n_rec = n_pres + s;
-  bits_.Resize(n_rec + (np + 1) * st);
   // Rightward displacements: highest source first.
-  bits_.MoveBits(o_rec + rank * st, n_rec + (rank + 1) * st,
-                 (np - rank) * st);
-  bits_.MoveBits(o_rec, n_rec, rank * st);
-  bits_.MoveBits(o_pres, n_pres, s);
-  bits_.MoveBits(o_inf, n_inf, ib);
+  MoveBits(words(), o_rec + rank * st, n_rec + (rank + 1) * st,
+           (np - rank) * st);
+  MoveBits(words(), o_rec, n_rec, rank * st);
+  MoveBits(words(), o_pres, n_pres, s);
+  MoveBits(words(), o_inf, n_inf, ib);
   if (v > 0) {
-    bits_.MoveBits(rank * 64, (rank + 1) * 64, (np - rank) * 64);
-    bits_.WriteBits(rank * 64, 64, value);
+    MoveBits(words(), rank * 64, (rank + 1) * 64, (np - rank) * 64);
+    WriteBits(words(), rank * 64, 64, value);
   }
-  bits_.SetBit(n_pres + addr, 1);
+  SetBit(words(), n_pres + addr, 1);
   ++num_entries_;
   WritePostfixRecord(bhc_records_base() + rank * st,
                      {key, static_cast<size_t>(dim_)});
@@ -293,17 +276,17 @@ void Node::BhcRemoveEntry(uint64_t addr) {
   const uint64_t n_inf = o_inf - v;
   const uint64_t n_pres = n_inf + ib;
   const uint64_t n_rec = n_pres + s;
-  bits_.SetBit(o_pres + addr, 0);
+  SetBit(words(), o_pres + addr, 0);
   // Leftward displacements: lowest source first.
   if (v > 0) {
-    bits_.MoveBits((rank + 1) * 64, rank * 64, (np - 1 - rank) * 64);
+    MoveBits(words(), (rank + 1) * 64, rank * 64, (np - 1 - rank) * 64);
   }
-  bits_.MoveBits(o_inf, n_inf, ib);
-  bits_.MoveBits(o_pres, n_pres, s);
-  bits_.MoveBits(o_rec, n_rec, rank * st);
-  bits_.MoveBits(o_rec + (rank + 1) * st, n_rec + rank * st,
-                 (np - 1 - rank) * st);
-  bits_.Resize(n_rec + (np - 1) * st);
+  MoveBits(words(), o_inf, n_inf, ib);
+  MoveBits(words(), o_pres, n_pres, s);
+  MoveBits(words(), o_rec, n_rec, rank * st);
+  MoveBits(words(), o_rec + (rank + 1) * st, n_rec + rank * st,
+           (np - 1 - rank) * st);
+  ClearBits(words(), n_rec + (np - 1) * st, o_rec + np * st);
   --num_entries_;
 }
 
@@ -312,10 +295,10 @@ void Node::InsertPostfixInPlace(uint64_t addr, std::span<const uint64_t> key,
   switch (repr_) {
     case Repr::kHc:
       if (store_values_) {
-        bits_.WriteBits(addr * 64, 64, value);
+        WriteBits(words(), addr * 64, 64, value);
       }
-      bits_.SetBit(hc_present_base() + addr, 1);
-      bits_.SetBit(hc_sub_base() + addr, 0);
+      SetBit(words(), hc_present_base() + addr, 1);
+      SetBit(words(), hc_sub_base() + addr, 0);
       WritePostfixRecord(hc_records_base() + addr * stride(), key);
       ++num_entries_;
       break;
@@ -332,45 +315,38 @@ void Node::InsertPostfixInPlace(uint64_t addr, std::span<const uint64_t> key,
   }
 }
 
-void Node::InsertPostfix(uint64_t addr, std::span<const uint64_t> key,
-                         uint64_t value, const PhTreeConfig& cfg) {
-  if (!TryInsertPostfix(addr, key, value, cfg)) {
-    throw std::bad_alloc();
-  }
-}
-
-bool Node::TryInsertPostfix(uint64_t addr, std::span<const uint64_t> key,
-                            uint64_t value, const PhTreeConfig& cfg) {
+NodeRef Node::TryInsertPostfix(NodeArena& arena, NodeHandle self,
+                               uint64_t addr, std::span<const uint64_t> key,
+                               uint64_t value, const PhTreeConfig& cfg) {
   assert(FindOrdinal(addr) == kNoOrdinal);
   const uint64_t n2 = num_entries_ + 1;
   const uint64_t np2 = n2 - num_subs_;
   const uint64_t ib = infix_bits();
   const Repr target = PickRepr(n2, num_subs_, ib, cfg);
-  if (target == repr_ &&
-      !bits_.ResizeWouldRelocate(ReprBitsEx(target, n2, np2, ib))) {
+  if (target == repr_ && !WouldMove(ReprBitsEx(target, n2, np2, ib))) {
     InsertPostfixInPlace(addr, key, value);
-    return true;
+    return {this, self};
   }
   EntryDelta d;
   d.kind = EntryDelta::Kind::kInsertPostfix;
   d.addr = addr;
   d.key = key.data();
   d.payload = value;
-  return TryRebuild(target, d);
+  return TryRebuild(arena, target, d);
 }
 
 void Node::InsertSubInPlace(uint64_t addr, NodeHandle child) {
   assert(!is_bhc());
   if (is_hc()) {
     if (store_values_) {
-      bits_.WriteBits(addr * 64, 64, child);
+      WriteBits(words(), addr * 64, 64, child);
     } else {
-      const uint64_t srank = HcSubRank(addr);
-      bits_.InsertBits(hc_subs_tail_base() + srank * 32, 32);
-      bits_.WriteBits(hc_subs_tail_base() + srank * 32, 32, child);
+      const uint64_t pos = hc_subs_tail_base() + HcSubRank(addr) * 32;
+      InsertBits(words(), CurrentReprBits(), pos, 32);
+      WriteBits(words(), pos, 32, child);
     }
-    bits_.SetBit(hc_present_base() + addr, 1);
-    bits_.SetBit(hc_sub_base() + addr, 1);
+    SetBit(words(), hc_present_base() + addr, 1);
+    SetBit(words(), hc_sub_base() + addr, 1);
     ++num_subs_;
     ++num_entries_;
   } else {
@@ -380,15 +356,8 @@ void Node::InsertSubInPlace(uint64_t addr, NodeHandle child) {
   }
 }
 
-void Node::InsertSub(uint64_t addr, NodeHandle child,
-                     const PhTreeConfig& cfg) {
-  if (!TryInsertSub(addr, child, cfg)) {
-    throw std::bad_alloc();
-  }
-}
-
-bool Node::TryInsertSub(uint64_t addr, NodeHandle child,
-                        const PhTreeConfig& cfg) {
+NodeRef Node::TryInsertSub(NodeArena& arena, NodeHandle self, uint64_t addr,
+                           NodeHandle child, const PhTreeConfig& cfg) {
   assert(FindOrdinal(addr) == kNoOrdinal);
   const uint64_t n2 = num_entries_ + 1;
   const uint64_t ns2 = uint64_t{num_subs_} + 1;
@@ -396,16 +365,15 @@ bool Node::TryInsertSub(uint64_t addr, NodeHandle child,
   // target is never kBhc (ns2 > 0), so a BHC node always takes the rebuild
   // path — rebuilt atomically out of its sub-free form into the target.
   const Repr target = PickRepr(n2, ns2, ib, cfg);
-  if (target == repr_ &&
-      !bits_.ResizeWouldRelocate(ReprBitsEx(target, n2, n2 - ns2, ib))) {
+  if (target == repr_ && !WouldMove(ReprBitsEx(target, n2, n2 - ns2, ib))) {
     InsertSubInPlace(addr, child);
-    return true;
+    return {this, self};
   }
   EntryDelta d;
   d.kind = EntryDelta::Kind::kInsertSub;
   d.addr = addr;
   d.payload = child;
-  return TryRebuild(target, d);
+  return TryRebuild(arena, target, d);
 }
 
 void Node::RemoveEntryInPlace(uint64_t addr) {
@@ -416,21 +384,22 @@ void Node::RemoveEntryInPlace(uint64_t addr) {
       const bool was_sub = OrdinalIsSub(ord);
       if (was_sub) {
         if (store_values_) {
-          bits_.WriteBits(addr * 64, 64, 0);
+          WriteBits(words(), addr * 64, 64, 0);
         } else {
-          const uint64_t srank = HcSubRank(addr);
-          bits_.RemoveBits(hc_subs_tail_base() + srank * 32, 32);
+          RemoveBits(words(), CurrentReprBits(),
+                     hc_subs_tail_base() + HcSubRank(addr) * 32, 32);
         }
         --num_subs_;
       } else {
         // Zero freed slots so the stream stays a pure function of content.
-        ZeroBits(hc_records_base() + addr * stride(), stride());
+        const uint64_t rec = hc_records_base() + addr * stride();
+        ClearBits(words(), rec, rec + stride());
         if (store_values_) {
-          bits_.WriteBits(addr * 64, 64, 0);
+          WriteBits(words(), addr * 64, 64, 0);
         }
       }
-      bits_.SetBit(hc_present_base() + addr, 0);
-      bits_.SetBit(hc_sub_base() + addr, 0);
+      SetBit(words(), hc_present_base() + addr, 0);
+      SetBit(words(), hc_sub_base() + addr, 0);
       --num_entries_;
       break;
     }
@@ -444,13 +413,8 @@ void Node::RemoveEntryInPlace(uint64_t addr) {
   }
 }
 
-void Node::RemoveEntry(uint64_t addr, const PhTreeConfig& cfg) {
-  if (!TryRemoveEntry(addr, cfg)) {
-    throw std::bad_alloc();
-  }
-}
-
-bool Node::TryRemoveEntry(uint64_t addr, const PhTreeConfig& cfg) {
+NodeRef Node::TryRemoveEntry(NodeArena& arena, NodeHandle self,
+                             uint64_t addr, const PhTreeConfig& cfg) {
   const uint64_t ord = FindOrdinal(addr);
   assert(ord != kNoOrdinal);
   const bool was_sub = OrdinalIsSub(ord);
@@ -458,26 +422,19 @@ bool Node::TryRemoveEntry(uint64_t addr, const PhTreeConfig& cfg) {
   const uint64_t ns2 = uint64_t{num_subs_} - (was_sub ? 1 : 0);
   const uint64_t ib = infix_bits();
   const Repr target = PickRepr(n2, ns2, ib, cfg);
-  if (target == repr_ &&
-      !bits_.ResizeWouldRelocate(ReprBitsEx(target, n2, n2 - ns2, ib))) {
+  if (target == repr_ && !WouldMove(ReprBitsEx(target, n2, n2 - ns2, ib))) {
     RemoveEntryInPlace(addr);
-    return true;
+    return {this, self};
   }
   EntryDelta d;
   d.kind = EntryDelta::Kind::kRemove;
   d.addr = addr;
-  return TryRebuild(target, d);
+  return TryRebuild(arena, target, d);
 }
 
-void Node::ReplaceEntryWithSub(uint64_t addr, NodeHandle child,
-                               const PhTreeConfig& cfg) {
-  if (!TryReplaceEntryWithSub(addr, child, cfg)) {
-    throw std::bad_alloc();
-  }
-}
-
-bool Node::TryReplaceEntryWithSub(uint64_t addr, NodeHandle child,
-                                  const PhTreeConfig& cfg) {
+NodeRef Node::TryReplaceEntryWithSub(NodeArena& arena, NodeHandle self,
+                                     uint64_t addr, NodeHandle child,
+                                     const PhTreeConfig& cfg) {
   assert(FindOrdinal(addr) != kNoOrdinal &&
          !OrdinalIsSub(FindOrdinal(addr)));
   const uint64_t n = num_entries_;
@@ -489,36 +446,32 @@ bool Node::TryReplaceEntryWithSub(uint64_t addr, NodeHandle child,
   // intermediate state cannot be guarded — so it always rebuilds, as does
   // any representation change (including BHC shedding its sub-free form).
   if (target == repr_ && repr_ == Repr::kHc &&
-      !bits_.ResizeWouldRelocate(ReprBitsEx(target, n, n - ns2, ib))) {
-    ZeroBits(hc_records_base() + addr * stride(), stride());
+      !WouldMove(ReprBitsEx(target, n, n - ns2, ib))) {
+    const uint64_t rec = hc_records_base() + addr * stride();
+    ClearBits(words(), rec, rec + stride());
     if (store_values_) {
-      bits_.WriteBits(addr * 64, 64, child);
+      WriteBits(words(), addr * 64, 64, child);
     } else {
-      const uint64_t srank = HcSubRank(addr);
-      bits_.InsertBits(hc_subs_tail_base() + srank * 32, 32);
-      bits_.WriteBits(hc_subs_tail_base() + srank * 32, 32, child);
+      const uint64_t pos = hc_subs_tail_base() + HcSubRank(addr) * 32;
+      InsertBits(words(), CurrentReprBits(), pos, 32);
+      WriteBits(words(), pos, 32, child);
     }
-    bits_.SetBit(hc_sub_base() + addr, 1);
+    SetBit(words(), hc_sub_base() + addr, 1);
     ++num_subs_;
-    return true;
+    return {this, self};
   }
   EntryDelta d;
   d.kind = EntryDelta::Kind::kToSub;
   d.addr = addr;
   d.payload = child;
-  return TryRebuild(target, d);
+  return TryRebuild(arena, target, d);
 }
 
-void Node::ReplaceSubWithPostfix(uint64_t addr, std::span<const uint64_t> key,
-                                 uint64_t value, const PhTreeConfig& cfg) {
-  if (!TryReplaceSubWithPostfix(addr, key, value, cfg)) {
-    throw std::bad_alloc();
-  }
-}
-
-bool Node::TryReplaceSubWithPostfix(uint64_t addr,
-                                    std::span<const uint64_t> key,
-                                    uint64_t value, const PhTreeConfig& cfg) {
+NodeRef Node::TryReplaceSubWithPostfix(NodeArena& arena, NodeHandle self,
+                                       uint64_t addr,
+                                       std::span<const uint64_t> key,
+                                       uint64_t value,
+                                       const PhTreeConfig& cfg) {
   assert(FindOrdinal(addr) != kNoOrdinal &&
          OrdinalIsSub(FindOrdinal(addr)));  // never BHC
   const uint64_t n = num_entries_;
@@ -526,38 +479,38 @@ bool Node::TryReplaceSubWithPostfix(uint64_t addr,
   const uint64_t ib = infix_bits();
   const Repr target = PickRepr(n, ns2, ib, cfg);
   if (target == repr_ && repr_ == Repr::kHc &&
-      !bits_.ResizeWouldRelocate(ReprBitsEx(target, n, n - ns2, ib))) {
+      !WouldMove(ReprBitsEx(target, n, n - ns2, ib))) {
     if (store_values_) {
-      bits_.WriteBits(addr * 64, 64, value);
+      WriteBits(words(), addr * 64, 64, value);
     } else {
-      const uint64_t srank = HcSubRank(addr);
-      bits_.RemoveBits(hc_subs_tail_base() + srank * 32, 32);
+      RemoveBits(words(), CurrentReprBits(),
+                 hc_subs_tail_base() + HcSubRank(addr) * 32, 32);
     }
-    bits_.SetBit(hc_sub_base() + addr, 0);
+    SetBit(words(), hc_sub_base() + addr, 0);
     WritePostfixRecord(hc_records_base() + addr * stride(), key);
     --num_subs_;
-    return true;
+    return {this, self};
   }
   EntryDelta d;
   d.kind = EntryDelta::Kind::kToPostfix;
   d.addr = addr;
   d.key = key.data();
   d.payload = value;
-  return TryRebuild(target, d);
+  return TryRebuild(arena, target, d);
 }
 
 void Node::SetSubAt(uint64_t ord, NodeHandle child) {
   assert(OrdinalIsSub(ord));  // implies repr != kBhc
   if (repr_ == Repr::kHc) {
     if (store_values_) {
-      bits_.WriteBits(ord * 64, 64, child);
+      WriteBits(words(), ord * 64, 64, child);
     } else {
-      bits_.WriteBits(hc_subs_tail_base() + HcSubRank(ord) * 32, 32, child);
+      WriteBits(words(), hc_subs_tail_base() + HcSubRank(ord) * 32, 32, child);
     }
     return;
   }
   const uint64_t srank = ord - LhcPostfixRank(ord);
-  bits_.WriteBits(lhc_subs_base() + srank * 32, 32, child);
+  WriteBits(words(), lhc_subs_base() + srank * 32, 32, child);
 }
 
 void Node::SetPostfixAt(uint64_t ord, std::span<const uint64_t> key) {
@@ -568,41 +521,32 @@ void Node::SetPostfixAt(uint64_t ord, std::span<const uint64_t> key) {
   WritePostfixRecord(RecordPos(ord), key);
 }
 
-bool Node::TryAssignFrom(const Node& src) {
-  assert(dim_ == src.dim_ && store_values_ == src.store_values_);
-  if (!bits_.TryResize(src.bits_.size_bits())) {
-    return false;
+NodeRef Node::TryClone(NodeArena& arena) const {
+  const uint64_t bits = CurrentReprBits();
+  const NodeRef copy =
+      arena.AllocateNode(dim_, infix_len_, postfix_len_, store_values_, bits,
+                         FaultSite::kArenaNodeAlloc);
+  if (copy) {
+    copy.ptr->repr_ = repr_;
+    copy.ptr->num_entries_ = num_entries_;
+    copy.ptr->num_subs_ = num_subs_;
+    std::memcpy(copy.ptr->words(), words(), WordsFor(bits) * sizeof(uint64_t));
   }
-  bits_.CopyFrom(src.bits_, 0, 0, src.bits_.size_bits());
-  infix_len_ = src.infix_len_;
-  postfix_len_ = src.postfix_len_;
-  repr_ = src.repr_;
-  num_entries_ = src.num_entries_;
-  num_subs_ = src.num_subs_;
-  return true;
+  return copy;
 }
 
-bool Node::TryRelocatePostfix(uint64_t old_addr, uint64_t new_addr,
-                              std::span<const uint64_t> key, uint64_t value) {
+void Node::RelocatePostfix(uint64_t old_addr, uint64_t new_addr,
+                           std::span<const uint64_t> key, uint64_t value) {
   assert(old_addr != new_addr);
   assert(FindOrdinal(old_addr) != kNoOrdinal &&
          !OrdinalIsSub(FindOrdinal(old_addr)));
   assert(FindOrdinal(new_addr) == kNoOrdinal);
-  // The remove shrinks the stream by one entry before the reinsert grows it
-  // back; if that shrink would trade the backing block, the grow-back would
-  // need a fresh allocation and could fail mid-flight. Occupancy and the
-  // representation policy inputs are otherwise unchanged, so staying in the
-  // current block makes the whole move infallible.
-  const uint64_t mid_bits = ReprBitsEx(repr_, uint64_t{num_entries_} - 1,
-                                       num_postfixes() - 1, infix_bits());
-  // mid_bits == 0 (single-entry root, zero infix): the shrink would release
-  // the pool block outright, making the grow-back fallible.
-  if (mid_bits == 0 || bits_.ResizeWouldRelocate(mid_bits)) {
-    return false;
-  }
+  // Occupancy and the representation policy inputs are unchanged, so the
+  // stream ends the size it started in the same block; the transient
+  // one-entry-smaller stream between the remove and the reinsert fits that
+  // block too.
   RemoveEntryInPlace(old_addr);
   InsertPostfixInPlace(new_addr, key, value);
-  return true;
 }
 
 // ---- Representation switching ------------------------------------------
@@ -720,7 +664,8 @@ uint64_t Node::CurrentReprBits() const {
   }
 }
 
-bool Node::TryRebuild(Repr target, const EntryDelta& delta) {
+NodeRef Node::TryRebuild(NodeArena& arena, Repr target,
+                         const EntryDelta& delta) const {
   using K = EntryDelta::Kind;
   // Post-state occupancy.
   uint64_t n2 = num_entries_;
@@ -794,28 +739,30 @@ bool Node::TryRebuild(Repr target, const EntryDelta& delta) {
       total = n_rec + np2 * st;
       break;
   }
-  // The single fallible step: one allocation for the whole replacement
-  // stream. Nothing below can fail, and the node's own state is not
-  // touched until the final commit.
-  BitBuffer nb(bits_.pool());
-  if (!nb.TryResize(total)) {
-    return false;
+  // The single fallible step: one zeroed block for the whole replacement
+  // node. Nothing below can fail, and this node is never touched.
+  const NodeRef moved =
+      arena.AllocateNode(dim_, il2, postfix_len_, store_values_, total,
+                         FaultSite::kWordAlloc);
+  if (!moved) {
+    return {};
   }
+  uint64_t* out = moved.ptr->words();
   if (delta.new_infix) {
     for (uint32_t d = 0; d < dim_; ++d) {
-      nb.WriteBits(n_inf + static_cast<uint64_t>(d) * il2, il2,
-                   delta.infix_segments[d]);
+      WriteBits(out, n_inf + static_cast<uint64_t>(d) * il2, il2,
+                delta.infix_segments[d]);
     }
   } else {
-    nb.CopyFrom(bits_, infix_base(), n_inf, ib2);
+    CopyBits(words(), infix_base(), out, n_inf, ib2);
   }
   uint64_t idx = 0;
   uint64_t prank = 0;
   uint64_t srank = 0;
   const auto write_record = [&](uint64_t pos, const uint64_t* key_src) {
     for (uint32_t d = 0; d < dim_; ++d) {
-      nb.WriteBits(pos + static_cast<uint64_t>(d) * pl, pl,
-                   key_src[d] & LowMask(pl));
+      WriteBits(out, pos + static_cast<uint64_t>(d) * pl, pl,
+                key_src[d] & LowMask(pl));
     }
   };
   // Emits one post-state entry; `src_ord` names the old-node ordinal to
@@ -824,50 +771,50 @@ bool Node::TryRebuild(Repr target, const EntryDelta& delta) {
                         const uint64_t* key_src, uint64_t src_ord) {
     switch (target) {
       case Repr::kLhc:
-        nb.SetBit(n_flg + idx, sub ? 1 : 0);
-        nb.WriteBits(n_adr + idx * dim_, dim_, addr);
+        SetBit(out, n_flg + idx, sub ? 1 : 0);
+        WriteBits(out, n_adr + idx * dim_, dim_, addr);
         if (sub) {
-          nb.WriteBits(n_sub + srank * 32, 32, payload);
+          WriteBits(out, n_sub + srank * 32, 32, payload);
         } else {
           if (v > 0) {
-            nb.WriteBits(prank * 64, 64, payload);
+            WriteBits(out, prank * 64, 64, payload);
           }
           if (key_src != nullptr) {
             write_record(n_rec + prank * st, key_src);
           } else {
-            nb.CopyFrom(bits_, RecordPos(src_ord), n_rec + prank * st, st);
+            CopyBits(words(), RecordPos(src_ord), out, n_rec + prank * st, st);
           }
         }
         break;
       case Repr::kHc:
-        nb.SetBit(n_pres + addr, 1);
+        SetBit(out, n_pres + addr, 1);
         if (sub) {
-          nb.SetBit(n_subbm + addr, 1);
+          SetBit(out, n_subbm + addr, 1);
           if (store_values_) {
-            nb.WriteBits(addr * 64, 64, payload);
+            WriteBits(out, addr * 64, 64, payload);
           } else {
-            nb.WriteBits(n_subtail + srank * 32, 32, payload);
+            WriteBits(out, n_subtail + srank * 32, 32, payload);
           }
         } else {
           if (v > 0) {
-            nb.WriteBits(addr * 64, 64, payload);
+            WriteBits(out, addr * 64, 64, payload);
           }
           if (key_src != nullptr) {
             write_record(n_rec + addr * st, key_src);
           } else {
-            nb.CopyFrom(bits_, RecordPos(src_ord), n_rec + addr * st, st);
+            CopyBits(words(), RecordPos(src_ord), out, n_rec + addr * st, st);
           }
         }
         break;
       case Repr::kBhc:
-        nb.SetBit(n_pres + addr, 1);
+        SetBit(out, n_pres + addr, 1);
         if (v > 0) {
-          nb.WriteBits(prank * 64, 64, payload);
+          WriteBits(out, prank * 64, 64, payload);
         }
         if (key_src != nullptr) {
           write_record(n_rec + prank * st, key_src);
         } else {
-          nb.CopyFrom(bits_, RecordPos(src_ord), n_rec + prank * st, st);
+          CopyBits(words(), RecordPos(src_ord), out, n_rec + prank * st, st);
         }
         break;
     }
@@ -909,23 +856,24 @@ bool Node::TryRebuild(Repr target, const EntryDelta& delta) {
     emit(delta.addr, delta.kind == K::kInsertSub, delta.payload, delta.key,
          kNoOrdinal);
   }
-  // Commit.
-  bits_ = std::move(nb);
-  repr_ = target;
-  num_entries_ = static_cast<uint32_t>(n2);
-  num_subs_ = static_cast<uint32_t>(ns2);
-  infix_len_ = static_cast<uint8_t>(il2);
-  return true;
+  moved.ptr->repr_ = target;
+  moved.ptr->num_entries_ = static_cast<uint32_t>(n2);
+  moved.ptr->num_subs_ = static_cast<uint32_t>(ns2);
+  return moved;
 }
 
 // ---- Accounting ---------------------------------------------------------
 
-uint64_t Node::MemoryBytes() const {
-  // The arena slot plus the granted size-class block (a pure function of
-  // the stored bits — see BitBuffer::Resize). Summed over all nodes this
-  // equals NodeArena::LiveBytes() — the space tables measure the allocator
-  // instead of modelling it.
-  return sizeof(Node) + bits_.MemoryBytes();
+uint64_t Node::BlockWords() const {
+  // The header plus the granted stream words: a pure function of the
+  // stored bits, so summed over all nodes this equals NodeArena::LiveBytes()
+  // — the space tables measure the allocator instead of modelling it.
+  return SlabWordPool::GrantWords(kHeaderWords + WordsFor(CurrentReprBits()));
+}
+
+bool Node::WouldMove(uint64_t bits) const {
+  return SlabWordPool::GrantWords(kHeaderWords + WordsFor(bits)) !=
+         BlockWords();
 }
 
 }  // namespace phtree

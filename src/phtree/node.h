@@ -30,15 +30,34 @@
 
 namespace phtree {
 
-/// 32-bit arena handle of a Node: slab index and slot offset. Half the
-/// width of a Node*, so in-node child slots cost 32 bits, and nodes never
-/// store raw pointers to each other (making them relocatable in principle).
+/// 32-bit arena handle of a Node: the slab-directory index and the 16-byte
+/// granule offset of the node's block (SlabWordPool). Half the width of a
+/// Node*, so in-node child slots cost 32 bits, and nodes never store raw
+/// pointers to each other, so a node moves by republishing its handle.
 /// Resolved through NodeArena::NodeAt.
 using NodeHandle = uint32_t;
 
 /// Sentinel handle meaning "no node".
 inline constexpr NodeHandle kInvalidNodeHandle = ~NodeHandle{0};
 
+class Node;
+class NodeArena;
+
+/// A node's address plus its 32-bit arena handle. Nodes store only handles
+/// of their children, so callers keep the handle alongside the pointer
+/// until the child link is written.
+struct NodeRef {
+  Node* ptr = nullptr;
+  NodeHandle handle = kInvalidNodeHandle;
+
+  explicit operator bool() const { return ptr != nullptr; }
+};
+
+/// A node is one arena block: this 16-byte header followed directly by the
+/// node's bit stream. The header holds no size, capacity or pointer: the
+/// stream length is CurrentReprBits(), and the block is exactly
+/// BlockWords() words, a pure function of the contents. Nodes are built
+/// only by NodeArena.
 class Node {
  public:
   /// Entry-table representation (see file comment).
@@ -47,14 +66,8 @@ class Node {
   /// Sentinel ordinal meaning "no entry".
   static constexpr uint64_t kNoOrdinal = ~uint64_t{0};
 
-  /// Creates an empty node. `infix_len` bits per dimension are shared by all
-  /// entries below this node; `postfix_len` bits per dimension remain below
-  /// this node's address bit. Invariant vs the parent:
-  ///   parent.postfix_len == infix_len + 1 + postfix_len.
-  /// `pool` backs the node's bit stream (nullptr = global heap); tree-owned
-  /// nodes are built by NodeArena::NewNode, which passes its word pool.
-  Node(uint32_t dim, uint32_t infix_len, uint32_t postfix_len,
-       bool store_values = true, WordPool* pool = nullptr);
+  /// Words of the header in front of the stream.
+  static constexpr uint64_t kHeaderWords = 2;
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -85,17 +98,6 @@ class Node {
   /// key-space bit index (LSB = 0) of the highest mismatching bit, or -1 if
   /// the infix matches.
   int MatchInfix(std::span<const uint64_t> key) const;
-
-  /// Shortens the infix to its lowest `new_infix_len` bits per dimension
-  /// (used when a node is split: the upper infix bits move to the new
-  /// parent). Adjusts infix_len(); postfix_len() is unchanged.
-  void TrimInfixToLow(uint32_t new_infix_len, const PhTreeConfig& cfg);
-
-  /// Extends the infix upwards by absorbing the infix of `parent` plus this
-  /// node's address bit `addr_in_parent` (used when `parent` is spliced out
-  /// after a deletion left it with a single sub-node). Adjusts infix_len().
-  void AbsorbParentInfix(const Node& parent, uint64_t addr_in_parent,
-                         const PhTreeConfig& cfg);
 
   // ---- Entry lookup ----------------------------------------------------
 
@@ -141,53 +143,63 @@ class Node {
 
   // ---- Mutation ----------------------------------------------------------
   //
-  // Every structural mutator exists in two forms. The Try* form is
-  // commit-or-rollback: it either applies the mutation completely (and
-  // atomically lands in the representation the switching rule prescribes
-  // for the *final* state) or returns false leaving the node bit-identical
-  // to its pre-call state. Fallibility comes only from word-block
-  // allocation (the kWordAlloc fault site); mutations that provably fit
-  // the current block run the historical in-place bodies, so the common
-  // case costs exactly what it always did. The legacy void forms are thin
-  // shims that throw std::bad_alloc on failure.
+  // Every structural mutator is commit-or-rollback and lands atomically in
+  // the representation the switching rule prescribes for the *final*
+  // state. `self` is this node's handle. An edit whose final stream keeps
+  // the node's block size runs in place and returns {this, self}. Any
+  // other edit builds the final node in a new block from `arena` (the
+  // kWordAlloc fault site) and returns that block, leaving this node
+  // untouched: the caller publishes the new block in this node's place and
+  // then frees or retires this one. On allocation failure the result is
+  // empty and this node is untouched.
 
   /// Inserts a postfix entry (no entry with `addr` may exist).
-  void InsertPostfix(uint64_t addr, std::span<const uint64_t> key,
-                     uint64_t value, const PhTreeConfig& cfg);
-  [[nodiscard]] bool TryInsertPostfix(uint64_t addr,
-                                      std::span<const uint64_t> key,
-                                      uint64_t value, const PhTreeConfig& cfg);
+  [[nodiscard]] NodeRef TryInsertPostfix(NodeArena& arena, NodeHandle self,
+                                         uint64_t addr,
+                                         std::span<const uint64_t> key,
+                                         uint64_t value,
+                                         const PhTreeConfig& cfg);
 
   /// Inserts a sub-node entry (no entry with `addr` may exist).
-  void InsertSub(uint64_t addr, NodeHandle child, const PhTreeConfig& cfg);
-  [[nodiscard]] bool TryInsertSub(uint64_t addr, NodeHandle child,
-                                  const PhTreeConfig& cfg);
+  [[nodiscard]] NodeRef TryInsertSub(NodeArena& arena, NodeHandle self,
+                                     uint64_t addr, NodeHandle child,
+                                     const PhTreeConfig& cfg);
 
   /// Removes the entry with address `addr` (which must exist).
-  void RemoveEntry(uint64_t addr, const PhTreeConfig& cfg);
-  [[nodiscard]] bool TryRemoveEntry(uint64_t addr, const PhTreeConfig& cfg);
+  [[nodiscard]] NodeRef TryRemoveEntry(NodeArena& arena, NodeHandle self,
+                                       uint64_t addr, const PhTreeConfig& cfg);
 
   /// Replaces the postfix entry at `addr` with the sub-node `child`.
-  void ReplaceEntryWithSub(uint64_t addr, NodeHandle child,
-                           const PhTreeConfig& cfg);
-  [[nodiscard]] bool TryReplaceEntryWithSub(uint64_t addr, NodeHandle child,
-                                            const PhTreeConfig& cfg);
+  [[nodiscard]] NodeRef TryReplaceEntryWithSub(NodeArena& arena,
+                                               NodeHandle self, uint64_t addr,
+                                               NodeHandle child,
+                                               const PhTreeConfig& cfg);
 
   /// Replaces the sub-node entry at `addr` with a postfix entry.
-  void ReplaceSubWithPostfix(uint64_t addr, std::span<const uint64_t> key,
-                             uint64_t value, const PhTreeConfig& cfg);
-  [[nodiscard]] bool TryReplaceSubWithPostfix(uint64_t addr,
-                                              std::span<const uint64_t> key,
-                                              uint64_t value,
-                                              const PhTreeConfig& cfg);
+  [[nodiscard]] NodeRef TryReplaceSubWithPostfix(
+      NodeArena& arena, NodeHandle self, uint64_t addr,
+      std::span<const uint64_t> key, uint64_t value, const PhTreeConfig& cfg);
 
-  /// Fallible forms of the infix mutators (see TrimInfixToLow /
-  /// AbsorbParentInfix above).
-  [[nodiscard]] bool TryTrimInfixToLow(uint32_t new_infix_len,
-                                       const PhTreeConfig& cfg);
-  [[nodiscard]] bool TryAbsorbParentInfix(const Node& parent,
-                                          uint64_t addr_in_parent,
+  /// Shortens the infix to its lowest `new_infix_len` bits per dimension
+  /// (used when a node is split: the upper infix bits move to the new
+  /// parent). postfix_len() is unchanged.
+  [[nodiscard]] NodeRef TryTrimInfixToLow(NodeArena& arena, NodeHandle self,
+                                          uint32_t new_infix_len,
                                           const PhTreeConfig& cfg);
+
+  /// Extends the infix upwards by absorbing the infix of `parent` plus this
+  /// node's address bit `addr_in_parent` (used when `parent` is spliced out
+  /// after a deletion left it with a single sub-node).
+  [[nodiscard]] NodeRef TryAbsorbParentInfix(NodeArena& arena,
+                                             NodeHandle self,
+                                             const Node& parent,
+                                             uint64_t addr_in_parent,
+                                             const PhTreeConfig& cfg);
+
+  /// A bit-identical copy of this node in a new block from `arena` (the
+  /// kArenaNodeAlloc fault site): the copy-on-write clone step. Empty on
+  /// allocation failure.
+  [[nodiscard]] NodeRef TryClone(NodeArena& arena) const;
 
   /// Updates the child handle of the sub-node entry at ordinal `ord`.
   void SetSubAt(uint64_t ord, NodeHandle child);
@@ -197,6 +209,14 @@ class Node {
   /// so this is purely in-place and infallible (the Update fast path for a
   /// move that stays in the same hypercube slot).
   void SetPostfixAt(uint64_t ord, std::span<const uint64_t> key);
+
+  /// Moves the postfix entry at `old_addr` to the free address `new_addr`,
+  /// giving it postfix bits from `key` and payload `value`. Occupancy is
+  /// unchanged, so the stream ends exactly the pre-call size in the same
+  /// block, and the transient one-entry-smaller stream fits it too: the
+  /// move is in place and infallible.
+  void RelocatePostfix(uint64_t old_addr, uint64_t new_addr,
+                       std::span<const uint64_t> key, uint64_t value);
 
   // ---- MVCC publication (copy-on-write mode) -----------------------------
   //
@@ -223,29 +243,15 @@ class Node {
   /// The payload rewrite of both mutation policies: it never allocates.
   void PublishPayloadAt(uint64_t ord, uint64_t value);
 
-  /// Replaces this node's contents with a bit-identical copy of `src`
-  /// (entries, infix, representation; `src` must have the same dim and
-  /// value mode). The COW clone step. Fallible via word-block allocation
-  /// only (kWordAlloc); returns false with the node unchanged.
-  [[nodiscard]] bool TryAssignFrom(const Node& src);
-
-  /// Moves the postfix entry at `old_addr` to the free address `new_addr`,
-  /// giving it postfix bits from `key` and payload `value`. Occupancy is
-  /// unchanged, so the final stream is exactly the pre-call size — the only
-  /// fallible step would be the transient one-entry-smaller stream trading
-  /// to a different pool block between the remove and the reinsert. Returns
-  /// false without touching the node when that intermediate shrink would
-  /// relocate (the caller falls back to erase+insert); otherwise commits
-  /// in place and cannot fail.
-  [[nodiscard]] bool TryRelocatePostfix(uint64_t old_addr, uint64_t new_addr,
-                                        std::span<const uint64_t> key,
-                                        uint64_t value);
-
   // ---- Accounting ---------------------------------------------------------
 
-  /// Bytes owned by this node, exact: the slab slot plus the granted
-  /// word-pool block (for a standalone node, its heap array).
-  uint64_t MemoryBytes() const;
+  /// Words of this node's block: the pool's grant for the header plus the
+  /// current stream (SlabWordPool::GrantWords), a pure function of the
+  /// contents.
+  uint64_t BlockWords() const;
+
+  /// Bytes owned by this node, exact: its whole block.
+  uint64_t MemoryBytes() const { return BlockWords() * sizeof(uint64_t); }
 
   /// Exact bit sizes each representation would need for the current
   /// occupancy (used by the switching rule and exposed for tests). Bit
@@ -258,15 +264,23 @@ class Node {
   }
   uint64_t BhcBits() const { return BhcBitsFor(num_postfixes()); }
 
-  /// Bit size of the representation currently in use.
+  /// Bit size of the representation currently in use: the stream length.
   uint64_t CurrentReprBits() const;
 
  private:
+  friend class NodeArena;
+
+  /// An empty LHC node whose stream is its (zero) infix; its block must
+  /// hold kHeaderWords + WordsFor(dim * infix_len) zeroed words.
+  Node(uint32_t dim, uint32_t infix_len, uint32_t postfix_len,
+       bool store_values);
+
   // ---- Single-bit-stream node layout (paper Sect. 3.4, ref [9]) ----------
   //
-  // The whole node is serialised into one bit buffer `bits_`. vb is the
-  // value width: 64 with stored values, 0 in key-only mode. Sub-node
-  // entries always cost exactly 32 bits (their arena handle).
+  // The whole node is serialised into one bit stream, the words right after
+  // the header. vb is the value width: 64 with stored values, 0 in
+  // key-only mode. Sub-node entries always cost exactly 32 bits (their
+  // arena handle).
   //
   // LHC (n = num_entries, np = num_postfixes, ns = num_subs):
   //   [values: np x vb, by postfix rank] [subs: ns x 32, by sub rank]
@@ -287,7 +301,13 @@ class Node {
   // Value slots are 64-bit aligned at offset 0 (single-word reads); all
   // other fields use exactly the bits they need. LHC and BHC mutations
   // shift the stream (the paper's shift-left/right costs); HC mutations
-  // write in place except the key-only sub tail.
+  // write in place except the key-only sub tail. Bits past the stream's
+  // end are zero up to the end of the block (bit_buffer.h).
+
+  const uint64_t* words() const {
+    return reinterpret_cast<const uint64_t*>(this) + kHeaderWords;
+  }
+  uint64_t* words() { return reinterpret_cast<uint64_t*>(this) + kHeaderWords; }
 
   uint64_t stride() const {
     return static_cast<uint64_t>(dim_) * postfix_len_;
@@ -348,6 +368,10 @@ class Node {
   uint64_t ReprBitsEx(Repr r, uint64_t n_entries, uint64_t n_postfixes,
                       uint64_t ib) const;
 
+  /// True iff a stream of `bits` bits needs a block of a different size
+  /// than this node's: the edit to it must move the node.
+  bool WouldMove(uint64_t bits) const;
+
   /// The representation the switching policy prescribes for a node in this
   /// node's position holding (`n_entries`, `n_subs`) entries over `ib`
   /// infix bits: smallest wins with tie preference LHC, then BHC, then HC,
@@ -376,46 +400,46 @@ class Node {
     const uint64_t* infix_segments = nullptr;  ///< dim right-aligned segments
   };
 
-  /// Builds a replacement bit stream in `target` representation holding the
-  /// current entries with `delta` spliced in, then commits it in one move.
-  /// Returns false — node untouched — if the new block cannot be allocated.
-  [[nodiscard]] bool TryRebuild(Repr target, const EntryDelta& delta);
+  /// Builds, in a new block from `arena`, the node in `target`
+  /// representation holding the current entries with `delta` spliced in:
+  /// the one place where a stream changes block. This node is not touched.
+  /// Empty if the block cannot be allocated.
+  [[nodiscard]] NodeRef TryRebuild(NodeArena& arena, Repr target,
+                                   const EntryDelta& delta) const;
 
   /// Number of postfix entries among LHC entries [0, ord).
   uint64_t LhcPostfixRank(uint64_t ord) const {
     const uint64_t base = lhc_flags_base();
-    return ord - bits_.CountOnesInRange(base, base + ord);
+    return ord - CountOnesInRange(words(), base, base + ord);
   }
   /// Number of present entries among BHC addresses [0, addr).
   uint64_t BhcRank(uint64_t addr) const {
     const uint64_t base = bhc_present_base();
-    return bits_.CountOnesInRange(base, base + addr);
+    return CountOnesInRange(words(), base, base + addr);
   }
   /// Number of sub entries among key-only-HC addresses [0, addr).
   uint64_t HcSubRank(uint64_t addr) const {
     const uint64_t base = hc_sub_base();
-    return bits_.CountOnesInRange(base, base + addr);
+    return CountOnesInRange(words(), base, base + addr);
   }
 
   /// Bit position of the postfix record of entry `ord` in the current
   /// representation.
   uint64_t RecordPos(uint64_t ord) const;
 
-  // Historical in-place mutation bodies, used when the Try* fast-path guard
-  // proves them infallible (post-state representation unchanged and the
-  // final stream still fits the current backing block).
+  // In-place mutation bodies, used when the Try* guard proves the final
+  // stream keeps the node's block (post-state representation unchanged).
   void InsertPostfixInPlace(uint64_t addr, std::span<const uint64_t> key,
                             uint64_t value);
   void InsertSubInPlace(uint64_t addr, NodeHandle child);
   void RemoveEntryInPlace(uint64_t addr);
 
   void WritePostfixRecord(uint64_t record_pos, std::span<const uint64_t> key);
-  void ZeroBits(uint64_t pos, uint64_t n);
 
-  /// Single-pass LHC entry insertion at entry position `p`: grows the
-  /// stream once and moves each region segment exactly once (instead of
-  /// shifting the tail once per region). `key` is null for sub-node
-  /// entries; `payload` is the value (postfix) or the handle (sub).
+  /// Single-pass LHC entry insertion at entry position `p`: moves each
+  /// region segment exactly once (instead of shifting the tail once per
+  /// region). `key` is null for sub-node entries; `payload` is the value
+  /// (postfix) or the handle (sub).
   void LhcInsertEntry(uint64_t p, uint64_t addr, bool is_sub,
                       uint64_t payload, const uint64_t* key);
 
@@ -431,23 +455,27 @@ class Node {
   void ReplaceInfix(uint32_t new_infix_len,
                     std::span<const uint64_t> segments);
 
-  /// Shared body of the fallible infix mutators: replaces the infix with
-  /// `segments` and applies the representation policy for the resulting
-  /// sizes, committing both atomically (in place when provably infallible,
+  /// Shared body of the infix mutators: replaces the infix with `segments`
+  /// and applies the representation policy for the resulting sizes,
+  /// committing both atomically (in place when the block size is kept,
   /// via TryRebuild otherwise).
-  [[nodiscard]] bool TryReplaceInfixPolicy(uint32_t new_infix_len,
-                                           const uint64_t* segments,
-                                           const PhTreeConfig& cfg);
+  [[nodiscard]] NodeRef TryReplaceInfixPolicy(NodeArena& arena,
+                                              NodeHandle self,
+                                              uint32_t new_infix_len,
+                                              const uint64_t* segments,
+                                              const PhTreeConfig& cfg);
 
   uint16_t dim_;
   uint8_t infix_len_;
   uint8_t postfix_len_;
-  bool store_values_ = true;
+  bool store_values_;
   Repr repr_ = Repr::kLhc;
   uint32_t num_entries_ = 0;
   uint32_t num_subs_ = 0;
-  BitBuffer bits_;
 };
+
+static_assert(sizeof(Node) == Node::kHeaderWords * sizeof(uint64_t),
+              "the node header is one 16-byte granule");
 
 // ---- Read-path accessors, inline -------------------------------------------
 //
@@ -463,8 +491,8 @@ inline void Node::ReadInfixInto(std::span<uint64_t> key) const {
   }
   const uint64_t base = infix_base();
   for (uint32_t d = 0; d < dim_; ++d) {
-    const uint64_t seg = bits_.ReadBits(base + static_cast<uint64_t>(d) * il,
-                                        il);
+    const uint64_t seg =
+        ReadBits(words(), base + static_cast<uint64_t>(d) * il, il);
     key[d] = (key[d] & ~(LowMask(il) << (postfix_len_ + 1))) |
              (seg << (postfix_len_ + 1));
   }
@@ -479,7 +507,7 @@ inline int Node::MatchInfix(std::span<const uint64_t> key) const {
   uint64_t agg = 0;
   for (uint32_t d = 0; d < dim_; ++d) {
     const uint64_t stored =
-        bits_.ReadBits(base + static_cast<uint64_t>(d) * il, il);
+        ReadBits(words(), base + static_cast<uint64_t>(d) * il, il);
     const uint64_t keyseg = (key[d] >> (postfix_len_ + 1)) & LowMask(il);
     agg |= stored ^ keyseg;
   }
@@ -495,7 +523,7 @@ inline uint64_t Node::FindOrdinal(uint64_t addr) const {
   if (addr_indexed()) {
     // HC and BHC both keep the present bitmap right after the infix.
     const uint64_t base = infix_base() + infix_bits();
-    return bits_.GetBit(base + addr) ? addr : kNoOrdinal;
+    return GetBit(words(), base + addr) ? addr : kNoOrdinal;
   }
   // Binary search over the packed, sorted address table (paper Sect. 3.2:
   // keys are extracted from the bit stream at each search step).
@@ -504,7 +532,7 @@ inline uint64_t Node::FindOrdinal(uint64_t addr) const {
   uint64_t hi = num_entries_;
   while (lo < hi) {
     const uint64_t mid = (lo + hi) / 2;
-    const uint64_t a = bits_.ReadBits(base + mid * dim_, dim_);
+    const uint64_t a = ReadBits(words(), base + mid * dim_, dim_);
     if (a < addr) {
       lo = mid + 1;
     } else if (a > addr) {
@@ -521,10 +549,10 @@ inline bool Node::OrdinalIsSub(uint64_t ord) const {
     case Repr::kBhc:
       return false;  // BHC nodes are sub-free by construction
     case Repr::kHc:
-      return bits_.GetBit(hc_sub_base() + ord) != 0;
+      return GetBit(words(), hc_sub_base() + ord) != 0;
     case Repr::kLhc:
     default:
-      return bits_.GetBit(lhc_flags_base() + ord) != 0;
+      return GetBit(words(), lhc_flags_base() + ord) != 0;
   }
 }
 
@@ -532,7 +560,7 @@ inline uint64_t Node::OrdinalAddr(uint64_t ord) const {
   if (addr_indexed()) {
     return ord;
   }
-  return bits_.ReadBits(lhc_addrs_base() + ord * dim_, dim_);
+  return ReadBits(words(), lhc_addrs_base() + ord * dim_, dim_);
 }
 
 inline uint64_t Node::OrdinalPayload(uint64_t ord) const {
@@ -553,7 +581,7 @@ inline uint64_t Node::OrdinalPayload(uint64_t ord) const {
       slot = LhcPostfixRank(ord);
       break;
   }
-  return bits_.ReadBits(slot * 64, 64);
+  return ReadBits(words(), slot * 64, 64);
 }
 
 inline NodeHandle Node::OrdinalSub(uint64_t ord) const {
@@ -562,17 +590,17 @@ inline NodeHandle Node::OrdinalSub(uint64_t ord) const {
   // republished handle also observes the replacement node's bit stream.
   if (repr_ == Repr::kHc) {
     if (store_values_) {
-      return static_cast<NodeHandle>(bits_.AcquireLoad64(ord * 64));
+      return static_cast<NodeHandle>(AcquireLoad64(words(), ord * 64));
     }
     // Key-only HC sub tails are never republished in place (see
     // CanPublishSubAt); the handle is immutable once this node is
     // published, so the plain read is race-free.
     return static_cast<NodeHandle>(
-        bits_.ReadBits(hc_subs_tail_base() + HcSubRank(ord) * 32, 32));
+        ReadBits(words(), hc_subs_tail_base() + HcSubRank(ord) * 32, 32));
   }
   const uint64_t srank = ord - LhcPostfixRank(ord);
   return static_cast<NodeHandle>(
-      bits_.AcquireLoad32(lhc_subs_base() + srank * 32));
+      AcquireLoad32(words(), lhc_subs_base() + srank * 32));
 }
 
 inline bool Node::CanPublishSubAt(uint64_t ord) const {
@@ -590,11 +618,11 @@ inline bool Node::CanPublishSubAt(uint64_t ord) const {
 inline void Node::PublishSubAt(uint64_t ord, NodeHandle child) {
   assert(CanPublishSubAt(ord));
   if (repr_ == Repr::kHc) {
-    bits_.ReleaseStore64(ord * 64, child);
+    ReleaseStore64(words(), ord * 64, child);
     return;
   }
   const uint64_t srank = ord - LhcPostfixRank(ord);
-  bits_.ReleaseStore32(lhc_subs_base() + srank * 32,
+  ReleaseStore32(words(), lhc_subs_base() + srank * 32,
                        static_cast<uint32_t>(child));
 }
 
@@ -616,7 +644,7 @@ inline void Node::PublishPayloadAt(uint64_t ord, uint64_t value) {
       slot = LhcPostfixRank(ord);
       break;
   }
-  bits_.ReleaseStore64(slot * 64, value);
+  ReleaseStore64(words(), slot * 64, value);
 }
 
 inline uint64_t Node::RecordPos(uint64_t ord) const {
@@ -639,7 +667,7 @@ inline void Node::ReadPostfixInto(uint64_t ord, std::span<uint64_t> key) const {
   const uint64_t record_pos = RecordPos(ord);
   for (uint32_t d = 0; d < dim_; ++d) {
     const uint64_t seg =
-        bits_.ReadBits(record_pos + static_cast<uint64_t>(d) * pl, pl);
+        ReadBits(words(), record_pos + static_cast<uint64_t>(d) * pl, pl);
     key[d] = (key[d] & ~LowMask(pl)) | seg;
   }
 }
@@ -679,14 +707,14 @@ inline uint64_t Node::ReadPostfixAndPayload(uint64_t ord,
     }
     for (uint32_t d = 0; d < dim_; ++d) {
       const uint64_t seg =
-          bits_.ReadBits(record_pos + static_cast<uint64_t>(d) * pl, pl);
+          ReadBits(words(), record_pos + static_cast<uint64_t>(d) * pl, pl);
       key[d] = (key[d] & ~LowMask(pl)) | seg;
     }
   }
   if (!store_values_) {
     return 0;
   }
-  return bits_.ReadBits(slot * 64, 64);
+  return ReadBits(words(), slot * 64, 64);
 }
 
 inline int Node::PostfixDivergence(uint64_t ord,
@@ -699,7 +727,7 @@ inline int Node::PostfixDivergence(uint64_t ord,
   uint64_t agg = 0;
   for (uint32_t d = 0; d < dim_; ++d) {
     const uint64_t seg =
-        bits_.ReadBits(record_pos + static_cast<uint64_t>(d) * pl, pl);
+        ReadBits(words(), record_pos + static_cast<uint64_t>(d) * pl, pl);
     agg |= seg ^ (key[d] & LowMask(pl));
   }
   if (agg == 0) {
@@ -711,18 +739,15 @@ inline int Node::PostfixDivergence(uint64_t ord,
 inline uint64_t Node::OrdinalGE(uint64_t addr) const {
   if (addr_indexed()) {
     const uint64_t base = infix_base() + infix_bits();
-    const uint64_t bit = bits_.FindNextOne(base + addr);
-    if (bit == BitBuffer::kNpos || bit >= base + hc_slots()) {
-      return kNoOrdinal;
-    }
-    return bit - base;
+    const uint64_t bit = FindNextOne(words(), base + addr, base + hc_slots());
+    return bit == kNoBit ? kNoOrdinal : bit - base;
   }
   const uint64_t base = lhc_addrs_base();
   uint64_t lo = 0;
   uint64_t hi = num_entries_;
   while (lo < hi) {
     const uint64_t mid = (lo + hi) / 2;
-    if (bits_.ReadBits(base + mid * dim_, dim_) < addr) {
+    if (ReadBits(words(), base + mid * dim_, dim_) < addr) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -736,18 +761,16 @@ inline void Node::ReadLhcAddrs(uint64_t ord, uint64_t count,
   assert(repr_ == Repr::kLhc && ord + count <= num_entries_);
   const uint64_t base = lhc_addrs_base() + ord * dim_;
   for (uint64_t i = 0; i < count; ++i) {
-    out[i] = bits_.ReadBits(base + i * dim_, dim_);
+    out[i] = ReadBits(words(), base + i * dim_, dim_);
   }
 }
 
 inline uint64_t Node::NextOrdinal(uint64_t ord) const {
   if (addr_indexed()) {
     const uint64_t base = infix_base() + infix_bits();
-    const uint64_t bit = bits_.FindNextOne(base + ord + 1);
-    if (bit == BitBuffer::kNpos || bit >= base + hc_slots()) {
-      return kNoOrdinal;
-    }
-    return bit - base;
+    const uint64_t bit =
+        FindNextOne(words(), base + ord + 1, base + hc_slots());
+    return bit == kNoBit ? kNoOrdinal : bit - base;
   }
   return ord + 1 < num_entries_ ? ord + 1 : kNoOrdinal;
 }

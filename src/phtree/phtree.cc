@@ -37,6 +37,8 @@ class FixedStack {
     assert(size_ < N);
     new (&items_[size_++]) T(v);
   }
+  T* begin() { return items_; }
+  T* end() { return items_ + size_; }
   const T* begin() const { return items_; }
   const T* end() const { return items_ + size_; }
   size_t size() const { return size_; }
@@ -86,8 +88,8 @@ PhTree::PhTree(PhTree&& other) noexcept
       root_(other.root_),
       root_ptr_(other.root_.ptr),
       arena_(std::move(other.arena_)) {
-  // The arena object (and with it every node and word-pool block) changes
-  // owner but not address, so all internal pointers and handles stay valid.
+  // The arena object (and with it every node block) changes owner but
+  // not address, so all internal pointers and handles stay valid.
   other.root_ = NodeRef{};
   other.root_ptr_.store(nullptr, std::memory_order_relaxed);
   other.size_.store(0, std::memory_order_relaxed);
@@ -125,7 +127,7 @@ void PhTree::Clear() {
   SetRoot(NodeRef{});
   size_.store(0, std::memory_order_relaxed);
   if (!mvcc_enabled()) {
-    // O(slabs): drop every node and word block wholesale; no tree walk.
+    // O(slabs): drop every node block wholesale; no tree walk.
     if (arena_ != nullptr) {
       arena_->Reset();
     }
@@ -366,6 +368,14 @@ std::vector<std::optional<uint64_t>> PhTree::FindBatch(
 //     reader sees either the old node or the complete replacement.
 // Fresh nodes (new parents and children) are the same in both policies.
 //
+// Every node is one arena block sized to its contents, so an edit that
+// changes the block size moves the node: Node's Try* mutators build the
+// edited node in a new block and leave the old one untouched. The engine
+// treats the new block exactly like a clone (Edited): it is published in
+// the old block's place, and the old block leaves the tree like a replaced
+// node — freed at once in place, retired under MVCC. A moved node that was
+// never published (fresh, or a clone) is freed at once in both policies.
+//
 // One ordering rule keeps every Try* mutation commit-or-rollback under both
 // policies: every fallible step on fresh nodes comes first, and the single
 // commit-or-rollback step on the writable node comes last (Node's Try*
@@ -374,8 +384,8 @@ std::vector<std::optional<uint64_t>> PhTree::FindBatch(
 // failure Finish deletes the created nodes, which were never published. On
 // success the replaced nodes leave the tree through RetireNode: deleted at
 // once in place, freed only after their epoch grace period under MVCC.
-// The fallible seams are kArenaNodeAlloc for slots and kWordAlloc for bit
-// streams, in both policies.
+// The fallible seams are kArenaNodeAlloc for new nodes and clones and
+// kWordAlloc for moved nodes, in both policies.
 
 struct PhTree::Descent {
   FixedStack<Frame, kBitWidth> path;
@@ -411,17 +421,45 @@ class PhTree::Mutation {
     if (!copy_on_write_) {
       return node;
     }
-    const NodeRef copy =
-        Fresh(node.ptr->infix_len(), node.ptr->postfix_len());
-    if (!copy || !copy.ptr->TryAssignFrom(*node.ptr)) {
+    const NodeRef copy = node.ptr->TryClone(*tree_->arena_);
+    if (!copy) {
       return NodeRef{};
     }
+    created_.push_back(copy);
     Replaced(node);
     return copy;
   }
 
   /// `node` leaves the tree once this call commits.
   void Replaced(NodeRef node) { replaced_.push_back(node); }
+
+  /// Applies the Node Try* mutator `op` to `*node` and makes `*node` the
+  /// edited node. A node that moved to a new block is handled like a
+  /// clone: the new block is created by this call, and the old one is
+  /// freed at once if this call created it (it was never published) or
+  /// else leaves the tree on commit. Returns false for a failed edit.
+  template <typename Op, typename... Args>
+  bool Edit(NodeRef* node, Op op, Args&&... args) {
+    const NodeRef after = (node->ptr->*op)(*tree_->arena_, node->handle,
+                                           std::forward<Args>(args)...);
+    if (!after) {
+      return false;
+    }
+    if (after.ptr != node->ptr) {
+      NodeRef* created =
+          std::find_if(created_.begin(), created_.end(),
+                       [&](const NodeRef& n) { return n.ptr == node->ptr; });
+      if (created != created_.end()) {
+        tree_->arena_->DeleteNode(*node);
+        *created = after;
+      } else {
+        Replaced(*node);
+        created_.push_back(after);
+      }
+      *node = after;
+    }
+    return true;
+  }
 
   /// If `ok`, publishes `replacement` in the place of the node at level
   /// `depth` of `path` (the root for depth 0) and commits; otherwise, or
@@ -513,9 +551,9 @@ OpStatus PhTree::InsertEntry(std::span<const uint64_t> key, uint64_t value,
   if (!root_) {
     // Empty tree: the root is built off-tree and published once complete.
     replacement = m.Fresh(/*infix_len=*/0, /*postfix_len=*/kBitWidth - 1);
-    ok = replacement &&
-         replacement.ptr->TryInsertPostfix(HcAddressAt(key, kBitWidth - 1),
-                                           key, value, config_);
+    ok = replacement && m.Edit(&replacement, &Node::TryInsertPostfix,
+                               HcAddressAt(key, kBitWidth - 1), key, value,
+                               config_);
   } else if (d.mismatch >= 0) {
     // Infix split: the key diverges from d.node's infix at key bit `mis`.
     // A fresh parent at that depth takes {d.node with its infix trimmed,
@@ -533,15 +571,25 @@ OpStatus PhTree::InsertEntry(std::span<const uint64_t> key, uint64_t value,
     if (replacement) {
       replacement.ptr->SetInfixFromKey(key);
     }
-    const NodeRef w = replacement ? m.Writable(d.node) : NodeRef{};
-    ok = w && replacement.ptr->TryInsertSub(addr_node, w.handle, config_) &&
-         replacement.ptr->TryInsertPostfix(addr_key, key, value, config_) &&
-         w.ptr->TryTrimInfixToLow(mis - 1 - pl, config_);
+    NodeRef w = replacement ? m.Writable(d.node) : NodeRef{};
+    const NodeHandle named = w.handle;
+    ok = w &&
+         m.Edit(&replacement, &Node::TryInsertSub, addr_node, named,
+                config_) &&
+         m.Edit(&replacement, &Node::TryInsertPostfix, addr_key, key, value,
+                config_) &&
+         m.Edit(&w, &Node::TryTrimInfixToLow, mis - 1 - pl, config_);
+    if (ok && w.handle != named) {
+      // The trim moved the node: re-point the fresh parent, which is not
+      // published yet, at its new block.
+      replacement.ptr->SetSubAt(replacement.ptr->FindOrdinal(addr_node),
+                                w.handle);
+    }
   } else if (d.ord == Node::kNoOrdinal) {
     // Empty slot: the postfix lands in d.node itself.
     replacement = m.Writable(d.node);
-    ok = replacement &&
-         replacement.ptr->TryInsertPostfix(d.addr, key, value, config_);
+    ok = replacement && m.Edit(&replacement, &Node::TryInsertPostfix,
+                               d.addr, key, value, config_);
   } else if (d.div < 0) {
     // Exact duplicate. The payload rewrite is one atomic store into an
     // aligned value slot in both policies and never allocates.
@@ -559,19 +607,19 @@ OpStatus PhTree::InsertEntry(std::span<const uint64_t> key, uint64_t value,
     CopyKey(key, old_key.span(dim_));
     d.node.ptr->ReadPostfixInto(d.ord, old_key.span(dim_));
     const uint64_t old_value = d.node.ptr->OrdinalPayload(d.ord);
-    const NodeRef child = m.Fresh(pl - 1 - div, div);
+    NodeRef child = m.Fresh(pl - 1 - div, div);
     if (child) {
       child.ptr->SetInfixFromKey(key);
     }
     ok = child &&
-         child.ptr->TryInsertPostfix(HcAddressAt(old_key.span(dim_), div),
-                                     old_key.span(dim_), old_value,
-                                     config_) &&
-         child.ptr->TryInsertPostfix(HcAddressAt(key, div), key, value,
-                                     config_);
+         m.Edit(&child, &Node::TryInsertPostfix,
+                HcAddressAt(old_key.span(dim_), div), old_key.span(dim_),
+                old_value, config_) &&
+         m.Edit(&child, &Node::TryInsertPostfix, HcAddressAt(key, div), key,
+                value, config_);
     replacement = ok ? m.Writable(d.node) : NodeRef{};
-    ok = replacement && replacement.ptr->TryReplaceEntryWithSub(
-                            d.addr, child.handle, config_);
+    ok = replacement && m.Edit(&replacement, &Node::TryReplaceEntryWithSub,
+                               d.addr, child.handle, config_);
   }
   if (!m.Finish(ok, replacement, d.path.begin(), d.path.size())) {
     return OpStatus::kNoMem;
@@ -613,8 +661,8 @@ OpStatus PhTree::EraseEntry(std::span<const uint64_t> key) {
       // takes node's slot in the parent.
       const NodeHandle gh = node.ptr->OrdinalSub(sord);
       replacement = m.Writable(NodeRef{arena_->NodeAt(gh), gh});
-      ok = replacement && replacement.ptr->TryAbsorbParentInfix(
-                              *node.ptr, saddr, config_);
+      ok = replacement && m.Edit(&replacement, &Node::TryAbsorbParentInfix,
+                                 *node.ptr, saddr, config_);
     } else {
       // Merge: the surviving entry's bits below the parent (node infix +
       // node address bit + node postfix) replace the parent's sub entry.
@@ -629,14 +677,16 @@ OpStatus PhTree::EraseEntry(std::span<const uint64_t> key) {
       const Frame& pf = *(d.path.end() - 1);
       const uint64_t addr_in_parent = pf.node.ptr->OrdinalAddr(pf.ord);
       replacement = m.Writable(pf.node);
-      ok = replacement && replacement.ptr->TryReplaceSubWithPostfix(
-                              addr_in_parent, buf.span(dim_), value, config_);
+      ok = replacement &&
+           m.Edit(&replacement, &Node::TryReplaceSubWithPostfix,
+                  addr_in_parent, buf.span(dim_), value, config_);
       at = d.path.size() - 1;  // the edited parent replaces the parent
     }
   } else {
     // Plain remove.
     replacement = m.Writable(node);
-    ok = replacement && replacement.ptr->TryRemoveEntry(d.addr, config_);
+    ok = replacement &&
+         m.Edit(&replacement, &Node::TryRemoveEntry, d.addr, config_);
   }
   if (!m.Finish(ok, replacement, d.path.begin(), at)) {
     return OpStatus::kNoMem;
@@ -689,38 +739,25 @@ UpdateOutcome PhTree::MoveEntry(std::span<const uint64_t> old_key,
       return UpdateOutcome::kNewOccupied;
     }
     if (nord == Node::kNoOrdinal) {
-      // In-node relocation: one node touched, published with one store, so
-      // an MVCC reader sees the entry jump from old_key to new_key.
+      // In-node relocation: one node touched, in its own block (occupancy
+      // is unchanged), published with one store, so an MVCC reader sees
+      // the entry jump from old_key to new_key.
       Mutation m(this);
       const NodeRef w = m.Writable(d.node);
-      bool ok = static_cast<bool>(w);
-      bool relocated = true;
-      if (ok && new_addr == d.addr) {
+      if (w && new_addr == d.addr) {
         w.ptr->SetPostfixAt(d.ord, new_key);
         if (value.has_value()) {
           w.ptr->PublishPayloadAt(d.ord, *value);
         }
-      } else if (ok &&
-                 !w.ptr->TryRelocatePostfix(d.addr, new_addr, new_key, v)) {
-        // The one policy branch. The relocation refuses when the transient
-        // one-entry-smaller stream would trade its block, making the
-        // grow-back fallible. On a private clone remove+reinsert is still
-        // safe — a failure costs only the clone. On the live node it is
-        // not rollback-safe: take the insert-then-erase path below.
-        if (w.ptr == d.node.ptr) {
-          relocated = false;
-        } else {
-          ok = w.ptr->TryRemoveEntry(d.addr, config_) &&
-               w.ptr->TryInsertPostfix(new_addr, new_key, v, config_);
-        }
+      } else if (w) {
+        w.ptr->RelocatePostfix(d.addr, new_addr, new_key, v);
       }
-      if (relocated) {
-        if (!m.Finish(ok, w, d.path.begin(), d.path.size())) {
-          return UpdateOutcome::kNoMem;
-        }
-        ++update_stats_.fast_path;
-        return UpdateOutcome::kMoved;
+      if (!m.Finish(static_cast<bool>(w), w, d.path.begin(),
+                    d.path.size())) {
+        return UpdateOutcome::kNoMem;
       }
+      ++update_stats_.fast_path;
+      return UpdateOutcome::kMoved;
     }
     // Otherwise new_addr holds a sub (or a diverging postfix): the insert
     // below resolves the conflict and detects an occupied new_key.

@@ -163,7 +163,8 @@ class PhTree {
 
   /// Non-throwing Erase: kApplied if removed, kNoop if absent, kNoMem (tree
   /// unchanged) on allocation failure. Removal can fail only when the
-  /// shrunken node or the parent merge needs a replacement bit-stream block.
+  /// shrunken node, the merged parent or the spliced grandchild moves to a
+  /// new block, or a copy-on-write clone cannot be allocated.
   OpStatus TryErase(std::span<const uint64_t> key);
 
   /// Moves the entry at `old_key` to `new_key`, keeping its payload unless
@@ -295,8 +296,9 @@ class PhTree {
   /// Mirror of root_.ptr for lock-free readers (root_ itself also carries
   /// the handle, which only the writer needs).
   std::atomic<Node*> root_ptr_{nullptr};
-  // unique_ptr, not by-value: nodes hold pointers into the arena's word
-  // pool, so the arena object must keep its address across PhTree moves.
+  // unique_ptr, not by-value: Node pointers resolved from handles point
+  // into the arena's slabs, so the arena object must keep its address
+  // across PhTree moves.
   std::unique_ptr<NodeArena> arena_;
 };
 

@@ -24,14 +24,14 @@ struct PhTreeStats {
   uint64_t lhc_node_bytes = 0;
   uint64_t bhc_node_bytes = 0;
   /// Total bytes of the structure (paper Tables 1-2, "bytes per entry" =
-  /// memory_bytes / n_entries). *Measured*: the sum of the arena slots and
-  /// granted word-pool blocks of all reachable nodes, equal to
-  /// arena_live_bytes minus arena_retired_bytes.
+  /// memory_bytes / n_entries). *Measured*: the sum of the granted arena
+  /// blocks of all reachable nodes (one per node, header and bit stream),
+  /// equal to arena_live_bytes minus arena_retired_bytes.
   uint64_t memory_bytes = 0;
-  /// Exact bytes the tree's arena reserved from the system: node slabs,
-  /// word slabs, and large word blocks.
+  /// Exact bytes the tree's arena reserved from the system: slabs and
+  /// large blocks.
   uint64_t arena_slab_bytes = 0;
-  /// Exact bytes in use by live nodes (slots + their bit-stream blocks).
+  /// Exact bytes in use by live nodes (their blocks).
   uint64_t arena_live_bytes = 0;
   /// Exact recyclable bytes parked in the arena freelists.
   uint64_t arena_freelist_bytes = 0;

@@ -1,8 +1,11 @@
 #include "phtree/validate.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/bits.h"
 #include "phtree/arena.h"
@@ -11,7 +14,22 @@
 #include "phtree/stats.h"
 
 namespace phtree {
+
+/// The validator's window into PhTree internals: the root's handle, which
+/// the block-ownership audit needs next to every child handle.
+class PhTreeValidator {
+ public:
+  static NodeRef Root(const PhTree& tree) { return tree.root_; }
+};
+
 namespace {
+
+/// One arena block the deep audit accounts for: a reachable or a retired
+/// node's.
+struct BlockSpan {
+  uintptr_t addr;
+  uint64_t bytes;
+};
 
 struct ValidateState {
   const PhTree* tree;
@@ -39,6 +57,8 @@ struct ValidateState {
   // walk, cross-checking the unified traversal engine (enumeration order,
   // suspend-free full scans) against the independent reconstruction here.
   TreeCursor walker;
+  // Deep mode: every reachable node's block, for the ownership audit.
+  std::vector<BlockSpan> blocks;
   std::ostringstream error;
   bool failed = false;
 
@@ -50,11 +70,28 @@ struct ValidateState {
   }
 };
 
-void ValidateNode(const Node* node, const Node* parent, size_t depth,
+/// Deep-mode block checks of one node: its handle names exactly the block
+/// its contents are granted, and a block of a cache line or less sits
+/// inside one line (a larger one starts on a line boundary).
+std::string CheckBlock(const NodeArena& arena, NodeRef ref) {
+  if (!arena.IsGrantedBlock(ref)) {
+    return "node block is not exactly its grant";
+  }
+  constexpr uint64_t kLineBytes = SlabWordPool::kLineWords * sizeof(uint64_t);
+  const uint64_t line_off = reinterpret_cast<uintptr_t>(ref.ptr) % kLineBytes;
+  const uint64_t bytes = ref.ptr->MemoryBytes();
+  if (bytes <= kLineBytes ? line_off + bytes > kLineBytes : line_off != 0) {
+    return "node block straddles a cache line";
+  }
+  return std::string();
+}
+
+void ValidateNode(NodeRef ref, const Node* parent, size_t depth,
                   ValidateState* state) {
   if (state->failed) {
     return;
   }
+  const Node* node = ref.ptr;
   std::ostringstream ctx;
   ctx << "node(pl=" << node->postfix_len() << ",il=" << node->infix_len()
       << ",n=" << node->num_entries() << "): ";
@@ -87,6 +124,15 @@ void ValidateNode(const Node* node, const Node* parent, size_t depth,
   if (!state->tree->arena()->Owns(node)) {
     state->Fail(ctx.str() + "node not owned by the tree's arena");
     return;
+  }
+  if (state->deep != nullptr) {
+    const std::string block = CheckBlock(*state->tree->arena(), ref);
+    if (!block.empty()) {
+      state->Fail(ctx.str() + block);
+      return;
+    }
+    state->blocks.push_back(
+        BlockSpan{reinterpret_cast<uintptr_t>(node), node_bytes});
   }
   if (parent != nullptr && node->num_entries() < 2) {
     state->Fail(ctx.str() + "non-root node with < 2 entries");
@@ -135,10 +181,11 @@ void ValidateNode(const Node* node, const Node* parent, size_t depth,
     }
     if (node->OrdinalIsSub(ord)) {
       ++subs;
-      const Node* child =
-          state->tree->arena()->NodeAt(node->OrdinalSub(ord));
+      const NodeHandle ch = node->OrdinalSub(ord);
+      const NodeRef child{
+          const_cast<Node*>(state->tree->arena()->NodeAt(ch)), ch};
       if (state->deep != nullptr) {
-        child->ReadInfixInto(state->path);
+        child.ptr->ReadInfixInto(state->path);
       }
       ValidateNode(child, node, depth + 1, state);
       if (state->failed) {
@@ -309,7 +356,7 @@ std::string Validate(const PhTree& tree, const DeepValidateOptions* deep) {
     if (tree.root()->postfix_len() != kBitWidth - 1) {
       return "root node postfix_len != 63";
     }
-    ValidateNode(tree.root(), nullptr, 0, &state);
+    ValidateNode(PhTreeValidator::Root(tree), nullptr, 0, &state);
   }
   if (state.failed) {
     return state.error.str();
@@ -355,6 +402,42 @@ std::string Validate(const PhTree& tree, const DeepValidateOptions* deep) {
        << state.hc_bytes + state.lhc_bytes + state.bhc_bytes
        << " + retired bytes " << arena->RetiredBytes();
     return os.str();
+  }
+
+  if (deep != nullptr && arena != nullptr) {
+    // Block ownership: reachable and retired blocks must be pairwise
+    // disjoint — a block named twice (two parents, or a parent and the
+    // retire queue) overlaps itself — and together they must be exactly
+    // the bytes the allocator counts as handed out.
+    std::string retired_error;
+    arena->ForEachRetired([&](NodeRef ref, uint64_t bytes) {
+      if (retired_error.empty()) {
+        retired_error = CheckBlock(*arena, ref);
+      }
+      state.blocks.push_back(
+          BlockSpan{reinterpret_cast<uintptr_t>(ref.ptr), bytes});
+    });
+    if (!retired_error.empty()) {
+      return "retired " + retired_error;
+    }
+    std::sort(state.blocks.begin(), state.blocks.end(),
+              [](const BlockSpan& a, const BlockSpan& b) {
+                return a.addr < b.addr;
+              });
+    uint64_t sum = 0;
+    for (size_t i = 0; i < state.blocks.size(); ++i) {
+      if (i > 0 && state.blocks[i - 1].addr + state.blocks[i - 1].bytes >
+                       state.blocks[i].addr) {
+        return "arena blocks overlap: a block is owned twice";
+      }
+      sum += state.blocks[i].bytes;
+    }
+    if (sum != arena->LiveBytes()) {
+      std::ostringstream os;
+      os << "reachable + retired block bytes " << sum
+         << " != arena live bytes " << arena->LiveBytes();
+      return os.str();
+    }
   }
 
   if (deep != nullptr && deep->check_stats) {

@@ -43,10 +43,14 @@ struct DeepValidateOptions {
 /// Everything ValidatePhTree checks, plus the prefix-consistency audit:
 /// keys are reconstructed along every root-to-postfix path and must come
 /// out in strictly ascending z-order (a corrupted infix, address table or
-/// postfix record breaks the ordering or the self-lookup), and the stats /
-/// arena accounting cross-checks of DeepValidateOptions. This is the
-/// validator the differential runner and the fuzz drivers call; it is
-/// O(n * w * k) instead of O(nodes).
+/// postfix record breaks the ordering or the self-lookup), the block-
+/// ownership audit — every reachable and retired node's handle names
+/// exactly the block its contents are granted, a block of 8 words or fewer
+/// sits inside one 64-byte line, and all those blocks are pairwise
+/// disjoint and sum to the arena's live bytes (no block owned twice) — and
+/// the stats / arena accounting cross-checks of DeepValidateOptions. This
+/// is the validator the differential runner and the fuzz targets call; it
+/// is O(n * w * k) instead of O(nodes).
 std::string ValidatePhTreeDeep(const PhTree& tree,
                                const DeepValidateOptions& options = {});
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/bits.h"
@@ -53,126 +54,145 @@ class BitModel {
         return i;
       }
     }
-    return BitBuffer::kNpos;
+    return kNoBit;
   }
 
  private:
   std::vector<bool> bits_;
 };
 
+// A zeroed word span of `bits` bits: the zero tail every stream keeps.
+std::vector<uint64_t> Span(uint64_t bits) {
+  return std::vector<uint64_t>(WordsFor(bits), 0);
+}
+
 TEST(BitBuffer, ReadWriteSingleWord) {
-  BitBuffer b(64);
-  b.WriteBits(0, 64, 0x0123456789abcdefULL);
-  EXPECT_EQ(b.ReadBits(0, 64), 0x0123456789abcdefULL);
-  EXPECT_EQ(b.ReadBits(0, 4), 0x0u);
-  EXPECT_EQ(b.ReadBits(4, 4), 0x1u);
-  EXPECT_EQ(b.ReadBits(60, 4), 0xfu);
-  EXPECT_EQ(b.ReadBits(8, 16), 0x2345u);
+  auto w = Span(64);
+  WriteBits(w.data(), 0, 64, 0x0123456789abcdefULL);
+  EXPECT_EQ(ReadBits(w.data(), 0, 64), 0x0123456789abcdefULL);
+  EXPECT_EQ(ReadBits(w.data(), 0, 4), 0x0u);
+  EXPECT_EQ(ReadBits(w.data(), 4, 4), 0x1u);
+  EXPECT_EQ(ReadBits(w.data(), 60, 4), 0xfu);
+  EXPECT_EQ(ReadBits(w.data(), 8, 16), 0x2345u);
 }
 
 TEST(BitBuffer, ReadWriteAcrossWordBoundary) {
-  BitBuffer b(128);
-  b.WriteBits(60, 8, 0xA5);
-  EXPECT_EQ(b.ReadBits(60, 8), 0xA5u);
-  EXPECT_EQ(b.ReadBits(56, 16), 0x0A50u);
-  b.WriteBits(32, 64, ~uint64_t{0});
-  EXPECT_EQ(b.ReadBits(32, 64), ~uint64_t{0});
-  EXPECT_EQ(b.ReadBits(0, 32), 0u);
-  EXPECT_EQ(b.ReadBits(96, 32), 0u);
+  auto w = Span(128);
+  WriteBits(w.data(), 60, 8, 0xA5);
+  EXPECT_EQ(ReadBits(w.data(), 60, 8), 0xA5u);
+  EXPECT_EQ(ReadBits(w.data(), 56, 16), 0x0A50u);
+  WriteBits(w.data(), 32, 64, ~uint64_t{0});
+  EXPECT_EQ(ReadBits(w.data(), 32, 64), ~uint64_t{0});
+  EXPECT_EQ(ReadBits(w.data(), 0, 32), 0u);
+  EXPECT_EQ(ReadBits(w.data(), 96, 32), 0u);
 }
 
 TEST(BitBuffer, ZeroWidthOperationsAreNoops) {
-  BitBuffer b(10);
-  b.WriteBits(3, 0, 0xffff);
-  EXPECT_EQ(b.ReadBits(3, 0), 0u);
-  b.InsertBits(5, 0);
-  b.RemoveBits(5, 0);
-  EXPECT_EQ(b.size_bits(), 10u);
+  auto w = Span(10);
+  WriteBits(w.data(), 0, 10, 0x2A5);
+  WriteBits(w.data(), 3, 0, 0xffff);
+  EXPECT_EQ(ReadBits(w.data(), 3, 0), 0u);
+  InsertBits(w.data(), 10, 5, 0);
+  RemoveBits(w.data(), 10, 5, 0);
+  EXPECT_EQ(ReadBits(w.data(), 0, 10), 0x2A5u);
+  EXPECT_EQ(ReadBits(w.data(), 10, 54), 0u);
 }
 
 TEST(BitBuffer, InsertShiftsTailRight) {
-  BitBuffer b(8);
-  b.WriteBits(0, 8, 0b10110001);
-  b.InsertBits(4, 4);
-  EXPECT_EQ(b.size_bits(), 12u);
-  EXPECT_EQ(b.ReadBits(0, 12), 0b101100000001u);
+  auto w = Span(12);
+  WriteBits(w.data(), 0, 8, 0b10110001);
+  InsertBits(w.data(), 8, 4, 4);
+  EXPECT_EQ(ReadBits(w.data(), 0, 12), 0b101100000001u);
 }
 
 TEST(BitBuffer, RemoveShiftsTailLeft) {
-  BitBuffer b(12);
-  b.WriteBits(0, 12, 0b101100000001);
-  b.RemoveBits(4, 4);
-  EXPECT_EQ(b.size_bits(), 8u);
-  EXPECT_EQ(b.ReadBits(0, 8), 0b10110001u);
+  auto w = Span(12);
+  WriteBits(w.data(), 0, 12, 0b101100000001);
+  RemoveBits(w.data(), 12, 4, 4);
+  EXPECT_EQ(ReadBits(w.data(), 0, 8), 0b10110001u);
+  EXPECT_EQ(ReadBits(w.data(), 8, 4), 0u);  // the vacated tail is zero
 }
 
 TEST(BitBuffer, ShrinkClearsTailBits) {
-  BitBuffer b(64);
-  b.WriteBits(0, 64, ~uint64_t{0});
-  b.Resize(10);
-  b.Resize(64);
-  EXPECT_EQ(b.ReadBits(0, 10), 0x3FFu);
-  EXPECT_EQ(b.ReadBits(10, 54), 0u);
+  // Removing bits keeps the zero tail, so regrowing the stream in place
+  // exposes zeros, never stale bits.
+  auto w = Span(64);
+  WriteBits(w.data(), 0, 64, ~uint64_t{0});
+  RemoveBits(w.data(), 64, 10, 54);
+  EXPECT_EQ(ReadBits(w.data(), 0, 10), 0x3FFu);
+  EXPECT_EQ(ReadBits(w.data(), 10, 54), 0u);
+  WriteBits(w.data(), 0, 64, ~uint64_t{0});
+  ClearBits(w.data(), 3, 61);
+  EXPECT_EQ(ReadBits(w.data(), 0, 64), 0xE000000000000007ULL);
 }
 
 TEST(BitBuffer, CountOnesAndFindNextOne) {
-  BitBuffer b(200);
-  b.SetBit(0, 1);
-  b.SetBit(63, 1);
-  b.SetBit(64, 1);
-  b.SetBit(130, 1);
-  b.SetBit(199, 1);
-  EXPECT_EQ(b.CountOnes(), 5u);
-  EXPECT_EQ(b.CountOnes(64), 2u);
-  EXPECT_EQ(b.CountOnes(65), 3u);
-  EXPECT_EQ(b.FindNextOne(0), 0u);
-  EXPECT_EQ(b.FindNextOne(1), 63u);
-  EXPECT_EQ(b.FindNextOne(65), 130u);
-  EXPECT_EQ(b.FindNextOne(131), 199u);
-  EXPECT_EQ(b.FindNextOne(200), BitBuffer::kNpos);
+  auto w = Span(200);
+  SetBit(w.data(), 0, 1);
+  SetBit(w.data(), 63, 1);
+  SetBit(w.data(), 64, 1);
+  SetBit(w.data(), 130, 1);
+  SetBit(w.data(), 199, 1);
+  EXPECT_EQ(CountOnesInRange(w.data(), 0, 200), 5u);
+  EXPECT_EQ(CountOnesInRange(w.data(), 0, 64), 2u);
+  EXPECT_EQ(CountOnesInRange(w.data(), 0, 65), 3u);
+  EXPECT_EQ(FindNextOne(w.data(), 0, 200), 0u);
+  EXPECT_EQ(FindNextOne(w.data(), 1, 200), 63u);
+  EXPECT_EQ(FindNextOne(w.data(), 65, 200), 130u);
+  EXPECT_EQ(FindNextOne(w.data(), 131, 200), 199u);
+  EXPECT_EQ(FindNextOne(w.data(), 131, 199), kNoBit);  // end is exclusive
+  EXPECT_EQ(FindNextOne(w.data(), 200, 200), kNoBit);
 }
 
 TEST(BitBuffer, CountOnesInRangeMatchesPrefixDifference) {
   Rng rng(21);
-  BitBuffer b(1000);
+  auto w = Span(1000);
   for (uint64_t i = 0; i < 1000; ++i) {
-    b.SetBit(i, rng.NextU64() & 1);
+    SetBit(w.data(), i, rng.NextU64() & 1);
   }
+  const auto prefix = [&](uint64_t pos) {
+    uint64_t ones = 0;
+    for (uint64_t i = 0; i < pos; ++i) {
+      ones += GetBit(w.data(), i);
+    }
+    return ones;
+  };
   for (int iter = 0; iter < 2000; ++iter) {
     uint64_t x = rng.NextBounded(1001);
     uint64_t y = rng.NextBounded(1001);
     if (x > y) {
       std::swap(x, y);
     }
-    ASSERT_EQ(b.CountOnesInRange(x, y), b.CountOnes(y) - b.CountOnes(x))
+    ASSERT_EQ(CountOnesInRange(w.data(), x, y), prefix(y) - prefix(x))
         << x << ".." << y;
   }
-  EXPECT_EQ(b.CountOnesInRange(0, 0), 0u);
-  EXPECT_EQ(b.CountOnesInRange(1000, 1000), 0u);
-  EXPECT_EQ(b.CountOnesInRange(0, 1000), b.CountOnes());
+  EXPECT_EQ(CountOnesInRange(w.data(), 0, 0), 0u);
+  EXPECT_EQ(CountOnesInRange(w.data(), 1000, 1000), 0u);
+  EXPECT_EQ(CountOnesInRange(w.data(), 0, 1000), prefix(1000));
 }
 
 TEST(BitBuffer, CopyFromCopiesArbitraryRanges) {
   Rng rng(3);
-  BitBuffer src(777);
+  auto src = Span(777);
   for (uint64_t i = 0; i < 777; ++i) {
-    src.SetBit(i, rng.NextU64() & 1);
+    SetBit(src.data(), i, rng.NextU64() & 1);
   }
-  BitBuffer dst(900);
-  dst.CopyFrom(src, 5, 123, 700);
+  auto dst = Span(900);
+  CopyBits(src.data(), 5, dst.data(), 123, 700);
   for (uint64_t i = 0; i < 700; ++i) {
-    ASSERT_EQ(dst.GetBit(123 + i), src.GetBit(5 + i)) << i;
+    ASSERT_EQ(GetBit(dst.data(), 123 + i), GetBit(src.data(), 5 + i)) << i;
   }
 }
 
 // Property test: a long random sequence of operations matches the model.
 TEST(BitBuffer, RandomOpsMatchModel) {
+  constexpr uint64_t kCapacityBits = 1 << 16;
   Rng rng(1234);
-  BitBuffer buf;
+  auto w = Span(kCapacityBits);
+  uint64_t size = 0;
   BitModel model;
   for (int iter = 0; iter < 20000; ++iter) {
     const uint64_t op = rng.NextBounded(6);
-    const uint64_t size = buf.size_bits();
     switch (op) {
       case 0: {  // write
         if (size == 0) {
@@ -182,14 +202,16 @@ TEST(BitBuffer, RandomOpsMatchModel) {
             1 + rng.NextBounded(std::min<uint64_t>(64, size)));
         const uint64_t pos = rng.NextBounded(size - n + 1);
         const uint64_t v = rng.NextU64();
-        buf.WriteBits(pos, n, v);
+        WriteBits(w.data(), pos, n, v);
         model.Write(pos, n, v & LowMask(n));
         break;
       }
       case 1: {  // insert
         const uint64_t n = rng.NextBounded(130);
         const uint64_t pos = rng.NextBounded(size + 1);
-        buf.InsertBits(pos, n);
+        ASSERT_LE(size + n, kCapacityBits);
+        InsertBits(w.data(), size, pos, n);
+        size += n;
         model.Insert(pos, n);
         break;
       }
@@ -199,7 +221,8 @@ TEST(BitBuffer, RandomOpsMatchModel) {
         }
         const uint64_t pos = rng.NextBounded(size);
         const uint64_t n = rng.NextBounded(size - pos + 1);
-        buf.RemoveBits(pos, n);
+        RemoveBits(w.data(), size, pos, n);
+        size -= n;
         model.Remove(pos, n);
         break;
       }
@@ -210,26 +233,27 @@ TEST(BitBuffer, RandomOpsMatchModel) {
         const uint32_t n = static_cast<uint32_t>(
             1 + rng.NextBounded(std::min<uint64_t>(64, size)));
         const uint64_t pos = rng.NextBounded(size - n + 1);
-        ASSERT_EQ(buf.ReadBits(pos, n), model.Read(pos, n));
+        ASSERT_EQ(ReadBits(w.data(), pos, n), model.Read(pos, n));
         break;
       }
       case 4: {  // popcount prefix
         const uint64_t pos = rng.NextBounded(size + 1);
-        ASSERT_EQ(buf.CountOnes(pos), model.CountOnes(pos));
+        ASSERT_EQ(CountOnesInRange(w.data(), 0, pos), model.CountOnes(pos));
         break;
       }
       case 5: {  // find next one
         const uint64_t pos = rng.NextBounded(size + 2);
-        ASSERT_EQ(buf.FindNextOne(pos), model.FindNextOne(pos));
+        ASSERT_EQ(FindNextOne(w.data(), pos, size), model.FindNextOne(pos));
         break;
       }
     }
-    ASSERT_EQ(buf.size_bits(), model.size());
+    ASSERT_EQ(size, model.size());
   }
-  // Final full comparison.
-  for (uint64_t i = 0; i < buf.size_bits(); ++i) {
-    ASSERT_EQ(buf.GetBit(i), model.Read(i, 1));
+  // Final full comparison, including the zero tail past the stream.
+  for (uint64_t i = 0; i < size; ++i) {
+    ASSERT_EQ(GetBit(w.data(), i), model.Read(i, 1));
   }
+  EXPECT_EQ(FindNextOne(w.data(), size, kCapacityBits), kNoBit);
 }
 
 }  // namespace

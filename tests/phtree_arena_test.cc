@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -32,71 +33,167 @@ std::vector<PhKey> RandomKeys(size_t n, uint32_t dim, uint64_t seed) {
 // ---- SlabWordPool ---------------------------------------------------------
 
 TEST(SlabWordPool, GrantWordsIsMonotoneAndClassRounded) {
-  SlabWordPool pool;
-  EXPECT_EQ(pool.GrantWords(1), 1u);
-  EXPECT_EQ(pool.GrantWords(2), 2u);
-  EXPECT_EQ(pool.GrantWords(3), 4u);
-  EXPECT_EQ(pool.GrantWords(5), 8u);
-  EXPECT_EQ(pool.GrantWords(SlabWordPool::kMaxClassWords),
+  // The smallest block is one 16-byte granule: a bare node header.
+  EXPECT_EQ(SlabWordPool::GrantWords(1), 2u);
+  EXPECT_EQ(SlabWordPool::GrantWords(2), 2u);
+  EXPECT_EQ(SlabWordPool::GrantWords(3), 4u);
+  EXPECT_EQ(SlabWordPool::GrantWords(5), 8u);
+  EXPECT_EQ(SlabWordPool::GrantWords(SlabWordPool::kMaxClassWords),
             SlabWordPool::kMaxClassWords);
   // Above the largest class: multiples of kMaxClassWords.
-  EXPECT_EQ(pool.GrantWords(SlabWordPool::kMaxClassWords + 1),
+  EXPECT_EQ(SlabWordPool::GrantWords(SlabWordPool::kMaxClassWords + 1),
             2 * SlabWordPool::kMaxClassWords);
   uint64_t prev = 0;
   for (uint64_t w = 1; w < 300; ++w) {
-    const uint64_t g = pool.GrantWords(w);
+    const uint64_t g = SlabWordPool::GrantWords(w);
     EXPECT_GE(g, w);
     EXPECT_GE(g, prev);
+    EXPECT_EQ(SlabWordPool::GrantWords(g), g);  // a grant is a fixed point
     prev = g;
   }
 }
 
 TEST(SlabWordPool, FreelistRecyclesBlocks) {
   SlabWordPool pool;
-  uint64_t granted = 0;
-  uint64_t* a = pool.AllocateWords(4, &granted);
-  EXPECT_EQ(granted, 4u);
+  const SlabWordPool::Block a = pool.Allocate(4);
+  ASSERT_NE(a.words, nullptr);
+  EXPECT_EQ(pool.At(a.handle), a.words);
   EXPECT_EQ(pool.LiveBytes(), 4 * sizeof(uint64_t));
-  pool.DeallocateWords(a, granted);
+  pool.Deallocate(a.handle, 4);
+  EXPECT_TRUE(pool.OnFreelist(a.handle, 4));
   EXPECT_EQ(pool.LiveBytes(), 0u);
   EXPECT_EQ(pool.FreeListBytes(), 4 * sizeof(uint64_t));
-  // Same class comes back from the freelist: identical pointer, no new slab.
+  // Same class comes back from the freelist: identical block, zeroed, no
+  // new slab.
   const uint64_t slab_bytes = pool.SlabBytes();
-  uint64_t* b = pool.AllocateWords(3, &granted);
-  EXPECT_EQ(b, a);
+  const SlabWordPool::Block b = pool.Allocate(3);
+  EXPECT_EQ(b.handle, a.handle);
+  EXPECT_EQ(b.words, a.words);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(b.words[i], 0u);
+  }
   EXPECT_EQ(pool.SlabBytes(), slab_bytes);
   EXPECT_EQ(pool.FreeListBytes(), 0u);
-  pool.DeallocateWords(b, granted);
+  pool.Deallocate(b.handle, 4);
 }
 
 TEST(SlabWordPool, LargeBlocksAreTrackedAndReset) {
   SlabWordPool pool;
-  uint64_t granted = 0;
-  uint64_t* big = pool.AllocateWords(SlabWordPool::kMaxClassWords + 100,
-                                     &granted);
+  const uint64_t granted =
+      SlabWordPool::GrantWords(SlabWordPool::kMaxClassWords + 100);
   EXPECT_EQ(granted, 2 * SlabWordPool::kMaxClassWords);
-  big[0] = 42;  // must be writable over the whole grant
-  big[granted - 1] = 43;
+  const SlabWordPool::Block big =
+      pool.Allocate(SlabWordPool::kMaxClassWords + 100);
+  ASSERT_NE(big.words, nullptr);
+  // A large block is its own directory entry, named by granule 0, and
+  // starts on a cache line.
+  EXPECT_EQ(SlabWordPool::HandleGranule(big.handle), 0u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(big.words) % 64, 0u);
+  EXPECT_TRUE(pool.IsGrantedBlock(big.handle, granted));
+  EXPECT_FALSE(pool.IsGrantedBlock(big.handle, granted / 2));
+  big.words[0] = 42;  // must be writable over the whole grant
+  big.words[granted - 1] = 43;
   EXPECT_EQ(pool.LiveBytes(), granted * sizeof(uint64_t));
   pool.Reset();  // releases the large block without an explicit deallocate
   EXPECT_EQ(pool.LiveBytes(), 0u);
   EXPECT_EQ(pool.FreeListBytes(), 0u);
+  EXPECT_EQ(pool.SlabBytes(), 0u);
+}
+
+TEST(SlabWordPool, HandleEncoderRoundTripsItsLimitsAndRejectsPastTheCap) {
+  constexpr uint64_t kLastSlab = SlabWordPool::kMaxSlabs - 1;
+  constexpr uint64_t kLastGranule =
+      (uint64_t{1} << SlabWordPool::kGranuleBits) - 1;
+  const NodeHandle last = SlabWordPool::EncodeHandle(kLastSlab, kLastGranule);
+  ASSERT_NE(last, kInvalidNodeHandle);
+  EXPECT_EQ(SlabWordPool::HandleSlab(last), kLastSlab);
+  EXPECT_EQ(SlabWordPool::HandleGranule(last), kLastGranule);
+  const NodeHandle first = SlabWordPool::EncodeHandle(0, 0);
+  EXPECT_EQ(SlabWordPool::HandleSlab(first), 0u);
+  EXPECT_EQ(SlabWordPool::HandleGranule(first), 0u);
+  // One past the cap, or past a slab's granules, never wraps into a valid
+  // handle. The all-ones handle names no block.
+  EXPECT_EQ(SlabWordPool::EncodeHandle(kLastSlab + 1, 0), kInvalidNodeHandle);
+  EXPECT_EQ(SlabWordPool::EncodeHandle(0, kLastGranule + 1),
+            kInvalidNodeHandle);
+  // The cap is 64 GiB of 64 KiB slabs.
+  EXPECT_EQ((uint64_t{SlabWordPool::kMaxSlabs} + 1) *
+                SlabWordPool::kSlabWords * sizeof(uint64_t),
+            uint64_t{64} << 30);
+}
+
+TEST(SlabWordPool, AllocationPastTheCapFails) {
+  // Two directory entries: one slab holds two half-slab blocks, so the
+  // fifth such block has nowhere to go.
+  SlabWordPool pool(/*max_slabs=*/2);
+  std::vector<SlabWordPool::Block> blocks;
+  for (int i = 0; i < 4; ++i) {
+    blocks.push_back(pool.Allocate(SlabWordPool::kMaxClassWords));
+    ASSERT_NE(blocks.back().words, nullptr) << i;
+  }
+  EXPECT_EQ(pool.Allocate(SlabWordPool::kMaxClassWords).words, nullptr);
+  EXPECT_EQ(pool.Allocate(SlabWordPool::kMaxClassWords * 2).words, nullptr);
+  EXPECT_EQ(pool.LiveBytes(),
+            4 * SlabWordPool::kMaxClassWords * sizeof(uint64_t));
+  // A freed block is reusable at the cap.
+  pool.Deallocate(blocks[1].handle, SlabWordPool::kMaxClassWords);
+  EXPECT_EQ(pool.Allocate(SlabWordPool::kMaxClassWords).handle,
+            blocks[1].handle);
+
+  // Through the node arena the same failure is an empty NodeRef, the
+  // kNoMem seam of every mutation.
+  NodeArena arena(/*max_slabs=*/1);
+  size_t built = 0;
+  while (arena.NewNode(2, 0, 63, true)) {
+    ++built;
+    ASSERT_LE(built, SlabWordPool::kSlabWords);
+  }
+  EXPECT_EQ(built, SlabWordPool::kSlabWords / SlabWordPool::kGranuleWords);
+}
+
+TEST(SlabWordPool, SmallBlocksNeverStraddleACacheLine) {
+  SlabWordPool pool;
+  Rng rng(5);
+  uint64_t bump_words = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t want = 1 + rng.NextBounded(40);
+    const SlabWordPool::Block b = pool.Allocate(want);
+    ASSERT_NE(b.words, nullptr);
+    const uint64_t words = SlabWordPool::GrantWords(want);
+    const uint64_t line_off =
+        reinterpret_cast<uintptr_t>(b.words) % (SlabWordPool::kLineWords * 8);
+    if (words <= SlabWordPool::kLineWords) {
+      EXPECT_LE(line_off + words * 8, SlabWordPool::kLineWords * 8);
+    } else {
+      EXPECT_EQ(line_off, 0u);
+    }
+    EXPECT_TRUE(pool.IsGrantedBlock(b.handle, words));
+    bump_words += words;
+  }
+  // Alignment padding is parked on the freelists, not lost.
+  EXPECT_EQ(pool.LiveBytes(), bump_words * sizeof(uint64_t));
+  EXPECT_LE(pool.LiveBytes() + pool.FreeListBytes(), pool.SlabBytes());
 }
 
 // ---- NodeArena ------------------------------------------------------------
 
-TEST(NodeArena, RecyclesNodeSlots) {
+TEST(NodeArena, RecyclesNodeBlocks) {
   NodeArena arena;
   NodeRef a = arena.NewNode(2, 0, 63, true);
   EXPECT_TRUE(arena.Owns(a.ptr));
   EXPECT_EQ(arena.NodeAt(a.handle), a.ptr);
+  EXPECT_TRUE(arena.IsGrantedBlock(a));
   EXPECT_EQ(arena.live_nodes(), 1u);
   arena.DeleteNode(a);
   EXPECT_EQ(arena.live_nodes(), 0u);
-  // The freed slot (and its handle) is reused before any new slab slot.
-  NodeRef b = arena.NewNode(3, 1, 10, false);
+  EXPECT_TRUE(arena.OnFreelist(a.handle, Node::kHeaderWords));
+  // The freed block (and its handle) is reused before any fresh block of
+  // its class.
+  NodeRef b = arena.NewNode(3, 0, 10, false);
   EXPECT_EQ(static_cast<void*>(b.ptr), static_cast<void*>(a.ptr));
   EXPECT_EQ(b.handle, a.handle);
+  EXPECT_EQ(b.ptr->dim(), 3u);
+  EXPECT_EQ(b.ptr->num_entries(), 0u);
   arena.DeleteNode(b);
 }
 
@@ -110,6 +207,89 @@ TEST(NodeArena, OwnsRejectsForeignNodes) {
   EXPECT_FALSE(arena.Owns(nullptr));
   arena.DeleteNode(mine);
   other.DeleteNode(foreign);
+}
+
+// ---- Moving nodes ---------------------------------------------------------
+
+// One non-root node N is grown by inserts through every block class a
+// non-root node can occupy — 4 to 64 words (a 2-word block is a bare
+// header: only a fresh, still empty root) — and shrunk back by erases.
+// After every op N's parent must name N's current block, the deep
+// validator must pass, and a block N left must be on a freelist (plain
+// tree: freed at once) or in the retire queue (MVCC tree).
+//
+// Layout: 6D key-only keys agreeing on bits 63..9. The root holds one sub
+// entry, P at postfix_len 8, which holds an anchor postfix (bit 8 set) and
+// N at postfix_len 7 with no infix; N's entries are the 64 addresses of
+// bit 7, each with a 7-bit postfix per dimension.
+void GrowAndShrinkOneNode(bool mvcc) {
+  constexpr uint32_t kDim = 6;
+  PhTreeConfig cfg;
+  cfg.store_values = false;
+  EpochManager epochs;
+  PhTree tree(kDim, cfg);
+  if (mvcc) {
+    tree.EnableMvcc(&epochs);
+  }
+  const NodeArena& arena = *tree.arena();
+  const auto entry_key = [](uint64_t addr) {
+    PhKey key(kDim);
+    for (uint32_t d = 0; d < kDim; ++d) {
+      key[d] = ((addr >> (kDim - 1 - d)) & 1u) << 7 | ((addr * 37 + d) & 0x7F);
+    }
+    return key;
+  };
+  ASSERT_TRUE(tree.Insert(PhKey(kDim, uint64_t{1} << 8), 0));  // the anchor
+  // N's current reference, read from its parent P.
+  const auto node_n = [&]() -> NodeRef {
+    const Node* p = arena.NodeAt(tree.root()->OrdinalSub(0));
+    const NodeHandle h = p->OrdinalSub(p->FindOrdinal(0));
+    return NodeRef{const_cast<Node*>(arena.NodeAt(h)), h};
+  };
+  std::set<uint64_t> classes;
+  NodeRef prev;
+  uint64_t prev_words = 0;  // read while N's header was live
+  const auto check = [&](size_t entries, const char* phase) {
+    SCOPED_TRACE(testing::Message() << phase << " entries=" << entries);
+    const NodeRef n = node_n();
+    ASSERT_EQ(n.ptr->num_entries(), entries);
+    ASSERT_EQ(n.ptr->postfix_len(), 7u);
+    ASSERT_TRUE(arena.IsGrantedBlock(n));
+    ASSERT_EQ(ValidatePhTreeDeep(tree), "");
+    classes.insert(n.ptr->BlockWords());
+    if (prev && prev.handle != n.handle) {
+      if (mvcc) {
+        bool retired = false;
+        arena.ForEachRetired([&](NodeRef r, uint64_t) {
+          retired = retired || r.handle == prev.handle;
+        });
+        EXPECT_TRUE(retired) << "the block N left is not retired";
+      } else {
+        EXPECT_TRUE(arena.OnFreelist(prev.handle, prev_words))
+            << "the block N left is not on its freelist";
+      }
+    }
+    prev = n;
+    prev_words = n.ptr->BlockWords();
+  };
+  ASSERT_TRUE(tree.Insert(entry_key(0), 0));
+  for (uint64_t addr = 1; addr < 64; ++addr) {
+    ASSERT_TRUE(tree.Insert(entry_key(addr), 0));
+    check(addr + 1, "grow");
+  }
+  for (uint64_t addr = 63; addr >= 2; --addr) {
+    ASSERT_TRUE(tree.Erase(entry_key(addr)));
+    check(addr, "shrink");
+  }
+  EXPECT_EQ(classes, (std::set<uint64_t>{4, 8, 16, 32, 64}));
+}
+
+TEST(PhTreeArena, NodeMovesThroughEveryBlockClassInPlace) {
+  GrowAndShrinkOneNode(/*mvcc=*/false);
+}
+
+TEST(PhTreeArena, NodeMovesThroughEveryBlockClassUnderMvcc) {
+  GrowAndShrinkOneNode(/*mvcc=*/true);
 }
 
 // ---- PhTree integration ---------------------------------------------------
@@ -179,8 +359,8 @@ TEST(PhTreeArena, MoveConstructionKeepsNodesValid) {
     source.Insert(key, 9);
   }
   const uint64_t bytes = source.ComputeStats().memory_bytes;
-  // The arena lives behind a unique_ptr, so node and word-pool pointers
-  // survive the move of the PhTree object itself.
+  // The arena lives behind a unique_ptr, so node pointers survive the
+  // move of the PhTree object itself.
   PhTree moved(std::move(source));
   EXPECT_EQ(moved.size(), keys.size());
   EXPECT_EQ(moved.ComputeStats().memory_bytes, bytes);

@@ -107,6 +107,9 @@ TEST(EpochReclaim, RetiredNodeStaysIntactWhileGuardOpen) {
   EXPECT_NE(tree.root(), old_root);
   EXPECT_GE(arena->retired_nodes(), 1u);
   EXPECT_GT(arena->RetiredBytes(), 0u);
+  // ASan canary, before any later allocation could recycle the block: a
+  // root reclaimed by the insert's own Reclaim pass is poisoned here.
+  EXPECT_EQ(old_root->postfix_len(), kBitWidth - 1);
 
   // Churn hard: every mutation tries to reclaim, but while this guard is
   // open the epoch advances at most once past our announcement, so no
@@ -121,7 +124,7 @@ TEST(EpochReclaim, RetiredNodeStaysIntactWhileGuardOpen) {
   EXPECT_LE(epochs.epoch(), e0 + 1);
   EXPECT_LE(arena->reclaimed_nodes_total() - pre_reclaimed, pre_retired);
   // ASan canary: the snapshot root must still be fully readable. A
-  // premature free would have poisoned the slot and these loads abort.
+  // premature free would have poisoned the block and these loads abort.
   EXPECT_EQ(old_root->postfix_len(), kBitWidth - 1);
   EXPECT_GE(old_root->num_entries(), 1u);
 }

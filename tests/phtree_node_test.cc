@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "phtree/arena.h"
 #include "phtree/phtree.h"
 #include "phtree/stats.h"
 #include "phtree/validate.h"
@@ -17,6 +18,45 @@ namespace phtree {
 namespace {
 
 PhKey Key2(uint64_t x, uint64_t y) { return PhKey{x, y}; }
+
+/// A standalone node built through its own arena and edited the way the
+/// tree edits one: an edit that changes the block size moves the node, and
+/// the old block is freed at once. After every edit the node must own
+/// exactly its granted block, and that block must be the arena's only one.
+class ArenaNode {
+ public:
+  ArenaNode(uint32_t dim, uint32_t infix_len, uint32_t postfix_len)
+      : ref_(arena_.NewNode(dim, infix_len, postfix_len,
+                            /*store_values=*/true)) {}
+
+  Node* operator->() { return ref_.ptr; }
+
+  void InsertPostfix(uint64_t addr, std::span<const uint64_t> key,
+                     uint64_t value, const PhTreeConfig& cfg) {
+    Apply(ref_.ptr->TryInsertPostfix(arena_, ref_.handle, addr, key, value,
+                                     cfg));
+  }
+  void InsertSub(uint64_t addr, NodeHandle child, const PhTreeConfig& cfg) {
+    Apply(ref_.ptr->TryInsertSub(arena_, ref_.handle, addr, child, cfg));
+  }
+  void RemoveEntry(uint64_t addr, const PhTreeConfig& cfg) {
+    Apply(ref_.ptr->TryRemoveEntry(arena_, ref_.handle, addr, cfg));
+  }
+
+ private:
+  void Apply(NodeRef after) {
+    ASSERT_TRUE(after);
+    if (after.ptr != ref_.ptr) {
+      arena_.DeleteNode(ref_);
+      ref_ = after;
+    }
+    EXPECT_TRUE(arena_.IsGrantedBlock(ref_));
+    EXPECT_EQ(arena_.LiveBytes(), ref_.ptr->MemoryBytes());
+  }
+
+  NodeArena arena_;
+  NodeRef ref_;
+};
 
 TEST(NodeRepresentation, DenseLowDimLeafNodesUseBhc) {
   // k=2: filling all 4 slots of a leaf node must leave LHC (paper: the
@@ -111,14 +151,14 @@ TEST(NodeRepresentation, HcNeverUsedAboveMaxDim) {
 TEST(NodeSpace, SmallestRepresentationWinsExactly) {
   // Whitebox size check on a standalone node.
   PhTreeConfig cfg;
-  Node node(2, 0, 3);  // k=2, postfix 3 bits -> stride 6 bits
+  ArenaNode node(2, 0, 3);  // k=2, postfix 3 bits -> stride 6 bits
   PhKey key{0, 0};
   // 1 entry: LHC (1 payload word + 1 flag + 2 addr + 6 postfix bits) is far
   // below HC (4 slots x (64+2+6) bits) -> LHC.
   node.InsertPostfix(0, key, 0, cfg);
-  EXPECT_FALSE(node.is_hc());
-  EXPECT_FALSE(node.is_bhc());
-  EXPECT_LT(node.LhcBits(), node.HcBits());
+  EXPECT_FALSE(node->is_hc());
+  EXPECT_FALSE(node->is_bhc());
+  EXPECT_LT(node->LhcBits(), node->HcBits());
   // Fill all 4 slots: LHC pays k=2 address bits per entry, HC does not ->
   // HC is smaller by (k-1) bits per slot (paper Sect. 3.2). The packed leaf
   // (BHC) drops the empty payload slots and the sub bitmap on top of that,
@@ -129,10 +169,10 @@ TEST(NodeSpace, SmallestRepresentationWinsExactly) {
   node.InsertPostfix(1, key, 0, cfg);
   key = PhKey{1, 1};
   node.InsertPostfix(3, key, 0, cfg);
-  EXPECT_TRUE(node.is_bhc());
-  EXPECT_LT(node.HcBits(), node.LhcBits());
-  EXPECT_LT(node.BhcBits(), node.HcBits());
-  EXPECT_LT(node.BhcBits(), node.LhcBits());
+  EXPECT_TRUE(node->is_bhc());
+  EXPECT_LT(node->HcBits(), node->LhcBits());
+  EXPECT_LT(node->BhcBits(), node->HcBits());
+  EXPECT_LT(node->BhcBits(), node->LhcBits());
 }
 
 TEST(NodeSpace, MemoryScalesWithPostfixLengthNotBitWidth) {
@@ -200,26 +240,26 @@ TEST(NodeRepresentation, BhcPromotionAndDemotionAtSwitchBoundary) {
   // across the boundary in both directions and check that the chosen
   // representation is the argmin after every single mutation.
   PhTreeConfig cfg;  // strict: hysteresis = 1.0
-  Node node(2, 0, 3);
+  ArenaNode node(2, 0, 3);
   const uint64_t addrs[4] = {0, 2, 1, 3};
   const PhKey keys[4] = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
   for (int i = 0; i < 4; ++i) {
     node.InsertPostfix(addrs[i], keys[i], 0, cfg);
     const uint64_t best = std::min(
-        {node.LhcBits(), node.BhcBits(), node.HcBits()});
-    EXPECT_EQ(node.is_bhc(), node.BhcBits() < node.LhcBits() &&
-                                 node.BhcBits() <= node.HcBits())
+        {node->LhcBits(), node->BhcBits(), node->HcBits()});
+    EXPECT_EQ(node->is_bhc(), node->BhcBits() < node->LhcBits() &&
+                                 node->BhcBits() <= node->HcBits())
         << "n=" << i + 1;
-    EXPECT_EQ(node.CurrentReprBits(), best) << "n=" << i + 1;
+    EXPECT_EQ(node->CurrentReprBits(), best) << "n=" << i + 1;
   }
-  EXPECT_TRUE(node.is_bhc());
+  EXPECT_TRUE(node->is_bhc());
   // Demote by deletion: at n=1 LHC is strictly smaller again.
   for (int i = 3; i >= 1; --i) {
     node.RemoveEntry(addrs[i], cfg);
   }
-  EXPECT_EQ(node.num_entries(), 1u);
-  EXPECT_FALSE(node.is_bhc());
-  EXPECT_LT(node.LhcBits(), node.BhcBits());
+  EXPECT_EQ(node->num_entries(), 1u);
+  EXPECT_FALSE(node->is_bhc());
+  EXPECT_LT(node->LhcBits(), node->BhcBits());
 }
 
 TEST(NodeRepresentation, HysteresisDampsOscillationAtBoundary) {
@@ -230,8 +270,8 @@ TEST(NodeRepresentation, HysteresisDampsOscillationAtBoundary) {
   PhTreeConfig strict;
   PhTreeConfig damped;
   damped.hysteresis = 0.9;
-  Node flappy(2, 0, 3);
-  Node steady(2, 0, 3);
+  ArenaNode flappy(2, 0, 3);
+  ArenaNode steady(2, 0, 3);
   const PhKey k0{0, 0};
   const PhKey k1{1, 1};
   flappy.InsertPostfix(0, k0, 0, strict);
@@ -239,12 +279,12 @@ TEST(NodeRepresentation, HysteresisDampsOscillationAtBoundary) {
   for (int round = 0; round < 8; ++round) {
     flappy.InsertPostfix(3, k1, 0, strict);
     steady.InsertPostfix(3, k1, 0, damped);
-    EXPECT_TRUE(flappy.is_bhc());   // strict: promoted every round
-    EXPECT_FALSE(steady.is_bhc());  // damped: stays put
+    EXPECT_TRUE(flappy->is_bhc());   // strict: promoted every round
+    EXPECT_FALSE(steady->is_bhc());  // damped: stays put
     flappy.RemoveEntry(3, strict);
     steady.RemoveEntry(3, damped);
-    EXPECT_FALSE(flappy.is_bhc());  // strict: demoted every round
-    EXPECT_FALSE(steady.is_bhc());
+    EXPECT_FALSE(flappy->is_bhc());  // strict: demoted every round
+    EXPECT_FALSE(steady->is_bhc());
   }
 }
 
@@ -253,23 +293,23 @@ TEST(NodeRepresentation, IllegalBhcConvertsEvenInsideHysteresisBand) {
   // the hysteresis band never keeps an illegal representation alive.
   PhTreeConfig damped;
   damped.hysteresis = 0.5;
-  Node node(2, 0, 3);
+  ArenaNode node(2, 0, 3);
   const PhKey keys[3] = {{0, 0}, {1, 0}, {0, 1}};
   const uint64_t addrs[3] = {0, 2, 1};
   for (int i = 0; i < 3; ++i) {
     node.InsertPostfix(addrs[i], keys[i], 0, damped);
   }
   // Force the packed leaf (legal: sub-free), then attach a child.
-  ASSERT_EQ(node.num_subs(), 0u);
+  ASSERT_EQ(node->num_subs(), 0u);
   PhTreeConfig force_bhc = damped;
   force_bhc.repr = NodeRepr::kBhcOnly;
   node.RemoveEntry(addrs[2], force_bhc);  // any mutation re-evaluates
-  ASSERT_TRUE(node.is_bhc());
+  ASSERT_TRUE(node->is_bhc());
   node.InsertSub(3, NodeHandle{7}, damped);
-  EXPECT_FALSE(node.is_bhc());
-  EXPECT_EQ(node.num_subs(), 1u);
-  ASSERT_NE(node.FindOrdinal(3), Node::kNoOrdinal);
-  EXPECT_EQ(node.OrdinalSub(node.FindOrdinal(3)), NodeHandle{7});
+  EXPECT_FALSE(node->is_bhc());
+  EXPECT_EQ(node->num_subs(), 1u);
+  ASSERT_NE(node->FindOrdinal(3), Node::kNoOrdinal);
+  EXPECT_EQ(node->OrdinalSub(node->FindOrdinal(3)), NodeHandle{7});
 }
 
 TEST(NodeRepresentation, TreeChurnAcrossBoundaryStaysValid) {
@@ -305,13 +345,13 @@ TEST(NodeRepresentation, TreeChurnAcrossBoundaryStaysValid) {
 }
 
 TEST(NodeWhitebox, InfixRoundTrip) {
-  Node node(3, 7, 20);
+  ArenaNode node(3, 7, 20);
   PhKey key{0x0ABCDEF012345678ULL, 0x1122334455667788ULL,
             0xFEDCBA9876543210ULL};
-  node.SetInfixFromKey(key);
-  EXPECT_EQ(node.MatchInfix(key), -1);
+  node->SetInfixFromKey(key);
+  EXPECT_EQ(node->MatchInfix(key), -1);
   PhKey out{0, 0, 0};
-  node.ReadInfixInto(out);
+  node->ReadInfixInto(out);
   for (int d = 0; d < 3; ++d) {
     const uint64_t mask = LowMask(7) << 21;  // bits [21,27]
     EXPECT_EQ(out[d] & mask, key[d] & mask);
@@ -319,32 +359,32 @@ TEST(NodeWhitebox, InfixRoundTrip) {
   // A mismatch in the highest infix bit reports bit index pl+il = 27.
   PhKey bad = key;
   bad[1] ^= uint64_t{1} << 27;
-  EXPECT_EQ(node.MatchInfix(bad), 27);
+  EXPECT_EQ(node->MatchInfix(bad), 27);
   // A mismatch in the lowest infix bit reports bit index pl+1 = 21.
   bad = key;
   bad[2] ^= uint64_t{1} << 21;
-  EXPECT_EQ(node.MatchInfix(bad), 21);
+  EXPECT_EQ(node->MatchInfix(bad), 21);
   // Bits outside the infix range are ignored.
   bad = key;
   bad[0] ^= uint64_t{1} << 20;
   bad[0] ^= uint64_t{1} << 28;
-  EXPECT_EQ(node.MatchInfix(bad), -1);
+  EXPECT_EQ(node->MatchInfix(bad), -1);
 }
 
 TEST(NodeWhitebox, PostfixDivergenceFindsHighestBit) {
   PhTreeConfig cfg;
-  Node node(2, 0, 33);
+  ArenaNode node(2, 0, 33);
   PhKey key{0x1ABCDEF55ULL & LowMask(33), 0x012345678ULL & LowMask(33)};
   node.InsertPostfix(HcAddressAt(key, 33), key, 7, cfg);
-  const uint64_t ord = node.FindOrdinal(HcAddressAt(key, 33));
+  const uint64_t ord = node->FindOrdinal(HcAddressAt(key, 33));
   ASSERT_NE(ord, Node::kNoOrdinal);
-  EXPECT_EQ(node.PostfixDivergence(ord, key), -1);
+  EXPECT_EQ(node->PostfixDivergence(ord, key), -1);
   PhKey other = key;
   other[1] ^= uint64_t{1} << 30;
   other[0] ^= uint64_t{1} << 5;
-  EXPECT_EQ(node.PostfixDivergence(ord, other), 30);
+  EXPECT_EQ(node->PostfixDivergence(ord, other), 30);
   PhKey read{0, 0};
-  node.ReadPostfixInto(ord, read);
+  node->ReadPostfixInto(ord, read);
   EXPECT_EQ(read[0], key[0] & LowMask(33));
   EXPECT_EQ(read[1], key[1] & LowMask(33));
 }

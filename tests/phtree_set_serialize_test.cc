@@ -44,7 +44,7 @@ TEST(PhTreeSet, SavesSpaceVsValueTree) {
   EXPECT_EQ(ms.n_nodes, ss.n_nodes);
   EXPECT_EQ(ms.max_depth, ss.max_depth);
   // Close to one 8-byte payload word per entry cheaper. The gap is a bit
-  // under 8: the word-pool's power-of-two size classes absorb part of the
+  // under 8: the arena's power-of-two size classes absorb part of the
   // per-node difference, and the BHC packed leaf already strips empty
   // payload slots from the value tree.
   EXPECT_LT(ss.BytesPerEntry() + 6.5, ms.BytesPerEntry());

@@ -155,7 +155,7 @@ TEST(PhTreeSync, ReadersDuringWrites) {
 
 TEST(PhTreeSync, ConcurrentChurnRecyclesArenaSafely) {
   // Insert/erase churn from several writers hammers the arena freelists
-  // (node slots and word blocks are recycled constantly). The wrapper's
+  // (node blocks are recycled constantly). The wrapper's
   // writer lock must make that safe: under ASan this is the test that
   // catches a double-free or use-after-recycle in the slab allocator.
   PhTreeSync tree(2);

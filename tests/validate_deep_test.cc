@@ -5,9 +5,11 @@
 // serialisation round-trips and moves.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "phtree/arena.h"
 #include "phtree/phtree.h"
 #include "phtree/serialize.h"
 #include "phtree/validate.h"
@@ -132,6 +134,52 @@ TEST(ValidateDeepTest, ShallowValidatorStillWorks) {
     tree.Insert(RandomKey(rng, 2, 8), i);
   }
   EXPECT_EQ(ValidatePhTree(tree), "");
+}
+
+TEST(ValidateDeepTest, HoldsUnderMvccWithRetiredBlocks) {
+  // Retired nodes keep their blocks until reclaimed: the ownership audit
+  // counts them beside the reachable ones, and none may overlap.
+  EpochManager epochs;
+  PhTree tree(3);
+  tree.EnableMvcc(&epochs);
+  Rng rng(17);
+  std::vector<PhKey> keys;
+  for (int i = 0; i < 800; ++i) {
+    keys.push_back(RandomKey(rng, 3, 12));
+    tree.Insert(keys.back(), i);
+  }
+  EpochManager::ReadGuard guard(epochs);
+  for (size_t i = 0; i < keys.size(); i += 3) {
+    tree.Erase(keys[i]);
+  }
+  ASSERT_GT(tree.arena()->retired_nodes(), 0u);
+  EXPECT_EQ(ValidatePhTreeDeep(tree), "");
+}
+
+TEST(ValidateDeepTest, RejectsASecondParentOfOneChild) {
+  // Two sibling leaves of identical shape under the root: pointing the
+  // second sub entry at the first child leaves every count, byte sum and
+  // even every reconstructed key intact (both leaves hold the same
+  // postfixes), so only the block-ownership audit can tell.
+  PhTree tree(2);
+  for (const uint64_t x : {uint64_t{0}, uint64_t{1} << 63}) {
+    ASSERT_TRUE(tree.Insert(PhKey{x, 0}, 1));
+    ASSERT_TRUE(tree.Insert(PhKey{x, 1}, 1));
+  }
+  ASSERT_EQ(ValidatePhTreeDeep(tree), "");
+  auto* root = const_cast<Node*>(tree.root());
+  const uint64_t ord_a = root->FindOrdinal(0b00);
+  const uint64_t ord_b = root->FindOrdinal(0b10);
+  ASSERT_NE(ord_a, Node::kNoOrdinal);
+  ASSERT_NE(ord_b, Node::kNoOrdinal);
+  ASSERT_TRUE(root->OrdinalIsSub(ord_a) && root->OrdinalIsSub(ord_b));
+  const NodeHandle a = root->OrdinalSub(ord_a);
+  ASSERT_EQ(tree.arena()->NodeAt(a)->MemoryBytes(),
+            tree.arena()->NodeAt(root->OrdinalSub(ord_b))->MemoryBytes());
+  root->SetSubAt(ord_b, a);
+  EXPECT_EQ(ValidatePhTree(tree), "");  // the shallow walk cannot tell
+  const std::string deep = ValidatePhTreeDeep(tree);
+  EXPECT_NE(deep.find("owned twice"), std::string::npos) << deep;
 }
 
 }  // namespace

@@ -15,13 +15,14 @@ well-formed and sane:
     legitimately compact, see EXPERIMENTS.md),
   * table2 covers both CLUSTER0.4 and CLUSTER0.5.
 
-With --baseline <committed BENCH_space.json>, additionally enforces
+With --baseline <a committed artefact>, additionally enforces
 non-regression: for every (dataset, struct) PH/PH(set) pair present in
 both files, the fresh bytes_per_entry must not exceed the baseline by more
 than --tolerance (default 2%). The comparison only runs when both files
 were produced at the same PHTREE_BENCH_SCALE and n — bytes/entry depends
 on tree size, so cross-scale comparisons would be meaningless and are
-skipped with a note instead.
+skipped with a note instead. CI compares its scale-0.02 run against
+tools/BENCH_space_ci.json, a committed run at that scale.
 
 Exit code 0 on success; 1 with a diagnostic on the first violation.
 """
