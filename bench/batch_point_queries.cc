@@ -15,10 +15,10 @@
 //     pinned to their scalar twins (simd::ScopedForceScalar) — the measured
 //     win of the vectorised window-mask checks, rank scans and box tests.
 //
-// Repetitions of the A/B arms are interleaved (like fig09's hc_ablation)
-// so background load drifts hit both arms equally; consumers compare the
-// per-arm minima. The section metadata records which kernel was active so
-// the CI gate can skip the win checks on scalar-only hosts or builds.
+// Repetitions of the A/B arms are interleaved so background load drifts
+// hit both arms equally; consumers compare the per-arm minima. The section
+// metadata records which kernel was active so the CI gate can skip the win
+// checks on scalar-only hosts or builds.
 #include <functional>
 #include <sstream>
 #include <string>

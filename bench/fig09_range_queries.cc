@@ -10,10 +10,7 @@
 //
 // Besides the human-readable tables, the run lands as the "range_queries"
 // section of the shared BENCH_queries.json artefact (argv[1] overrides the
-// path). The section also carries an "hc_ablation" block: 6D CUBE range
-// queries with the traversal engine's HC successor stepping on vs off
-// (cursor.h CursorTuning) — the measured win of the mask-carry skip over
-// the legacy try-every-address probe loop.
+// path).
 #include <functional>
 #include <sstream>
 #include <string>
@@ -22,7 +19,6 @@
 #include "benchlib/json_artifact.h"
 #include "benchlib/measure.h"
 #include "benchlib/run_metadata.h"
-#include "phtree/cursor.h"
 
 namespace phtree::bench {
 namespace {
@@ -63,38 +59,6 @@ void Run(const char* name, const char* figure,
   }
 }
 
-/// 6D CUBE ablation: with d >= 6 every dense node has 2^d addresses, so the
-/// per-node enumeration strategy dominates range-query cost — exactly the
-/// regime the HC successor formula (paper Sect. 3.5) targets. Returns
-/// {us/result with successor stepping, us/result with the legacy probe
-/// loop}; the tuning is process-wide, so restore it before returning.
-std::vector<ResultRow> RunHcAblation() {
-  std::printf("\n## 6D CUBE (0.1%% volume), HC successor ablation\n");
-  Table table({"dataset", "mode", "n", "us/result"});
-  const CursorTuning saved = GetCursorTuning();
-  std::vector<ResultRow> rows;
-  const size_t n = ScaledN(200000);
-  const Dataset ds = GenerateCube(n, 6, 42);
-  const auto boxes = MakeVolumeQueries(ds, 100, 0.001, 7);
-  // Interleave repetitions of the two modes so background load drifts hit
-  // both equally; consumers compare the per-mode minima.
-  constexpr int kReps = 3;
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (const bool skip : {true, false}) {
-      MutableCursorTuning().hc_successor_skip = skip;
-      const double us = MeasureRangeQueryUsPerResult<PhAdapter>(ds, boxes);
-      const char* mode = skip ? "hc_successor_skip" : "hc_probe_loop";
-      table.Cell(std::string("6D CUBE"));
-      table.Cell(std::string(mode));
-      table.Cell(static_cast<uint64_t>(ds.n()));
-      table.Cell(us);
-      rows.push_back(ResultRow{"6D CUBE (0.1% volume)", mode, ds.n(), us});
-    }
-  }
-  MutableCursorTuning() = saved;
-  return rows;
-}
-
 void AppendRows(const std::vector<ResultRow>& rows, const char* value_key,
                 std::ostringstream* os) {
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -111,14 +75,11 @@ void AppendRows(const std::vector<ResultRow>& rows, const char* value_key,
 }
 
 std::string SectionJson(const RunMetadata& meta,
-                        const std::vector<ResultRow>& rows,
-                        const std::vector<ResultRow>& ablation) {
+                        const std::vector<ResultRow>& rows) {
   std::ostringstream os;
   os << "{\n  \"figure\": \"Fig. 9 (a,b,c), Sect. 4.3.3\",\n  \"metadata\": "
      << MetadataJson(meta) << ",\n  \"rows\": [\n";
   AppendRows(rows, "us_per_result", &os);
-  os << "  ],\n  \"hc_ablation\": [\n";
-  AppendRows(ablation, "us_per_result", &os);
   os << "  ]\n}";
   return os.str();
 }
@@ -148,9 +109,8 @@ int Main(int argc, char** argv) {
       [](size_t n) { return GenerateCluster(n, 3, 0.5, 42); },
       [](const Dataset& ds) { return MakeClusterQueries(ds.dim, 50, 7); },
       /*kd_small_only=*/true, &rows);
-  const std::vector<ResultRow> ablation = RunHcAblation();
   if (!UpdateJsonArtifact(json_path, "queries", "range_queries",
-                          SectionJson(meta, rows, ablation))) {
+                          SectionJson(meta, rows))) {
     std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
     return 1;
   }

@@ -1,8 +1,7 @@
 // Snapshot persistence benchmarks (google-benchmark): serialisation and
-// deserialisation throughput of format v2 with and without checksum
-// verification, the CRC32C substrate itself, and the atomic durable save
-// path (fsync included). Quantifies what the ISSUE-2 hardening costs: the
-// checksummed-vs-unchecksummed load delta is the price of integrity.
+// deserialisation throughput of format v2 (checksums are always verified;
+// the paranoid arm adds the structural validation), the CRC32C substrate
+// itself, and the atomic durable save path (fsync included).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -76,22 +75,12 @@ void DeserializeBench(benchmark::State& state, const LoadOptions& opts) {
 }
 
 void BM_DeserializeChecked(benchmark::State& state) {
-  LoadOptions opts;
-  opts.verify_checksums = true;
-  DeserializeBench(state, opts);
+  DeserializeBench(state, LoadOptions{});
 }
 BENCHMARK(BM_DeserializeChecked)->Arg(100000)->Unit(benchmark::kMillisecond);
 
-void BM_DeserializeUnchecked(benchmark::State& state) {
-  LoadOptions opts;
-  opts.verify_checksums = false;
-  DeserializeBench(state, opts);
-}
-BENCHMARK(BM_DeserializeUnchecked)->Arg(100000)->Unit(benchmark::kMillisecond);
-
 void BM_DeserializeParanoid(benchmark::State& state) {
   LoadOptions opts;
-  opts.verify_checksums = true;
   opts.validate_structure = true;
   DeserializeBench(state, opts);
 }

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   using phtree::testlib::DiffReport;
 
   DiffOptions opts;
-  opts.ops = 140000;  // >= 1.2M replayed applications over 12 variants
+  opts.ops = 140000;  // >= 1.2M replayed applications over 11 variants
   opts.seed = 20260807;
   opts.commands.dim = 2;
   opts.commands.grid_bits = 8;

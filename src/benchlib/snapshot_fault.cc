@@ -120,7 +120,6 @@ bool RepairSnapshotChecksums(std::vector<uint8_t>* bytes) {
 std::string CheckMutatedSnapshot(const std::vector<uint8_t>& mutated,
                                  StatusCode* code_out) {
   LoadOptions paranoid;
-  paranoid.verify_checksums = true;
   paranoid.validate_structure = true;
   auto result = DeserializePhTreeOr(mutated, paranoid);
   if (!result) {

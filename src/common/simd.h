@@ -12,8 +12,8 @@
 //   - environment:  PHTREE_FORCE_SCALAR=1 at process start picks the
 //     scalar table even when the CPU has the vector features;
 //   - runtime:      ForceScalar(true/false) flips the table at any point
-//     (process-wide, like CursorTuning) — this is what the interleaved
-//     A/B benchmarks and the differential forced-scalar arm use.
+//     (process-wide) — this is what the interleaved A/B benchmarks and the
+//     differential forced-scalar arm use.
 #ifndef PHTREE_COMMON_SIMD_H_
 #define PHTREE_COMMON_SIMD_H_
 

@@ -110,9 +110,6 @@ class Expected {
   /// Valid only when !has_value().
   const E& error() const { return error_; }
 
-  /// Drops the error, keeping std::optional-shim compatibility cheap.
-  std::optional<T> ToOptional() && { return std::move(value_); }
-
  private:
   std::optional<T> value_;
   E error_{};

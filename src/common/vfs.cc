@@ -63,6 +63,74 @@ Vfs* SetVfs(Vfs* vfs) {
   return g_vfs_override.exchange(vfs, std::memory_order_acq_rel);
 }
 
+// ---- Retrying I/O -----------------------------------------------------------
+
+Status IoError(const std::string& what) {
+  return Status(StatusCode::kIoError, Status::kNoOffset,
+                what + ": " + std::strerror(errno));
+}
+
+int OpenRetry(Vfs& vfs, const char* path, int flags, mode_t mode) {
+  for (;;) {
+    const int fd = vfs.Open(path, flags, mode);
+    if (fd >= 0 || errno != EINTR) {
+      return fd;
+    }
+  }
+}
+
+int FsyncRetry(Vfs& vfs, int fd) {
+  for (;;) {
+    const int rc = vfs.Fsync(fd);
+    if (rc == 0 || errno != EINTR) {
+      return rc;
+    }
+  }
+}
+
+int CloseRetry(Vfs& vfs, int fd) {
+  for (;;) {
+    const int rc = vfs.Close(fd);
+    if (rc == 0 || errno != EINTR) {
+      return rc;
+    }
+  }
+}
+
+Status WriteAll(Vfs& vfs, int fd, const uint8_t* data, size_t n,
+                const std::string& what) {
+  size_t off = 0;
+  while (off < n) {
+    const ssize_t w = vfs.Write(fd, data + off, n - off);
+    if (w < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return IoError(what);
+    }
+    off += static_cast<size_t>(w);
+  }
+  return Status::Ok();
+}
+
+ssize_t ReadAll(Vfs& vfs, int fd, uint8_t* data, size_t n) {
+  size_t off = 0;
+  while (off < n) {
+    const ssize_t r = vfs.Read(fd, data + off, n - off);
+    if (r < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return -1;
+    }
+    if (r == 0) {
+      break;
+    }
+    off += static_cast<size_t>(r);
+  }
+  return static_cast<ssize_t>(off);
+}
+
 // ---- FaultyVfs -------------------------------------------------------------
 
 FaultyVfs::FaultyVfs(Vfs* base) : base_(base != nullptr ? base : &g_real_vfs) {}

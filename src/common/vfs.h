@@ -10,7 +10,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <sys/types.h>
+
+#include "common/status.h"
 
 namespace phtree {
 
@@ -55,6 +58,31 @@ Vfs* GetVfs();
 /// previously installed override, or nullptr if none. Caller keeps
 /// ownership.
 Vfs* SetVfs(Vfs* vfs);
+
+// ---- Retrying I/O over a Vfs ----------------------------------------------
+//
+// The snapshot and WAL code share these. Open/fsync/close retry on EINTR (a
+// real signal must not fail a save); the full-transfer loops also absorb
+// short transfers.
+
+/// kIoError whose message is `what` plus the current errno text.
+Status IoError(const std::string& what);
+
+int OpenRetry(Vfs& vfs, const char* path, int flags, mode_t mode);
+int FsyncRetry(Vfs& vfs, int fd);
+
+/// close(2) retried on EINTR. POSIX leaves the fd state unspecified after
+/// EINTR, but on Linux the fd is guaranteed still open, and the VFS
+/// contract matches Linux (FaultyVfs keeps the fd open on simulated EINTR).
+int CloseRetry(Vfs& vfs, int fd);
+
+/// Writes all `n` bytes; on failure returns IoError(what).
+Status WriteAll(Vfs& vfs, int fd, const uint8_t* data, size_t n,
+                const std::string& what);
+
+/// Reads until `n` bytes or end of file. Returns the bytes read (short only
+/// at end of file), or -1 with errno set.
+ssize_t ReadAll(Vfs& vfs, int fd, uint8_t* data, size_t n);
 
 /// RAII helper: installs a VFS for the current scope.
 class ScopedVfs {

@@ -1,44 +1,14 @@
-// Tuning knobs for the PH-tree node representation. The defaults implement
-// the paper's behaviour (Sect. 3.2): per-node adaptive choice between the
-// hypercube array (HC), the linearised, sorted representation (LHC), and the
-// packed-leaf bitmap representation (BHC, for sub-free nodes), decided by
-// comparing the exact bit sizes of all legal candidates, with an optional
-// hysteresis band (the paper's "relaxed switching condition" future-work
-// item) to prevent nodes from oscillating on alternating insert/delete.
+// Per-tree configuration of the PH-tree. Node representation is not
+// configurable: every node uses whichever of HC, LHC and BHC needs the
+// fewest bits for its current occupancy (paper Sect. 3.2, Node::PickRepr),
+// so a tree's shape is a pure function of its content.
 #ifndef PHTREE_PHTREE_CONFIG_H_
 #define PHTREE_PHTREE_CONFIG_H_
 
-#include <cstdint>
-
 namespace phtree {
-
-/// Node representation policy, used by the ablation benchmarks.
-enum class NodeRepr : uint8_t {
-  kAdaptive,  ///< paper behaviour: pick the smallest of HC, LHC and BHC
-  kLhcOnly,   ///< always use the linearised representation
-  kHcOnly,    ///< use HC whenever the dimensionality permits it
-  kBhcOnly,   ///< packed leaf (BHC) whenever the node is sub-free and the
-              ///< dimensionality permits it; LHC otherwise
-};
 
 /// Per-tree configuration.
 struct PhTreeConfig {
-  /// Representation policy.
-  NodeRepr repr = NodeRepr::kAdaptive;
-
-  /// A representation switch only happens when the best other representation
-  /// is smaller than `hysteresis` times the current one. The default 1.0 is
-  /// the paper's strict smaller-wins rule (with the deterministic tie-break
-  /// preference LHC, then BHC, then HC on equal sizes), which keeps the tree
-  /// shape a pure function of the stored data. Values < 1.0 implement the
-  /// "relaxed switching condition" future-work item: oscillation between
-  /// representations on alternating insert/delete is damped, at the cost of
-  /// history-dependent node representations (the *entries* stay identical).
-  double hysteresis = 1.0;
-
-  /// HC is never used above this dimensionality (2^k slots).
-  uint32_t hc_max_dim = 20;
-
   /// When false, the tree stores keys only (a point *set*, like the paper's
   /// reference implementation, whose entries are "sets of values" with no
   /// payload): postfix entries get no 64-bit payload slot, only sub-node

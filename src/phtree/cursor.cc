@@ -6,14 +6,6 @@
 
 namespace phtree {
 
-namespace {
-CursorTuning g_cursor_tuning;
-}  // namespace
-
-const CursorTuning& GetCursorTuning() { return g_cursor_tuning; }
-
-CursorTuning& MutableCursorTuning() { return g_cursor_tuning; }
-
 TreeCursor::TreeCursor(const PhTree& tree)
     : tree_(&tree), dim_(tree.dim()), bounded_(false) {
   const Node* root = tree.root();

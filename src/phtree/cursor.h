@@ -143,23 +143,7 @@ inline int ZOrderCompare(std::span<const uint64_t> a,
   return a[msd] < b[msd] ? -1 : 1;
 }
 
-/// Ablation knobs for the traversal engine. Process-wide and not
-/// synchronized: flip only while no scans are running (benchmarks and
-/// equivalence tests only — both settings enumerate identical sequences).
-struct CursorTuning {
-  /// HC nodes: alternate present-bitmap skips with mask successor jumps.
-  /// false = probe every mask-valid candidate address individually (the
-  /// pre-cursor per-address rejection loop, kept as ablation reference).
-  bool hc_successor_skip = true;
-  /// LHC nodes: on a masked-out address in a populous node, binary-search
-  /// to the next mask-implied lower bound. false = linear filter walk.
-  bool lhc_binary_seek = true;
-};
-
-const CursorTuning& GetCursorTuning();
-CursorTuning& MutableCursorTuning();
-
-/// LHC nodes with fewer entries walk linearly even under lhc_binary_seek:
+/// LHC nodes with fewer entries never binary re-seek, they walk linearly:
 /// below this, a binary search costs more address reads than it skips.
 inline constexpr uint64_t kLhcSeekMinEntries = 16;
 
@@ -184,9 +168,6 @@ class NodeCursor {
     lower_ = mask_lower;
     upper_ = mask_upper;
     hc_ = node->addr_indexed();  // HC and BHC: ordinals are addresses
-    const CursorTuning& tuning = GetCursorTuning();
-    hc_skip_ = tuning.hc_successor_skip;
-    lhc_seek_ = tuning.lhc_binary_seek;
     SeekGE(0);
   }
 
@@ -236,36 +217,20 @@ class NodeCursor {
   }
 
  private:
-  /// HC walk from the mask-valid candidate `candidate` (kInvalidAddr = end).
+  /// HC/BHC walk from the mask-valid candidate `candidate` (kInvalidAddr =
+  /// end): alternates present-bitmap skips with mask successor jumps.
   void HcScan(uint64_t candidate) {
-    if (hc_skip_) {
-      while (candidate != kInvalidAddr) {
-        const uint64_t present = node_->OrdinalGE(candidate);
-        if (present == Node::kNoOrdinal) {
-          break;
-        }
-        if (WindowAddrValid(present, lower_, upper_)) {
-          ord_ = present;  // HC ordinals are the addresses themselves
-          addr_ = present;
-          return;
-        }
-        candidate = WindowSuccessorGE(present + 1, lower_, upper_);
-      }
-      ord_ = Node::kNoOrdinal;
-      return;
-    }
-    // Ablation reference: probe each mask-valid address individually.
     while (candidate != kInvalidAddr) {
-      const uint64_t ord = node_->FindOrdinal(candidate);
-      if (ord != Node::kNoOrdinal) {
-        ord_ = ord;
-        addr_ = candidate;
-        return;
-      }
-      if (candidate >= upper_) {
+      const uint64_t present = node_->OrdinalGE(candidate);
+      if (present == Node::kNoOrdinal) {
         break;
       }
-      candidate = WindowSuccessor(candidate, lower_, upper_);
+      if (WindowAddrValid(present, lower_, upper_)) {
+        ord_ = present;  // HC ordinals are the addresses themselves
+        addr_ = present;
+        return;
+      }
+      candidate = WindowSuccessorGE(present + 1, lower_, upper_);
     }
     ord_ = Node::kNoOrdinal;
   }
@@ -274,12 +239,11 @@ class NodeCursor {
   /// address table in batches of kLhcScanBatch and lets the SIMD kernel
   /// find the first stop — a window-valid address or one past the window —
   /// instead of filtering entry by entry. A stop-free batch means eight
-  /// consecutive misses, which (on populous nodes with the seek knob on)
+  /// consecutive misses, which (on nodes of at least kLhcSeekMinEntries)
   /// escalates to a binary re-seek at the mask-implied successor.
   void LhcScan(uint64_t ord) {
-    const bool may_seek =
-        lhc_seek_ && node_->num_entries() >= kLhcSeekMinEntries;
     const uint64_t n = node_->num_entries();
+    const bool may_seek = n >= kLhcSeekMinEntries;
     while (ord != Node::kNoOrdinal) {
       uint64_t count = n - ord;
       if (count > kLhcScanBatch) {
@@ -318,8 +282,6 @@ class NodeCursor {
   uint64_t ord_;
   uint64_t addr_;
   bool hc_;
-  bool hc_skip_;
-  bool lhc_seek_;
 };
 
 /// One level of a TreeCursor descent: the node cursor positioned inside

@@ -55,8 +55,7 @@ void Node::ReplaceInfix(uint32_t new_infix_len,
 }
 
 NodeRef Node::TryTrimInfixToLow(NodeArena& arena, NodeHandle self,
-                                uint32_t new_infix_len,
-                                const PhTreeConfig& cfg) {
+                                uint32_t new_infix_len) {
   assert(new_infix_len <= infix_len_);
   const uint32_t il = infix_len_;
   const uint64_t base = infix_base();
@@ -68,13 +67,12 @@ NodeRef Node::TryTrimInfixToLow(NodeArena& arena, NodeHandle self,
   }
   // The infix length changes the representation sizes too, so the new infix
   // and any prescribed representation switch commit together.
-  return TryReplaceInfixPolicy(arena, self, new_infix_len, segments, cfg);
+  return TryReplaceInfixPolicy(arena, self, new_infix_len, segments);
 }
 
 NodeRef Node::TryAbsorbParentInfix(NodeArena& arena, NodeHandle self,
                                    const Node& parent,
-                                   uint64_t addr_in_parent,
-                                   const PhTreeConfig& cfg) {
+                                   uint64_t addr_in_parent) {
   const uint32_t il = infix_len_;
   const uint32_t pil = parent.infix_len_;
   const uint32_t new_il = il + 1 + pil;
@@ -93,17 +91,16 @@ NodeRef Node::TryAbsorbParentInfix(NodeArena& arena, NodeHandle self,
     const uint64_t addr_bit = (addr_in_parent >> (dim_ - 1 - d)) & 1u;
     segments[d] = (parent_seg << (1 + il)) | (addr_bit << il) | my_seg;
   }
-  return TryReplaceInfixPolicy(arena, self, new_il, segments, cfg);
+  return TryReplaceInfixPolicy(arena, self, new_il, segments);
 }
 
 NodeRef Node::TryReplaceInfixPolicy(NodeArena& arena, NodeHandle self,
                                     uint32_t new_infix_len,
-                                    const uint64_t* segments,
-                                    const PhTreeConfig& cfg) {
+                                    const uint64_t* segments) {
   const uint64_t ib2 = static_cast<uint64_t>(dim_) * new_infix_len;
   const uint64_t n = num_entries_;
   const uint64_t np = num_postfixes();
-  const Repr target = PickRepr(n, num_subs_, ib2, cfg);
+  const Repr target = PickRepr(n, num_subs_, ib2);
   if (target == repr_ && !WouldMove(ReprBitsEx(target, n, np, ib2))) {
     ReplaceInfix(new_infix_len, {segments, dim_});
     return {this, self};
@@ -317,12 +314,12 @@ void Node::InsertPostfixInPlace(uint64_t addr, std::span<const uint64_t> key,
 
 NodeRef Node::TryInsertPostfix(NodeArena& arena, NodeHandle self,
                                uint64_t addr, std::span<const uint64_t> key,
-                               uint64_t value, const PhTreeConfig& cfg) {
+                               uint64_t value) {
   assert(FindOrdinal(addr) == kNoOrdinal);
   const uint64_t n2 = num_entries_ + 1;
   const uint64_t np2 = n2 - num_subs_;
   const uint64_t ib = infix_bits();
-  const Repr target = PickRepr(n2, num_subs_, ib, cfg);
+  const Repr target = PickRepr(n2, num_subs_, ib);
   if (target == repr_ && !WouldMove(ReprBitsEx(target, n2, np2, ib))) {
     InsertPostfixInPlace(addr, key, value);
     return {this, self};
@@ -357,14 +354,14 @@ void Node::InsertSubInPlace(uint64_t addr, NodeHandle child) {
 }
 
 NodeRef Node::TryInsertSub(NodeArena& arena, NodeHandle self, uint64_t addr,
-                           NodeHandle child, const PhTreeConfig& cfg) {
+                           NodeHandle child) {
   assert(FindOrdinal(addr) == kNoOrdinal);
   const uint64_t n2 = num_entries_ + 1;
   const uint64_t ns2 = uint64_t{num_subs_} + 1;
   const uint64_t ib = infix_bits();
   // target is never kBhc (ns2 > 0), so a BHC node always takes the rebuild
   // path — rebuilt atomically out of its sub-free form into the target.
-  const Repr target = PickRepr(n2, ns2, ib, cfg);
+  const Repr target = PickRepr(n2, ns2, ib);
   if (target == repr_ && !WouldMove(ReprBitsEx(target, n2, n2 - ns2, ib))) {
     InsertSubInPlace(addr, child);
     return {this, self};
@@ -414,14 +411,14 @@ void Node::RemoveEntryInPlace(uint64_t addr) {
 }
 
 NodeRef Node::TryRemoveEntry(NodeArena& arena, NodeHandle self,
-                             uint64_t addr, const PhTreeConfig& cfg) {
+                             uint64_t addr) {
   const uint64_t ord = FindOrdinal(addr);
   assert(ord != kNoOrdinal);
   const bool was_sub = OrdinalIsSub(ord);
   const uint64_t n2 = num_entries_ - 1;
   const uint64_t ns2 = uint64_t{num_subs_} - (was_sub ? 1 : 0);
   const uint64_t ib = infix_bits();
-  const Repr target = PickRepr(n2, ns2, ib, cfg);
+  const Repr target = PickRepr(n2, ns2, ib);
   if (target == repr_ && !WouldMove(ReprBitsEx(target, n2, n2 - ns2, ib))) {
     RemoveEntryInPlace(addr);
     return {this, self};
@@ -433,14 +430,13 @@ NodeRef Node::TryRemoveEntry(NodeArena& arena, NodeHandle self,
 }
 
 NodeRef Node::TryReplaceEntryWithSub(NodeArena& arena, NodeHandle self,
-                                     uint64_t addr, NodeHandle child,
-                                     const PhTreeConfig& cfg) {
+                                     uint64_t addr, NodeHandle child) {
   assert(FindOrdinal(addr) != kNoOrdinal &&
          !OrdinalIsSub(FindOrdinal(addr)));
   const uint64_t n = num_entries_;
   const uint64_t ns2 = uint64_t{num_subs_} + 1;
   const uint64_t ib = infix_bits();
-  const Repr target = PickRepr(n, ns2, ib, cfg);
+  const Repr target = PickRepr(n, ns2, ib);
   // HC keeps this in place (a slot rewrite, plus a 32-bit tail insert in
   // key-only mode); LHC needs a remove+reinsert — two stream resizes whose
   // intermediate state cannot be guarded — so it always rebuilds, as does
@@ -470,14 +466,13 @@ NodeRef Node::TryReplaceEntryWithSub(NodeArena& arena, NodeHandle self,
 NodeRef Node::TryReplaceSubWithPostfix(NodeArena& arena, NodeHandle self,
                                        uint64_t addr,
                                        std::span<const uint64_t> key,
-                                       uint64_t value,
-                                       const PhTreeConfig& cfg) {
+                                       uint64_t value) {
   assert(FindOrdinal(addr) != kNoOrdinal &&
          OrdinalIsSub(FindOrdinal(addr)));  // never BHC
   const uint64_t n = num_entries_;
   const uint64_t ns2 = uint64_t{num_subs_} - 1;
   const uint64_t ib = infix_bits();
-  const Repr target = PickRepr(n, ns2, ib, cfg);
+  const Repr target = PickRepr(n, ns2, ib);
   if (target == repr_ && repr_ == Repr::kHc &&
       !WouldMove(ReprBitsEx(target, n, n - ns2, ib))) {
     if (store_values_) {
@@ -599,55 +594,21 @@ uint64_t Node::BhcBitsFor(uint64_t n_postfixes) const {
   return BhcBitsEx(n_postfixes, infix_bits());
 }
 
-Node::Repr Node::PickRepr(uint64_t n_entries, uint64_t n_subs, uint64_t ib,
-                          const PhTreeConfig& cfg) const {
+Node::Repr Node::PickRepr(uint64_t n_entries, uint64_t n_subs,
+                          uint64_t ib) const {
   const uint64_t np = n_entries - n_subs;
-  const bool hc_allowed = dim_ <= cfg.hc_max_dim;
-  const bool bhc_eligible = hc_allowed && n_subs == 0;
-  switch (cfg.repr) {
-    case NodeRepr::kLhcOnly:
-      return Repr::kLhc;
-    case NodeRepr::kHcOnly:
-      return hc_allowed ? Repr::kHc : Repr::kLhc;
-    case NodeRepr::kBhcOnly:
-      return bhc_eligible ? Repr::kBhc : Repr::kLhc;
-    case NodeRepr::kAdaptive:
-      break;
-  }
+  const bool hc_allowed = dim_ <= kMaxHcDim;
   Repr best = Repr::kLhc;
   uint64_t best_bits = LhcBitsEx(n_entries, np, ib);
-  if (bhc_eligible) {
+  if (hc_allowed && n_subs == 0) {
     const uint64_t b = BhcBitsEx(np, ib);
     if (b < best_bits) {
       best = Repr::kBhc;
       best_bits = b;
     }
   }
-  if (hc_allowed) {
-    const uint64_t h = HcBitsEx(n_entries, np, ib);
-    if (h < best_bits) {
-      best = Repr::kHc;
-      best_bits = h;
-    }
-  }
-  // The hysteresis band is relative to the representation the node would be
-  // in *at this occupancy*: the current one if it stays legal, otherwise
-  // LHC (an ineligible BHC node passes through LHC form, so LHC is the
-  // state the switching rule compares against).
-  Repr cur = repr_;
-  const bool current_legal =
-      cur == Repr::kLhc || (cur == Repr::kHc ? hc_allowed : bhc_eligible);
-  if (!current_legal) {
-    cur = Repr::kLhc;
-  }
-  if (best == cur) {
-    return cur;
-  }
-  if (cfg.hysteresis < 1.0 &&
-      static_cast<double>(best_bits) >=
-          static_cast<double>(ReprBitsEx(cur, n_entries, np, ib)) *
-              cfg.hysteresis) {
-    return cur;
+  if (hc_allowed && HcBitsEx(n_entries, np, ib) < best_bits) {
+    best = Repr::kHc;
   }
   return best;
 }

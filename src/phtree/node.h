@@ -13,8 +13,8 @@
 //   * BHC: packed leaf — when every entry is a postfix (no sub-nodes), a
 //     presence bitmap plus a contiguous rank-indexed postfix/payload stream;
 //     O(1) bitmap probe like HC but only `entries` records instead of 2^k.
-// The node switches automatically to whichever needs fewer bits
-// (the PickRepr switching rule), per the policy in PhTreeConfig::repr.
+// The node switches automatically to whichever needs fewer bits (the
+// PickRepr switching rule); HC and BHC are never used above kMaxHcDim.
 #ifndef PHTREE_PHTREE_NODE_H_
 #define PHTREE_PHTREE_NODE_H_
 
@@ -26,7 +26,6 @@
 
 #include "common/bit_buffer.h"
 #include "common/bits.h"
-#include "phtree/config.h"
 
 namespace phtree {
 
@@ -42,6 +41,10 @@ inline constexpr NodeHandle kInvalidNodeHandle = ~NodeHandle{0};
 
 class Node;
 class NodeArena;
+
+/// Neither HC nor BHC (2^k slots, resp. bitmap bits) is used above this
+/// dimensionality: those nodes are always LHC.
+inline constexpr uint32_t kMaxHcDim = 20;
 
 /// A node's address plus its 32-bit arena handle. Nodes store only handles
 /// of their children, so callers keep the handle alongside the pointer
@@ -157,35 +160,31 @@ class Node {
   [[nodiscard]] NodeRef TryInsertPostfix(NodeArena& arena, NodeHandle self,
                                          uint64_t addr,
                                          std::span<const uint64_t> key,
-                                         uint64_t value,
-                                         const PhTreeConfig& cfg);
+                                         uint64_t value);
 
   /// Inserts a sub-node entry (no entry with `addr` may exist).
   [[nodiscard]] NodeRef TryInsertSub(NodeArena& arena, NodeHandle self,
-                                     uint64_t addr, NodeHandle child,
-                                     const PhTreeConfig& cfg);
+                                     uint64_t addr, NodeHandle child);
 
   /// Removes the entry with address `addr` (which must exist).
   [[nodiscard]] NodeRef TryRemoveEntry(NodeArena& arena, NodeHandle self,
-                                       uint64_t addr, const PhTreeConfig& cfg);
+                                       uint64_t addr);
 
   /// Replaces the postfix entry at `addr` with the sub-node `child`.
   [[nodiscard]] NodeRef TryReplaceEntryWithSub(NodeArena& arena,
                                                NodeHandle self, uint64_t addr,
-                                               NodeHandle child,
-                                               const PhTreeConfig& cfg);
+                                               NodeHandle child);
 
   /// Replaces the sub-node entry at `addr` with a postfix entry.
   [[nodiscard]] NodeRef TryReplaceSubWithPostfix(
       NodeArena& arena, NodeHandle self, uint64_t addr,
-      std::span<const uint64_t> key, uint64_t value, const PhTreeConfig& cfg);
+      std::span<const uint64_t> key, uint64_t value);
 
   /// Shortens the infix to its lowest `new_infix_len` bits per dimension
   /// (used when a node is split: the upper infix bits move to the new
   /// parent). postfix_len() is unchanged.
   [[nodiscard]] NodeRef TryTrimInfixToLow(NodeArena& arena, NodeHandle self,
-                                          uint32_t new_infix_len,
-                                          const PhTreeConfig& cfg);
+                                          uint32_t new_infix_len);
 
   /// Extends the infix upwards by absorbing the infix of `parent` plus this
   /// node's address bit `addr_in_parent` (used when `parent` is spliced out
@@ -193,8 +192,7 @@ class Node {
   [[nodiscard]] NodeRef TryAbsorbParentInfix(NodeArena& arena,
                                              NodeHandle self,
                                              const Node& parent,
-                                             uint64_t addr_in_parent,
-                                             const PhTreeConfig& cfg);
+                                             uint64_t addr_in_parent);
 
   /// A bit-identical copy of this node in a new block from `arena` (the
   /// kArenaNodeAlloc fault site): the copy-on-write clone step. Empty on
@@ -372,14 +370,12 @@ class Node {
   /// than this node's: the edit to it must move the node.
   bool WouldMove(uint64_t bits) const;
 
-  /// The representation the switching policy prescribes for a node in this
-  /// node's position holding (`n_entries`, `n_subs`) entries over `ib`
-  /// infix bits: smallest wins with tie preference LHC, then BHC, then HC,
-  /// damped by the hysteresis band relative to the current representation
-  /// (an illegal current representation — BHC gaining a sub — is measured
-  /// as LHC, the representation the legacy path converted through).
-  Repr PickRepr(uint64_t n_entries, uint64_t n_subs, uint64_t ib,
-                const PhTreeConfig& cfg) const;
+  /// The representation the switching rule prescribes for a node of this
+  /// node's dimensionality, postfix length and value mode holding
+  /// (`n_entries`, `n_subs`) entries over `ib` infix bits: the smallest
+  /// legal one, ties going to LHC, then BHC, then HC. The current
+  /// representation plays no part.
+  Repr PickRepr(uint64_t n_entries, uint64_t n_subs, uint64_t ib) const;
 
   /// One atomic entry-table change applied during TryRebuild.
   struct EntryDelta {
@@ -456,14 +452,13 @@ class Node {
                     std::span<const uint64_t> segments);
 
   /// Shared body of the infix mutators: replaces the infix with `segments`
-  /// and applies the representation policy for the resulting sizes,
-  /// committing both atomically (in place when the block size is kept,
-  /// via TryRebuild otherwise).
+  /// and applies the switching rule for the resulting sizes, committing
+  /// both atomically (in place when the block size is kept, via TryRebuild
+  /// otherwise).
   [[nodiscard]] NodeRef TryReplaceInfixPolicy(NodeArena& arena,
                                               NodeHandle self,
                                               uint32_t new_infix_len,
-                                              const uint64_t* segments,
-                                              const PhTreeConfig& cfg);
+                                              const uint64_t* segments);
 
   uint16_t dim_;
   uint8_t infix_len_;

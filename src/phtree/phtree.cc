@@ -552,8 +552,7 @@ OpStatus PhTree::InsertEntry(std::span<const uint64_t> key, uint64_t value,
     // Empty tree: the root is built off-tree and published once complete.
     replacement = m.Fresh(/*infix_len=*/0, /*postfix_len=*/kBitWidth - 1);
     ok = replacement && m.Edit(&replacement, &Node::TryInsertPostfix,
-                               HcAddressAt(key, kBitWidth - 1), key, value,
-                               config_);
+                               HcAddressAt(key, kBitWidth - 1), key, value);
   } else if (d.mismatch >= 0) {
     // Infix split: the key diverges from d.node's infix at key bit `mis`.
     // A fresh parent at that depth takes {d.node with its infix trimmed,
@@ -573,12 +572,10 @@ OpStatus PhTree::InsertEntry(std::span<const uint64_t> key, uint64_t value,
     }
     NodeRef w = replacement ? m.Writable(d.node) : NodeRef{};
     const NodeHandle named = w.handle;
-    ok = w &&
-         m.Edit(&replacement, &Node::TryInsertSub, addr_node, named,
-                config_) &&
-         m.Edit(&replacement, &Node::TryInsertPostfix, addr_key, key, value,
-                config_) &&
-         m.Edit(&w, &Node::TryTrimInfixToLow, mis - 1 - pl, config_);
+    ok = w && m.Edit(&replacement, &Node::TryInsertSub, addr_node, named) &&
+         m.Edit(&replacement, &Node::TryInsertPostfix, addr_key, key,
+                value) &&
+         m.Edit(&w, &Node::TryTrimInfixToLow, mis - 1 - pl);
     if (ok && w.handle != named) {
       // The trim moved the node: re-point the fresh parent, which is not
       // published yet, at its new block.
@@ -589,7 +586,7 @@ OpStatus PhTree::InsertEntry(std::span<const uint64_t> key, uint64_t value,
     // Empty slot: the postfix lands in d.node itself.
     replacement = m.Writable(d.node);
     ok = replacement && m.Edit(&replacement, &Node::TryInsertPostfix,
-                               d.addr, key, value, config_);
+                               d.addr, key, value);
   } else if (d.div < 0) {
     // Exact duplicate. The payload rewrite is one atomic store into an
     // aligned value slot in both policies and never allocates.
@@ -614,12 +611,12 @@ OpStatus PhTree::InsertEntry(std::span<const uint64_t> key, uint64_t value,
     ok = child &&
          m.Edit(&child, &Node::TryInsertPostfix,
                 HcAddressAt(old_key.span(dim_), div), old_key.span(dim_),
-                old_value, config_) &&
+                old_value) &&
          m.Edit(&child, &Node::TryInsertPostfix, HcAddressAt(key, div), key,
-                value, config_);
+                value);
     replacement = ok ? m.Writable(d.node) : NodeRef{};
     ok = replacement && m.Edit(&replacement, &Node::TryReplaceEntryWithSub,
-                               d.addr, child.handle, config_);
+                               d.addr, child.handle);
   }
   if (!m.Finish(ok, replacement, d.path.begin(), d.path.size())) {
     return OpStatus::kNoMem;
@@ -662,7 +659,7 @@ OpStatus PhTree::EraseEntry(std::span<const uint64_t> key) {
       const NodeHandle gh = node.ptr->OrdinalSub(sord);
       replacement = m.Writable(NodeRef{arena_->NodeAt(gh), gh});
       ok = replacement && m.Edit(&replacement, &Node::TryAbsorbParentInfix,
-                                 *node.ptr, saddr, config_);
+                                 *node.ptr, saddr);
     } else {
       // Merge: the surviving entry's bits below the parent (node infix +
       // node address bit + node postfix) replace the parent's sub entry.
@@ -679,14 +676,13 @@ OpStatus PhTree::EraseEntry(std::span<const uint64_t> key) {
       replacement = m.Writable(pf.node);
       ok = replacement &&
            m.Edit(&replacement, &Node::TryReplaceSubWithPostfix,
-                  addr_in_parent, buf.span(dim_), value, config_);
+                  addr_in_parent, buf.span(dim_), value);
       at = d.path.size() - 1;  // the edited parent replaces the parent
     }
   } else {
     // Plain remove.
     replacement = m.Writable(node);
-    ok = replacement &&
-         m.Edit(&replacement, &Node::TryRemoveEntry, d.addr, config_);
+    ok = replacement && m.Edit(&replacement, &Node::TryRemoveEntry, d.addr);
   }
   if (!m.Finish(ok, replacement, d.path.begin(), at)) {
     return OpStatus::kNoMem;

@@ -28,6 +28,15 @@ constexpr uint8_t kMagicV2[4] = {'P', 'H', 'T', '2'};
 // payload is the fixed field block below; its length is stored so a reader
 // can tell "unknown header shape" from "corrupt header".
 constexpr uint32_t kHeaderPayloadLen = 30;  // dim4 repr1 hys8 hcmax4 sv1 n8 rc4
+// Three header fields are reserved: repr (a layout policy code 0-3), a
+// hysteresis band and an HC dimensionality cap, which older writers filled
+// from their config. Writers store the values below; loaders range-check
+// the repr byte and otherwise ignore all three, since every node follows
+// the one representation rule.
+constexpr uint8_t kReservedRepr = 0;
+constexpr uint8_t kReservedReprMax = 3;
+constexpr double kReservedHysteresis = 1.0;
+constexpr uint32_t kReservedHcMaxDim = 20;
 constexpr size_t kHeaderEnd = 4 + 4 + kHeaderPayloadLen + 4;
 // v2 trailer: n(8) + record_count(4) + whole-stream CRC(4).
 constexpr size_t kTrailerLen = 16;
@@ -133,10 +142,11 @@ struct HeaderV2 {
   uint32_t record_count;
 };
 
-/// Parses and (optionally) CRC-verifies the fixed v2 header. `bytes` is
-/// known to start with the v2 magic.
+/// Parses the fixed v2 header, CRC-verifying it when `check_crc` (only
+/// DescribeSnapshot's framing walk skips that). `bytes` is known to start
+/// with the v2 magic.
 StatusOr<HeaderV2> ParseHeaderV2(const std::vector<uint8_t>& bytes,
-                                 bool verify_checksums) {
+                                 bool check_crc) {
   if (bytes.size() < kHeaderEnd) {
     return Err(StatusCode::kTruncated, bytes.size(),
                "stream ends inside the header (need " +
@@ -150,7 +160,7 @@ StatusOr<HeaderV2> ParseHeaderV2(const std::vector<uint8_t>& bytes,
                "header payload length is " + std::to_string(payload_len) +
                    ", expected " + std::to_string(kHeaderPayloadLen));
   }
-  if (verify_checksums) {
+  if (check_crc) {
     const size_t crc_offset = kHeaderEnd - 4;
     const uint32_t stored =
         static_cast<uint32_t>(bytes[crc_offset]) |
@@ -174,13 +184,12 @@ StatusOr<HeaderV2> ParseHeaderV2(const std::vector<uint8_t>& bytes,
   }
   const size_t repr_offset = r.pos();
   const uint8_t repr = r.GetU8();
-  if (repr > static_cast<uint8_t>(NodeRepr::kBhcOnly)) {
+  if (repr > kReservedReprMax) {
     return Err(StatusCode::kHeaderCorrupt, repr_offset,
                "unknown node representation " + std::to_string(repr));
   }
-  h.config.repr = static_cast<NodeRepr>(repr);
-  h.config.hysteresis = std::bit_cast<double>(r.GetU64());
-  h.config.hc_max_dim = r.GetU32();
+  r.GetU64();  // reserved: hysteresis
+  r.GetU32();  // reserved: hc_max_dim
   h.config.store_values = r.GetU8() != 0;
   h.n = r.GetU64();
   h.record_count = r.GetU32();
@@ -191,7 +200,7 @@ StatusOr<HeaderV2> ParseHeaderV2(const std::vector<uint8_t>& bytes,
 /// for the layout this walks.
 Expected<PhTree, SnapshotError> DeserializeV2(
     const std::vector<uint8_t>& bytes, const LoadOptions& options) {
-  auto header = ParseHeaderV2(bytes, options.verify_checksums);
+  auto header = ParseHeaderV2(bytes, /*check_crc=*/true);
   if (!header) {
     return header.error();
   }
@@ -226,16 +235,13 @@ Expected<PhTree, SnapshotError> DeserializeV2(
                      " payload bytes but the stream cannot hold them");
     }
     const size_t crc_offset = payload_begin + payload_len;
-    if (options.verify_checksums) {
-      Reader crc_reader(bytes.data(), crc_offset, crc_offset + 4);
-      const uint32_t stored = crc_reader.GetU32();
-      const uint32_t computed =
-          Crc32c(bytes.data() + payload_begin, payload_len);
-      if (stored != computed) {
-        return Err(StatusCode::kRecordCorrupt, pos,
-                   "record " + std::to_string(rec) + " CRC mismatch (stored " +
-                       HexU32(stored) + ", computed " + HexU32(computed) + ")");
-      }
+    Reader crc_reader(bytes.data(), crc_offset, crc_offset + 4);
+    const uint32_t stored = crc_reader.GetU32();
+    const uint32_t computed = Crc32c(bytes.data() + payload_begin, payload_len);
+    if (stored != computed) {
+      return Err(StatusCode::kRecordCorrupt, pos,
+                 "record " + std::to_string(rec) + " CRC mismatch (stored " +
+                     HexU32(stored) + ", computed " + HexU32(computed) + ")");
     }
     Reader r(bytes.data(), payload_begin, crc_offset);
     const uint32_t entry_count = r.GetU32();
@@ -292,13 +298,11 @@ Expected<PhTree, SnapshotError> DeserializeV2(
                    std::to_string(h.n) + ", " +
                    std::to_string(h.record_count) + ")");
   }
-  if (options.verify_checksums) {
-    const uint32_t computed = Crc32c(bytes.data(), trailer_begin);
-    if (stored_stream_crc != computed) {
-      return Err(StatusCode::kTrailerCorrupt, trailer_begin + 12,
-                 "stream CRC mismatch (stored " + HexU32(stored_stream_crc) +
-                     ", computed " + HexU32(computed) + ")");
-    }
+  const uint32_t computed = Crc32c(bytes.data(), trailer_begin);
+  if (stored_stream_crc != computed) {
+    return Err(StatusCode::kTrailerCorrupt, trailer_begin + 12,
+               "stream CRC mismatch (stored " + HexU32(stored_stream_crc) +
+                   ", computed " + HexU32(computed) + ")");
   }
   if (!t.AtEnd()) {
     return Err(StatusCode::kTrailerCorrupt, t.pos(),
@@ -316,45 +320,8 @@ Expected<PhTree, SnapshotError> DeserializeV2(
   return tree;
 }
 
-Status IoError(const std::string& what) {
-  return Status(StatusCode::kIoError, Status::kNoOffset,
-                what + ": " + std::strerror(errno));
-}
-
 // All file I/O below goes through the process-wide Vfs (common/vfs.h) so the
-// fault-injection tests can swap in a FaultyVfs. Open/fsync/close retry on
-// EINTR — a real signal must not fail a save — and the write/read loops
-// already absorb both EINTR and short transfers.
-
-int OpenRetry(Vfs& vfs, const char* path, int flags, mode_t mode) {
-  for (;;) {
-    const int fd = vfs.Open(path, flags, mode);
-    if (fd >= 0 || errno != EINTR) {
-      return fd;
-    }
-  }
-}
-
-int FsyncRetry(Vfs& vfs, int fd) {
-  for (;;) {
-    const int rc = vfs.Fsync(fd);
-    if (rc == 0 || errno != EINTR) {
-      return rc;
-    }
-  }
-}
-
-/// close(2) retried on EINTR. POSIX leaves the fd state unspecified after
-/// EINTR, but on Linux the fd is guaranteed still open, and the VFS
-/// contract matches Linux (FaultyVfs keeps the fd open on simulated EINTR).
-int CloseRetry(Vfs& vfs, int fd) {
-  for (;;) {
-    const int rc = vfs.Close(fd);
-    if (rc == 0 || errno != EINTR) {
-      return rc;
-    }
-  }
-}
+// fault-injection tests can swap in a FaultyVfs.
 
 /// fsyncs the directory containing `path` so a preceding rename is durable.
 /// Filesystems that cannot fsync a directory (EINVAL/ENOTSUP) are treated
@@ -405,26 +372,18 @@ StatusOr<std::vector<uint8_t>> ReadFileOr(const std::string& path) {
                   path + " is empty (zero-length file)");
   }
   std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t r = vfs.Read(fd, bytes.data() + off, bytes.size() - off);
-    if (r < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      const Status st = IoError("read " + path);
-      CloseRetry(vfs, fd);
-      return st;
-    }
-    if (r == 0) {
-      CloseRetry(vfs, fd);
-      return Status(StatusCode::kIoError, Status::kNoOffset,
-                    "short read on " + path + ": got " + std::to_string(off) +
-                        " of " + std::to_string(bytes.size()) + " bytes");
-    }
-    off += static_cast<size_t>(r);
+  const ssize_t got = ReadAll(vfs, fd, bytes.data(), bytes.size());
+  if (got < 0) {
+    const Status st = IoError("read " + path);
+    CloseRetry(vfs, fd);
+    return st;
   }
   CloseRetry(vfs, fd);
+  if (static_cast<size_t>(got) < bytes.size()) {
+    return Status(StatusCode::kIoError, Status::kNoOffset,
+                  "short read on " + path + ": got " + std::to_string(got) +
+                      " of " + std::to_string(bytes.size()) + " bytes");
+  }
   return bytes;
 }
 
@@ -440,9 +399,9 @@ std::vector<uint8_t> SerializePhTree(const PhTree& tree,
   out.insert(out.end(), kMagicV2, kMagicV2 + 4);
   PutU32(&out, kHeaderPayloadLen);
   PutU32(&out, tree.dim());
-  PutU8(&out, static_cast<uint8_t>(tree.config().repr));
-  PutU64(&out, std::bit_cast<uint64_t>(tree.config().hysteresis));
-  PutU32(&out, tree.config().hc_max_dim);
+  PutU8(&out, kReservedRepr);
+  PutU64(&out, std::bit_cast<uint64_t>(kReservedHysteresis));
+  PutU32(&out, kReservedHcMaxDim);
   PutU8(&out, tree.config().store_values ? 1 : 0);
   PutU64(&out, n);
   PutU32(&out, record_count);
@@ -510,10 +469,6 @@ Expected<PhTree, SnapshotError> DeserializePhTreeOr(
   return Err(StatusCode::kBadMagic, 0, "not a PH-tree snapshot");
 }
 
-std::optional<PhTree> DeserializePhTree(const std::vector<uint8_t>& bytes) {
-  return DeserializePhTreeOr(bytes).ToOptional();
-}
-
 Status WriteSnapshotFileOr(const std::vector<uint8_t>& bytes,
                            const std::string& path) {
   Vfs& vfs = *GetVfs();
@@ -523,19 +478,12 @@ Status WriteSnapshotFileOr(const std::vector<uint8_t>& bytes,
   if (fd < 0) {
     return IoError("open " + tmp);
   }
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t w = vfs.Write(fd, bytes.data() + off, bytes.size() - off);
-    if (w < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      const Status st = IoError("write " + tmp);
-      CloseRetry(vfs, fd);
-      vfs.Unlink(tmp.c_str());
-      return st;
-    }
-    off += static_cast<size_t>(w);
+  if (const Status st =
+          WriteAll(vfs, fd, bytes.data(), bytes.size(), "write " + tmp);
+      !st.ok()) {
+    CloseRetry(vfs, fd);
+    vfs.Unlink(tmp.c_str());
+    return st;
   }
   if (FsyncRetry(vfs, fd) != 0) {
     const Status st = IoError("fsync " + tmp);
@@ -570,14 +518,6 @@ Expected<PhTree, SnapshotError> LoadPhTreeOr(const std::string& path,
   return DeserializePhTreeOr(*bytes, options);
 }
 
-bool SavePhTree(const PhTree& tree, const std::string& path) {
-  return SavePhTreeOr(tree, path).ok();
-}
-
-std::optional<PhTree> LoadPhTree(const std::string& path) {
-  return LoadPhTreeOr(path).ToOptional();
-}
-
 StatusOr<SnapshotLayout> DescribeSnapshot(const std::vector<uint8_t>& bytes) {
   if (bytes.size() < 4) {
     return Err(StatusCode::kTruncated, bytes.size(),
@@ -586,7 +526,7 @@ StatusOr<SnapshotLayout> DescribeSnapshot(const std::vector<uint8_t>& bytes) {
   if (std::memcmp(bytes.data(), kMagicV2, 4) != 0) {
     return Err(StatusCode::kBadMagic, 0, "not a PH-tree snapshot");
   }
-  auto header = ParseHeaderV2(bytes, /*verify_checksums=*/false);
+  auto header = ParseHeaderV2(bytes, /*check_crc=*/false);
   if (!header) {
     return header.error();
   }

@@ -18,7 +18,6 @@
 #define PHTREE_PHTREE_SERIALIZE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,13 +40,9 @@ struct SaveOptions {
   uint32_t entries_per_record = 512;
 };
 
-/// Loader knobs ("paranoid load" = both verifications on).
+/// Loader knobs. Header, per-record and whole-stream CRC32C checksums are
+/// always verified.
 struct LoadOptions {
-  /// Verify header, per-record and whole-stream CRC32C checksums. Turning
-  /// this off trades integrity for load speed — see
-  /// bench/snapshot_persistence.
-  bool verify_checksums = true;
-
   /// Run ValidatePhTree on the rebuilt tree and fail with
   /// kStructureInvalid if any structural invariant is violated.
   bool validate_structure = false;
@@ -64,10 +59,6 @@ std::vector<uint8_t> SerializePhTree(const PhTree& tree,
 /// The configuration of the returned tree is taken from the stream.
 Expected<PhTree, SnapshotError> DeserializePhTreeOr(
     const std::vector<uint8_t>& bytes, const LoadOptions& options = {});
-
-/// Shim for the historical API: DeserializePhTreeOr with default options,
-/// with the diagnostics collapsed to std::nullopt.
-std::optional<PhTree> DeserializePhTree(const std::vector<uint8_t>& bytes);
 
 /// Atomically and durably writes `tree`'s v2 snapshot to `path`: the bytes
 /// go to `path + ".tmp"`, which is fsync'd, renamed over `path`, and the
@@ -90,10 +81,6 @@ Status WriteSnapshotFileOr(const std::vector<uint8_t>& bytes,
 /// error classes — callers can finally tell the two apart.
 Expected<PhTree, SnapshotError> LoadPhTreeOr(const std::string& path,
                                              const LoadOptions& options = {});
-
-/// Shims for the historical bool/optional file API.
-bool SavePhTree(const PhTree& tree, const std::string& path);
-std::optional<PhTree> LoadPhTree(const std::string& path);
 
 /// Byte map of a v2 snapshot: where the header, each record and the
 /// trailer sit. Used by diagnostics and by the corruption fault-injection

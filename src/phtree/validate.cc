@@ -249,95 +249,27 @@ void ValidateNode(NodeRef ref, const Node* parent, size_t depth,
     return;
   }
 
-  const PhTreeConfig& cfg = state->tree->config();
-  const bool hc_allowed = node->dim() <= cfg.hc_max_dim;
-  const bool bhc_eligible = hc_allowed && node->num_subs() == 0;
-  // BHC occupancy invariants hold under every policy: the packed-leaf
-  // format has no is_sub bitmap and addresses its bitmap by 2^dim.
+  // The switching rule, re-derived from the size functions rather than
+  // by calling Node::PickRepr, so the check stays independent of it: the
+  // node holds the smallest legal representation, ties going to LHC, then
+  // BHC, then HC. BHC is legal only for sub-free nodes, HC and BHC only up
+  // to kMaxHcDim.
+  const bool hc_allowed = node->dim() <= kMaxHcDim;
   if (node->is_bhc() && node->num_subs() != 0) {
     state->Fail(ctx.str() + "BHC node holds sub-node entries");
     return;
   }
-  if (node->is_bhc() && !hc_allowed) {
-    state->Fail(ctx.str() + "BHC node above hc_max_dim");
-    return;
+  Node::Repr best = Node::Repr::kLhc;
+  uint64_t best_bits = node->LhcBits();
+  if (hc_allowed && node->num_subs() == 0 && node->BhcBits() < best_bits) {
+    best = Node::Repr::kBhc;
+    best_bits = node->BhcBits();
   }
-  if (node->is_hc() && !hc_allowed) {
-    state->Fail(ctx.str() + "HC node above hc_max_dim");
-    return;
+  if (hc_allowed && node->HcBits() < best_bits) {
+    best = Node::Repr::kHc;
   }
-  switch (cfg.repr) {
-    case NodeRepr::kLhcOnly:
-      if (node->repr() != Node::Repr::kLhc) {
-        state->Fail(ctx.str() + "non-LHC node under kLhcOnly policy");
-        return;
-      }
-      break;
-    case NodeRepr::kHcOnly:
-      if (node->is_bhc()) {
-        state->Fail(ctx.str() + "BHC node under kHcOnly policy");
-        return;
-      }
-      if (hc_allowed && !node->is_hc() && node->num_entries() > 0) {
-        state->Fail(ctx.str() + "LHC node under kHcOnly policy");
-        return;
-      }
-      break;
-    case NodeRepr::kBhcOnly:
-      if (node->is_hc()) {
-        state->Fail(ctx.str() + "HC node under kBhcOnly policy");
-        return;
-      }
-      if (bhc_eligible && !node->is_bhc() && node->num_entries() > 0) {
-        state->Fail(ctx.str() + "LHC node under kBhcOnly policy");
-        return;
-      }
-      break;
-    case NodeRepr::kAdaptive: {
-      // Mirror Node::PickRepr: the smallest representation wins
-      // with tie preference LHC, then BHC, then HC; with hysteresis < 1.0
-      // the node may lawfully keep a representation within the band.
-      Node::Repr best = Node::Repr::kLhc;
-      uint64_t best_bits = node->LhcBits();
-      if (bhc_eligible) {
-        const uint64_t b = node->BhcBits();
-        if (b < best_bits) {
-          best = Node::Repr::kBhc;
-          best_bits = b;
-        }
-      }
-      if (hc_allowed) {
-        const uint64_t h = node->HcBits();
-        if (h < best_bits) {
-          best = Node::Repr::kHc;
-          best_bits = h;
-        }
-      }
-      if (best != node->repr()) {
-        uint64_t cur_bits;
-        switch (node->repr()) {
-          case Node::Repr::kHc:
-            cur_bits = node->HcBits();
-            break;
-          case Node::Repr::kBhc:
-            cur_bits = node->BhcBits();
-            break;
-          case Node::Repr::kLhc:
-          default:
-            cur_bits = node->LhcBits();
-            break;
-        }
-        const bool within_band =
-            cfg.hysteresis < 1.0 &&
-            static_cast<double>(best_bits) >=
-                static_cast<double>(cur_bits) * cfg.hysteresis;
-        if (!within_band) {
-          state->Fail(ctx.str() + "representation violates switching rule");
-          return;
-        }
-      }
-      break;
-    }
+  if (node->repr() != best) {
+    state->Fail(ctx.str() + "representation is not the smallest legal one");
   }
 }
 

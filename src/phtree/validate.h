@@ -15,9 +15,9 @@ namespace phtree {
 ///  3. node entry counts and sub-node counts match the stored tables,
 ///  4. LHC address tables are strictly sorted,
 ///  5. the total number of postfix entries equals tree.size(),
-///  6. under the adaptive policy, no node could shrink by switching its
-///     representation beyond the hysteresis band (and HC never appears
-///     above hc_max_dim or under kLhcOnly),
+///  6. every node holds the smallest legal representation (ties going to
+///     LHC, then BHC, then HC; BHC only without sub-nodes; HC and BHC only
+///     up to kMaxHcDim dimensions),
 ///  7. every reachable node is owned by the tree's arena, the arena's live
 ///     node count equals the reachable node count, and its live-byte meter
 ///     equals the sum of per-node exact sizes.

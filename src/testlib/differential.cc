@@ -126,9 +126,8 @@ class VariantAdapter {
 
 class PlainAdapter : public VariantAdapter {
  public:
-  explicit PlainAdapter(uint32_t dim, const PhTreeConfig& cfg = {},
-                        const char* name = "PhTree")
-      : tree_(dim, cfg), name_(name) {}
+  explicit PlainAdapter(uint32_t dim, const char* name = "PhTree")
+      : tree_(dim), name_(name) {}
 
   const char* name() const override { return name_; }
   size_t Size() const override { return tree_.size(); }
@@ -175,7 +174,6 @@ class PlainAdapter : public VariantAdapter {
     // In-memory round-trip through the v2 stream, paranoid load options.
     const std::vector<uint8_t> bytes = SerializePhTree(tree_);
     LoadOptions load;
-    load.verify_checksums = true;
     load.validate_structure = true;
     Expected<PhTree, SnapshotError> rebuilt =
         DeserializePhTreeOr(bytes, load);
@@ -218,7 +216,7 @@ class PlainAdapter : public VariantAdapter {
 class ScalarKernelAdapter : public PlainAdapter {
  public:
   explicit ScalarKernelAdapter(uint32_t dim)
-      : PlainAdapter(dim, {}, "PhTree/scalar") {}
+      : PlainAdapter(dim, "PhTree/scalar") {}
 
   bool Insert(const Command& cmd) override {
     simd::ScopedForceScalar force(true);
@@ -288,7 +286,7 @@ class ScalarKernelAdapter : public PlainAdapter {
 /// comparison that follows vets exactly that.
 class CowAdapter : public PlainAdapter {
  public:
-  explicit CowAdapter(uint32_t dim) : PlainAdapter(dim, {}, "PhTree/cow") {
+  explicit CowAdapter(uint32_t dim) : PlainAdapter(dim, "PhTree/cow") {
     tree_.EnableMvcc(&epochs_);
   }
 
@@ -516,15 +514,6 @@ class Runner {
         fault_mode_(opts.fault_every_n > 0) {
     const uint32_t dim = opts.commands.dim;
     adapters_.push_back(std::make_unique<PlainAdapter>(dim));
-    {
-      // Forced packed-leaf policy: every sub-free node uses BHC, everything
-      // else LHC. Exercises the BHC insert/remove/convert paths far beyond
-      // what the adaptive rule reaches (which only picks BHC when smaller).
-      PhTreeConfig bhc_cfg;
-      bhc_cfg.repr = NodeRepr::kBhcOnly;
-      adapters_.push_back(
-          std::make_unique<PlainAdapter>(dim, bhc_cfg, "PhTree/bhc"));
-    }
     // Forced-scalar kernel arm: same tree, SIMD dispatch pinned off. Any
     // vector/scalar behavioural difference shows up as a divergence here.
     adapters_.push_back(std::make_unique<ScalarKernelAdapter>(dim));

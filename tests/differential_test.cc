@@ -54,9 +54,9 @@ TEST(DifferentialTest, SeededRunAcrossAllVariantsHasZeroDivergence) {
 
   EXPECT_EQ(report.divergence, "");
   EXPECT_EQ(report.ops_run, opts.ops);
-  // plain, forced-BHC plain, forced-scalar-kernel plain, MVCC/COW plain,
-  // one-shard sharded (PhTreeSync), 4x sharded, KD1/KD2/CB1
-  EXPECT_EQ(report.variants, 12u);
+  // plain, forced-scalar-kernel plain, MVCC/COW plain, one-shard sharded
+  // (PhTreeSync), 4x sharded, KD1/KD2/CB1
+  EXPECT_EQ(report.variants, 11u);
   EXPECT_GT(report.replayed, opts.ops * 7);
   EXPECT_GT(report.max_size, 100u);
 }
@@ -84,8 +84,8 @@ TEST(DifferentialTest, CoreOnlyConfigurationRuns) {
   opts.include_concurrent = false;
   const DiffReport report = RunDifferential(opts);
   EXPECT_EQ(report.divergence, "");
-  // plain + forced-BHC plain + forced-scalar-kernel plain + MVCC/COW plain
-  EXPECT_EQ(report.variants, 4u);
+  // plain + forced-scalar-kernel plain + MVCC/COW plain
+  EXPECT_EQ(report.variants, 3u);
 }
 
 TEST(DifferentialTest, ConcurrentModeZeroDivergence) {

@@ -434,8 +434,8 @@ TEST(PhTreeArena, SerializeRoundTripBuildsIntoDestinationArena) {
     tree.Insert(keys[i], i);
   }
   const std::vector<uint8_t> bytes = SerializePhTree(tree);
-  std::optional<PhTree> loaded = DeserializePhTree(bytes);
-  ASSERT_TRUE(loaded.has_value());
+  const auto loaded = DeserializePhTreeOr(bytes);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error().ToString();
   ASSERT_NE(loaded->arena(), nullptr);
   EXPECT_EQ(loaded->arena()->live_nodes(),
             tree.ComputeStats().n_nodes);

@@ -16,17 +16,12 @@
 #include "phtree/phtree.h"
 #include "phtree/phtree_sync.h"
 #include "phtree/sharded.h"
+#include "phtree/stats.h"
 
 namespace phtree {
 namespace {
 
 using Entries = std::vector<std::pair<PhKey, uint64_t>>;
-
-/// Restores the process-wide cursor tuning when a test body returns.
-struct TuningGuard {
-  CursorTuning saved = GetCursorTuning();
-  ~TuningGuard() { MutableCursorTuning() = saved; }
-};
 
 // ---- Mask algebra vs brute force ----------------------------------------
 
@@ -138,27 +133,35 @@ TEST(ZOrderCompareTest, AgreesWithZOrderLess) {
 
 // ---- TreeCursor scans vs brute force ------------------------------------
 
+/// Part of each instance's name and a salt for its seed. Every tree
+/// follows the one representation rule; the labels keep the instance names
+/// (the suite's test IDs) stable.
+enum class Label : uint8_t { kAdaptive, kLhcOnly, kHcOnly };
+
 struct CursorParam {
   uint32_t dim;
   uint32_t key_bits;
-  NodeRepr repr;
+  Label label;
 };
 
 std::string CursorParamName(const testing::TestParamInfo<CursorParam>& info) {
-  const char* repr = info.param.repr == NodeRepr::kAdaptive ? "Adaptive"
-                     : info.param.repr == NodeRepr::kLhcOnly ? "LhcOnly"
-                                                             : "HcOnly";
+  const char* label = info.param.label == Label::kAdaptive  ? "Adaptive"
+                      : info.param.label == Label::kLhcOnly ? "LhcOnly"
+                                                            : "HcOnly";
   return "dim" + std::to_string(info.param.dim) + "bits" +
-         std::to_string(info.param.key_bits) + repr;
+         std::to_string(info.param.key_bits) + label;
+}
+
+/// Seed for one test of the current instance.
+uint64_t Seed(uint64_t test_salt, const CursorParam& p) {
+  return test_salt ^ p.dim ^ (static_cast<uint64_t>(p.label) << 40);
 }
 
 class TreeCursorTest : public testing::TestWithParam<CursorParam> {
  protected:
   void BuildTree(size_t n, Rng* rng) {
     const CursorParam p = GetParam();
-    PhTreeConfig cfg;
-    cfg.repr = p.repr;
-    tree_ = std::make_unique<PhTree>(p.dim, cfg);
+    tree_ = std::make_unique<PhTree>(p.dim);
     for (size_t i = 0; i < n; ++i) {
       PhKey key(p.dim);
       for (auto& v : key) {
@@ -202,36 +205,30 @@ class TreeCursorTest : public testing::TestWithParam<CursorParam> {
 };
 
 TEST_P(TreeCursorTest, FullScanIsZOrderedAndComplete) {
-  Rng rng(0xF001 ^ GetParam().dim);
+  Rng rng(Seed(0xF001, GetParam()));
   BuildTree(900, &rng);
   EXPECT_EQ(Drain(TreeCursor(*tree_)), entries_);
 }
 
 TEST_P(TreeCursorTest, WindowScanMatchesBruteForceUnderAllTunings) {
   const CursorParam p = GetParam();
-  Rng rng(0xAB5E ^ p.dim ^ (p.key_bits << 8));
+  Rng rng(Seed(0xAB5E ^ (p.key_bits << 8), p));
   BuildTree(900, &rng);
-  TuningGuard guard;
-  for (const bool hc_skip : {true, false}) {
-    for (const bool lhc_seek : {true, false}) {
-      MutableCursorTuning() = CursorTuning{hc_skip, lhc_seek};
-      for (int q = 0; q < 40; ++q) {
-        PhKey lo(p.dim), hi(p.dim);
-        for (uint32_t d = 0; d < p.dim; ++d) {
-          uint64_t a = rng.NextU64() & LowMask(p.key_bits);
-          uint64_t b = rng.NextU64() & LowMask(p.key_bits);
-          lo[d] = std::min(a, b);
-          hi[d] = std::max(a, b);
-        }
-        ASSERT_EQ(Drain(TreeCursor(*tree_, lo, hi)), BruteWindow(lo, hi))
-            << "hc_skip " << hc_skip << " lhc_seek " << lhc_seek;
-      }
+  for (int q = 0; q < 160; ++q) {
+    PhKey lo(p.dim), hi(p.dim);
+    for (uint32_t d = 0; d < p.dim; ++d) {
+      uint64_t a = rng.NextU64() & LowMask(p.key_bits);
+      uint64_t b = rng.NextU64() & LowMask(p.key_bits);
+      lo[d] = std::min(a, b);
+      hi[d] = std::max(a, b);
     }
+    ASSERT_EQ(Drain(TreeCursor(*tree_, lo, hi)), BruteWindow(lo, hi))
+        << "query " << q;
   }
 }
 
 TEST_P(TreeCursorTest, PointWindowFindsExactlyTheStoredKey) {
-  Rng rng(0x90127 ^ GetParam().dim);
+  Rng rng(Seed(0x90127, GetParam()));
   BuildTree(500, &rng);
   for (size_t i = 0; i < entries_.size(); i += 7) {
     const PhKey& key = entries_[i].first;
@@ -251,7 +248,7 @@ TEST_P(TreeCursorTest, PointWindowFindsExactlyTheStoredKey) {
 
 TEST_P(TreeCursorTest, PrefixScanMatchesBruteForce) {
   const CursorParam p = GetParam();
-  Rng rng(0x9FE1 ^ p.dim);
+  Rng rng(Seed(0x9FE1, p));
   BuildTree(700, &rng);
   for (const uint32_t prefix_bits :
        {uint32_t{0}, kBitWidth - p.key_bits, kBitWidth - p.key_bits + 2,
@@ -276,7 +273,7 @@ TEST_P(TreeCursorTest, PrefixScanMatchesBruteForce) {
 
 TEST_P(TreeCursorTest, PaginationConcatenatesToTheOneShotScan) {
   const CursorParam p = GetParam();
-  Rng rng(0x7A6E ^ p.dim);
+  Rng rng(Seed(0x7A6E, p));
   BuildTree(600, &rng);
   PhKey lo(p.dim, 0), hi(p.dim, LowMask(p.key_bits));
   const Entries oneshot = tree_->QueryWindow(lo, hi);
@@ -306,7 +303,7 @@ TEST_P(TreeCursorTest, PaginationConcatenatesToTheOneShotScan) {
 
 TEST_P(TreeCursorTest, ResumeSurvivesEraseOfTheTokenKey) {
   const CursorParam p = GetParam();
-  Rng rng(0xDEAD ^ p.dim);
+  Rng rng(Seed(0xDEAD, p));
   BuildTree(400, &rng);
   PhKey lo(p.dim, 0), hi(p.dim, LowMask(p.key_bits));
   const Entries oneshot = tree_->QueryWindow(lo, hi);
@@ -330,36 +327,37 @@ TEST_P(TreeCursorTest, ResumeSurvivesEraseOfTheTokenKey) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cursor, TreeCursorTest,
-    testing::Values(CursorParam{2, 8, NodeRepr::kAdaptive},
-                    CursorParam{2, 16, NodeRepr::kHcOnly},
-                    CursorParam{2, 16, NodeRepr::kLhcOnly},
-                    CursorParam{3, 10, NodeRepr::kAdaptive},
-                    CursorParam{3, 10, NodeRepr::kHcOnly},
-                    CursorParam{6, 6, NodeRepr::kAdaptive},
-                    CursorParam{6, 6, NodeRepr::kLhcOnly},
-                    CursorParam{6, 62, NodeRepr::kAdaptive}),
+    testing::Values(CursorParam{2, 8, Label::kAdaptive},
+                    CursorParam{2, 16, Label::kHcOnly},
+                    CursorParam{2, 16, Label::kLhcOnly},
+                    CursorParam{3, 10, Label::kAdaptive},
+                    CursorParam{3, 10, Label::kHcOnly},
+                    CursorParam{6, 6, Label::kAdaptive},
+                    CursorParam{6, 6, Label::kLhcOnly},
+                    CursorParam{6, 62, Label::kAdaptive}),
     CursorParamName);
 
 // ---- Resume mid-node (dense single node) --------------------------------
 
 TEST(TreeCursorResumeTest, ResumesMidNodeInADenseHcNode) {
-  // 2-D keys differing only in their lowest bit layer: all 4 children of
-  // one maximally dense node. Page size 1 forces a resume inside it.
+  // Key-only 2-D keys below 4: the node at bit level 1 is full, with one
+  // sub-node (at address 0, holding {0,0} and {1,1}) and three postfixes,
+  // an occupancy where HC (48 bits plus the infix) beats LHC (50 plus the
+  // infix). Page size 1 forces a resume inside it and inside its sub-node.
   PhTreeConfig cfg;
-  cfg.repr = NodeRepr::kHcOnly;
+  cfg.store_values = false;
   PhTree tree(2, cfg);
   Entries expect;
-  for (uint64_t a = 0; a < 2; ++a) {
-    for (uint64_t b = 0; b < 2; ++b) {
-      const PhKey key{a, b};
-      tree.Insert(key, (a << 1) | b);
-    }
+  for (const PhKey& key :
+       {PhKey{0, 0}, PhKey{1, 1}, PhKey{0, 2}, PhKey{2, 0}, PhKey{2, 2}}) {
+    ASSERT_TRUE(tree.Insert(key, 0));
   }
+  ASSERT_EQ(tree.ComputeStats().n_hc_nodes, 1u);
   for (TreeCursor c(tree); c.Valid(); c.Next()) {
     expect.emplace_back(PhKey(c.key().begin(), c.key().end()), c.value());
   }
-  ASSERT_EQ(expect.size(), 4u);
-  const PhKey lo{0, 0}, hi{1, 1};
+  ASSERT_EQ(expect.size(), 5u);
+  const PhKey lo{0, 0}, hi{3, 3};
   Entries paged;
   std::optional<PhKey> token;
   for (;;) {

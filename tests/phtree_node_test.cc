@@ -1,11 +1,12 @@
-// Node-level behaviour: HC/LHC representation choice and switching
-// (paper Sect. 3.2), space bookkeeping, and the paper's space cases
-// (Sect. 3.4).
+// Node-level behaviour: HC/LHC/BHC representation choice and switching
+// (paper Sect. 3.2), every in-place edit path of each layout, space
+// bookkeeping, and the paper's space cases (Sect. 3.4).
 #include "phtree/node.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,38 +26,106 @@ PhKey Key2(uint64_t x, uint64_t y) { return PhKey{x, y}; }
 /// exactly its granted block, and that block must be the arena's only one.
 class ArenaNode {
  public:
-  ArenaNode(uint32_t dim, uint32_t infix_len, uint32_t postfix_len)
-      : ref_(arena_.NewNode(dim, infix_len, postfix_len,
-                            /*store_values=*/true)) {}
+  ArenaNode(uint32_t dim, uint32_t infix_len, uint32_t postfix_len,
+            bool store_values = true)
+      : ref_(arena_.NewNode(dim, infix_len, postfix_len, store_values)) {}
 
   Node* operator->() { return ref_.ptr; }
+  Node* get() { return ref_.ptr; }
 
-  void InsertPostfix(uint64_t addr, std::span<const uint64_t> key,
-                     uint64_t value, const PhTreeConfig& cfg) {
-    Apply(ref_.ptr->TryInsertPostfix(arena_, ref_.handle, addr, key, value,
-                                     cfg));
+  /// Each edit reports whether it ran in place (the node kept its block).
+  bool InsertPostfix(uint64_t addr, std::span<const uint64_t> key,
+                     uint64_t value) {
+    return Apply(
+        ref_.ptr->TryInsertPostfix(arena_, ref_.handle, addr, key, value));
   }
-  void InsertSub(uint64_t addr, NodeHandle child, const PhTreeConfig& cfg) {
-    Apply(ref_.ptr->TryInsertSub(arena_, ref_.handle, addr, child, cfg));
+  bool InsertSub(uint64_t addr, NodeHandle child) {
+    return Apply(ref_.ptr->TryInsertSub(arena_, ref_.handle, addr, child));
   }
-  void RemoveEntry(uint64_t addr, const PhTreeConfig& cfg) {
-    Apply(ref_.ptr->TryRemoveEntry(arena_, ref_.handle, addr, cfg));
+  bool RemoveEntry(uint64_t addr) {
+    return Apply(ref_.ptr->TryRemoveEntry(arena_, ref_.handle, addr));
+  }
+  bool ReplaceEntryWithSub(uint64_t addr, NodeHandle child) {
+    return Apply(
+        ref_.ptr->TryReplaceEntryWithSub(arena_, ref_.handle, addr, child));
+  }
+  bool ReplaceSubWithPostfix(uint64_t addr, std::span<const uint64_t> key,
+                             uint64_t value) {
+    return Apply(ref_.ptr->TryReplaceSubWithPostfix(arena_, ref_.handle, addr,
+                                                    key, value));
   }
 
  private:
-  void Apply(NodeRef after) {
-    ASSERT_TRUE(after);
-    if (after.ptr != ref_.ptr) {
+  bool Apply(NodeRef after) {
+    EXPECT_TRUE(after);
+    if (!after) {
+      return false;
+    }
+    const bool in_place = after.ptr == ref_.ptr;
+    if (!in_place) {
       arena_.DeleteNode(ref_);
       ref_ = after;
     }
     EXPECT_TRUE(arena_.IsGrantedBlock(ref_));
     EXPECT_EQ(arena_.LiveBytes(), ref_.ptr->MemoryBytes());
+    return in_place;
   }
 
   NodeArena arena_;
   NodeRef ref_;
 };
+
+/// The expected content of a standalone node: per address, a sub handle or
+/// a postfix key and payload.
+struct NodeModel {
+  struct Entry {
+    bool sub = false;
+    uint64_t payload = 0;  ///< value, or the handle of a sub entry
+    PhKey key;             ///< postfix source (postfix entries)
+  };
+  std::map<uint64_t, Entry> entries;
+};
+
+/// The node holds exactly `model` (payloads read as 0 in key-only mode)
+/// and sits in the smallest legal representation.
+void ExpectNodeMatches(Node* node, const NodeModel& model, bool store_values,
+                       const char* step) {
+  SCOPED_TRACE(step);
+  ASSERT_EQ(node->num_entries(), model.entries.size());
+  uint32_t subs = 0;
+  for (const auto& [addr, e] : model.entries) {
+    const uint64_t ord = node->FindOrdinal(addr);
+    ASSERT_NE(ord, Node::kNoOrdinal) << "addr " << addr;
+    ASSERT_EQ(node->OrdinalIsSub(ord), e.sub) << "addr " << addr;
+    if (e.sub) {
+      ++subs;
+      EXPECT_EQ(node->OrdinalSub(ord), e.payload) << "addr " << addr;
+      continue;
+    }
+    PhKey read(e.key.size(), 0);
+    EXPECT_EQ(node->ReadPostfixAndPayload(ord, read),
+              store_values ? e.payload : 0)
+        << "addr " << addr;
+    EXPECT_EQ(node->PostfixDivergence(ord, e.key), -1) << "addr " << addr;
+  }
+  EXPECT_EQ(node->num_subs(), subs);
+  uint64_t best = node->LhcBits();
+  if (subs == 0) {
+    best = std::min(best, node->BhcBits());
+  }
+  best = std::min(best, node->HcBits());
+  EXPECT_EQ(node->CurrentReprBits(), best);
+}
+
+/// A postfix key for hypercube address `addr` of a node with postfix
+/// length 1: bit 0 of every dimension varies with `salt`.
+PhKey PostfixKey(uint32_t dim, uint64_t addr, uint64_t salt) {
+  PhKey key(dim, 0);
+  for (uint32_t d = 0; d < dim; ++d) {
+    key[d] = ((addr + salt) >> d) & 1;
+  }
+  return key;
+}
 
 TEST(NodeRepresentation, DenseLowDimLeafNodesUseBhc) {
   // k=2: filling all 4 slots of a leaf node must leave LHC (paper: the
@@ -88,8 +157,7 @@ TEST(NodeRepresentation, SparseHighDimNodesUseLhc) {
 }
 
 TEST(NodeRepresentation, SwitchesBackToLhcOnDeletion) {
-  PhTreeConfig cfg;  // strict switching
-  PhTree tree(2, cfg);
+  PhTree tree(2);
   // Build a dense subtree in [0,2)x[0,2) under a shared prefix.
   for (uint64_t x = 0; x < 2; ++x) {
     for (uint64_t y = 0; y < 2; ++y) {
@@ -104,41 +172,12 @@ TEST(NodeRepresentation, SwitchesBackToLhcOnDeletion) {
   EXPECT_EQ(ValidatePhTree(tree), "");
 }
 
-TEST(NodeRepresentation, HcOnlyPolicyForcesHc) {
-  PhTreeConfig cfg;
-  cfg.repr = NodeRepr::kHcOnly;
-  PhTree tree(3, cfg);
-  Rng rng(4);
-  for (int i = 0; i < 200; ++i) {
-    tree.Insert(PhKey{rng.NextU64(), rng.NextU64(), rng.NextU64()}, i);
-  }
-  const PhTreeStats stats = tree.ComputeStats();
-  EXPECT_EQ(stats.n_hc_nodes, stats.n_nodes);
-  EXPECT_EQ(ValidatePhTree(tree), "");
-}
-
-TEST(NodeRepresentation, LhcOnlyPolicyForcesLhc) {
-  PhTreeConfig cfg;
-  cfg.repr = NodeRepr::kLhcOnly;
-  PhTree tree(2, cfg);
-  for (uint64_t x = 0; x < 4; ++x) {
-    for (uint64_t y = 0; y < 4; ++y) {
-      tree.Insert(Key2(x, y), 0);
-    }
-  }
-  const PhTreeStats stats = tree.ComputeStats();
-  EXPECT_EQ(stats.n_hc_nodes, 0u);
-  EXPECT_EQ(ValidatePhTree(tree), "");
-}
-
 TEST(NodeRepresentation, HcNeverUsedAboveMaxDim) {
-  PhTreeConfig cfg;
-  cfg.repr = NodeRepr::kHcOnly;  // even when forced
-  cfg.hc_max_dim = 10;
-  PhTree tree(24, cfg);
+  // Above kMaxHcDim every node is LHC, however dense its addresses.
+  PhTree tree(kMaxHcDim + 4);
   Rng rng(6);
   for (int i = 0; i < 100; ++i) {
-    PhKey key(24);
+    PhKey key(kMaxHcDim + 4);
     for (auto& v : key) {
       v = rng.NextBounded(2);  // boolean data: maximally dense addresses
     }
@@ -146,16 +185,17 @@ TEST(NodeRepresentation, HcNeverUsedAboveMaxDim) {
   }
   const PhTreeStats stats = tree.ComputeStats();
   EXPECT_EQ(stats.n_hc_nodes, 0u);
+  EXPECT_EQ(stats.n_bhc_nodes, 0u);
+  EXPECT_EQ(ValidatePhTree(tree), "");
 }
 
 TEST(NodeSpace, SmallestRepresentationWinsExactly) {
   // Whitebox size check on a standalone node.
-  PhTreeConfig cfg;
   ArenaNode node(2, 0, 3);  // k=2, postfix 3 bits -> stride 6 bits
   PhKey key{0, 0};
   // 1 entry: LHC (1 payload word + 1 flag + 2 addr + 6 postfix bits) is far
   // below HC (4 slots x (64+2+6) bits) -> LHC.
-  node.InsertPostfix(0, key, 0, cfg);
+  node.InsertPostfix(0, key, 0);
   EXPECT_FALSE(node->is_hc());
   EXPECT_FALSE(node->is_bhc());
   EXPECT_LT(node->LhcBits(), node->HcBits());
@@ -164,11 +204,11 @@ TEST(NodeSpace, SmallestRepresentationWinsExactly) {
   // (BHC) drops the empty payload slots and the sub bitmap on top of that,
   // so a full sub-free node lands in BHC, strictly below both.
   key = PhKey{1, 0};
-  node.InsertPostfix(2, key, 0, cfg);
+  node.InsertPostfix(2, key, 0);
   key = PhKey{0, 1};
-  node.InsertPostfix(1, key, 0, cfg);
+  node.InsertPostfix(1, key, 0);
   key = PhKey{1, 1};
-  node.InsertPostfix(3, key, 0, cfg);
+  node.InsertPostfix(3, key, 0);
   EXPECT_TRUE(node->is_bhc());
   EXPECT_LT(node->HcBits(), node->LhcBits());
   EXPECT_LT(node->BhcBits(), node->HcBits());
@@ -235,16 +275,15 @@ TEST(NodeSpace, StatsCountsAreConsistent) {
 
 TEST(NodeRepresentation, BhcPromotionAndDemotionAtSwitchBoundary) {
   // Whitebox: with k=2, postfix 3 bits and no infix, the exact sizes are
-  // LHC = 73n bits and BHC = 70n + 4 bits, so the strict smaller-wins rule
-  // places the boundary between n=1 (LHC) and n=2 (BHC). Walk the node
-  // across the boundary in both directions and check that the chosen
-  // representation is the argmin after every single mutation.
-  PhTreeConfig cfg;  // strict: hysteresis = 1.0
+  // LHC = 73n bits and BHC = 70n + 4 bits, so the smaller-wins rule places
+  // the boundary between n=1 (LHC) and n=2 (BHC). Walk the node across the
+  // boundary in both directions and check that the chosen representation
+  // is the argmin after every single mutation.
   ArenaNode node(2, 0, 3);
   const uint64_t addrs[4] = {0, 2, 1, 3};
   const PhKey keys[4] = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
   for (int i = 0; i < 4; ++i) {
-    node.InsertPostfix(addrs[i], keys[i], 0, cfg);
+    node.InsertPostfix(addrs[i], keys[i], 0);
     const uint64_t best = std::min(
         {node->LhcBits(), node->BhcBits(), node->HcBits()});
     EXPECT_EQ(node->is_bhc(), node->BhcBits() < node->LhcBits() &&
@@ -255,57 +294,25 @@ TEST(NodeRepresentation, BhcPromotionAndDemotionAtSwitchBoundary) {
   EXPECT_TRUE(node->is_bhc());
   // Demote by deletion: at n=1 LHC is strictly smaller again.
   for (int i = 3; i >= 1; --i) {
-    node.RemoveEntry(addrs[i], cfg);
+    node.RemoveEntry(addrs[i]);
   }
   EXPECT_EQ(node->num_entries(), 1u);
   EXPECT_FALSE(node->is_bhc());
   EXPECT_LT(node->LhcBits(), node->BhcBits());
 }
 
-TEST(NodeRepresentation, HysteresisDampsOscillationAtBoundary) {
-  // Alternating insert/erase exactly across the n=1 <-> n=2 boundary.
-  // Strict switching flips LHC <-> BHC on every operation; a hysteresis
-  // band keeps the node in LHC throughout (BHC at n=2 is only ~1.4% below
-  // LHC, inside the band), at identical entry content.
-  PhTreeConfig strict;
-  PhTreeConfig damped;
-  damped.hysteresis = 0.9;
-  ArenaNode flappy(2, 0, 3);
-  ArenaNode steady(2, 0, 3);
-  const PhKey k0{0, 0};
-  const PhKey k1{1, 1};
-  flappy.InsertPostfix(0, k0, 0, strict);
-  steady.InsertPostfix(0, k0, 0, damped);
-  for (int round = 0; round < 8; ++round) {
-    flappy.InsertPostfix(3, k1, 0, strict);
-    steady.InsertPostfix(3, k1, 0, damped);
-    EXPECT_TRUE(flappy->is_bhc());   // strict: promoted every round
-    EXPECT_FALSE(steady->is_bhc());  // damped: stays put
-    flappy.RemoveEntry(3, strict);
-    steady.RemoveEntry(3, damped);
-    EXPECT_FALSE(flappy->is_bhc());  // strict: demoted every round
-    EXPECT_FALSE(steady->is_bhc());
-  }
-}
-
-TEST(NodeRepresentation, IllegalBhcConvertsEvenInsideHysteresisBand) {
-  // A BHC node that gains a sub-node entry must leave BHC unconditionally —
-  // the hysteresis band never keeps an illegal representation alive.
-  PhTreeConfig damped;
-  damped.hysteresis = 0.5;
+TEST(NodeRepresentation, BhcNodeGainingASubLeavesBhc) {
+  // BHC has no is_sub bitmap, so a packed leaf that gains a sub-node entry
+  // must convert, whatever the sizes say.
   ArenaNode node(2, 0, 3);
-  const PhKey keys[3] = {{0, 0}, {1, 0}, {0, 1}};
-  const uint64_t addrs[3] = {0, 2, 1};
-  for (int i = 0; i < 3; ++i) {
-    node.InsertPostfix(addrs[i], keys[i], 0, damped);
+  const PhKey keys[2] = {{0, 0}, {1, 0}};
+  const uint64_t addrs[2] = {0, 2};
+  for (int i = 0; i < 2; ++i) {
+    node.InsertPostfix(addrs[i], keys[i], 0);
   }
-  // Force the packed leaf (legal: sub-free), then attach a child.
   ASSERT_EQ(node->num_subs(), 0u);
-  PhTreeConfig force_bhc = damped;
-  force_bhc.repr = NodeRepr::kBhcOnly;
-  node.RemoveEntry(addrs[2], force_bhc);  // any mutation re-evaluates
   ASSERT_TRUE(node->is_bhc());
-  node.InsertSub(3, NodeHandle{7}, damped);
+  node.InsertSub(3, NodeHandle{7});
   EXPECT_FALSE(node->is_bhc());
   EXPECT_EQ(node->num_subs(), 1u);
   ASSERT_NE(node->FindOrdinal(3), Node::kNoOrdinal);
@@ -315,33 +322,130 @@ TEST(NodeRepresentation, IllegalBhcConvertsEvenInsideHysteresisBand) {
 TEST(NodeRepresentation, TreeChurnAcrossBoundaryStaysValid) {
   // Tree-level churn around dense 2x2 leaves: every insert/erase crosses
   // promotion/demotion boundaries somewhere in the tree. ValidatePhTree
-  // re-derives the representation rule (including the hysteresis band) for
-  // every node, so a single stale or thrashing node fails the walk.
-  for (const double h : {1.0, 0.9}) {
-    PhTreeConfig cfg;
-    cfg.hysteresis = h;
-    PhTree tree(2, cfg);
-    Rng rng(123);
-    std::vector<PhKey> live;
-    for (int op = 0; op < 4000; ++op) {
-      if (live.empty() || rng.NextBounded(3) != 0) {
-        PhKey key = Key2(rng.NextBounded(64), rng.NextBounded(64));
-        if (tree.Insert(key, op)) {
-          live.push_back(key);
-        }
-      } else {
-        const size_t pick = rng.NextBounded(live.size());
-        EXPECT_TRUE(tree.Erase(live[pick]));
-        live[pick] = live.back();
-        live.pop_back();
+  // re-derives the representation rule for every node, so a single stale
+  // node fails the walk.
+  PhTree tree(2);
+  Rng rng(123);
+  std::vector<PhKey> live;
+  for (int op = 0; op < 4000; ++op) {
+    if (live.empty() || rng.NextBounded(3) != 0) {
+      PhKey key = Key2(rng.NextBounded(64), rng.NextBounded(64));
+      if (tree.Insert(key, op)) {
+        live.push_back(key);
       }
-      if (op % 500 == 0) {
-        ASSERT_EQ(ValidatePhTree(tree), "") << "h=" << h << " op=" << op;
-      }
+    } else {
+      const size_t pick = rng.NextBounded(live.size());
+      EXPECT_TRUE(tree.Erase(live[pick]));
+      live[pick] = live.back();
+      live.pop_back();
     }
-    EXPECT_EQ(tree.size(), live.size());
-    ASSERT_EQ(ValidatePhTree(tree), "") << "h=" << h;
+    if (op % 500 == 0) {
+      ASSERT_EQ(ValidatePhTree(tree), "") << "op=" << op;
+    }
   }
+  EXPECT_EQ(tree.size(), live.size());
+  ASSERT_EQ(ValidatePhTree(tree), "");
+}
+
+// Under the smallest-layout rule HC is rare: BHC beats it on every sub-free
+// node, and a full value-mode node picks HC over LHC only while
+// 2^k * (k - 1) > subs * (32 + k * postfix_len). The two tests below build
+// such nodes directly and drive every HC edit that runs in place: postfix
+// and sub inserts and removes, postfix <-> sub swaps and SetSubAt.
+
+TEST(NodeWhitebox, ValueModeHcEditsInPlace) {
+  // k=6, postfix_len 1: a full node is HC with 1..8 subs (HC 4608 bits,
+  // LHC 4928 - 38 * subs); sub-free it is BHC.
+  constexpr uint32_t kDim = 6;
+  ArenaNode node(kDim, 0, 1);
+  NodeModel model;
+  for (uint64_t a = 0; a < 64; ++a) {
+    NodeModel::Entry e{false, 1000 + a, PostfixKey(kDim, a, 0)};
+    node.InsertPostfix(a, e.key, e.payload);
+    model.entries[a] = e;
+  }
+  ExpectNodeMatches(node.get(), model, true, "64 postfixes");
+  ASSERT_TRUE(node->is_bhc());
+
+  // BHC -> HC: rebuilt, copying every payload into its HC slot.
+  EXPECT_FALSE(node.ReplaceEntryWithSub(5, NodeHandle{501}));
+  model.entries[5] = {true, 501, {}};
+  ExpectNodeMatches(node.get(), model, true, "first sub");
+  ASSERT_TRUE(node->is_hc());
+
+  // From here on every edit keeps HC and its block.
+  for (const uint64_t a : {9, 13}) {
+    EXPECT_TRUE(node.ReplaceEntryWithSub(a, static_cast<NodeHandle>(500 + a)));
+    model.entries[a] = {true, 500 + a, {}};
+  }
+  ExpectNodeMatches(node.get(), model, true, "three subs");
+  node->SetSubAt(node->FindOrdinal(9), NodeHandle{777});
+  model.entries[9].payload = 777;
+  ExpectNodeMatches(node.get(), model, true, "SetSubAt");
+
+  const PhKey back = PostfixKey(kDim, 9, 1);
+  EXPECT_TRUE(node.ReplaceSubWithPostfix(9, back, 4242));
+  model.entries[9] = {false, 4242, back};
+  ExpectNodeMatches(node.get(), model, true, "sub -> postfix");
+
+  EXPECT_TRUE(node.RemoveEntry(20));  // a postfix
+  model.entries.erase(20);
+  EXPECT_TRUE(node.RemoveEntry(13));  // a sub
+  model.entries.erase(13);
+  ExpectNodeMatches(node.get(), model, true, "removes");
+  ASSERT_TRUE(node->is_hc());
+
+  const PhKey again = PostfixKey(kDim, 20, 2);
+  EXPECT_TRUE(node.InsertPostfix(20, again, 99));
+  model.entries[20] = {false, 99, again};
+  EXPECT_TRUE(node.InsertSub(13, NodeHandle{613}));
+  model.entries[13] = {true, 613, {}};
+  ExpectNodeMatches(node.get(), model, true, "re-inserts");
+  ASSERT_TRUE(node->is_hc());
+}
+
+TEST(NodeWhitebox, KeyOnlyHcEditsInPlace) {
+  // Key-only, k=3, postfix_len 1: a node of 7 or 8 entries with 1..5 subs
+  // is HC (sub handles in a 32-bit tail); sub-free it is BHC.
+  constexpr uint32_t kDim = 3;
+  ArenaNode node(kDim, 0, 1, /*store_values=*/false);
+  NodeModel model;
+  for (uint64_t a = 0; a < 8; ++a) {
+    NodeModel::Entry e{false, 0, PostfixKey(kDim, a, 0)};
+    node.InsertPostfix(a, e.key, 0);
+    model.entries[a] = e;
+  }
+  ExpectNodeMatches(node.get(), model, false, "8 postfixes");
+  ASSERT_TRUE(node->is_bhc());
+
+  EXPECT_FALSE(node.ReplaceEntryWithSub(2, NodeHandle{302}));
+  model.entries[2] = {true, 302, {}};
+  ExpectNodeMatches(node.get(), model, false, "first sub");
+  ASSERT_TRUE(node->is_hc());
+
+  EXPECT_TRUE(node.ReplaceEntryWithSub(5, NodeHandle{305}));
+  model.entries[5] = {true, 305, {}};
+  node->SetSubAt(node->FindOrdinal(5), NodeHandle{355});
+  model.entries[5].payload = 355;
+  ExpectNodeMatches(node.get(), model, false, "second sub");
+
+  const PhKey back = PostfixKey(kDim, 5, 1);
+  EXPECT_TRUE(node.ReplaceSubWithPostfix(5, back, 0));
+  model.entries[5] = {false, 0, back};
+  ExpectNodeMatches(node.get(), model, false, "sub -> postfix");
+
+  EXPECT_TRUE(node.RemoveEntry(7));  // a postfix
+  model.entries.erase(7);
+  EXPECT_TRUE(node.InsertSub(7, NodeHandle{307}));
+  model.entries[7] = {true, 307, {}};
+  ExpectNodeMatches(node.get(), model, false, "sub insert");
+  EXPECT_TRUE(node.RemoveEntry(7));  // a sub
+  model.entries.erase(7);
+  const PhKey last = PostfixKey(kDim, 7, 2);
+  EXPECT_TRUE(node.InsertPostfix(7, last, 0));
+  model.entries[7] = {false, 0, last};
+  ExpectNodeMatches(node.get(), model, false, "postfix insert");
+  ASSERT_TRUE(node->is_hc());
 }
 
 TEST(NodeWhitebox, InfixRoundTrip) {
@@ -372,10 +476,9 @@ TEST(NodeWhitebox, InfixRoundTrip) {
 }
 
 TEST(NodeWhitebox, PostfixDivergenceFindsHighestBit) {
-  PhTreeConfig cfg;
   ArenaNode node(2, 0, 33);
   PhKey key{0x1ABCDEF55ULL & LowMask(33), 0x012345678ULL & LowMask(33)};
-  node.InsertPostfix(HcAddressAt(key, 33), key, 7, cfg);
+  node.InsertPostfix(HcAddressAt(key, 33), key, 7);
   const uint64_t ord = node->FindOrdinal(HcAddressAt(key, 33));
   ASSERT_NE(ord, Node::kNoOrdinal);
   EXPECT_EQ(node->PostfixDivergence(ord, key), -1);

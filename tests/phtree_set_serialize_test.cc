@@ -2,8 +2,12 @@
 // serialisation module.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
+#include <optional>
 
+#include "benchlib/snapshot_fault.h"
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "datasets/datasets.h"
 #include "phtree/phtree_d.h"
@@ -73,7 +77,7 @@ TEST(PhTreeSet, WindowQueriesMatchValueTree) {
 TEST(Serialize, EmptyTreeRoundTrips) {
   PhTree tree(4);
   const auto bytes = SerializePhTree(tree);
-  const auto back = DeserializePhTree(bytes);
+  const auto back = DeserializePhTreeOr(bytes);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->size(), 0u);
   EXPECT_EQ(back->dim(), 4u);
@@ -88,7 +92,7 @@ TEST(Serialize, RoundTripPreservesEntriesAndShape) {
                         i);
   }
   const auto bytes = SerializePhTree(tree);
-  const auto back = DeserializePhTree(bytes);
+  const auto back = DeserializePhTreeOr(bytes);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->size(), tree.size());
   const auto a = tree.ComputeStats();
@@ -117,7 +121,7 @@ TEST(Serialize, GoldenPreRefactorV2StreamsLoadBitIdentically) {
       testdata::kGoldenV2Set,
       testdata::kGoldenV2Set + sizeof(testdata::kGoldenV2Set));
 
-  const auto value_tree = DeserializePhTree(golden_value);
+  const auto value_tree = DeserializePhTreeOr(golden_value);
   ASSERT_TRUE(value_tree.has_value());
   EXPECT_EQ(value_tree->dim(), 3u);
   EXPECT_EQ(ValidatePhTree(*value_tree), "");
@@ -140,7 +144,7 @@ TEST(Serialize, GoldenPreRefactorV2StreamsLoadBitIdentically) {
   }
   EXPECT_EQ(SerializePhTree(*value_tree), golden_value);
 
-  const auto set_tree = DeserializePhTree(golden_set);
+  const auto set_tree = DeserializePhTreeOr(golden_set);
   ASSERT_TRUE(set_tree.has_value());
   EXPECT_EQ(set_tree->dim(), 2u);
   EXPECT_FALSE(set_tree->config().store_values);
@@ -182,7 +186,6 @@ TEST(Serialize, RejectsCorruptStreamsWithTypedErrors) {
                      bytes.size() - 1}) {
     std::vector<uint8_t> trunc(bytes.begin(),
                                bytes.begin() + static_cast<long>(cut));
-    EXPECT_FALSE(DeserializePhTree(trunc).has_value()) << cut;
     const auto result = DeserializePhTreeOr(trunc);
     ASSERT_FALSE(result.has_value()) << cut;
     EXPECT_EQ(result.error().code(), StatusCode::kTruncated)
@@ -191,7 +194,6 @@ TEST(Serialize, RejectsCorruptStreamsWithTypedErrors) {
   // Bad magic.
   auto bad = bytes;
   bad[0] = 'X';
-  EXPECT_FALSE(DeserializePhTree(bad).has_value());
   EXPECT_EQ(DeserializePhTreeOr(bad).error().code(), StatusCode::kBadMagic);
   // Unknown version: known "PHT" prefix, unreadable version byte. The
   // retired unchecksummed v1 format is one of them.
@@ -205,14 +207,12 @@ TEST(Serialize, RejectsCorruptStreamsWithTypedErrors) {
   // Trailing garbage.
   auto long_stream = bytes;
   long_stream.push_back(0);
-  EXPECT_FALSE(DeserializePhTree(long_stream).has_value());
   EXPECT_EQ(DeserializePhTreeOr(long_stream).error().code(),
             StatusCode::kTrailerCorrupt);
   // Corrupted header field (the header-length byte) is caught by the
   // header checks even before CRC verification would.
   auto bad_dim = bytes;
   bad_dim[4] = 200;
-  EXPECT_FALSE(DeserializePhTree(bad_dim).has_value());
   EXPECT_EQ(DeserializePhTreeOr(bad_dim).error().code(),
             StatusCode::kHeaderCorrupt);
 }
@@ -264,26 +264,56 @@ TEST(Serialize, FileRoundTrip) {
     tree.InsertOrAssign(PhKey{rng.NextU64(), rng.NextU64()}, i);
   }
   const std::string path = "/tmp/phtree_serialize_test.bin";
-  ASSERT_TRUE(SavePhTree(tree, path));
-  const auto back = LoadPhTree(path);
-  ASSERT_TRUE(back.has_value());
+  ASSERT_TRUE(SavePhTreeOr(tree, path).ok());
+  const auto back = LoadPhTreeOr(path);
+  ASSERT_TRUE(back.has_value()) << back.error().ToString();
   EXPECT_EQ(back->size(), tree.size());
   std::remove(path.c_str());
-  EXPECT_FALSE(LoadPhTree("/tmp/does_not_exist_phtree.bin").has_value());
+  EXPECT_EQ(LoadPhTreeOr("/tmp/does_not_exist_phtree.bin").error().code(),
+            StatusCode::kIoError);
 }
 
-TEST(Serialize, PreservesConfig) {
-  PhTreeConfig cfg;
-  cfg.repr = NodeRepr::kLhcOnly;
-  cfg.store_values = false;
-  cfg.hysteresis = 0.9;
-  PhTree tree(2, cfg);
-  tree.Insert(PhKey{1, 1}, 0);
-  const auto back = DeserializePhTree(SerializePhTree(tree));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->config().repr, NodeRepr::kLhcOnly);
-  EXPECT_EQ(back->config().store_values, false);
-  EXPECT_EQ(back->config().hysteresis, 0.9);
+TEST(Serialize, ReservedHeaderFieldsAreIgnoredOnLoad) {
+  // Header bytes 12-24 are reserved: a policy byte, a double and a u32
+  // dimensionality cap. A CRC-valid stream carrying other values there
+  // (here: policy 2, 0.5 and a cap of 63, which would let a dim-62 node ask
+  // for 2^62 HC slots) loads the same entries under the one representation
+  // rule and re-saves to the canonical bytes.
+  PhTree tree(62);
+  const PhKey a(62, 0);
+  const PhKey b(62, ~uint64_t{0});
+  ASSERT_TRUE(tree.Insert(a, 1));
+  ASSERT_TRUE(tree.Insert(b, 2));
+  const std::vector<uint8_t> canonical = SerializePhTree(tree);
+  std::vector<uint8_t> crafted = canonical;
+  const auto put_le = [&](size_t offset, uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      crafted[offset + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  };
+  put_le(12, 2, 1);
+  put_le(13, std::bit_cast<uint64_t>(0.5), 8);
+  put_le(21, 63, 4);
+  ASSERT_TRUE(RepairSnapshotChecksums(&crafted));
+  ASSERT_NE(crafted, canonical);
+
+  const auto loaded = DeserializePhTreeOr(crafted);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error().ToString();
+  EXPECT_EQ(ValidatePhTreeDeep(*loaded), "");
+  EXPECT_EQ(loaded->Find(a), std::optional<uint64_t>(1));
+  EXPECT_EQ(loaded->Find(b), std::optional<uint64_t>(2));
+  EXPECT_EQ(SerializePhTree(*loaded), canonical);
+
+  // The repr byte keeps its range check: no writer ever stored a code
+  // above 3. The header CRC (bytes 38-41) is repaired so the check, not the
+  // checksum, rejects the stream.
+  put_le(12, 4, 1);
+  put_le(38, Crc32c(crafted.data(), 38), 4);
+  const auto rejected = DeserializePhTreeOr(crafted);
+  ASSERT_FALSE(rejected.has_value());
+  EXPECT_EQ(rejected.error().code(), StatusCode::kHeaderCorrupt)
+      << rejected.error().ToString();
+  EXPECT_EQ(rejected.error().offset(), 12u);
 }
 
 }  // namespace

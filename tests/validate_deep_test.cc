@@ -12,6 +12,7 @@
 #include "phtree/arena.h"
 #include "phtree/phtree.h"
 #include "phtree/serialize.h"
+#include "phtree/stats.h"
 #include "phtree/validate.h"
 
 namespace phtree {
@@ -35,18 +36,24 @@ TEST(ValidateDeepTest, EmptyAndSingleEntry) {
 }
 
 TEST(ValidateDeepTest, HoldsAcrossReprsAndDims) {
-  for (const NodeRepr repr :
-       {NodeRepr::kAdaptive, NodeRepr::kLhcOnly, NodeRepr::kHcOnly}) {
+  // Every tree mixes layouts under the one rule: LHC everywhere, BHC for
+  // the dense sub-free leaves of the low-dimensional trees.
+  for (const bool store_values : {true, false}) {
     for (const uint32_t dim : {1u, 2u, 3u, 8u, 16u}) {
       PhTreeConfig cfg;
-      cfg.repr = repr;
-      PhTree tree(dim);
-      Rng rng(dim * 31 + static_cast<uint32_t>(repr));
+      cfg.store_values = store_values;
+      PhTree tree(dim, cfg);
+      Rng rng(dim * 31 + (store_values ? 0 : 1));
       for (int i = 0; i < 1500; ++i) {
         tree.Insert(RandomKey(rng, dim, dim <= 3 ? 8 : 2), rng.NextU64());
       }
       ASSERT_EQ(ValidatePhTreeDeep(tree), "")
-          << "dim " << dim << " repr " << static_cast<int>(repr);
+          << "dim " << dim << " store_values " << store_values;
+      const PhTreeStats stats = tree.ComputeStats();
+      EXPECT_GT(stats.n_lhc_nodes, 0u) << "dim " << dim;
+      if (dim <= 3) {
+        EXPECT_GT(stats.n_bhc_nodes, 0u) << "dim " << dim;
+      }
     }
   }
 }

@@ -10,8 +10,6 @@ well-formed and sane:
   * every row has the required fields with positive n and a positive,
     finite timing value (zero or negative throughput means the measured
     loop was optimised away or the clock misbehaved),
-  * the range_queries section includes the 6D CUBE hc_ablation rows with
-    both tuning modes present,
   * the batch_point_queries section (written by the batch_point_queries
     binary) has both find_loop and find_batch arms with positive batch
     sizes, and the simd_ablation section has both simd and scalar arms,
@@ -36,7 +34,6 @@ REQUIRED_SECTIONS = {
     "simd_ablation": "us_per_op",
 }
 METADATA_KEYS = ("cores", "build_type", "git_sha", "scale")
-ABLATION_MODES = {"hc_successor_skip", "hc_probe_loop"}
 BATCH_MODES = {"find_loop", "find_batch"}
 SIMD_MODES = {"simd", "scalar"}
 
@@ -183,22 +180,6 @@ def main():
                 fail(f"section {name}: metadata missing {key!r}")
         check_rows(name, section.get("rows"), value_key)
 
-    ablation = sections["range_queries"].get("hc_ablation")
-    check_rows("range_queries.hc_ablation", ablation, "us_per_result")
-    modes = {row["struct"] for row in ablation}
-    if not ABLATION_MODES <= modes:
-        fail(
-            f"hc_ablation modes {sorted(modes)} missing "
-            f"{sorted(ABLATION_MODES - modes)}"
-        )
-    skip = min(
-        r["us_per_result"] for r in ablation
-        if r["struct"] == "hc_successor_skip"
-    )
-    probe = min(
-        r["us_per_result"] for r in ablation if r["struct"] == "hc_probe_loop"
-    )
-
     batch_section = sections["batch_point_queries"]
     simd_section = sections["simd_ablation"]
     check_batch_section(batch_section)
@@ -214,7 +195,6 @@ def main():
         f"check_bench_queries: OK ({path}: "
         f"{len(sections['point_queries']['rows'])} point rows, "
         f"{len(sections['range_queries']['rows'])} range rows, "
-        f"hc ablation skip {skip:.3f} vs probe {probe:.3f} us/result, "
         f"{len(batch_section['rows'])} batch rows, "
         f"{len(simd_section['rows'])} simd-ablation rows, {gates})"
     )
