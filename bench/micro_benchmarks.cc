@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the PH-tree primitives: insert,
-// point query, erase, window query, kNN, plus the bit-level substrates the
-// complexity analysis of Sect. 3.5/3.6 builds on.
+// bulk load, point query, erase, window query, kNN, plus the bit-level
+// substrates the complexity analysis of Sect. 3.5/3.6 builds on.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -10,11 +11,14 @@
 #include "common/bit_buffer.h"
 #include "common/bits.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "datasets/datasets.h"
+#include "phtree/builder.h"
 #include "phtree/knn.h"
 #include "phtree/phtree.h"
 #include "phtree/phtree_d.h"
 #include "phtree/query.h"
+#include "phtree/sharded.h"
 
 namespace phtree {
 namespace {
@@ -48,6 +52,75 @@ void BM_PhTreeInsert(benchmark::State& state) {
                           static_cast<int64_t>(keys.size()));
 }
 BENCHMARK(BM_PhTreeInsert)->Arg(2)->Arg(3)->Arg(8)->Unit(benchmark::kMillisecond);
+
+/// BulkLoad into empty trees: the z-order builder path (builder.h). Case
+/// 0: a plain tree, 1M random-order 2D keys; case 1: a plain tree, 200k 6D
+/// CUBE keys; case 2: PhTreeSharded S = 8, z-prefix routing, on a
+/// one-worker ThreadPool (the caller makes the second lane), 1M 2D keys.
+/// The time per iteration is one whole BulkLoad. The counters split the
+/// same build, timed once more phase by phase on the calling thread:
+/// sort_ms is ZOrderPermutation over the gathered flat keys, build_ms
+/// BuildFromRows over the sorted rows (both summed over the shards in
+/// case 2, where two lanes share them); the rest of an iteration is the
+/// gather (and in case 2 the partition) pass.
+void BM_BulkLoad(benchmark::State& state) {
+  const int which = static_cast<int>(state.range(0));
+  const uint32_t dim = which == 1 ? 6 : 2;
+  std::vector<PhEntry> entries;
+  if (which == 1) {
+    const Dataset ds = GenerateCube(200000, 6, 3);
+    for (size_t i = 0; i < ds.n(); ++i) {
+      entries.push_back(PhEntry{EncodeKeyD(ds.point(i)), i});
+    }
+  } else {
+    for (PhKey& key : RandomKeys(1000000, 2, 4)) {
+      entries.push_back(PhEntry{std::move(key), entries.size()});
+    }
+  }
+  ThreadPool pool(1);
+  constexpr uint32_t kShards = 8;
+  for (auto _ : state) {
+    if (which == 2) {
+      PhTreeSharded tree(dim, kShards, ShardRouting::kZPrefix, PhTreeConfig{},
+                         &pool);
+      benchmark::DoNotOptimize(tree.BulkLoad(entries));
+    } else {
+      PhTree tree(dim);
+      benchmark::DoNotOptimize(tree.BulkLoad(entries));
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(entries.size()));
+
+  // The sort / build split.
+  const PhTreeSharded router(dim, which == 2 ? kShards : 1);
+  std::vector<std::vector<uint64_t>> keys(router.num_shards());
+  std::vector<std::vector<uint64_t>> values(router.num_shards());
+  for (const PhEntry& e : entries) {
+    const uint32_t s = router.ShardOf(e.key);
+    keys[s].insert(keys[s].end(), e.key.begin(), e.key.end());
+    values[s].push_back(e.value);
+  }
+  using Clock = std::chrono::steady_clock;
+  double sort_s = 0;
+  double build_s = 0;
+  for (uint32_t s = 0; s < router.num_shards(); ++s) {
+    const auto t0 = Clock::now();
+    const std::vector<size_t> order = ZOrderPermutation(keys[s], dim);
+    const auto t1 = Clock::now();
+    PhTree tree(dim);
+    benchmark::DoNotOptimize(BuildFromRows(&tree, keys[s], values[s], order));
+    const auto t2 = Clock::now();
+    sort_s += std::chrono::duration<double>(t1 - t0).count();
+    build_s += std::chrono::duration<double>(t2 - t1).count();
+  }
+  state.counters["sort_ms"] = sort_s * 1e3;
+  state.counters["build_ms"] = build_s * 1e3;
+  state.SetLabel(which == 0   ? "plain 1M 2D"
+                 : which == 1 ? "plain 200k 6D CUBE"
+                              : "S=8 z-prefix 1M 2D, ThreadPool(1)");
+}
+BENCHMARK(BM_BulkLoad)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 void BM_PhTreeFind(benchmark::State& state) {
   const uint32_t dim = static_cast<uint32_t>(state.range(0));

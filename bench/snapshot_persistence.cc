@@ -19,7 +19,6 @@ namespace {
 PhTree BuildTree(size_t n, uint32_t dim, uint64_t seed) {
   Rng rng(seed);
   PhTree tree(dim);
-  tree.ReserveNodes(n);
   for (size_t i = 0; i < n; ++i) {
     PhKey key(dim);
     for (auto& v : key) {

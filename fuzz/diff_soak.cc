@@ -110,11 +110,13 @@ int main(int argc, char** argv) {
 
   std::printf(
       "diff_soak: seed=%llu dim=%u grid_bits=%u ops=%zu replayed=%zu "
-      "variants=%zu max_size=%zu final_size=%zu injected_failures=%zu\n",
+      "variants=%zu max_size=%zu final_size=%zu injected_failures=%zu "
+      "bulk_loads_into_empty=%zu save_loads=%zu\n",
       static_cast<unsigned long long>(opts.seed), opts.commands.dim,
       opts.commands.grid_bits, report.ops_run, report.replayed,
       report.variants, report.max_size, report.final_size,
-      report.injected_failures);
+      report.injected_failures, report.bulk_loads_into_empty,
+      report.save_loads);
   if (!report.ok()) {
     std::filesystem::remove_all(tmp_dir, ec);
     std::fprintf(stderr, "DIVERGENCE: %s\n", report.divergence.c_str());
@@ -137,10 +139,12 @@ int main(int argc, char** argv) {
       applications += creport.replayed;
       std::printf(
           "diff_soak concurrent: seed=%llu readers=%llu ops=%zu "
-          "replayed=%zu (cumulative %zu)\n",
+          "replayed=%zu (cumulative %zu) bulk_loads_into_empty=%zu "
+          "save_loads=%zu\n",
           static_cast<unsigned long long>(seed),
           static_cast<unsigned long long>(readers), creport.ops_run,
-          creport.replayed, applications);
+          creport.replayed, applications, creport.bulk_loads_into_empty,
+          creport.save_loads);
       if (!creport.ok()) {
         std::filesystem::remove_all(tmp_dir, ec);
         std::fprintf(stderr, "DIVERGENCE (concurrent): %s\n",

@@ -4,7 +4,10 @@
 // injected failure must roll back to an oracle-identical tree. This is
 // the acceptance harness for the commit-or-rollback contract; CI runs it
 // as the `fault_sweep_acceptance` ctest, and with --mvcc (the tree under
-// the copy-on-write publish policy) as `fault_sweep_acceptance_mvcc`.
+// the copy-on-write publish policy) as `fault_sweep_acceptance_mvcc`. A
+// final builder leg fails every allocation of an empty-tree BulkLoad and
+// of a snapshot load of the trace's live entries; each must roll back to
+// an empty tree.
 //
 // Usage: fault_sweep [--ops N] [--seed S] [--dim K] [--grid-bits B]
 //                    [--deep-every N] [--mvcc]
@@ -71,10 +74,12 @@ int main(int argc, char** argv) {
   const FaultSweepReport report = RunFaultSweep(opts);
   std::printf(
       "fault_sweep: seed=%llu dim=%u grid_bits=%u mvcc=%d ops=%zu "
-      "injected_failures=%zu absorbed_faults=%zu deep_checks=%zu\n",
+      "injected_failures=%zu absorbed_faults=%zu deep_checks=%zu "
+      "builder_failures=%zu\n",
       static_cast<unsigned long long>(opts.seed), opts.commands.dim,
       opts.commands.grid_bits, opts.mvcc ? 1 : 0, report.ops_run,
-      report.injected_failures, report.absorbed_faults, report.deep_checks);
+      report.injected_failures, report.absorbed_faults, report.deep_checks,
+      report.builder_failures);
   if (!report.ok()) {
     std::fprintf(stderr, "ROLLBACK VIOLATION: %s\n", report.failure.c_str());
     return 1;

@@ -17,7 +17,7 @@ namespace phtree {
 /// the corresponding syscall return an error (the FaultyVfs picks the
 /// errno).
 enum class FaultSite : uint8_t {
-  kArenaNodeAlloc = 0,  ///< a new node's block (NewNode, Node::TryClone)
+  kArenaNodeAlloc = 0,  ///< a new node's block (NewNode, TryClone, TryBuild)
   kWordAlloc,           ///< a moved node's block (Node::TryRebuild)
   kVfsOpen,
   kVfsRead,

@@ -253,18 +253,6 @@ void SlabWordPool::Reset() {
   free_bytes_ = 0;
 }
 
-void SlabWordPool::Reserve(uint64_t words) {
-  uint64_t ahead = 0;
-  if (!slabs_.empty()) {
-    ahead = (slabs_.size() - cur_slab_) * kSlabWords - slab_off_;
-  }
-  for (; ahead < words; ahead += kSlabWords) {
-    if (!AddSlab()) {
-      throw std::bad_alloc();
-    }
-  }
-}
-
 bool SlabWordPool::Owns(const void* p) const {
   if (p == nullptr) {
     return false;
@@ -407,13 +395,6 @@ void NodeArena::Reset() {
   retired_bytes_ = 0;
   live_nodes_ = 0;
   pool_.Reset();
-}
-
-void NodeArena::ReserveNodes(size_t n) {
-  // A typical node block is one or two granules; the estimate only sizes
-  // the slab reservation.
-  constexpr uint64_t kWordsPerNode = 2 * SlabWordPool::kGranuleWords;
-  pool_.Reserve(uint64_t{n} * kWordsPerNode);
 }
 
 }  // namespace phtree

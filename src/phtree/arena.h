@@ -234,10 +234,6 @@ class SlabWordPool {
   /// before the call become invalid; slabs are retained for reuse.
   void Reset();
 
-  /// Pre-allocates slabs until at least `words` words lie ahead of the
-  /// bump cursor. Throws std::bad_alloc on failure.
-  void Reserve(uint64_t words);
-
   /// True iff `p` is the start of a granule of one of this pool's slabs or
   /// the start of one of its large blocks. O(slabs).
   bool Owns(const void* p) const;
@@ -379,9 +375,6 @@ class NodeArena {
   /// the tree is allocation-free until it outgrows its previous high-water
   /// mark.
   void Reset();
-
-  /// Pre-allocates slabs for about `n` additional nodes.
-  void ReserveNodes(size_t n);
 
   /// True iff `node` starts one of this arena's blocks. Debug/validation
   /// only: O(slabs).

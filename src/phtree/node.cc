@@ -132,53 +132,44 @@ void Node::LhcInsertEntry(uint64_t p, uint64_t addr, bool is_sub,
   const uint64_t ns = num_subs_;
   const uint64_t ib = infix_bits();
   const uint64_t st = stride();
-  const uint64_t v = vb();
   const uint64_t rank = LhcPostfixRank(p);
   const uint64_t srank = p - rank;
   const uint64_t has_rec = is_sub ? 0 : 1;
-  // Old region bases.
-  const uint64_t o_sub = np * v;
-  const uint64_t o_inf = o_sub + ns * 32;
-  const uint64_t o_flg = o_inf + ib;
-  const uint64_t o_adr = o_flg + n;
-  const uint64_t o_rec = o_adr + n * dim_;
-  // New region bases (n+1 entries).
-  const uint64_t n_sub = (np + has_rec) * v;
-  const uint64_t n_inf = n_sub + (ns + (is_sub ? 1 : 0)) * 32;
-  const uint64_t n_flg = n_inf + ib;
-  const uint64_t n_adr = n_flg + (n + 1);
-  const uint64_t n_rec = n_adr + (n + 1) * dim_;
+  // Old and new (n+1 entries) region bases.
+  const Regions o = RegionsFor(Repr::kLhc, n, ns, ib);
+  const Regions r = RegionsFor(Repr::kLhc, n + 1, ns + 1 - has_rec, ib);
   // The grown tail is zero already (the stream's zero tail); move each
   // segment exactly once, highest source first (all displacements
   // are rightward, so later (lower) sources are never clobbered).
-  MoveBits(words(), o_rec + rank * st, n_rec + (rank + has_rec) * st,
+  MoveBits(words(), o.records + rank * st, r.records + (rank + has_rec) * st,
            (np - rank) * st);
-  MoveBits(words(), o_rec, n_rec, rank * st);
-  MoveBits(words(), o_adr + p * dim_, n_adr + (p + 1) * dim_, (n - p) * dim_);
-  MoveBits(words(), o_adr, n_adr, p * dim_);
-  MoveBits(words(), o_flg + p, n_flg + p + 1, n - p);
-  MoveBits(words(), o_flg, n_flg, p);
-  MoveBits(words(), o_inf, n_inf, ib);
+  MoveBits(words(), o.records, r.records, rank * st);
+  MoveBits(words(), o.addrs + p * dim_, r.addrs + (p + 1) * dim_,
+           (n - p) * dim_);
+  MoveBits(words(), o.addrs, r.addrs, p * dim_);
+  MoveBits(words(), o.flags + p, r.flags + p + 1, n - p);
+  MoveBits(words(), o.flags, r.flags, p);
+  MoveBits(words(), o.infix, r.infix, ib);
   if (is_sub) {
-    MoveBits(words(), o_sub + srank * 32, n_sub + (srank + 1) * 32,
+    MoveBits(words(), o.subs + srank * 32, r.subs + (srank + 1) * 32,
              (ns - srank) * 32);
-    MoveBits(words(), o_sub, n_sub, srank * 32);
-    WriteBits(words(), n_sub + srank * 32, 32, payload);
+    MoveBits(words(), o.subs, r.subs, srank * 32);
+    WriteBits(words(), r.subs + srank * 32, 32, payload);
   } else {
-    MoveBits(words(), o_sub, n_sub, ns * 32);
-    if (v > 0) {
+    MoveBits(words(), o.subs, r.subs, ns * 32);
+    if (store_values_) {
       MoveBits(words(), rank * 64, (rank + 1) * 64, (np - rank) * 64);
       WriteBits(words(), rank * 64, 64, payload);
     }
   }
   // Write the new entry (every field is fully overwritten).
-  SetBit(words(), n_flg + p, is_sub ? 1 : 0);
-  WriteBits(words(), n_adr + p * dim_, dim_, addr);
+  SetBit(words(), r.flags + p, is_sub ? 1 : 0);
+  WriteBits(words(), r.addrs + p * dim_, dim_, addr);
   ++num_entries_;
   if (is_sub) {
     ++num_subs_;
   } else {
-    WritePostfixRecord(lhc_records_base() + rank * st,
+    WritePostfixRecord(r.records + rank * st,
                        {key, static_cast<size_t>(dim_)});
   }
 }
@@ -189,42 +180,33 @@ void Node::LhcRemoveEntry(uint64_t p) {
   const uint64_t ns = num_subs_;
   const uint64_t ib = infix_bits();
   const uint64_t st = stride();
-  const uint64_t v = vb();
   const bool was_sub = OrdinalIsSub(p);
   const uint64_t rank = LhcPostfixRank(p);
   const uint64_t srank = p - rank;
   const uint64_t has_rec = was_sub ? 0 : 1;
-  const uint64_t o_sub = np * v;
-  const uint64_t o_inf = o_sub + ns * 32;
-  const uint64_t o_flg = o_inf + ib;
-  const uint64_t o_adr = o_flg + n;
-  const uint64_t o_rec = o_adr + n * dim_;
-  const uint64_t n_sub = (np - has_rec) * v;
-  const uint64_t n_inf = n_sub + (ns - (was_sub ? 1 : 0)) * 32;
-  const uint64_t n_flg = n_inf + ib;
-  const uint64_t n_adr = n_flg + (n - 1);
-  const uint64_t n_rec = n_adr + (n - 1) * dim_;
+  const Regions o = RegionsFor(Repr::kLhc, n, ns, ib);
+  const Regions r = RegionsFor(Repr::kLhc, n - 1, ns - 1 + has_rec, ib);
   // Leftward displacements: process lowest source first.
   if (was_sub) {
-    MoveBits(words(), o_sub, n_sub, srank * 32);
-    MoveBits(words(), o_sub + (srank + 1) * 32, n_sub + srank * 32,
+    MoveBits(words(), o.subs, r.subs, srank * 32);
+    MoveBits(words(), o.subs + (srank + 1) * 32, r.subs + srank * 32,
              (ns - 1 - srank) * 32);
   } else {
-    if (v > 0) {
+    if (store_values_) {
       MoveBits(words(), (rank + 1) * 64, rank * 64, (np - 1 - rank) * 64);
     }
-    MoveBits(words(), o_sub, n_sub, ns * 32);
+    MoveBits(words(), o.subs, r.subs, ns * 32);
   }
-  MoveBits(words(), o_inf, n_inf, ib);
-  MoveBits(words(), o_flg, n_flg, p);
-  MoveBits(words(), o_flg + p + 1, n_flg + p, n - 1 - p);
-  MoveBits(words(), o_adr, n_adr, p * dim_);
-  MoveBits(words(), o_adr + (p + 1) * dim_, n_adr + p * dim_,
+  MoveBits(words(), o.infix, r.infix, ib);
+  MoveBits(words(), o.flags, r.flags, p);
+  MoveBits(words(), o.flags + p + 1, r.flags + p, n - 1 - p);
+  MoveBits(words(), o.addrs, r.addrs, p * dim_);
+  MoveBits(words(), o.addrs + (p + 1) * dim_, r.addrs + p * dim_,
            (n - 1 - p) * dim_);
-  MoveBits(words(), o_rec, n_rec, rank * st);
-  MoveBits(words(), o_rec + (rank + has_rec) * st, n_rec + rank * st,
+  MoveBits(words(), o.records, r.records, rank * st);
+  MoveBits(words(), o.records + (rank + has_rec) * st, r.records + rank * st,
            (np - rank - has_rec) * st);
-  ClearBits(words(), n_rec + (np - has_rec) * st, o_rec + np * st);
+  ClearBits(words(), r.records + (np - has_rec) * st, o.records + np * st);
   --num_entries_;
   if (was_sub) {
     --num_subs_;
@@ -235,55 +217,42 @@ void Node::BhcInsertEntry(uint64_t addr, uint64_t value, const uint64_t* key) {
   const uint64_t np = num_entries_;  // sub-free: every entry is a postfix
   const uint64_t ib = infix_bits();
   const uint64_t st = stride();
-  const uint64_t s = hc_slots();
-  const uint64_t v = vb();
   const uint64_t rank = BhcRank(addr);
-  const uint64_t o_inf = np * v;
-  const uint64_t o_pres = o_inf + ib;
-  const uint64_t o_rec = o_pres + s;
-  const uint64_t n_inf = o_inf + v;
-  const uint64_t n_pres = n_inf + ib;
-  const uint64_t n_rec = n_pres + s;
+  const Regions o = RegionsFor(Repr::kBhc, np, 0, ib);
+  const Regions r = RegionsFor(Repr::kBhc, np + 1, 0, ib);
   // Rightward displacements: highest source first.
-  MoveBits(words(), o_rec + rank * st, n_rec + (rank + 1) * st,
+  MoveBits(words(), o.records + rank * st, r.records + (rank + 1) * st,
            (np - rank) * st);
-  MoveBits(words(), o_rec, n_rec, rank * st);
-  MoveBits(words(), o_pres, n_pres, s);
-  MoveBits(words(), o_inf, n_inf, ib);
-  if (v > 0) {
+  MoveBits(words(), o.records, r.records, rank * st);
+  MoveBits(words(), o.present, r.present, hc_slots());
+  MoveBits(words(), o.infix, r.infix, ib);
+  if (store_values_) {
     MoveBits(words(), rank * 64, (rank + 1) * 64, (np - rank) * 64);
     WriteBits(words(), rank * 64, 64, value);
   }
-  SetBit(words(), n_pres + addr, 1);
+  SetBit(words(), r.present + addr, 1);
   ++num_entries_;
-  WritePostfixRecord(bhc_records_base() + rank * st,
-                     {key, static_cast<size_t>(dim_)});
+  WritePostfixRecord(r.records + rank * st, {key, static_cast<size_t>(dim_)});
 }
 
 void Node::BhcRemoveEntry(uint64_t addr) {
   const uint64_t np = num_entries_;
   const uint64_t ib = infix_bits();
   const uint64_t st = stride();
-  const uint64_t s = hc_slots();
-  const uint64_t v = vb();
   const uint64_t rank = BhcRank(addr);
-  const uint64_t o_inf = np * v;
-  const uint64_t o_pres = o_inf + ib;
-  const uint64_t o_rec = o_pres + s;
-  const uint64_t n_inf = o_inf - v;
-  const uint64_t n_pres = n_inf + ib;
-  const uint64_t n_rec = n_pres + s;
-  SetBit(words(), o_pres + addr, 0);
+  const Regions o = RegionsFor(Repr::kBhc, np, 0, ib);
+  const Regions r = RegionsFor(Repr::kBhc, np - 1, 0, ib);
+  SetBit(words(), o.present + addr, 0);
   // Leftward displacements: lowest source first.
-  if (v > 0) {
+  if (store_values_) {
     MoveBits(words(), (rank + 1) * 64, rank * 64, (np - 1 - rank) * 64);
   }
-  MoveBits(words(), o_inf, n_inf, ib);
-  MoveBits(words(), o_pres, n_pres, s);
-  MoveBits(words(), o_rec, n_rec, rank * st);
-  MoveBits(words(), o_rec + (rank + 1) * st, n_rec + rank * st,
+  MoveBits(words(), o.infix, r.infix, ib);
+  MoveBits(words(), o.present, r.present, hc_slots());
+  MoveBits(words(), o.records, r.records, rank * st);
+  MoveBits(words(), o.records + (rank + 1) * st, r.records + rank * st,
            (np - 1 - rank) * st);
-  ClearBits(words(), n_rec + (np - 1) * st, o_rec + np * st);
+  ClearBits(words(), r.records + (np - 1) * st, o.records + np * st);
   --num_entries_;
 }
 
@@ -550,36 +519,57 @@ void Node::RelocatePostfix(uint64_t old_addr, uint64_t new_addr,
 // the HC advantage at low dimensionality (k-1 bits per slot at full
 // occupancy), and the switching decision must be a deterministic pure
 // function of the node contents.
+Node::Regions Node::RegionsFor(Repr repr, uint64_t n_entries,
+                              uint64_t n_subs, uint64_t ib) const {
+  const uint64_t np = n_entries - n_subs;
+  const uint64_t s = hc_slots();
+  const uint64_t st = stride();
+  Regions r;
+  switch (repr) {
+    case Repr::kHc:
+      r.infix = store_values_ ? s * 64 : 0;
+      r.present = r.infix + ib;
+      r.sub_bitmap = r.present + s;
+      r.records = r.sub_bitmap + s;
+      r.sub_tail = r.records + s * st;
+      r.end = r.sub_tail + (store_values_ ? 0 : n_subs * 32);
+      break;
+    case Repr::kBhc:
+      r.infix = np * vb();
+      r.present = r.infix + ib;
+      r.records = r.present + s;
+      r.end = r.records + np * st;
+      break;
+    case Repr::kLhc:
+    default:
+      r.subs = np * vb();
+      r.infix = r.subs + n_subs * 32;
+      r.flags = r.infix + ib;
+      r.addrs = r.flags + n_entries;
+      r.records = r.addrs + n_entries * dim_;
+      r.end = r.records + np * st;
+      break;
+  }
+  return r;
+}
+
 uint64_t Node::HcBitsEx(uint64_t n_entries, uint64_t n_postfixes,
                         uint64_t ib) const {
-  const uint64_t s = hc_slots();
-  const uint64_t n_subs = n_entries - n_postfixes;
-  const uint64_t payload_bits = store_values_ ? s * 64 : n_subs * 32;
-  return payload_bits + ib + 2 * s + s * stride();
+  return RegionsFor(Repr::kHc, n_entries, n_entries - n_postfixes, ib).end;
 }
 
 uint64_t Node::LhcBitsEx(uint64_t n_entries, uint64_t n_postfixes,
                          uint64_t ib) const {
-  const uint64_t n_subs = n_entries - n_postfixes;
-  return n_postfixes * vb() + n_subs * 32 + ib + n_entries +
-         n_entries * dim_ + n_postfixes * stride();
+  return RegionsFor(Repr::kLhc, n_entries, n_entries - n_postfixes, ib).end;
 }
 
 uint64_t Node::BhcBitsEx(uint64_t n_postfixes, uint64_t ib) const {
-  return n_postfixes * vb() + ib + hc_slots() + n_postfixes * stride();
+  return RegionsFor(Repr::kBhc, n_postfixes, 0, ib).end;
 }
 
 uint64_t Node::ReprBitsEx(Repr r, uint64_t n_entries, uint64_t n_postfixes,
                           uint64_t ib) const {
-  switch (r) {
-    case Repr::kHc:
-      return HcBitsEx(n_entries, n_postfixes, ib);
-    case Repr::kBhc:
-      return BhcBitsEx(n_postfixes, ib);
-    case Repr::kLhc:
-    default:
-      return LhcBitsEx(n_entries, n_postfixes, ib);
-  }
+  return RegionsFor(r, n_entries, n_entries - n_postfixes, ib).end;
 }
 
 uint64_t Node::HcBitsFor(uint64_t n_postfixes) const {
@@ -625,6 +615,82 @@ uint64_t Node::CurrentReprBits() const {
   }
 }
 
+/// Emits a node's entries into the regions of a fresh block, keeping the
+/// running entry, postfix and sub ranks every layout indexes by.
+class Node::StreamWriter {
+ public:
+  StreamWriter(const Node& shape, Repr target, uint64_t n_entries,
+               uint64_t n_subs, uint64_t ib)
+      : r_(shape.RegionsFor(target, n_entries, n_subs, ib)),
+        target_(target),
+        dim_(shape.dim_),
+        stride_(shape.stride()),
+        store_values_(shape.store_values_) {}
+
+  const Regions& regions() const { return r_; }
+
+  /// Writes the next entry's flags, address and value or handle into
+  /// `out`, and returns the bit position of its postfix record, which the
+  /// caller fills (meaningless for a sub entry).
+  uint64_t Emit(uint64_t* out, uint64_t addr, bool sub, uint64_t payload) {
+    uint64_t record = 0;
+    switch (target_) {
+      case Repr::kLhc:
+        SetBit(out, r_.flags + idx_, sub ? 1 : 0);
+        WriteBits(out, r_.addrs + idx_ * dim_, dim_, addr);
+        if (sub) {
+          WriteBits(out, r_.subs + srank_ * 32, 32, payload);
+        } else {
+          if (store_values_) {
+            WriteBits(out, prank_ * 64, 64, payload);
+          }
+          record = r_.records + prank_ * stride_;
+        }
+        break;
+      case Repr::kHc:
+        SetBit(out, r_.present + addr, 1);
+        if (sub) {
+          SetBit(out, r_.sub_bitmap + addr, 1);
+          if (store_values_) {
+            WriteBits(out, addr * 64, 64, payload);
+          } else {
+            WriteBits(out, r_.sub_tail + srank_ * 32, 32, payload);
+          }
+        } else {
+          if (store_values_) {
+            WriteBits(out, addr * 64, 64, payload);
+          }
+          record = r_.records + addr * stride_;
+        }
+        break;
+      case Repr::kBhc:
+        SetBit(out, r_.present + addr, 1);
+        if (store_values_) {
+          WriteBits(out, prank_ * 64, 64, payload);
+        }
+        record = r_.records + prank_ * stride_;
+        break;
+    }
+    if (sub) {
+      ++srank_;
+    } else {
+      ++prank_;
+    }
+    ++idx_;
+    return record;
+  }
+
+ private:
+  Regions r_;
+  Repr target_;
+  uint32_t dim_;
+  uint64_t stride_;
+  bool store_values_;
+  uint64_t idx_ = 0;
+  uint64_t prank_ = 0;
+  uint64_t srank_ = 0;
+};
+
 NodeRef Node::TryRebuild(NodeArena& arena, Repr target,
                          const EntryDelta& delta) const {
   using K = EntryDelta::Kind;
@@ -658,57 +724,20 @@ NodeRef Node::TryRebuild(NodeArena& arena, Repr target,
       break;
   }
   assert(target != Repr::kBhc || ns2 == 0);
-  const uint64_t np2 = n2 - ns2;
   const uint32_t il2 = delta.new_infix ? delta.new_infix_len : infix_len_;
   const uint64_t ib2 = static_cast<uint64_t>(dim_) * il2;
-  const uint64_t st = stride();
-  const uint64_t s = hc_slots();
-  const uint64_t v = vb();
-  const uint32_t pl = postfix_len_;
-  // Target-layout region bases for the post-state occupancy (the layout
-  // definitions from the node.h region comment).
-  uint64_t n_sub = 0;
-  uint64_t n_inf = 0;
-  uint64_t n_flg = 0;
-  uint64_t n_adr = 0;
-  uint64_t n_pres = 0;
-  uint64_t n_subbm = 0;
-  uint64_t n_rec = 0;
-  uint64_t n_subtail = 0;
-  uint64_t total = 0;
-  switch (target) {
-    case Repr::kLhc:
-      n_sub = np2 * v;
-      n_inf = n_sub + ns2 * 32;
-      n_flg = n_inf + ib2;
-      n_adr = n_flg + n2;
-      n_rec = n_adr + n2 * dim_;
-      total = n_rec + np2 * st;
-      break;
-    case Repr::kHc:
-      n_inf = store_values_ ? s * 64 : 0;
-      n_pres = n_inf + ib2;
-      n_subbm = n_pres + s;
-      n_rec = n_subbm + s;
-      n_subtail = n_rec + s * st;
-      total = n_subtail + (store_values_ ? 0 : ns2 * 32);
-      break;
-    case Repr::kBhc:
-      n_inf = np2 * v;
-      n_pres = n_inf + ib2;
-      n_rec = n_pres + s;
-      total = n_rec + np2 * st;
-      break;
-  }
+  StreamWriter w(*this, target, n2, ns2, ib2);
   // The single fallible step: one zeroed block for the whole replacement
   // node. Nothing below can fail, and this node is never touched.
   const NodeRef moved =
-      arena.AllocateNode(dim_, il2, postfix_len_, store_values_, total,
-                         FaultSite::kWordAlloc);
+      arena.AllocateNode(dim_, il2, postfix_len_, store_values_,
+                         w.regions().end, FaultSite::kWordAlloc);
   if (!moved) {
     return {};
   }
-  uint64_t* out = moved.ptr->words();
+  Node* node = moved.ptr;
+  uint64_t* out = node->words();
+  const uint64_t n_inf = w.regions().infix;
   if (delta.new_infix) {
     for (uint32_t d = 0; d < dim_; ++d) {
       WriteBits(out, n_inf + static_cast<uint64_t>(d) * il2, il2,
@@ -717,74 +746,19 @@ NodeRef Node::TryRebuild(NodeArena& arena, Repr target,
   } else {
     CopyBits(words(), infix_base(), out, n_inf, ib2);
   }
-  uint64_t idx = 0;
-  uint64_t prank = 0;
-  uint64_t srank = 0;
-  const auto write_record = [&](uint64_t pos, const uint64_t* key_src) {
-    for (uint32_t d = 0; d < dim_; ++d) {
-      WriteBits(out, pos + static_cast<uint64_t>(d) * pl, pl,
-                key_src[d] & LowMask(pl));
-    }
-  };
   // Emits one post-state entry; `src_ord` names the old-node ordinal to
   // copy the postfix record from, kNoOrdinal when `key_src` supplies it.
   const auto emit = [&](uint64_t addr, bool sub, uint64_t payload,
                         const uint64_t* key_src, uint64_t src_ord) {
-    switch (target) {
-      case Repr::kLhc:
-        SetBit(out, n_flg + idx, sub ? 1 : 0);
-        WriteBits(out, n_adr + idx * dim_, dim_, addr);
-        if (sub) {
-          WriteBits(out, n_sub + srank * 32, 32, payload);
-        } else {
-          if (v > 0) {
-            WriteBits(out, prank * 64, 64, payload);
-          }
-          if (key_src != nullptr) {
-            write_record(n_rec + prank * st, key_src);
-          } else {
-            CopyBits(words(), RecordPos(src_ord), out, n_rec + prank * st, st);
-          }
-        }
-        break;
-      case Repr::kHc:
-        SetBit(out, n_pres + addr, 1);
-        if (sub) {
-          SetBit(out, n_subbm + addr, 1);
-          if (store_values_) {
-            WriteBits(out, addr * 64, 64, payload);
-          } else {
-            WriteBits(out, n_subtail + srank * 32, 32, payload);
-          }
-        } else {
-          if (v > 0) {
-            WriteBits(out, addr * 64, 64, payload);
-          }
-          if (key_src != nullptr) {
-            write_record(n_rec + addr * st, key_src);
-          } else {
-            CopyBits(words(), RecordPos(src_ord), out, n_rec + addr * st, st);
-          }
-        }
-        break;
-      case Repr::kBhc:
-        SetBit(out, n_pres + addr, 1);
-        if (v > 0) {
-          WriteBits(out, prank * 64, 64, payload);
-        }
-        if (key_src != nullptr) {
-          write_record(n_rec + prank * st, key_src);
-        } else {
-          CopyBits(words(), RecordPos(src_ord), out, n_rec + prank * st, st);
-        }
-        break;
-    }
+    const uint64_t record = w.Emit(out, addr, sub, payload);
     if (sub) {
-      ++srank;
-    } else {
-      ++prank;
+      return;
     }
-    ++idx;
+    if (key_src != nullptr) {
+      node->WritePostfixRecord(record, {key_src, dim_});
+    } else {
+      CopyBits(words(), RecordPos(src_ord), out, record, stride());
+    }
   };
   bool pending_insert =
       delta.kind == K::kInsertPostfix || delta.kind == K::kInsertSub;
@@ -817,10 +791,46 @@ NodeRef Node::TryRebuild(NodeArena& arena, Repr target,
     emit(delta.addr, delta.kind == K::kInsertSub, delta.payload, delta.key,
          kNoOrdinal);
   }
-  moved.ptr->repr_ = target;
-  moved.ptr->num_entries_ = static_cast<uint32_t>(n2);
-  moved.ptr->num_subs_ = static_cast<uint32_t>(ns2);
+  node->repr_ = target;
+  node->num_entries_ = static_cast<uint32_t>(n2);
+  node->num_subs_ = static_cast<uint32_t>(ns2);
   return moved;
+}
+
+NodeRef Node::TryBuild(NodeArena& arena, uint32_t dim, uint32_t infix_len,
+                       uint32_t postfix_len, bool store_values,
+                       std::span<const uint64_t> infix_key,
+                       std::span<const NodeEntry> entries,
+                       const uint64_t* keys) {
+  // A header-only node of the target's shape prices the representations.
+  const Node shape(dim, infix_len, postfix_len, store_values);
+  uint64_t n_subs = 0;
+  for (const NodeEntry& e : entries) {
+    n_subs += e.is_sub ? 1 : 0;
+  }
+  const uint64_t n = entries.size();
+  const uint64_t ib = shape.infix_bits();
+  const Repr target = shape.PickRepr(n, n_subs, ib);
+  StreamWriter w(shape, target, n, n_subs, ib);
+  const NodeRef built =
+      arena.AllocateNode(dim, infix_len, postfix_len, store_values,
+                         w.regions().end, FaultSite::kArenaNodeAlloc);
+  if (!built) {
+    return {};
+  }
+  Node* node = built.ptr;
+  node->repr_ = target;
+  node->num_entries_ = static_cast<uint32_t>(n);
+  node->num_subs_ = static_cast<uint32_t>(n_subs);
+  node->SetInfixFromKey(infix_key);
+  for (size_t i = 0; i < n; ++i) {
+    const NodeEntry& e = entries[i];
+    const uint64_t record = w.Emit(node->words(), e.addr, e.is_sub, e.payload);
+    if (!e.is_sub) {
+      node->WritePostfixRecord(record, {keys + i * dim, dim});
+    }
+  }
+  return built;
 }
 
 // ---- Accounting ---------------------------------------------------------

@@ -56,6 +56,13 @@ struct NodeRef {
   explicit operator bool() const { return ptr != nullptr; }
 };
 
+/// One entry of a node written whole by Node::TryBuild.
+struct NodeEntry {
+  uint64_t addr = 0;     ///< hypercube address in the node
+  uint64_t payload = 0;  ///< value of a postfix entry, handle of a sub entry
+  bool is_sub = false;
+};
+
 /// A node is one arena block: this 16-byte header followed directly by the
 /// node's bit stream. The header holds no size, capacity or pointer: the
 /// stream length is CurrentReprBits(), and the block is exactly
@@ -198,6 +205,21 @@ class Node {
   /// kArenaNodeAlloc fault site): the copy-on-write clone step. Empty on
   /// allocation failure.
   [[nodiscard]] NodeRef TryClone(NodeArena& arena) const;
+
+  /// Writes a complete node once, in a block from `arena` (the
+  /// kArenaNodeAlloc fault site) of exactly the size its contents are
+  /// granted, in the representation the switching rule prescribes for its
+  /// final occupancy: the z-order builder's node write. `entries` ascend
+  /// by address; postfix entry i takes its record from the key at
+  /// keys + i * dim, and the infix comes from `infix_key`. Empty on
+  /// allocation failure.
+  [[nodiscard]] static NodeRef TryBuild(NodeArena& arena, uint32_t dim,
+                                        uint32_t infix_len,
+                                        uint32_t postfix_len,
+                                        bool store_values,
+                                        std::span<const uint64_t> infix_key,
+                                        std::span<const NodeEntry> entries,
+                                        const uint64_t* keys);
 
   /// Updates the child handle of the sub-node entry at ordinal `ord`.
   void SetSubAt(uint64_t ord, NodeHandle child);
@@ -376,6 +398,31 @@ class Node {
   /// legal one, ties going to LHC, then BHC, then HC. The current
   /// representation plays no part.
   Repr PickRepr(uint64_t n_entries, uint64_t n_subs, uint64_t ib) const;
+
+  /// Bit offsets of the regions of one representation's stream at one
+  /// occupancy (the layouts above); fields a layout lacks stay 0.
+  struct Regions {
+    uint64_t subs = 0;        ///< LHC sub handles
+    uint64_t infix = 0;
+    uint64_t flags = 0;       ///< LHC is_sub flags
+    uint64_t addrs = 0;       ///< LHC address table
+    uint64_t present = 0;     ///< HC/BHC present bitmap
+    uint64_t sub_bitmap = 0;  ///< HC is_sub bitmap
+    uint64_t records = 0;     ///< postfix records
+    uint64_t sub_tail = 0;    ///< key-only HC sub handles
+    uint64_t end = 0;         ///< the stream length
+  };
+
+  /// The one computation of the region bases: where each region of a
+  /// `repr` stream holding `n_entries` entries (`n_subs` of them subs) over
+  /// `ib` infix bits starts, for this node's dimensionality, postfix
+  /// length and value mode.
+  Regions RegionsFor(Repr repr, uint64_t n_entries, uint64_t n_subs,
+                     uint64_t ib) const;
+
+  /// Writes a whole stream in one representation at one occupancy, entry
+  /// by entry in ascending address order (TryRebuild and TryBuild).
+  class StreamWriter;
 
   /// One atomic entry-table change applied during TryRebuild.
   struct EntryDelta {

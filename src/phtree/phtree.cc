@@ -8,6 +8,7 @@
 
 #include "common/fault.h"
 #include "common/simd.h"
+#include "phtree/builder.h"
 #include "phtree/cursor.h"
 
 namespace phtree {
@@ -154,12 +155,6 @@ void PhTree::RetireSubtree(NodeRef node) {
   arena_->RetireNode(node);
 }
 
-void PhTree::ReserveNodes(size_t n) {
-  if (arena_ != nullptr) {
-    arena_->ReserveNodes(n);
-  }
-}
-
 NodeRef PhTree::NewNode(uint32_t infix_len, uint32_t postfix_len) {
   if (arena_ == nullptr) {
     // Moved-from tree being refilled: give it a fresh arena.
@@ -198,13 +193,25 @@ OpStatus PhTree::TryInsertOrAssign(std::span<const uint64_t> key,
 }
 
 size_t PhTree::BulkLoad(std::span<const PhEntry> entries) {
-  size_t inserted = 0;
-  for (const PhEntry& e : entries) {
-    if (Insert(e.key, e.value)) {
-      ++inserted;
+  if (!empty()) {
+    size_t inserted = 0;
+    for (const PhEntry& e : entries) {
+      if (Insert(e.key, e.value)) {
+        ++inserted;
+      }
     }
+    return inserted;
   }
-  return inserted;
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> values;
+  keys.reserve(entries.size() * dim_);
+  values.reserve(entries.size());
+  for (const PhEntry& e : entries) {
+    assert(e.key.size() == dim_);
+    keys.insert(keys.end(), e.key.begin(), e.key.end());
+    values.push_back(e.value);
+  }
+  return BuildFromRows(this, keys, values, ZOrderPermutation(keys, dim_));
 }
 
 bool PhTree::Erase(std::span<const uint64_t> key) {

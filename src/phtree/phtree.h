@@ -131,10 +131,15 @@ class PhTree {
   /// allocation failure. Payload overwrite itself never allocates.
   OpStatus TryInsertOrAssign(std::span<const uint64_t> key, uint64_t value);
 
-  /// Inserts all `entries` in order with Insert semantics (duplicates keep
-  /// the first-seen payload). Returns the number of newly inserted entries.
-  /// Each entry is inserted atomically; if an allocation fails the already
-  /// inserted prefix remains and std::bad_alloc propagates.
+  /// Stores all `entries` with Insert semantics (of equal keys the first
+  /// in `entries` keeps its payload). Returns the number of newly inserted
+  /// entries. An empty tree is built bottom-up: the entries are z-sorted
+  /// (stably) and every node is written once at its final size
+  /// (ZOrderBuilder, builder.h); that is all or nothing — on an allocation
+  /// failure every built node is freed, the tree stays empty and
+  /// std::bad_alloc propagates. A non-empty tree inserts the entries in
+  /// order, each atomically; if an allocation fails the inserted prefix
+  /// remains and std::bad_alloc propagates.
   size_t BulkLoad(std::span<const PhEntry> entries);
 
   /// Point query (paper Sect. 3.5): returns the payload if `key` is stored.
@@ -196,10 +201,6 @@ class PhTree {
   /// tree instead unpublishes the root and retires every node.
   void Clear();
 
-  /// Pre-allocates arena capacity for about `n` additional nodes (a tree
-  /// holds at most one node per entry).
-  void ReserveNodes(size_t n);
-
   /// Calls `fn(key, value)` for every stored entry, in z-order (ascending
   /// hypercube-address order at every node).
   void ForEach(
@@ -253,6 +254,7 @@ class PhTree {
 
  private:
   friend class PhTreeValidator;
+  friend class ZOrderBuilder;
 
   // ---- The mutation engine (phtree.cc) ------------------------------------
 

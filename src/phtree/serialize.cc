@@ -5,12 +5,15 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
 #include "common/crc32c.h"
 #include "common/vfs.h"
+#include "phtree/builder.h"
+#include "phtree/cursor.h"
 #include "phtree/validate.h"
 
 // GCC 12 emits a false-positive stringop-overflow for std::vector<uint8_t>
@@ -196,25 +199,18 @@ StatusOr<HeaderV2> ParseHeaderV2(const std::vector<uint8_t>& bytes,
   return h;
 }
 
-/// Rebuilds the tree from a v2 stream. See DESIGN.md "Snapshot format v2"
-/// for the layout this walks.
-Expected<PhTree, SnapshotError> DeserializeV2(
-    const std::vector<uint8_t>& bytes, const LoadOptions& options) {
-  auto header = ParseHeaderV2(bytes, /*check_crc=*/true);
-  if (!header) {
-    return header.error();
-  }
-  const HeaderV2& h = *header;
-
-  PhTree tree(h.dim, h.config);
-  // Cap the reservation by the stream's physical capacity (each entry costs
-  // at least one delta byte per dimension, plus 8 value bytes when values
-  // are stored) so a corrupt count cannot trigger a huge allocation.
-  const uint64_t min_entry_bytes = h.dim + (h.config.store_values ? 8 : 0);
-  const uint64_t max_entries = bytes.size() / std::max<uint64_t>(1, min_entry_bytes);
-  tree.ReserveNodes(static_cast<size_t>(std::min<uint64_t>(h.n, max_entries)));
-
+/// Walks the records and the trailer of a v2 stream with header `h` (see
+/// DESIGN.md "Snapshot format v2"), verifying every CRC, both counts and
+/// that the keys strictly ascend in z-order, and hands each entry to
+/// `sink(key, value)` in stream order. The sink sees every entry before
+/// the trailer is checked, so a caller publishes nothing until this
+/// returns Ok.
+template <typename Sink>
+Status DecodeV2(const std::vector<uint8_t>& bytes, const HeaderV2& h,
+                Sink&& sink) {
   PhKey key(h.dim, 0);
+  uint64_t delta[kMaxDims];
+  uint64_t decoded = 0;
   size_t pos = kHeaderEnd;
   for (uint32_t rec = 0; rec < h.record_count; ++rec) {
     if (pos + 4 > bytes.size()) {
@@ -247,21 +243,40 @@ Expected<PhTree, SnapshotError> DeserializeV2(
     const uint32_t entry_count = r.GetU32();
     for (uint32_t i = 0; i < entry_count; ++i) {
       const size_t entry_offset = r.pos();
+      uint64_t agg = 0;
       for (uint32_t d = 0; d < h.dim; ++d) {
-        key[d] ^= r.GetDelta();
+        delta[d] = r.GetDelta();
+        key[d] ^= delta[d];
+        agg |= delta[d];
       }
       const uint64_t value = h.config.store_values ? r.GetU64() : 0;
+      const auto entry_error = [&](const std::string& what) {
+        return Err(StatusCode::kRecordCorrupt, entry_offset,
+                   "record " + std::to_string(rec) + " entry " +
+                       std::to_string(i) + " " + what);
+      };
       if (!r.ok()) {
-        return Err(StatusCode::kRecordCorrupt, entry_offset,
-                   "record " + std::to_string(rec) + " entry " +
-                       std::to_string(i) + " is undecodable (runs past the "
-                       "record payload or has a delta length > 8)");
+        return entry_error(
+            "is undecodable (runs past the record payload or has a delta "
+            "length > 8)");
       }
-      if (!tree.Insert(key, value)) {
-        return Err(StatusCode::kRecordCorrupt, entry_offset,
-                   "record " + std::to_string(rec) + " entry " +
-                       std::to_string(i) + " duplicates an earlier key");
+      if (decoded > 0) {
+        if (agg == 0) {
+          return entry_error("duplicates an earlier key");
+        }
+        // The key's delta to its predecessor: the lowest dimension holding
+        // its top bit decides the z-order (as in ZOrderCompare).
+        const uint64_t top = std::bit_floor(agg);
+        uint32_t d = 0;
+        while ((delta[d] & top) == 0) {
+          ++d;
+        }
+        if ((key[d] & top) == 0) {
+          return entry_error("is z-before the key preceding it");
+        }
       }
+      sink(std::span<const uint64_t>(key), value);
+      ++decoded;
     }
     if (!r.AtEnd()) {
       return Err(StatusCode::kRecordCorrupt, r.pos(),
@@ -272,11 +287,10 @@ Expected<PhTree, SnapshotError> DeserializeV2(
     pos = crc_offset + 4;
   }
 
-  if (tree.size() != h.n) {
+  if (decoded != h.n) {
     return Err(StatusCode::kCountMismatch, pos,
                "header declares " + std::to_string(h.n) +
-                   " entries but the records rebuilt " +
-                   std::to_string(tree.size()));
+                   " entries but the records hold " + std::to_string(decoded));
   }
 
   const size_t trailer_begin = pos;
@@ -309,7 +323,49 @@ Expected<PhTree, SnapshotError> DeserializeV2(
                std::to_string(t.remaining()) +
                    " trailing garbage bytes after the trailer");
   }
+  return Status::Ok();
+}
 
+/// Checks the magic: Ok for a v2 stream, else the typed rejection.
+Status CheckMagic(const std::vector<uint8_t>& bytes) {
+  if (bytes.size() < 4) {
+    return Err(StatusCode::kTruncated, bytes.size(),
+               "stream is shorter than the 4-byte magic");
+  }
+  if (std::memcmp(bytes.data(), kMagicV2, 4) == 0) {
+    return Status::Ok();
+  }
+  if (std::memcmp(bytes.data(), "PHT", 3) == 0) {
+    return Err(StatusCode::kUnsupportedVersion, 3,
+               "snapshot version '" +
+                   std::string(1, static_cast<char>(bytes[3])) +
+                   "' is not readable by this build (knows v2 only)");
+  }
+  return Err(StatusCode::kBadMagic, 0, "not a PH-tree snapshot");
+}
+
+/// Builds the tree of a v2 stream: the verified entries feed the z-order
+/// builder directly, which writes every node once.
+Expected<PhTree, SnapshotError> DeserializeV2(
+    const std::vector<uint8_t>& bytes, const LoadOptions& options) {
+  auto header = ParseHeaderV2(bytes, /*check_crc=*/true);
+  if (!header) {
+    return header.error();
+  }
+  PhTree tree(header->dim, header->config);
+  {
+    ZOrderBuilder builder(&tree);
+    const Status decoded = DecodeV2(
+        bytes, *header, [&](std::span<const uint64_t> key, uint64_t value) {
+          const ZOrderBuilder::AddResult added = builder.Add(key, value);
+          assert(added == ZOrderBuilder::AddResult::kAdded);
+          (void)added;
+        });
+    if (!decoded.ok()) {
+      return decoded;
+    }
+    builder.Finish();
+  }
   if (options.validate_structure) {
     const std::string violation = ValidatePhTree(tree);
     if (!violation.empty()) {
@@ -389,84 +445,88 @@ StatusOr<std::vector<uint8_t>> ReadFileOr(const std::string& path) {
 
 }  // namespace
 
+SnapshotWriter::SnapshotWriter(uint32_t dim, bool store_values, uint64_t n,
+                               const SaveOptions& options)
+    : dim_(dim),
+      store_values_(store_values),
+      n_(n),
+      entries_per_record_(std::max<uint32_t>(1, options.entries_per_record)),
+      record_count_(static_cast<uint32_t>((n + entries_per_record_ - 1) /
+                                          entries_per_record_)),
+      prev_(dim, 0) {
+  out_.insert(out_.end(), kMagicV2, kMagicV2 + 4);
+  PutU32(&out_, kHeaderPayloadLen);
+  PutU32(&out_, dim);
+  PutU8(&out_, kReservedRepr);
+  PutU64(&out_, std::bit_cast<uint64_t>(kReservedHysteresis));
+  PutU32(&out_, kReservedHcMaxDim);
+  PutU8(&out_, store_values ? 1 : 0);
+  PutU64(&out_, n);
+  PutU32(&out_, record_count_);
+  PutU32(&out_, Crc32c(out_.data(), out_.size()));  // header CRC
+}
+
+void SnapshotWriter::Add(std::span<const uint64_t> key, uint64_t value) {
+  assert(key.size() == dim_ && added_ < n_);
+  // Entries in z-order with per-dimension XOR deltas vs the previous key,
+  // chunked into records. The delta chain runs across record boundaries
+  // (records are a framing unit, not a decoding restart point).
+  if (in_record_ == 0) {
+    record_begin_ = out_.size();
+    out_.resize(out_.size() + 8);  // payload length + entry count, patched
+  }
+  for (uint32_t d = 0; d < dim_; ++d) {
+    PutDelta(&out_, key[d] ^ prev_[d]);
+    prev_[d] = key[d];
+  }
+  if (store_values_) {
+    PutU64(&out_, value);
+  }
+  ++added_;
+  if (++in_record_ == entries_per_record_) {
+    FlushRecord();
+  }
+}
+
+void SnapshotWriter::FlushRecord() {
+  const size_t payload_begin = record_begin_ + 4;
+  const size_t payload_len = out_.size() - payload_begin;
+  for (int i = 0; i < 4; ++i) {
+    out_[record_begin_ + i] = static_cast<uint8_t>(payload_len >> (8 * i));
+    out_[payload_begin + i] = static_cast<uint8_t>(in_record_ >> (8 * i));
+  }
+  PutU32(&out_, Crc32c(out_.data() + payload_begin, payload_len));
+  in_record_ = 0;
+}
+
+std::vector<uint8_t> SnapshotWriter::Finish() && {
+  assert(added_ == n_);
+  if (in_record_ > 0) {
+    FlushRecord();
+  }
+  const uint32_t stream_crc = Crc32c(out_.data(), out_.size());
+  PutU64(&out_, n_);
+  PutU32(&out_, record_count_);
+  PutU32(&out_, stream_crc);
+  return std::move(out_);
+}
+
 std::vector<uint8_t> SerializePhTree(const PhTree& tree,
                                      const SaveOptions& options) {
-  const uint32_t epr = std::max<uint32_t>(1, options.entries_per_record);
-  const uint64_t n = tree.size();
-  const uint32_t record_count = static_cast<uint32_t>((n + epr - 1) / epr);
-
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kMagicV2, kMagicV2 + 4);
-  PutU32(&out, kHeaderPayloadLen);
-  PutU32(&out, tree.dim());
-  PutU8(&out, kReservedRepr);
-  PutU64(&out, std::bit_cast<uint64_t>(kReservedHysteresis));
-  PutU32(&out, kReservedHcMaxDim);
-  PutU8(&out, tree.config().store_values ? 1 : 0);
-  PutU64(&out, n);
-  PutU32(&out, record_count);
-  PutU32(&out, Crc32c(out.data(), out.size()));  // header CRC
-
-  // Entries in z-order with per-dimension XOR deltas vs the previous key,
-  // chunked into `epr`-entry records. The delta chain runs across record
-  // boundaries (records are a framing unit, not a decoding restart point).
-  const bool store_values = tree.config().store_values;
-  std::vector<uint8_t> payload;
-  uint32_t in_record = 0;
-  auto flush_record = [&]() {
-    // Patch the entry count into the 4 placeholder bytes at the front.
-    for (int i = 0; i < 4; ++i) {
-      payload[i] = static_cast<uint8_t>(in_record >> (8 * i));
-    }
-    PutU32(&out, static_cast<uint32_t>(payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
-    PutU32(&out, Crc32c(payload.data(), payload.size()));
-    payload.clear();
-    in_record = 0;
-  };
-  PhKey prev(tree.dim(), 0);
-  tree.ForEach([&](const PhKey& key, uint64_t value) {
-    if (in_record == 0) {
-      payload.assign(4, 0);  // entry-count placeholder
-    }
-    for (uint32_t d = 0; d < tree.dim(); ++d) {
-      PutDelta(&payload, key[d] ^ prev[d]);
-    }
-    if (store_values) {
-      PutU64(&payload, value);
-    }
-    prev = key;
-    if (++in_record == epr) {
-      flush_record();
-    }
-  });
-  if (in_record > 0) {
-    flush_record();
+  SnapshotWriter writer(tree.dim(), tree.config().store_values, tree.size(),
+                        options);
+  for (TreeCursor cursor(tree); cursor.Valid(); cursor.Next()) {
+    writer.Add(cursor.key(), cursor.value());
   }
-
-  const uint32_t stream_crc = Crc32c(out.data(), out.size());
-  PutU64(&out, n);
-  PutU32(&out, record_count);
-  PutU32(&out, stream_crc);
-  return out;
+  return std::move(writer).Finish();
 }
 
 Expected<PhTree, SnapshotError> DeserializePhTreeOr(
     const std::vector<uint8_t>& bytes, const LoadOptions& options) {
-  if (bytes.size() < 4) {
-    return Err(StatusCode::kTruncated, bytes.size(),
-               "stream is shorter than the 4-byte magic");
+  if (Status magic = CheckMagic(bytes); !magic.ok()) {
+    return magic;
   }
-  if (std::memcmp(bytes.data(), kMagicV2, 4) == 0) {
-    return DeserializeV2(bytes, options);
-  }
-  if (std::memcmp(bytes.data(), "PHT", 3) == 0) {
-    return Err(StatusCode::kUnsupportedVersion, 3,
-               "snapshot version '" +
-                   std::string(1, static_cast<char>(bytes[3])) +
-                   "' is not readable by this build (knows v2 only)");
-  }
-  return Err(StatusCode::kBadMagic, 0, "not a PH-tree snapshot");
+  return DeserializeV2(bytes, options);
 }
 
 Status WriteSnapshotFileOr(const std::vector<uint8_t>& bytes,
@@ -516,6 +576,43 @@ Expected<PhTree, SnapshotError> LoadPhTreeOr(const std::string& path,
     return bytes.error();
   }
   return DeserializePhTreeOr(*bytes, options);
+}
+
+Expected<SnapshotRows, SnapshotError> LoadSnapshotRowsOr(
+    const std::string& path) {
+  auto bytes = ReadFileOr(path);
+  if (!bytes) {
+    return bytes.error();
+  }
+  if (Status magic = CheckMagic(*bytes); !magic.ok()) {
+    return magic;
+  }
+  auto header = ParseHeaderV2(*bytes, /*check_crc=*/true);
+  if (!header) {
+    return header.error();
+  }
+  SnapshotRows rows;
+  rows.dim = header->dim;
+  rows.config = header->config;
+  // Cap the reservation by the stream's physical capacity (each entry
+  // costs at least one delta byte per dimension, plus 8 value bytes when
+  // values are stored) so a corrupt count cannot trigger a huge
+  // allocation.
+  const size_t max_entries =
+      bytes->size() / (rows.dim + (rows.config.store_values ? 8 : 0));
+  const size_t n = static_cast<size_t>(
+      std::min<uint64_t>(header->n, max_entries));
+  rows.keys.reserve(n * rows.dim);
+  rows.values.reserve(n);
+  const Status decoded = DecodeV2(
+      *bytes, *header, [&](std::span<const uint64_t> key, uint64_t value) {
+        rows.keys.insert(rows.keys.end(), key.begin(), key.end());
+        rows.values.push_back(value);
+      });
+  if (!decoded.ok()) {
+    return decoded;
+  }
+  return rows;
 }
 
 StatusOr<SnapshotLayout> DescribeSnapshot(const std::vector<uint8_t>& bytes) {

@@ -1,9 +1,11 @@
 // Serialisation of a PH-tree to/from a flat byte stream. The paper argues
 // the PH-tree suits persistent storage (Sect. 1: nodes are large enough to
 // map to disk pages; Sect. 3.4: nodes are already bit-stream serialised).
-// This module writes the tree in pre-order as a self-describing stream of
-// entry records; loading rebuilds the identical structure (shape is a pure
-// function of the data, so a round trip is bit-identical in stats).
+// This module writes the tree's entries in z-order as a self-describing
+// stream of records; loading feeds them to the z-order builder
+// (builder.h), which writes every node once and rebuilds the identical
+// structure (shape is a pure function of the data, so a round trip is
+// bit-identical in stats).
 //
 // Snapshot format v2 (magic "PHT2") hardens that stream for disk use:
 //   * versioned, CRC32C-protected header,
@@ -18,6 +20,7 @@
 #define PHTREE_PHTREE_SERIALIZE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,12 +51,46 @@ struct LoadOptions {
   bool validate_structure = false;
 };
 
+/// Streams a format-v2 snapshot: the header (which needs the entry count
+/// up front), then the entries as they are added, then the trailer.
+/// SerializePhTree is this writer over one tree's scan;
+/// PhTreeSharded::Save feeds it the shards' scans in z-order.
+class SnapshotWriter {
+ public:
+  SnapshotWriter(uint32_t dim, bool store_values, uint64_t n,
+                 const SaveOptions& options = {});
+
+  /// Appends the next of the `n` entries; keys must ascend in z-order.
+  void Add(std::span<const uint64_t> key, uint64_t value);
+
+  /// The finished stream, once all `n` entries are added.
+  std::vector<uint8_t> Finish() &&;
+
+ private:
+  void FlushRecord();
+
+  uint32_t dim_;
+  bool store_values_;
+  uint64_t n_;
+  uint32_t entries_per_record_;
+  uint32_t record_count_;
+  std::vector<uint8_t> out_;
+  std::vector<uint64_t> prev_;
+  uint64_t added_ = 0;
+  uint32_t in_record_ = 0;
+  size_t record_begin_ = 0;  ///< offset of the open record's length field
+};
+
 /// Serialises `tree` into a format-v2 byte buffer.
 std::vector<uint8_t> SerializePhTree(const PhTree& tree,
                                      const SaveOptions& options = {});
 
-/// Reconstructs a tree from SerializePhTree output. Any other "PHT"
-/// version fails with kUnsupportedVersion.
+/// Reconstructs a tree from SerializePhTree output, feeding the entries
+/// to the z-order builder (builder.h) as they are verified. Any other
+/// "PHT" version fails with kUnsupportedVersion; keys that do not
+/// strictly ascend in z-order fail with kRecordCorrupt naming the record
+/// and entry. On an allocation failure std::bad_alloc propagates and no
+/// partial tree is returned.
 /// On failure the error carries the class, the byte offset of the problem
 /// and a message naming what broke (e.g. a CRC mismatch with both values).
 /// The configuration of the returned tree is taken from the stream.
@@ -81,6 +118,20 @@ Status WriteSnapshotFileOr(const std::vector<uint8_t>& bytes,
 /// error classes — callers can finally tell the two apart.
 Expected<PhTree, SnapshotError> LoadPhTreeOr(const std::string& path,
                                              const LoadOptions& options = {});
+
+/// A snapshot's entries as flat rows, in the stream's (z-)order.
+struct SnapshotRows {
+  uint32_t dim = 0;
+  PhTreeConfig config;
+  std::vector<uint64_t> keys;    ///< dim words per entry
+  std::vector<uint64_t> values;  ///< one per entry (0 in key-only mode)
+};
+
+/// Reads a snapshot file with every check LoadPhTreeOr makes short of
+/// building a tree (the same error classes, offsets and messages) and
+/// returns its entries. PhTreeSharded::Load cuts them into shards.
+Expected<SnapshotRows, SnapshotError> LoadSnapshotRowsOr(
+    const std::string& path);
 
 /// Byte map of a v2 snapshot: where the header, each record and the
 /// trailer sit. Used by diagnostics and by the corruption fault-injection

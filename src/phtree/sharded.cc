@@ -6,11 +6,14 @@
 #include <cassert>
 #include <limits>
 #include <mutex>
+#include <new>
 #include <numeric>
 
 #include "common/bits.h"
 #include "common/fault.h"
+#include "phtree/builder.h"
 #include "phtree/cursor.h"
+#include "phtree/validate.h"
 
 namespace phtree {
 namespace {
@@ -289,31 +292,47 @@ void PhTreeSharded::Clear() {
 
 size_t PhTreeSharded::BulkLoad(std::span<const PhEntry> entries) {
   const uint32_t S = num_shards();
-  // One partition pass: per-shard index lists into `entries`.
-  std::vector<std::vector<size_t>> part(S);
-  for (auto& p : part) {
-    p.reserve(entries.size() / S + 1);
+  // One partition pass: each shard's entries as flat rows, in input order.
+  std::vector<std::vector<uint64_t>> keys(S);
+  std::vector<std::vector<uint64_t>> values(S);
+  for (uint32_t s = 0; s < S; ++s) {
+    keys[s].reserve((entries.size() / S + 1) * dim_);
+    values[s].reserve(entries.size() / S + 1);
   }
-  for (size_t i = 0; i < entries.size(); ++i) {
-    assert(entries[i].key.size() == dim_);
-    part[ShardOf(entries[i].key)].push_back(i);
+  for (const PhEntry& e : entries) {
+    assert(e.key.size() == dim_);
+    const uint32_t s = ShardOf(e.key);
+    keys[s].insert(keys[s].end(), e.key.begin(), e.key.end());
+    values[s].push_back(e.value);
   }
   std::vector<size_t> inserted(S, 0);
+  std::atomic<bool> out_of_memory{false};
   ParallelFor(S, [&](size_t s) {
-    const std::vector<size_t>& idx = part[s];
-    if (idx.empty()) {
+    if (values[s].empty()) {
       return;
     }
     Shard& shard = *shards_[s];
     std::lock_guard lock(shard.mutex);
     PhTree* tree = shard.writer();
-    tree->ReserveNodes(idx.size());
-    size_t ins = 0;
-    for (const size_t i : idx) {
-      ins += tree->Insert(entries[i].key, entries[i].value) ? 1 : 0;
+    // Pool tasks must not throw: an allocation failure is carried out and
+    // rethrown once every shard has finished.
+    try {
+      if (tree->empty()) {
+        inserted[s] = BuildFromRows(tree, keys[s], values[s],
+                                    ZOrderPermutation(keys[s], dim_));
+        return;
+      }
+      for (size_t i = 0; i < values[s].size(); ++i) {
+        const std::span<const uint64_t> key(keys[s].data() + i * dim_, dim_);
+        inserted[s] += tree->Insert(key, values[s][i]) ? 1 : 0;
+      }
+    } catch (const std::bad_alloc&) {
+      out_of_memory.store(true, std::memory_order_relaxed);
     }
-    inserted[s] = ins;
   });
+  if (out_of_memory.load(std::memory_order_relaxed)) {
+    throw std::bad_alloc();
+  }
   return std::accumulate(inserted.begin(), inserted.end(), size_t{0});
 }
 
@@ -560,99 +579,162 @@ PhTreeStats PhTreeSharded::ComputeStats() const {
   return total;
 }
 
-std::vector<PhTree> PhTreeSharded::BuildShardTrees(
-    std::span<const PhEntry> entries, const PhTreeConfig& config) const {
-  const uint32_t S = num_shards();
-  std::vector<std::vector<size_t>> part(S);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    part[ShardOf(entries[i].key)].push_back(i);
-  }
-  std::vector<PhTree> trees;
-  trees.reserve(S);
-  for (uint32_t s = 0; s < S; ++s) {
-    trees.emplace_back(dim_, config);
-  }
-  ParallelFor(S, [&](size_t s) {
-    trees[s].ReserveNodes(part[s].size());
-    for (const size_t i : part[s]) {
-      trees[s].Insert(entries[i].key, entries[i].value);
-    }
-  });
-  return trees;
-}
-
 Status PhTreeSharded::Save(const std::string& path,
                            const SaveOptions& options) const {
   const uint32_t S = num_shards();
-  if (S == 1) {
-    // One shard is already the canonical tree: serialise it in place,
-    // write it out unlocked.
-    std::vector<uint8_t> bytes;
-    {
-      std::lock_guard lock(shards_[0]->mutex);
-      bytes = SerializePhTree(*shards_[0]->reader(), options);
+  std::vector<uint8_t> bytes;
+  {
+    // All writer mutexes taken together (in index order, like every
+    // cross-shard path here) => the snapshot is the one cross-shard
+    // consistent view. Lock-free readers are unaffected throughout.
+    std::vector<std::unique_lock<std::mutex>> locks;
+    locks.reserve(S);
+    for (const auto& shard : shards_) {
+      locks.emplace_back(shard->mutex);
     }
-    return WriteSnapshotFileOr(bytes, path);
+    uint64_t n = 0;
+    for (const auto& shard : shards_) {
+      n += shard->reader()->size();
+    }
+    // The shards' scans stream to the writer in global z-order, so the
+    // bytes equal those of one tree holding the same entries.
+    SnapshotWriter writer(dim_, config_.store_values, n, options);
+    if (routing_ == ShardRouting::kZPrefix || S == 1) {
+      // Ascending shard index is ascending z-order: concatenate.
+      for (const auto& shard : shards_) {
+        for (TreeCursor c(*shard->reader()); c.Valid(); c.Next()) {
+          writer.Add(c.key(), c.value());
+        }
+      }
+    } else {
+      // Hash shards interleave: an S-way z-order merge of their scans.
+      std::vector<TreeCursor> scans;
+      scans.reserve(S);
+      for (const auto& shard : shards_) {
+        scans.emplace_back(*shard->reader());
+      }
+      for (;;) {
+        TreeCursor* next = nullptr;
+        for (TreeCursor& c : scans) {
+          if (c.Valid() &&
+              (next == nullptr || ZOrderCompare(c.key(), next->key()) < 0)) {
+            next = &c;
+          }
+        }
+        if (next == nullptr) {
+          break;
+        }
+        writer.Add(next->key(), next->value());
+        next->Next();
+      }
+    }
+    bytes = std::move(writer).Finish();
   }
-  // All writer mutexes taken together (in index order, like every
-  // cross-shard path here) => the snapshot is the one cross-shard
-  // consistent view. Lock-free readers are unaffected throughout.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(S);
-  for (const auto& shard : shards_) {
-    locks.emplace_back(shard->mutex);
-  }
-  PhTree merged(dim_, config_);
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->reader()->size();
-  }
-  merged.ReserveNodes(total);
-  for (const auto& shard : shards_) {
-    shard->reader()->ForEach([&merged](const PhKey& key, uint64_t value) {
-      merged.Insert(key, value);
-    });
-  }
-  locks.clear();  // the merge is our snapshot; do the disk I/O unlocked
-  return SavePhTreeOr(merged, path, options);
+  // The bytes are the snapshot; do the disk I/O unlocked.
+  return WriteSnapshotFileOr(bytes, path);
 }
 
 Status PhTreeSharded::Load(const std::string& path,
                            const LoadOptions& options) {
-  Expected<PhTree, SnapshotError> loaded = LoadPhTreeOr(path, options);
-  if (!loaded) {
-    return loaded.error();
+  Expected<SnapshotRows, SnapshotError> rows = LoadSnapshotRowsOr(path);
+  if (!rows) {
+    return rows.error();
   }
-  if (loaded->dim() != dim_) {
+  if (rows->dim != dim_) {
     return Status::Error(
         StatusCode::kInvalidArgument,
-        "snapshot dimensionality " + std::to_string(loaded->dim()) +
+        "snapshot dimensionality " + std::to_string(rows->dim) +
             " does not match sharded tree dimensionality " +
             std::to_string(dim_));
   }
-  const PhTreeConfig cfg = loaded->config();
-  std::vector<PhTree> trees;
-  if (num_shards() == 1) {
-    trees.push_back(std::move(*loaded));
+  const uint32_t S = num_shards();
+  const PhTreeConfig cfg = rows->config;
+  const size_t n = rows->values.size();
+  const auto row = [&](size_t i) {
+    return std::span<const uint64_t>(rows->keys).subspan(i * dim_, dim_);
+  };
+  // Each shard's entries, in z-order. Z-prefix shards own contiguous runs
+  // of the z-ordered stream; hash shards take a partition, which keeps
+  // each shard's entries in stream order.
+  std::vector<std::span<const uint64_t>> keys(S);
+  std::vector<std::span<const uint64_t>> values(S);
+  std::vector<std::vector<uint64_t>> hash_keys;
+  std::vector<std::vector<uint64_t>> hash_values;
+  if (routing_ == ShardRouting::kZPrefix || S == 1) {
+    size_t begin = 0;
+    for (uint32_t s = 0; s < S; ++s) {
+      size_t lo = begin;
+      size_t hi = n;
+      while (lo < hi) {  // first row routed past shard s
+        const size_t mid = lo + (hi - lo) / 2;
+        if (ShardOf(row(mid)) <= s) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      keys[s] = std::span<const uint64_t>(rows->keys)
+                    .subspan(begin * dim_, (lo - begin) * dim_);
+      values[s] = std::span<const uint64_t>(rows->values)
+                      .subspan(begin, lo - begin);
+      begin = lo;
+    }
   } else {
-    std::vector<PhEntry> entries;
-    entries.reserve(loaded->size());
-    loaded->ForEach([&entries](const PhKey& key, uint64_t value) {
-      entries.push_back(PhEntry{key, value});
-    });
-    // Replacement shards are built in parallel while readers keep using
-    // the old ones; the swap below is the only all-shard exclusive section.
-    trees = BuildShardTrees(entries, cfg);
+    hash_keys.resize(S);
+    hash_values.resize(S);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t s = ShardOf(row(i));
+      hash_keys[s].insert(hash_keys[s].end(), row(i).begin(), row(i).end());
+      hash_values[s].push_back(rows->values[i]);
+    }
+    for (uint32_t s = 0; s < S; ++s) {
+      keys[s] = hash_keys[s];
+      values[s] = hash_values[s];
+    }
   }
-  std::vector<PhTree*> old(num_shards(), nullptr);
+  // Replacement shards are built in parallel while readers keep using the
+  // old ones; the swap below is the only all-shard exclusive section.
+  std::vector<PhTree> trees;
+  trees.reserve(S);
+  for (uint32_t s = 0; s < S; ++s) {
+    trees.emplace_back(dim_, cfg);
+  }
+  std::atomic<bool> out_of_memory{false};
+  ParallelFor(S, [&](size_t s) {
+    // Pool tasks must not throw: an allocation failure is carried out and
+    // rethrown once every shard has finished.
+    try {
+      ZOrderBuilder builder(&trees[s]);
+      for (size_t i = 0; i < values[s].size(); ++i) {
+        builder.Add(keys[s].subspan(i * dim_, dim_), values[s][i]);
+      }
+      builder.Finish();
+    } catch (const std::bad_alloc&) {
+      out_of_memory.store(true, std::memory_order_relaxed);
+    }
+  });
+  if (out_of_memory.load(std::memory_order_relaxed)) {
+    throw std::bad_alloc();
+  }
+  if (options.validate_structure) {
+    for (uint32_t s = 0; s < S; ++s) {
+      const std::string violation = ValidatePhTree(trees[s]);
+      if (!violation.empty()) {
+        return Status(StatusCode::kStructureInvalid, Status::kNoOffset,
+                      "rebuilt shard " + std::to_string(s) +
+                          " fails validation: " + violation);
+      }
+    }
+  }
+  std::vector<PhTree*> old(S, nullptr);
   {
     std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(num_shards());
+    locks.reserve(S);
     for (const auto& shard : shards_) {
       locks.emplace_back(shard->mutex);
     }
     config_ = cfg;
-    for (uint32_t s = 0; s < num_shards(); ++s) {
+    for (uint32_t s = 0; s < S; ++s) {
       PhTree* fresh = new PhTree(std::move(trees[s]));
       fresh->EnableMvcc(&epochs_);
       old[s] = shards_[s]->tree.exchange(fresh, std::memory_order_acq_rel);

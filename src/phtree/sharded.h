@@ -9,7 +9,7 @@
 //   * writers on different shards never contend (the paper's two-node
 //     update property keeps each per-shard critical section short),
 //   * bulk loads partition the input once and build all shards in
-//     parallel on a ThreadPool,
+//     parallel on a ThreadPool (an empty shard bottom-up, builder.h),
 //   * window/count/kNN queries clip the query against each shard's
 //     key-space region and fan out only to the shards that intersect.
 //
@@ -158,7 +158,13 @@ class PhTreeSharded {
   /// building every shard in parallel on the pool (each build task holds
   /// only its own shard's writer lock). Duplicate keys follow Insert
   /// semantics: first occurrence wins, later ones are dropped. Returns the
-  /// number of newly inserted entries.
+  /// number of newly inserted entries. Each shard follows
+  /// PhTree::BulkLoad: an empty shard is z-sorted and built bottom-up,
+  /// then published with one root store, so readers see all of its batch
+  /// or none; a non-empty shard inserts entry by entry. On an allocation
+  /// failure an empty shard stays empty and a non-empty one keeps its
+  /// inserted prefix; std::bad_alloc propagates once every shard has
+  /// finished.
   size_t BulkLoad(std::span<const PhEntry> entries);
 
   // ---- Window queries (clip + fan out + merge) --------------------------
@@ -239,30 +245,31 @@ class PhTreeSharded {
   /// tooling.
   const EpochManager& epoch_manager() const { return epochs_; }
 
-  // ---- Persistence (single-stream merge; see DESIGN.md) -----------------
+  // ---- Persistence (one z-ordered stream; see DESIGN.md) ---------------
 
   /// Saves all shards as ONE format-v2 snapshot, atomically and durably
   /// like SavePhTreeOr. The snapshot is taken under every shard's writer
   /// mutex (in index order); lock-free readers are unaffected and the disk
-  /// I/O runs after the locks are released. One shard is serialised as it
-  /// is (WriteSnapshotFileOr). Several shards are first merged into a
-  /// temporary single PhTree — the tree's shape is a pure function of its
-  /// entries, so the merge is canonical and the snapshot is byte-identical
-  /// to one from an unsharded tree with the same content. The merge costs
-  /// one transient unsharded copy; the payoff is full reuse of the
-  /// checksummed v2 format, its tooling and its fault-injection coverage.
+  /// I/O runs after the locks are released. The shards' scans stream to
+  /// one SnapshotWriter in global z-order — concatenated under kZPrefix,
+  /// S-way merged under kHash — so the bytes equal those of an unsharded
+  /// tree with the same content, and no merged copy of the tree is built.
   Status Save(const std::string& path, const SaveOptions& options = {}) const;
 
   /// Replaces the whole content from a v2 snapshot written by Save() or by
-  /// SavePhTreeOr on a plain tree: the stream is loaded and verified
-  /// (LoadPhTreeOr) off-line. One shard takes the loaded tree as it is;
-  /// several shards re-partition its entries and build the replacement
-  /// shards in parallel. Then all writer mutexes are taken and the shard
-  /// trees swapped in with one atomic pointer store each; the displaced
-  /// trees are destroyed after a full epoch grace period, so in-flight
-  /// lock-free readers finish on their snapshot. The stream's
-  /// dimensionality must match (kInvalidArgument otherwise); the stream's
-  /// stored config replaces this tree's config, like LoadPhTreeOr.
+  /// SavePhTreeOr on a plain tree. The stream is read and verified once
+  /// into flat rows (LoadSnapshotRowsOr) off-line, cut into shards
+  /// (contiguous z-order runs under kZPrefix, an order-keeping partition
+  /// under kHash), and every replacement shard is built bottom-up in
+  /// parallel (builder.h). With options.validate_structure each built
+  /// shard must pass ValidatePhTree (kStructureInvalid otherwise). Then
+  /// all writer mutexes are taken and the shard trees swapped in with one
+  /// atomic pointer store each; the displaced trees are destroyed after a
+  /// full epoch grace period, so in-flight lock-free readers finish on
+  /// their snapshot. The stream's dimensionality must match
+  /// (kInvalidArgument otherwise); the stream's stored config replaces
+  /// this tree's config, like LoadPhTreeOr. On an allocation failure
+  /// std::bad_alloc propagates and the shards are unchanged.
   Status Load(const std::string& path, const LoadOptions& options = {});
 
  private:
@@ -296,11 +303,6 @@ class PhTreeSharded {
   /// metric's coordinate space.
   double ShardMinDist2(uint32_t s, std::span<const uint64_t> center,
                        KnnMetric metric) const;
-
-  /// Builds one PhTree per shard from `entries` in parallel (no locks —
-  /// the returned trees are private until swapped in).
-  std::vector<PhTree> BuildShardTrees(std::span<const PhEntry> entries,
-                                      const PhTreeConfig& config) const;
 
   uint32_t dim_;
   uint32_t shard_bits_;  // log2(num_shards)

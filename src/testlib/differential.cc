@@ -184,11 +184,7 @@ class PlainAdapter : public VariantAdapter {
     return std::string();
   }
   size_t BulkLoad(const Command& cmd) override {
-    size_t inserted = 0;
-    for (const PhEntry& e : cmd.bulk) {
-      inserted += tree_.Insert(e.key, e.value) ? 1 : 0;
-    }
-    return inserted;
+    return tree_.BulkLoad(cmd.bulk);
   }
   Entries Content() const override {
     Entries out;
@@ -777,6 +773,7 @@ class Runner {
         // tests, so random injection is suspended here instead of turning
         // a legitimate load error into a false divergence.
         FaultInjectorSuspend suspend;
+        ++report->save_loads;
         for (auto& v : adapters_) {
           const std::optional<std::string> status =
               v->SaveLoad(opts_.tmp_dir);
@@ -914,6 +911,7 @@ class Runner {
           }
           break;
         }
+        report->bulk_loads_into_empty += model_.size() == 0 ? 1 : 0;
         size_t expect = 0;
         for (const PhEntry& e : cmd.bulk) {
           expect += model_.Insert(e.key, e.value) ? 1 : 0;
@@ -1239,6 +1237,7 @@ class ConcurrentRunner {
         if (opts_.tmp_dir.empty()) {
           break;
         }
+        ++report->save_loads;
         const std::string path = opts_.tmp_dir + "/diff_concurrent.snapshot";
         if (Status s = tree_.Save(path); !s.ok()) {
           report->divergence =
@@ -1262,14 +1261,14 @@ class ConcurrentRunner {
         break;
       }
       case OpKind::kBulkLoad: {
+        // Into an empty tree the batch is built off to the side and
+        // published with one root store under the live readers.
+        report->bulk_loads_into_empty += model_.size() == 0 ? 1 : 0;
         size_t expect = 0;
         for (const PhEntry& e : cmd.bulk) {
           expect += model_.Insert(e.key, e.value) ? 1 : 0;
         }
-        size_t got = 0;
-        for (const PhEntry& e : cmd.bulk) {
-          got += tree_.Insert(e.key, e.value) ? 1 : 0;
-        }
+        const size_t got = tree_.BulkLoad(cmd.bulk);
         if (got != expect) {
           report->divergence =
               Where(op_index, cmd) + "BulkLoad of " +

@@ -94,6 +94,11 @@ struct DiffReport {
   /// Injected allocation failures survived (fault mode only): each one was
   /// a bad_alloc whose rollback the subsequent retry + comparisons vetted.
   size_t injected_failures = 0;
+  /// kBulkLoad commands applied to an empty tree (the z-order builder
+  /// path; fault mode decomposes bulk loads into inserts instead).
+  size_t bulk_loads_into_empty = 0;
+  /// kSaveLoad commands applied (snapshot write + builder-based load).
+  size_t save_loads = 0;
   /// Empty = zero divergence. Otherwise a description of the first
   /// divergence: op index, op kind, variant name, expected vs actual.
   std::string divergence;

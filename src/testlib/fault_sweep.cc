@@ -1,11 +1,14 @@
 #include "testlib/fault_sweep.h"
 
+#include <new>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/fault.h"
 #include "phtree/phtree.h"
+#include "phtree/serialize.h"
 #include "phtree/validate.h"
 #include "testlib/reference_model.h"
 
@@ -50,8 +53,8 @@ class Sweeper {
       ++drawn;
       ApplyCommand(cmd);
     }
-    if (report_.failure.empty()) {
-      DeepCheck(drawn, "final");
+    if (report_.failure.empty() && DeepCheck(drawn, "final")) {
+      SweepBuilder(drawn);
     }
     SetFaultInjector(nullptr);
     return report_;
@@ -170,6 +173,93 @@ class Sweeper {
     }
   }
 
+  /// The builder leg, on the trace's live entries (before every Clear and
+  /// at the end of the trace): every allocation of
+  /// an empty-tree BulkLoad (an MVCC tree under opts_.mvcc) and of a
+  /// snapshot load is failed in turn. Each failure must throw
+  /// std::bad_alloc and leave nothing built behind; the clean run must
+  /// rebuild the oracle's content.
+  void SweepBuilder(size_t op_index) {
+    const Entries live = ModelContent(model_);
+    std::vector<PhEntry> entries;
+    entries.reserve(live.size());
+    for (const auto& [key, value] : live) {
+      entries.push_back(PhEntry{key, value});
+    }
+    std::vector<uint8_t> snapshot;
+    {
+      FaultInjectorSuspend suspend;
+      snapshot = SerializePhTree(tree_);
+    }
+    SweepBuild(op_index, "BulkLoad into an empty tree", live,
+               [&](PhTree* tree) {
+                 if (tree->BulkLoad(entries) != entries.size()) {
+                   return std::string("BulkLoad stored a wrong count");
+                 }
+                 return std::string();
+               });
+    SweepBuild(op_index, "DeserializePhTreeOr", live, [&](PhTree* tree) {
+      Expected<PhTree, SnapshotError> loaded = DeserializePhTreeOr(snapshot);
+      if (!loaded) {
+        return "load failed: " + loaded.error().ToString();
+      }
+      *tree = std::move(*loaded);
+      return std::string();
+    });
+  }
+
+  /// Runs `build(tree)` on a fresh empty tree with allocation-site index
+  /// 0, 1, 2, ... failing until a run completes without the fault firing.
+  template <typename Build>
+  void SweepBuild(size_t op_index, const char* what, const Entries& live,
+                  Build&& build) {
+    // A tree of n entries has at most n nodes.
+    for (uint64_t site = 0; report_.failure.empty(); ++site) {
+      if (site > live.size() + 1) {
+        Fail(op_index, what, site,
+             "sweep did not exhaust the build's allocation sites");
+        return;
+      }
+      EpochManager epochs;
+      PhTree tree(opts_.commands.dim);
+      if (opts_.mvcc) {
+        tree.EnableMvcc(&epochs);
+      }
+      injector_.ArmGlobalIndex(site);
+      std::string error;
+      bool threw = false;
+      try {
+        error = build(&tree);
+      } catch (const std::bad_alloc&) {
+        threw = true;
+      }
+      const bool fired = injector_.fired();
+      injector_.Disarm();
+      FaultInjectorSuspend suspend;
+      if (!fired) {
+        if (threw || !error.empty()) {
+          Fail(op_index, what, site, "clean run failed: " + error);
+        } else if (TreeContent(tree) != live) {
+          Fail(op_index, what, site, "clean build diverged from oracle");
+        } else if (std::string err = ValidatePhTreeDeep(tree); !err.empty()) {
+          Fail(op_index, what, site, "deep validation: " + err);
+        }
+        return;
+      }
+      ++report_.builder_failures;
+      if (!threw) {
+        Fail(op_index, what, site,
+             "injected failure did not throw std::bad_alloc");
+      } else if (!tree.empty() || tree.root() != nullptr ||
+                 (tree.arena() != nullptr &&
+                  tree.arena()->LiveBytes() != 0)) {
+        Fail(op_index, what, site, "a failed build left nodes behind");
+      } else if (std::string err = ValidatePhTreeDeep(tree); !err.empty()) {
+        Fail(op_index, what, site, "deep validation: " + err);
+      }
+    }
+  }
+
   void ApplyCommand(const Command& cmd) {
     const size_t op_index = report_.ops_run;
     switch (cmd.kind) {
@@ -235,7 +325,9 @@ class Sweeper {
       }
       case OpKind::kClear: {
         // Clear is infallible (O(slabs) arena reset, no allocation): apply
-        // directly, no sweep.
+        // directly, no sweep. The tree is at a local peak here, so the
+        // builder leg runs on what it is about to drop.
+        SweepBuilder(op_index);
         tree_.Clear();
         model_.Clear();
         ++report_.ops_run;

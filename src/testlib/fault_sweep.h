@@ -8,7 +8,10 @@
 // deep structural validator all agree with the oracle); a fired fault the
 // op absorbed (a shrink's failed block trade keeps the oversized block)
 // must leave the op fully applied. Only then is the op committed for real
-// and the trace continues.
+// and the trace continues. A final builder leg fails every allocation of
+// an empty-tree BulkLoad and of a snapshot load of the trace's live
+// entries, before every Clear and at the end: each must throw
+// std::bad_alloc and leave no node behind.
 #ifndef PHTREE_TESTLIB_FAULT_SWEEP_H_
 #define PHTREE_TESTLIB_FAULT_SWEEP_H_
 
@@ -51,6 +54,9 @@ struct FaultSweepReport {
   size_t injected_failures = 0;  ///< kNoMem rollbacks verified
   size_t absorbed_faults = 0;    ///< fault fired but the op still applied
   size_t deep_checks = 0;        ///< full content + deep-validation passes
+  /// Builder-leg failures verified: an empty-tree BulkLoad and a snapshot
+  /// load of the final live entries, each failed at every allocation.
+  size_t builder_failures = 0;
   /// Empty = the contract held everywhere. Otherwise the first violation:
   /// op index, op kind, site index, and what diverged.
   std::string failure;

@@ -59,6 +59,10 @@ TEST(DifferentialTest, SeededRunAcrossAllVariantsHasZeroDivergence) {
   EXPECT_EQ(report.variants, 11u);
   EXPECT_GT(report.replayed, opts.ops * 7);
   EXPECT_GT(report.max_size, 100u);
+  // Both builder paths ran: bulk loads into an empty tree, and snapshot
+  // round-trips (streamed saves, builder-based loads).
+  EXPECT_GT(report.bulk_loads_into_empty, 0u);
+  EXPECT_GT(report.save_loads, 0u);
 }
 
 TEST(DifferentialTest, EveryDimensionalityAndSeedStaysClean) {
@@ -148,6 +152,8 @@ TEST(DifferentialTest, ClearHeavyWorkloadStaysClean) {
   opts.validate_every = 250;
   const DiffReport report = RunDifferential(opts);
   EXPECT_EQ(report.divergence, "");
+  EXPECT_GT(report.bulk_loads_into_empty, 0u);
+  EXPECT_GT(report.save_loads, 0u);
 }
 
 }  // namespace

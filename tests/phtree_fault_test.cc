@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "common/fault.h"
@@ -135,15 +136,60 @@ TEST(TryApi, ThrowingApiRollsBackOnEverySite) {
   EXPECT_EQ(ValidatePhTreeDeep(tree), "");
 }
 
-TEST(TryApi, BulkLoadKeepsPrefixOnFailure) {
+TEST(TryApi, BulkLoadIntoEmptyTreeIsAllOrNothing) {
   ScopedInjector inj;
   PhTree tree(2);
   std::vector<PhEntry> entries;
   for (uint64_t i = 0; i < 64; ++i) {
     entries.push_back({{i * 3, i * 5 + 1}, i});
   }
-  // Fail the third node allocation: 64 spread keys build many nodes, so
-  // this lands mid-batch; each entry is atomic, so the prefix stays.
+  // The builder writes every node once; fail each of its allocations in
+  // turn. Each failure must free every built block and leave the tree
+  // empty, and the retry must then succeed.
+  size_t failures = 0;
+  for (uint64_t site = 0;; ++site) {
+    ASSERT_LT(site, 4 * entries.size()) << "builder never ran out of sites";
+    inj->ArmGlobalIndex(site);
+    size_t inserted = 0;
+    bool threw = false;
+    try {
+      inserted = tree.BulkLoad(entries);
+    } catch (const std::bad_alloc&) {
+      threw = true;
+    }
+    const bool fired = inj->fired();
+    inj->Disarm();
+    if (!fired) {
+      ASSERT_FALSE(threw);
+      EXPECT_EQ(inserted, entries.size());
+      break;
+    }
+    ASSERT_TRUE(threw) << "site " << site;
+    ++failures;
+    ASSERT_TRUE(tree.empty()) << "site " << site;
+    ASSERT_EQ(tree.root(), nullptr) << "site " << site;
+    ASSERT_EQ(tree.arena()->LiveBytes(), 0u) << "site " << site;
+    ASSERT_EQ(ValidatePhTreeDeep(tree), "") << "site " << site;
+  }
+  EXPECT_GT(failures, 10u);
+  EXPECT_EQ(tree.size(), entries.size());
+  EXPECT_EQ(ValidatePhTreeDeep(tree), "");
+  for (const PhEntry& e : entries) {
+    EXPECT_EQ(tree.Find(e.key), std::optional<uint64_t>(e.value));
+  }
+}
+
+TEST(TryApi, BulkLoadIntoNonEmptyTreeKeepsPrefix) {
+  ScopedInjector inj;
+  PhTree tree(2);
+  ASSERT_TRUE(tree.Insert(PhKey{~0ull, ~0ull}, 999));
+  std::vector<PhEntry> entries;
+  for (uint64_t i = 0; i < 64; ++i) {
+    entries.push_back({{i * 3, i * 5 + 1}, i});
+  }
+  // A non-empty tree inserts entry by entry. Fail the third node
+  // allocation: 64 spread keys build many nodes, so this lands mid-batch;
+  // each entry is atomic, so the prefix stays.
   inj->ArmCountdown(FaultSite::kArenaNodeAlloc, 3);
   size_t inserted = 0;
   bool threw = false;
@@ -155,19 +201,24 @@ TEST(TryApi, BulkLoadKeepsPrefixOnFailure) {
   inj->Disarm();
   ASSERT_TRUE(threw);
   (void)inserted;
-  EXPECT_GT(tree.size(), 0u);
-  EXPECT_LT(tree.size(), entries.size());
+  EXPECT_GT(tree.size(), 1u);
+  EXPECT_LT(tree.size(), entries.size() + 1);
   EXPECT_EQ(ValidatePhTreeDeep(tree), "");
+  EXPECT_EQ(tree.Find(PhKey{~0ull, ~0ull}), std::optional<uint64_t>(999));
   // Every stored entry is a prefix entry with its original payload.
   size_t stored = 0;
+  bool gap = false;
   for (const PhEntry& e : entries) {
     const auto found = tree.Find(e.key);
     if (found.has_value()) {
+      EXPECT_FALSE(gap) << "entry stored after a missing one";
       EXPECT_EQ(*found, e.value);
       ++stored;
+    } else {
+      gap = true;
     }
   }
-  EXPECT_EQ(stored, tree.size());
+  EXPECT_EQ(stored + 1, tree.size());
 }
 
 // The bounded tier-1 sweep: every allocation-site index of every mutating

@@ -215,6 +215,33 @@ TEST(Serialize, RejectsCorruptStreamsWithTypedErrors) {
   bad_dim[4] = 200;
   EXPECT_EQ(DeserializePhTreeOr(bad_dim).error().code(),
             StatusCode::kHeaderCorrupt);
+  // Two adjacent entries swapped behind valid checksums: the loader's
+  // z-order check rejects the second of the pair, naming its record and
+  // entry. Re-encoding the swapped entries changes their XOR deltas, so
+  // the stream is re-written and its CRCs repaired.
+  {
+    PhTree three(2);
+    three.Insert(PhKey{1, 2}, 3);
+    three.Insert(PhKey{5, 0}, 4);
+    three.Insert(PhKey{9, 9}, 5);
+    std::vector<std::pair<PhKey, uint64_t>> z;
+    three.ForEach([&](const PhKey& k, uint64_t v) { z.emplace_back(k, v); });
+    std::swap(z[1], z[2]);
+    SaveOptions two_per_record;
+    two_per_record.entries_per_record = 2;
+    SnapshotWriter writer(2, /*store_values=*/true, z.size(), two_per_record);
+    for (const auto& [k, v] : z) {
+      writer.Add(k, v);
+    }
+    std::vector<uint8_t> swapped = std::move(writer).Finish();
+    ASSERT_TRUE(RepairSnapshotChecksums(&swapped));
+    const auto result = DeserializePhTreeOr(swapped);
+    ASSERT_FALSE(result.has_value());
+    EXPECT_EQ(result.error().code(), StatusCode::kRecordCorrupt);
+    EXPECT_NE(result.error().message().find("record 1 entry 0 is z-before"),
+              std::string::npos)
+        << result.error().ToString();
+  }
 }
 
 TEST(Serialize, RoundTripsUnderBothMutationPolicies) {

@@ -463,6 +463,70 @@ TEST(PhTreeSharded, SaveLoadRoundTripAcrossShardCounts) {
   std::remove(plain_path.c_str());
 }
 
+TEST(PhTreeSharded, SaveStreamsCanonicalBytesForEveryLayout) {
+  // Save streams the shards in z-order (concatenated z-prefix runs, or an
+  // S-way merge of hash shards) straight into the snapshot writer: every
+  // layout must write the bytes of one insert-built tree with the same
+  // entries, and every snapshot must load into every layout.
+  const uint32_t dim = 3;
+  Rng rng(61);
+  std::vector<PhKey> keys;
+  for (int i = 0; i < 3000; ++i) {
+    // Full-range and narrow keys: z-prefix shards get uneven runs.
+    const uint64_t mask = i % 3 == 0 ? 0xFFFF : ~0ull;
+    keys.push_back(PhKey{rng.NextU64() & mask, rng.NextU64() & mask,
+                         rng.NextU64() & mask});
+  }
+  PhTree single(dim);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    single.Insert(keys[i], i);
+  }
+  const std::vector<uint8_t> canonical = SerializePhTree(single);
+  struct Layout {
+    uint32_t shards;
+    ShardRouting routing;
+  };
+  std::vector<Layout> layouts;
+  for (const uint32_t shards : {1u, 2u, 8u}) {
+    for (const ShardRouting routing :
+         {ShardRouting::kZPrefix, ShardRouting::kHash}) {
+      layouts.push_back({shards, routing});
+    }
+  }
+  const std::string path = TempPath("layout_snapshot.pht");
+  LoadOptions paranoid;
+  paranoid.validate_structure = true;
+  for (const Layout& from : layouts) {
+    const std::string label =
+        std::to_string(from.shards) +
+        (from.routing == ShardRouting::kHash ? " hash" : " z-prefix");
+    PhTreeSharded saver(dim, from.shards, from.routing);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      saver.Insert(keys[i], i);
+    }
+    ASSERT_TRUE(saver.Save(path).ok()) << label;
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<uint8_t> file((std::istreambuf_iterator<char>(in)),
+                                    std::istreambuf_iterator<char>());
+    ASSERT_EQ(file, canonical) << label;
+    for (const Layout& into : layouts) {
+      PhTreeSharded loaded(dim, into.shards, into.routing);
+      ASSERT_TRUE(loaded.Load(path, paranoid).ok()) << label;
+      ASSERT_EQ(loaded.size(), single.size()) << label;
+      for (size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_EQ(loaded.Find(keys[i]), std::optional<uint64_t>(i)) << label;
+      }
+      for (uint32_t s = 0; s < loaded.num_shards(); ++s) {
+        ASSERT_EQ(ValidatePhTreeDeep(loaded.UnsafeShard(s)), "") << label;
+        for (TreeCursor c(loaded.UnsafeShard(s)); c.Valid(); c.Next()) {
+          ASSERT_EQ(loaded.ShardOf(c.key()), s) << label;
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(PhTreeSharded, LoadRejectsDimensionMismatch) {
   PhTree tree3(3);
   tree3.Insert(PhKey{1, 2, 3}, 4);
