@@ -10,8 +10,8 @@
 //     replayed twice per repetition — once through PhTree::Update, once as
 //     Erase(old) + Insert(new) — on identically built trees. Nearby
 //     (small-sigma) moves mostly stay inside one node, so the Update arm
-//     descends once and rewrites the postfix in place; far moves fall back
-//     to the composite and the two arms converge.
+//     descends once and rewrites that one node; far moves fall back to
+//     the composite and the two arms converge.
 //
 //   * "zipf_queries": point-lookup throughput under Zipf-skewed query
 //     traffic with spatial hot regions (MakeSkewedPointQueries) vs uniform

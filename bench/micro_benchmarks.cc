@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "benchlib/run_metadata.h"
-#include "common/bit_buffer.h"
 #include "common/bits.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -156,6 +155,34 @@ void BM_PhTreeErase(benchmark::State& state) {
 }
 BENCHMARK(BM_PhTreeErase)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
 
+/// In-node Update moves, the moving-objects fast path: each of 100k random
+/// 2D keys moves to the key with its lowest bit flipped (and back on the
+/// next iteration), so every move stays in its node and rewrites that one
+/// node. Arg 0: a plain tree; arg 1: an MVCC tree (one writer, no readers;
+/// replaced nodes are retired and reclaimed).
+void BM_PhTreeUpdate(benchmark::State& state) {
+  const bool mvcc = state.range(0) != 0;
+  auto keys = RandomKeys(100000, 2, 8);
+  EpochManager epochs;
+  PhTree tree(2);
+  if (mvcc) {
+    tree.EnableMvcc(&epochs);
+  }
+  for (const auto& key : keys) {
+    tree.Insert(key, 1);
+  }
+  for (auto _ : state) {
+    for (auto& key : keys) {
+      const uint64_t to[2] = {key[0] ^ 1, key[1]};
+      benchmark::DoNotOptimize(tree.Update(key, to));
+      key[0] = to[0];
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(keys.size()));
+}
+BENCHMARK(BM_PhTreeUpdate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 void BM_WindowQuery(benchmark::State& state) {
   const Dataset ds = GenerateCube(100000, 3, 3);
   PhTreeD tree(3);
@@ -215,7 +242,11 @@ void BM_ArenaChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(2 * half));
 }
-BENCHMARK(BM_ArenaChurn)->Arg(3)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ArenaChurn)
+    ->Arg(3)
+    ->Arg(8)
+    ->Arg(10)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ArenaClear(benchmark::State& state) {
   // Clear() latency: an O(slabs) arena reset, no tree walk. Iterations are
@@ -245,19 +276,6 @@ void BM_SortableDoubleBits(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SortableDoubleBits);
-
-void BM_BitBufferShift(benchmark::State& state) {
-  // The LHC insert cost driver: shifting a node-sized bit stream.
-  const uint64_t bits = static_cast<uint64_t>(state.range(0));
-  std::vector<uint64_t> words(WordsFor(bits + 130));
-  for (auto _ : state) {
-    InsertBits(words.data(), bits, bits / 2, 130);
-    RemoveBits(words.data(), bits + 130, bits / 2, 130);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(bits / 8));
-}
-BENCHMARK(BM_BitBufferShift)->Arg(1024)->Arg(16384)->Arg(262144);
 
 void BM_ZOrderInterleave(benchmark::State& state) {
   const uint32_t dim = static_cast<uint32_t>(state.range(0));

@@ -1,8 +1,8 @@
 // Packed bit-stream operations. Every PH-tree node serialises its prefix and
 // postfix data into such a stream (paper Sect. 3.4, following the "tightly
 // packed tries" idea of Germann et al. [9]): values occupy exactly the
-// number of bits they need, and insert/delete shift the tail of the stream
-// right/left (the shift costs discussed in Sect. 4.3.4).
+// number of bits they need. A stream is never shifted: an edit writes the
+// edited node's whole stream into a new block (Node::TryEdit).
 //
 // The functions here operate on a word span the caller owns: a node's
 // stream lives in the same arena block as its header (see arena.h), so the
@@ -14,9 +14,9 @@
 // bits yields a value < 2^n whose MSB is the first (lowest-index) bit of
 // the window. This matches the MSB-first orientation of PH-tree keys.
 //
-// Streams keep a zero tail: every bit past the stream's current length,
-// up to the end of its span, is zero. Growth therefore exposes zero bits
-// without touching memory; InsertBits and RemoveBits maintain the rule.
+// Streams keep a zero tail: every bit past the stream's length, up to the
+// end of its span, is zero, because each stream is written once into a
+// zeroed block.
 #ifndef PHTREE_COMMON_BIT_BUFFER_H_
 #define PHTREE_COMMON_BIT_BUFFER_H_
 
@@ -147,28 +147,10 @@ inline uint64_t FindNextOne(const uint64_t* words, uint64_t pos,
   return bit < end ? bit : kNoBit;
 }
 
-/// Zeroes bits [begin, end).
-void ClearBits(uint64_t* words, uint64_t begin, uint64_t end);
-
 /// Copies `n` bits from `src` at `src_pos` to `dst` at `dst_pos`. The two
 /// ranges may not overlap.
 void CopyBits(const uint64_t* src, uint64_t src_pos, uint64_t* dst,
               uint64_t dst_pos, uint64_t n);
-
-/// Moves `n` bits from [src_pos, src_pos+n) to [dst_pos, dst_pos+n) within
-/// one stream; the ranges may overlap (memmove semantics).
-void MoveBits(uint64_t* words, uint64_t src_pos, uint64_t dst_pos,
-              uint64_t n);
-
-/// Inserts `n` zero bits at `pos` into a stream of `size_bits` bits,
-/// shifting the tail right. The span must hold size_bits + n bits.
-void InsertBits(uint64_t* words, uint64_t size_bits, uint64_t pos,
-                uint64_t n);
-
-/// Removes the `n` bits at [pos, pos+n) from a stream of `size_bits` bits,
-/// shifting the tail left and zeroing the bits it vacates.
-void RemoveBits(uint64_t* words, uint64_t size_bits, uint64_t pos,
-                uint64_t n);
 
 // ---- Atomic field access (MVCC publication points) ------------------------
 //

@@ -17,8 +17,8 @@ namespace phtree {
 /// the corresponding syscall return an error (the FaultyVfs picks the
 /// errno).
 enum class FaultSite : uint8_t {
-  kArenaNodeAlloc = 0,  ///< a new node's block (NewNode, TryClone, TryBuild)
-  kWordAlloc,           ///< a moved node's block (Node::TryRebuild)
+  kArenaNodeAlloc = 0,  ///< a new node's block (Node::TryBuild, TryClone)
+  kWordAlloc,           ///< an edited node's block (Node::TryEdit)
   kVfsOpen,
   kVfsRead,
   kVfsWrite,

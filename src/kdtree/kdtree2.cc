@@ -17,7 +17,7 @@ bool KdTree2::PointEquals(uint32_t idx, std::span<const double> key) const {
   return true;
 }
 
-uint32_t KdTree2::NewNode(std::span<const double> key, uint64_t value) {
+uint32_t KdTree2::AllocNode(std::span<const double> key, uint64_t value) {
   uint32_t idx;
   if (!free_list_.empty()) {
     idx = free_list_.back();
@@ -40,7 +40,7 @@ uint32_t KdTree2::NewNode(std::span<const double> key, uint64_t value) {
 bool KdTree2::Insert(std::span<const double> key, uint64_t value) {
   assert(key.size() == dim_);
   if (root_ == kNil) {
-    root_ = NewNode(key, value);
+    root_ = AllocNode(key, value);
     size_ = 1;
     return true;
   }
@@ -69,8 +69,8 @@ bool KdTree2::Insert(std::span<const double> key, uint64_t value) {
     const bool go_left = key[cd] < Point(idx)[cd];
     const uint32_t child = go_left ? nodes_[idx].left : nodes_[idx].right;
     if (child == kNil) {
-      // NewNode may reallocate nodes_: link via indices, not references.
-      const uint32_t new_idx = NewNode(key, value);
+      // AllocNode may reallocate nodes_: link via indices, not references.
+      const uint32_t new_idx = AllocNode(key, value);
       (go_left ? nodes_[idx].left : nodes_[idx].right) = new_idx;
       ++size_;
       for (uint32_t i : path) {

@@ -63,7 +63,7 @@ class KdTree2 {
   }
   bool PointEquals(uint32_t idx, std::span<const double> key) const;
 
-  uint32_t NewNode(std::span<const double> key, uint64_t value);
+  uint32_t AllocNode(std::span<const double> key, uint64_t value);
   void CollectLive(uint32_t idx, std::vector<uint32_t>* out);
   uint32_t BuildBalanced(std::vector<uint32_t>& idxs, size_t lo, size_t hi,
                          uint32_t depth);

@@ -333,13 +333,6 @@ NodeRef NodeArena::AllocateNode(uint32_t dim, uint32_t infix_len,
           b.handle};
 }
 
-NodeRef NodeArena::NewNode(uint32_t dim, uint32_t infix_len,
-                           uint32_t postfix_len, bool store_values) {
-  return AllocateNode(dim, infix_len, postfix_len, store_values,
-                      static_cast<uint64_t>(dim) * infix_len,
-                      FaultSite::kArenaNodeAlloc);
-}
-
 void NodeArena::DeleteNode(NodeRef ref) {
   assert(ref.ptr != nullptr && live_nodes_ > 0);
   assert(NodeAt(ref.handle) == ref.ptr);

@@ -327,13 +327,6 @@ class NodeArena {
     return reinterpret_cast<const Node*>(pool_.At(h));
   }
 
-  /// Builds an empty node in a fresh block sized for its (zero) infix.
-  /// Returns an empty NodeRef if the block cannot be allocated — the
-  /// fallible seam the tree's commit-or-rollback mutations are built on
-  /// (kArenaNodeAlloc fault site).
-  NodeRef NewNode(uint32_t dim, uint32_t infix_len, uint32_t postfix_len,
-                  bool store_values);
-
   /// Returns the node's block to the pool.
   void DeleteNode(NodeRef ref);
 
@@ -405,7 +398,9 @@ class NodeArena {
 
   /// Allocates a zeroed block for a node with a stream of `stream_bits`
   /// bits and constructs an empty node header in it; empty on failure.
-  /// Every node block comes from here, and `site` names its fault site.
+  /// Every node block comes from here (Node::TryBuild, TryEdit, TryClone),
+  /// and `site` names its fault site: the fallible seam the tree's
+  /// commit-or-rollback mutations are built on.
   NodeRef AllocateNode(uint32_t dim, uint32_t infix_len, uint32_t postfix_len,
                        bool store_values, uint64_t stream_bits,
                        FaultSite site);

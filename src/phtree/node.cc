@@ -34,84 +34,6 @@ void Node::SetInfixFromKey(std::span<const uint64_t> key) {
   }
 }
 
-void Node::ReplaceInfix(uint32_t new_infix_len,
-                        std::span<const uint64_t> segments) {
-  // The infix precedes every region it can shift in all three
-  // representations, so a resize-in-place is safe repr-independently.
-  const uint64_t size = CurrentReprBits();
-  const uint64_t base = infix_base();
-  const uint64_t old_bits = infix_bits();
-  const uint64_t new_bits = static_cast<uint64_t>(dim_) * new_infix_len;
-  if (new_bits > old_bits) {
-    InsertBits(words(), size, base, new_bits - old_bits);
-  } else if (new_bits < old_bits) {
-    RemoveBits(words(), size, base, old_bits - new_bits);
-  }
-  infix_len_ = static_cast<uint8_t>(new_infix_len);
-  for (uint32_t d = 0; d < dim_; ++d) {
-    WriteBits(words(), base + static_cast<uint64_t>(d) * new_infix_len,
-              new_infix_len, segments[d]);
-  }
-}
-
-NodeRef Node::TryTrimInfixToLow(NodeArena& arena, NodeHandle self,
-                                uint32_t new_infix_len) {
-  assert(new_infix_len <= infix_len_);
-  const uint32_t il = infix_len_;
-  const uint64_t base = infix_base();
-  uint64_t segments[kMaxDims];
-  for (uint32_t d = 0; d < dim_; ++d) {
-    const uint64_t seg =
-        ReadBits(words(), base + static_cast<uint64_t>(d) * il, il);
-    segments[d] = seg & LowMask(new_infix_len);
-  }
-  // The infix length changes the representation sizes too, so the new infix
-  // and any prescribed representation switch commit together.
-  return TryReplaceInfixPolicy(arena, self, new_infix_len, segments);
-}
-
-NodeRef Node::TryAbsorbParentInfix(NodeArena& arena, NodeHandle self,
-                                   const Node& parent,
-                                   uint64_t addr_in_parent) {
-  const uint32_t il = infix_len_;
-  const uint32_t pil = parent.infix_len_;
-  const uint32_t new_il = il + 1 + pil;
-  assert(new_il + 1 + postfix_len_ <= kBitWidth);
-  const uint64_t base = infix_base();
-  const uint64_t pbase = parent.infix_base();
-  uint64_t segments[kMaxDims];
-  for (uint32_t d = 0; d < dim_; ++d) {
-    const uint64_t my_seg =
-        il > 0 ? ReadBits(words(), base + static_cast<uint64_t>(d) * il, il)
-               : 0;
-    const uint64_t parent_seg =
-        pil > 0 ? ReadBits(parent.words(),
-                           pbase + static_cast<uint64_t>(d) * pil, pil)
-                : 0;
-    const uint64_t addr_bit = (addr_in_parent >> (dim_ - 1 - d)) & 1u;
-    segments[d] = (parent_seg << (1 + il)) | (addr_bit << il) | my_seg;
-  }
-  return TryReplaceInfixPolicy(arena, self, new_il, segments);
-}
-
-NodeRef Node::TryReplaceInfixPolicy(NodeArena& arena, NodeHandle self,
-                                    uint32_t new_infix_len,
-                                    const uint64_t* segments) {
-  const uint64_t ib2 = static_cast<uint64_t>(dim_) * new_infix_len;
-  const uint64_t n = num_entries_;
-  const uint64_t np = num_postfixes();
-  const Repr target = PickRepr(n, num_subs_, ib2);
-  if (target == repr_ && !WouldMove(ReprBitsEx(target, n, np, ib2))) {
-    ReplaceInfix(new_infix_len, {segments, dim_});
-    return {this, self};
-  }
-  EntryDelta d;
-  d.new_infix = true;
-  d.new_infix_len = new_infix_len;
-  d.infix_segments = segments;
-  return TryRebuild(arena, target, d);
-}
-
 // Lookup and ordinal iteration are inline in node.h (query hot path).
 
 // ---- Mutation -------------------------------------------------------------
@@ -123,344 +45,6 @@ void Node::WritePostfixRecord(uint64_t record_pos,
     WriteBits(words(), record_pos + static_cast<uint64_t>(d) * pl, pl,
               key[d] & LowMask(pl));
   }
-}
-
-void Node::LhcInsertEntry(uint64_t p, uint64_t addr, bool is_sub,
-                          uint64_t payload, const uint64_t* key) {
-  const uint64_t n = num_entries_;
-  const uint64_t np = num_postfixes();
-  const uint64_t ns = num_subs_;
-  const uint64_t ib = infix_bits();
-  const uint64_t st = stride();
-  const uint64_t rank = LhcPostfixRank(p);
-  const uint64_t srank = p - rank;
-  const uint64_t has_rec = is_sub ? 0 : 1;
-  // Old and new (n+1 entries) region bases.
-  const Regions o = RegionsFor(Repr::kLhc, n, ns, ib);
-  const Regions r = RegionsFor(Repr::kLhc, n + 1, ns + 1 - has_rec, ib);
-  // The grown tail is zero already (the stream's zero tail); move each
-  // segment exactly once, highest source first (all displacements
-  // are rightward, so later (lower) sources are never clobbered).
-  MoveBits(words(), o.records + rank * st, r.records + (rank + has_rec) * st,
-           (np - rank) * st);
-  MoveBits(words(), o.records, r.records, rank * st);
-  MoveBits(words(), o.addrs + p * dim_, r.addrs + (p + 1) * dim_,
-           (n - p) * dim_);
-  MoveBits(words(), o.addrs, r.addrs, p * dim_);
-  MoveBits(words(), o.flags + p, r.flags + p + 1, n - p);
-  MoveBits(words(), o.flags, r.flags, p);
-  MoveBits(words(), o.infix, r.infix, ib);
-  if (is_sub) {
-    MoveBits(words(), o.subs + srank * 32, r.subs + (srank + 1) * 32,
-             (ns - srank) * 32);
-    MoveBits(words(), o.subs, r.subs, srank * 32);
-    WriteBits(words(), r.subs + srank * 32, 32, payload);
-  } else {
-    MoveBits(words(), o.subs, r.subs, ns * 32);
-    if (store_values_) {
-      MoveBits(words(), rank * 64, (rank + 1) * 64, (np - rank) * 64);
-      WriteBits(words(), rank * 64, 64, payload);
-    }
-  }
-  // Write the new entry (every field is fully overwritten).
-  SetBit(words(), r.flags + p, is_sub ? 1 : 0);
-  WriteBits(words(), r.addrs + p * dim_, dim_, addr);
-  ++num_entries_;
-  if (is_sub) {
-    ++num_subs_;
-  } else {
-    WritePostfixRecord(r.records + rank * st,
-                       {key, static_cast<size_t>(dim_)});
-  }
-}
-
-void Node::LhcRemoveEntry(uint64_t p) {
-  const uint64_t n = num_entries_;
-  const uint64_t np = num_postfixes();
-  const uint64_t ns = num_subs_;
-  const uint64_t ib = infix_bits();
-  const uint64_t st = stride();
-  const bool was_sub = OrdinalIsSub(p);
-  const uint64_t rank = LhcPostfixRank(p);
-  const uint64_t srank = p - rank;
-  const uint64_t has_rec = was_sub ? 0 : 1;
-  const Regions o = RegionsFor(Repr::kLhc, n, ns, ib);
-  const Regions r = RegionsFor(Repr::kLhc, n - 1, ns - 1 + has_rec, ib);
-  // Leftward displacements: process lowest source first.
-  if (was_sub) {
-    MoveBits(words(), o.subs, r.subs, srank * 32);
-    MoveBits(words(), o.subs + (srank + 1) * 32, r.subs + srank * 32,
-             (ns - 1 - srank) * 32);
-  } else {
-    if (store_values_) {
-      MoveBits(words(), (rank + 1) * 64, rank * 64, (np - 1 - rank) * 64);
-    }
-    MoveBits(words(), o.subs, r.subs, ns * 32);
-  }
-  MoveBits(words(), o.infix, r.infix, ib);
-  MoveBits(words(), o.flags, r.flags, p);
-  MoveBits(words(), o.flags + p + 1, r.flags + p, n - 1 - p);
-  MoveBits(words(), o.addrs, r.addrs, p * dim_);
-  MoveBits(words(), o.addrs + (p + 1) * dim_, r.addrs + p * dim_,
-           (n - 1 - p) * dim_);
-  MoveBits(words(), o.records, r.records, rank * st);
-  MoveBits(words(), o.records + (rank + has_rec) * st, r.records + rank * st,
-           (np - rank - has_rec) * st);
-  ClearBits(words(), r.records + (np - has_rec) * st, o.records + np * st);
-  --num_entries_;
-  if (was_sub) {
-    --num_subs_;
-  }
-}
-
-void Node::BhcInsertEntry(uint64_t addr, uint64_t value, const uint64_t* key) {
-  const uint64_t np = num_entries_;  // sub-free: every entry is a postfix
-  const uint64_t ib = infix_bits();
-  const uint64_t st = stride();
-  const uint64_t rank = BhcRank(addr);
-  const Regions o = RegionsFor(Repr::kBhc, np, 0, ib);
-  const Regions r = RegionsFor(Repr::kBhc, np + 1, 0, ib);
-  // Rightward displacements: highest source first.
-  MoveBits(words(), o.records + rank * st, r.records + (rank + 1) * st,
-           (np - rank) * st);
-  MoveBits(words(), o.records, r.records, rank * st);
-  MoveBits(words(), o.present, r.present, hc_slots());
-  MoveBits(words(), o.infix, r.infix, ib);
-  if (store_values_) {
-    MoveBits(words(), rank * 64, (rank + 1) * 64, (np - rank) * 64);
-    WriteBits(words(), rank * 64, 64, value);
-  }
-  SetBit(words(), r.present + addr, 1);
-  ++num_entries_;
-  WritePostfixRecord(r.records + rank * st, {key, static_cast<size_t>(dim_)});
-}
-
-void Node::BhcRemoveEntry(uint64_t addr) {
-  const uint64_t np = num_entries_;
-  const uint64_t ib = infix_bits();
-  const uint64_t st = stride();
-  const uint64_t rank = BhcRank(addr);
-  const Regions o = RegionsFor(Repr::kBhc, np, 0, ib);
-  const Regions r = RegionsFor(Repr::kBhc, np - 1, 0, ib);
-  SetBit(words(), o.present + addr, 0);
-  // Leftward displacements: lowest source first.
-  if (store_values_) {
-    MoveBits(words(), (rank + 1) * 64, rank * 64, (np - 1 - rank) * 64);
-  }
-  MoveBits(words(), o.infix, r.infix, ib);
-  MoveBits(words(), o.present, r.present, hc_slots());
-  MoveBits(words(), o.records, r.records, rank * st);
-  MoveBits(words(), o.records + (rank + 1) * st, r.records + rank * st,
-           (np - 1 - rank) * st);
-  ClearBits(words(), r.records + (np - 1) * st, o.records + np * st);
-  --num_entries_;
-}
-
-void Node::InsertPostfixInPlace(uint64_t addr, std::span<const uint64_t> key,
-                                uint64_t value) {
-  switch (repr_) {
-    case Repr::kHc:
-      if (store_values_) {
-        WriteBits(words(), addr * 64, 64, value);
-      }
-      SetBit(words(), hc_present_base() + addr, 1);
-      SetBit(words(), hc_sub_base() + addr, 0);
-      WritePostfixRecord(hc_records_base() + addr * stride(), key);
-      ++num_entries_;
-      break;
-    case Repr::kBhc:
-      BhcInsertEntry(addr, value, key.data());
-      break;
-    case Repr::kLhc:
-    default: {
-      const uint64_t ge = OrdinalGE(addr);
-      const uint64_t p = ge == kNoOrdinal ? num_entries_ : ge;
-      LhcInsertEntry(p, addr, /*is_sub=*/false, value, key.data());
-      break;
-    }
-  }
-}
-
-NodeRef Node::TryInsertPostfix(NodeArena& arena, NodeHandle self,
-                               uint64_t addr, std::span<const uint64_t> key,
-                               uint64_t value) {
-  assert(FindOrdinal(addr) == kNoOrdinal);
-  const uint64_t n2 = num_entries_ + 1;
-  const uint64_t np2 = n2 - num_subs_;
-  const uint64_t ib = infix_bits();
-  const Repr target = PickRepr(n2, num_subs_, ib);
-  if (target == repr_ && !WouldMove(ReprBitsEx(target, n2, np2, ib))) {
-    InsertPostfixInPlace(addr, key, value);
-    return {this, self};
-  }
-  EntryDelta d;
-  d.kind = EntryDelta::Kind::kInsertPostfix;
-  d.addr = addr;
-  d.key = key.data();
-  d.payload = value;
-  return TryRebuild(arena, target, d);
-}
-
-void Node::InsertSubInPlace(uint64_t addr, NodeHandle child) {
-  assert(!is_bhc());
-  if (is_hc()) {
-    if (store_values_) {
-      WriteBits(words(), addr * 64, 64, child);
-    } else {
-      const uint64_t pos = hc_subs_tail_base() + HcSubRank(addr) * 32;
-      InsertBits(words(), CurrentReprBits(), pos, 32);
-      WriteBits(words(), pos, 32, child);
-    }
-    SetBit(words(), hc_present_base() + addr, 1);
-    SetBit(words(), hc_sub_base() + addr, 1);
-    ++num_subs_;
-    ++num_entries_;
-  } else {
-    const uint64_t ge = OrdinalGE(addr);
-    const uint64_t p = ge == kNoOrdinal ? num_entries_ : ge;
-    LhcInsertEntry(p, addr, /*is_sub=*/true, child, nullptr);
-  }
-}
-
-NodeRef Node::TryInsertSub(NodeArena& arena, NodeHandle self, uint64_t addr,
-                           NodeHandle child) {
-  assert(FindOrdinal(addr) == kNoOrdinal);
-  const uint64_t n2 = num_entries_ + 1;
-  const uint64_t ns2 = uint64_t{num_subs_} + 1;
-  const uint64_t ib = infix_bits();
-  // target is never kBhc (ns2 > 0), so a BHC node always takes the rebuild
-  // path — rebuilt atomically out of its sub-free form into the target.
-  const Repr target = PickRepr(n2, ns2, ib);
-  if (target == repr_ && !WouldMove(ReprBitsEx(target, n2, n2 - ns2, ib))) {
-    InsertSubInPlace(addr, child);
-    return {this, self};
-  }
-  EntryDelta d;
-  d.kind = EntryDelta::Kind::kInsertSub;
-  d.addr = addr;
-  d.payload = child;
-  return TryRebuild(arena, target, d);
-}
-
-void Node::RemoveEntryInPlace(uint64_t addr) {
-  const uint64_t ord = FindOrdinal(addr);
-  assert(ord != kNoOrdinal);
-  switch (repr_) {
-    case Repr::kHc: {
-      const bool was_sub = OrdinalIsSub(ord);
-      if (was_sub) {
-        if (store_values_) {
-          WriteBits(words(), addr * 64, 64, 0);
-        } else {
-          RemoveBits(words(), CurrentReprBits(),
-                     hc_subs_tail_base() + HcSubRank(addr) * 32, 32);
-        }
-        --num_subs_;
-      } else {
-        // Zero freed slots so the stream stays a pure function of content.
-        const uint64_t rec = hc_records_base() + addr * stride();
-        ClearBits(words(), rec, rec + stride());
-        if (store_values_) {
-          WriteBits(words(), addr * 64, 64, 0);
-        }
-      }
-      SetBit(words(), hc_present_base() + addr, 0);
-      SetBit(words(), hc_sub_base() + addr, 0);
-      --num_entries_;
-      break;
-    }
-    case Repr::kBhc:
-      BhcRemoveEntry(addr);
-      break;
-    case Repr::kLhc:
-    default:
-      LhcRemoveEntry(ord);
-      break;
-  }
-}
-
-NodeRef Node::TryRemoveEntry(NodeArena& arena, NodeHandle self,
-                             uint64_t addr) {
-  const uint64_t ord = FindOrdinal(addr);
-  assert(ord != kNoOrdinal);
-  const bool was_sub = OrdinalIsSub(ord);
-  const uint64_t n2 = num_entries_ - 1;
-  const uint64_t ns2 = uint64_t{num_subs_} - (was_sub ? 1 : 0);
-  const uint64_t ib = infix_bits();
-  const Repr target = PickRepr(n2, ns2, ib);
-  if (target == repr_ && !WouldMove(ReprBitsEx(target, n2, n2 - ns2, ib))) {
-    RemoveEntryInPlace(addr);
-    return {this, self};
-  }
-  EntryDelta d;
-  d.kind = EntryDelta::Kind::kRemove;
-  d.addr = addr;
-  return TryRebuild(arena, target, d);
-}
-
-NodeRef Node::TryReplaceEntryWithSub(NodeArena& arena, NodeHandle self,
-                                     uint64_t addr, NodeHandle child) {
-  assert(FindOrdinal(addr) != kNoOrdinal &&
-         !OrdinalIsSub(FindOrdinal(addr)));
-  const uint64_t n = num_entries_;
-  const uint64_t ns2 = uint64_t{num_subs_} + 1;
-  const uint64_t ib = infix_bits();
-  const Repr target = PickRepr(n, ns2, ib);
-  // HC keeps this in place (a slot rewrite, plus a 32-bit tail insert in
-  // key-only mode); LHC needs a remove+reinsert — two stream resizes whose
-  // intermediate state cannot be guarded — so it always rebuilds, as does
-  // any representation change (including BHC shedding its sub-free form).
-  if (target == repr_ && repr_ == Repr::kHc &&
-      !WouldMove(ReprBitsEx(target, n, n - ns2, ib))) {
-    const uint64_t rec = hc_records_base() + addr * stride();
-    ClearBits(words(), rec, rec + stride());
-    if (store_values_) {
-      WriteBits(words(), addr * 64, 64, child);
-    } else {
-      const uint64_t pos = hc_subs_tail_base() + HcSubRank(addr) * 32;
-      InsertBits(words(), CurrentReprBits(), pos, 32);
-      WriteBits(words(), pos, 32, child);
-    }
-    SetBit(words(), hc_sub_base() + addr, 1);
-    ++num_subs_;
-    return {this, self};
-  }
-  EntryDelta d;
-  d.kind = EntryDelta::Kind::kToSub;
-  d.addr = addr;
-  d.payload = child;
-  return TryRebuild(arena, target, d);
-}
-
-NodeRef Node::TryReplaceSubWithPostfix(NodeArena& arena, NodeHandle self,
-                                       uint64_t addr,
-                                       std::span<const uint64_t> key,
-                                       uint64_t value) {
-  assert(FindOrdinal(addr) != kNoOrdinal &&
-         OrdinalIsSub(FindOrdinal(addr)));  // never BHC
-  const uint64_t n = num_entries_;
-  const uint64_t ns2 = uint64_t{num_subs_} - 1;
-  const uint64_t ib = infix_bits();
-  const Repr target = PickRepr(n, ns2, ib);
-  if (target == repr_ && repr_ == Repr::kHc &&
-      !WouldMove(ReprBitsEx(target, n, n - ns2, ib))) {
-    if (store_values_) {
-      WriteBits(words(), addr * 64, 64, value);
-    } else {
-      RemoveBits(words(), CurrentReprBits(),
-                 hc_subs_tail_base() + HcSubRank(addr) * 32, 32);
-    }
-    SetBit(words(), hc_sub_base() + addr, 0);
-    WritePostfixRecord(hc_records_base() + addr * stride(), key);
-    --num_subs_;
-    return {this, self};
-  }
-  EntryDelta d;
-  d.kind = EntryDelta::Kind::kToPostfix;
-  d.addr = addr;
-  d.key = key.data();
-  d.payload = value;
-  return TryRebuild(arena, target, d);
 }
 
 void Node::SetSubAt(uint64_t ord, NodeHandle child) {
@@ -477,14 +61,6 @@ void Node::SetSubAt(uint64_t ord, NodeHandle child) {
   WriteBits(words(), lhc_subs_base() + srank * 32, 32, child);
 }
 
-void Node::SetPostfixAt(uint64_t ord, std::span<const uint64_t> key) {
-  assert(!OrdinalIsSub(ord));
-  if (postfix_len_ == 0) {
-    return;
-  }
-  WritePostfixRecord(RecordPos(ord), key);
-}
-
 NodeRef Node::TryClone(NodeArena& arena) const {
   const uint64_t bits = CurrentReprBits();
   const NodeRef copy =
@@ -497,20 +73,6 @@ NodeRef Node::TryClone(NodeArena& arena) const {
     std::memcpy(copy.ptr->words(), words(), WordsFor(bits) * sizeof(uint64_t));
   }
   return copy;
-}
-
-void Node::RelocatePostfix(uint64_t old_addr, uint64_t new_addr,
-                           std::span<const uint64_t> key, uint64_t value) {
-  assert(old_addr != new_addr);
-  assert(FindOrdinal(old_addr) != kNoOrdinal &&
-         !OrdinalIsSub(FindOrdinal(old_addr)));
-  assert(FindOrdinal(new_addr) == kNoOrdinal);
-  // Occupancy and the representation policy inputs are unchanged, so the
-  // stream ends the size it started in the same block; the transient
-  // one-entry-smaller stream between the remove and the reinsert fits that
-  // block too.
-  RemoveEntryInPlace(old_addr);
-  InsertPostfixInPlace(new_addr, key, value);
 }
 
 // ---- Representation switching ------------------------------------------
@@ -567,11 +129,6 @@ uint64_t Node::BhcBitsEx(uint64_t n_postfixes, uint64_t ib) const {
   return RegionsFor(Repr::kBhc, n_postfixes, 0, ib).end;
 }
 
-uint64_t Node::ReprBitsEx(Repr r, uint64_t n_entries, uint64_t n_postfixes,
-                          uint64_t ib) const {
-  return RegionsFor(r, n_entries, n_entries - n_postfixes, ib).end;
-}
-
 uint64_t Node::HcBitsFor(uint64_t n_postfixes) const {
   return HcBitsEx(num_entries_, n_postfixes, infix_bits());
 }
@@ -615,58 +172,84 @@ uint64_t Node::CurrentReprBits() const {
   }
 }
 
-/// Emits a node's entries into the regions of a fresh block, keeping the
-/// running entry, postfix and sub ranks every layout indexes by.
+/// Writes a node's stream into a fresh block: picks the layout for the
+/// node's final occupancy, allocates the block, and emits the entries in
+/// ascending address order, keeping the running entry, postfix and sub
+/// ranks every layout indexes by.
 class Node::StreamWriter {
  public:
-  StreamWriter(const Node& shape, Repr target, uint64_t n_entries,
-               uint64_t n_subs, uint64_t ib)
-      : r_(shape.RegionsFor(target, n_entries, n_subs, ib)),
-        target_(target),
+  /// A node of `shape`'s dimensionality, postfix length and value mode
+  /// holding `n_entries` entries (`n_subs` of them subs) over `infix_len`
+  /// infix bits per dimension, in the layout PickRepr prescribes.
+  StreamWriter(const Node& shape, uint64_t n_entries, uint64_t n_subs,
+               uint32_t infix_len)
+      : target_(shape.PickRepr(n_entries, n_subs,
+                               uint64_t{shape.dim_} * infix_len)),
+        r_(shape.RegionsFor(target_, n_entries, n_subs,
+                            uint64_t{shape.dim_} * infix_len)),
         dim_(shape.dim_),
+        infix_len_(infix_len),
+        postfix_len_(shape.postfix_len_),
         stride_(shape.stride()),
+        n_entries_(n_entries),
+        n_subs_(n_subs),
         store_values_(shape.store_values_) {}
 
   const Regions& regions() const { return r_; }
 
-  /// Writes the next entry's flags, address and value or handle into
-  /// `out`, and returns the bit position of its postfix record, which the
-  /// caller fills (meaningless for a sub entry).
-  uint64_t Emit(uint64_t* out, uint64_t addr, bool sub, uint64_t payload) {
+  /// Allocates the node's zeroed block from `arena` at fault site `site`
+  /// and writes its header; Emit then fills the stream. Empty on
+  /// allocation failure.
+  NodeRef Allocate(NodeArena& arena, FaultSite site) {
+    const NodeRef ref = arena.AllocateNode(dim_, infix_len_, postfix_len_,
+                                           store_values_, r_.end, site);
+    if (ref) {
+      ref.ptr->repr_ = target_;
+      ref.ptr->num_entries_ = static_cast<uint32_t>(n_entries_);
+      ref.ptr->num_subs_ = static_cast<uint32_t>(n_subs_);
+      out_ = ref.ptr->words();
+    }
+    return ref;
+  }
+
+  /// Writes the next entry's flags, address and value or handle, and
+  /// returns the bit position of its postfix record, which the caller
+  /// fills (meaningless for a sub entry).
+  uint64_t Emit(uint64_t addr, bool sub, uint64_t payload) {
     uint64_t record = 0;
     switch (target_) {
       case Repr::kLhc:
-        SetBit(out, r_.flags + idx_, sub ? 1 : 0);
-        WriteBits(out, r_.addrs + idx_ * dim_, dim_, addr);
+        SetBit(out_, r_.flags + idx_, sub ? 1 : 0);
+        WriteBits(out_, r_.addrs + idx_ * dim_, dim_, addr);
         if (sub) {
-          WriteBits(out, r_.subs + srank_ * 32, 32, payload);
+          WriteBits(out_, r_.subs + srank_ * 32, 32, payload);
         } else {
           if (store_values_) {
-            WriteBits(out, prank_ * 64, 64, payload);
+            WriteBits(out_, prank_ * 64, 64, payload);
           }
           record = r_.records + prank_ * stride_;
         }
         break;
       case Repr::kHc:
-        SetBit(out, r_.present + addr, 1);
+        SetBit(out_, r_.present + addr, 1);
         if (sub) {
-          SetBit(out, r_.sub_bitmap + addr, 1);
+          SetBit(out_, r_.sub_bitmap + addr, 1);
           if (store_values_) {
-            WriteBits(out, addr * 64, 64, payload);
+            WriteBits(out_, addr * 64, 64, payload);
           } else {
-            WriteBits(out, r_.sub_tail + srank_ * 32, 32, payload);
+            WriteBits(out_, r_.sub_tail + srank_ * 32, 32, payload);
           }
         } else {
           if (store_values_) {
-            WriteBits(out, addr * 64, 64, payload);
+            WriteBits(out_, addr * 64, 64, payload);
           }
           record = r_.records + addr * stride_;
         }
         break;
       case Repr::kBhc:
-        SetBit(out, r_.present + addr, 1);
+        SetBit(out_, r_.present + addr, 1);
         if (store_values_) {
-          WriteBits(out, prank_ * 64, 64, payload);
+          WriteBits(out_, prank_ * 64, 64, payload);
         }
         record = r_.records + prank_ * stride_;
         break;
@@ -681,120 +264,161 @@ class Node::StreamWriter {
   }
 
  private:
-  Regions r_;
   Repr target_;
+  Regions r_;
   uint32_t dim_;
+  uint32_t infix_len_;
+  uint32_t postfix_len_;
   uint64_t stride_;
+  uint64_t n_entries_;
+  uint64_t n_subs_;
   bool store_values_;
+  uint64_t* out_ = nullptr;
   uint64_t idx_ = 0;
   uint64_t prank_ = 0;
   uint64_t srank_ = 0;
 };
 
-NodeRef Node::TryRebuild(NodeArena& arena, Repr target,
-                         const EntryDelta& delta) const {
+/// Reads a node's entries in ascending address order, keeping the running
+/// entry, postfix and sub ranks StreamWriter keeps for its output: each
+/// entry's payload, handle and record position is one read, never a
+/// recount of the LHC flags or the present bitmap.
+class Node::StreamReader {
+ public:
+  struct Entry {
+    uint64_t addr = 0;
+    bool sub = false;
+    uint64_t payload = 0;  ///< value (0 in key-only mode), or sub handle
+    uint64_t record = 0;   ///< bit position of a postfix entry's record
+  };
+
+  explicit StreamReader(const Node& node)
+      : in_(node.words()),
+        r_(node.RegionsFor(node.repr_, node.num_entries_, node.num_subs_,
+                           node.infix_bits())),
+        repr_(node.repr_),
+        dim_(node.dim_),
+        stride_(node.stride()),
+        slots_(node.hc_slots()),
+        n_(node.num_entries_),
+        store_values_(node.store_values_) {}
+
+  /// Reads the next entry into `e`; false after the last one.
+  bool Next(Entry* e) {
+    if (idx_ == n_) {
+      return false;
+    }
+    if (repr_ == Repr::kLhc) {
+      e->addr = ReadBits(in_, r_.addrs + idx_ * dim_, dim_);
+      e->sub = GetBit(in_, r_.flags + idx_) != 0;
+    } else {
+      e->addr = FindNextOne(in_, r_.present + next_addr_,
+                            r_.present + slots_) -
+                r_.present;
+      next_addr_ = e->addr + 1;
+      e->sub = repr_ == Repr::kHc && GetBit(in_, r_.sub_bitmap + e->addr);
+    }
+    if (e->sub) {
+      if (repr_ == Repr::kLhc) {
+        e->payload = ReadBits(in_, r_.subs + srank_ * 32, 32);
+      } else if (store_values_) {
+        e->payload = ReadBits(in_, e->addr * 64, 64);
+      } else {
+        e->payload = ReadBits(in_, r_.sub_tail + srank_ * 32, 32);
+      }
+      ++srank_;
+    } else {
+      // HC indexes values and records by address, LHC and BHC by rank.
+      const uint64_t slot = repr_ == Repr::kHc ? e->addr : prank_;
+      e->payload = store_values_ ? ReadBits(in_, slot * 64, 64) : 0;
+      e->record = r_.records + slot * stride_;
+      ++prank_;
+    }
+    ++idx_;
+    return true;
+  }
+
+ private:
+  const uint64_t* in_;
+  Regions r_;
+  Repr repr_;
+  uint32_t dim_;
+  uint64_t stride_;
+  uint64_t slots_;
+  uint64_t n_;
+  bool store_values_;
+  uint64_t idx_ = 0;
+  uint64_t next_addr_ = 0;
+  uint64_t prank_ = 0;
+  uint64_t srank_ = 0;
+};
+
+NodeRef Node::TryEdit(NodeArena& arena, const EntryDelta& delta) const {
   using K = EntryDelta::Kind;
-  // Post-state occupancy.
+  // Every delta drops at most the entry at `addr` and adds at most one
+  // entry at `new_addr`; a swap or an in-slot move does both at one
+  // address.
+  const bool drops = delta.kind == K::kRemove || delta.kind == K::kToSub ||
+                     delta.kind == K::kToPostfix || delta.kind == K::kMove;
+  const bool adds = delta.kind != K::kInfix && delta.kind != K::kRemove;
+  const bool adds_sub =
+      delta.kind == K::kInsertSub || delta.kind == K::kToSub;
   uint64_t n2 = num_entries_;
   uint64_t ns2 = num_subs_;
-  switch (delta.kind) {
-    case K::kNone:
-      break;
-    case K::kInsertPostfix:
-      ++n2;
-      break;
-    case K::kInsertSub:
-      ++n2;
-      ++ns2;
-      break;
-    case K::kRemove: {
-      const uint64_t ord = FindOrdinal(delta.addr);
-      assert(ord != kNoOrdinal);
-      --n2;
-      if (OrdinalIsSub(ord)) {
-        --ns2;
-      }
-      break;
-    }
-    case K::kToSub:
-      ++ns2;
-      break;
-    case K::kToPostfix:
-      --ns2;
-      break;
+  if (drops) {
+    const uint64_t ord = FindOrdinal(delta.addr);
+    assert(ord != kNoOrdinal);
+    assert(OrdinalIsSub(ord) == (delta.kind == K::kToPostfix) ||
+           delta.kind == K::kRemove);
+    --n2;
+    ns2 -= OrdinalIsSub(ord) ? 1 : 0;
   }
-  assert(target != Repr::kBhc || ns2 == 0);
-  const uint32_t il2 = delta.new_infix ? delta.new_infix_len : infix_len_;
-  const uint64_t ib2 = static_cast<uint64_t>(dim_) * il2;
-  StreamWriter w(*this, target, n2, ns2, ib2);
-  // The single fallible step: one zeroed block for the whole replacement
-  // node. Nothing below can fail, and this node is never touched.
-  const NodeRef moved =
-      arena.AllocateNode(dim_, il2, postfix_len_, store_values_,
-                         w.regions().end, FaultSite::kWordAlloc);
-  if (!moved) {
+  if (adds) {
+    assert((drops && delta.new_addr == delta.addr) ||
+           FindOrdinal(delta.new_addr) == kNoOrdinal);
+    ++n2;
+    ns2 += adds_sub ? 1 : 0;
+  }
+  const bool new_infix = delta.infix_key != nullptr;
+  StreamWriter w(*this, n2, ns2, new_infix ? delta.infix_len : infix_len_);
+  // The single fallible step: one zeroed block for the whole edited node.
+  // Nothing below can fail, and this node is never written.
+  const NodeRef edited = w.Allocate(arena, FaultSite::kWordAlloc);
+  if (!edited) {
     return {};
   }
-  Node* node = moved.ptr;
-  uint64_t* out = node->words();
-  const uint64_t n_inf = w.regions().infix;
-  if (delta.new_infix) {
-    for (uint32_t d = 0; d < dim_; ++d) {
-      WriteBits(out, n_inf + static_cast<uint64_t>(d) * il2, il2,
-                delta.infix_segments[d]);
-    }
+  Node* node = edited.ptr;
+  if (new_infix) {
+    node->SetInfixFromKey({delta.infix_key, dim_});
   } else {
-    CopyBits(words(), infix_base(), out, n_inf, ib2);
+    CopyBits(words(), infix_base(), node->words(), w.regions().infix,
+             infix_bits());
   }
-  // Emits one post-state entry; `src_ord` names the old-node ordinal to
-  // copy the postfix record from, kNoOrdinal when `key_src` supplies it.
-  const auto emit = [&](uint64_t addr, bool sub, uint64_t payload,
-                        const uint64_t* key_src, uint64_t src_ord) {
-    const uint64_t record = w.Emit(out, addr, sub, payload);
-    if (sub) {
-      return;
-    }
-    if (key_src != nullptr) {
-      node->WritePostfixRecord(record, {key_src, dim_});
-    } else {
-      CopyBits(words(), RecordPos(src_ord), out, record, stride());
+  const auto emit_added = [&] {
+    const uint64_t record = w.Emit(delta.new_addr, adds_sub, delta.payload);
+    if (!adds_sub) {
+      node->WritePostfixRecord(record, {delta.key, dim_});
     }
   };
-  bool pending_insert =
-      delta.kind == K::kInsertPostfix || delta.kind == K::kInsertSub;
-  for (uint64_t ord = FirstOrdinal(); ord != kNoOrdinal;
-       ord = NextOrdinal(ord)) {
-    const uint64_t addr = OrdinalAddr(ord);
-    if (pending_insert && delta.addr < addr) {
-      emit(delta.addr, delta.kind == K::kInsertSub, delta.payload, delta.key,
-           kNoOrdinal);
-      pending_insert = false;
+  bool pending = adds;
+  StreamReader::Entry e;
+  for (StreamReader in(*this); in.Next(&e);) {
+    if (pending && delta.new_addr < e.addr) {
+      emit_added();
+      pending = false;
     }
-    if (addr == delta.addr) {
-      if (delta.kind == K::kRemove) {
-        continue;
-      }
-      if (delta.kind == K::kToSub) {
-        emit(addr, /*sub=*/true, delta.payload, nullptr, kNoOrdinal);
-        continue;
-      }
-      if (delta.kind == K::kToPostfix) {
-        emit(addr, /*sub=*/false, delta.payload, delta.key, kNoOrdinal);
-        continue;
-      }
+    if (drops && e.addr == delta.addr) {
+      continue;
     }
-    const bool sub = OrdinalIsSub(ord);
-    emit(addr, sub, sub ? OrdinalSub(ord) : OrdinalPayload(ord), nullptr,
-         ord);
+    const uint64_t record = w.Emit(e.addr, e.sub, e.payload);
+    if (!e.sub) {
+      CopyBits(words(), e.record, node->words(), record, stride());
+    }
   }
-  if (pending_insert) {
-    emit(delta.addr, delta.kind == K::kInsertSub, delta.payload, delta.key,
-         kNoOrdinal);
+  if (pending) {
+    emit_added();
   }
-  node->repr_ = target;
-  node->num_entries_ = static_cast<uint32_t>(n2);
-  node->num_subs_ = static_cast<uint32_t>(ns2);
-  return moved;
+  return edited;
 }
 
 NodeRef Node::TryBuild(NodeArena& arena, uint32_t dim, uint32_t infix_len,
@@ -808,26 +432,17 @@ NodeRef Node::TryBuild(NodeArena& arena, uint32_t dim, uint32_t infix_len,
   for (const NodeEntry& e : entries) {
     n_subs += e.is_sub ? 1 : 0;
   }
-  const uint64_t n = entries.size();
-  const uint64_t ib = shape.infix_bits();
-  const Repr target = shape.PickRepr(n, n_subs, ib);
-  StreamWriter w(shape, target, n, n_subs, ib);
-  const NodeRef built =
-      arena.AllocateNode(dim, infix_len, postfix_len, store_values,
-                         w.regions().end, FaultSite::kArenaNodeAlloc);
+  StreamWriter w(shape, entries.size(), n_subs, infix_len);
+  const NodeRef built = w.Allocate(arena, FaultSite::kArenaNodeAlloc);
   if (!built) {
     return {};
   }
-  Node* node = built.ptr;
-  node->repr_ = target;
-  node->num_entries_ = static_cast<uint32_t>(n);
-  node->num_subs_ = static_cast<uint32_t>(n_subs);
-  node->SetInfixFromKey(infix_key);
-  for (size_t i = 0; i < n; ++i) {
+  built.ptr->SetInfixFromKey(infix_key);
+  for (size_t i = 0; i < entries.size(); ++i) {
     const NodeEntry& e = entries[i];
-    const uint64_t record = w.Emit(node->words(), e.addr, e.is_sub, e.payload);
+    const uint64_t record = w.Emit(e.addr, e.is_sub, e.payload);
     if (!e.is_sub) {
-      node->WritePostfixRecord(record, {keys + i * dim, dim});
+      built.ptr->WritePostfixRecord(record, {keys + i * dim, dim});
     }
   }
   return built;
@@ -840,11 +455,6 @@ uint64_t Node::BlockWords() const {
   // stored bits, so summed over all nodes this equals NodeArena::LiveBytes()
   // — the space tables measure the allocator instead of modelling it.
   return SlabWordPool::GrantWords(kHeaderWords + WordsFor(CurrentReprBits()));
-}
-
-bool Node::WouldMove(uint64_t bits) const {
-  return SlabWordPool::GrantWords(kHeaderWords + WordsFor(bits)) !=
-         BlockWords();
 }
 
 }  // namespace phtree

@@ -66,8 +66,8 @@ struct NodeEntry {
 /// A node is one arena block: this 16-byte header followed directly by the
 /// node's bit stream. The header holds no size, capacity or pointer: the
 /// stream length is CurrentReprBits(), and the block is exactly
-/// BlockWords() words, a pure function of the contents. Nodes are built
-/// only by NodeArena.
+/// BlockWords() words, a pure function of the contents. Nodes are written
+/// only by TryBuild, TryEdit and TryClone, into blocks from NodeArena.
 class Node {
  public:
   /// Entry-table representation (see file comment).
@@ -95,10 +95,6 @@ class Node {
   uint32_t num_postfixes() const { return num_entries_ - num_subs_; }
 
   // ---- Infix (prefix sharing) ----------------------------------------
-
-  /// Stores bits [postfix_len+1, postfix_len+infix_len] of each dimension of
-  /// `key` as this node's infix.
-  void SetInfixFromKey(std::span<const uint64_t> key);
 
   /// Overwrites bits [postfix_len+1, postfix_len+infix_len] of each
   /// dimension of `key` with this node's infix.
@@ -153,64 +149,92 @@ class Node {
 
   // ---- Mutation ----------------------------------------------------------
   //
-  // Every structural mutator is commit-or-rollback and lands atomically in
-  // the representation the switching rule prescribes for the *final*
-  // state. `self` is this node's handle. An edit whose final stream keeps
-  // the node's block size runs in place and returns {this, self}. Any
-  // other edit builds the final node in a new block from `arena` (the
-  // kWordAlloc fault site) and returns that block, leaving this node
-  // untouched: the caller publishes the new block in this node's place and
-  // then frees or retires this one. On allocation failure the result is
-  // empty and this node is untouched.
+  // A node's entries and infix never change where it stands. TryEdit writes
+  // the edited node, TryBuild a node no one references yet, and TryClone a
+  // copy, each into a new block written once, in the representation the
+  // switching rule prescribes for the final occupancy. None of them writes
+  // an existing node, so a failed call leaves nothing to undo. The caller
+  // publishes an edited node in the old one's place and then frees or
+  // retires the old block. A published node changes only by a child-handle
+  // store (SetSubAt, PublishSubAt) or a payload store (PublishPayloadAt).
 
-  /// Inserts a postfix entry (no entry with `addr` may exist).
-  [[nodiscard]] NodeRef TryInsertPostfix(NodeArena& arena, NodeHandle self,
-                                         uint64_t addr,
-                                         std::span<const uint64_t> key,
-                                         uint64_t value);
+  /// One change to a node's entries or infix, applied by TryEdit. Build it
+  /// with the named constructors; `key` and `infix_key` point at dim words
+  /// that must outlive the TryEdit call.
+  struct EntryDelta {
+    enum class Kind : uint8_t {
+      kInfix,          ///< the infix only; no entry changes
+      kInsertPostfix,  ///< add the postfix entry `addr`
+      kInsertSub,      ///< add the sub entry `addr`
+      kRemove,         ///< drop the entry `addr`
+      kToSub,          ///< the postfix at `addr` becomes a sub
+      kToPostfix,      ///< the sub at `addr` becomes a postfix
+      kMove,           ///< the postfix at `addr` moves to `new_addr`
+    };
+    Kind kind = Kind::kInfix;
+    uint64_t addr = 0;
+    uint64_t new_addr = 0;  ///< where the added entry lands
+    const uint64_t* key = nullptr;  ///< record source of an added postfix
+    uint64_t payload = 0;           ///< its value, or an added sub's handle
+    const uint64_t* infix_key = nullptr;  ///< the new infix's source, if any
+    uint32_t infix_len = 0;               ///< the new infix length
 
-  /// Inserts a sub-node entry (no entry with `addr` may exist).
-  [[nodiscard]] NodeRef TryInsertSub(NodeArena& arena, NodeHandle self,
-                                     uint64_t addr, NodeHandle child);
+    /// Adds a postfix entry at the free address `addr`.
+    static EntryDelta InsertPostfix(uint64_t addr,
+                                    std::span<const uint64_t> key,
+                                    uint64_t value) {
+      return {Kind::kInsertPostfix, addr, addr, key.data(), value};
+    }
+    /// Adds a sub entry at the free address `addr`.
+    static EntryDelta InsertSub(uint64_t addr, NodeHandle child) {
+      return {Kind::kInsertSub, addr, addr, nullptr, child};
+    }
+    /// Drops the entry at `addr`.
+    static EntryDelta Remove(uint64_t addr) {
+      return {Kind::kRemove, addr};
+    }
+    /// Replaces the postfix entry at `addr` with the sub-node `child`.
+    static EntryDelta ToSub(uint64_t addr, NodeHandle child) {
+      return {Kind::kToSub, addr, addr, nullptr, child};
+    }
+    /// Replaces the sub entry at `addr` with a postfix entry.
+    static EntryDelta ToPostfix(uint64_t addr, std::span<const uint64_t> key,
+                                uint64_t value) {
+      return {Kind::kToPostfix, addr, addr, key.data(), value};
+    }
+    /// Moves the postfix entry at `addr` to `new_addr`, which is free or
+    /// equal to `addr` (then only the record and payload change), giving
+    /// it the record from `key` and payload `value`.
+    static EntryDelta Move(uint64_t addr, uint64_t new_addr,
+                           std::span<const uint64_t> key, uint64_t value) {
+      return {Kind::kMove, addr, new_addr, key.data(), value};
+    }
+    /// Replaces the infix with `infix_len` bits per dimension: bits
+    /// [postfix_len+1, postfix_len+infix_len] of `key`. A split trims a
+    /// node's infix to its low bits; a splice extends a grandchild's.
+    static EntryDelta Infix(uint32_t infix_len,
+                            std::span<const uint64_t> key) {
+      return {Kind::kInfix, 0, 0, nullptr, 0, key.data(), infix_len};
+    }
+  };
 
-  /// Removes the entry with address `addr` (which must exist).
-  [[nodiscard]] NodeRef TryRemoveEntry(NodeArena& arena, NodeHandle self,
-                                       uint64_t addr);
-
-  /// Replaces the postfix entry at `addr` with the sub-node `child`.
-  [[nodiscard]] NodeRef TryReplaceEntryWithSub(NodeArena& arena,
-                                               NodeHandle self, uint64_t addr,
-                                               NodeHandle child);
-
-  /// Replaces the sub-node entry at `addr` with a postfix entry.
-  [[nodiscard]] NodeRef TryReplaceSubWithPostfix(
-      NodeArena& arena, NodeHandle self, uint64_t addr,
-      std::span<const uint64_t> key, uint64_t value);
-
-  /// Shortens the infix to its lowest `new_infix_len` bits per dimension
-  /// (used when a node is split: the upper infix bits move to the new
-  /// parent). postfix_len() is unchanged.
-  [[nodiscard]] NodeRef TryTrimInfixToLow(NodeArena& arena, NodeHandle self,
-                                          uint32_t new_infix_len);
-
-  /// Extends the infix upwards by absorbing the infix of `parent` plus this
-  /// node's address bit `addr_in_parent` (used when `parent` is spliced out
-  /// after a deletion left it with a single sub-node).
-  [[nodiscard]] NodeRef TryAbsorbParentInfix(NodeArena& arena,
-                                             NodeHandle self,
-                                             const Node& parent,
-                                             uint64_t addr_in_parent);
+  /// This node with `delta` applied, written in one pass into a new block
+  /// from `arena` (the kWordAlloc fault site). This node is not touched.
+  /// Empty on allocation failure.
+  [[nodiscard]] NodeRef TryEdit(NodeArena& arena,
+                                const EntryDelta& delta) const;
 
   /// A bit-identical copy of this node in a new block from `arena` (the
-  /// kArenaNodeAlloc fault site): the copy-on-write clone step. Empty on
+  /// kArenaNodeAlloc fault site): under MVCC, the clone of a key-only HC
+  /// ancestor whose child handle no atomic store can republish. Empty on
   /// allocation failure.
   [[nodiscard]] NodeRef TryClone(NodeArena& arena) const;
 
   /// Writes a complete node once, in a block from `arena` (the
   /// kArenaNodeAlloc fault site) of exactly the size its contents are
-  /// granted, in the representation the switching rule prescribes for its
-  /// final occupancy: the z-order builder's node write. `entries` ascend
-  /// by address; postfix entry i takes its record from the key at
+  /// granted: the z-order builder's node write, and the mutation engine's
+  /// first root, split parent and collision child. `entries` ascend by
+  /// address; postfix entry i takes its record from the key at
   /// keys + i * dim, and the infix comes from `infix_key`. Empty on
   /// allocation failure.
   [[nodiscard]] static NodeRef TryBuild(NodeArena& arena, uint32_t dim,
@@ -221,36 +245,23 @@ class Node {
                                         std::span<const NodeEntry> entries,
                                         const uint64_t* keys);
 
-  /// Updates the child handle of the sub-node entry at ordinal `ord`.
+  /// Updates the child handle of the sub-node entry at ordinal `ord` with a
+  /// plain store: for a node no reader can reach (a clone, or any node of a
+  /// plain tree).
   void SetSubAt(uint64_t ord, NodeHandle child);
-
-  /// Overwrites the postfix record of the postfix entry at ordinal `ord`
-  /// with bits [0, postfix_len) of `key`. The entry's address is unchanged,
-  /// so this is purely in-place and infallible (the Update fast path for a
-  /// move that stays in the same hypercube slot).
-  void SetPostfixAt(uint64_t ord, std::span<const uint64_t> key);
-
-  /// Moves the postfix entry at `old_addr` to the free address `new_addr`,
-  /// giving it postfix bits from `key` and payload `value`. Occupancy is
-  /// unchanged, so the stream ends exactly the pre-call size in the same
-  /// block, and the transient one-entry-smaller stream fits it too: the
-  /// move is in place and infallible.
-  void RelocatePostfix(uint64_t old_addr, uint64_t new_addr,
-                       std::span<const uint64_t> key, uint64_t value);
 
   // ---- MVCC publication (copy-on-write mode) -----------------------------
   //
-  // Copy-on-write mutation never edits a published node's entry table; it
-  // builds a replacement node off to the side and swings one child-handle
-  // slot in the parent (or the tree root) with a single release store.
-  // These helpers are that store plus the alignment predicate deciding
-  // whether the slot is atomically writable at all; the matching acquire
-  // loads live in OrdinalSub.
+  // A replacement node is published by swinging one child-handle slot in
+  // the parent (or the tree root) with a single release store. These
+  // helpers are that store plus the alignment predicate deciding whether
+  // the slot is atomically writable at all; the matching acquire loads
+  // live in OrdinalSub.
 
   /// True iff the child-handle slot of sub entry `ord` sits at an alignment
   /// where one atomic store can republish it (LHC sub slots are always
   /// 32-bit aligned; HC value-mode slots are 64-bit aligned). Key-only HC
-  /// keeps sub handles in an unaligned tail — COW callers must clone this
+  /// keeps sub handles in an unaligned tail — MVCC callers must clone this
   /// node instead and publish one level further up.
   bool CanPublishSubAt(uint64_t ord) const;
 
@@ -319,10 +330,9 @@ class Node {
   //   [present bitmap: S] [postfix records: np x stride, by presence rank]
   //
   // Value slots are 64-bit aligned at offset 0 (single-word reads); all
-  // other fields use exactly the bits they need. LHC and BHC mutations
-  // shift the stream (the paper's shift-left/right costs); HC mutations
-  // write in place except the key-only sub tail. Bits past the stream's
-  // end are zero up to the end of the block (bit_buffer.h).
+  // other fields use exactly the bits they need. A stream is written once,
+  // entry by entry, into a zeroed block (StreamWriter), so bits past its
+  // end are zero up to the end of the block.
 
   const uint64_t* words() const {
     return reinterpret_cast<const uint64_t*>(this) + kHeaderWords;
@@ -377,21 +387,14 @@ class Node {
   uint64_t BhcBitsFor(uint64_t n_postfixes) const;
 
   // Size functions over an explicit occupancy (n_entries, n_postfixes,
-  // infix bits) instead of the node's current members: the Try* mutators
-  // size and pick the representation of the *post-mutation* state before
-  // touching anything.
+  // infix bits) instead of the node's current members: TryEdit and
+  // TryBuild size and pick the representation of the final state before
+  // allocating its block.
   uint64_t HcBitsEx(uint64_t n_entries, uint64_t n_postfixes,
                     uint64_t ib) const;
   uint64_t LhcBitsEx(uint64_t n_entries, uint64_t n_postfixes,
                      uint64_t ib) const;
   uint64_t BhcBitsEx(uint64_t n_postfixes, uint64_t ib) const;
-  uint64_t ReprBitsEx(Repr r, uint64_t n_entries, uint64_t n_postfixes,
-                      uint64_t ib) const;
-
-  /// True iff a stream of `bits` bits needs a block of a different size
-  /// than this node's: the edit to it must move the node.
-  bool WouldMove(uint64_t bits) const;
-
   /// The representation the switching rule prescribes for a node of this
   /// node's dimensionality, postfix length and value mode holding
   /// (`n_entries`, `n_subs`) entries over `ib` infix bits: the smallest
@@ -421,34 +424,12 @@ class Node {
                      uint64_t ib) const;
 
   /// Writes a whole stream in one representation at one occupancy, entry
-  /// by entry in ascending address order (TryRebuild and TryBuild).
+  /// by entry in ascending address order (TryEdit and TryBuild).
   class StreamWriter;
 
-  /// One atomic entry-table change applied during TryRebuild.
-  struct EntryDelta {
-    enum class Kind : uint8_t {
-      kNone,           ///< no entry change (infix replacement only)
-      kInsertPostfix,  ///< add postfix entry `addr` (key/payload)
-      kInsertSub,      ///< add sub entry `addr` (payload = handle)
-      kRemove,         ///< drop entry `addr`
-      kToSub,          ///< postfix at `addr` becomes sub (payload = handle)
-      kToPostfix,      ///< sub at `addr` becomes postfix (key/payload)
-    };
-    Kind kind = Kind::kNone;
-    uint64_t addr = 0;
-    const uint64_t* key = nullptr;  ///< postfix source (kInsertPostfix/kToPostfix)
-    uint64_t payload = 0;           ///< value or child handle
-    bool new_infix = false;         ///< also replace the infix region
-    uint32_t new_infix_len = 0;
-    const uint64_t* infix_segments = nullptr;  ///< dim right-aligned segments
-  };
-
-  /// Builds, in a new block from `arena`, the node in `target`
-  /// representation holding the current entries with `delta` spliced in:
-  /// the one place where a stream changes block. This node is not touched.
-  /// Empty if the block cannot be allocated.
-  [[nodiscard]] NodeRef TryRebuild(NodeArena& arena, Repr target,
-                                   const EntryDelta& delta) const;
+  /// Reads a node's entries in ascending address order with running
+  /// ranks: the source side of TryEdit.
+  class StreamReader;
 
   /// Number of postfix entries among LHC entries [0, ord).
   uint64_t LhcPostfixRank(uint64_t ord) const {
@@ -470,42 +451,11 @@ class Node {
   /// representation.
   uint64_t RecordPos(uint64_t ord) const;
 
-  // In-place mutation bodies, used when the Try* guard proves the final
-  // stream keeps the node's block (post-state representation unchanged).
-  void InsertPostfixInPlace(uint64_t addr, std::span<const uint64_t> key,
-                            uint64_t value);
-  void InsertSubInPlace(uint64_t addr, NodeHandle child);
-  void RemoveEntryInPlace(uint64_t addr);
+  /// Stores bits [postfix_len+1, postfix_len+infix_len] of each dimension
+  /// of `key` as this node's infix.
+  void SetInfixFromKey(std::span<const uint64_t> key);
 
   void WritePostfixRecord(uint64_t record_pos, std::span<const uint64_t> key);
-
-  /// Single-pass LHC entry insertion at entry position `p`: moves each
-  /// region segment exactly once (instead of shifting the tail once per
-  /// region). `key` is null for sub-node entries; `payload` is the value
-  /// (postfix) or the handle (sub).
-  void LhcInsertEntry(uint64_t p, uint64_t addr, bool is_sub,
-                      uint64_t payload, const uint64_t* key);
-
-  /// Single-pass LHC entry removal at entry position `p`.
-  void LhcRemoveEntry(uint64_t p);
-
-  /// Single-pass BHC postfix insertion/removal at address `addr`.
-  void BhcInsertEntry(uint64_t addr, uint64_t value, const uint64_t* key);
-  void BhcRemoveEntry(uint64_t addr);
-
-  /// Replaces the infix region with `new_infix_len` bits per dimension taken
-  /// from `segments` (one right-aligned segment per dimension).
-  void ReplaceInfix(uint32_t new_infix_len,
-                    std::span<const uint64_t> segments);
-
-  /// Shared body of the infix mutators: replaces the infix with `segments`
-  /// and applies the switching rule for the resulting sizes, committing
-  /// both atomically (in place when the block size is kept, via TryRebuild
-  /// otherwise).
-  [[nodiscard]] NodeRef TryReplaceInfixPolicy(NodeArena& arena,
-                                              NodeHandle self,
-                                              uint32_t new_infix_len,
-                                              const uint64_t* segments);
 
   uint16_t dim_;
   uint8_t infix_len_;
@@ -634,7 +584,7 @@ inline NodeHandle Node::OrdinalSub(uint64_t ord) const {
     if (store_values_) {
       return static_cast<NodeHandle>(AcquireLoad64(words(), ord * 64));
     }
-    // Key-only HC sub tails are never republished in place (see
+    // Key-only HC sub tails are never republished atomically (see
     // CanPublishSubAt); the handle is immutable once this node is
     // published, so the plain read is race-free.
     return static_cast<NodeHandle>(

@@ -155,14 +155,6 @@ void PhTree::RetireSubtree(NodeRef node) {
   arena_->RetireNode(node);
 }
 
-NodeRef PhTree::NewNode(uint32_t infix_len, uint32_t postfix_len) {
-  if (arena_ == nullptr) {
-    // Moved-from tree being refilled: give it a fresh arena.
-    arena_ = std::make_unique<NodeArena>();
-  }
-  return arena_->NewNode(dim_, infix_len, postfix_len, config_.store_values);
-}
-
 bool PhTree::Insert(std::span<const uint64_t> key, uint64_t value) {
   const OpStatus st = TryInsert(key, value);
   if (st == OpStatus::kNoMem) {
@@ -363,36 +355,55 @@ std::vector<std::optional<uint64_t>> PhTree::FindBatch(
 // place of the node it replaces. Each case is written once:
 //   insert: empty slot, postfix collision, infix split, payload rewrite;
 //   erase:  plain remove, merge into the parent, splice of the grandchild;
-//   update: in-node relocation and payload rewrite, else insert-then-erase.
+//   update: in-node move and payload rewrite, else insert-then-erase.
 //
-// The edit steps work through a per-call Mutation record whose calls hide
-// the publish policy, derived from whether the arena has an EpochManager:
-//   * in place (plain trees): Writable(node) is the live node itself, and
-//     Publish is a plain child-handle or root store;
-//   * copy-on-write (EnableMvcc): Writable(node) is a private clone, and
-//     Publish is one atomic store — a child-handle slot in the deepest
-//     ancestor that admits one, or the root pointer — so a lock-free
-//     reader sees either the old node or the complete replacement.
-// Fresh nodes (new parents and children) are the same in both policies.
+// A node's entries and infix never change where it stands. An edit writes
+// the edited node once into a new block (Node::TryEdit), and a new node
+// (the first root, a split's parent, a collision's child) is written once
+// with its final entries (Node::TryBuild). Publish then links the edited
+// node in the replaced node's place with one child-handle or root store,
+// and the replaced nodes leave the tree through RetireNode. The two
+// mutation policies run the same steps and differ only here:
+//   * a plain tree frees the replaced nodes at once;
+//   * an MVCC tree (EnableMvcc) retires them until no reader can hold
+//     them, and its publication store is atomic, so a lock-free reader
+//     sees either the old node or the complete replacement. A key-only HC
+//     ancestor keeps its sub handles in an unaligned tail that no atomic
+//     store can republish, so under MVCC Publish clones it, swings the
+//     handle in the clone and climbs one level (Writable).
 //
-// Every node is one arena block sized to its contents, so an edit that
-// changes the block size moves the node: Node's Try* mutators build the
-// edited node in a new block and leave the old one untouched. The engine
-// treats the new block exactly like a clone (Edited): it is published in
-// the old block's place, and the old block leaves the tree like a replaced
-// node — freed at once in place, retired under MVCC. A moved node that was
-// never published (fresh, or a clone) is freed at once in both policies.
-//
-// One ordering rule keeps every Try* mutation commit-or-rollback under both
-// policies: every fallible step on fresh nodes comes first, and the single
-// commit-or-rollback step on the writable node comes last (Node's Try*
-// mutators leave the node bit-identical on failure). In place this order is
-// what makes failure atomic; on a clone it is merely harmless. On any
-// failure Finish deletes the created nodes, which were never published. On
-// success the replaced nodes leave the tree through RetireNode: deleted at
-// once in place, freed only after their epoch grace period under MVCC.
-// The fallible seams are kArenaNodeAlloc for new nodes and clones and
-// kWordAlloc for moved nodes, in both policies.
+// One ordering rule keeps every mutation commit-or-rollback under both
+// policies: nothing published is written before Publish. Every fallible
+// step (kArenaNodeAlloc for built nodes and clones, kWordAlloc for edited
+// nodes) comes first, and on any failure Finish frees the created nodes,
+// which nothing references. A payload rewrite needs no Publish: it is one
+// atomic store into an aligned value slot and never allocates.
+
+namespace {
+
+/// The two entries of a node that a split or a collision writes, in address
+/// order, with the record source of postfix entry i at keys + i * dim (the
+/// layout Node::TryBuild reads; a sub entry's slot is unused).
+struct EntryPair {
+  /// `a` and `b` take their records from `key_a` and `key_b` (empty for a
+  /// sub entry).
+  EntryPair(uint32_t dim, NodeEntry a, std::span<const uint64_t> key_a,
+            NodeEntry b, std::span<const uint64_t> key_b) {
+    if (b.addr < a.addr) {
+      std::swap(a, b);
+      std::swap(key_a, key_b);
+    }
+    entries[0] = a;
+    entries[1] = b;
+    std::copy(key_a.begin(), key_a.end(), keys);
+    std::copy(key_b.begin(), key_b.end(), keys + dim);
+  }
+
+  NodeEntry entries[2];
+  uint64_t keys[2 * kMaxDims] = {};
+};
+
+}  // namespace
 
 struct PhTree::Descent {
   FixedStack<Frame, kBitWidth> path;
@@ -412,61 +423,29 @@ class PhTree::Mutation {
   explicit Mutation(PhTree* tree)
       : tree_(tree), copy_on_write_(tree->mvcc_enabled()) {}
 
-  /// A node built by this call, recorded as created.
-  NodeRef Fresh(uint32_t infix_len, uint32_t postfix_len) {
-    const NodeRef n = tree_->NewNode(infix_len, postfix_len);
-    if (n) {
-      created_.push_back(n);
-    }
-    return n;
+  /// A node written whole by this call (Node::TryBuild), recorded as
+  /// created. Empty on allocation failure.
+  NodeRef Build(uint32_t infix_len, uint32_t postfix_len,
+                std::span<const uint64_t> infix_key,
+                std::span<const NodeEntry> entries, const uint64_t* keys) {
+    return Created(Node::TryBuild(*tree_->arena_, tree_->dim_, infix_len,
+                                  postfix_len, tree_->config_.store_values,
+                                  infix_key, entries, keys));
   }
 
-  /// The node this call edits in place of `node`: `node` itself in place;
-  /// under MVCC a private clone (created), with `node` recorded as
-  /// replaced. Empty on allocation failure.
-  NodeRef Writable(NodeRef node) {
-    if (!copy_on_write_) {
-      return node;
+  /// `node` with `delta` applied, in a new block created by this call
+  /// (Node::TryEdit); `node` is recorded as replaced. Empty on allocation
+  /// failure.
+  NodeRef Edit(NodeRef node, const Node::EntryDelta& delta) {
+    const NodeRef edited = Created(node.ptr->TryEdit(*tree_->arena_, delta));
+    if (edited) {
+      Replaced(node);
     }
-    const NodeRef copy = node.ptr->TryClone(*tree_->arena_);
-    if (!copy) {
-      return NodeRef{};
-    }
-    created_.push_back(copy);
-    Replaced(node);
-    return copy;
+    return edited;
   }
 
   /// `node` leaves the tree once this call commits.
   void Replaced(NodeRef node) { replaced_.push_back(node); }
-
-  /// Applies the Node Try* mutator `op` to `*node` and makes `*node` the
-  /// edited node. A node that moved to a new block is handled like a
-  /// clone: the new block is created by this call, and the old one is
-  /// freed at once if this call created it (it was never published) or
-  /// else leaves the tree on commit. Returns false for a failed edit.
-  template <typename Op, typename... Args>
-  bool Edit(NodeRef* node, Op op, Args&&... args) {
-    const NodeRef after = (node->ptr->*op)(*tree_->arena_, node->handle,
-                                           std::forward<Args>(args)...);
-    if (!after) {
-      return false;
-    }
-    if (after.ptr != node->ptr) {
-      NodeRef* created =
-          std::find_if(created_.begin(), created_.end(),
-                       [&](const NodeRef& n) { return n.ptr == node->ptr; });
-      if (created != created_.end()) {
-        tree_->arena_->DeleteNode(*node);
-        *created = after;
-      } else {
-        Replaced(*node);
-        created_.push_back(after);
-      }
-      *node = after;
-    }
-    return true;
-  }
 
   /// If `ok`, publishes `replacement` in the place of the node at level
   /// `depth` of `path` (the root for depth 0) and commits; otherwise, or
@@ -487,18 +466,34 @@ class PhTree::Mutation {
   }
 
  private:
+  NodeRef Created(NodeRef node) {
+    if (node) {
+      created_.push_back(node);
+    }
+    return node;
+  }
+
+  /// The node Publish swings a child handle in, in place of `node`: `node`
+  /// itself on a plain tree; under MVCC a private clone (created), with
+  /// `node` recorded as replaced. Empty on allocation failure.
+  NodeRef Writable(NodeRef node) {
+    if (!copy_on_write_) {
+      return node;
+    }
+    const NodeRef copy = Created(node.ptr->TryClone(*tree_->arena_));
+    if (copy) {
+      Replaced(node);
+    }
+    return copy;
+  }
+
   bool Publish(NodeRef replacement, const Frame* path, size_t depth) {
-    // Climb until a frame's child slot takes the store. A node edited in
-    // place is already linked, and in place every slot takes the store.
-    // Under MVCC a key-only HC ancestor keeps sub handles in an unaligned
-    // tail that no atomic store can republish: swing the handle in a
-    // private clone instead and keep climbing (the cascade ends at the
-    // root pointer at the latest).
+    // Climb until a frame's child slot takes the store; on a plain tree
+    // every slot does. Under MVCC a key-only HC ancestor's slot cannot:
+    // swing the handle in a private clone instead and keep climbing (the
+    // cascade ends at the root pointer at the latest).
     for (; depth > 0; --depth) {
       const Frame& f = path[depth - 1];
-      if (f.child == replacement.handle) {
-        return true;
-      }
       if (f.node.ptr->CanPublishSubAt(f.ord)) {
         f.node.ptr->PublishSubAt(f.ord, replacement.handle);
         return true;
@@ -540,30 +535,34 @@ void PhTree::Descend(std::span<const uint64_t> key, Descent* d) const {
       d->div = node.ptr->PostfixDivergence(d->ord, key);
       return;
     }
+    d->path.push_back(Frame{node, d->ord});
     const NodeHandle ch = node.ptr->OrdinalSub(d->ord);
-    d->path.push_back(Frame{node, d->ord, ch});
     node = NodeRef{arena_->NodeAt(ch), ch};
   }
 }
 
 OpStatus PhTree::InsertEntry(std::span<const uint64_t> key, uint64_t value,
                              bool assign) {
+  using Delta = Node::EntryDelta;
   Descent d;
   if (root_) {
     Descend(key, &d);
+  } else if (arena_ == nullptr) {
+    // Moved-from tree being refilled: give it a fresh arena.
+    arena_ = std::make_unique<NodeArena>();
   }
   Mutation m(this);
   NodeRef replacement;  // takes d.node's place (the root's, if empty)
-  bool ok = false;
   if (!root_) {
-    // Empty tree: the root is built off-tree and published once complete.
-    replacement = m.Fresh(/*infix_len=*/0, /*postfix_len=*/kBitWidth - 1);
-    ok = replacement && m.Edit(&replacement, &Node::TryInsertPostfix,
-                               HcAddressAt(key, kBitWidth - 1), key, value);
+    // Empty tree: the root is written with its one entry.
+    const NodeEntry entry{HcAddressAt(key, kBitWidth - 1), value, false};
+    replacement = m.Build(/*infix_len=*/0, /*postfix_len=*/kBitWidth - 1,
+                          key, {&entry, 1}, key.data());
   } else if (d.mismatch >= 0) {
     // Infix split: the key diverges from d.node's infix at key bit `mis`.
-    // A fresh parent at that depth takes {d.node with its infix trimmed,
-    // the key's postfix}; the root has no infix and never splits.
+    // d.node keeps the infix bits below `mis`, and a new parent at that
+    // depth holds it and the key's postfix; the root has no infix and
+    // never splits.
     const uint32_t mis = static_cast<uint32_t>(d.mismatch);
     const uint32_t pl = d.node.ptr->postfix_len();
     const uint32_t il = d.node.ptr->infix_len();
@@ -573,27 +572,16 @@ OpStatus PhTree::InsertEntry(std::span<const uint64_t> key, uint64_t value,
     const uint64_t addr_node = HcAddressAt(rep.span(dim_), mis);
     const uint64_t addr_key = HcAddressAt(key, mis);
     assert(addr_node != addr_key);
-    replacement = m.Fresh(pl + il - mis, mis);
-    if (replacement) {
-      replacement.ptr->SetInfixFromKey(key);
-    }
-    NodeRef w = replacement ? m.Writable(d.node) : NodeRef{};
-    const NodeHandle named = w.handle;
-    ok = w && m.Edit(&replacement, &Node::TryInsertSub, addr_node, named) &&
-         m.Edit(&replacement, &Node::TryInsertPostfix, addr_key, key,
-                value) &&
-         m.Edit(&w, &Node::TryTrimInfixToLow, mis - 1 - pl);
-    if (ok && w.handle != named) {
-      // The trim moved the node: re-point the fresh parent, which is not
-      // published yet, at its new block.
-      replacement.ptr->SetSubAt(replacement.ptr->FindOrdinal(addr_node),
-                                w.handle);
+    const NodeRef trimmed =
+        m.Edit(d.node, Delta::Infix(mis - 1 - pl, rep.span(dim_)));
+    if (trimmed) {
+      const EntryPair pair(dim_, {addr_node, trimmed.handle, /*is_sub=*/true},
+                           {}, {addr_key, value, /*is_sub=*/false}, key);
+      replacement = m.Build(pl + il - mis, mis, key, pair.entries, pair.keys);
     }
   } else if (d.ord == Node::kNoOrdinal) {
     // Empty slot: the postfix lands in d.node itself.
-    replacement = m.Writable(d.node);
-    ok = replacement && m.Edit(&replacement, &Node::TryInsertPostfix,
-                               d.addr, key, value);
+    replacement = m.Edit(d.node, Delta::InsertPostfix(d.addr, key, value));
   } else if (d.div < 0) {
     // Exact duplicate. The payload rewrite is one atomic store into an
     // aligned value slot in both policies and never allocates.
@@ -603,29 +591,26 @@ OpStatus PhTree::InsertEntry(std::span<const uint64_t> key, uint64_t value,
     return OpStatus::kNoop;
   } else {
     // Postfix collision: both keys share bits (div, postfix_len) below
-    // d.node; a fresh child at depth `div` holds the two postfixes and
+    // d.node; a new child at depth `div` holds the two postfixes and
     // takes the colliding entry's slot.
     const uint32_t div = static_cast<uint32_t>(d.div);
     const uint32_t pl = d.node.ptr->postfix_len();
     KeyBuf old_key;
     CopyKey(key, old_key.span(dim_));
     d.node.ptr->ReadPostfixInto(d.ord, old_key.span(dim_));
-    const uint64_t old_value = d.node.ptr->OrdinalPayload(d.ord);
-    NodeRef child = m.Fresh(pl - 1 - div, div);
+    const EntryPair pair(dim_,
+                         {HcAddressAt(old_key.span(dim_), div),
+                          d.node.ptr->OrdinalPayload(d.ord), false},
+                         old_key.span(dim_),
+                         {HcAddressAt(key, div), value, false}, key);
+    const NodeRef child =
+        m.Build(pl - 1 - div, div, key, pair.entries, pair.keys);
     if (child) {
-      child.ptr->SetInfixFromKey(key);
+      replacement = m.Edit(d.node, Delta::ToSub(d.addr, child.handle));
     }
-    ok = child &&
-         m.Edit(&child, &Node::TryInsertPostfix,
-                HcAddressAt(old_key.span(dim_), div), old_key.span(dim_),
-                old_value) &&
-         m.Edit(&child, &Node::TryInsertPostfix, HcAddressAt(key, div), key,
-                value);
-    replacement = ok ? m.Writable(d.node) : NodeRef{};
-    ok = replacement && m.Edit(&replacement, &Node::TryReplaceEntryWithSub,
-                               d.addr, child.handle);
   }
-  if (!m.Finish(ok, replacement, d.path.begin(), d.path.size())) {
+  if (!m.Finish(static_cast<bool>(replacement), replacement, d.path.begin(),
+                d.path.size())) {
     return OpStatus::kNoMem;
   }
   size_.fetch_add(1, std::memory_order_relaxed);
@@ -633,6 +618,7 @@ OpStatus PhTree::InsertEntry(std::span<const uint64_t> key, uint64_t value,
 }
 
 OpStatus PhTree::EraseEntry(std::span<const uint64_t> key) {
+  using Delta = Node::EntryDelta;
   if (!root_) {
     return OpStatus::kNoop;
   }
@@ -658,38 +644,42 @@ OpStatus PhTree::EraseEntry(std::span<const uint64_t> key) {
     if (sord == d.ord) {
       sord = node.ptr->NextOrdinal(sord);
     }
-    const uint64_t saddr = node.ptr->OrdinalAddr(sord);
     m.Replaced(node);
+    // The surviving entry's bits below the parent: node's infix and
+    // address bit, then the entry's own infix or postfix.
+    KeyBuf buf;
+    for (uint32_t i = 0; i < dim_; ++i) {
+      buf.data[i] = 0;
+    }
+    ApplyHcAddress(node.ptr->OrdinalAddr(sord), node.ptr->postfix_len(),
+                   buf.span(dim_));
+    node.ptr->ReadInfixInto(buf.span(dim_));
     if (node.ptr->OrdinalIsSub(sord)) {
-      // Splice: the grandchild absorbs node's infix and address bit and
-      // takes node's slot in the parent.
+      // Splice: the grandchild absorbs those bits into its infix and takes
+      // node's slot in the parent.
       const NodeHandle gh = node.ptr->OrdinalSub(sord);
-      replacement = m.Writable(NodeRef{arena_->NodeAt(gh), gh});
-      ok = replacement && m.Edit(&replacement, &Node::TryAbsorbParentInfix,
-                                 *node.ptr, saddr);
+      const NodeRef grandchild{arena_->NodeAt(gh), gh};
+      grandchild.ptr->ReadInfixInto(buf.span(dim_));
+      replacement = m.Edit(
+          grandchild,
+          Delta::Infix(grandchild.ptr->infix_len() + 1 +
+                           node.ptr->infix_len(),
+                       buf.span(dim_)));
     } else {
-      // Merge: the surviving entry's bits below the parent (node infix +
-      // node address bit + node postfix) replace the parent's sub entry.
-      KeyBuf buf;
-      for (uint32_t i = 0; i < dim_; ++i) {
-        buf.data[i] = 0;
-      }
+      // Merge: the surviving postfix replaces the parent's sub entry.
       node.ptr->ReadPostfixInto(sord, buf.span(dim_));
-      ApplyHcAddress(saddr, node.ptr->postfix_len(), buf.span(dim_));
-      node.ptr->ReadInfixInto(buf.span(dim_));
-      const uint64_t value = node.ptr->OrdinalPayload(sord);
       const Frame& pf = *(d.path.end() - 1);
-      const uint64_t addr_in_parent = pf.node.ptr->OrdinalAddr(pf.ord);
-      replacement = m.Writable(pf.node);
-      ok = replacement &&
-           m.Edit(&replacement, &Node::TryReplaceSubWithPostfix,
-                  addr_in_parent, buf.span(dim_), value);
+      replacement = m.Edit(
+          pf.node, Delta::ToPostfix(pf.node.ptr->OrdinalAddr(pf.ord),
+                                    buf.span(dim_),
+                                    node.ptr->OrdinalPayload(sord)));
       at = d.path.size() - 1;  // the edited parent replaces the parent
     }
+    ok = static_cast<bool>(replacement);
   } else {
     // Plain remove.
-    replacement = m.Writable(node);
-    ok = replacement && m.Edit(&replacement, &Node::TryRemoveEntry, d.addr);
+    replacement = m.Edit(node, Delta::Remove(d.addr));
+    ok = static_cast<bool>(replacement);
   }
   if (!m.Finish(ok, replacement, d.path.begin(), at)) {
     return OpStatus::kNoMem;
@@ -742,20 +732,14 @@ UpdateOutcome PhTree::MoveEntry(std::span<const uint64_t> old_key,
       return UpdateOutcome::kNewOccupied;
     }
     if (nord == Node::kNoOrdinal) {
-      // In-node relocation: one node touched, in its own block (occupancy
-      // is unchanged), published with one store, so an MVCC reader sees
-      // the entry jump from old_key to new_key.
+      // In-node move: one node rewritten with its occupancy unchanged and
+      // published with one store, so an MVCC reader sees the entry jump
+      // from old_key to new_key. An unchanged slot rewrites the record and
+      // payload in place of the old ones.
       Mutation m(this);
-      const NodeRef w = m.Writable(d.node);
-      if (w && new_addr == d.addr) {
-        w.ptr->SetPostfixAt(d.ord, new_key);
-        if (value.has_value()) {
-          w.ptr->PublishPayloadAt(d.ord, *value);
-        }
-      } else if (w) {
-        w.ptr->RelocatePostfix(d.addr, new_addr, new_key, v);
-      }
-      if (!m.Finish(static_cast<bool>(w), w, d.path.begin(),
+      const NodeRef moved = m.Edit(
+          d.node, Node::EntryDelta::Move(d.addr, new_addr, new_key, v));
+      if (!m.Finish(static_cast<bool>(moved), moved, d.path.begin(),
                     d.path.size())) {
         return UpdateOutcome::kNoMem;
       }

@@ -76,7 +76,7 @@ inline const char* UpdateOutcomeName(UpdateOutcome outcome) {
 
 /// Cumulative counters of how Update moves were executed (per tree).
 struct PhUpdateStats {
-  uint64_t fast_path = 0;  ///< in-node relocations (one node touched)
+  uint64_t fast_path = 0;  ///< in-node moves (one node rewritten)
   uint64_t fallback = 0;   ///< erase+insert fallbacks (structural moves)
 };
 
@@ -98,13 +98,14 @@ class PhTree {
   bool empty() const { return size() == 0; }
   const PhTreeConfig& config() const { return config_; }
 
-  /// Switches this tree into MVCC mode: every structural mutation becomes
-  /// copy-on-write (replacement nodes built off to the side, published with
-  /// one atomic child-handle or root store) and replaced nodes are retired
-  /// through `epochs` instead of freed, so concurrent readers holding an
-  /// EpochManager::ReadGuard may traverse lock-free while one writer
-  /// mutates. Call before any concurrent use. Plain trees (the default) run
-  /// the same mutation engine but edit the live nodes in place.
+  /// Switches this tree into MVCC mode: each mutation publishes its
+  /// replacement node with one atomic child-handle or root store, and
+  /// replaced nodes are retired through `epochs` instead of freed at once,
+  /// so concurrent readers holding an EpochManager::ReadGuard may traverse
+  /// lock-free while one writer mutates. Call before any concurrent use.
+  /// Plain trees (the default) run the same edits: in both modes every
+  /// structural mutation writes the edited node into a new block and never
+  /// writes a published node before linking it.
   void EnableMvcc(EpochManager* epochs);
   bool mvcc_enabled() const {
     return arena_ != nullptr && arena_->epoch_manager() != nullptr;
@@ -167,20 +168,22 @@ class PhTree {
   bool Erase(std::span<const uint64_t> key);
 
   /// Non-throwing Erase: kApplied if removed, kNoop if absent, kNoMem (tree
-  /// unchanged) on allocation failure. Removal can fail only when the
-  /// shrunken node, the merged parent or the spliced grandchild moves to a
-  /// new block, or a copy-on-write clone cannot be allocated.
+  /// unchanged) on allocation failure. Every removal but that of the last
+  /// entry writes an edited node (the shrunken node, the merged parent or
+  /// the spliced grandchild) into a new block, so any of them can fail, as
+  /// can an MVCC clone of a key-only HC ancestor.
   OpStatus TryErase(std::span<const uint64_t> key);
 
   /// Moves the entry at `old_key` to `new_key`, keeping its payload unless
   /// `value` overrides it. Descends once to the deepest node whose subtree
   /// contains both keys (the first differing bit, found by XOR like
-  /// FindBatch's shared-prefix resumption) and relocates the postfix in
-  /// place when the move stays inside that node — the moving-objects fast
-  /// path, touching at most one node; otherwise falls back to erase+insert
-  /// (at most two nodes each, paper Sect. 3.6). old_key == new_key is a
-  /// payload rewrite (kMoved). Throws std::bad_alloc with the tree
-  /// unchanged on allocation failure.
+  /// FindBatch's shared-prefix resumption) and rewrites that one node when
+  /// the move stays inside it — the moving-objects fast path; otherwise
+  /// falls back to insert+erase (at most two nodes each, paper Sect. 3.6).
+  /// old_key == new_key is a payload rewrite (kMoved) and never allocates.
+  /// Every other move writes at least one node into a new block, on a
+  /// plain tree too, so it can run out of memory: Update then throws
+  /// std::bad_alloc with the tree unchanged.
   UpdateOutcome Update(std::span<const uint64_t> old_key,
                        std::span<const uint64_t> new_key,
                        std::optional<uint64_t> value = std::nullopt);
@@ -259,20 +262,17 @@ class PhTree {
   // ---- The mutation engine (phtree.cc) ------------------------------------
 
   /// One level of a recorded descent: `ord` is the sub entry of `node` the
-  /// descent followed — the slot a replacement child gets published to —
-  /// and `child` the handle that slot held.
+  /// descent followed — the slot a replacement child gets published to.
   struct Frame {
     NodeRef node;
     uint64_t ord;
-    NodeHandle child;
   };
   /// Where a descent along one key leaves the tree, plus its path.
   struct Descent;
   /// Per-call record of the nodes one mutation creates and replaces; its
-  /// calls hide whether the tree edits in place or copy-on-write.
+  /// calls hide whether replaced nodes are freed (plain) or retired (MVCC).
   class Mutation;
 
-  NodeRef NewNode(uint32_t infix_len, uint32_t postfix_len);
   void Descend(std::span<const uint64_t> key, Descent* d) const;
   OpStatus InsertEntry(std::span<const uint64_t> key, uint64_t value,
                        bool assign);

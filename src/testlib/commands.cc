@@ -142,7 +142,7 @@ bool RandomCommandSource::Next(Command* cmd) {
     if (rng_.NextBool(options_.update_nearby_p)) {
       // Moving-objects shape: perturb each coordinate by a few grid steps
       // so the move usually stays within a shared-prefix subtree (the
-      // in-place relocation fast path). Delta 0 on every axis exercises
+      // in-node move fast path). Delta 0 on every axis exercises
       // the old == new payload rewrite.
       new_key = old_key;
       for (double& v : new_key) {

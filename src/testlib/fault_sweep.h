@@ -43,9 +43,10 @@ struct FaultSweepOptions {
   /// 1 = always deep-check.
   size_t deep_every = 128;
   /// Run the swept tree in MVCC mode (PhTree::EnableMvcc with a private
-  /// EpochManager): every mutation runs the copy-on-write policy, so
-  /// the sweep exercises the clone-side kArenaNodeAlloc/kWordAlloc sites
-  /// and their rollback (created copies deleted, nothing published).
+  /// EpochManager): replaced nodes are retired instead of freed, and a
+  /// key-only HC ancestor is cloned to publish, so the sweep exercises
+  /// that clone's kArenaNodeAlloc site and the rollback under retirement
+  /// (created nodes deleted, nothing published).
   bool mvcc = false;
 };
 

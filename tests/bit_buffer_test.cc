@@ -15,7 +15,6 @@ namespace {
 class BitModel {
  public:
   void Resize(size_t n) { bits_.resize(n, false); }
-  size_t size() const { return bits_.size(); }
 
   uint64_t Read(size_t pos, uint32_t n) const {
     uint64_t v = 0;
@@ -29,15 +28,6 @@ class BitModel {
     for (uint32_t i = 0; i < n; ++i) {
       bits_[pos + i] = ((value >> (n - 1 - i)) & 1) != 0;
     }
-  }
-
-  void Insert(size_t pos, size_t n) {
-    bits_.insert(bits_.begin() + static_cast<ptrdiff_t>(pos), n, false);
-  }
-
-  void Remove(size_t pos, size_t n) {
-    bits_.erase(bits_.begin() + static_cast<ptrdiff_t>(pos),
-                bits_.begin() + static_cast<ptrdiff_t>(pos + n));
   }
 
   uint64_t CountOnes(size_t pos) const {
@@ -92,38 +82,10 @@ TEST(BitBuffer, ZeroWidthOperationsAreNoops) {
   WriteBits(w.data(), 0, 10, 0x2A5);
   WriteBits(w.data(), 3, 0, 0xffff);
   EXPECT_EQ(ReadBits(w.data(), 3, 0), 0u);
-  InsertBits(w.data(), 10, 5, 0);
-  RemoveBits(w.data(), 10, 5, 0);
+  const auto src = Span(64);
+  CopyBits(src.data(), 0, w.data(), 5, 0);
   EXPECT_EQ(ReadBits(w.data(), 0, 10), 0x2A5u);
   EXPECT_EQ(ReadBits(w.data(), 10, 54), 0u);
-}
-
-TEST(BitBuffer, InsertShiftsTailRight) {
-  auto w = Span(12);
-  WriteBits(w.data(), 0, 8, 0b10110001);
-  InsertBits(w.data(), 8, 4, 4);
-  EXPECT_EQ(ReadBits(w.data(), 0, 12), 0b101100000001u);
-}
-
-TEST(BitBuffer, RemoveShiftsTailLeft) {
-  auto w = Span(12);
-  WriteBits(w.data(), 0, 12, 0b101100000001);
-  RemoveBits(w.data(), 12, 4, 4);
-  EXPECT_EQ(ReadBits(w.data(), 0, 8), 0b10110001u);
-  EXPECT_EQ(ReadBits(w.data(), 8, 4), 0u);  // the vacated tail is zero
-}
-
-TEST(BitBuffer, ShrinkClearsTailBits) {
-  // Removing bits keeps the zero tail, so regrowing the stream in place
-  // exposes zeros, never stale bits.
-  auto w = Span(64);
-  WriteBits(w.data(), 0, 64, ~uint64_t{0});
-  RemoveBits(w.data(), 64, 10, 54);
-  EXPECT_EQ(ReadBits(w.data(), 0, 10), 0x3FFu);
-  EXPECT_EQ(ReadBits(w.data(), 10, 54), 0u);
-  WriteBits(w.data(), 0, 64, ~uint64_t{0});
-  ClearBits(w.data(), 3, 61);
-  EXPECT_EQ(ReadBits(w.data(), 0, 64), 0xE000000000000007ULL);
 }
 
 TEST(BitBuffer, CountOnesAndFindNextOne) {
@@ -185,75 +147,68 @@ TEST(BitBuffer, CopyFromCopiesArbitraryRanges) {
 }
 
 // Property test: a long random sequence of operations matches the model.
+// The stream fills a fixed-size span and is edited by field writes and by
+// copies from a second, random stream (how a node is written: fields, and
+// postfix records copied from the node it replaces).
 TEST(BitBuffer, RandomOpsMatchModel) {
-  constexpr uint64_t kCapacityBits = 1 << 16;
+  constexpr uint64_t kSize = 1 << 12;
+  constexpr uint64_t kCapacityBits = kSize + 64;
   Rng rng(1234);
   auto w = Span(kCapacityBits);
-  uint64_t size = 0;
+  auto src = Span(kSize);
   BitModel model;
+  model.Resize(kSize);
+  BitModel src_model;
+  src_model.Resize(kSize);
+  for (uint64_t i = 0; i < kSize; ++i) {
+    const uint64_t bit = rng.NextU64() & 1;
+    SetBit(src.data(), i, bit);
+    src_model.Write(i, 1, bit);
+  }
   for (int iter = 0; iter < 20000; ++iter) {
-    const uint64_t op = rng.NextBounded(6);
+    const uint64_t op = rng.NextBounded(5);
     switch (op) {
       case 0: {  // write
-        if (size == 0) {
-          break;
-        }
-        const uint32_t n = static_cast<uint32_t>(
-            1 + rng.NextBounded(std::min<uint64_t>(64, size)));
-        const uint64_t pos = rng.NextBounded(size - n + 1);
+        const uint32_t n = static_cast<uint32_t>(1 + rng.NextBounded(64));
+        const uint64_t pos = rng.NextBounded(kSize - n + 1);
         const uint64_t v = rng.NextU64();
         WriteBits(w.data(), pos, n, v);
         model.Write(pos, n, v & LowMask(n));
         break;
       }
-      case 1: {  // insert
-        const uint64_t n = rng.NextBounded(130);
-        const uint64_t pos = rng.NextBounded(size + 1);
-        ASSERT_LE(size + n, kCapacityBits);
-        InsertBits(w.data(), size, pos, n);
-        size += n;
-        model.Insert(pos, n);
+      case 1: {  // copy a range of the source stream
+        const uint64_t n = rng.NextBounded(300);
+        const uint64_t from = rng.NextBounded(kSize - n + 1);
+        const uint64_t to = rng.NextBounded(kSize - n + 1);
+        CopyBits(src.data(), from, w.data(), to, n);
+        for (uint64_t i = 0; i < n; ++i) {
+          model.Write(to + i, 1, src_model.Read(from + i, 1));
+        }
         break;
       }
-      case 2: {  // remove
-        if (size == 0) {
-          break;
-        }
-        const uint64_t pos = rng.NextBounded(size);
-        const uint64_t n = rng.NextBounded(size - pos + 1);
-        RemoveBits(w.data(), size, pos, n);
-        size -= n;
-        model.Remove(pos, n);
-        break;
-      }
-      case 3: {  // read + compare
-        if (size == 0) {
-          break;
-        }
-        const uint32_t n = static_cast<uint32_t>(
-            1 + rng.NextBounded(std::min<uint64_t>(64, size)));
-        const uint64_t pos = rng.NextBounded(size - n + 1);
+      case 2: {  // read + compare
+        const uint32_t n = static_cast<uint32_t>(1 + rng.NextBounded(64));
+        const uint64_t pos = rng.NextBounded(kSize - n + 1);
         ASSERT_EQ(ReadBits(w.data(), pos, n), model.Read(pos, n));
         break;
       }
-      case 4: {  // popcount prefix
-        const uint64_t pos = rng.NextBounded(size + 1);
+      case 3: {  // popcount prefix
+        const uint64_t pos = rng.NextBounded(kSize + 1);
         ASSERT_EQ(CountOnesInRange(w.data(), 0, pos), model.CountOnes(pos));
         break;
       }
-      case 5: {  // find next one
-        const uint64_t pos = rng.NextBounded(size + 2);
-        ASSERT_EQ(FindNextOne(w.data(), pos, size), model.FindNextOne(pos));
+      case 4: {  // find next one
+        const uint64_t pos = rng.NextBounded(kSize + 2);
+        ASSERT_EQ(FindNextOne(w.data(), pos, kSize), model.FindNextOne(pos));
         break;
       }
     }
-    ASSERT_EQ(size, model.size());
   }
   // Final full comparison, including the zero tail past the stream.
-  for (uint64_t i = 0; i < size; ++i) {
+  for (uint64_t i = 0; i < kSize; ++i) {
     ASSERT_EQ(GetBit(w.data(), i), model.Read(i, 1));
   }
-  EXPECT_EQ(FindNextOne(w.data(), size, kCapacityBits), kNoBit);
+  EXPECT_EQ(FindNextOne(w.data(), kSize, kCapacityBits), kNoBit);
 }
 
 }  // namespace

@@ -30,6 +30,14 @@ std::vector<PhKey> RandomKeys(size_t n, uint32_t dim, uint64_t seed) {
   return keys;
 }
 
+/// An empty node with no infix, written the way every node is written.
+NodeRef BuildEmptyNode(NodeArena& arena, uint32_t dim, uint32_t postfix_len,
+                       bool store_values) {
+  const PhKey infix_key(dim, 0);
+  return Node::TryBuild(arena, dim, /*infix_len=*/0, postfix_len,
+                        store_values, infix_key, {}, nullptr);
+}
+
 // ---- SlabWordPool ---------------------------------------------------------
 
 TEST(SlabWordPool, GrantWordsIsMonotoneAndClassRounded) {
@@ -144,7 +152,7 @@ TEST(SlabWordPool, AllocationPastTheCapFails) {
   // kNoMem seam of every mutation.
   NodeArena arena(/*max_slabs=*/1);
   size_t built = 0;
-  while (arena.NewNode(2, 0, 63, true)) {
+  while (BuildEmptyNode(arena, 2, 63, true)) {
     ++built;
     ASSERT_LE(built, SlabWordPool::kSlabWords);
   }
@@ -179,7 +187,7 @@ TEST(SlabWordPool, SmallBlocksNeverStraddleACacheLine) {
 
 TEST(NodeArena, RecyclesNodeBlocks) {
   NodeArena arena;
-  NodeRef a = arena.NewNode(2, 0, 63, true);
+  NodeRef a = BuildEmptyNode(arena, 2, 63, true);
   EXPECT_TRUE(arena.Owns(a.ptr));
   EXPECT_EQ(arena.NodeAt(a.handle), a.ptr);
   EXPECT_TRUE(arena.IsGrantedBlock(a));
@@ -189,7 +197,7 @@ TEST(NodeArena, RecyclesNodeBlocks) {
   EXPECT_TRUE(arena.OnFreelist(a.handle, Node::kHeaderWords));
   // The freed block (and its handle) is reused before any fresh block of
   // its class.
-  NodeRef b = arena.NewNode(3, 0, 10, false);
+  NodeRef b = BuildEmptyNode(arena, 3, 10, false);
   EXPECT_EQ(static_cast<void*>(b.ptr), static_cast<void*>(a.ptr));
   EXPECT_EQ(b.handle, a.handle);
   EXPECT_EQ(b.ptr->dim(), 3u);
@@ -200,8 +208,8 @@ TEST(NodeArena, RecyclesNodeBlocks) {
 TEST(NodeArena, OwnsRejectsForeignNodes) {
   NodeArena arena;
   NodeArena other;
-  NodeRef mine = arena.NewNode(2, 0, 63, true);
-  NodeRef foreign = other.NewNode(2, 0, 63, true);
+  NodeRef mine = BuildEmptyNode(arena, 2, 63, true);
+  NodeRef foreign = BuildEmptyNode(other, 2, 63, true);
   EXPECT_TRUE(arena.Owns(mine.ptr));
   EXPECT_FALSE(arena.Owns(foreign.ptr));
   EXPECT_FALSE(arena.Owns(nullptr));
@@ -213,10 +221,11 @@ TEST(NodeArena, OwnsRejectsForeignNodes) {
 
 // One non-root node N is grown by inserts through every block class a
 // non-root node can occupy — 4 to 64 words (a 2-word block is a bare
-// header: only a fresh, still empty root) — and shrunk back by erases.
-// After every op N's parent must name N's current block, the deep
-// validator must pass, and a block N left must be on a freelist (plain
-// tree: freed at once) or in the retire queue (MVCC tree).
+// header, and no node in a tree is empty) — and shrunk back by erases.
+// Every edit writes N into a new block. After every op N's parent must
+// name N's current block, the deep validator must pass, and the block N
+// left must be on a freelist (plain tree: freed at once) or in the retire
+// queue (MVCC tree).
 //
 // Layout: 6D key-only keys agreeing on bits 63..9. The root holds one sub
 // entry, P at postfix_len 8, which holds an anchor postfix (bit 8 set) and
@@ -257,7 +266,8 @@ void GrowAndShrinkOneNode(bool mvcc) {
     ASSERT_TRUE(arena.IsGrantedBlock(n));
     ASSERT_EQ(ValidatePhTreeDeep(tree), "");
     classes.insert(n.ptr->BlockWords());
-    if (prev && prev.handle != n.handle) {
+    if (prev) {
+      ASSERT_NE(prev.handle, n.handle) << "N was edited where it stands";
       if (mvcc) {
         bool retired = false;
         arena.ForEachRetired([&](NodeRef r, uint64_t) {

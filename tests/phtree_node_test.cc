@@ -1,6 +1,7 @@
 // Node-level behaviour: HC/LHC/BHC representation choice and switching
-// (paper Sect. 3.2), every in-place edit path of each layout, space
-// bookkeeping, and the paper's space cases (Sect. 3.4).
+// (paper Sect. 3.2), every edit of each layout (each writes a new block and
+// leaves its source untouched), space bookkeeping, and the paper's space
+// cases (Sect. 3.4).
 #include "phtree/node.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <map>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/rng.h"
 #include "phtree/arena.h"
 #include "phtree/phtree.h"
@@ -21,54 +23,71 @@ namespace {
 PhKey Key2(uint64_t x, uint64_t y) { return PhKey{x, y}; }
 
 /// A standalone node built through its own arena and edited the way the
-/// tree edits one: an edit that changes the block size moves the node, and
-/// the old block is freed at once. After every edit the node must own
+/// tree edits one: every edit writes the edited node into a new block, and
+/// the old block is freed. Each edit copies the source block, then runs
+/// twice: once with its allocation failing and once for real. Neither run
+/// may change a bit of the source. After every edit the node must own
 /// exactly its granted block, and that block must be the arena's only one.
 class ArenaNode {
  public:
   ArenaNode(uint32_t dim, uint32_t infix_len, uint32_t postfix_len,
-            bool store_values = true)
-      : ref_(arena_.NewNode(dim, infix_len, postfix_len, store_values)) {}
+            bool store_values = true, const PhKey& infix_key = {}) {
+    const PhKey key = infix_key.empty() ? PhKey(dim, 0) : infix_key;
+    ref_ = Node::TryBuild(arena_, dim, infix_len, postfix_len, store_values,
+                          key, {}, nullptr);
+  }
 
   Node* operator->() { return ref_.ptr; }
   Node* get() { return ref_.ptr; }
 
-  /// Each edit reports whether it ran in place (the node kept its block).
-  bool InsertPostfix(uint64_t addr, std::span<const uint64_t> key,
+  void InsertPostfix(uint64_t addr, std::span<const uint64_t> key,
                      uint64_t value) {
-    return Apply(
-        ref_.ptr->TryInsertPostfix(arena_, ref_.handle, addr, key, value));
+    Apply(Node::EntryDelta::InsertPostfix(addr, key, value));
   }
-  bool InsertSub(uint64_t addr, NodeHandle child) {
-    return Apply(ref_.ptr->TryInsertSub(arena_, ref_.handle, addr, child));
+  void InsertSub(uint64_t addr, NodeHandle child) {
+    Apply(Node::EntryDelta::InsertSub(addr, child));
   }
-  bool RemoveEntry(uint64_t addr) {
-    return Apply(ref_.ptr->TryRemoveEntry(arena_, ref_.handle, addr));
+  void RemoveEntry(uint64_t addr) { Apply(Node::EntryDelta::Remove(addr)); }
+  void ReplaceEntryWithSub(uint64_t addr, NodeHandle child) {
+    Apply(Node::EntryDelta::ToSub(addr, child));
   }
-  bool ReplaceEntryWithSub(uint64_t addr, NodeHandle child) {
-    return Apply(
-        ref_.ptr->TryReplaceEntryWithSub(arena_, ref_.handle, addr, child));
-  }
-  bool ReplaceSubWithPostfix(uint64_t addr, std::span<const uint64_t> key,
+  void ReplaceSubWithPostfix(uint64_t addr, std::span<const uint64_t> key,
                              uint64_t value) {
-    return Apply(ref_.ptr->TryReplaceSubWithPostfix(arena_, ref_.handle, addr,
-                                                    key, value));
+    Apply(Node::EntryDelta::ToPostfix(addr, key, value));
+  }
+  void Move(uint64_t addr, uint64_t new_addr, std::span<const uint64_t> key,
+            uint64_t value) {
+    Apply(Node::EntryDelta::Move(addr, new_addr, key, value));
+  }
+  void SetInfix(uint32_t infix_len, std::span<const uint64_t> key) {
+    Apply(Node::EntryDelta::Infix(infix_len, key));
   }
 
  private:
-  bool Apply(NodeRef after) {
-    EXPECT_TRUE(after);
-    if (!after) {
-      return false;
-    }
-    const bool in_place = after.ptr == ref_.ptr;
-    if (!in_place) {
-      arena_.DeleteNode(ref_);
-      ref_ = after;
-    }
+  void Apply(const Node::EntryDelta& delta) {
+    const Node* source = ref_.ptr;
+    const auto* block = reinterpret_cast<const uint64_t*>(source);
+    const std::vector<uint64_t> copy(block, block + source->BlockWords());
+    const auto untouched = [&] {
+      return std::equal(copy.begin(), copy.end(), block);
+    };
+    FaultInjector injector;
+    SetFaultInjector(&injector);
+    injector.ArmCountdown(FaultSite::kWordAlloc, 1);
+    const NodeRef failed = source->TryEdit(arena_, delta);
+    SetFaultInjector(nullptr);
+    EXPECT_FALSE(failed);
+    EXPECT_TRUE(untouched()) << "a failed edit wrote its source";
+    EXPECT_EQ(arena_.LiveBytes(), copy.size() * sizeof(uint64_t));
+
+    const NodeRef after = source->TryEdit(arena_, delta);
+    ASSERT_TRUE(after);
+    EXPECT_NE(after.ptr, ref_.ptr) << "the edit returned its source";
+    EXPECT_TRUE(untouched()) << "an edit wrote its source";
+    arena_.DeleteNode(ref_);
+    ref_ = after;
     EXPECT_TRUE(arena_.IsGrantedBlock(ref_));
     EXPECT_EQ(arena_.LiveBytes(), ref_.ptr->MemoryBytes());
-    return in_place;
   }
 
   NodeArena arena_;
@@ -350,10 +369,11 @@ TEST(NodeRepresentation, TreeChurnAcrossBoundaryStaysValid) {
 // Under the smallest-layout rule HC is rare: BHC beats it on every sub-free
 // node, and a full value-mode node picks HC over LHC only while
 // 2^k * (k - 1) > subs * (32 + k * postfix_len). The two tests below build
-// such nodes directly and drive every HC edit that runs in place: postfix
-// and sub inserts and removes, postfix <-> sub swaps and SetSubAt.
+// such nodes directly and drive every edit of an HC node: postfix and sub
+// inserts and removes, postfix <-> sub swaps, in-node moves and SetSubAt.
+// ArenaNode checks that each edit writes a new block.
 
-TEST(NodeWhitebox, ValueModeHcEditsInPlace) {
+TEST(NodeWhitebox, ValueModeHcEdits) {
   // k=6, postfix_len 1: a full node is HC with 1..8 subs (HC 4608 bits,
   // LHC 4928 - 38 * subs); sub-free it is BHC.
   constexpr uint32_t kDim = 6;
@@ -367,15 +387,15 @@ TEST(NodeWhitebox, ValueModeHcEditsInPlace) {
   ExpectNodeMatches(node.get(), model, true, "64 postfixes");
   ASSERT_TRUE(node->is_bhc());
 
-  // BHC -> HC: rebuilt, copying every payload into its HC slot.
-  EXPECT_FALSE(node.ReplaceEntryWithSub(5, NodeHandle{501}));
+  // BHC -> HC, copying every payload into its HC slot.
+  node.ReplaceEntryWithSub(5, NodeHandle{501});
   model.entries[5] = {true, 501, {}};
   ExpectNodeMatches(node.get(), model, true, "first sub");
   ASSERT_TRUE(node->is_hc());
 
-  // From here on every edit keeps HC and its block.
+  // From here on every edit keeps HC.
   for (const uint64_t a : {9, 13}) {
-    EXPECT_TRUE(node.ReplaceEntryWithSub(a, static_cast<NodeHandle>(500 + a)));
+    node.ReplaceEntryWithSub(a, static_cast<NodeHandle>(500 + a));
     model.entries[a] = {true, 500 + a, {}};
   }
   ExpectNodeMatches(node.get(), model, true, "three subs");
@@ -384,27 +404,37 @@ TEST(NodeWhitebox, ValueModeHcEditsInPlace) {
   ExpectNodeMatches(node.get(), model, true, "SetSubAt");
 
   const PhKey back = PostfixKey(kDim, 9, 1);
-  EXPECT_TRUE(node.ReplaceSubWithPostfix(9, back, 4242));
+  node.ReplaceSubWithPostfix(9, back, 4242);
   model.entries[9] = {false, 4242, back};
   ExpectNodeMatches(node.get(), model, true, "sub -> postfix");
 
-  EXPECT_TRUE(node.RemoveEntry(20));  // a postfix
+  node.RemoveEntry(20);  // a postfix
   model.entries.erase(20);
-  EXPECT_TRUE(node.RemoveEntry(13));  // a sub
+  node.RemoveEntry(13);  // a sub
   model.entries.erase(13);
   ExpectNodeMatches(node.get(), model, true, "removes");
   ASSERT_TRUE(node->is_hc());
 
-  const PhKey again = PostfixKey(kDim, 20, 2);
-  EXPECT_TRUE(node.InsertPostfix(20, again, 99));
-  model.entries[20] = {false, 99, again};
-  EXPECT_TRUE(node.InsertSub(13, NodeHandle{613}));
+  const PhKey moved = PostfixKey(kDim, 20, 3);
+  node.Move(30, 20, moved, 3030);  // to a free slot
+  model.entries.erase(30);
+  model.entries[20] = {false, 3030, moved};
+  const PhKey rewritten = PostfixKey(kDim, 31, 1);
+  node.Move(31, 31, rewritten, 3131);  // in its own slot
+  model.entries[31] = {false, 3131, rewritten};
+  ExpectNodeMatches(node.get(), model, true, "moves");
+  ASSERT_TRUE(node->is_hc());
+
+  const PhKey again = PostfixKey(kDim, 30, 2);
+  node.InsertPostfix(30, again, 99);
+  model.entries[30] = {false, 99, again};
+  node.InsertSub(13, NodeHandle{613});
   model.entries[13] = {true, 613, {}};
   ExpectNodeMatches(node.get(), model, true, "re-inserts");
   ASSERT_TRUE(node->is_hc());
 }
 
-TEST(NodeWhitebox, KeyOnlyHcEditsInPlace) {
+TEST(NodeWhitebox, KeyOnlyHcEdits) {
   // Key-only, k=3, postfix_len 1: a node of 7 or 8 entries with 1..5 subs
   // is HC (sub handles in a 32-bit tail); sub-free it is BHC.
   constexpr uint32_t kDim = 3;
@@ -418,41 +448,131 @@ TEST(NodeWhitebox, KeyOnlyHcEditsInPlace) {
   ExpectNodeMatches(node.get(), model, false, "8 postfixes");
   ASSERT_TRUE(node->is_bhc());
 
-  EXPECT_FALSE(node.ReplaceEntryWithSub(2, NodeHandle{302}));
+  node.ReplaceEntryWithSub(2, NodeHandle{302});
   model.entries[2] = {true, 302, {}};
   ExpectNodeMatches(node.get(), model, false, "first sub");
   ASSERT_TRUE(node->is_hc());
 
-  EXPECT_TRUE(node.ReplaceEntryWithSub(5, NodeHandle{305}));
+  node.ReplaceEntryWithSub(5, NodeHandle{305});
   model.entries[5] = {true, 305, {}};
   node->SetSubAt(node->FindOrdinal(5), NodeHandle{355});
   model.entries[5].payload = 355;
   ExpectNodeMatches(node.get(), model, false, "second sub");
 
   const PhKey back = PostfixKey(kDim, 5, 1);
-  EXPECT_TRUE(node.ReplaceSubWithPostfix(5, back, 0));
+  node.ReplaceSubWithPostfix(5, back, 0);
   model.entries[5] = {false, 0, back};
   ExpectNodeMatches(node.get(), model, false, "sub -> postfix");
 
-  EXPECT_TRUE(node.RemoveEntry(7));  // a postfix
+  node.RemoveEntry(7);  // a postfix
   model.entries.erase(7);
-  EXPECT_TRUE(node.InsertSub(7, NodeHandle{307}));
+  node.InsertSub(7, NodeHandle{307});
   model.entries[7] = {true, 307, {}};
   ExpectNodeMatches(node.get(), model, false, "sub insert");
-  EXPECT_TRUE(node.RemoveEntry(7));  // a sub
+  node.RemoveEntry(7);  // a sub
   model.entries.erase(7);
-  const PhKey last = PostfixKey(kDim, 7, 2);
-  EXPECT_TRUE(node.InsertPostfix(7, last, 0));
-  model.entries[7] = {false, 0, last};
+  const PhKey moved = PostfixKey(kDim, 7, 1);
+  node.Move(6, 7, moved, 0);
+  model.entries.erase(6);
+  model.entries[7] = {false, 0, moved};
+  ExpectNodeMatches(node.get(), model, false, "move");
+  const PhKey last = PostfixKey(kDim, 6, 2);
+  node.InsertPostfix(6, last, 0);
+  model.entries[6] = {false, 0, last};
   ExpectNodeMatches(node.get(), model, false, "postfix insert");
   ASSERT_TRUE(node->is_hc());
 }
 
+// A seeded random sequence of every edit kind against NodeModel, for
+// k in {2, 3, 6, 63} in both value modes. Addresses come from a pool of at
+// most 64, so small-k nodes fill up and pass through LHC, BHC and HC; a
+// key-only k=3 node and a value-mode k=6 node reach HC when nearly full
+// with a few subs, which the low sub share below makes common.
+TEST(NodeWhitebox, RandomEditsMatchModel) {
+  constexpr uint32_t kPostfixLen = 3;
+  bool seen[3] = {false, false, false};
+  for (const uint32_t dim : {2u, 3u, 6u, 63u}) {
+    for (const bool store_values : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << "dim=" << dim << " store_values=" << store_values);
+      Rng rng(dim * 2 + (store_values ? 1 : 0));
+      std::vector<uint64_t> pool;
+      for (uint64_t a = 0; a < 64 && (dim >= 6 || a < (1u << dim)); ++a) {
+        pool.push_back(dim > 6 ? rng.NextU64() & LowMask(dim) : a);
+      }
+      const auto random_key = [&] {
+        PhKey key(dim);
+        for (auto& v : key) {
+          v = rng.NextU64();
+        }
+        return key;
+      };
+      PhKey infix_key = random_key();
+      uint32_t infix_len = 2;
+      ArenaNode node(dim, infix_len, kPostfixLen, store_values, infix_key);
+      NodeModel model;
+      for (int op = 0; op < 600; ++op) {
+        const uint64_t addr = pool[rng.NextBounded(pool.size())];
+        const auto it = model.entries.find(addr);
+        const uint64_t payload = rng.NextU64();
+        const PhKey key = random_key();
+        const uint64_t roll = rng.NextBounded(100);
+        if (it == model.entries.end()) {
+          if (roll < 10) {
+            node.InsertSub(addr, static_cast<NodeHandle>(payload));
+            model.entries[addr] = {true, static_cast<NodeHandle>(payload), {}};
+          } else {
+            node.InsertPostfix(addr, key, payload);
+            model.entries[addr] = {false, payload, key};
+          }
+        } else if (roll < 25) {
+          node.RemoveEntry(addr);
+          model.entries.erase(it);
+        } else if (it->second.sub) {
+          if (roll < 60) {
+            node.ReplaceSubWithPostfix(addr, key, payload);
+            it->second = {false, payload, key};
+          } else {
+            const auto handle = static_cast<NodeHandle>(payload);
+            node->SetSubAt(node->FindOrdinal(addr), handle);
+            it->second.payload = handle;
+          }
+        } else if (roll < 30) {
+          node.ReplaceEntryWithSub(addr, static_cast<NodeHandle>(payload));
+          it->second = {true, static_cast<NodeHandle>(payload), {}};
+        } else if (roll < 90) {
+          // A move to a free pool address, or within the entry's slot.
+          uint64_t to = pool[rng.NextBounded(pool.size())];
+          if (model.entries.count(to) != 0) {
+            to = addr;
+          }
+          node.Move(addr, to, key, payload);
+          model.entries.erase(it);
+          model.entries[to] = {false, payload, key};
+        } else {
+          infix_key = random_key();
+          infix_len = static_cast<uint32_t>(rng.NextBounded(5));
+          node.SetInfix(infix_len, infix_key);
+        }
+        ExpectNodeMatches(node.get(), model, store_values, "random edit");
+        ASSERT_EQ(node->infix_len(), infix_len);
+        ASSERT_EQ(node->MatchInfix(infix_key), -1);
+        if (::testing::Test::HasFailure()) {
+          FAIL() << "op " << op;
+        }
+        seen[static_cast<int>(node->repr())] = true;
+      }
+    }
+  }
+  EXPECT_TRUE(seen[static_cast<int>(Node::Repr::kLhc)]);
+  EXPECT_TRUE(seen[static_cast<int>(Node::Repr::kBhc)]);
+  EXPECT_TRUE(seen[static_cast<int>(Node::Repr::kHc)]);
+}
+
 TEST(NodeWhitebox, InfixRoundTrip) {
-  ArenaNode node(3, 7, 20);
-  PhKey key{0x0ABCDEF012345678ULL, 0x1122334455667788ULL,
-            0xFEDCBA9876543210ULL};
-  node->SetInfixFromKey(key);
+  const PhKey key{0x0ABCDEF012345678ULL, 0x1122334455667788ULL,
+                  0xFEDCBA9876543210ULL};
+  ArenaNode node(3, 7, 20, /*store_values=*/true, key);
   EXPECT_EQ(node->MatchInfix(key), -1);
   PhKey out{0, 0, 0};
   node->ReadInfixInto(out);

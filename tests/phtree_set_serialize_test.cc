@@ -245,8 +245,8 @@ TEST(Serialize, RejectsCorruptStreamsWithTypedErrors) {
 }
 
 TEST(Serialize, RoundTripsUnderBothMutationPolicies) {
-  // The publish policy (in place, or copy-on-write under MVCC) changes how
-  // nodes are replaced, never what they hold: the serialised bytes and the
+  // The mutation policy (plain, or MVCC) changes how replaced nodes leave
+  // the tree, never what the tree holds: the serialised bytes and the
   // round-tripped structure must be identical under both.
   Rng rng(21);
   EpochManager epochs;

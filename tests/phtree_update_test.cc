@@ -47,7 +47,7 @@ TEST(Update, SameKeyIsPayloadRewrite) {
   // Without an override the no-op move keeps the payload...
   EXPECT_EQ(tree.Update(PhKey{5, 7}, PhKey{5, 7}), UpdateOutcome::kMoved);
   EXPECT_EQ(tree.Find(PhKey{5, 7}), std::optional<uint64_t>(42));
-  // ...and with one it rewrites in place.
+  // ...and with one it rewrites the payload.
   EXPECT_EQ(tree.Update(PhKey{5, 7}, PhKey{5, 7}, 11),
             UpdateOutcome::kMoved);
   EXPECT_EQ(tree.Find(PhKey{5, 7}), std::optional<uint64_t>(11));
@@ -109,7 +109,7 @@ TEST(Update, NearbyMovesTakeTheFastPath) {
   }
   const PhUpdateStats& stats = tree.update_stats();
   EXPECT_EQ(stats.fast_path + stats.fallback, 64u);
-  // +1 flips only the lowest bit; every move must relocate in place.
+  // +1 flips only the lowest bit; every move must stay in its node.
   EXPECT_EQ(stats.fast_path, 64u) << "fallbacks: " << stats.fallback;
   EXPECT_EQ(ValidatePhTreeDeep(tree), "");
 }
@@ -241,8 +241,9 @@ TEST(UpdateSharded, SameShardAndCrossShard) {
 }
 
 // Bounded tier-1 run of the exhaustive allocation-fault sweep with the mix
-// tilted towards Update: every injected failure inside the relocation fast
-// path and the insert-then-erase fallback must roll back cleanly.
+// tilted towards Update: every injected failure inside the in-node move
+// (which allocates the rewritten node) and the insert-then-erase fallback
+// must roll back cleanly.
 TEST(UpdateFaultSweep, UpdateHeavyMixRollsBack) {
   testlib::FaultSweepOptions opts;
   opts.ops = 500;

@@ -14,8 +14,8 @@ Validates that the file churn_throughput wrote is well-formed and sane:
     uniform arms, and the ttl_eviction section has the sweep rows,
   * on near-full-scale runs (metadata scale >= 0.25), the performance gate
     holds: on every "nearby" moving-objects dataset the Update arm beats
-    the erase+insert composite by >= 1.2x (per-arm minima) — the in-place
-    postfix relocation must actually pay for itself. Scaled-down CI runs
+    the erase+insert composite by >= 1.2x (per-arm minima) — the in-node
+    move, which rewrites one node, must actually pay for itself. Scaled-down CI runs
     check the schema only (tiny trees are too shallow for the fast path to
     dominate and too noisy to gate).
 
