@@ -17,7 +17,7 @@ namespace phtree {
 /// the corresponding syscall return an error (the FaultyVfs picks the
 /// errno).
 enum class FaultSite : uint8_t {
-  kArenaNodeAlloc = 0,  ///< a new node's block (Node::TryBuild, TryClone)
+  kArenaNodeAlloc = 0,  ///< a new node's block (Node::TryBuild)
   kWordAlloc,           ///< an edited node's block (Node::TryEdit)
   kVfsOpen,
   kVfsRead,

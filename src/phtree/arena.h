@@ -398,7 +398,7 @@ class NodeArena {
 
   /// Allocates a zeroed block for a node with a stream of `stream_bits`
   /// bits and constructs an empty node header in it; empty on failure.
-  /// Every node block comes from here (Node::TryBuild, TryEdit, TryClone),
+  /// Every node block comes from here (Node::TryBuild, TryEdit),
   /// and `site` names its fault site: the fallible seam the tree's
   /// commit-or-rollback mutations are built on.
   NodeRef AllocateNode(uint32_t dim, uint32_t infix_len, uint32_t postfix_len,

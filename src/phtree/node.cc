@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstring>
 
 #include "common/fault.h"
 #include "phtree/arena.h"
@@ -47,34 +46,6 @@ void Node::WritePostfixRecord(uint64_t record_pos,
   }
 }
 
-void Node::SetSubAt(uint64_t ord, NodeHandle child) {
-  assert(OrdinalIsSub(ord));  // implies repr != kBhc
-  if (repr_ == Repr::kHc) {
-    if (store_values_) {
-      WriteBits(words(), ord * 64, 64, child);
-    } else {
-      WriteBits(words(), hc_subs_tail_base() + HcSubRank(ord) * 32, 32, child);
-    }
-    return;
-  }
-  const uint64_t srank = ord - LhcPostfixRank(ord);
-  WriteBits(words(), lhc_subs_base() + srank * 32, 32, child);
-}
-
-NodeRef Node::TryClone(NodeArena& arena) const {
-  const uint64_t bits = CurrentReprBits();
-  const NodeRef copy =
-      arena.AllocateNode(dim_, infix_len_, postfix_len_, store_values_, bits,
-                         FaultSite::kArenaNodeAlloc);
-  if (copy) {
-    copy.ptr->repr_ = repr_;
-    copy.ptr->num_entries_ = num_entries_;
-    copy.ptr->num_subs_ = num_subs_;
-    std::memcpy(copy.ptr->words(), words(), WordsFor(bits) * sizeof(uint64_t));
-  }
-  return copy;
-}
-
 // ---- Representation switching ------------------------------------------
 
 // Size comparisons use exact bit counts: any coarser rounding would hide
@@ -89,12 +60,13 @@ Node::Regions Node::RegionsFor(Repr repr, uint64_t n_entries,
   Regions r;
   switch (repr) {
     case Repr::kHc:
-      r.infix = store_values_ ? s * 64 : 0;
+      // Value mode keeps handles in the 64-bit slots, key-only mode by sub
+      // rank at the head (r.subs = 0).
+      r.infix = store_values_ ? s * 64 : n_subs * 32;
       r.present = r.infix + ib;
       r.sub_bitmap = r.present + s;
       r.records = r.sub_bitmap + s;
-      r.sub_tail = r.records + s * st;
-      r.end = r.sub_tail + (store_values_ ? 0 : n_subs * 32);
+      r.end = r.records + s * st;
       break;
     case Repr::kBhc:
       r.infix = np * vb();
@@ -115,61 +87,23 @@ Node::Regions Node::RegionsFor(Repr repr, uint64_t n_entries,
   return r;
 }
 
-uint64_t Node::HcBitsEx(uint64_t n_entries, uint64_t n_postfixes,
-                        uint64_t ib) const {
-  return RegionsFor(Repr::kHc, n_entries, n_entries - n_postfixes, ib).end;
-}
-
-uint64_t Node::LhcBitsEx(uint64_t n_entries, uint64_t n_postfixes,
-                         uint64_t ib) const {
-  return RegionsFor(Repr::kLhc, n_entries, n_entries - n_postfixes, ib).end;
-}
-
-uint64_t Node::BhcBitsEx(uint64_t n_postfixes, uint64_t ib) const {
-  return RegionsFor(Repr::kBhc, n_postfixes, 0, ib).end;
-}
-
-uint64_t Node::HcBitsFor(uint64_t n_postfixes) const {
-  return HcBitsEx(num_entries_, n_postfixes, infix_bits());
-}
-
-uint64_t Node::LhcBitsFor(uint64_t n_entries, uint64_t n_postfixes) const {
-  return LhcBitsEx(n_entries, n_postfixes, infix_bits());
-}
-
-uint64_t Node::BhcBitsFor(uint64_t n_postfixes) const {
-  return BhcBitsEx(n_postfixes, infix_bits());
-}
-
 Node::Repr Node::PickRepr(uint64_t n_entries, uint64_t n_subs,
                           uint64_t ib) const {
-  const uint64_t np = n_entries - n_subs;
   const bool hc_allowed = dim_ <= kMaxHcDim;
   Repr best = Repr::kLhc;
-  uint64_t best_bits = LhcBitsEx(n_entries, np, ib);
+  uint64_t best_bits = RegionsFor(Repr::kLhc, n_entries, n_subs, ib).end;
   if (hc_allowed && n_subs == 0) {
-    const uint64_t b = BhcBitsEx(np, ib);
+    const uint64_t b = RegionsFor(Repr::kBhc, n_entries, 0, ib).end;
     if (b < best_bits) {
       best = Repr::kBhc;
       best_bits = b;
     }
   }
-  if (hc_allowed && HcBitsEx(n_entries, np, ib) < best_bits) {
+  if (hc_allowed &&
+      RegionsFor(Repr::kHc, n_entries, n_subs, ib).end < best_bits) {
     best = Repr::kHc;
   }
   return best;
-}
-
-uint64_t Node::CurrentReprBits() const {
-  switch (repr_) {
-    case Repr::kHc:
-      return HcBits();
-    case Repr::kBhc:
-      return BhcBits();
-    case Repr::kLhc:
-    default:
-      return LhcBits();
-  }
 }
 
 /// Writes a node's stream into a fresh block: picks the layout for the
@@ -232,19 +166,13 @@ class Node::StreamWriter {
         break;
       case Repr::kHc:
         SetBit(out_, r_.present + addr, 1);
-        if (sub) {
-          SetBit(out_, r_.sub_bitmap + addr, 1);
-          if (store_values_) {
-            WriteBits(out_, addr * 64, 64, payload);
-          } else {
-            WriteBits(out_, r_.sub_tail + srank_ * 32, 32, payload);
-          }
-        } else {
-          if (store_values_) {
-            WriteBits(out_, addr * 64, 64, payload);
-          }
-          record = r_.records + addr * stride_;
+        SetBit(out_, r_.sub_bitmap + addr, sub ? 1 : 0);
+        if (store_values_) {
+          WriteBits(out_, addr * 64, 64, payload);
+        } else if (sub) {
+          WriteBits(out_, r_.subs + srank_ * 32, 32, payload);
         }
+        record = r_.records + addr * stride_;
         break;
       case Repr::kBhc:
         SetBit(out_, r_.present + addr, 1);
@@ -319,13 +247,11 @@ class Node::StreamReader {
       e->sub = repr_ == Repr::kHc && GetBit(in_, r_.sub_bitmap + e->addr);
     }
     if (e->sub) {
-      if (repr_ == Repr::kLhc) {
-        e->payload = ReadBits(in_, r_.subs + srank_ * 32, 32);
-      } else if (store_values_) {
-        e->payload = ReadBits(in_, e->addr * 64, 64);
-      } else {
-        e->payload = ReadBits(in_, r_.sub_tail + srank_ * 32, 32);
-      }
+      // Value-mode HC keeps a handle in its 64-bit slot, every other
+      // layout by sub rank in 32-bit slots.
+      e->payload = repr_ == Repr::kHc && store_values_
+                       ? ReadBits(in_, e->addr * 64, 64)
+                       : ReadBits(in_, r_.subs + srank_ * 32, 32);
       ++srank_;
     } else {
       // HC indexes values and records by address, LHC and BHC by rank.
@@ -361,8 +287,7 @@ NodeRef Node::TryEdit(NodeArena& arena, const EntryDelta& delta) const {
   const bool drops = delta.kind == K::kRemove || delta.kind == K::kToSub ||
                      delta.kind == K::kToPostfix || delta.kind == K::kMove;
   const bool adds = delta.kind != K::kInfix && delta.kind != K::kRemove;
-  const bool adds_sub =
-      delta.kind == K::kInsertSub || delta.kind == K::kToSub;
+  const bool adds_sub = delta.kind == K::kToSub;
   uint64_t n2 = num_entries_;
   uint64_t ns2 = num_subs_;
   if (drops) {

@@ -67,7 +67,7 @@ struct NodeEntry {
 /// node's bit stream. The header holds no size, capacity or pointer: the
 /// stream length is CurrentReprBits(), and the block is exactly
 /// BlockWords() words, a pure function of the contents. Nodes are written
-/// only by TryBuild, TryEdit and TryClone, into blocks from NodeArena.
+/// only by TryBuild and TryEdit, into blocks from NodeArena.
 class Node {
  public:
   /// Entry-table representation (see file comment).
@@ -150,13 +150,13 @@ class Node {
   // ---- Mutation ----------------------------------------------------------
   //
   // A node's entries and infix never change where it stands. TryEdit writes
-  // the edited node, TryBuild a node no one references yet, and TryClone a
-  // copy, each into a new block written once, in the representation the
-  // switching rule prescribes for the final occupancy. None of them writes
-  // an existing node, so a failed call leaves nothing to undo. The caller
-  // publishes an edited node in the old one's place and then frees or
-  // retires the old block. A published node changes only by a child-handle
-  // store (SetSubAt, PublishSubAt) or a payload store (PublishPayloadAt).
+  // the edited node and TryBuild a node no one references yet, each into a
+  // new block written once, in the representation the switching rule
+  // prescribes for the final occupancy. Neither writes an existing node, so
+  // a failed call leaves nothing to undo. The caller publishes an edited
+  // node in the old one's place and then frees or retires the old block. A
+  // published node changes only by a child-handle store (PublishSubAt) or a
+  // payload store (PublishPayloadAt).
 
   /// One change to a node's entries or infix, applied by TryEdit. Build it
   /// with the named constructors; `key` and `infix_key` point at dim words
@@ -165,7 +165,6 @@ class Node {
     enum class Kind : uint8_t {
       kInfix,          ///< the infix only; no entry changes
       kInsertPostfix,  ///< add the postfix entry `addr`
-      kInsertSub,      ///< add the sub entry `addr`
       kRemove,         ///< drop the entry `addr`
       kToSub,          ///< the postfix at `addr` becomes a sub
       kToPostfix,      ///< the sub at `addr` becomes a postfix
@@ -175,7 +174,7 @@ class Node {
     uint64_t addr = 0;
     uint64_t new_addr = 0;  ///< where the added entry lands
     const uint64_t* key = nullptr;  ///< record source of an added postfix
-    uint64_t payload = 0;           ///< its value, or an added sub's handle
+    uint64_t payload = 0;           ///< its value, or the new sub's handle
     const uint64_t* infix_key = nullptr;  ///< the new infix's source, if any
     uint32_t infix_len = 0;               ///< the new infix length
 
@@ -184,10 +183,6 @@ class Node {
                                     std::span<const uint64_t> key,
                                     uint64_t value) {
       return {Kind::kInsertPostfix, addr, addr, key.data(), value};
-    }
-    /// Adds a sub entry at the free address `addr`.
-    static EntryDelta InsertSub(uint64_t addr, NodeHandle child) {
-      return {Kind::kInsertSub, addr, addr, nullptr, child};
     }
     /// Drops the entry at `addr`.
     static EntryDelta Remove(uint64_t addr) {
@@ -224,12 +219,6 @@ class Node {
   [[nodiscard]] NodeRef TryEdit(NodeArena& arena,
                                 const EntryDelta& delta) const;
 
-  /// A bit-identical copy of this node in a new block from `arena` (the
-  /// kArenaNodeAlloc fault site): under MVCC, the clone of a key-only HC
-  /// ancestor whose child handle no atomic store can republish. Empty on
-  /// allocation failure.
-  [[nodiscard]] NodeRef TryClone(NodeArena& arena) const;
-
   /// Writes a complete node once, in a block from `arena` (the
   /// kArenaNodeAlloc fault site) of exactly the size its contents are
   /// granted: the z-order builder's node write, and the mutation engine's
@@ -245,28 +234,17 @@ class Node {
                                         std::span<const NodeEntry> entries,
                                         const uint64_t* keys);
 
-  /// Updates the child handle of the sub-node entry at ordinal `ord` with a
-  /// plain store: for a node no reader can reach (a clone, or any node of a
-  /// plain tree).
-  void SetSubAt(uint64_t ord, NodeHandle child);
-
-  // ---- MVCC publication (copy-on-write mode) -----------------------------
+  // ---- Publication ------------------------------------------------------
   //
   // A replacement node is published by swinging one child-handle slot in
-  // the parent (or the tree root) with a single release store. These
-  // helpers are that store plus the alignment predicate deciding whether
-  // the slot is atomically writable at all; the matching acquire loads
-  // live in OrdinalSub.
-
-  /// True iff the child-handle slot of sub entry `ord` sits at an alignment
-  /// where one atomic store can republish it (LHC sub slots are always
-  /// 32-bit aligned; HC value-mode slots are 64-bit aligned). Key-only HC
-  /// keeps sub handles in an unaligned tail — MVCC callers must clone this
-  /// node instead and publish one level further up.
-  bool CanPublishSubAt(uint64_t ord) const;
+  // the parent (or the tree root) with a single release store; the
+  // matching acquire loads live in OrdinalSub. Every child slot is an
+  // aligned field, so the store cannot tear: a 64-bit slot in value-mode
+  // HC, a 32-bit slot at the stream head (by sub rank) in every other
+  // layout that holds subs.
 
   /// Atomically republishes the child handle of sub entry `ord` with
-  /// release ordering. Requires CanPublishSubAt(ord).
+  /// release ordering.
   void PublishSubAt(uint64_t ord, NodeHandle child);
 
   /// Atomically republishes the payload of postfix entry `ord` with release
@@ -284,19 +262,18 @@ class Node {
   /// Bytes owned by this node, exact: its whole block.
   uint64_t MemoryBytes() const { return BlockWords() * sizeof(uint64_t); }
 
-  /// Exact bit sizes each representation would need for the current
-  /// occupancy (used by the switching rule and exposed for tests). Bit
-  /// precision matters: at k=2 the HC advantage over LHC is a single bit
-  /// per slot, and BHC beats HC by exactly the is_sub bitmap plus the
-  /// absent-slot records. BhcBits() is meaningful only for sub-free nodes.
-  uint64_t HcBits() const { return HcBitsFor(num_postfixes()); }
-  uint64_t LhcBits() const {
-    return LhcBitsFor(num_entries_, num_postfixes());
+  /// Exact bit size `repr` would need for the current occupancy (the
+  /// validator re-derives the switching rule from it; exposed for tests).
+  /// Bit precision matters: at k=2 the HC advantage over LHC is a single
+  /// bit per slot, and BHC beats HC by exactly the is_sub bitmap plus the
+  /// absent-slot records. The BHC size is meaningful only for sub-free
+  /// nodes.
+  uint64_t ReprBits(Repr repr) const {
+    return RegionsFor(repr, num_entries_, num_subs_, infix_bits()).end;
   }
-  uint64_t BhcBits() const { return BhcBitsFor(num_postfixes()); }
 
   /// Bit size of the representation currently in use: the stream length.
-  uint64_t CurrentReprBits() const;
+  uint64_t CurrentReprBits() const { return ReprBits(repr_); }
 
  private:
   friend class NodeArena;
@@ -310,8 +287,9 @@ class Node {
   //
   // The whole node is serialised into one bit stream, the words right after
   // the header. vb is the value width: 64 with stored values, 0 in
-  // key-only mode. Sub-node entries always cost exactly 32 bits (their
-  // arena handle).
+  // key-only mode. Sub-node entries cost exactly 32 bits (their arena
+  // handle), except in value-mode HC, where a sub shares its slot's 64
+  // bits with the values.
   //
   // LHC (n = num_entries, np = num_postfixes, ns = num_subs):
   //   [values: np x vb, by postfix rank] [subs: ns x 32, by sub rank]
@@ -322,17 +300,19 @@ class Node {
   //   [present bitmap: S] [is_sub bitmap: S]
   //   [postfix records: S x stride, slot-addressed]
   // HC, key-only mode:
-  //   [infix: dim*il] [present bitmap: S] [is_sub bitmap: S]
-  //   [postfix records: S x stride, slot-addressed] [subs: ns x 32, by
-  //   sub rank among set is_sub bits]
+  //   [subs: ns x 32, by sub rank among set is_sub bits] [infix: dim*il]
+  //   [present bitmap: S] [is_sub bitmap: S]
+  //   [postfix records: S x stride, slot-addressed]
   // BHC (sub-free nodes only; ordinals are addresses, like HC):
   //   [values: np x vb, by presence rank] [infix: dim*il]
   //   [present bitmap: S] [postfix records: np x stride, by presence rank]
   //
-  // Value slots are 64-bit aligned at offset 0 (single-word reads); all
-  // other fields use exactly the bits they need. A stream is written once,
-  // entry by entry, into a zeroed block (StreamWriter), so bits past its
-  // end are zero up to the end of the block.
+  // Value slots are 64-bit aligned at offset 0 (single-word reads), and
+  // 32-bit sub slots follow them (or start the stream), so every child
+  // slot is aligned for one atomic store; all other fields use exactly the
+  // bits they need. A stream is written once, entry by entry, into a
+  // zeroed block (StreamWriter), so bits past its end are zero up to the
+  // end of the block.
 
   const uint64_t* words() const {
     return reinterpret_cast<const uint64_t*>(this) + kHeaderWords;
@@ -353,7 +333,7 @@ class Node {
   uint64_t infix_base() const {
     switch (repr_) {
       case Repr::kHc:
-        return store_values_ ? hc_slots() * 64 : 0;
+        return store_values_ ? hc_slots() * 64 : uint64_t{num_subs_} * 32;
       case Repr::kBhc:
         return num_postfixes() * vb();
       case Repr::kLhc:
@@ -373,28 +353,12 @@ class Node {
   uint64_t hc_present_base() const { return infix_base() + infix_bits(); }
   uint64_t hc_sub_base() const { return hc_present_base() + hc_slots(); }
   uint64_t hc_records_base() const { return hc_sub_base() + hc_slots(); }
-  uint64_t hc_subs_tail_base() const {
-    return hc_records_base() + hc_slots() * stride();
-  }
   // BHC region bases.
   uint64_t bhc_present_base() const { return infix_base() + infix_bits(); }
   uint64_t bhc_records_base() const {
     return bhc_present_base() + hc_slots();
   }
 
-  uint64_t HcBitsFor(uint64_t n_postfixes) const;
-  uint64_t LhcBitsFor(uint64_t n_entries, uint64_t n_postfixes) const;
-  uint64_t BhcBitsFor(uint64_t n_postfixes) const;
-
-  // Size functions over an explicit occupancy (n_entries, n_postfixes,
-  // infix bits) instead of the node's current members: TryEdit and
-  // TryBuild size and pick the representation of the final state before
-  // allocating its block.
-  uint64_t HcBitsEx(uint64_t n_entries, uint64_t n_postfixes,
-                    uint64_t ib) const;
-  uint64_t LhcBitsEx(uint64_t n_entries, uint64_t n_postfixes,
-                     uint64_t ib) const;
-  uint64_t BhcBitsEx(uint64_t n_postfixes, uint64_t ib) const;
   /// The representation the switching rule prescribes for a node of this
   /// node's dimensionality, postfix length and value mode holding
   /// (`n_entries`, `n_subs`) entries over `ib` infix bits: the smallest
@@ -405,14 +369,13 @@ class Node {
   /// Bit offsets of the regions of one representation's stream at one
   /// occupancy (the layouts above); fields a layout lacks stay 0.
   struct Regions {
-    uint64_t subs = 0;        ///< LHC sub handles
+    uint64_t subs = 0;        ///< 32-bit sub handles (LHC, key-only HC)
     uint64_t infix = 0;
     uint64_t flags = 0;       ///< LHC is_sub flags
     uint64_t addrs = 0;       ///< LHC address table
     uint64_t present = 0;     ///< HC/BHC present bitmap
     uint64_t sub_bitmap = 0;  ///< HC is_sub bitmap
     uint64_t records = 0;     ///< postfix records
-    uint64_t sub_tail = 0;    ///< key-only HC sub handles
     uint64_t end = 0;         ///< the stream length
   };
 
@@ -441,10 +404,14 @@ class Node {
     const uint64_t base = bhc_present_base();
     return CountOnesInRange(words(), base, base + addr);
   }
-  /// Number of sub entries among key-only-HC addresses [0, addr).
-  uint64_t HcSubRank(uint64_t addr) const {
-    const uint64_t base = hc_sub_base();
-    return CountOnesInRange(words(), base, base + addr);
+  /// Bit position of the 32-bit handle slot of sub entry `ord` in LHC or
+  /// key-only HC: the entry's sub rank after the np x vb value slots.
+  uint64_t SubSlotPos(uint64_t ord) const {
+    if (repr_ == Repr::kHc) {
+      const uint64_t base = hc_sub_base();
+      return CountOnesInRange(words(), base, base + ord) * 32;
+    }
+    return lhc_subs_base() + (ord - LhcPostfixRank(ord)) * 32;
   }
 
   /// Bit position of the postfix record of entry `ord` in the current
@@ -580,42 +547,19 @@ inline NodeHandle Node::OrdinalSub(uint64_t ord) const {
   assert(OrdinalIsSub(ord));  // implies repr != kBhc
   // Acquire loads pair with PublishSubAt: a reader that observes a
   // republished handle also observes the replacement node's bit stream.
-  if (repr_ == Repr::kHc) {
-    if (store_values_) {
-      return static_cast<NodeHandle>(AcquireLoad64(words(), ord * 64));
-    }
-    // Key-only HC sub tails are never republished atomically (see
-    // CanPublishSubAt); the handle is immutable once this node is
-    // published, so the plain read is race-free.
-    return static_cast<NodeHandle>(
-        ReadBits(words(), hc_subs_tail_base() + HcSubRank(ord) * 32, 32));
+  if (repr_ == Repr::kHc && store_values_) {
+    return static_cast<NodeHandle>(AcquireLoad64(words(), ord * 64));
   }
-  const uint64_t srank = ord - LhcPostfixRank(ord);
-  return static_cast<NodeHandle>(
-      AcquireLoad32(words(), lhc_subs_base() + srank * 32));
-}
-
-inline bool Node::CanPublishSubAt(uint64_t ord) const {
-  assert(OrdinalIsSub(ord));
-  static_cast<void>(ord);
-  // LHC sub slots live at np*vb + srank*32 with vb in {0, 64} — always
-  // 32-bit aligned. HC value-mode slots are whole 64-bit words. Key-only
-  // HC packs handles in a tail at an arbitrary bit offset.
-  if (repr_ == Repr::kHc) {
-    return store_values_;
-  }
-  return true;
+  return static_cast<NodeHandle>(AcquireLoad32(words(), SubSlotPos(ord)));
 }
 
 inline void Node::PublishSubAt(uint64_t ord, NodeHandle child) {
-  assert(CanPublishSubAt(ord));
-  if (repr_ == Repr::kHc) {
+  assert(OrdinalIsSub(ord));
+  if (repr_ == Repr::kHc && store_values_) {
     ReleaseStore64(words(), ord * 64, child);
     return;
   }
-  const uint64_t srank = ord - LhcPostfixRank(ord);
-  ReleaseStore32(words(), lhc_subs_base() + srank * 32,
-                       static_cast<uint32_t>(child));
+  ReleaseStore32(words(), SubSlotPos(ord), static_cast<uint32_t>(child));
 }
 
 inline void Node::PublishPayloadAt(uint64_t ord, uint64_t value) {

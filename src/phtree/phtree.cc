@@ -360,24 +360,21 @@ std::vector<std::optional<uint64_t>> PhTree::FindBatch(
 // A node's entries and infix never change where it stands. An edit writes
 // the edited node once into a new block (Node::TryEdit), and a new node
 // (the first root, a split's parent, a collision's child) is written once
-// with its final entries (Node::TryBuild). Publish then links the edited
-// node in the replaced node's place with one child-handle or root store,
+// with its final entries (Node::TryBuild). Finish then links the edited
+// node in the replaced node's place with one release store into an
+// aligned child slot (Node::PublishSubAt) or the root (SetRoot), so a
+// lock-free reader sees either the old node or the complete replacement,
 // and the replaced nodes leave the tree through RetireNode. The two
-// mutation policies run the same steps and differ only here:
-//   * a plain tree frees the replaced nodes at once;
-//   * an MVCC tree (EnableMvcc) retires them until no reader can hold
-//     them, and its publication store is atomic, so a lock-free reader
-//     sees either the old node or the complete replacement. A key-only HC
-//     ancestor keeps its sub handles in an unaligned tail that no atomic
-//     store can republish, so under MVCC Publish clones it, swings the
-//     handle in the clone and climbs one level (Writable).
+// mutation policies run the same steps and differ only there: a plain
+// tree frees the replaced nodes at once, and an MVCC tree (EnableMvcc)
+// retires them until no reader can hold them.
 //
 // One ordering rule keeps every mutation commit-or-rollback under both
-// policies: nothing published is written before Publish. Every fallible
-// step (kArenaNodeAlloc for built nodes and clones, kWordAlloc for edited
-// nodes) comes first, and on any failure Finish frees the created nodes,
-// which nothing references. A payload rewrite needs no Publish: it is one
-// atomic store into an aligned value slot and never allocates.
+// policies: nothing published is written before Finish. Every fallible
+// step (kArenaNodeAlloc for built nodes, kWordAlloc for edited nodes)
+// comes first, and on any failure Finish frees the created nodes, which
+// nothing references. A payload rewrite needs no Finish: it is one atomic
+// store into an aligned value slot and never allocates.
 
 namespace {
 
@@ -420,8 +417,7 @@ struct PhTree::Descent {
 
 class PhTree::Mutation {
  public:
-  explicit Mutation(PhTree* tree)
-      : tree_(tree), copy_on_write_(tree->mvcc_enabled()) {}
+  explicit Mutation(PhTree* tree) : tree_(tree) {}
 
   /// A node written whole by this call (Node::TryBuild), recorded as
   /// created. Empty on allocation failure.
@@ -448,16 +444,21 @@ class PhTree::Mutation {
   void Replaced(NodeRef node) { replaced_.push_back(node); }
 
   /// If `ok`, publishes `replacement` in the place of the node at level
-  /// `depth` of `path` (the root for depth 0) and commits; otherwise, or
-  /// if publication fails, deletes every created node. Returns whether
-  /// the mutation took effect.
+  /// `depth` of `path` (the root for depth 0) with one store and commits;
+  /// otherwise deletes every created node. Returns `ok`.
   bool Finish(bool ok, NodeRef replacement, const Frame* path,
               size_t depth) {
-    if (!ok || !Publish(replacement, path, depth)) {
+    if (!ok) {
       for (const NodeRef& n : created_) {
         tree_->arena_->DeleteNode(n);
       }
       return false;
+    }
+    if (depth == 0) {
+      tree_->SetRoot(replacement);
+    } else {
+      const Frame& f = path[depth - 1];
+      f.node.ptr->PublishSubAt(f.ord, replacement.handle);
     }
     for (const NodeRef& n : replaced_) {
       tree_->arena_->RetireNode(n);
@@ -473,49 +474,11 @@ class PhTree::Mutation {
     return node;
   }
 
-  /// The node Publish swings a child handle in, in place of `node`: `node`
-  /// itself on a plain tree; under MVCC a private clone (created), with
-  /// `node` recorded as replaced. Empty on allocation failure.
-  NodeRef Writable(NodeRef node) {
-    if (!copy_on_write_) {
-      return node;
-    }
-    const NodeRef copy = Created(node.ptr->TryClone(*tree_->arena_));
-    if (copy) {
-      Replaced(node);
-    }
-    return copy;
-  }
-
-  bool Publish(NodeRef replacement, const Frame* path, size_t depth) {
-    // Climb until a frame's child slot takes the store; on a plain tree
-    // every slot does. Under MVCC a key-only HC ancestor's slot cannot:
-    // swing the handle in a private clone instead and keep climbing (the
-    // cascade ends at the root pointer at the latest).
-    for (; depth > 0; --depth) {
-      const Frame& f = path[depth - 1];
-      if (f.node.ptr->CanPublishSubAt(f.ord)) {
-        f.node.ptr->PublishSubAt(f.ord, replacement.handle);
-        return true;
-      }
-      const NodeRef parent = Writable(f.node);
-      if (!parent) {
-        return false;
-      }
-      parent.ptr->SetSubAt(f.ord, replacement.handle);
-      if (parent.ptr == f.node.ptr) {
-        return true;
-      }
-      replacement = parent;
-    }
-    tree_->SetRoot(replacement);
-    return true;
-  }
-
   PhTree* tree_;
-  bool copy_on_write_;
-  FixedStack<NodeRef, kBitWidth + 2> created_;
-  FixedStack<NodeRef, kBitWidth + 2> replaced_;
+  // A split or a collision creates two nodes; a merge or a splice
+  // replaces two.
+  FixedStack<NodeRef, 2> created_;
+  FixedStack<NodeRef, 2> replaced_;
 };
 
 void PhTree::Descend(std::span<const uint64_t> key, Descent* d) const {

@@ -170,8 +170,7 @@ class PhTree {
   /// Non-throwing Erase: kApplied if removed, kNoop if absent, kNoMem (tree
   /// unchanged) on allocation failure. Every removal but that of the last
   /// entry writes an edited node (the shrunken node, the merged parent or
-  /// the spliced grandchild) into a new block, so any of them can fail, as
-  /// can an MVCC clone of a key-only HC ancestor.
+  /// the spliced grandchild) into a new block, so any of them can fail.
   OpStatus TryErase(std::span<const uint64_t> key);
 
   /// Moves the entry at `old_key` to `new_key`, keeping its payload unless

@@ -33,7 +33,7 @@ struct BlockSpan {
 
 struct ValidateState {
   const PhTree* tree;
-  const DeepValidateOptions* deep = nullptr;  // nullptr = structural only
+  bool deep = false;  // false = structural only
   size_t postfix_entries = 0;
   size_t nodes = 0;
   size_t hc_nodes = 0;
@@ -125,7 +125,7 @@ void ValidateNode(NodeRef ref, const Node* parent, size_t depth,
     state->Fail(ctx.str() + "node not owned by the tree's arena");
     return;
   }
-  if (state->deep != nullptr) {
+  if (state->deep) {
     const std::string block = CheckBlock(*state->tree->arena(), ref);
     if (!block.empty()) {
       state->Fail(ctx.str() + block);
@@ -173,7 +173,7 @@ void ValidateNode(NodeRef ref, const Node* parent, size_t depth,
     first = false;
     prev_addr = addr;
     ++entries;
-    if (state->deep != nullptr) {
+    if (state->deep) {
       // Like the window iterator, the walk keeps one shared key buffer:
       // entries rewrite exactly the bits at or below this node's level, so
       // bits above stay the accumulated prefix.
@@ -184,7 +184,7 @@ void ValidateNode(NodeRef ref, const Node* parent, size_t depth,
       const NodeHandle ch = node->OrdinalSub(ord);
       const NodeRef child{
           const_cast<Node*>(state->tree->arena()->NodeAt(ch)), ch};
-      if (state->deep != nullptr) {
+      if (state->deep) {
         child.ptr->ReadInfixInto(state->path);
       }
       ValidateNode(child, node, depth + 1, state);
@@ -193,7 +193,7 @@ void ValidateNode(NodeRef ref, const Node* parent, size_t depth,
       }
     } else {
       ++state->postfix_entries;
-      if (state->deep != nullptr) {
+      if (state->deep) {
         node->ReadPostfixInto(ord, state->path);
         // Prefix consistency: enumerating the tree in address order must
         // produce the reconstructed keys in strictly ascending z-order.
@@ -227,19 +227,16 @@ void ValidateNode(NodeRef ref, const Node* parent, size_t depth,
           return;
         }
         state->walker.Next();
-        if (state->deep->check_self_lookup) {
-          const std::optional<uint64_t> found =
-              state->tree->Find(state->path);
-          if (!found.has_value()) {
-            state->Fail(ctx.str() +
-                        "reconstructed key not found by point query");
-            return;
-          }
-          if (*found != node->OrdinalPayload(ord)) {
-            state->Fail(ctx.str() +
-                        "point query payload != enumerated payload");
-            return;
-          }
+        const std::optional<uint64_t> found = state->tree->Find(state->path);
+        if (!found.has_value()) {
+          state->Fail(ctx.str() +
+                      "reconstructed key not found by point query");
+          return;
+        }
+        if (*found != node->OrdinalPayload(ord)) {
+          state->Fail(ctx.str() +
+                      "point query payload != enumerated payload");
+          return;
         }
       }
     }
@@ -260,12 +257,13 @@ void ValidateNode(NodeRef ref, const Node* parent, size_t depth,
     return;
   }
   Node::Repr best = Node::Repr::kLhc;
-  uint64_t best_bits = node->LhcBits();
-  if (hc_allowed && node->num_subs() == 0 && node->BhcBits() < best_bits) {
+  uint64_t best_bits = node->ReprBits(Node::Repr::kLhc);
+  const uint64_t bhc_bits = node->ReprBits(Node::Repr::kBhc);
+  if (hc_allowed && node->num_subs() == 0 && bhc_bits < best_bits) {
     best = Node::Repr::kBhc;
-    best_bits = node->BhcBits();
+    best_bits = bhc_bits;
   }
-  if (hc_allowed && node->HcBits() < best_bits) {
+  if (hc_allowed && node->ReprBits(Node::Repr::kHc) < best_bits) {
     best = Node::Repr::kHc;
   }
   if (node->repr() != best) {
@@ -273,11 +271,11 @@ void ValidateNode(NodeRef ref, const Node* parent, size_t depth,
   }
 }
 
-std::string Validate(const PhTree& tree, const DeepValidateOptions* deep) {
+std::string Validate(const PhTree& tree, bool deep) {
   ValidateState state;
   state.tree = &tree;
   state.deep = deep;
-  if (deep != nullptr) {
+  if (deep) {
     state.path.assign(tree.dim(), 0);
     state.walker = TreeCursor(tree);
   }
@@ -293,7 +291,7 @@ std::string Validate(const PhTree& tree, const DeepValidateOptions* deep) {
   if (state.failed) {
     return state.error.str();
   }
-  if (deep != nullptr && state.walker.Valid()) {
+  if (deep && state.walker.Valid()) {
     return "tree cursor enumerates more entries than the recursive walk";
   }
   if (state.postfix_entries != tree.size()) {
@@ -336,7 +334,7 @@ std::string Validate(const PhTree& tree, const DeepValidateOptions* deep) {
     return os.str();
   }
 
-  if (deep != nullptr && arena != nullptr) {
+  if (deep && arena != nullptr) {
     // Block ownership: reachable and retired blocks must be pairwise
     // disjoint — a block named twice (two parents, or a parent and the
     // retire queue) overlaps itself — and together they must be exactly
@@ -372,7 +370,7 @@ std::string Validate(const PhTree& tree, const DeepValidateOptions* deep) {
     }
   }
 
-  if (deep != nullptr && deep->check_stats) {
+  if (deep) {
     const PhTreeStats stats = tree.ComputeStats();
     std::ostringstream os;
     if (stats.n_entries != tree.size()) {
@@ -450,12 +448,11 @@ std::string Validate(const PhTree& tree, const DeepValidateOptions* deep) {
 }  // namespace
 
 std::string ValidatePhTree(const PhTree& tree) {
-  return Validate(tree, nullptr);
+  return Validate(tree, /*deep=*/false);
 }
 
-std::string ValidatePhTreeDeep(const PhTree& tree,
-                               const DeepValidateOptions& options) {
-  return Validate(tree, &options);
+std::string ValidatePhTreeDeep(const PhTree& tree) {
+  return Validate(tree, /*deep=*/true);
 }
 
 }  // namespace phtree

@@ -25,34 +25,26 @@ namespace phtree {
 /// first violation.
 std::string ValidatePhTree(const PhTree& tree);
 
-/// Knobs for the deep audit (everything defaults to on).
-struct DeepValidateOptions {
-  /// Cross-check ComputeStats() against an independent walk: node/entry/
-  /// HC/LHC counts, depths, infix bit volume, memory bytes — and the arena
-  /// meters against PhTreeStats::arena_{slab,live,freelist}_bytes, plus the
-  /// accounting identity slab >= live + freelist.
-  bool check_stats = true;
-
-  /// Reconstruct every stored key from the walk (prefix path + infix +
-  /// postfix) and verify that a point query finds it with the same payload.
-  /// Catches any divergence between the enumeration view and the lookup
-  /// view of the same node bits. O(n * w * k).
-  bool check_self_lookup = true;
-};
-
-/// Everything ValidatePhTree checks, plus the prefix-consistency audit:
-/// keys are reconstructed along every root-to-postfix path and must come
-/// out in strictly ascending z-order (a corrupted infix, address table or
-/// postfix record breaks the ordering or the self-lookup), the block-
-/// ownership audit — every reachable and retired node's handle names
-/// exactly the block its contents are granted, a block of 8 words or fewer
-/// sits inside one 64-byte line, and all those blocks are pairwise
-/// disjoint and sum to the arena's live bytes (no block owned twice) — and
-/// the stats / arena accounting cross-checks of DeepValidateOptions. This
-/// is the validator the differential runner and the fuzz targets call; it
-/// is O(n * w * k) instead of O(nodes).
-std::string ValidatePhTreeDeep(const PhTree& tree,
-                               const DeepValidateOptions& options = {});
+/// Everything ValidatePhTree checks, plus:
+///  - the prefix-consistency audit: keys are reconstructed along every
+///    root-to-postfix path and must come out in strictly ascending z-order
+///    (a corrupted infix, address table or postfix record breaks the
+///    ordering or the self-lookup);
+///  - the self-lookup: a point query finds every reconstructed key with
+///    its enumerated payload, so the enumeration and lookup views of the
+///    same node bits agree;
+///  - the block-ownership audit: every reachable and retired node's handle
+///    names exactly the block its contents are granted, a block of 8 words
+///    or fewer sits inside one 64-byte line, and all those blocks are
+///    pairwise disjoint and sum to the arena's live bytes (no block owned
+///    twice);
+///  - the stats cross-check: ComputeStats() against the walk (node, entry
+///    and per-representation counts, depths, infix bits, memory bytes) and
+///    the arena meters against PhTreeStats, plus the accounting identity
+///    slab >= live + freelist.
+/// This is the validator the differential runner and the fuzz targets
+/// call; it is O(n * w * k) instead of O(nodes).
+std::string ValidatePhTreeDeep(const PhTree& tree);
 
 }  // namespace phtree
 

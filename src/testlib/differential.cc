@@ -273,13 +273,13 @@ class ScalarKernelAdapter : public PlainAdapter {
 };
 
 /// The plain tree again, in MVCC mode (EnableMvcc with a private
-/// EpochManager): every mutation runs the copy-on-write path — clone the
-/// ≤2 touched nodes, publish one atomic handle, retire the originals — so
-/// the whole command stream diffs the COW machinery against the oracle.
-/// Registered unconditionally, *including* fault mode: an injected
-/// bad_alloc inside a clone must roll back to the pre-op tree (created
-/// copies deleted, nothing published, nothing retired), and the retry +
-/// comparison that follows vets exactly that.
+/// EpochManager): every mutation writes its edited nodes into new blocks,
+/// publishes them with one atomic handle store and retires the originals
+/// instead of freeing them, so the whole command stream diffs retirement
+/// against the oracle. Registered unconditionally, *including* fault mode:
+/// an injected bad_alloc inside an edit must roll back to the pre-op tree
+/// (created nodes deleted, nothing published, nothing retired), and the
+/// retry + comparison that follows vets exactly that.
 class CowAdapter : public PlainAdapter {
  public:
   explicit CowAdapter(uint32_t dim) : PlainAdapter(dim, "PhTree/cow") {
@@ -513,9 +513,9 @@ class Runner {
     // Forced-scalar kernel arm: same tree, SIMD dispatch pinned off. Any
     // vector/scalar behavioural difference shows up as a divergence here.
     adapters_.push_back(std::make_unique<ScalarKernelAdapter>(dim));
-    // COW arm: every mutation through the MVCC clone/publish/retire path.
-    // Stays on in fault mode — injected failures in the clone sites must
-    // roll back like any other, and this arm proves it on real streams.
+    // COW arm: every mutation through the MVCC publish/retire path. Stays
+    // on in fault mode — injected failures under retirement must roll back
+    // like any other, and this arm proves it on real streams.
     adapters_.push_back(std::make_unique<CowAdapter>(dim));
     // Fault mode forces the concurrent variants off: PhTreeSharded's
     // BulkLoad mutates on thread-pool threads where an injected bad_alloc

@@ -43,10 +43,9 @@ struct FaultSweepOptions {
   /// 1 = always deep-check.
   size_t deep_every = 128;
   /// Run the swept tree in MVCC mode (PhTree::EnableMvcc with a private
-  /// EpochManager): replaced nodes are retired instead of freed, and a
-  /// key-only HC ancestor is cloned to publish, so the sweep exercises
-  /// that clone's kArenaNodeAlloc site and the rollback under retirement
-  /// (created nodes deleted, nothing published).
+  /// EpochManager): replaced nodes are retired instead of freed, so the
+  /// sweep exercises the rollback under retirement (created nodes deleted,
+  /// nothing published, nothing retired). The swept trees store values.
   bool mvcc = false;
 };
 

@@ -112,6 +112,66 @@ TEST(PhTreeSyncConcurrency, MixedChurnStress) {
             stats.arena_live_bytes);
 }
 
+TEST(PhTreeSyncConcurrency, KeyOnlyDenseGridReads) {
+  // A key-only tree on a dense 3D grid holds HC nodes with subs. Their
+  // handles sit in 32-bit slots at the stream head, where a publication
+  // store can share a word with the infix that readers load. A fixed fifth
+  // of the 16^3 grid stays put while one writer churns the other cells.
+  constexpr uint64_t kSide = 16;
+  PhTreeSync tree(3, PhTreeConfig{/*store_values=*/false});
+  Rng rng(31);
+  std::vector<PhKey> fixed;
+  std::vector<PhKey> churn;
+  for (uint64_t x = 0; x < kSide; ++x) {
+    for (uint64_t y = 0; y < kSide; ++y) {
+      for (uint64_t z = 0; z < kSide; ++z) {
+        (rng.NextBool(0.2) ? fixed : churn).push_back(PhKey{x, y, z});
+      }
+    }
+  }
+  for (const PhKey& key : fixed) {
+    ASSERT_TRUE(tree.Insert(key, 0));
+  }
+  // Under the smallest-layout rule an HC node always holds a sub: BHC
+  // beats HC on every sub-free node.
+  ASSERT_GT(tree.ComputeStats().n_hc_nodes, 0u);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      Rng r(500 + t);
+      const PhKey lo{0, 0, 0};
+      const PhKey hi{kSide - 1, kSide - 1, kSide - 1};
+      for (uint64_t i = 0; !stop.load(); ++i) {
+        if (!tree.Contains(fixed[r.NextBounded(fixed.size())])) {
+          failed = true;
+        }
+        if (i % 16 == 0 && tree.CountWindow(lo, hi) < fixed.size()) {
+          failed = true;
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  // The writer churns until the readers have overlapped it for a while.
+  for (int i = 0; i < 6000 || reads.load() < 20000; ++i) {
+    const PhKey& key = churn[rng.NextBounded(churn.size())];
+    if (rng.NextBool(0.5)) {
+      tree.Insert(key, 0);
+    } else {
+      tree.Erase(key);
+    }
+  }
+  stop = true;
+  for (auto& th : readers) {
+    th.join();
+  }
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(ValidatePhTree(tree.UnsafeShard(0)), "");
+}
+
 TEST(PhTreeShardedConcurrency, MixedChurnStress) {
   PhTreeSharded tree(2, 8);
   MixedChurnStress(tree, 3, 2, 2000);

@@ -1,11 +1,11 @@
 // Epoch-based reclamation: EpochManager advance rules, the deferred-free
 // ordering contract (a retired node's memory stays intact — and is never
-// recycled — while any read guard that could see it is open), and the
-// fault sweep over the copy-on-write allocation sites, and parity of the
-// mutation engine's two publish policies. The read-after-retire checks
-// double as ASan canaries: if the arena freed (and poisoned) a retired
-// node before its grace period, the reads here would abort the Asan
-// tier-1 leg.
+// recycled — while any read guard that could see it is open), the fault
+// sweep under the MVCC policy, and parity of the mutation engine's two
+// policies (the same tree from the same allocations). The read-after-
+// retire checks double as ASan canaries: if the arena freed (and
+// poisoned) a retired node before its grace period, the reads here would
+// abort the Asan tier-1 leg.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +14,10 @@
 #include <cstdio>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/rng.h"
 #include "phtree/arena.h"
 #include "phtree/phtree.h"
@@ -191,90 +193,168 @@ TEST(EpochReclaim, FaultSweepCoversCowAllocationSites) {
   EXPECT_GT(report.injected_failures, 0u);
 }
 
-// The two mutation policies — plain, and MVCC — run the same edits and
-// must build the same tree, not just hold the same entries: one seeded
-// insert/erase/update stream drives a plain tree and an MVCC tree, every
-// op must report the same outcome, and every 500 ops the structural
-// statistics must agree exactly.
-TEST(PolicyParity, InPlaceAndCopyOnWriteBuildTheSameTree) {
-  for (const uint32_t dim : {2u, 3u, 6u}) {
-    for (const uint32_t grid_bits : {4u, 8u, 20u, 64u}) {
-      SCOPED_TRACE(testing::Message()
-                   << "dim=" << dim << " grid_bits=" << grid_bits);
-      const uint64_t mask =
-          grid_bits == 64 ? ~uint64_t{0} : (uint64_t{1} << grid_bits) - 1;
-      Rng rng(dim * 100 + grid_bits);
-      const auto random_key = [&] {
-        PhKey key(dim);
-        for (auto& v : key) {
-          v = rng.NextU64() & mask;
-        }
-        return key;
-      };
-      EpochManager epochs;
-      PhTree plain(dim);
-      PhTree mvcc(dim);
-      mvcc.EnableMvcc(&epochs);
-      std::vector<PhKey> live;
-      for (uint64_t op = 1; op <= 3000; ++op) {
-        const uint64_t kind = rng.NextBounded(10);
-        // Three in four ops target a live key; a random key may be live
-        // too on the small grids, so its index is looked up.
-        PhKey key;
-        size_t pick;
-        if (!live.empty() && rng.NextBounded(4) != 0) {
-          pick = rng.NextBounded(live.size());
-          key = live[pick];
-        } else {
-          key = random_key();
-          pick = std::find(live.begin(), live.end(), key) - live.begin();
-        }
-        if (kind < 4) {
-          const bool inserted = plain.Insert(key, op);
-          ASSERT_EQ(inserted, mvcc.Insert(key, op)) << "op " << op;
-          if (inserted) {
-            live.push_back(key);
-          }
-        } else if (kind < 6) {
-          const bool erased = plain.Erase(key);
-          ASSERT_EQ(erased, mvcc.Erase(key)) << "op " << op;
-          if (erased) {
-            live[pick] = live.back();
-            live.pop_back();
-          }
-        } else {
-          // Mostly short moves (the in-node move), some teleports.
-          PhKey to = key;
-          if (rng.NextBounded(4) == 0) {
-            to = random_key();
-          } else {
-            to[rng.NextBounded(dim)] ^= rng.NextBounded(8) & mask;
-          }
-          const UpdateOutcome out = plain.Update(key, to);
-          ASSERT_EQ(out, mvcc.Update(key, to)) << "op " << op;
-          if (out == UpdateOutcome::kMoved) {
-            live[pick] = to;
-          }
-        }
-        if (op % 500 == 0) {
-          const PhTreeStats a = plain.ComputeStats();
-          const PhTreeStats b = mvcc.ComputeStats();
-          ASSERT_EQ(a.n_entries, b.n_entries) << "op " << op;
-          ASSERT_EQ(a.n_nodes, b.n_nodes) << "op " << op;
-          ASSERT_EQ(a.n_hc_nodes, b.n_hc_nodes) << "op " << op;
-          ASSERT_EQ(a.n_lhc_nodes, b.n_lhc_nodes) << "op " << op;
-          ASSERT_EQ(a.n_bhc_nodes, b.n_bhc_nodes) << "op " << op;
-          ASSERT_EQ(a.memory_bytes, b.memory_bytes) << "op " << op;
-          ASSERT_EQ(a.sum_node_depth, b.sum_node_depth) << "op " << op;
-        }
-      }
-      // Both policies take the same path for every move.
-      EXPECT_EQ(plain.update_stats().fast_path, mvcc.update_stats().fast_path);
-      EXPECT_EQ(plain.update_stats().fallback, mvcc.update_stats().fallback);
-      EXPECT_EQ(ValidatePhTree(plain), "");
-      EXPECT_EQ(ValidatePhTree(mvcc), "");
+/// True iff the subtree under `node` holds an HC node with a sub entry.
+bool HasHcNodeWithSub(const PhTree& tree, const Node* node) {
+  if (node->is_hc() && node->num_subs() > 0) {
+    return true;
+  }
+  for (uint64_t ord = node->FirstOrdinal(); ord != Node::kNoOrdinal;
+       ord = node->NextOrdinal(ord)) {
+    if (node->OrdinalIsSub(ord) &&
+        HasHcNodeWithSub(tree, tree.arena()->NodeAt(node->OrdinalSub(ord)))) {
+      return true;
     }
   }
+  return false;
+}
+
+/// The keys of a random `fill` share of the cells of the dense grid
+/// [0, 2^(12/dim))^dim (4,096 cells at dim 2, 3, 6), in random order. In
+/// key-only mode such a grid holds HC nodes with subs.
+std::vector<PhKey> DenseGridKeys(uint32_t dim, double fill, Rng& rng) {
+  const uint32_t side_bits = 12 / dim;
+  std::vector<PhKey> keys;
+  for (uint64_t cell = 0; cell < (uint64_t{1} << (side_bits * dim));
+       ++cell) {
+    if (rng.NextBool(fill)) {
+      PhKey key(dim);
+      for (uint32_t d = 0; d < dim; ++d) {
+        key[d] = (cell >> (d * side_bits)) & LowMask(side_bits);
+      }
+      keys.push_back(std::move(key));
+    }
+  }
+  for (size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.NextBounded(i)]);
+  }
+  return keys;
+}
+
+// The two mutation policies — plain, and MVCC — run the same edits and
+// must build the same tree, not just hold the same entries: one seeded
+// stream (a dense grid prefill, then inserts, erases and updates) drives
+// a plain tree and an MVCC tree in both value modes. Every op must report
+// the same outcome and make the same allocations: a never-armed
+// FaultInjector counts each tree's hits of both allocation sites. Every
+// 500 ops the structural statistics must agree exactly.
+TEST(PolicyParity, InPlaceAndCopyOnWriteBuildTheSameTree) {
+  FaultInjector injector;  // never armed: it only counts allocations
+  SetFaultInjector(&injector);
+  struct Uninstall {
+    ~Uninstall() { SetFaultInjector(nullptr); }
+  } uninstall;
+  const auto allocs = [&injector] {
+    return std::pair{injector.site_hits(FaultSite::kArenaNodeAlloc),
+                     injector.site_hits(FaultSite::kWordAlloc)};
+  };
+  bool saw_key_only_hc_sub = false;
+  for (const bool store_values : {true, false}) {
+    for (const uint32_t dim : {2u, 3u, 6u}) {
+      for (const uint32_t grid_bits : {4u, 8u, 20u, 64u}) {
+        SCOPED_TRACE(testing::Message() << "store_values=" << store_values
+                                        << " dim=" << dim
+                                        << " grid_bits=" << grid_bits);
+        const uint64_t mask =
+            grid_bits == 64 ? ~uint64_t{0} : (uint64_t{1} << grid_bits) - 1;
+        Rng rng(dim * 100 + grid_bits);
+        const auto random_key = [&] {
+          PhKey key(dim);
+          for (auto& v : key) {
+            v = rng.NextU64() & mask;
+          }
+          return key;
+        };
+        const PhTreeConfig config{store_values};
+        EpochManager epochs;
+        PhTree plain(dim, config);
+        PhTree mvcc(dim, config);
+        mvcc.EnableMvcc(&epochs);
+        // Runs `op` on the plain tree, then on the MVCC tree, and checks
+        // that both return the same and hit each allocation site equally
+        // (op 0 is the prefill).
+        const auto both = [&](uint64_t at, const auto& op) {
+          const auto before = allocs();
+          const auto out = op(plain);
+          const auto mid = allocs();
+          EXPECT_EQ(out, op(mvcc)) << "op " << at;
+          const auto after = allocs();
+          EXPECT_EQ(mid.first - before.first, after.first - mid.first)
+              << "kArenaNodeAlloc hits, op " << at;
+          EXPECT_EQ(mid.second - before.second, after.second - mid.second)
+              << "kWordAlloc hits, op " << at;
+          return out;
+        };
+        std::vector<PhKey> live = DenseGridKeys(dim, 0.2, rng);
+        for (const PhKey& key : live) {
+          ASSERT_TRUE(both(0, [&](PhTree& t) { return t.Insert(key, 0); }));
+          ASSERT_FALSE(::testing::Test::HasFailure());
+        }
+        if (!store_values) {
+          saw_key_only_hc_sub |= HasHcNodeWithSub(plain, plain.root());
+        }
+        for (uint64_t op = 1; op <= 3000; ++op) {
+          const uint64_t kind = rng.NextBounded(10);
+          // Three in four ops target a live key; a random key may be live
+          // too on the small grids, so its index is looked up.
+          PhKey key;
+          size_t pick;
+          if (!live.empty() && rng.NextBounded(4) != 0) {
+            pick = rng.NextBounded(live.size());
+            key = live[pick];
+          } else {
+            key = random_key();
+            pick = std::find(live.begin(), live.end(), key) - live.begin();
+          }
+          if (kind < 4) {
+            if (both(op, [&](PhTree& t) { return t.Insert(key, op); })) {
+              live.push_back(key);
+            }
+          } else if (kind < 6) {
+            if (both(op, [&](PhTree& t) { return t.Erase(key); })) {
+              live[pick] = live.back();
+              live.pop_back();
+            }
+          } else {
+            // Mostly short moves (the in-node move), some teleports.
+            PhKey to = key;
+            if (rng.NextBounded(4) == 0) {
+              to = random_key();
+            } else {
+              to[rng.NextBounded(dim)] ^= rng.NextBounded(8) & mask;
+            }
+            if (both(op, [&](PhTree& t) { return t.Update(key, to); }) ==
+                UpdateOutcome::kMoved) {
+              live[pick] = to;
+            }
+          }
+          if (::testing::Test::HasFailure()) {
+            FAIL() << "op " << op;
+          }
+          if (op % 500 == 0) {
+            const PhTreeStats a = plain.ComputeStats();
+            const PhTreeStats b = mvcc.ComputeStats();
+            ASSERT_EQ(a.n_entries, b.n_entries) << "op " << op;
+            ASSERT_EQ(a.n_nodes, b.n_nodes) << "op " << op;
+            ASSERT_EQ(a.n_hc_nodes, b.n_hc_nodes) << "op " << op;
+            ASSERT_EQ(a.n_lhc_nodes, b.n_lhc_nodes) << "op " << op;
+            ASSERT_EQ(a.n_bhc_nodes, b.n_bhc_nodes) << "op " << op;
+            ASSERT_EQ(a.memory_bytes, b.memory_bytes) << "op " << op;
+            ASSERT_EQ(a.sum_node_depth, b.sum_node_depth) << "op " << op;
+          }
+        }
+        // Both policies take the same path for every move.
+        EXPECT_EQ(plain.update_stats().fast_path,
+                  mvcc.update_stats().fast_path);
+        EXPECT_EQ(plain.update_stats().fallback, mvcc.update_stats().fallback);
+        EXPECT_EQ(ValidatePhTree(plain), "");
+        EXPECT_EQ(ValidatePhTree(mvcc), "");
+      }
+    }
+  }
+  // Only a key-only HC node keeps HC child slots of 32 bits: the prefill
+  // must keep producing one holding a sub, or the publication into those
+  // slots goes untested here.
+  EXPECT_TRUE(saw_key_only_hc_sub);
 }
 
 TEST(EpochReclaim, SyncLoadSwapsUnderLockFreeReaders) {

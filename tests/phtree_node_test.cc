@@ -22,6 +22,10 @@ namespace {
 
 PhKey Key2(uint64_t x, uint64_t y) { return PhKey{x, y}; }
 
+constexpr Node::Repr kLhc = Node::Repr::kLhc;
+constexpr Node::Repr kHc = Node::Repr::kHc;
+constexpr Node::Repr kBhc = Node::Repr::kBhc;
+
 /// A standalone node built through its own arena and edited the way the
 /// tree edits one: every edit writes the edited node into a new block, and
 /// the old block is freed. Each edit copies the source block, then runs
@@ -44,8 +48,12 @@ class ArenaNode {
                      uint64_t value) {
     Apply(Node::EntryDelta::InsertPostfix(addr, key, value));
   }
+  /// Adds a sub entry the way the tree does: a postfix lands at the free
+  /// address `addr`, and a collision turns it into a sub.
   void InsertSub(uint64_t addr, NodeHandle child) {
-    Apply(Node::EntryDelta::InsertSub(addr, child));
+    const PhKey key(ref_.ptr->dim(), 0);
+    InsertPostfix(addr, key, 0);
+    ReplaceEntryWithSub(addr, child);
   }
   void RemoveEntry(uint64_t addr) { Apply(Node::EntryDelta::Remove(addr)); }
   void ReplaceEntryWithSub(uint64_t addr, NodeHandle child) {
@@ -128,11 +136,11 @@ void ExpectNodeMatches(Node* node, const NodeModel& model, bool store_values,
     EXPECT_EQ(node->PostfixDivergence(ord, e.key), -1) << "addr " << addr;
   }
   EXPECT_EQ(node->num_subs(), subs);
-  uint64_t best = node->LhcBits();
+  uint64_t best = node->ReprBits(kLhc);
   if (subs == 0) {
-    best = std::min(best, node->BhcBits());
+    best = std::min(best, node->ReprBits(kBhc));
   }
-  best = std::min(best, node->HcBits());
+  best = std::min(best, node->ReprBits(kHc));
   EXPECT_EQ(node->CurrentReprBits(), best);
 }
 
@@ -217,7 +225,7 @@ TEST(NodeSpace, SmallestRepresentationWinsExactly) {
   node.InsertPostfix(0, key, 0);
   EXPECT_FALSE(node->is_hc());
   EXPECT_FALSE(node->is_bhc());
-  EXPECT_LT(node->LhcBits(), node->HcBits());
+  EXPECT_LT(node->ReprBits(kLhc), node->ReprBits(kHc));
   // Fill all 4 slots: LHC pays k=2 address bits per entry, HC does not ->
   // HC is smaller by (k-1) bits per slot (paper Sect. 3.2). The packed leaf
   // (BHC) drops the empty payload slots and the sub bitmap on top of that,
@@ -229,9 +237,9 @@ TEST(NodeSpace, SmallestRepresentationWinsExactly) {
   key = PhKey{1, 1};
   node.InsertPostfix(3, key, 0);
   EXPECT_TRUE(node->is_bhc());
-  EXPECT_LT(node->HcBits(), node->LhcBits());
-  EXPECT_LT(node->BhcBits(), node->HcBits());
-  EXPECT_LT(node->BhcBits(), node->LhcBits());
+  EXPECT_LT(node->ReprBits(kHc), node->ReprBits(kLhc));
+  EXPECT_LT(node->ReprBits(kBhc), node->ReprBits(kHc));
+  EXPECT_LT(node->ReprBits(kBhc), node->ReprBits(kLhc));
 }
 
 TEST(NodeSpace, MemoryScalesWithPostfixLengthNotBitWidth) {
@@ -303,12 +311,12 @@ TEST(NodeRepresentation, BhcPromotionAndDemotionAtSwitchBoundary) {
   const PhKey keys[4] = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
   for (int i = 0; i < 4; ++i) {
     node.InsertPostfix(addrs[i], keys[i], 0);
-    const uint64_t best = std::min(
-        {node->LhcBits(), node->BhcBits(), node->HcBits()});
-    EXPECT_EQ(node->is_bhc(), node->BhcBits() < node->LhcBits() &&
-                                 node->BhcBits() <= node->HcBits())
+    const uint64_t lhc = node->ReprBits(kLhc);
+    const uint64_t bhc = node->ReprBits(kBhc);
+    const uint64_t hc = node->ReprBits(kHc);
+    EXPECT_EQ(node->is_bhc(), bhc < lhc && bhc <= hc) << "n=" << i + 1;
+    EXPECT_EQ(node->CurrentReprBits(), std::min({lhc, bhc, hc}))
         << "n=" << i + 1;
-    EXPECT_EQ(node->CurrentReprBits(), best) << "n=" << i + 1;
   }
   EXPECT_TRUE(node->is_bhc());
   // Demote by deletion: at n=1 LHC is strictly smaller again.
@@ -317,7 +325,7 @@ TEST(NodeRepresentation, BhcPromotionAndDemotionAtSwitchBoundary) {
   }
   EXPECT_EQ(node->num_entries(), 1u);
   EXPECT_FALSE(node->is_bhc());
-  EXPECT_LT(node->LhcBits(), node->BhcBits());
+  EXPECT_LT(node->ReprBits(kLhc), node->ReprBits(kBhc));
 }
 
 TEST(NodeRepresentation, BhcNodeGainingASubLeavesBhc) {
@@ -370,7 +378,8 @@ TEST(NodeRepresentation, TreeChurnAcrossBoundaryStaysValid) {
 // node, and a full value-mode node picks HC over LHC only while
 // 2^k * (k - 1) > subs * (32 + k * postfix_len). The two tests below build
 // such nodes directly and drive every edit of an HC node: postfix and sub
-// inserts and removes, postfix <-> sub swaps, in-node moves and SetSubAt.
+// inserts and removes, postfix <-> sub swaps, in-node moves and
+// PublishSubAt.
 // ArenaNode checks that each edit writes a new block.
 
 TEST(NodeWhitebox, ValueModeHcEdits) {
@@ -399,9 +408,9 @@ TEST(NodeWhitebox, ValueModeHcEdits) {
     model.entries[a] = {true, 500 + a, {}};
   }
   ExpectNodeMatches(node.get(), model, true, "three subs");
-  node->SetSubAt(node->FindOrdinal(9), NodeHandle{777});
+  node->PublishSubAt(node->FindOrdinal(9), NodeHandle{777});
   model.entries[9].payload = 777;
-  ExpectNodeMatches(node.get(), model, true, "SetSubAt");
+  ExpectNodeMatches(node.get(), model, true, "PublishSubAt");
 
   const PhKey back = PostfixKey(kDim, 9, 1);
   node.ReplaceSubWithPostfix(9, back, 4242);
@@ -436,7 +445,7 @@ TEST(NodeWhitebox, ValueModeHcEdits) {
 
 TEST(NodeWhitebox, KeyOnlyHcEdits) {
   // Key-only, k=3, postfix_len 1: a node of 7 or 8 entries with 1..5 subs
-  // is HC (sub handles in a 32-bit tail); sub-free it is BHC.
+  // is HC (sub handles in 32-bit head slots); sub-free it is BHC.
   constexpr uint32_t kDim = 3;
   ArenaNode node(kDim, 0, 1, /*store_values=*/false);
   NodeModel model;
@@ -455,7 +464,7 @@ TEST(NodeWhitebox, KeyOnlyHcEdits) {
 
   node.ReplaceEntryWithSub(5, NodeHandle{305});
   model.entries[5] = {true, 305, {}};
-  node->SetSubAt(node->FindOrdinal(5), NodeHandle{355});
+  node->PublishSubAt(node->FindOrdinal(5), NodeHandle{355});
   model.entries[5].payload = 355;
   ExpectNodeMatches(node.get(), model, false, "second sub");
 
@@ -534,7 +543,7 @@ TEST(NodeWhitebox, RandomEditsMatchModel) {
             it->second = {false, payload, key};
           } else {
             const auto handle = static_cast<NodeHandle>(payload);
-            node->SetSubAt(node->FindOrdinal(addr), handle);
+            node->PublishSubAt(node->FindOrdinal(addr), handle);
             it->second.payload = handle;
           }
         } else if (roll < 30) {

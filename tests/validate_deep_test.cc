@@ -120,20 +120,6 @@ TEST(ValidateDeepTest, HoldsAfterClearAndRefill) {
   EXPECT_EQ(ValidatePhTreeDeep(tree), "");
 }
 
-TEST(ValidateDeepTest, OptionsDisableIndividualChecks) {
-  PhTree tree(2);
-  Rng rng(3);
-  for (int i = 0; i < 500; ++i) {
-    tree.Insert(RandomKey(rng, 2, 8), i);
-  }
-  DeepValidateOptions no_stats;
-  no_stats.check_stats = false;
-  EXPECT_EQ(ValidatePhTreeDeep(tree, no_stats), "");
-  DeepValidateOptions no_lookup;
-  no_lookup.check_self_lookup = false;
-  EXPECT_EQ(ValidatePhTreeDeep(tree, no_lookup), "");
-}
-
 TEST(ValidateDeepTest, ShallowValidatorStillWorks) {
   PhTree tree(2);
   Rng rng(13);
@@ -183,7 +169,7 @@ TEST(ValidateDeepTest, RejectsASecondParentOfOneChild) {
   const NodeHandle a = root->OrdinalSub(ord_a);
   ASSERT_EQ(tree.arena()->NodeAt(a)->MemoryBytes(),
             tree.arena()->NodeAt(root->OrdinalSub(ord_b))->MemoryBytes());
-  root->SetSubAt(ord_b, a);
+  root->PublishSubAt(ord_b, a);
   EXPECT_EQ(ValidatePhTree(tree), "");  // the shallow walk cannot tell
   const std::string deep = ValidatePhTreeDeep(tree);
   EXPECT_NE(deep.find("owned twice"), std::string::npos) << deep;
