@@ -16,7 +16,6 @@
 #include "phtree/knn.h"
 #include "phtree/phtree.h"
 #include "phtree/phtree_d.h"
-#include "phtree/query.h"
 #include "phtree/sharded.h"
 
 namespace phtree {

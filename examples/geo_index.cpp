@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "datasets/datasets.h"
+#include "phtree/cursor.h"
 #include "phtree/phtree_d.h"
-#include "phtree/query.h"
 
 namespace {
 
@@ -66,11 +66,9 @@ int main() {
   // Lazy iteration over a window (no materialisation).
   size_t n = 0;
   double mean_lon = 0;
-  for (phtree::PhTreeWindowIterator it(index.tree(),
-                                       phtree::EncodeKeyD(phtree::PhKeyD{
-                                           -110.0, 35.0}),
-                                       phtree::EncodeKeyD(phtree::PhKeyD{
-                                           -100.0, 45.0}));
+  for (phtree::TreeCursor it(
+           index.tree(), phtree::EncodeKeyD(phtree::PhKeyD{-110.0, 35.0}),
+           phtree::EncodeKeyD(phtree::PhKeyD{-100.0, 45.0}));
        it.Valid(); it.Next()) {
     mean_lon += phtree::SortableBitsToDouble(it.key()[0]);
     ++n;

@@ -4,9 +4,9 @@
 //   ./build/examples/quickstart
 #include <cstdio>
 
+#include "phtree/cursor.h"     // lazy window-query cursor
 #include "phtree/phtree.h"     // integer keys
 #include "phtree/phtree_d.h"   // double keys (order-preserving conversion)
-#include "phtree/query.h"      // lazy window-query iterator
 
 int main() {
   // --- Integer keys -------------------------------------------------------
@@ -24,8 +24,7 @@ int main() {
   }
 
   // Window query: all points with 1 <= x <= 2 and 0 <= y <= 25.
-  for (phtree::PhTreeWindowIterator it(tree, phtree::PhKey{1, 0},
-                                       phtree::PhKey{2, 25});
+  for (phtree::TreeCursor it(tree, phtree::PhKey{1, 0}, phtree::PhKey{2, 25});
        it.Valid(); it.Next()) {
     std::printf("in window: (%llu, %llu) -> %llu\n",
                 static_cast<unsigned long long>(it.key()[0]),

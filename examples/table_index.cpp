@@ -8,8 +8,8 @@
 #include <cinttypes>
 
 #include "common/rng.h"
+#include "phtree/cursor.h"
 #include "phtree/phtree.h"
-#include "phtree/query.h"
 
 namespace {
 
@@ -64,8 +64,7 @@ int main() {
   hi = phtree::PhKey{kMax, kMax, 500000, 19089};
   size_t n = 0;
   uint64_t sum_cents = 0;
-  for (phtree::PhTreeWindowIterator it(table, lo, hi); it.Valid();
-       it.Next()) {
+  for (phtree::TreeCursor it(table, lo, hi); it.Valid(); it.Next()) {
     sum_cents += it.key()[2];
     ++n;
   }

@@ -98,6 +98,19 @@ inline void ApplyHcAddress(uint64_t addr, uint32_t postfix_len,
   }
 }
 
+/// The highest bit position at which any dimension of the equal-dimension
+/// keys `a` and `b` differs, or -1 if they are equal. Scanning the
+/// z-interleaved address from the top, it is where the keys part: both
+/// reach every node whose address bit lies at or above it along one path.
+inline int FirstDifferingBit(std::span<const uint64_t> a,
+                             std::span<const uint64_t> b) {
+  uint64_t agg = 0;
+  for (size_t d = 0; d < a.size(); ++d) {
+    agg |= a[d] ^ b[d];
+  }
+  return static_cast<int>(std::bit_width(agg)) - 1;
+}
+
 /// Compares two equal-dimension keys by their z-interleaved address — the
 /// global enumeration order of a PH-tree (ascending hypercube-address order
 /// at every node). Used by the sharded merge, the deterministic kNN

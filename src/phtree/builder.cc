@@ -92,14 +92,11 @@ ZOrderBuilder::AddResult ZOrderBuilder::Add(std::span<const uint64_t> key,
   if (count_ == 0) {
     open_.push_back(OpenNode{kBitWidth - 1, 0});  // the root
   } else {
-    uint64_t agg = 0;
-    for (uint32_t d = 0; d < dim_; ++d) {
-      agg |= key[d] ^ prev_[d];
-    }
-    if (agg == 0) {
+    const int diff = FirstDifferingBit(key, prev_);
+    if (diff < 0) {
       return AddResult::kDuplicate;
     }
-    const uint32_t hb = static_cast<uint32_t>(std::bit_width(agg)) - 1;
+    const uint32_t hb = static_cast<uint32_t>(diff);
     if (HcAddressAt(key, hb) < HcAddressAt(prev_, hb)) {
       return AddResult::kOutOfOrder;
     }

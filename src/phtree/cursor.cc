@@ -208,6 +208,36 @@ bool TreeCursor::SubtreeOverlapsWindow(const Node* child) const {
   return true;
 }
 
+std::vector<std::pair<PhKey, uint64_t>> PhTree::QueryWindow(
+    std::span<const uint64_t> min, std::span<const uint64_t> max) const {
+  std::vector<std::pair<PhKey, uint64_t>> out;
+  for (TreeCursor cursor(*this, min, max); cursor.Valid(); cursor.Next()) {
+    const std::span<const uint64_t> key = cursor.key();
+    out.emplace_back(PhKey(key.begin(), key.end()), cursor.value());
+  }
+  return out;
+}
+
+void PhTree::QueryWindow(
+    std::span<const uint64_t> min, std::span<const uint64_t> max,
+    const std::function<void(const PhKey&, uint64_t)>& visitor) const {
+  PhKey key(dim_, 0);
+  for (TreeCursor cursor(*this, min, max); cursor.Valid(); cursor.Next()) {
+    const std::span<const uint64_t> k = cursor.key();
+    std::copy(k.begin(), k.end(), key.begin());
+    visitor(key, cursor.value());
+  }
+}
+
+size_t PhTree::CountWindow(std::span<const uint64_t> min,
+                           std::span<const uint64_t> max) const {
+  size_t n = 0;
+  for (TreeCursor cursor(*this, min, max); cursor.Valid(); cursor.Next()) {
+    ++n;
+  }
+  return n;
+}
+
 WindowPage PhTree::QueryWindowPage(std::span<const uint64_t> min,
                                    std::span<const uint64_t> max,
                                    size_t page_size,

@@ -1,7 +1,8 @@
-// The unified traversal engine: every read path of the PH-tree (window
-// queries, point lookup, kNN child expansion, full scans for serialization
-// and validation, and the paginated query API) enumerates node entries
-// through the cursors defined here.
+// The traversal engine: every read path of the PH-tree that enumerates
+// node entries (window queries, kNN child expansion, full scans for
+// serialization and validation, and the paginated query API) does so
+// through the cursors defined here. A lookup by key enumerates nothing:
+// it is one descent by hypercube address (PhTree::Descend).
 //
 // Navigation follows paper Sect. 3.5: each visited node gets two bit masks
 // m_lower / m_upper bounding the hypercube addresses that can intersect the
@@ -189,8 +190,9 @@ class NodeCursor {
       return;
     }
     if (lower_ == upper_) {
-      // Fully constrained node (point lookups, innermost window levels):
-      // exactly one admissible address, so one probe decides.
+      // Fully constrained node (a window one cell wide in every dimension
+      // at this level): exactly one admissible address, so one probe
+      // decides.
       addr_ = lower_;
       ord_ = node_->FindOrdinal(lower_);
       return;
@@ -304,7 +306,7 @@ struct WindowPage {
 };
 
 /// Depth-first scan over a PhTree in z-order (ascending hypercube address
-/// at every node — the exact order ForEach and the window iterator have
+/// at every node — the exact order ForEach and the window queries have
 /// always produced). Supports full scans, window scans, prefix-restricted
 /// scans and resumption strictly after a token key. Storage is inline
 /// (~5 KB, no heap): descending one level consumes at least one key bit,

@@ -28,19 +28,33 @@ double PointDist2(std::span<const uint64_t> center,
   return sum;
 }
 
-/// Minimum squared distance from `center` to the box spanned by clearing /
-/// setting the low `low_bits` bits of each dimension of `path_key`.
-double BoxDist2(std::span<const uint64_t> center,
-                std::span<const uint64_t> path_key, uint32_t low_bits,
-                KnnMetric metric) {
+/// Squared distance along one axis from `c` to the interval [lo, hi]. An
+/// interval that contains `c` adds exactly 0, not CoordDelta(c, c), which
+/// is NaN for a coordinate decoding to an infinity: so an infinite centre
+/// still orders every region, and a sharded search still equals a single
+/// tree's. Clamping commutes with the order-preserving double encoding,
+/// so the nearest point in encoded space is the nearest in metric space.
+double AxisDist2(uint64_t c, uint64_t lo, uint64_t hi, KnnMetric metric) {
+  const uint64_t nearest = std::clamp(c, lo, hi);
+  if (nearest == c) {
+    return 0.0;
+  }
+  const double delta = CoordDelta(c, nearest, metric);
+  return delta * delta;
+}
+
+/// Minimum squared distance from `center` to the region spanned by
+/// clearing / setting the low `low_bits` bits of each dimension of
+/// `path_key`.
+double RegionDist2(std::span<const uint64_t> center,
+                   std::span<const uint64_t> path_key, uint32_t low_bits,
+                   KnnMetric metric) {
   double sum = 0;
   for (size_t d = 0; d < center.size(); ++d) {
     uint64_t lo;
     uint64_t hi;
     RegionBounds(path_key[d], low_bits, &lo, &hi);
-    const uint64_t clamped = std::clamp(center[d], lo, hi);
-    const double delta = CoordDelta(center[d], clamped, metric);
-    sum += delta * delta;
+    sum += AxisDist2(center[d], lo, hi, metric);
   }
   return sum;
 }
@@ -49,15 +63,20 @@ struct QueueItem {
   double dist2;
   const Node* node;  // nullptr for point items
   PhKey key;         // node: path bits; point: full key
-  uint64_t value;    // point items only
+  // A point carries its payload, a node the arena that holds it, so one
+  // queue holds the nodes of several trees at the size of a one-tree item.
+  union {
+    uint64_t value;
+    const NodeArena* arena;
+  };
 };
 
 // Min-heap order: ascending distance; on exact distance ties, nodes pop
 // before points (so every tied point is enqueued before any is emitted)
-// and tied points pop in z-order of their keys. This makes the result
-// sequence a pure function of the tree contents — sharded fan-out merges
-// (sharded.cc) sort with the same (dist2, z-order) key and therefore
-// reproduce it exactly.
+// and tied points pop in z-order of their keys. As every node's distance
+// bounds its entries', the result sequence is the entries sorted by
+// (distance, z-order) — a pure function of the entries, however they are
+// split over the seeded trees.
 struct ItemGreater {
   bool operator()(const QueueItem& a, const QueueItem& b) const {
     if (a.dist2 != b.dist2) {
@@ -77,15 +96,29 @@ struct ItemGreater {
 std::vector<KnnResult> KnnSearch(const PhTree& tree,
                                  std::span<const uint64_t> center, size_t n,
                                  KnnMetric metric) {
-  assert(center.size() == tree.dim());
+  const KnnRoot root{&tree, 0.0};
+  return KnnSearch({&root, 1}, center, n, metric);
+}
+
+std::vector<KnnResult> KnnSearch(std::span<const KnnRoot> roots,
+                                 std::span<const uint64_t> center, size_t n,
+                                 KnnMetric metric) {
   std::vector<KnnResult> results;
-  const Node* root = tree.root();
-  if (root == nullptr || n == 0) {
+  if (n == 0) {
     return results;
   }
-  results.reserve(std::min(n, tree.size()));
   std::priority_queue<QueueItem, std::vector<QueueItem>, ItemGreater> queue;
-  queue.push(QueueItem{0.0, root, PhKey(tree.dim(), 0), 0});
+  size_t entries = 0;
+  for (const KnnRoot& root : roots) {
+    assert(root.tree->dim() == center.size());
+    const Node* node = root.tree->root();
+    if (node != nullptr) {
+      entries += root.tree->size();
+      queue.push(QueueItem{root.min_dist2, node, PhKey(center.size(), 0),
+                           {.arena = root.tree->arena()}});
+    }
+  }
+  results.reserve(std::min(n, entries));
   while (!queue.empty() && results.size() < n) {
     QueueItem item = std::move(const_cast<QueueItem&>(queue.top()));
     queue.pop();
@@ -102,22 +135,34 @@ std::vector<KnnResult> KnnSearch(const PhTree& tree,
       PhKey key = item.key;
       ApplyHcAddress(cursor.addr(), pl, key);
       if (node->OrdinalIsSub(ord)) {
-        const Node* child = tree.arena()->NodeAt(node->OrdinalSub(ord));
-        // Handle provenance: every reachable node must live in the tree's
+        const Node* child = item.arena->NodeAt(node->OrdinalSub(ord));
+        // Handle provenance: every reachable node must live in its tree's
         // arena (catches stale handles after Clear()/moves in debug).
-        assert(tree.arena()->Owns(child));
+        assert(item.arena->Owns(child));
         child->ReadInfixInto(key);
         const double d2 =
-            BoxDist2(center, key, child->postfix_len() + 1, metric);
-        queue.push(QueueItem{d2, child, std::move(key), 0});
+            RegionDist2(center, key, child->postfix_len() + 1, metric);
+        queue.push(
+            QueueItem{d2, child, std::move(key), {.arena = item.arena}});
       } else {
         const uint64_t payload = node->ReadPostfixAndPayload(ord, key);
         const double d2 = PointDist2(center, key, metric);
-        queue.push(QueueItem{d2, nullptr, std::move(key), payload});
+        queue.push(
+            QueueItem{d2, nullptr, std::move(key), {.value = payload}});
       }
     }
   }
   return results;
+}
+
+double KnnBoxDist2(std::span<const uint64_t> center,
+                   std::span<const uint64_t> lo,
+                   std::span<const uint64_t> hi, KnnMetric metric) {
+  double sum = 0;
+  for (size_t d = 0; d < center.size(); ++d) {
+    sum += AxisDist2(center[d], lo[d], hi[d], metric);
+  }
+  return sum;
 }
 
 std::vector<KnnResult> KnnSearchD(const PhTree& tree,

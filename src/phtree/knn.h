@@ -4,7 +4,9 @@
 // search: a priority queue holds nodes (keyed by the minimum distance of
 // their region to the query point) and points (keyed by their exact
 // distance), and results are emitted whenever a point reaches the front —
-// the standard optimal branch-and-bound traversal.
+// the standard optimal branch-and-bound traversal. The queue may be seeded
+// with the roots of several trees, each at a lower bound on its entries'
+// distance: a sharded tree runs one search over all of its shards.
 #ifndef PHTREE_PHTREE_KNN_H_
 #define PHTREE_PHTREE_KNN_H_
 
@@ -32,14 +34,36 @@ enum class KnnMetric {
   kL2Double,
 };
 
+/// One tree of a search, with a lower bound on the squared distance from
+/// the center to any of its entries (0 when nothing better is known).
+struct KnnRoot {
+  const PhTree* tree;
+  double min_dist2;
+};
+
 /// Returns the `n` entries of `tree` closest to `center`, ordered by
 /// ascending distance; exact distance ties are broken deterministically by
 /// the z-order of the keys, so the result sequence is a pure function of
-/// the tree contents (the sharded fan-out reproduces it exactly). Returns
-/// fewer than `n` results iff the tree holds fewer entries.
+/// the tree contents. Returns fewer than `n` results iff the tree holds
+/// fewer entries.
 std::vector<KnnResult> KnnSearch(const PhTree& tree,
                                  std::span<const uint64_t> center, size_t n,
                                  KnnMetric metric = KnnMetric::kL2Integer);
+
+/// The same search over the union of several trees of one dimensionality
+/// with disjoint keys: one queue, seeded with every non-empty tree's root
+/// at its bound, so the result equals that of one tree holding all their
+/// entries. Each tree's root is loaded once; an MVCC caller keeps one epoch
+/// guard across the call.
+std::vector<KnnResult> KnnSearch(std::span<const KnnRoot> roots,
+                                 std::span<const uint64_t> center, size_t n,
+                                 KnnMetric metric = KnnMetric::kL2Integer);
+
+/// The squared distance from `center` to the nearest point of the box
+/// [lo, hi]: a lower bound for every key inside it (a KnnRoot's bound).
+double KnnBoxDist2(std::span<const uint64_t> center,
+                   std::span<const uint64_t> lo,
+                   std::span<const uint64_t> hi, KnnMetric metric);
 
 /// Convenience overload for double-encoded trees: converts `center`, uses
 /// the kL2Double metric and decodes nothing (result keys stay encoded).

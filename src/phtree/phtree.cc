@@ -1,11 +1,11 @@
 #include "phtree/phtree.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <new>
 #include <utility>
 
+#include "common/bits.h"
 #include "common/fault.h"
 #include "common/simd.h"
 #include "phtree/builder.h"
@@ -37,6 +37,14 @@ class FixedStack {
   void push_back(const T& v) {
     assert(size_ < N);
     new (&items_[size_++]) T(v);
+  }
+  void pop_back() {
+    assert(size_ > 0);
+    --size_;
+  }
+  T& back() {
+    assert(size_ > 0);
+    return items_[size_ - 1];
   }
   T* begin() { return items_; }
   T* end() { return items_ + size_; }
@@ -237,38 +245,82 @@ UpdateOutcome PhTree::TryUpdate(std::span<const uint64_t> old_key,
                     [&] { return MoveEntry(old_key, new_key, value); });
 }
 
+// ---- The key descent -------------------------------------------------------
+//
+// Every lookup by key is one root-to-leaf descent by hypercube address
+// (paper Sect. 3.5), written once (Descend): Find runs it from the root,
+// FindBatch resumes it partway down for each key of a sorted batch, and
+// the mutation engine below runs it from the root and edits along the
+// recorded path.
+
+struct PhTree::Descent {
+  FixedStack<Frame, kBitWidth> path;
+  NodeRef node;        ///< the node where the key leaves the tree
+  int mismatch = -1;   ///< key bit where node's infix diverges, or -1
+  uint64_t addr = 0;   ///< the key's hypercube address in node
+  uint64_t ord = Node::kNoOrdinal;  ///< entry at addr (kNoOrdinal: empty)
+  int div = -1;        ///< postfix divergence at ord (-1: exact match)
+
+  bool found() const {
+    return mismatch < 0 && ord != Node::kNoOrdinal && div < 0;
+  }
+};
+
+void PhTree::Descend(NodeRef node, std::span<const uint64_t> key,
+                     Descent* d) const {
+  for (;;) {
+    d->node = node;
+    d->mismatch = node.ptr->MatchInfix(key);
+    if (d->mismatch >= 0) {
+      return;
+    }
+    d->addr = HcAddressAt(key, node.ptr->postfix_len());
+    d->ord = node.ptr->FindOrdinal(d->addr);
+    if (d->ord == Node::kNoOrdinal) {
+      return;
+    }
+    if (!node.ptr->OrdinalIsSub(d->ord)) {
+      d->div = node.ptr->PostfixDivergence(d->ord, key);
+      return;
+    }
+    d->path.push_back(Frame{node, d->ord});
+    const NodeHandle ch = node.ptr->OrdinalSub(d->ord);
+    node = NodeRef{arena_->NodeAt(ch), ch};
+  }
+}
+
 std::optional<uint64_t> PhTree::Find(std::span<const uint64_t> key) const {
   assert(key.size() == dim_);
-  // A point query is the degenerate window [key, key]: the cursor's masks
-  // collapse to m_lower == m_upper == the key's exact address at every
-  // node, so the engine descends the single matching path (one ordinal
-  // probe per level) — no separate lookup loop.
-  const TreeCursor cursor(*this, key, key);
-  if (!cursor.Valid()) {
+  const NodeRef root = ReadRoot();
+  if (!root) {
     return std::nullopt;
   }
-  return cursor.value();
+  Descent d;
+  Descend(root, key, &d);
+  if (!d.found()) {
+    return std::nullopt;
+  }
+  return d.node.ptr->OrdinalPayload(d.ord);
 }
 
 std::vector<std::optional<uint64_t>> PhTree::FindBatch(
     std::span<const PhKey> keys) const {
   std::vector<std::optional<uint64_t>> results(keys.size());
   // One root snapshot for the whole batch: an MVCC reader must not mix
-  // nodes from two different published roots in one shared-descent stack.
-  const Node* batch_root = root();
-  if (keys.empty() || batch_root == nullptr) {
+  // nodes from two different published roots in one resumed descent.
+  const NodeRef root = ReadRoot();
+  if (keys.empty() || !root) {
     return results;
   }
-  // Visit the keys in z-order so the walk shares descents: consecutive
-  // sorted keys agree on a prefix, and the stack below keeps exactly the
-  // path nodes that prefix still pins down. Sorting compares a one-word
+  // Visit the keys in z-order so the descents share their upper levels:
+  // consecutive sorted keys agree on a prefix. Sorting compares a one-word
   // sample of each z-address (the top floor(64/dim) bits of every
   // dimension, interleaved — simd::ZSamplePrefix) computed once per key;
   // a full multi-word ZOrderLess per comparison would chase two heap
   // vectors every time and dominate the batch's cost. The sample covers
-  // the tree's top levels, which is all the descent sharing cares about —
-  // the order is a pure heuristic (the walk is correct for any visit
-  // order), so ties on the sample just keep their relative input order.
+  // the tree's top levels, which is all the sharing cares about — the
+  // order is a pure heuristic (resumption is correct for any visit order),
+  // so ties on the sample just keep their relative input order.
   std::vector<std::pair<uint64_t, uint32_t>> order(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     order[i] = {simd::ZSamplePrefix(keys[i].data(), dim_),
@@ -276,72 +328,38 @@ std::vector<std::optional<uint64_t>> PhTree::FindBatch(
   }
   std::sort(order.begin(), order.end());
 
-  // The current descent path. Invariant: every stacked node's infix (and
-  // path above it) matches the current key — a node at postfix_len pl fixes
-  // all bit positions > pl, and consecutive keys differing first at bit hb
-  // agree on positions > pl whenever pl >= hb, so those frames carry over
-  // verbatim. Nodes whose infix mismatched are never pushed.
-  const Node* stack[kBitWidth];
-  size_t depth = 0;
-  stack[depth++] = batch_root;
-
+  Descent d;
+  d.node = root;
   const uint64_t* prev = nullptr;
-  std::optional<uint64_t> prev_result;
   for (size_t si = 0; si < order.size(); ++si) {
     if (si + 1 < order.size()) {
       // One-step-ahead prefetch of the next key's coordinates (each PhKey
-      // is its own heap block) so the z-compare below never stalls.
+      // is its own heap block) so the bit compare below never stalls.
       simd::PrefetchRead(keys[order[si + 1].second].data());
     }
     const PhKey& key_vec = keys[order[si].second];
     assert(key_vec.size() == dim_);
     const std::span<const uint64_t> key{key_vec.data(), dim_};
     if (prev != nullptr) {
-      uint64_t agg = 0;
-      for (uint32_t d = 0; d < dim_; ++d) {
-        agg |= key[d] ^ prev[d];
+      const int hb = FirstDifferingBit(key, {prev, dim_});
+      if (hb < 0) {
+        results[order[si].second] = results[order[si - 1].second];
+        continue;  // duplicate key
       }
-      if (agg == 0) {
-        results[order[si].second] = prev_result;  // duplicate key
-        continue;
-      }
-      const uint32_t hb = static_cast<uint32_t>(std::bit_width(agg)) - 1;
-      while (depth > 0 && stack[depth - 1]->postfix_len() < hb) {
-        --depth;
-      }
-      if (depth == 0) {
-        stack[depth++] = batch_root;
+      // Resume at the deepest node of the previous key's descent whose
+      // address bit lies at or above hb: the keys agree on every bit above
+      // it, so both reach it along the same path (the root, at the top
+      // bit, always qualifies).
+      while (d.node.ptr->postfix_len() < static_cast<uint32_t>(hb)) {
+        d.node = d.path.back().node;
+        d.path.pop_back();
       }
     }
-    std::optional<uint64_t> res;
-    const Node* node = stack[depth - 1];
-    while (true) {
-      const uint64_t addr = HcAddressAt(key, node->postfix_len());
-      const uint64_t ord = node->FindOrdinal(addr);
-      if (ord == Node::kNoOrdinal) {
-        break;
-      }
-      if (node->OrdinalIsSub(ord)) {
-        const Node* child = arena_->NodeAt(node->OrdinalSub(ord));
-        // Start the child's cache-line fetch before the infix compare
-        // dereferences it.
-        simd::PrefetchRead(child);
-        if (child->MatchInfix(key) >= 0) {
-          break;  // mismatched infix: never stacked (see invariant above)
-        }
-        assert(depth < kBitWidth);
-        stack[depth++] = child;
-        node = child;
-        continue;
-      }
-      if (node->PostfixDivergence(ord, key) < 0) {
-        res = node->OrdinalPayload(ord);
-      }
-      break;
+    Descend(d.node, key, &d);
+    if (d.found()) {
+      results[order[si].second] = d.node.ptr->OrdinalPayload(d.ord);
     }
-    results[order[si].second] = res;
     prev = key.data();
-    prev_result = res;
   }
   return results;
 }
@@ -401,19 +419,6 @@ struct EntryPair {
 };
 
 }  // namespace
-
-struct PhTree::Descent {
-  FixedStack<Frame, kBitWidth> path;
-  NodeRef node;        ///< the node where the key leaves the tree
-  int mismatch = -1;   ///< key bit where node's infix diverges, or -1
-  uint64_t addr = 0;   ///< the key's hypercube address in node
-  uint64_t ord = Node::kNoOrdinal;  ///< entry at addr (kNoOrdinal: empty)
-  int div = -1;        ///< postfix divergence at ord (-1: exact match)
-
-  bool found() const {
-    return mismatch < 0 && ord != Node::kNoOrdinal && div < 0;
-  }
-};
 
 class PhTree::Mutation {
  public:
@@ -481,35 +486,12 @@ class PhTree::Mutation {
   FixedStack<NodeRef, 2> replaced_;
 };
 
-void PhTree::Descend(std::span<const uint64_t> key, Descent* d) const {
-  NodeRef node = root_;
-  for (;;) {
-    d->node = node;
-    d->mismatch = node.ptr->MatchInfix(key);
-    if (d->mismatch >= 0) {
-      return;
-    }
-    d->addr = HcAddressAt(key, node.ptr->postfix_len());
-    d->ord = node.ptr->FindOrdinal(d->addr);
-    if (d->ord == Node::kNoOrdinal) {
-      return;
-    }
-    if (!node.ptr->OrdinalIsSub(d->ord)) {
-      d->div = node.ptr->PostfixDivergence(d->ord, key);
-      return;
-    }
-    d->path.push_back(Frame{node, d->ord});
-    const NodeHandle ch = node.ptr->OrdinalSub(d->ord);
-    node = NodeRef{arena_->NodeAt(ch), ch};
-  }
-}
-
 OpStatus PhTree::InsertEntry(std::span<const uint64_t> key, uint64_t value,
                              bool assign) {
   using Delta = Node::EntryDelta;
   Descent d;
   if (root_) {
-    Descend(key, &d);
+    Descend(root_, key, &d);
   } else if (arena_ == nullptr) {
     // Moved-from tree being refilled: give it a fresh arena.
     arena_ = std::make_unique<NodeArena>();
@@ -586,7 +568,7 @@ OpStatus PhTree::EraseEntry(std::span<const uint64_t> key) {
     return OpStatus::kNoop;
   }
   Descent d;
-  Descend(key, &d);
+  Descend(root_, key, &d);
   if (!d.found()) {
     return OpStatus::kNoop;
   }
@@ -631,7 +613,7 @@ OpStatus PhTree::EraseEntry(std::span<const uint64_t> key) {
     } else {
       // Merge: the surviving postfix replaces the parent's sub entry.
       node.ptr->ReadPostfixInto(sord, buf.span(dim_));
-      const Frame& pf = *(d.path.end() - 1);
+      const Frame& pf = d.path.back();
       replacement = m.Edit(
           pf.node, Delta::ToPostfix(pf.node.ptr->OrdinalAddr(pf.ord),
                                     buf.span(dim_),
@@ -658,17 +640,14 @@ UpdateOutcome PhTree::MoveEntry(std::span<const uint64_t> old_key,
     return UpdateOutcome::kOldMissing;
   }
   Descent d;
-  Descend(old_key, &d);
+  Descend(root_, old_key, &d);
   if (!d.found()) {
     return UpdateOutcome::kOldMissing;
   }
-  // First differing bit of the two keys across all dimensions — the level
-  // of their lowest common ancestor (the FindBatch shared-prefix logic).
-  uint64_t agg = 0;
-  for (uint32_t i = 0; i < dim_; ++i) {
-    agg |= old_key[i] ^ new_key[i];
-  }
-  if (agg == 0) {
+  // First differing bit of the two keys: the level of their lowest
+  // common ancestor (FindBatch's resumption point).
+  const int diff = FirstDifferingBit(old_key, new_key);
+  if (diff < 0) {
     // Payload rewrite (old_key == new_key), as in InsertEntry.
     if (value.has_value()) {
       d.node.ptr->PublishPayloadAt(d.ord, *value);
@@ -677,7 +656,7 @@ UpdateOutcome PhTree::MoveEntry(std::span<const uint64_t> old_key,
     return UpdateOutcome::kMoved;
   }
 
-  const uint32_t hb = static_cast<uint32_t>(std::bit_width(agg)) - 1;
+  const uint32_t hb = static_cast<uint32_t>(diff);
   const uint32_t pl = d.node.ptr->postfix_len();
   const uint64_t v =
       value.has_value() ? *value : d.node.ptr->OrdinalPayload(d.ord);

@@ -153,12 +153,10 @@ class PhTree {
 
   /// Batched point query: element i of the result is Find(keys[i])
   /// (std::nullopt for absent keys; duplicate keys each get the shared
-  /// answer). Observably equivalent to a loop of Find calls but walks the
-  /// tree once over the z-order-sorted batch: consecutive sorted keys
-  /// re-descend only below their deepest common node (shared-prefix
-  /// resumption), and the walk issues software prefetch one step ahead —
-  /// the pipelined-lookup shape a network service needs. Markedly cheaper
-  /// per key than looped Find from batch sizes of a few dozen.
+  /// answer). Runs Find's descent over the z-order-sorted batch against
+  /// one root snapshot: each key resumes it at the deepest node of the
+  /// previous key's path that both keys reach (shared-prefix resumption),
+  /// and the next key's coordinates are prefetched one step ahead.
   std::vector<std::optional<uint64_t>> FindBatch(
       std::span<const PhKey> keys) const;
 
@@ -210,7 +208,7 @@ class PhTree {
 
   /// Collects all entries inside the axis-aligned box [min, max] (inclusive
   /// on both corners, per dimension). Convenience eager form of the window
-  /// query; see PhTreeWindowIterator in query.h for the lazy iterator.
+  /// query; TreeCursor (cursor.h) is the lazy, resumable form.
   std::vector<std::pair<PhKey, uint64_t>> QueryWindow(
       std::span<const uint64_t> min, std::span<const uint64_t> max) const;
 
@@ -272,7 +270,19 @@ class PhTree {
   /// calls hide whether replaced nodes are freed (plain) or retired (MVCC).
   class Mutation;
 
-  void Descend(std::span<const uint64_t> key, Descent* d) const;
+  /// Descends along `key` from `node` (the root, or a node of d->path's
+  /// last descent that `key` also reaches), appending each node it
+  /// passes through to d->path. The tree's only key descent: Find,
+  /// FindBatch and every mutation run it.
+  void Descend(NodeRef node, std::span<const uint64_t> key,
+               Descent* d) const;
+  /// The acquire-loaded root (see root()) as a descent start. A reader
+  /// never publishes, so the root's handle, which only a mutation's
+  /// publication needs, is left unset.
+  NodeRef ReadRoot() const {
+    return NodeRef{root_ptr_.load(std::memory_order_acquire),
+                   kInvalidNodeHandle};
+  }
   OpStatus InsertEntry(std::span<const uint64_t> key, uint64_t value,
                        bool assign);
   OpStatus EraseEntry(std::span<const uint64_t> key);

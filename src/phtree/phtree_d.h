@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "common/bits.h"
+#include "phtree/cursor.h"
 #include "phtree/phtree.h"
-#include "phtree/query.h"
 
 namespace phtree {
 
@@ -76,7 +76,7 @@ class PhTreeD {
     std::vector<std::pair<PhKeyD, uint64_t>> out;
     const PhKey lo = Encode(min);
     const PhKey hi = Encode(max);
-    for (PhTreeWindowIterator it(tree_, lo, hi); it.Valid(); it.Next()) {
+    for (TreeCursor it(tree_, lo, hi); it.Valid(); it.Next()) {
       out.emplace_back(DecodeKeyD(it.key()), it.value());
     }
     return out;
@@ -106,8 +106,8 @@ class PhTreeD {
 
   PhTreeStats ComputeStats() const { return tree_.ComputeStats(); }
 
-  /// Access to the underlying integer tree (e.g. for PhTreeWindowIterator
-  /// or KnnSearch).
+  /// Access to the underlying integer tree (e.g. for TreeCursor or
+  /// KnnSearch).
   const PhTree& tree() const { return tree_; }
   PhTree& tree() { return tree_; }
 

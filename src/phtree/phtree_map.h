@@ -12,8 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "phtree/cursor.h"
 #include "phtree/phtree.h"
-#include "phtree/query.h"
 
 namespace phtree {
 
@@ -67,8 +67,9 @@ class PhTreeMap {
   std::vector<std::pair<PhKey, V>> QueryWindow(
       std::span<const uint64_t> min, std::span<const uint64_t> max) const {
     std::vector<std::pair<PhKey, V>> out;
-    for (PhTreeWindowIterator it(tree_, min, max); it.Valid(); it.Next()) {
-      out.emplace_back(it.key(), slab_[it.value()]);
+    for (TreeCursor it(tree_, min, max); it.Valid(); it.Next()) {
+      out.emplace_back(PhKey(it.key().begin(), it.key().end()),
+                       slab_[it.value()]);
     }
     return out;
   }

@@ -9,8 +9,8 @@
 #include <span>
 #include <vector>
 
+#include "phtree/cursor.h"
 #include "phtree/phtree.h"
-#include "phtree/query.h"
 
 namespace phtree {
 
@@ -39,8 +39,8 @@ class PhTreeSet {
   std::vector<PhKey> QueryWindow(std::span<const uint64_t> min,
                                  std::span<const uint64_t> max) const {
     std::vector<PhKey> out;
-    for (PhTreeWindowIterator it(tree_, min, max); it.Valid(); it.Next()) {
-      out.push_back(it.key());
+    for (TreeCursor it(tree_, min, max); it.Valid(); it.Next()) {
+      out.emplace_back(it.key().begin(), it.key().end());
     }
     return out;
   }

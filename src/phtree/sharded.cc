@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <limits>
 #include <mutex>
 #include <new>
 #include <numeric>
@@ -17,14 +16,6 @@
 
 namespace phtree {
 namespace {
-
-double MetricCoordDelta(uint64_t a, uint64_t b, KnnMetric metric) {
-  if (metric == KnnMetric::kL2Double) {
-    return SortableBitsToDouble(a) - SortableBitsToDouble(b);
-  }
-  const uint64_t delta = a > b ? a - b : b - a;
-  return static_cast<double>(delta);
-}
 
 // SplitMix64 finaliser: full-avalanche 64-bit mix (same constants as
 // common/rng.h's seeding stage).
@@ -101,9 +92,17 @@ uint32_t PhTreeSharded::ShardOf(std::span<const uint64_t> key) const {
 }
 
 void PhTreeSharded::ShardRegion(uint32_t s, PhKey* lo, PhKey* hi) const {
+  lo->resize(dim_);
+  hi->resize(dim_);
+  RegionInto(s, lo->data(), hi->data());
+}
+
+void PhTreeSharded::RegionInto(uint32_t s, uint64_t* lo, uint64_t* hi) const {
   assert(s < num_shards());
-  lo->assign(dim_, 0);
-  hi->assign(dim_, ~uint64_t{0});
+  for (uint32_t d = 0; d < dim_; ++d) {
+    lo[d] = 0;
+    hi[d] = ~uint64_t{0};
+  }
   if (routing_ == ShardRouting::kHash) {
     return;  // hash shards are not spatial: every region is the full space
   }
@@ -112,9 +111,9 @@ void PhTreeSharded::ShardRegion(uint32_t s, PhKey* lo, PhKey* hi) const {
   for (uint32_t j = 0; j < shard_bits_; ++j) {
     const uint64_t fixed = (s >> (shard_bits_ - 1 - j)) & 1;
     if (fixed) {
-      (*lo)[d] |= uint64_t{1} << bit;
+      lo[d] |= uint64_t{1} << bit;
     } else {
-      (*hi)[d] &= ~(uint64_t{1} << bit);
+      hi[d] &= ~(uint64_t{1} << bit);
     }
     if (++d == dim_) {
       d = 0;
@@ -128,35 +127,15 @@ bool PhTreeSharded::ShardIntersects(uint32_t s, std::span<const uint64_t> min,
   if (routing_ == ShardRouting::kHash) {
     return true;  // any key may hash anywhere: no spatial pruning
   }
-  PhKey lo;
-  PhKey hi;
-  ShardRegion(s, &lo, &hi);
+  uint64_t lo[kMaxDims];
+  uint64_t hi[kMaxDims];
+  RegionInto(s, lo, hi);
   for (uint32_t d = 0; d < dim_; ++d) {
     if (lo[d] > max[d] || hi[d] < min[d]) {
       return false;
     }
   }
   return true;
-}
-
-double PhTreeSharded::ShardMinDist2(uint32_t s,
-                                    std::span<const uint64_t> center,
-                                    KnnMetric metric) const {
-  if (routing_ == ShardRouting::kHash) {
-    return 0.0;  // no spatial bound: every shard must be searched
-  }
-  PhKey lo;
-  PhKey hi;
-  ShardRegion(s, &lo, &hi);
-  double sum = 0;
-  for (uint32_t d = 0; d < dim_; ++d) {
-    // Clamping commutes with the order-preserving double encoding, so the
-    // nearest box point in encoded space is the nearest in metric space.
-    const uint64_t clamped = std::clamp(center[d], lo[d], hi[d]);
-    const double delta = MetricCoordDelta(center[d], clamped, metric);
-    sum += delta * delta;
-  }
-  return sum;
 }
 
 size_t PhTreeSharded::size() const {
@@ -467,77 +446,21 @@ WindowPage PhTreeSharded::QueryWindowPage(
 std::vector<KnnResult> PhTreeSharded::KnnSearch(
     std::span<const uint64_t> center, size_t n, KnnMetric metric) const {
   assert(center.size() == dim_);
-  std::vector<KnnResult> merged;
-  if (n == 0) {
-    return merged;
+  // One best-first search over every shard's root, each seeded at its
+  // region's distance: a shard is expanded only once its bound reaches the
+  // front of the queue, so shards that cannot hold one of the n nearest
+  // are never opened, and the results come out in the single-tree order.
+  EpochManager::ReadGuard guard(epochs_);
+  std::vector<KnnRoot> roots;
+  roots.reserve(num_shards());
+  uint64_t lo[kMaxDims];
+  uint64_t hi[kMaxDims];
+  for (uint32_t s = 0; s < num_shards(); ++s) {
+    RegionInto(s, lo, hi);
+    roots.push_back({shards_[s]->reader(),
+                     KnnBoxDist2(center, {lo, dim_}, {hi, dim_}, metric)});
   }
-  const uint32_t S = num_shards();
-  auto search_shard = [&](uint32_t s) {
-    // Called from this thread and from pool threads: each call announces
-    // its own epoch slot.
-    EpochManager::ReadGuard guard(epochs_);
-    return phtree::KnnSearch(*shards_[s]->reader(), center, n, metric);
-  };
-  if (S == 1) {
-    return search_shard(0);
-  }
-  // Shards ordered by the minimum distance of their region to the center.
-  struct ShardDist {
-    uint32_t s;
-    double min_dist2;
-  };
-  std::vector<ShardDist> order;
-  order.reserve(S);
-  for (uint32_t s = 0; s < S; ++s) {
-    order.push_back({s, ShardMinDist2(s, center, metric)});
-  }
-  std::sort(order.begin(), order.end(),
-            [](const ShardDist& a, const ShardDist& b) {
-              return a.min_dist2 < b.min_dist2;
-            });
-  // The nearest shard is searched first to establish the global cut-off:
-  // once it yields n candidates, any shard whose region cannot beat the
-  // current n-th distance is pruned. Adding candidates never worsens the
-  // n-th distance, so pruning against this early bound stays correct.
-  merged = search_shard(order[0].s);
-  const double bound = merged.size() >= n
-                           ? merged.back().dist2
-                           : std::numeric_limits<double>::infinity();
-  std::vector<uint32_t> rest;
-  for (size_t i = 1; i < order.size(); ++i) {
-    if (order[i].min_dist2 <= bound) {
-      rest.push_back(order[i].s);
-    }
-  }
-  if (!rest.empty()) {
-    std::vector<std::vector<KnnResult>> per(rest.size());
-    ParallelFor(rest.size(), [&](size_t i) {
-      per[i] = search_shard(rest[i]);
-    });
-    size_t extra = 0;
-    for (const auto& v : per) {
-      extra += v.size();
-    }
-    merged.reserve(merged.size() + extra);
-    for (auto& v : per) {
-      std::move(v.begin(), v.end(), std::back_inserter(merged));
-    }
-  }
-  // Same total order as the single-tree search: distance first, z-order of
-  // the key on exact ties. Without the tie-break std::sort (unstable) and
-  // the per-shard heaps would order equal-distance candidates arbitrarily
-  // and the sharded result could diverge from the single-tree oracle.
-  std::sort(merged.begin(), merged.end(),
-            [](const KnnResult& a, const KnnResult& b) {
-              if (a.dist2 != b.dist2) {
-                return a.dist2 < b.dist2;
-              }
-              return ZOrderLess(a.key, b.key);
-            });
-  if (merged.size() > n) {
-    merged.resize(n);
-  }
-  return merged;
+  return phtree::KnnSearch(roots, center, n, metric);
 }
 
 void PhTreeSharded::ForEach(

@@ -10,8 +10,10 @@
 //     update property keeps each per-shard critical section short),
 //   * bulk loads partition the input once and build all shards in
 //     parallel on a ThreadPool (an empty shard bottom-up, builder.h),
-//   * window/count/kNN queries clip the query against each shard's
-//     key-space region and fan out only to the shards that intersect.
+//   * window/count queries clip the query against each shard's key-space
+//     region and fan out only to the shards that intersect; kNN is one
+//     best-first search seeded with every shard's root at its region's
+//     distance (knn.h), so it opens only the shards it needs.
 //
 // Shard routing. The PH-tree orders keys by their bit-interleaved
 // z-address: level 0 is the k-bit hypercube address formed from bit 63 of
@@ -23,23 +25,25 @@
 //     fixed), which is what makes query clipping exact;
 //   * ascending shard index == ascending z-address, so concatenating
 //     per-shard window results in shard order yields the same global
-//     z-order that a single PhTree's window iterator produces.
+//     z-order that a single PhTree's window scan produces.
 // Routing modes. Z-prefix routing makes every shard an axis-aligned box,
-// which buys exact query clipping, kNN shard pruning and ordered merges —
+// which buys exact query clipping, kNN shard bounds and ordered merges —
 // but its balance is the balance of the top key bits. That is perfect for
 // keys spread over the full 64-bit space and terrible for IEEE-encoded
 // doubles in a narrow range (uniform [0,1)^k data shares its sign and
 // exponent bits, so EVERY point routes to one shard). For such workloads
 // ShardRouting::kHash routes by a mixed hash of the whole key: balance
 // becomes distribution-independent, at the price of fan-out — every shard
-// region is the whole space, so window/kNN queries visit all S shards and
-// window results are k-way z-merged instead of concatenated. DESIGN.md
-// quantifies the trade-off; pick kZPrefix for integer/full-range keys,
-// kHash for write-heavy double workloads.
+// region is the whole space, so window queries visit all S shards, window
+// results are k-way z-merged instead of concatenated, and kNN seeds every
+// shard root at distance 0. DESIGN.md quantifies the trade-off; pick
+// kZPrefix for integer/full-range keys, kHash for write-heavy double
+// workloads.
 //
-// Thread pool. Every parallel fan-out hands the pool at most S tasks (one
-// per shard, or per intersecting shard), and a fan-out of one task runs
-// inline on the caller. A one-shard tree therefore never uses a pool: it
+// Thread pool. Every parallel fan-out (bulk load, snapshot load, window
+// and count queries) hands the pool at most S tasks (one per shard, or per
+// intersecting shard), and a fan-out of one task runs inline on the
+// caller; point reads and kNN run on the caller alone. A one-shard tree therefore never uses a pool: it
 // does not even resolve ThreadPool::Shared(), so it starts no threads.
 //
 // Consistency model: operations are linearisable per shard, not across
@@ -76,7 +80,8 @@ namespace phtree {
 /// How keys are assigned to shards (see the file comment).
 enum class ShardRouting : uint8_t {
   /// Top log2(S) bits of the z-interleaved address. Shards are axis-aligned
-  /// boxes: queries clip, kNN prunes, merges are ordered concatenation.
+  /// boxes: queries clip, kNN bounds shards by distance, merges are
+  /// ordered concatenation.
   kZPrefix,
   /// Mixed hash of all key words. Distribution-independent balance; every
   /// query visits all shards and window results are z-merged.
@@ -203,14 +208,14 @@ class PhTreeSharded {
                              std::span<const uint64_t> resume_after = {})
       const;
 
-  // ---- kNN (per-shard candidates + global distance cut-off) -------------
+  // ---- kNN (one best-first search over every shard) ---------------------
 
-  /// The `n` entries closest to `center`, ascending by distance. The shard
-  /// whose region is nearest to `center` is searched first to establish an
-  /// upper bound (the current n-th candidate distance); every other shard
-  /// whose region's minimum distance exceeds that bound is pruned, the
-  /// survivors are searched in parallel, and the per-shard top-n candidate
-  /// lists are merged under the global cut-off.
+  /// The `n` entries closest to `center`, ascending by distance with exact
+  /// ties in z-order — element for element the single-tree KnnSearch over
+  /// the same entries. One best-first queue (knn.h) is seeded, under one
+  /// epoch guard, with every non-empty shard's root at the distance of its
+  /// region; a shard is opened only when that bound reaches the front, so
+  /// shards that cannot hold one of the n nearest are never searched.
   std::vector<KnnResult> KnnSearch(
       std::span<const uint64_t> center, size_t n,
       KnnMetric metric = KnnMetric::kL2Integer) const;
@@ -230,8 +235,9 @@ class PhTreeSharded {
 
   /// The axis-aligned key-space box owned by shard `s`: on return,
   /// lo[d]/hi[d] are the smallest/largest coordinate of dimension d that
-  /// routes to `s`. Used by the clipper, tests and the design doc example.
-  /// With kHash routing every shard's region is the whole key space.
+  /// routes to `s`. Used by tests and the design doc example (queries use
+  /// RegionInto). With kHash routing every shard's region is the whole key
+  /// space.
   void ShardRegion(uint32_t s, PhKey* lo, PhKey* hi) const;
 
   /// Direct access to shard `s`'s tree, WITHOUT synchronisation — only
@@ -299,10 +305,8 @@ class PhTreeSharded {
   bool ShardIntersects(uint32_t s, std::span<const uint64_t> min,
                        std::span<const uint64_t> max) const;
 
-  /// Minimum squared distance from `center` to shard `s`'s region, in the
-  /// metric's coordinate space.
-  double ShardMinDist2(uint32_t s, std::span<const uint64_t> center,
-                       KnnMetric metric) const;
+  /// ShardRegion into dim() words at `lo` and `hi` (no allocation).
+  void RegionInto(uint32_t s, uint64_t* lo, uint64_t* hi) const;
 
   uint32_t dim_;
   uint32_t shard_bits_;  // log2(num_shards)

@@ -174,7 +174,7 @@ void ValidateNode(NodeRef ref, const Node* parent, size_t depth,
     prev_addr = addr;
     ++entries;
     if (state->deep) {
-      // Like the window iterator, the walk keeps one shared key buffer:
+      // Like TreeCursor, the walk keeps one shared key buffer:
       // entries rewrite exactly the bits at or below this node's level, so
       // bits above stay the accumulated prefix.
       ApplyHcAddress(addr, node->postfix_len(), state->path);

@@ -105,6 +105,22 @@ TEST(HcAddress, RoundTripsThroughApply) {
   }
 }
 
+TEST(FirstDifferingBit, FindsTheHighestDifferenceOfAnyDimension) {
+  const std::vector<uint64_t> a = {0x0123456789abcdefULL, 42, ~uint64_t{0}};
+  EXPECT_EQ(FirstDifferingBit(a, a), -1);
+  for (size_t d = 0; d < a.size(); ++d) {
+    for (const int bit : {0, 17, 63}) {
+      std::vector<uint64_t> b = a;
+      b[d] ^= uint64_t{1} << bit;
+      EXPECT_EQ(FirstDifferingBit(a, b), bit) << "dim " << d;
+      EXPECT_EQ(FirstDifferingBit(b, a), bit) << "dim " << d;
+      // A difference at bit 0 of another dimension does not move it.
+      b[(d + 1) % a.size()] ^= 1;
+      EXPECT_EQ(FirstDifferingBit(a, b), bit) << "dim " << d;
+    }
+  }
+}
+
 TEST(Interleave, RoundTrips) {
   Rng rng(29);
   for (int iter = 0; iter < 1000; ++iter) {

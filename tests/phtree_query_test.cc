@@ -1,4 +1,4 @@
-// Window-query correctness: the iterator must return exactly the brute-force
+// Window-query correctness: the cursor must return exactly the brute-force
 // result set on random data, across dimensionalities, distributions and
 // window shapes (paper Sect. 3.5).
 #include <gtest/gtest.h>
@@ -10,9 +10,9 @@
 
 #include "common/rng.h"
 #include "datasets/datasets.h"
+#include "phtree/cursor.h"
 #include "phtree/phtree.h"
 #include "phtree/phtree_d.h"
-#include "phtree/query.h"
 
 namespace phtree {
 namespace {
@@ -78,8 +78,9 @@ TEST_P(WindowQueryTest, MatchesBruteForce) {
       }
     }
     std::set<PhKey> got;
-    for (PhTreeWindowIterator it(tree, lo, hi); it.Valid(); it.Next()) {
-      ASSERT_TRUE(got.insert(it.key()).second) << "duplicate result";
+    for (TreeCursor it(tree, lo, hi); it.Valid(); it.Next()) {
+      ASSERT_TRUE(got.insert(PhKey(it.key().begin(), it.key().end())).second)
+          << "duplicate result";
     }
     ASSERT_EQ(got, expected) << "query " << q;
     ASSERT_EQ(tree.CountWindow(lo, hi), expected.size());
@@ -151,9 +152,9 @@ TEST(WindowQuery, ResultsComeInZOrder) {
   std::vector<PhKey> z_all;
   tree.ForEach([&](const PhKey& k, uint64_t) { z_all.push_back(k); });
   std::vector<PhKey> z_query;
-  for (PhTreeWindowIterator it(tree, PhKey{0, 0}, PhKey{~0ULL, ~0ULL});
-       it.Valid(); it.Next()) {
-    z_query.push_back(it.key());
+  for (TreeCursor it(tree, PhKey{0, 0}, PhKey{~0ULL, ~0ULL}); it.Valid();
+       it.Next()) {
+    z_query.emplace_back(it.key().begin(), it.key().end());
   }
   EXPECT_EQ(z_query, z_all);  // same traversal order: ascending z-order
 }

@@ -9,9 +9,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/rng.h"
 #include "phtree/phtree_sync.h"
 #include "phtree/serialize.h"
@@ -149,8 +151,7 @@ TEST(PhTreeSharded, MatchesPlainTreeOnEveryQueryType) {
       [&](const PhKey& k, uint64_t v) { sharded_all.emplace_back(k, v); });
   EXPECT_EQ(plain_all, sharded_all);
 
-  // kNN: same distances for the same query (keys may differ on exact
-  // ties, so compare the distance sequences).
+  // kNN: the same results in the same order (ties in z-order).
   for (int q = 0; q < 20; ++q) {
     PhKey center(dim);
     for (auto& c : center) {
@@ -161,8 +162,9 @@ TEST(PhTreeSharded, MatchesPlainTreeOnEveryQueryType) {
       const auto got = sharded.KnnSearch(center, n);
       ASSERT_EQ(expect.size(), got.size());
       for (size_t i = 0; i < expect.size(); ++i) {
-        EXPECT_DOUBLE_EQ(expect[i].dist2, got[i].dist2)
+        EXPECT_EQ(expect[i].key, got[i].key)
             << "query " << q << " n " << n << " rank " << i;
+        EXPECT_EQ(expect[i].dist2, got[i].dist2);
       }
     }
   }
@@ -274,8 +276,8 @@ TEST(PhTreeSharded, HashRoutingMatchesPlainTreeAndBalancesSkewedKeys) {
     EXPECT_EQ(expect, visited);
   }
 
-  // kNN must search every shard (no spatial pruning) and still return the
-  // globally nearest distances.
+  // kNN has no spatial bound on hash shards (every root is seeded at 0)
+  // and still returns the single tree's results in its order.
   for (int q = 0; q < 10; ++q) {
     PhKey center(dim);
     for (auto& c : center) {
@@ -285,8 +287,8 @@ TEST(PhTreeSharded, HashRoutingMatchesPlainTreeAndBalancesSkewedKeys) {
     const auto got = hashed.KnnSearch(center, 10);
     ASSERT_EQ(expect.size(), got.size());
     for (size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_DOUBLE_EQ(expect[i].dist2, got[i].dist2)
-          << "query " << q << " rank " << i;
+      EXPECT_EQ(expect[i].key, got[i].key) << "query " << q << " rank " << i;
+      EXPECT_EQ(expect[i].dist2, got[i].dist2);
     }
   }
 
@@ -312,6 +314,102 @@ TEST(PhTreeSharded, HashRoutingMatchesPlainTreeAndBalancesSkewedKeys) {
     EXPECT_EQ(ValidatePhTree(reload.UnsafeShard(s)), "");
   }
   std::remove(path.c_str());
+}
+
+// Rings of exactly equidistant points around `center`: at distance r
+// along both axes and diagonals, and the twelve points of the 3-4-5
+// triangle at distance 5 in every direction.
+std::vector<PhKey> EquidistantRings(const PhKey& center) {
+  std::vector<PhKey> keys{center};
+  const auto add = [&](int64_t dx, int64_t dy) {
+    keys.push_back(PhKey{center[0] + static_cast<uint64_t>(dx),
+                         center[1] + static_cast<uint64_t>(dy)});
+  };
+  for (const int64_t r : {1, 2, 7, 1000}) {
+    for (const int64_t sx : {-1, 0, 1}) {
+      for (const int64_t sy : {-1, 0, 1}) {
+        if (sx != 0 || sy != 0) {
+          add(sx * r, sy * r);
+        }
+      }
+    }
+  }
+  for (const int64_t sx : {-1, 1}) {
+    for (const int64_t sy : {-1, 1}) {
+      add(sx * 3, sy * 4);
+      add(sx * 4, sy * 3);
+    }
+    add(sx * 5, 0);
+    add(0, sx * 5);
+  }
+  return keys;
+}
+
+// kNN centres on shard boundaries with exact distance ties on both sides:
+// the sharded search must equal the single-tree search element for
+// element (same keys, payloads and distances, ties in z-order), for both
+// routings, every shard count and both metrics.
+TEST(PhTreeSharded, KnnTiesAcrossShardBoundariesMatchOneTree) {
+  // z-prefix shards split x at 2^63 (S = 2 and 8), y at 2^63 and x at
+  // 2^62 and 3 * 2^62 (S = 8). The encoded doubles 0.0 and 2.0 are 2^63
+  // and 3 * 2^62, so under kL2Double the centres below are the points
+  // (0, 0), (2, 0) and (0, -2 + 2^-51) — every key here decodes to a
+  // finite double.
+  constexpr uint64_t kMid = uint64_t{1} << 63;
+  constexpr uint64_t kQuarter = uint64_t{1} << 62;
+  const std::vector<PhKey> centers{PhKey{kMid, kMid},
+                                   PhKey{kMid + kQuarter, kMid},
+                                   PhKey{kMid, kQuarter}};
+  std::vector<PhKey> keys;
+  for (const PhKey& c : centers) {
+    const std::vector<PhKey> ring = EquidistantRings(c);
+    keys.insert(keys.end(), ring.begin(), ring.end());
+  }
+  Rng rng(4242);
+  for (int i = 0; i < 300; ++i) {
+    keys.push_back(PhKey{SortableDoubleBits(rng.NextDouble(-1e6, 1e6)),
+                         SortableDoubleBits(rng.NextDouble(-1e6, 1e6))});
+  }
+  // Under kL2Double these decode to (+inf, 0) and (-inf, +inf): every
+  // distance is infinite, so only the z-order tie-break orders results.
+  std::vector<PhKey> probes = centers;
+  probes.push_back(
+      PhKey{SortableDoubleBits(std::numeric_limits<double>::infinity()),
+            kMid});
+  probes.push_back(
+      PhKey{SortableDoubleBits(-std::numeric_limits<double>::infinity()),
+            SortableDoubleBits(std::numeric_limits<double>::infinity())});
+  PhTree plain(2);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    plain.Insert(keys[i], i);
+  }
+  for (const ShardRouting routing :
+       {ShardRouting::kZPrefix, ShardRouting::kHash}) {
+    for (const uint32_t S : {1u, 2u, 8u}) {
+      PhTreeSharded sharded(2, S, routing);
+      for (size_t i = 0; i < keys.size(); ++i) {
+        sharded.Insert(keys[i], i);
+      }
+      for (const KnnMetric metric :
+           {KnnMetric::kL2Integer, KnnMetric::kL2Double}) {
+        for (const PhKey& center : probes) {
+          for (const size_t n : {size_t{1}, size_t{4}, size_t{9}, size_t{20},
+                                 size_t{45}, keys.size() + 3}) {
+            const auto want = KnnSearch(plain, center, n, metric);
+            const auto got = sharded.KnnSearch(center, n, metric);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t i = 0; i < want.size(); ++i) {
+              ASSERT_EQ(got[i].key, want[i].key)
+                  << "S=" << S << " hash=" << (routing == ShardRouting::kHash)
+                  << " n=" << n << " rank " << i;
+              ASSERT_EQ(got[i].value, want[i].value);
+              ASSERT_EQ(got[i].dist2, want[i].dist2);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PhTreeSharded, KnnExceedingTreeSizeReturnsEverything) {

@@ -11,7 +11,6 @@
 #include "datasets/datasets.h"
 #include "phtree/phtree.h"
 #include "phtree/phtree_d.h"
-#include "phtree/query.h"
 #include "phtree/validate.h"
 
 namespace phtree {

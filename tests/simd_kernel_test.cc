@@ -3,19 +3,25 @@
 // These tests brute-force that promise — exhaustive small inputs plus
 // seeded random sweeps, each run in both dispatch modes — and cover the
 // batched point-query path built on the kernels (PhTree::FindBatch and
-// its Sync/Sharded forms) against looped Find.
+// its Sync/Sharded forms, with Find) against the window cursor and a
+// std::map.
 #include "common/simd.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "datasets/datasets.h"
+#include "phtree/cursor.h"
 #include "phtree/phtree.h"
+#include "phtree/phtree_d.h"
 #include "phtree/phtree_sync.h"
 #include "phtree/sharded.h"
 
@@ -351,15 +357,68 @@ TEST(FindBatch, EmptyBatchAndEmptyTree) {
   EXPECT_EQ(got[1], std::nullopt);
 }
 
-TEST(FindBatch, MatchesLoopedFindOnRandomTrees) {
+// Find and FindBatch run one descent, so neither is checked against the
+// other: every answer must equal the window cursor's one-key scan and a
+// std::map holding the same entries.
+void ExpectLookupsMatch(const PhTree& tree,
+                        const std::map<PhKey, uint64_t>& model,
+                        const std::vector<PhKey>& batch,
+                        const std::string& where) {
+  const auto got = tree.FindBatch(batch);
+  ASSERT_EQ(got.size(), batch.size()) << where;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const auto it = model.find(batch[i]);
+    const std::optional<uint64_t> want =
+        it == model.end() ? std::nullopt : std::optional(it->second);
+    const TreeCursor cursor(tree, batch[i], batch[i]);
+    ASSERT_EQ(cursor.Valid() ? std::optional(cursor.value()) : std::nullopt,
+              want)
+        << where << " cursor i=" << i;
+    ASSERT_EQ(tree.Find(batch[i]), want) << where << " Find i=" << i;
+    ASSERT_EQ(got[i], want) << where << " FindBatch i=" << i;
+  }
+}
+
+// The same inserts and erases on a plain and an MVCC tree.
+struct PlainAndMvcc {
+  explicit PlainAndMvcc(uint32_t dim) : plain(dim), mvcc(dim) {
+    mvcc.EnableMvcc(&epochs);
+  }
+  void Insert(const PhKey& key, uint64_t value) {
+    if (model.emplace(key, value).second) {
+      ASSERT_TRUE(plain.Insert(key, value));
+      ASSERT_TRUE(mvcc.Insert(key, value));
+    }
+  }
+  void Erase(const PhKey& key) {
+    const bool present = model.erase(key) > 0;
+    ASSERT_EQ(plain.Erase(key), present);
+    ASSERT_EQ(mvcc.Erase(key), present);
+  }
+  void ExpectLookups(const std::vector<PhKey>& batch,
+                     const std::string& where) {
+    ExpectLookupsMatch(plain, model, batch, where + " plain");
+    ExpectLookupsMatch(mvcc, model, batch, where + " mvcc");
+  }
+
+  EpochManager epochs;
+  PhTree plain;
+  PhTree mvcc;
+  std::map<PhKey, uint64_t> model;
+};
+
+TEST(FindBatch, MatchesCursorAndMapOnRandomTrees) {
   InBothDispatchModes([](const char* mode) {
     Rng rng(20260808);
     for (uint32_t dim : {1u, 2u, 3u, 6u, 14u}) {
-      PhTree tree(dim);
+      PlainAndMvcc trees(dim);
       // Narrow grid: plenty of shared prefixes, duplicates and misses.
       const uint32_t bits = dim <= 3 ? 6 : 4;
       for (int i = 0; i < 600; ++i) {
-        tree.Insert(RandomGridKey(rng, dim, bits), rng.NextU64());
+        trees.Insert(RandomGridKey(rng, dim, bits), rng.NextU64());
+      }
+      for (int i = 0; i < 150; ++i) {
+        trees.Erase(RandomGridKey(rng, dim, bits));
       }
       std::vector<PhKey> batch;
       for (int i = 0; i < 500; ++i) {
@@ -368,40 +427,88 @@ TEST(FindBatch, MatchesLoopedFindOnRandomTrees) {
       // A stretch of consecutive duplicates.
       batch.push_back(batch[0]);
       batch.push_back(batch[0]);
-      const auto got = tree.FindBatch(batch);
-      ASSERT_EQ(got.size(), batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        ASSERT_EQ(got[i], tree.Find(batch[i]))
-            << mode << " dim=" << dim << " i=" << i;
-      }
+      trees.ExpectLookups(batch,
+                          std::string(mode) + " dim=" + std::to_string(dim));
     }
   });
 }
 
-TEST(FindBatch, SyncAndShardedAgreeWithPlain) {
+// Clustered and TIGER-like trees have deep paths with long infixes. Each
+// sampled key comes with a copy of itself and with one variant per bit
+// position (bit b flipped in dimension b % dim), so consecutive sorted keys
+// part at every depth: batches resume at every level of a path and after
+// infix mismatches, duplicates and misses.
+TEST(FindBatch, ResumesAtEveryDepthOnClusteredTrees) {
+  InBothDispatchModes([](const char* mode) {
+    for (const bool tiger : {false, true}) {
+      const Dataset ds = tiger ? GenerateTigerLike(4000, 11)
+                               : GenerateCluster(4000, 3, 0.5, 11);
+      PlainAndMvcc trees(ds.dim);
+      for (size_t i = 0; i < ds.n(); ++i) {
+        trees.Insert(EncodeKeyD(ds.point(i)), i);
+      }
+      Rng rng(77);
+      std::vector<PhKey> batch;
+      for (int i = 0; i < 150; ++i) {
+        const PhKey key = EncodeKeyD(ds.point(rng.NextBounded(ds.n())));
+        batch.push_back(key);
+        batch.push_back(key);
+        for (uint32_t b = 0; b < kBitWidth; ++b) {
+          PhKey variant = key;
+          variant[b % ds.dim] ^= uint64_t{1} << b;
+          batch.push_back(std::move(variant));
+        }
+      }
+      // Erase a third of the sampled keys: their lookups now miss at the
+      // end of a shared path.
+      for (size_t i = 0; i < batch.size(); i += 3 * (kBitWidth + 2)) {
+        trees.Erase(batch[i]);
+      }
+      trees.ExpectLookups(batch, std::string(mode) +
+                                     (tiger ? " tiger" : " cluster"));
+    }
+  });
+}
+
+TEST(FindBatch, SyncAndShardedMatchMap) {
   InBothDispatchModes([](const char* mode) {
     Rng rng(31337);
     const uint32_t dim = 3;
-    PhTree plain(dim);
+    std::map<PhKey, uint64_t> model;
     PhTreeSync sync(dim);
     PhTreeSharded sharded_z(dim, 4, ShardRouting::kZPrefix);
     PhTreeSharded sharded_h(dim, 4, ShardRouting::kHash);
     for (int i = 0; i < 400; ++i) {
       const PhKey key = RandomGridKey(rng, dim, 8);
       const uint64_t value = rng.NextU64();
-      plain.Insert(key, value);
-      sync.Insert(key, value);
-      sharded_z.Insert(key, value);
-      sharded_h.Insert(key, value);
+      if (model.emplace(key, value).second) {
+        sync.Insert(key, value);
+        sharded_z.Insert(key, value);
+        sharded_h.Insert(key, value);
+      }
     }
     std::vector<PhKey> batch;
     for (int i = 0; i < 300; ++i) {
       batch.push_back(RandomGridKey(rng, dim, 8));
     }
-    const auto want = plain.FindBatch(batch);
-    EXPECT_EQ(sync.FindBatch(batch), want) << mode;
-    EXPECT_EQ(sharded_z.FindBatch(batch), want) << mode;
-    EXPECT_EQ(sharded_h.FindBatch(batch), want) << mode;
+    const PhTreeSharded* trees[] = {&sync, &sharded_z, &sharded_h};
+    for (const PhTreeSharded* tree : trees) {
+      const auto got = tree->FindBatch(batch);
+      ASSERT_EQ(got.size(), batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const auto it = model.find(batch[i]);
+        const std::optional<uint64_t> want =
+            it == model.end() ? std::nullopt : std::optional(it->second);
+        const TreeCursor cursor(tree->UnsafeShard(tree->ShardOf(batch[i])),
+                                batch[i], batch[i]);
+        ASSERT_EQ(
+            cursor.Valid() ? std::optional(cursor.value()) : std::nullopt,
+            want)
+            << mode << " cursor i=" << i;
+        ASSERT_EQ(tree->Find(batch[i]), want) << mode << " Find i=" << i;
+        ASSERT_EQ(got[i], want) << mode << " FindBatch i=" << i;
+      }
+    }
   });
 }
 
