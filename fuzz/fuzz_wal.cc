@@ -17,11 +17,20 @@
 //   * replaying exactly bytes[0, valid_bytes) — the prefix replay
 //     certified — succeeds with the same record count, no torn tail, and
 //     an identical tree (prefix stability: recovery's contract is that a
-//     truncated log is a *valid* log).
+//     truncated log is a *valid* log),
+//   * resumption: the bytes written to a file, reopened by WalWriter with
+//     the header's shape and given one more record, replay exactly
+//     records_applied + 1 records with no torn tail (Open cuts a torn
+//     tail before appending).
 // A hard error may still have applied a prefix; the tree must be valid.
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "common/bits.h"
@@ -138,6 +147,41 @@ void ReplayAndCheck(const std::vector<uint8_t>& bytes, const char* mode) {
   }
   if (redo.size() != tree.size()) {
     die("prefix replay produced a different tree size");
+  }
+
+  // Resumption: reopen the log as a writer would after a crash and append
+  // one record; it must replay right behind the surviving ones.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("fuzz_wal." + std::to_string(::getpid()) + ".wal"))
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  phtree::WalOptions options;
+  options.sync_every_n = 0;
+  {
+    auto writer = phtree::WalWriter::Open(
+        path, tree.dim(), tree.config().store_values, options);
+    if (!writer) {
+      die("a log replay accepted could not be reopened for appending");
+    }
+    if (!writer->AppendClear().ok() || !writer->Close().ok()) {
+      die("appending to the reopened log failed");
+    }
+  }
+  PhTree resumed = TreeForBytes(bytes);
+  const phtree::StatusOr<WalReplayStats> after =
+      phtree::ReplayWalFile(path, &resumed);
+  std::remove(path.c_str());
+  if (!after) {
+    die("the resumed log failed to replay");
+  }
+  if (after->torn_tail ||
+      after->records_applied != stats->records_applied + 1) {
+    die("the record appended after reopening did not replay");
   }
 }
 

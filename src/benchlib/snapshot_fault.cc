@@ -2,19 +2,11 @@
 
 #include <algorithm>
 
+#include "common/byte_io.h"
 #include "common/crc32c.h"
 #include "phtree/validate.h"
 
 namespace phtree {
-namespace {
-
-void PatchU32(std::vector<uint8_t>* bytes, size_t offset, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    (*bytes)[offset + i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-}  // namespace
 
 SnapshotRegion RegionOf(const SnapshotLayout& layout, size_t offset) {
   if (offset < layout.header_end) {
@@ -105,15 +97,15 @@ bool RepairSnapshotChecksums(std::vector<uint8_t>* bytes) {
   if (!layout) {
     return false;
   }
-  PatchU32(bytes, layout->header_end - 4,
-           Crc32c(bytes->data(), layout->header_end - 4));
+  uint8_t* data = bytes->data();
+  StoreU32(data + layout->header_end - 4,
+           Crc32c(data, layout->header_end - 4));
   for (const auto& rec : layout->records) {
-    PatchU32(bytes, rec.crc_offset,
-             Crc32c(bytes->data() + rec.payload_begin,
-                    rec.crc_offset - rec.payload_begin));
+    SealFrame(data + rec.begin,
+              static_cast<uint32_t>(rec.crc_offset - rec.payload_begin));
   }
-  PatchU32(bytes, layout->trailer_end - 4,
-           Crc32c(bytes->data(), layout->trailer_begin));
+  StoreU32(data + layout->trailer_end - 4,
+           Crc32c(data, layout->trailer_begin));
   return true;
 }
 

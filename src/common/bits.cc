@@ -1,28 +1,6 @@
 #include "common/bits.h"
 
-#include <cassert>
-
 namespace phtree {
-
-bool ZOrderLess(std::span<const uint64_t> a, std::span<const uint64_t> b) {
-  assert(a.size() == b.size());
-  // The z-address interleaves bit 63 of dim 0, bit 63 of dim 1, ..., bit 62
-  // of dim 0, ... — so the first differing z-bit lives in the dimension
-  // whose XOR has the highest set bit (ties break to the lowest dimension
-  // index). `m < x && m < (m ^ x)` is the branch-free "msb(m) < msb(x)"
-  // test, so the scan keeps the dimension holding the most significant
-  // difference without ever computing a bit index.
-  uint32_t msd = 0;
-  uint64_t best = 0;
-  for (uint32_t d = 0; d < a.size(); ++d) {
-    const uint64_t x = a[d] ^ b[d];
-    if (best < x && best < (best ^ x)) {
-      msd = d;
-      best = x;
-    }
-  }
-  return a[msd] < b[msd];
-}
 
 void InterleaveZOrder(std::span<const uint64_t> key, std::span<uint64_t> out) {
   const uint32_t dim = static_cast<uint32_t>(key.size());

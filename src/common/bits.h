@@ -6,6 +6,7 @@
 #define PHTREE_COMMON_BITS_H_
 
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -111,11 +112,36 @@ inline int FirstDifferingBit(std::span<const uint64_t> a,
   return static_cast<int>(std::bit_width(agg)) - 1;
 }
 
-/// Compares two equal-dimension keys by their z-interleaved address — the
-/// global enumeration order of a PH-tree (ascending hypercube-address order
-/// at every node). Used by the sharded merge, the deterministic kNN
-/// tie-break and the reference oracle of the differential test harness.
-bool ZOrderLess(std::span<const uint64_t> a, std::span<const uint64_t> b);
+/// Three-way comparison of two equal-dimension keys by their z-interleaved
+/// address, the global enumeration order of a PH-tree: negative, zero or
+/// positive as `a` is z-before, equal to or z-after `b`. The first
+/// differing z-bit lives in the dimension whose XOR has the highest set
+/// bit, ties going to the lowest dimension index (HcAddressAt's order);
+/// `best < x && best < (best ^ x)` is the branch-free msb(best) < msb(x).
+inline int ZOrderCompare(std::span<const uint64_t> a,
+                         std::span<const uint64_t> b) {
+  assert(a.size() == b.size());
+  uint32_t msd = 0;
+  uint64_t best = 0;
+  for (uint32_t d = 0; d < a.size(); ++d) {
+    const uint64_t x = a[d] ^ b[d];
+    if (best < x && best < (best ^ x)) {
+      msd = d;
+      best = x;
+    }
+  }
+  if (best == 0) {
+    return 0;
+  }
+  return a[msd] < b[msd] ? -1 : 1;
+}
+
+/// ZOrderCompare(a, b) < 0. Used by the sharded merges, the deterministic
+/// kNN tie-break and the reference oracles.
+inline bool ZOrderLess(std::span<const uint64_t> a,
+                       std::span<const uint64_t> b) {
+  return ZOrderCompare(a, b) < 0;
+}
 
 /// Interleaves the k w-bit values of `key` into a single z-order (Morton)
 /// bit string of k*w bits, most significant bits first: output bit 0 is bit

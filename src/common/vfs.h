@@ -1,5 +1,5 @@
 // Virtual file-system seam for the durable-save and WAL paths. All snapshot
-// and log I/O in serialize.cc / wal.cc goes through the process-wide Vfs, so
+// and log I/O (common/byte_io.cc, wal.cc) goes through the process-wide Vfs, so
 // tests can substitute a FaultyVfs that injects ENOSPC, EINTR, short writes,
 // failed fsync, and crash points (after N bytes the "process dies": the last
 // write is cut short and every later call fails). The default RealVfs is a
@@ -61,9 +61,9 @@ Vfs* SetVfs(Vfs* vfs);
 
 // ---- Retrying I/O over a Vfs ----------------------------------------------
 //
-// The snapshot and WAL code share these. Open/fsync/close retry on EINTR (a
-// real signal must not fail a save); the full-transfer loops also absorb
-// short transfers.
+// The byte layer (common/byte_io.h) and the WAL writer build on these.
+// Open/fsync/close retry on EINTR (a real signal must not fail a save);
+// the full-transfer loops also absorb short transfers.
 
 /// kIoError whose message is `what` plus the current errno text.
 Status IoError(const std::string& what);

@@ -122,28 +122,6 @@ inline void RegionBounds(uint64_t path_word, uint32_t low_bits, uint64_t* lo,
   *hi = *lo | LowMask(low_bits);
 }
 
-/// Three-way z-order comparison (same order as ZOrderLess): decided by the
-/// dimension holding the most significant differing bit, ties between
-/// dimensions at the same bit level going to the lowest dimension index —
-/// the interleave order of HcAddressAt.
-inline int ZOrderCompare(std::span<const uint64_t> a,
-                         std::span<const uint64_t> b) {
-  assert(a.size() == b.size());
-  uint32_t msd = 0;
-  uint64_t best = 0;
-  for (uint32_t d = 0; d < a.size(); ++d) {
-    const uint64_t x = a[d] ^ b[d];
-    if (best < x && best < (best ^ x)) {
-      msd = d;
-      best = x;
-    }
-  }
-  if (best == 0) {
-    return 0;
-  }
-  return a[msd] < b[msd] ? -1 : 1;
-}
-
 /// LHC nodes with fewer entries never binary re-seek, they walk linearly:
 /// below this, a binary search costs more address reads than it skips.
 inline constexpr uint64_t kLhcSeekMinEntries = 16;

@@ -306,12 +306,6 @@ std::optional<uint64_t> PhTree::Find(std::span<const uint64_t> key) const {
 std::vector<std::optional<uint64_t>> PhTree::FindBatch(
     std::span<const PhKey> keys) const {
   std::vector<std::optional<uint64_t>> results(keys.size());
-  // One root snapshot for the whole batch: an MVCC reader must not mix
-  // nodes from two different published roots in one resumed descent.
-  const NodeRef root = ReadRoot();
-  if (keys.empty() || !root) {
-    return results;
-  }
   // Visit the keys in z-order so the descents share their upper levels:
   // consecutive sorted keys agree on a prefix. Sorting compares a one-word
   // sample of each z-address (the top floor(64/dim) bits of every
@@ -321,29 +315,41 @@ std::vector<std::optional<uint64_t>> PhTree::FindBatch(
   // the tree's top levels, which is all the sharing cares about — the
   // order is a pure heuristic (resumption is correct for any visit order),
   // so ties on the sample just keep their relative input order.
-  std::vector<std::pair<uint64_t, uint32_t>> order(keys.size());
+  std::vector<BatchSlot> order(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    order[i] = {simd::ZSamplePrefix(keys[i].data(), dim_),
-                static_cast<uint32_t>(i)};
+    order[i] = {0, static_cast<uint32_t>(i),
+                simd::ZSamplePrefix(keys[i].data(), dim_)};
   }
   std::sort(order.begin(), order.end());
+  FindRun(keys, order, results.data());
+  return results;
+}
 
+void PhTree::FindRun(std::span<const PhKey> keys,
+                     std::span<const BatchSlot> run,
+                     std::optional<uint64_t>* results) const {
+  // One root snapshot for the whole run: an MVCC reader must not mix
+  // nodes from two different published roots in one resumed descent.
+  const NodeRef root = ReadRoot();
+  if (!root) {
+    return;
+  }
   Descent d;
   d.node = root;
   const uint64_t* prev = nullptr;
-  for (size_t si = 0; si < order.size(); ++si) {
-    if (si + 1 < order.size()) {
+  for (size_t si = 0; si < run.size(); ++si) {
+    if (si + 1 < run.size()) {
       // One-step-ahead prefetch of the next key's coordinates (each PhKey
       // is its own heap block) so the bit compare below never stalls.
-      simd::PrefetchRead(keys[order[si + 1].second].data());
+      simd::PrefetchRead(keys[run[si + 1].index].data());
     }
-    const PhKey& key_vec = keys[order[si].second];
+    const PhKey& key_vec = keys[run[si].index];
     assert(key_vec.size() == dim_);
     const std::span<const uint64_t> key{key_vec.data(), dim_};
     if (prev != nullptr) {
       const int hb = FirstDifferingBit(key, {prev, dim_});
       if (hb < 0) {
-        results[order[si].second] = results[order[si - 1].second];
+        results[run[si].index] = results[run[si - 1].index];
         continue;  // duplicate key
       }
       // Resume at the deepest node of the previous key's descent whose
@@ -357,11 +363,10 @@ std::vector<std::optional<uint64_t>> PhTree::FindBatch(
     }
     Descend(d.node, key, &d);
     if (d.found()) {
-      results[order[si].second] = d.node.ptr->OrdinalPayload(d.ord);
+      results[run[si].index] = d.node.ptr->OrdinalPayload(d.ord);
     }
     prev = key.data();
   }
-  return results;
 }
 
 // ---- The mutation engine ---------------------------------------------------

@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "phtree/arena.h"
@@ -253,8 +254,27 @@ class PhTree {
   const NodeArena* arena() const { return arena_.get(); }
 
  private:
+  friend class PhTreeSharded;
   friend class PhTreeValidator;
   friend class ZOrderBuilder;
+
+  /// A key of a FindBatch batch: its position and its visit-order sort
+  /// key (shard, z-sample, position). Sorting groups a sharded batch into
+  /// one run per shard; a plain tree's keys all sit in shard 0.
+  struct BatchSlot {
+    uint32_t shard;
+    uint32_t index;
+    uint64_t sample;
+    bool operator<(const BatchSlot& o) const {
+      return std::tie(shard, sample, index) <
+             std::tie(o.shard, o.sample, o.index);
+    }
+  };
+  /// Looks up keys[slot.index] into results[slot.index] for each slot of
+  /// `run`, in run order, against one root snapshot: FindBatch's resumed
+  /// descent over an index span.
+  void FindRun(std::span<const PhKey> keys, std::span<const BatchSlot> run,
+               std::optional<uint64_t>* results) const;
 
   // ---- The mutation engine (phtree.cc) ------------------------------------
 

@@ -15,11 +15,15 @@
 // silently deserialising into a broken tree. Loads report failures through
 // Status/Expected (common/status.h) with the error class and byte offset;
 // saves are atomic and durable (tmp file + fsync + rename + dir fsync).
-// Full byte layout: DESIGN.md, "Snapshot format v2".
+// SnapshotWriter and SnapshotReader are the stream's two ends; the record
+// framing, the little-endian fields and the file I/O are the byte layer
+// the WAL shares (common/byte_io.h). Full byte layout: DESIGN.md,
+// "Snapshot format v2".
 #ifndef PHTREE_PHTREE_SERIALIZE_H_
 #define PHTREE_PHTREE_SERIALIZE_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -81,16 +85,56 @@ class SnapshotWriter {
   size_t record_begin_ = 0;  ///< offset of the open record's length field
 };
 
+/// Decodes a format-v2 stream: the counterpart of SnapshotWriter. Open
+/// checks the magic and the header; ReadEntries walks the records,
+/// verifying every CRC, that the keys strictly ascend in z-order, both
+/// counts and the trailer, and hands each entry to a sink once it is
+/// verified. DeserializePhTreeOr's sink is the z-order builder (builder.h);
+/// PhTreeSharded::Load's routes each entry to its shard's rows.
+class SnapshotReader {
+ public:
+  using Sink = std::function<void(std::span<const uint64_t> key,
+                                  uint64_t value)>;
+
+  /// Checks the magic (any other "PHT" version is kUnsupportedVersion)
+  /// and the header of `bytes`, which must outlive the reader.
+  static StatusOr<SnapshotReader> Open(std::span<const uint8_t> bytes);
+
+  uint32_t dim() const { return dim_; }
+  const PhTreeConfig& config() const { return config_; }
+
+  /// The header's entry count capped by what the stream can physically
+  /// hold (each entry takes at least one byte per dimension, plus 8 value
+  /// bytes when values are stored). The count is not verified until the
+  /// trailer, so reservations must not exceed this.
+  size_t max_entries() const;
+
+  /// Calls sink(key, value) for each entry in stream order, then checks
+  /// the counts and the trailer. The sink sees every entry before the
+  /// trailer is checked, so a caller publishes nothing until this returns
+  /// Ok. Keys that do not strictly ascend in z-order fail with
+  /// kRecordCorrupt naming the record and entry. Exceptions the sink
+  /// throws propagate.
+  Status ReadEntries(const Sink& sink) const;
+
+ private:
+  SnapshotReader() = default;
+
+  std::span<const uint8_t> bytes_;
+  uint32_t dim_ = 0;
+  PhTreeConfig config_;
+  uint64_t n_ = 0;
+  uint32_t record_count_ = 0;
+};
+
 /// Serialises `tree` into a format-v2 byte buffer.
 std::vector<uint8_t> SerializePhTree(const PhTree& tree,
                                      const SaveOptions& options = {});
 
-/// Reconstructs a tree from SerializePhTree output, feeding the entries
-/// to the z-order builder (builder.h) as they are verified. Any other
-/// "PHT" version fails with kUnsupportedVersion; keys that do not
-/// strictly ascend in z-order fail with kRecordCorrupt naming the record
-/// and entry. On an allocation failure std::bad_alloc propagates and no
-/// partial tree is returned.
+/// Reconstructs a tree from SerializePhTree output: SnapshotReader's
+/// entries feed the z-order builder (builder.h) as they are verified. On
+/// an allocation failure std::bad_alloc propagates and no partial tree is
+/// returned.
 /// On failure the error carries the class, the byte offset of the problem
 /// and a message naming what broke (e.g. a CRC mismatch with both values).
 /// The configuration of the returned tree is taken from the stream.
@@ -107,37 +151,30 @@ Status SavePhTreeOr(const PhTree& tree, const std::string& path,
 
 /// The atomic-durable half of SavePhTreeOr on its own: writes an already
 /// serialised snapshot byte stream to `path` with the same tmp + fsync +
-/// rename + dir-fsync protocol. Lets callers that must serialise under a
-/// lock (the one-shard PhTreeSharded::Save) do the disk I/O outside their
+/// rename + dir-fsync protocol (WriteFileAtomicOr, common/byte_io.h). Lets
+/// callers that must serialise under a lock do the disk I/O outside their
 /// critical section.
 Status WriteSnapshotFileOr(const std::vector<uint8_t>& bytes,
                            const std::string& path);
 
-/// Reads and deserialises a snapshot file. I/O failures (missing file,
-/// short read) come back as kIoError; malformed contents keep their format
-/// error classes — callers can finally tell the two apart.
+/// Reads a snapshot file whole (ReadFileOr, common/byte_io.h). Missing or
+/// unreadable files, directories and zero-length files are kIoError, told
+/// apart from malformed contents, which keep their format error classes.
+/// With `missing` non-null a file that does not exist is no error: *missing
+/// is set and the buffer is empty (RecoverPhTree's case).
+StatusOr<std::vector<uint8_t>> ReadSnapshotFileOr(const std::string& path,
+                                                  bool* missing = nullptr);
+
+/// Reads and deserialises a snapshot file (ReadSnapshotFileOr, then
+/// DeserializePhTreeOr).
 Expected<PhTree, SnapshotError> LoadPhTreeOr(const std::string& path,
                                              const LoadOptions& options = {});
-
-/// A snapshot's entries as flat rows, in the stream's (z-)order.
-struct SnapshotRows {
-  uint32_t dim = 0;
-  PhTreeConfig config;
-  std::vector<uint64_t> keys;    ///< dim words per entry
-  std::vector<uint64_t> values;  ///< one per entry (0 in key-only mode)
-};
-
-/// Reads a snapshot file with every check LoadPhTreeOr makes short of
-/// building a tree (the same error classes, offsets and messages) and
-/// returns its entries. PhTreeSharded::Load cuts them into shards.
-Expected<SnapshotRows, SnapshotError> LoadSnapshotRowsOr(
-    const std::string& path);
 
 /// Byte map of a v2 snapshot: where the header, each record and the
 /// trailer sit. Used by diagnostics and by the corruption fault-injection
 /// harness (src/benchlib/snapshot_fault.h) to aim mutations at specific
-/// structures. Only framing is walked — CRCs are not verified and no tree
-/// is rebuilt.
+/// structures. Only framing is walked — a record whose CRC fails is still
+/// mapped, and no tree is rebuilt.
 struct SnapshotLayout {
   struct Record {
     size_t begin;          ///< offset of the u32 payload-length field

@@ -10,6 +10,7 @@
 
 #include "common/bits.h"
 #include "common/fault.h"
+#include "common/simd.h"
 #include "phtree/builder.h"
 #include "phtree/cursor.h"
 #include "phtree/validate.h"
@@ -229,33 +230,24 @@ std::optional<uint64_t> PhTreeSharded::Find(
 
 std::vector<std::optional<uint64_t>> PhTreeSharded::FindBatch(
     std::span<const PhKey> keys) const {
-  EpochManager::ReadGuard guard(epochs_);
-  if (shards_.size() == 1) {
-    return shards_[0]->reader()->FindBatch(keys);
-  }
   std::vector<std::optional<uint64_t>> results(keys.size());
-  // Bucket input positions by shard, then answer each shard's sub-batch
-  // with one batched walk under one reader-lock acquisition.
-  std::vector<std::vector<uint32_t>> buckets(shards_.size());
+  // One sort by (shard, z-sample) turns the batch into one run per shard,
+  // each in PhTree::FindBatch's visit order; every run is one resumed
+  // descent over its index span, answering into `results` in place.
+  std::vector<PhTree::BatchSlot> order(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    buckets[ShardOf(keys[i])].push_back(static_cast<uint32_t>(i));
+    order[i] = {ShardOf(keys[i]), static_cast<uint32_t>(i),
+                simd::ZSamplePrefix(keys[i].data(), dim_)};
   }
-  std::vector<PhKey> sub_keys;
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
-    const std::vector<uint32_t>& bucket = buckets[s];
-    if (bucket.empty()) {
-      continue;
-    }
-    sub_keys.clear();
-    sub_keys.reserve(bucket.size());
-    for (const uint32_t i : bucket) {
-      sub_keys.push_back(keys[i]);
-    }
-    const std::vector<std::optional<uint64_t>> sub =
-        shards_[s]->reader()->FindBatch(sub_keys);
-    for (size_t j = 0; j < bucket.size(); ++j) {
-      results[bucket[j]] = sub[j];
-    }
+  std::sort(order.begin(), order.end());
+  EpochManager::ReadGuard guard(epochs_);
+  for (auto run = order.cbegin(); run != order.cend();) {
+    const uint32_t s = run->shard;
+    const auto end = std::find_if(run, order.cend(), [s](const auto& slot) {
+      return slot.shard != s;
+    });
+    shards_[s]->reader()->FindRun(keys, {run, end}, results.data());
+    run = end;
   }
   return results;
 }
@@ -559,60 +551,42 @@ Status PhTreeSharded::Save(const std::string& path,
 
 Status PhTreeSharded::Load(const std::string& path,
                            const LoadOptions& options) {
-  Expected<SnapshotRows, SnapshotError> rows = LoadSnapshotRowsOr(path);
-  if (!rows) {
-    return rows.error();
-  }
-  if (rows->dim != dim_) {
-    return Status::Error(
-        StatusCode::kInvalidArgument,
-        "snapshot dimensionality " + std::to_string(rows->dim) +
-            " does not match sharded tree dimensionality " +
-            std::to_string(dim_));
-  }
   const uint32_t S = num_shards();
-  const PhTreeConfig cfg = rows->config;
-  const size_t n = rows->values.size();
-  const auto row = [&](size_t i) {
-    return std::span<const uint64_t>(rows->keys).subspan(i * dim_, dim_);
-  };
-  // Each shard's entries, in z-order. Z-prefix shards own contiguous runs
-  // of the z-ordered stream; hash shards take a partition, which keeps
-  // each shard's entries in stream order.
-  std::vector<std::span<const uint64_t>> keys(S);
-  std::vector<std::span<const uint64_t>> values(S);
-  std::vector<std::vector<uint64_t>> hash_keys;
-  std::vector<std::vector<uint64_t>> hash_values;
-  if (routing_ == ShardRouting::kZPrefix || S == 1) {
-    size_t begin = 0;
-    for (uint32_t s = 0; s < S; ++s) {
-      size_t lo = begin;
-      size_t hi = n;
-      while (lo < hi) {  // first row routed past shard s
-        const size_t mid = lo + (hi - lo) / 2;
-        if (ShardOf(row(mid)) <= s) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      keys[s] = std::span<const uint64_t>(rows->keys)
-                    .subspan(begin * dim_, (lo - begin) * dim_);
-      values[s] = std::span<const uint64_t>(rows->values)
-                      .subspan(begin, lo - begin);
-      begin = lo;
+  // Each shard's rows, in stream (= z-)order: the decode routes every
+  // verified entry by ShardOf, whatever the routing.
+  std::vector<std::vector<uint64_t>> keys(S);
+  std::vector<std::vector<uint64_t>> values(S);
+  PhTreeConfig cfg;
+  {
+    auto bytes = ReadSnapshotFileOr(path);
+    if (!bytes) {
+      return bytes.error();
     }
-  } else {
-    hash_keys.resize(S);
-    hash_values.resize(S);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t s = ShardOf(row(i));
-      hash_keys[s].insert(hash_keys[s].end(), row(i).begin(), row(i).end());
-      hash_values[s].push_back(rows->values[i]);
+    auto reader = SnapshotReader::Open(*bytes);
+    if (!reader) {
+      return reader.error();
     }
+    if (reader->dim() != dim_) {
+      return Status::Error(
+          StatusCode::kInvalidArgument,
+          "snapshot dimensionality " + std::to_string(reader->dim()) +
+              " does not match sharded tree dimensionality " +
+              std::to_string(dim_));
+    }
+    cfg = reader->config();
+    const size_t per_shard = reader->max_entries() / S;
     for (uint32_t s = 0; s < S; ++s) {
-      keys[s] = hash_keys[s];
-      values[s] = hash_values[s];
+      keys[s].reserve(per_shard * dim_);
+      values[s].reserve(per_shard);
+    }
+    const Status decoded = reader->ReadEntries(
+        [&](std::span<const uint64_t> key, uint64_t value) {
+          const uint32_t s = ShardOf(key);
+          keys[s].insert(keys[s].end(), key.begin(), key.end());
+          values[s].push_back(value);
+        });
+    if (!decoded.ok()) {
+      return decoded;
     }
   }
   // Replacement shards are built in parallel while readers keep using the
@@ -628,8 +602,9 @@ Status PhTreeSharded::Load(const std::string& path,
     // rethrown once every shard has finished.
     try {
       ZOrderBuilder builder(&trees[s]);
+      const std::span<const uint64_t> rows(keys[s]);
       for (size_t i = 0; i < values[s].size(); ++i) {
-        builder.Add(keys[s].subspan(i * dim_, dim_), values[s][i]);
+        builder.Add(rows.subspan(i * dim_, dim_), values[s][i]);
       }
       builder.Finish();
     } catch (const std::bad_alloc&) {

@@ -146,11 +146,12 @@ class PhTreeSharded {
     return Find(key).has_value();
   }
 
-  /// Batched point query: element i is Find(keys[i]). The batch is
-  /// bucketed by shard in one pass; each shard with hits is then queried
-  /// with one PhTree::FindBatch (lock-free, one epoch guard covers the
-  /// whole batch), and the per-shard answers are scattered back to input
-  /// order.
+  /// Batched point query: element i is Find(keys[i]). The batch is sorted
+  /// once by (shard, z-sample); each shard's run then takes PhTree's
+  /// resumed descent (PhTree::FindBatch) over its span of batch indices,
+  /// answering in place — lock-free, one epoch guard covers the whole
+  /// batch, and the heap allocations (the result and the sort order) do
+  /// not grow with the shard count.
   std::vector<std::optional<uint64_t>> FindBatch(
       std::span<const PhKey> keys) const;
 
@@ -263,10 +264,10 @@ class PhTreeSharded {
   Status Save(const std::string& path, const SaveOptions& options = {}) const;
 
   /// Replaces the whole content from a v2 snapshot written by Save() or by
-  /// SavePhTreeOr on a plain tree. The stream is read and verified once
-  /// into flat rows (LoadSnapshotRowsOr) off-line, cut into shards
-  /// (contiguous z-order runs under kZPrefix, an order-keeping partition
-  /// under kHash), and every replacement shard is built bottom-up in
+  /// SavePhTreeOr on a plain tree. The stream is read and verified once,
+  /// off-line, by SnapshotReader, whose sink routes each verified entry
+  /// by ShardOf into its shard's rows (they stay in z-order under either
+  /// routing), and every replacement shard is built bottom-up in
   /// parallel (builder.h). With options.validate_structure each built
   /// shard must pass ValidatePhTree (kStructureInvalid otherwise). Then
   /// all writer mutexes are taken and the shard trees swapped in with one

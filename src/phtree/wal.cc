@@ -3,10 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstring>
+#include <functional>
+#include <optional>
 #include <utility>
 
+#include "common/byte_io.h"
 #include "common/crc32c.h"
 #include "common/vfs.h"
 
@@ -17,31 +19,6 @@ constexpr uint8_t kWalMagic[4] = {'P', 'H', 'W', 'L'};
 /// Largest payload any record can legitimately have: opcode + kMaxDims
 /// coords + value. Length fields above this are corruption, not data.
 constexpr uint32_t kMaxPayloadLen = 1 + kMaxDims * 8 + 8;
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
 
 struct WalHeader {
   uint32_t version;
@@ -60,21 +37,21 @@ StatusOr<WalHeader> ParseWalHeader(std::span<const uint8_t> bytes) {
   if (std::memcmp(bytes.data(), kWalMagic, 4) != 0) {
     return Status(StatusCode::kBadMagic, 0, "not a PH-tree WAL");
   }
-  const uint32_t stored_crc = GetU32(bytes.data() + kWalHeaderLen - 4);
+  const uint32_t stored_crc = LoadU32(bytes.data() + kWalHeaderLen - 4);
   const uint32_t computed = Crc32c(bytes.data(), kWalHeaderLen - 4);
   if (stored_crc != computed) {
     return Status(StatusCode::kHeaderCorrupt, kWalHeaderLen - 4,
                   "WAL header CRC mismatch");
   }
   WalHeader h;
-  h.version = GetU32(bytes.data() + 4);
+  h.version = LoadU32(bytes.data() + 4);
   if (h.version != kWalVersion) {
     return Status(StatusCode::kUnsupportedVersion, 4,
                   "WAL version " + std::to_string(h.version) +
                       " is not readable by this build (knows " +
                       std::to_string(kWalVersion) + ")");
   }
-  h.dim = GetU32(bytes.data() + 8);
+  h.dim = LoadU32(bytes.data() + 8);
   if (h.dim < 1 || h.dim > kMaxDims) {
     return Status(StatusCode::kHeaderCorrupt, 8,
                   "WAL dimensionality " + std::to_string(h.dim) +
@@ -84,10 +61,24 @@ StatusOr<WalHeader> ParseWalHeader(std::span<const uint8_t> bytes) {
   return h;
 }
 
-/// Expected payload length for an opcode under a given shape, or 0 if the
-/// opcode itself is invalid.
-uint32_t ExpectedPayloadLen(uint8_t opcode, uint32_t dim, bool store_values) {
-  switch (static_cast<WalOp>(opcode)) {
+/// kHeaderCorrupt unless the log's shape is the one `whom` expects.
+Status CheckShape(const WalHeader& h, uint32_t dim, bool store_values,
+                  const char* whom) {
+  if (h.dim == dim && h.store_values == store_values) {
+    return Status::Ok();
+  }
+  return Status::Error(
+      StatusCode::kHeaderCorrupt,
+      "WAL shape mismatch: log has dim=" + std::to_string(h.dim) +
+          " store_values=" + std::to_string(h.store_values) + ", " + whom +
+          " dim=" + std::to_string(dim) +
+          " store_values=" + std::to_string(store_values));
+}
+
+/// Payload length for an opcode under a given shape, or 0 if the opcode
+/// itself is invalid.
+uint32_t PayloadLen(WalOp op, uint32_t dim, bool store_values) {
+  switch (op) {
     case WalOp::kInsert:
     case WalOp::kInsertOrAssign:
       return 1 + dim * 8 + (store_values ? 8 : 0);
@@ -97,6 +88,86 @@ uint32_t ExpectedPayloadLen(uint8_t opcode, uint32_t dim, bool store_values) {
       return 1;
   }
   return 0;
+}
+
+/// Largest frame a record can need.
+constexpr size_t kMaxFrameLen = kMaxPayloadLen + kFrameOverhead;
+
+/// Frames one command at `frame` (room for kMaxFrameLen bytes) and returns
+/// the frame's size. `key` holds dim words unless op is kClear.
+size_t EncodeFrame(WalOp op, std::span<const uint64_t> key, uint64_t value,
+                   uint32_t dim, bool store_values, uint8_t* frame) {
+  uint8_t* const payload = frame + 4;
+  uint8_t* p = payload;
+  *p++ = static_cast<uint8_t>(op);
+  if (op != WalOp::kClear) {
+    for (uint32_t d = 0; d < dim; ++d, p += 8) {
+      StoreU64(p, key[d]);
+    }
+    if (store_values &&
+        (op == WalOp::kInsert || op == WalOp::kInsertOrAssign)) {
+      StoreU64(p, value);
+      p += 8;
+    }
+  }
+  return SealFrame(frame, static_cast<uint32_t>(p - payload));
+}
+
+/// Walks the records behind a parsed header, handing each intact one to
+/// `apply(op, payload)` (nullptr: walk only), up to the end or the torn
+/// tail. The one frame walk: ReplayWal applies the records, WalWriter::Open
+/// finds where a resumed log must continue.
+StatusOr<WalReplayStats> WalkRecords(
+    std::span<const uint8_t> bytes, const WalHeader& h,
+    const std::function<void(WalOp, const uint8_t*)>& apply) {
+  WalReplayStats stats;
+  stats.valid_bytes = kWalHeaderLen;
+  size_t pos = kWalHeaderLen;
+  auto torn = [&](const std::string& why) {
+    stats.torn_tail = true;
+    stats.tail_detail = why + " at byte " + std::to_string(pos) +
+                        "; log truncated to " +
+                        std::to_string(stats.valid_bytes) + " bytes";
+    return stats;
+  };
+  while (pos < bytes.size()) {
+    const FrameView frame = ReadFrame(bytes, pos, 1, kMaxPayloadLen);
+    switch (frame.fault) {
+      case FrameFault::kNone:
+        break;
+      case FrameFault::kTornLength:
+        return torn("torn length field");
+      case FrameFault::kBadLength:
+        return torn("implausible record length " +
+                    std::to_string(frame.payload_len));
+      case FrameFault::kTornBody:
+        return torn("torn record body");
+      case FrameFault::kBadCrc:
+        return torn("record CRC mismatch");
+    }
+    // CRC-verified from here on: undecodable content is a hard error.
+    const uint8_t* payload = bytes.data() + frame.payload_begin;
+    const WalOp op = static_cast<WalOp>(payload[0]);
+    const uint32_t want = PayloadLen(op, h.dim, h.store_values);
+    if (want == 0) {
+      return Status(StatusCode::kRecordCorrupt, pos + 4,
+                    "unknown WAL opcode " + std::to_string(payload[0]));
+    }
+    if (want != frame.payload_len) {
+      return Status(StatusCode::kRecordCorrupt, pos,
+                    "WAL record payload is " +
+                        std::to_string(frame.payload_len) + " bytes, opcode " +
+                        std::to_string(payload[0]) + " needs " +
+                        std::to_string(want));
+    }
+    if (apply) {
+      apply(op, payload);
+    }
+    ++stats.records_applied;
+    pos = frame.end;
+    stats.valid_bytes = pos;
+  }
+  return stats;
 }
 
 }  // namespace
@@ -113,20 +184,10 @@ void EncodeWalHeader(uint32_t dim, bool store_values,
 
 void EncodeWalRecord(const WalCommand& cmd, uint32_t dim, bool store_values,
                      std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  payload.push_back(static_cast<uint8_t>(cmd.op));
-  if (cmd.op != WalOp::kClear) {
-    for (uint32_t d = 0; d < dim; ++d) {
-      PutU64(&payload, cmd.key[d]);
-    }
-    if (store_values &&
-        (cmd.op == WalOp::kInsert || cmd.op == WalOp::kInsertOrAssign)) {
-      PutU64(&payload, cmd.value);
-    }
-  }
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  out->insert(out->end(), payload.begin(), payload.end());
-  PutU32(out, Crc32c(payload.data(), payload.size()));
+  uint8_t frame[kMaxFrameLen];
+  const size_t len =
+      EncodeFrame(cmd.op, cmd.key, cmd.value, dim, store_values, frame);
+  out->insert(out->end(), frame, frame + len);
 }
 
 // ---- WalWriter ------------------------------------------------------------
@@ -137,14 +198,8 @@ WalWriter::~WalWriter() {
   }
 }
 
-WalWriter::WalWriter(WalWriter&& other) noexcept
-    : fd_(other.fd_),
-      dim_(other.dim_),
-      store_values_(other.store_values_),
-      options_(other.options_),
-      appended_(other.appended_),
-      unsynced_(other.unsynced_) {
-  other.fd_ = -1;
+WalWriter::WalWriter(WalWriter&& other) noexcept {
+  *this = std::move(other);
 }
 
 WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
@@ -152,13 +207,13 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
     if (fd_ >= 0) {
       CloseRetry(*GetVfs(), fd_);
     }
-    fd_ = other.fd_;
+    fd_ = std::exchange(other.fd_, -1);
     dim_ = other.dim_;
     store_values_ = other.store_values_;
+    poisoned_ = other.poisoned_;
     options_ = other.options_;
     appended_ = other.appended_;
     unsynced_ = other.unsynced_;
-    other.fd_ = -1;
   }
   return *this;
 }
@@ -171,80 +226,85 @@ StatusOr<WalWriter> WalWriter::Open(const std::string& path, uint32_t dim,
                          "WAL dimensionality " + std::to_string(dim) +
                              " outside [1, " + std::to_string(kMaxDims) + "]");
   }
+  bool missing = false;  // a missing log reads as empty: it is started
+  auto log = ReadFileOr(path, &missing);
+  if (!log) {
+    return log.error();
+  }
+  if (log->size() < kWalHeaderLen) {
+    // Fresh log, or one a crash cut inside its header write (no record
+    // can follow a torn header): start it over with a durable header, so
+    // replay can trust a log of at least header length to start with one.
+    log->clear();
+    EncodeWalHeader(dim, store_values, &*log);
+    if (Status st = WriteFileAtomicOr(path, *log); !st.ok()) {
+      return st;
+    }
+  } else {
+    // Existing log: its shape must match, and appends must follow its last
+    // intact record, or replay would stop at the torn bytes before them.
+    auto header = ParseWalHeader(*log);
+    if (!header) {
+      return header.error();
+    }
+    if (Status st = CheckShape(*header, dim, store_values, "writer wants");
+        !st.ok()) {
+      return st;
+    }
+    auto walked = WalkRecords(*log, *header, nullptr);
+    if (!walked) {
+      return walked.error();
+    }
+    if (walked->torn_tail) {
+      const std::span<const uint8_t> intact(log->data(), walked->valid_bytes);
+      if (Status st = WriteFileAtomicOr(path, intact); !st.ok()) {
+        return st;
+      }
+    }
+  }
   Vfs& vfs = *GetVfs();
-  const int fd = OpenRetry(vfs, path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) {
-    return IoError("open " + path);
-  }
-  uint64_t size = 0;
-  bool is_dir = false;
-  if (vfs.Stat(fd, &size, &is_dir) != 0 || is_dir) {
-    const Status st = is_dir ? Status::Error(StatusCode::kIoError,
-                                             path + " is a directory")
-                             : IoError("stat " + path);
-    CloseRetry(vfs, fd);
-    return st;
-  }
   WalWriter w;
-  w.fd_ = fd;
   w.dim_ = dim;
   w.store_values_ = store_values;
   w.options_ = options;
-  if (size == 0) {
-    // Fresh (or crashed-before-header) log: write and fsync the header so
-    // replay can always trust a non-empty file to start with one.
-    std::vector<uint8_t> header;
-    EncodeWalHeader(dim, store_values, &header);
-    Status st = WriteAll(vfs, fd, header.data(), header.size(),
-                         "write WAL header " + path);
-    if (st.ok() && FsyncRetry(vfs, fd) != 0) {
-      st = IoError("fsync " + path);
-    }
-    if (!st.ok()) {
-      return st;  // w's destructor closes fd
-    }
-    return w;
+  w.fd_ = OpenRetry(vfs, path.c_str(), O_WRONLY, 0);
+  if (w.fd_ < 0) {
+    return IoError("open " + path);
   }
-  // Existing log: validate its header and check shape compatibility.
-  uint8_t buf[kWalHeaderLen];
-  const ssize_t got = ReadAll(vfs, fd, buf, sizeof(buf));
-  if (got < 0) {
-    return IoError("read WAL header " + path);
-  }
-  auto header = ParseWalHeader({buf, static_cast<size_t>(got)});
-  if (!header) {
-    return header.error();
-  }
-  if (header->dim != dim || header->store_values != store_values) {
-    return Status::Error(
-        StatusCode::kHeaderCorrupt,
-        "WAL shape mismatch: log has dim=" + std::to_string(header->dim) +
-            " store_values=" + std::to_string(header->store_values) +
-            ", writer wants dim=" + std::to_string(dim) +
-            " store_values=" + std::to_string(store_values));
-  }
-  if (vfs.Seek(fd, 0, SEEK_END) < 0) {
+  if (vfs.Seek(w.fd_, 0, SEEK_END) < 0) {
     return IoError("seek " + path);
   }
   return w;
 }
 
-Status WalWriter::Append(const WalCommand& cmd) {
+Status WalWriter::CheckWritable() const {
   if (fd_ < 0) {
     return Status::Error(StatusCode::kInvalidArgument,
                          "WAL writer is closed");
   }
-  if (cmd.op != WalOp::kClear && cmd.key.size() != dim_) {
+  if (poisoned_) {
+    return Status::Error(StatusCode::kIoError,
+                         "WAL writer failed an earlier write or fsync; "
+                         "reopen the log");
+  }
+  return Status::Ok();
+}
+
+Status WalWriter::AppendRecord(WalOp op, std::span<const uint64_t> key,
+                               uint64_t value) {
+  if (Status st = CheckWritable(); !st.ok()) {
+    return st;
+  }
+  if (op != WalOp::kClear && key.size() != dim_) {
     return Status::Error(StatusCode::kInvalidArgument,
-                         "WAL command key has " +
-                             std::to_string(cmd.key.size()) +
+                         "WAL command key has " + std::to_string(key.size()) +
                              " dimensions, log has " + std::to_string(dim_));
   }
-  std::vector<uint8_t> record;
-  EncodeWalRecord(cmd, dim_, store_values_, &record);
-  const Status st =
-      WriteAll(*GetVfs(), fd_, record.data(), record.size(), "append WAL");
-  if (!st.ok()) {
+  uint8_t frame[kMaxFrameLen];
+  const size_t len = EncodeFrame(op, key, value, dim_, store_values_, frame);
+  if (Status st = WriteAll(*GetVfs(), fd_, frame, len, "append WAL");
+      !st.ok()) {
+    poisoned_ = true;
     return st;
   }
   ++appended_;
@@ -254,43 +314,32 @@ Status WalWriter::Append(const WalCommand& cmd) {
   return Status::Ok();
 }
 
+Status WalWriter::Append(const WalCommand& cmd) {
+  return AppendRecord(cmd.op, cmd.key, cmd.value);
+}
+
 Status WalWriter::AppendInsert(std::span<const uint64_t> key,
                                uint64_t value) {
-  WalCommand cmd;
-  cmd.op = WalOp::kInsert;
-  cmd.key.assign(key.begin(), key.end());
-  cmd.value = value;
-  return Append(cmd);
+  return AppendRecord(WalOp::kInsert, key, value);
 }
 
 Status WalWriter::AppendInsertOrAssign(std::span<const uint64_t> key,
                                        uint64_t value) {
-  WalCommand cmd;
-  cmd.op = WalOp::kInsertOrAssign;
-  cmd.key.assign(key.begin(), key.end());
-  cmd.value = value;
-  return Append(cmd);
+  return AppendRecord(WalOp::kInsertOrAssign, key, value);
 }
 
 Status WalWriter::AppendErase(std::span<const uint64_t> key) {
-  WalCommand cmd;
-  cmd.op = WalOp::kErase;
-  cmd.key.assign(key.begin(), key.end());
-  return Append(cmd);
+  return AppendRecord(WalOp::kErase, key, 0);
 }
 
-Status WalWriter::AppendClear() {
-  WalCommand cmd;
-  cmd.op = WalOp::kClear;
-  return Append(cmd);
-}
+Status WalWriter::AppendClear() { return AppendRecord(WalOp::kClear, {}, 0); }
 
 Status WalWriter::Sync() {
-  if (fd_ < 0) {
-    return Status::Error(StatusCode::kInvalidArgument,
-                         "WAL writer is closed");
+  if (Status st = CheckWritable(); !st.ok()) {
+    return st;
   }
   if (FsyncRetry(*GetVfs(), fd_) != 0) {
+    poisoned_ = true;
     return IoError("fsync WAL");
   }
   unsynced_ = 0;
@@ -317,199 +366,100 @@ StatusOr<WalReplayStats> ReplayWal(std::span<const uint8_t> bytes,
   if (!header) {
     return header.error();
   }
-  if (header->dim != tree->dim() ||
-      header->store_values != tree->config().store_values) {
-    return Status::Error(
-        StatusCode::kHeaderCorrupt,
-        "WAL shape mismatch: log has dim=" + std::to_string(header->dim) +
-            " store_values=" + std::to_string(header->store_values) +
-            ", tree has dim=" + std::to_string(tree->dim()) +
-            " store_values=" +
-            std::to_string(tree->config().store_values));
+  const bool store_values = header->store_values;
+  if (Status st = CheckShape(*header, tree->dim(),
+                             tree->config().store_values, "tree has");
+      !st.ok()) {
+    return st;
   }
   const uint32_t dim = header->dim;
-  const bool store_values = header->store_values;
-
-  WalReplayStats stats;
-  stats.valid_bytes = kWalHeaderLen;
-  size_t pos = kWalHeaderLen;
   PhKey key(dim, 0);
-  auto torn = [&](const std::string& why) {
-    stats.torn_tail = true;
-    stats.tail_detail = why + " at byte " + std::to_string(pos) +
-                        "; log truncated to " +
-                        std::to_string(stats.valid_bytes) + " bytes";
-    return stats;
-  };
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < 4) {
-      return torn("torn length field");
-    }
-    const uint32_t len = GetU32(bytes.data() + pos);
-    if (len == 0 || len > kMaxPayloadLen) {
-      return torn("implausible record length " + std::to_string(len));
-    }
-    if (bytes.size() - pos - 4 < static_cast<size_t>(len) + 4) {
-      return torn("torn record body");
-    }
-    const uint8_t* payload = bytes.data() + pos + 4;
-    const uint32_t stored_crc = GetU32(payload + len);
-    const uint32_t computed = Crc32c(payload, len);
-    if (stored_crc != computed) {
-      return torn("record CRC mismatch");
-    }
-    // CRC-verified from here on: undecodable content is a hard error.
-    const uint8_t opcode = payload[0];
-    const uint32_t want = ExpectedPayloadLen(opcode, dim, store_values);
-    if (want == 0) {
-      return Status(StatusCode::kRecordCorrupt, pos + 4,
-                    "unknown WAL opcode " + std::to_string(opcode));
-    }
-    if (want != len) {
-      return Status(StatusCode::kRecordCorrupt, pos,
-                    "WAL record payload is " + std::to_string(len) +
-                        " bytes, opcode " + std::to_string(opcode) +
-                        " needs " + std::to_string(want));
-    }
-    const WalOp op = static_cast<WalOp>(opcode);
+  return WalkRecords(bytes, *header, [&](WalOp op, const uint8_t* payload) {
     if (op == WalOp::kClear) {
       tree->Clear();
-    } else {
-      for (uint32_t d = 0; d < dim; ++d) {
-        key[d] = GetU64(payload + 1 + d * 8);
-      }
-      switch (op) {
-        case WalOp::kInsert:
-          tree->Insert(key,
-                       store_values ? GetU64(payload + 1 + dim * 8) : 0);
-          break;
-        case WalOp::kInsertOrAssign:
-          tree->InsertOrAssign(
-              key, store_values ? GetU64(payload + 1 + dim * 8) : 0);
-          break;
-        case WalOp::kErase:
-          tree->Erase(key);
-          break;
-        case WalOp::kClear:
-          break;  // unreachable
-      }
+      return;
     }
-    ++stats.records_applied;
-    pos += 4 + len + 4;
-    stats.valid_bytes = pos;
-  }
-  return stats;
+    for (uint32_t d = 0; d < dim; ++d) {
+      key[d] = LoadU64(payload + 1 + d * 8);
+    }
+    if (op == WalOp::kErase) {
+      tree->Erase(key);
+      return;
+    }
+    const uint64_t value = store_values ? LoadU64(payload + 1 + dim * 8) : 0;
+    if (op == WalOp::kInsert) {
+      tree->Insert(key, value);
+    } else {
+      tree->InsertOrAssign(key, value);
+    }
+  });
 }
 
 StatusOr<WalReplayStats> ReplayWalFile(const std::string& path,
                                        PhTree* tree) {
-  Vfs& vfs = *GetVfs();
-  const int fd = OpenRetry(vfs, path.c_str(), O_RDONLY, 0);
-  if (fd < 0) {
-    return IoError("open " + path);
+  auto bytes = ReadFileOr(path);
+  if (!bytes) {
+    return bytes.error();
   }
-  uint64_t size = 0;
-  bool is_dir = false;
-  if (vfs.Stat(fd, &size, &is_dir) != 0 || is_dir) {
-    const Status st = is_dir ? Status::Error(StatusCode::kIoError,
-                                             path + " is a directory")
-                             : IoError("stat " + path);
-    CloseRetry(vfs, fd);
-    return st;
-  }
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  const ssize_t got = ReadAll(vfs, fd, bytes.data(), bytes.size());
-  CloseRetry(vfs, fd);
-  if (got < 0) {
-    return IoError("read " + path);
-  }
-  bytes.resize(static_cast<size_t>(got));
-  return ReplayWal(bytes, tree);
+  return ReplayWal(*bytes, tree);
 }
 
 Expected<PhTree, Status> RecoverPhTree(const std::string& snapshot_path,
                                        const std::string& wal_path,
                                        const LoadOptions& options,
                                        WalReplayStats* replay_stats) {
-  Vfs& vfs = *GetVfs();
-  // Probe both files first so "missing" (a legitimate recovery state) can
-  // be told apart from "present but unreadable/corrupt" (an error).
-  auto probe = [&vfs](const std::string& path, uint64_t* size) {
-    const int fd = OpenRetry(vfs, path.c_str(), O_RDONLY, 0);
-    if (fd < 0) {
-      return errno == ENOENT ? 0 : -1;  // 0 = absent, -1 = error
+  // Each file is read once. "Missing" is a legitimate recovery state and
+  // is told apart from "present but unreadable/corrupt" (an error).
+  std::optional<PhTree> tree;
+  {
+    bool missing = false;
+    auto bytes = ReadSnapshotFileOr(snapshot_path, &missing);
+    if (!bytes) {
+      return bytes.error();
     }
-    bool is_dir = false;
-    if (vfs.Stat(fd, size, &is_dir) != 0) {
-      CloseRetry(vfs, fd);
-      return -1;
-    }
-    CloseRetry(vfs, fd);
-    return 1;  // present
-  };
-  uint64_t snap_size = 0;
-  uint64_t wal_size = 0;
-  const int snap_state = probe(snapshot_path, &snap_size);
-  if (snap_state < 0) {
-    return IoError("open " + snapshot_path);
-  }
-  const int wal_state = probe(wal_path, &wal_size);
-  if (wal_state < 0) {
-    return IoError("open " + wal_path);
-  }
-  // A zero-length WAL is what a crash before the header fsync leaves
-  // behind: treat it as absent.
-  const bool have_wal = wal_state == 1 && wal_size > 0;
-  if (snap_state == 0 && !have_wal) {
-    return Status::Error(StatusCode::kIoError,
-                         "nothing to recover: neither snapshot '" +
-                             snapshot_path + "' nor WAL '" + wal_path +
-                             "' exists");
-  }
-
-  if (snap_state == 1) {
-    auto tree = LoadPhTreeOr(snapshot_path, options);
-    if (!tree) {
-      return tree.error();
-    }
-    if (have_wal) {
-      auto stats = ReplayWalFile(wal_path, &*tree);
-      if (!stats) {
-        return stats.error();
+    if (!missing) {
+      auto loaded = DeserializePhTreeOr(*bytes, options);
+      if (!loaded) {
+        return loaded.error();
       }
-      if (replay_stats != nullptr) {
-        *replay_stats = *stats;
-      }
+      tree.emplace(std::move(*loaded));
     }
-    return std::move(*tree);
   }
-
-  // No snapshot: the WAL header alone determines the tree shape.
-  const int fd = OpenRetry(vfs, wal_path.c_str(), O_RDONLY, 0);
-  if (fd < 0) {
-    return IoError("open " + wal_path);
+  bool wal_missing = false;  // a missing log reads as empty
+  auto log = ReadFileOr(wal_path, &wal_missing);
+  if (!log) {
+    return log.error();
   }
-  uint8_t buf[kWalHeaderLen];
-  const ssize_t got = ReadAll(vfs, fd, buf, sizeof(buf));
-  CloseRetry(vfs, fd);
-  if (got < 0) {
-    return IoError("read " + wal_path);
+  // A log shorter than its header is what a crash before or inside the
+  // header write leaves behind: no record reached it, so it counts as
+  // absent.
+  const bool have_wal = log->size() >= kWalHeaderLen;
+  if (!tree) {
+    if (!have_wal) {
+      return Status::Error(StatusCode::kIoError,
+                           "nothing to recover: no snapshot '" +
+                               snapshot_path + "' and no WAL record in '" +
+                               wal_path + "'");
+    }
+    // No snapshot: the WAL header alone determines the tree shape.
+    auto header = ParseWalHeader(*log);
+    if (!header) {
+      return header.error();
+    }
+    PhTreeConfig config;
+    config.store_values = header->store_values;
+    tree.emplace(header->dim, config);
   }
-  auto header = ParseWalHeader({buf, static_cast<size_t>(got)});
-  if (!header) {
-    return header.error();
+  if (have_wal) {
+    auto stats = ReplayWal(*log, &*tree);
+    if (!stats) {
+      return stats.error();
+    }
+    if (replay_stats != nullptr) {
+      *replay_stats = *stats;
+    }
   }
-  PhTreeConfig config;
-  config.store_values = header->store_values;
-  PhTree tree(header->dim, config);
-  auto stats = ReplayWalFile(wal_path, &tree);
-  if (!stats) {
-    return stats.error();
-  }
-  if (replay_stats != nullptr) {
-    *replay_stats = *stats;
-  }
-  return tree;
+  return std::move(*tree);
 }
 
 }  // namespace phtree

@@ -10,11 +10,13 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/rng.h"
+#include "heap_count.h"
 #include "phtree/phtree_sync.h"
 #include "phtree/serialize.h"
 #include "phtree/validate.h"
@@ -501,6 +503,66 @@ TEST(PhTreeSharded, SingleShardDegeneratesToPlainTree) {
   EXPECT_GT(shard.arena_reclaimed_nodes + shard.arena_retired_nodes, 0u);
   EXPECT_GT(shard.epoch, 0u);
   EXPECT_TRUE(b == shard);
+}
+
+// FindBatch sorts the batch once by (shard, z-sample) and runs one resumed
+// descent per shard run over index spans, answering in place: the results
+// equal per-key point cursors under both routings and every shard count,
+// and the heap allocations of a batch (the result and the sort vector) do
+// not grow with the shard count.
+TEST(PhTreeSharded, FindBatchMatchesCursorsAndAllocatesIndependentOfS) {
+  const uint32_t dim = 2;
+  Rng rng(2024);
+  // Small coordinates give shared prefixes (resumption at every depth);
+  // the top bit spreads keys over the z-prefix shards.
+  const auto random_key = [&rng] {
+    return PhKey{rng.NextU64() & 0x80000000000003FFull,
+                 rng.NextU64() & 0x80000000000003FFull};
+  };
+  std::vector<PhKey> stored;
+  for (int i = 0; i < 3000; ++i) {
+    stored.push_back(random_key());
+  }
+  std::vector<PhKey> batch;  // hits, mostly misses, and duplicates
+  for (int i = 0; i < 64; ++i) {
+    if (i % 4 == 3) {
+      batch.push_back(batch.back());
+    } else if (i % 2 == 0) {
+      batch.push_back(stored[rng.NextBounded(stored.size())]);
+    } else {
+      batch.push_back(random_key());
+    }
+  }
+  uint64_t allocs_at_one_shard = 0;
+  for (const ShardRouting routing :
+       {ShardRouting::kZPrefix, ShardRouting::kHash}) {
+    for (const uint32_t shards : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::string(routing == ShardRouting::kHash ? "hash"
+                                                              : "z-prefix") +
+                   " S=" + std::to_string(shards));
+      PhTreeSharded tree(dim, shards, routing);
+      for (size_t i = 0; i < stored.size(); ++i) {
+        tree.Insert(stored[i], i);
+      }
+      (void)tree.FindBatch(batch);  // warm-up: epoch slot, thread state
+      const uint64_t before = testing_heap::HeapAllocs();
+      const std::vector<std::optional<uint64_t>> got = tree.FindBatch(batch);
+      const uint64_t allocs = testing_heap::HeapAllocs() - before;
+      if (shards == 1 && routing == ShardRouting::kZPrefix) {
+        allocs_at_one_shard = allocs;
+        EXPECT_LE(allocs, 2u);
+      }
+      EXPECT_EQ(allocs, allocs_at_one_shard);
+      ASSERT_EQ(got.size(), batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const TreeCursor cursor(tree.UnsafeShard(tree.ShardOf(batch[i])),
+                                batch[i], batch[i]);
+        const std::optional<uint64_t> want =
+            cursor.Valid() ? std::optional(cursor.value()) : std::nullopt;
+        ASSERT_EQ(got[i], want) << "i=" << i;
+      }
+    }
+  }
 }
 
 TEST(PhTreeSharded, SaveLoadRoundTripAcrossShardCounts) {

@@ -1,11 +1,16 @@
-// WAL format + recovery: writer/replay round-trips, the per-byte truncation
-// and per-bit corruption sweeps (region -> error-class mapping), and the
-// crash-point harnesses — FaultyVfs write budgets sweep "the process died
-// after byte N of a WAL append / during the snapshot rename" and recovery
-// must always yield a clean prefix of the applied command sequence.
+// WAL format + recovery: writer/replay round-trips, the golden bytes that
+// pin the format, the per-byte truncation and per-bit corruption sweeps
+// (region -> error-class mapping), resumption after a torn tail or a
+// failed append, the cost of an append (heap allocations) and of a
+// recovery (file opens), and the crash-point harnesses — FaultyVfs write
+// budgets sweep "the process died after byte N of a WAL append / during
+// the snapshot rename" and recovery must always yield a clean prefix of
+// the applied command sequence.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <span>
 #include <string>
@@ -14,6 +19,7 @@
 #include "common/crc32c.h"
 #include "common/fault.h"
 #include "common/vfs.h"
+#include "heap_count.h"
 #include "phtree/phtree.h"
 #include "phtree/serialize.h"
 #include "phtree/validate.h"
@@ -27,6 +33,18 @@ std::string TmpPath(const char* name) {
 }
 
 void RemoveFile(const std::string& path) { std::remove(path.c_str()); }
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void WriteBytes(const std::string& path, std::span<const uint8_t> bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
 
 /// A canned command sequence with every opcode (clear in the middle) plus
 /// the oracle map it should produce.
@@ -164,6 +182,228 @@ TEST(WalWriter, KeyDimMismatchIsInvalidArgument) {
   EXPECT_EQ(w->AppendInsert(PhKey{1, 2, 3}, 0).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(w->appended(), 0u);
+  RemoveFile(path);
+}
+
+// ---- Golden bytes ------------------------------------------------------
+
+// Two logs written by an earlier build of the encoder, pinning the format:
+// the header and one record of each opcode (an insert follows the clear,
+// so the replayed tree is not empty), in value mode and in key-only mode.
+constexpr uint8_t kGoldenValueLog[] = {
+    0x50, 0x48, 0x57, 0x4c, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x01, 0xf6, 0xb9, 0x45, 0xb3, 0x19, 0x00, 0x00, 0x00, 0x01, 0xef, 0xcd,
+    0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, 0x79, 0x77,
+    0x08, 0x42, 0x19, 0x00, 0x00, 0x00, 0x02, 0xef, 0xcd, 0xab, 0x89, 0x67,
+    0x45, 0x23, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2a,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4f, 0x53, 0x67, 0xce, 0x19,
+    0x00, 0x00, 0x00, 0x01, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x09, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x07, 0x3a, 0x09, 0x11, 0x00, 0x00, 0x00,
+    0x03, 0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0x07, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x67, 0x99, 0x77, 0x28, 0x01, 0x00, 0x00,
+    0x00, 0x04, 0x4e, 0xc4, 0xe7, 0x95, 0x19, 0x00, 0x00, 0x00, 0x01, 0x03,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0xab, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xdb,
+    0x99, 0xc3, 0x9e,
+};
+constexpr uint8_t kGoldenKeyOnlyLog[] = {
+    0x50, 0x48, 0x57, 0x4c, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0xf5, 0x3a, 0x2e, 0x41, 0x11, 0x00, 0x00, 0x00, 0x01, 0xef, 0xcd,
+    0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xd9, 0x21, 0xbe, 0x97, 0x11, 0x00, 0x00, 0x00, 0x02, 0xef,
+    0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x38, 0x45, 0x93, 0x77, 0x11, 0x00, 0x00, 0x00, 0x01,
+    0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0xee, 0x27, 0x4e, 0x75, 0x11, 0x00, 0x00, 0x00,
+    0x03, 0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0x07, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x67, 0x99, 0x77, 0x28, 0x01, 0x00, 0x00,
+    0x00, 0x04, 0x4e, 0xc4, 0xe7, 0x95, 0x11, 0x00, 0x00, 0x00, 0x01, 0x03,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x28, 0x9d, 0xec, 0xb7,
+};
+
+/// The commands the golden logs hold (dim 2).
+std::vector<WalCommand> GoldenCommands() {
+  const PhKey a{0x0123456789ABCDEFull, 7};
+  return {
+      {WalOp::kInsert, a, 0x1122334455667788ull},
+      {WalOp::kInsertOrAssign, a, 42},
+      {WalOp::kInsert, {5, ~uint64_t{0}}, 9},
+      {WalOp::kErase, a, 0},
+      {WalOp::kClear, {}, 0},
+      {WalOp::kInsert, {3, 4}, 0xAB},
+  };
+}
+
+TEST(WalGolden, EncoderWriterAndReplayMatchTheCapturedBytes) {
+  const std::string path = TmpPath("wal_golden.wal");
+  for (const bool store_values : {true, false}) {
+    SCOPED_TRACE(store_values ? "value mode" : "key-only mode");
+    const std::span<const uint8_t> golden =
+        store_values ? std::span<const uint8_t>(kGoldenValueLog)
+                     : std::span<const uint8_t>(kGoldenKeyOnlyLog);
+    const std::vector<uint8_t> want(golden.begin(), golden.end());
+    const std::vector<WalCommand> commands = GoldenCommands();
+
+    std::vector<uint8_t> encoded;
+    EncodeWalHeader(2, store_values, &encoded);
+    for (const WalCommand& cmd : commands) {
+      EncodeWalRecord(cmd, 2, store_values, &encoded);
+    }
+    EXPECT_EQ(encoded, want) << "EncodeWalRecord";
+
+    RemoveFile(path);
+    {
+      auto w = WalWriter::Open(path, 2, store_values);
+      ASSERT_TRUE(w) << w.error().ToString();
+      for (const WalCommand& cmd : commands) {
+        ASSERT_TRUE(w->Append(cmd).ok());
+      }
+      ASSERT_TRUE(w->Close().ok());
+    }
+    EXPECT_EQ(ReadBytes(path), want) << "WalWriter::Append";
+
+    RemoveFile(path);
+    {
+      auto w = WalWriter::Open(path, 2, store_values);
+      ASSERT_TRUE(w) << w.error().ToString();
+      for (const WalCommand& cmd : commands) {
+        Status st;
+        switch (cmd.op) {
+          case WalOp::kInsert: st = w->AppendInsert(cmd.key, cmd.value); break;
+          case WalOp::kInsertOrAssign:
+            st = w->AppendInsertOrAssign(cmd.key, cmd.value);
+            break;
+          case WalOp::kErase: st = w->AppendErase(cmd.key); break;
+          case WalOp::kClear: st = w->AppendClear(); break;
+        }
+        ASSERT_TRUE(st.ok()) << st.ToString();
+      }
+      ASSERT_TRUE(w->Close().ok());
+    }
+    EXPECT_EQ(ReadBytes(path), want) << "WalWriter::Append<Op>";
+
+    PhTreeConfig config;
+    config.store_values = store_values;
+    PhTree tree(2, config);
+    const auto stats = ReplayWal(golden, &tree);
+    ASSERT_TRUE(stats) << stats.error().ToString();
+    EXPECT_EQ(stats->records_applied, commands.size());
+    EXPECT_EQ(stats->valid_bytes, golden.size());
+    EXPECT_FALSE(stats->torn_tail);
+    const std::map<PhKey, uint64_t> expect{
+        {PhKey{3, 4}, store_values ? uint64_t{0xAB} : uint64_t{0}}};
+    EXPECT_EQ(TreeState(tree), expect);
+  }
+  RemoveFile(path);
+}
+
+// ---- Resumption ---------------------------------------------------------
+
+// A crash tore the third record. Reopening must cut the torn bytes before
+// appending: replay stops at them, so records appended behind them would
+// be acknowledged and then lost.
+TEST(WalWriter, ReopenCutsTornTailBeforeAppending) {
+  const std::string path = TmpPath("wal_torn_reopen.wal");
+  std::vector<uint8_t> bytes;
+  EncodeWalHeader(2, true, &bytes);
+  for (uint64_t i = 0; i < 3; ++i) {
+    EncodeWalRecord({WalOp::kInsert, PhKey{i, i}, i}, 2, true, &bytes);
+  }
+  bytes.resize(bytes.size() - 10);  // the third record loses its tail
+  WriteBytes(path, bytes);
+  {
+    auto w = WalWriter::Open(path, 2, true);
+    ASSERT_TRUE(w) << w.error().ToString();
+    for (uint64_t i = 10; i < 20; ++i) {
+      ASSERT_TRUE(w->AppendInsert(PhKey{i, i}, i).ok());
+    }
+    ASSERT_TRUE(w->Close().ok());
+  }
+  PhTree tree(2);
+  const auto stats = ReplayWalFile(path, &tree);
+  ASSERT_TRUE(stats) << stats.error().ToString();
+  EXPECT_EQ(stats->records_applied, 12u);
+  EXPECT_FALSE(stats->torn_tail) << stats->tail_detail;
+  EXPECT_EQ(tree.size(), 12u);
+  EXPECT_TRUE(tree.Contains(PhKey{19, 19}));
+  EXPECT_FALSE(tree.Contains(PhKey{2, 2}));
+  RemoveFile(path);
+}
+
+// An append that fails part-way (two short writes, then ENOSPC) leaves a
+// torn record in the file. The writer must refuse to append behind it
+// until the log is reopened, which cuts it.
+TEST(WalWriter, FailedAppendPoisonsTheWriterUntilReopen) {
+  const std::string path = TmpPath("wal_poisoned.wal");
+  RemoveFile(path);
+  auto w = WalWriter::Open(path, 2, true);
+  ASSERT_TRUE(w) << w.error().ToString();
+  ASSERT_TRUE(w->AppendInsert(PhKey{1, 1}, 1).ok());
+  ASSERT_TRUE(w->AppendInsert(PhKey{2, 2}, 2).ok());
+
+  FaultInjector inj;
+  SetFaultInjector(&inj);
+  FaultyVfs vfs;
+  {
+    ScopedVfs scoped(&vfs);
+    vfs.set_short_write_cap(5);
+    inj.ArmCountdown(FaultSite::kVfsWrite, 3);
+    const Status failed = w->AppendInsert(PhKey{3, 3}, 3);
+    EXPECT_EQ(failed.code(), StatusCode::kIoError);
+    EXPECT_TRUE(inj.fired());
+  }
+  SetFaultInjector(nullptr);
+  EXPECT_GT(ReadBytes(path).size(), kWalHeaderLen + 2 * 33u);  // torn bytes
+
+  EXPECT_EQ(w->AppendInsert(PhKey{4, 4}, 4).code(), StatusCode::kIoError);
+  EXPECT_EQ(w->AppendClear().code(), StatusCode::kIoError);
+  EXPECT_EQ(w->Sync().code(), StatusCode::kIoError);
+  EXPECT_EQ(w->appended(), 2u);
+  EXPECT_FALSE(w->Close().ok());
+
+  {
+    auto reopened = WalWriter::Open(path, 2, true);
+    ASSERT_TRUE(reopened) << reopened.error().ToString();
+    ASSERT_TRUE(reopened->AppendInsert(PhKey{4, 4}, 4).ok());
+    ASSERT_TRUE(reopened->Close().ok());
+  }
+  PhTree tree(2);
+  const auto stats = ReplayWalFile(path, &tree);
+  ASSERT_TRUE(stats) << stats.error().ToString();
+  EXPECT_EQ(stats->records_applied, 3u);
+  EXPECT_FALSE(stats->torn_tail) << stats->tail_detail;
+  const std::map<PhKey, uint64_t> expect{
+      {PhKey{1, 1}, 1}, {PhKey{2, 2}, 2}, {PhKey{4, 4}, 4}};
+  EXPECT_EQ(TreeState(tree), expect);
+  RemoveFile(path);
+}
+
+// ---- Cost ---------------------------------------------------------------
+
+TEST(WalWriter, SteadyStateAppendsDoNotAllocate) {
+  const std::string path = TmpPath("wal_allocs.wal");
+  RemoveFile(path);
+  WalOptions options;
+  options.sync_every_n = 0;
+  auto w = WalWriter::Open(path, 3, true, options);
+  ASSERT_TRUE(w) << w.error().ToString();
+  const PhKey key{1, 2, 3};
+  ASSERT_TRUE(w->AppendInsert(key, 0).ok());  // warm-up
+  ASSERT_TRUE(w->AppendErase(key).ok());
+  bool ok = true;
+  const uint64_t before = testing_heap::HeapAllocs();
+  for (uint64_t i = 0; i < 100; ++i) {
+    ok &= w->AppendInsert(key, i).ok();
+    ok &= w->AppendErase(key).ok();
+  }
+  ok &= w->Sync().ok();
+  const uint64_t allocs = testing_heap::HeapAllocs() - before;
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(allocs, 0u) << "heap allocations in 200 appends and a sync";
+  ASSERT_TRUE(w->Close().ok());
   RemoveFile(path);
 }
 
@@ -368,12 +608,120 @@ TEST(Recover, ZeroLengthWalIsAbsent) {
   RemoveFile(wal);
 }
 
+// A crash inside Open's 17-byte header write leaves a log shorter than its
+// header. No record can follow a torn header, so recovery treats the log
+// as absent (the snapshot alone), and Open starts it over. ReplayWal
+// still rejects the bytes as a truncated header.
+TEST(Recover, TornHeaderWalIsAbsentAndReopens) {
+  const std::string snap = TmpPath("rec_torn_header.phtree");
+  const std::string wal = TmpPath("rec_torn_header.wal");
+  PhTree tree(2);
+  tree.Insert(PhKey{1, 2}, 3);
+  ASSERT_TRUE(SavePhTreeOr(tree, snap).ok());
+  std::vector<uint8_t> header;
+  EncodeWalHeader(2, true, &header);
+  header.resize(9);
+  WriteBytes(wal, header);
+
+  PhTree probe(2);
+  const auto replayed = ReplayWal(header, &probe);
+  ASSERT_FALSE(replayed);
+  EXPECT_EQ(replayed.error().code(), StatusCode::kTruncated);
+
+  WalReplayStats stats;
+  auto recovered = RecoverPhTree(snap, wal, {}, &stats);
+  ASSERT_TRUE(recovered) << recovered.error().ToString();
+  EXPECT_EQ(TreeState(*recovered), TreeState(tree));
+  EXPECT_EQ(stats.records_applied, 0u);
+
+  {
+    auto w = WalWriter::Open(wal, 2, true);
+    ASSERT_TRUE(w) << w.error().ToString();
+    ASSERT_TRUE(w->AppendInsert(PhKey{5, 6}, 7).ok());
+    ASSERT_TRUE(w->Close().ok());
+  }
+  recovered = RecoverPhTree(snap, wal, {}, &stats);
+  ASSERT_TRUE(recovered) << recovered.error().ToString();
+  EXPECT_EQ(stats.records_applied, 1u);
+  const std::map<PhKey, uint64_t> expect{{PhKey{1, 2}, 3}, {PhKey{5, 6}, 7}};
+  EXPECT_EQ(TreeState(*recovered), expect);
+  RemoveFile(snap);
+  RemoveFile(wal);
+}
+
+/// Forwards to the host file system, counting Open calls.
+class OpenCountingVfs : public Vfs {
+ public:
+  int opens = 0;
+
+  int Open(const char* path, int flags, mode_t mode) override {
+    ++opens;
+    return real_.Open(path, flags, mode);
+  }
+  ssize_t Read(int fd, void* buf, size_t n) override {
+    return real_.Read(fd, buf, n);
+  }
+  ssize_t Write(int fd, const void* buf, size_t n) override {
+    return real_.Write(fd, buf, n);
+  }
+  int Fsync(int fd) override { return real_.Fsync(fd); }
+  int Close(int fd) override { return real_.Close(fd); }
+  int Rename(const char* from, const char* to) override {
+    return real_.Rename(from, to);
+  }
+  int Unlink(const char* path) override { return real_.Unlink(path); }
+  off_t Seek(int fd, off_t offset, int whence) override {
+    return real_.Seek(fd, offset, whence);
+  }
+  int Stat(int fd, uint64_t* size, bool* is_dir) override {
+    return real_.Stat(fd, size, is_dir);
+  }
+
+ private:
+  RealVfs real_;
+};
+
+// Recovery reads each file once: one Open per file, whether the snapshot
+// exists or not.
+TEST(Recover, OpensEachFileOnce) {
+  const std::string snap = TmpPath("rec_opens.phtree");
+  const std::string wal = TmpPath("rec_opens.wal");
+  RemoveFile(snap);
+  RemoveFile(wal);
+  PhTree tree(2);
+  tree.Insert(PhKey{1, 2}, 3);
+  ASSERT_TRUE(SavePhTreeOr(tree, snap).ok());
+  {
+    auto w = WalWriter::Open(wal, 2, true);
+    ASSERT_TRUE(w);
+    ASSERT_TRUE(w->AppendInsert(PhKey{4, 5}, 6).ok());
+    ASSERT_TRUE(w->Close().ok());
+  }
+  for (const bool with_snapshot : {true, false}) {
+    if (!with_snapshot) {
+      RemoveFile(snap);
+    }
+    OpenCountingVfs vfs;
+    {
+      ScopedVfs scoped(&vfs);
+      auto recovered = RecoverPhTree(snap, wal);
+      ASSERT_TRUE(recovered) << recovered.error().ToString();
+      EXPECT_EQ(recovered->size(), with_snapshot ? 2u : 1u);
+    }
+    EXPECT_EQ(vfs.opens, 2) << (with_snapshot ? "snapshot + WAL" : "WAL only");
+  }
+  RemoveFile(wal);
+}
+
 // ---- Crash points -------------------------------------------------------
 
 // Sweep "the process died after byte N of appending to the WAL": for every
 // budget N the file holds some prefix of the record stream plus at most one
-// torn record, and recovery must yield exactly the state after the records
-// that fully reached disk.
+// torn record (or, below the header length, a torn header), and recovery
+// must yield exactly the state after the records that fully reached disk.
+// An empty tree's snapshot sits next to the log, so a torn header leaves a
+// recoverable state too. Reopening the log then resumes it: one more
+// record must replay behind the surviving ones.
 TEST(CrashPoint, WalAppendSweep) {
   const uint32_t dim = 2;
   const Script script = MakeScript(dim, 20);
@@ -381,24 +729,22 @@ TEST(CrashPoint, WalAppendSweep) {
   const std::vector<uint8_t> full = EncodeScript(script, dim, &starts);
   starts.push_back(full.size());
   const std::string wal = TmpPath("crash_append.wal");
-  const std::string snap = TmpPath("crash_append.phtree");  // never exists
-  RemoveFile(snap);
+  const std::string snap = TmpPath("crash_append.phtree");
+  ASSERT_TRUE(SavePhTreeOr(PhTree(dim), snap).ok());
 
-  // Budgets stepping through every record boundary and several mid-record
-  // cuts (every 3 bytes keeps the sweep fast but hits all three torn cases:
-  // torn length, torn body, torn CRC).
-  for (size_t budget = kWalHeaderLen; budget <= full.size(); budget += 3) {
+  // Budgets stepping through the header, every record boundary and several
+  // mid-record cuts (every 3 bytes keeps the sweep fast but hits all three
+  // torn cases: torn length, torn body, torn CRC).
+  for (size_t budget = 0; budget <= full.size(); budget += 3) {
     RemoveFile(wal);
     {
       FaultyVfs vfs;
       ScopedVfs scoped(&vfs);
       vfs.SetWriteBudget(budget);
       auto w = WalWriter::Open(wal, dim, true);
-      if (!w) {
-        continue;  // died inside the header write: nothing to recover
-      }
-      for (const WalCommand& cmd : script.commands) {
-        if (!w->Append(cmd).ok()) {
+      // A writer that died inside the header write has nothing to append.
+      for (size_t i = 0; w && i < script.commands.size(); ++i) {
+        if (!w->Append(script.commands[i]).ok()) {
           break;  // the "process" is dead; later appends fail too
         }
       }
@@ -421,8 +767,26 @@ TEST(CrashPoint, WalAppendSweep) {
       ++whole;
     }
     EXPECT_EQ(applied, whole) << "budget " << budget;
+
+    // Resumption: the reopened log takes the next command behind the
+    // surviving records, and recovery replays it.
+    if (whole < script.commands.size()) {
+      auto w = WalWriter::Open(wal, dim, true);
+      ASSERT_TRUE(w) << "budget " << budget << ": " << w.error().ToString();
+      ASSERT_TRUE(w->Append(script.commands[whole]).ok());
+      ASSERT_TRUE(w->Close().ok());
+      auto resumed = RecoverPhTree(snap, wal, {}, &stats);
+      ASSERT_TRUE(resumed)
+          << "budget " << budget << ": " << resumed.error().ToString();
+      EXPECT_EQ(stats.records_applied, whole + 1) << "budget " << budget;
+      EXPECT_FALSE(stats.torn_tail) << "budget " << budget;
+      EXPECT_EQ(TreeState(*resumed), StateAfter(script, whole + 1))
+          << "budget " << budget;
+    }
   }
   RemoveFile(wal);
+  RemoveFile(wal + ".tmp");  // a header write torn before its rename
+  RemoveFile(snap);
 }
 
 // "The process died during the snapshot rewrite": the atomic tmp+rename
