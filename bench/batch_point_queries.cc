@@ -20,35 +20,25 @@
 // metadata records which kernel was active so the CI gate can skip the win
 // checks on scalar-only hosts or builds.
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "benchlib/json_artifact.h"
 #include "benchlib/measure.h"
-#include "benchlib/run_metadata.h"
 #include "common/simd.h"
 
 namespace phtree::bench {
 namespace {
-
-struct ResultRow {
-  std::string dataset;
-  std::string mode;
-  uint64_t n = 0;
-  uint64_t batch = 0;  ///< 0 for the simd_ablation rows
-  double us = 0;
-};
 
 constexpr int kReps = 5;
 
 /// FindBatch vs looped Find on one pre-built 6D CUBE tree: both arms walk
 /// identical key sequences, grouped identically — only the lookup strategy
 /// differs.
-std::vector<ResultRow> RunBatchQueries() {
+std::vector<JsonFields> RunBatchQueries() {
   std::printf("\n## 6D CUBE, FindBatch vs looped Find (50%% hit rate)\n");
   Table table({"dataset", "mode", "n", "batch", "us/key"});
-  std::vector<ResultRow> rows;
+  std::vector<JsonFields> rows;
   const size_t n = ScaledN(200000);
   const Dataset ds = GenerateCube(n, 6, 42);
   const auto queries = MakePointQueries(ds, ScaledN(100000), 1234);
@@ -72,7 +62,9 @@ std::vector<ResultRow> RunBatchQueries() {
         table.Cell(static_cast<uint64_t>(ds.n()));
         table.Cell(static_cast<uint64_t>(batch));
         table.Cell(us);
-        rows.push_back(ResultRow{"6D CUBE", mode, ds.n(), batch, us});
+        rows.push_back({JsonStr("dataset", "6D CUBE"), JsonStr("struct", mode),
+                        JsonInt("n", ds.n()), JsonInt("batch", batch),
+                        JsonNum("us_per_key", us, 4)});
       }
     }
   }
@@ -83,7 +75,7 @@ std::vector<ResultRow> RunBatchQueries() {
 /// and with the scalar twins forced (interleaved repetitions).
 void RunAblationWorkload(const char* name, uint64_t n,
                          const std::function<double()>& measure, Table* table,
-                         std::vector<ResultRow>* rows) {
+                         std::vector<JsonFields>* rows) {
   for (int rep = 0; rep < kReps; ++rep) {
     for (const bool use_simd : {true, false}) {
       simd::ScopedForceScalar force(!use_simd);
@@ -93,7 +85,8 @@ void RunAblationWorkload(const char* name, uint64_t n,
       table->Cell(std::string(mode));
       table->Cell(n);
       table->Cell(us);
-      rows->push_back(ResultRow{name, mode, n, 0, us});
+      rows->push_back({JsonStr("dataset", name), JsonStr("struct", mode),
+                       JsonInt("n", n), JsonNum("us_per_op", us, 4)});
     }
   }
 }
@@ -101,11 +94,11 @@ void RunAblationWorkload(const char* name, uint64_t n,
 /// Each workload builds its tree ONCE and both arms query that same tree:
 /// a per-arm rebuild would hand whichever arm runs first a cold allocator
 /// and bias the comparison against it.
-std::vector<ResultRow> RunSimdAblation() {
+std::vector<JsonFields> RunSimdAblation() {
   std::printf("\n## SIMD kernel ablation (%s kernels vs forced scalar)\n",
               simd::ActiveKernelName());
   Table table({"dataset", "mode", "n", "us/op"});
-  std::vector<ResultRow> rows;
+  std::vector<JsonFields> rows;
   const auto build = [](const Dataset& ds) {
     PhAdapter index(ds.dim);
     for (size_t i = 0; i < ds.n(); ++i) {
@@ -161,45 +154,6 @@ std::vector<ResultRow> RunSimdAblation() {
   return rows;
 }
 
-void AppendRows(const std::vector<ResultRow>& rows, const char* value_key,
-                bool with_batch, std::ostringstream* os) {
-  for (size_t i = 0; i < rows.size(); ++i) {
-    char buf[256];
-    if (with_batch) {
-      std::snprintf(buf, sizeof(buf),
-                    "    {\"dataset\": \"%s\", \"struct\": \"%s\", "
-                    "\"n\": %llu, \"batch\": %llu, \"%s\": %.4f}",
-                    JsonEscape(rows[i].dataset).c_str(),
-                    JsonEscape(rows[i].mode).c_str(),
-                    static_cast<unsigned long long>(rows[i].n),
-                    static_cast<unsigned long long>(rows[i].batch), value_key,
-                    rows[i].us);
-    } else {
-      std::snprintf(buf, sizeof(buf),
-                    "    {\"dataset\": \"%s\", \"struct\": \"%s\", "
-                    "\"n\": %llu, \"%s\": %.4f}",
-                    JsonEscape(rows[i].dataset).c_str(),
-                    JsonEscape(rows[i].mode).c_str(),
-                    static_cast<unsigned long long>(rows[i].n), value_key,
-                    rows[i].us);
-    }
-    *os << buf << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-}
-
-std::string SectionJson(const RunMetadata& meta, const char* figure,
-                        const std::vector<ResultRow>& rows,
-                        const char* value_key, bool with_batch) {
-  std::ostringstream os;
-  os << "{\n  \"figure\": \"" << figure << "\",\n  \"metadata\": "
-     << MetadataJson(meta) << ",\n  \"kernel\": \""
-     << JsonEscape(simd::ActiveKernelName()) << "\",\n  \"simd_active\": "
-     << (simd::KernelsUseSimd() ? "true" : "false") << ",\n  \"rows\": [\n";
-  AppendRows(rows, value_key, with_batch, &os);
-  os << "  ]\n}";
-  return os.str();
-}
-
 int Main(int argc, char** argv) {
   const std::string json_path =
       argc > 1 ? argv[1] : std::string("BENCH_queries.json");
@@ -208,20 +162,16 @@ int Main(int argc, char** argv) {
   const RunMetadata meta = CollectRunMetadata();
   std::printf("# %s kernel=%s\n", MetadataJson(meta).c_str(),
               simd::ActiveKernelName());
-  const std::vector<ResultRow> batch_rows = RunBatchQueries();
-  const std::vector<ResultRow> ablation_rows = RunSimdAblation();
-  if (!UpdateJsonArtifact(json_path, "queries", "batch_point_queries",
-                          SectionJson(meta, "FindBatch vs looped Find",
-                                      batch_rows, "us_per_key",
-                                      /*with_batch=*/true))) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  if (!UpdateJsonArtifact(json_path, "queries", "simd_ablation",
-                          SectionJson(meta, "SIMD kernels vs forced scalar",
-                                      ablation_rows, "us_per_op",
-                                      /*with_batch=*/false))) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
+  const JsonFields kernel = {JsonStr("kernel", simd::ActiveKernelName()),
+                             JsonBool("simd_active", simd::KernelsUseSimd())};
+  const BenchSection batch{"FindBatch vs looped Find", kernel,
+                           RunBatchQueries()};
+  const BenchSection ablation{"SIMD kernels vs forced scalar", kernel,
+                              RunSimdAblation()};
+  if (!WriteBenchSection(json_path, "queries", "batch_point_queries", meta,
+                         batch) ||
+      !WriteBenchSection(json_path, "queries", "simd_ablation", meta,
+                         ablation)) {
     return 1;
   }
   std::printf(

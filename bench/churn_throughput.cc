@@ -24,30 +24,29 @@
 //
 // Repetitions of the A/B arms are interleaved (like batch_point_queries)
 // so background load drifts hit both arms equally; consumers compare the
-// per-arm minima. tools/check_bench_churn.py gates the committed artifact.
+// per-arm minima. tools/check_bench.py gates the committed artifact.
 #include <cstdio>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchlib/adapters.h"
 #include "benchlib/harness.h"
 #include "benchlib/json_artifact.h"
-#include "benchlib/run_metadata.h"
 #include "benchlib/workloads.h"
 #include "phtree/phtree.h"
 
 namespace phtree::bench {
 namespace {
 
-struct ResultRow {
-  std::string dataset;
-  std::string mode;
-  uint64_t n = 0;
-  double us = 0;
-};
-
 constexpr int kReps = 5;
+
+/// One artefact row: `value_key` names the section's time unit.
+JsonFields Row(const std::string& dataset, const char* mode, uint64_t n,
+               const char* value_key, double us) {
+  return {JsonStr("dataset", dataset), JsonStr("struct", mode),
+          JsonInt("n", n), JsonNum(value_key, us, 4)};
+}
 
 /// One fully pre-generated move stream: the initial placement plus every
 /// tick's (from, to) pairs in encoded key space, so both arms replay the
@@ -92,7 +91,7 @@ PhTree BuildTree(uint32_t dim, const std::vector<PhKey>& keys) {
 /// and then replays the whole stream (timed).
 void RunMovingObjects(const char* name, const MovingObjectsConfig& config,
                       size_t ticks, uint64_t seed, Table* table,
-                      std::vector<ResultRow>* rows) {
+                      std::vector<JsonFields>* rows) {
   const MoveStream stream = GenerateMoves(config, ticks, seed);
   if (stream.moves.empty()) {
     return;
@@ -124,7 +123,7 @@ void RunMovingObjects(const char* name, const MovingObjectsConfig& config,
       table->Cell(std::string(mode));
       table->Cell(static_cast<uint64_t>(config.n_objects));
       table->Cell(us);
-      rows->push_back(ResultRow{name, mode, config.n_objects, us});
+      rows->push_back(Row(name, mode, config.n_objects, "us_per_move", us));
     }
   }
   std::printf("# %s: %zu moves, update fast_path=%llu fallback=%llu\n", name,
@@ -133,10 +132,10 @@ void RunMovingObjects(const char* name, const MovingObjectsConfig& config,
               static_cast<unsigned long long>(fallback));
 }
 
-std::vector<ResultRow> RunMovingObjectsSection() {
+std::vector<JsonFields> RunMovingObjectsSection() {
   std::printf("\n## Moving objects: Update vs Erase+Insert (same streams)\n");
   Table table({"dataset", "mode", "n", "us/move"});
-  std::vector<ResultRow> rows;
+  std::vector<JsonFields> rows;
   const size_t n = ScaledN(100000);
   const size_t ticks = 10;
   {
@@ -168,10 +167,10 @@ std::vector<ResultRow> RunMovingObjectsSection() {
   return rows;
 }
 
-std::vector<ResultRow> RunZipfQueries() {
+std::vector<JsonFields> RunZipfQueries() {
   std::printf("\n## Zipf-skewed vs uniform point lookups (same tree)\n");
   Table table({"dataset", "mode", "n", "us/query"});
-  std::vector<ResultRow> rows;
+  std::vector<JsonFields> rows;
   const size_t n = ScaledN(200000);
   const size_t n_queries = ScaledN(100000);
   const Dataset ds = GenerateCube(n, 2, 42);
@@ -212,16 +211,16 @@ std::vector<ResultRow> RunZipfQueries() {
       table.Cell(std::string(mode));
       table.Cell(static_cast<uint64_t>(n));
       table.Cell(us);
-      rows.push_back(ResultRow{"2D CUBE s=1.1 hot=4", mode, n, us});
+      rows.push_back(Row("2D CUBE s=1.1 hot=4", mode, n, "us_per_query", us));
     }
   }
   return rows;
 }
 
-std::vector<ResultRow> RunTtlEviction() {
+std::vector<JsonFields> RunTtlEviction() {
   std::printf("\n## TTL eviction: epoch inserts + expiry window sweeps\n");
   Table table({"dataset", "mode", "n", "us/op"});
-  std::vector<ResultRow> rows;
+  std::vector<JsonFields> rows;
   TtlConfig config;
   config.space_dim = 2;
   config.inserts_per_epoch = ScaledN(5000);
@@ -259,35 +258,9 @@ std::vector<ResultRow> RunTtlEviction() {
     table.Cell(std::string("sweep"));
     table.Cell(steady_n);
     table.Cell(us);
-    rows.push_back(ResultRow{"TTL 2D+t ttl=8", "sweep", steady_n, us});
+    rows.push_back(Row("TTL 2D+t ttl=8", "sweep", steady_n, "us_per_op", us));
   }
   return rows;
-}
-
-void AppendRows(const std::vector<ResultRow>& rows, const char* value_key,
-                std::ostringstream* os) {
-  for (size_t i = 0; i < rows.size(); ++i) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"dataset\": \"%s\", \"struct\": \"%s\", "
-                  "\"n\": %llu, \"%s\": %.4f}",
-                  JsonEscape(rows[i].dataset).c_str(),
-                  JsonEscape(rows[i].mode).c_str(),
-                  static_cast<unsigned long long>(rows[i].n), value_key,
-                  rows[i].us);
-    *os << buf << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-}
-
-std::string SectionJson(const RunMetadata& meta, const char* figure,
-                        const std::vector<ResultRow>& rows,
-                        const char* value_key) {
-  std::ostringstream os;
-  os << "{\n  \"figure\": \"" << figure << "\",\n  \"metadata\": "
-     << MetadataJson(meta) << ",\n  \"rows\": [\n";
-  AppendRows(rows, value_key, &os);
-  os << "  ]\n}";
-  return os.str();
 }
 
 int Main(int argc, char** argv) {
@@ -297,28 +270,17 @@ int Main(int argc, char** argv) {
               "Update fast path vs erase+insert; Zipf queries; TTL sweeps");
   const RunMetadata meta = CollectRunMetadata();
   std::printf("# %s\n", MetadataJson(meta).c_str());
-  const std::vector<ResultRow> move_rows = RunMovingObjectsSection();
-  const std::vector<ResultRow> zipf_rows = RunZipfQueries();
-  const std::vector<ResultRow> ttl_rows = RunTtlEviction();
-  struct Section {
-    const char* name;
-    const char* figure;
-    const std::vector<ResultRow>* rows;
-    const char* value_key;
+  const std::pair<const char*, BenchSection> sections[] = {
+      {"moving_objects",
+       {"Update vs Erase+Insert on moving objects", {},
+        RunMovingObjectsSection()}},
+      {"zipf_queries",
+       {"Zipf-skewed vs uniform point lookups", {}, RunZipfQueries()}},
+      {"ttl_eviction",
+       {"TTL epoch inserts + expiry window sweeps", {}, RunTtlEviction()}},
   };
-  const Section sections[] = {
-      {"moving_objects", "Update vs Erase+Insert on moving objects",
-       &move_rows, "us_per_move"},
-      {"zipf_queries", "Zipf-skewed vs uniform point lookups", &zipf_rows,
-       "us_per_query"},
-      {"ttl_eviction", "TTL epoch inserts + expiry window sweeps", &ttl_rows,
-       "us_per_op"},
-  };
-  for (const Section& s : sections) {
-    if (!UpdateJsonArtifact(json_path, "churn", s.name,
-                            SectionJson(meta, s.figure, *s.rows,
-                                        s.value_key))) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
+  for (const auto& [name, section] : sections) {
+    if (!WriteBenchSection(json_path, "churn", name, meta, section)) {
       return 1;
     }
   }

@@ -2,16 +2,15 @@
 // aggregate insert throughput over threads x shards (vs the coarse-lock
 // PhTreeSync and the unsynchronised PhTree baseline), parallel BulkLoad,
 // and fan-out window queries, all on the paper's CUBE workload. Prints a
-// fixed-width table and writes a machine-readable JSON artefact
-// (default BENCH_concurrency.json, or argv[1]) stamped with run metadata
-// (cores/build/sha/scale) so checked-in results are interpretable: the
-// ">= 4x sharded vs sync at 8 threads" target needs >= 8 physical cores —
-// on fewer cores the sweep still quantifies locking overhead, it just
-// cannot show parallel speedup.
+// fixed-width table and writes the "concurrency_scaling" section of the
+// BENCH_concurrency.json artefact (argv[1] overrides the path), stamped
+// with run metadata (cores/build/sha/scale) so checked-in results are
+// interpretable: the ">= 4x sharded vs sync at 8 threads" target needs
+// >= 8 physical cores — on fewer cores the sweep still quantifies locking
+// overhead, it just cannot show parallel speedup.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <optional>
 #include <shared_mutex>
@@ -21,7 +20,7 @@
 #include <vector>
 
 #include "benchlib/harness.h"
-#include "benchlib/run_metadata.h"
+#include "benchlib/json_artifact.h"
 #include "benchlib/workloads.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -183,17 +182,6 @@ double ReadersUnderWriterUs(Tree& tree, const std::vector<PhKey>& probes,
   stop.store(true, std::memory_order_relaxed);
   writer.join();
   return us;
-}
-
-std::string JsonRow(const Row& r) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "    {\"index\": \"%s\", \"op\": \"%s\", \"threads\": %u, "
-                "\"shards\": %u, \"ops\": %.0f, \"us\": %.1f, "
-                "\"mops_per_sec\": %.4f, \"us_per_op\": %.4f}",
-                r.index.c_str(), r.op.c_str(), r.threads, r.shards, r.ops,
-                r.us, r.MopsPerSec(), r.UsPerOp());
-  return buf;
 }
 
 int Main(int argc, char** argv) {
@@ -407,32 +395,33 @@ int Main(int argc, char** argv) {
   }
 
   // ---- JSON artefact -----------------------------------------------------
-  std::ofstream out(json_path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
+  BenchSection section{
+      "Sect. 5 outlook: concurrent PH-tree via lock striping",
+      {JsonBool("scaling_valid", scaling_valid),
+       JsonObj("workload",
+               {JsonStr("dataset", "CUBE"), JsonInt("dim", dim),
+                JsonInt("n", keys.size()), JsonStr("routing", "hash"),
+                JsonInt("window_queries", boxes.size()),
+                JsonNum("window_coverage", 0.001, 3)})}};
+  for (const Row& r : rows) {
+    section.rows.push_back(
+        {JsonStr("index", r.index), JsonStr("op", r.op),
+         JsonInt("threads", r.threads), JsonInt("shards", r.shards),
+         JsonNum("ops", r.ops, 0), JsonNum("us", r.us, 1),
+         JsonNum("mops_per_sec", r.MopsPerSec(), 4),
+         JsonNum("us_per_op", r.UsPerOp(), 4)});
+  }
+  section.derived = {
+      JsonNum("insert_speedup_sharded_8t8s_vs_sync_8t", speedup, 3),
+      JsonNum("insert_overhead_sharded_1t1s_vs_plain_pct", overhead_pct, 1),
+      JsonNum("read_speedup_epoch_vs_rwlock_max_readers", read_speedup, 3),
+      JsonNum("read_scaling_epoch_max_vs_1", read_scaling, 3),
+      JsonInt("max_reader_threads", max_t)};
+  if (!WriteBenchSection(json_path, "concurrency", "concurrency_scaling", meta,
+                         section)) {
     return 1;
   }
-  out << "{\n  \"bench\": \"concurrency_scaling\",\n  \"metadata\": "
-      << MetadataJson(meta) << ",\n  \"scaling_valid\": "
-      << (scaling_valid ? "true" : "false")
-      << ",\n  \"workload\": {\"dataset\": \"CUBE\", "
-      << "\"dim\": " << dim << ", \"n\": " << keys.size()
-      << ", \"routing\": \"hash\", \"window_queries\": " << boxes.size()
-      << ", \"window_coverage\": 0.001},\n  \"rows\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    out << JsonRow(rows[i]) << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  char derived[512];
-  std::snprintf(derived, sizeof(derived),
-                "  \"derived\": {\"insert_speedup_sharded_8t8s_vs_sync_8t\": "
-                "%.3f, \"insert_overhead_sharded_1t1s_vs_plain_pct\": %.1f, "
-                "\"read_speedup_epoch_vs_rwlock_max_readers\": %.3f, "
-                "\"read_scaling_epoch_max_vs_1\": %.3f, "
-                "\"max_reader_threads\": %u}\n",
-                speedup, overhead_pct, read_speedup, read_scaling, max_t);
-  out << "  ],\n" << derived << "}\n";
-  out.close();
-  std::printf("# wrote %s\n", json_path.c_str());
+  std::printf("# wrote %s (section concurrency_scaling)\n", json_path.c_str());
   return 0;
 }
 

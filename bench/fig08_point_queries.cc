@@ -8,30 +8,21 @@
 //
 // Besides the human-readable table, the run lands as the "point_queries"
 // section of the shared BENCH_queries.json artefact (argv[1] overrides the
-// path), stamped with the same run metadata as BENCH_concurrency.json.
+// path).
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "benchlib/json_artifact.h"
 #include "benchlib/measure.h"
-#include "benchlib/run_metadata.h"
 
 namespace phtree::bench {
 namespace {
 
-struct ResultRow {
-  std::string dataset;
-  std::string structure;
-  uint64_t n = 0;
-  double us_per_query = 0;
-};
-
 void RunDataset(const char* name, const char* figure,
                 const std::vector<size_t>& sizes,
                 const std::function<Dataset(size_t)>& make,
-                std::vector<ResultRow>* rows) {
+                std::vector<JsonFields>* rows) {
   std::printf("\n## %s (%s)\n", figure, name);
   Table table({"dataset", "struct", "n", "us/query"});
   const size_t n_queries = ScaledN(100000);
@@ -43,7 +34,8 @@ void RunDataset(const char* name, const char* figure,
       table.Cell(std::string(sname));
       table.Cell(static_cast<uint64_t>(ds.n()));
       table.Cell(us);
-      rows->push_back(ResultRow{name, sname, ds.n(), us});
+      rows->push_back({JsonStr("dataset", name), JsonStr("struct", sname),
+                       JsonInt("n", ds.n()), JsonNum("us_per_query", us, 4)});
     };
     row(PhAdapter::kName, MeasurePointQueryUs<PhAdapter>(ds, queries));
     row(Kd1Adapter::kName, MeasurePointQueryUs<Kd1Adapter>(ds, queries));
@@ -51,26 +43,6 @@ void RunDataset(const char* name, const char* figure,
     row(Cb1Adapter::kName, MeasurePointQueryUs<Cb1Adapter>(ds, queries));
     row(Cb2Adapter::kName, MeasurePointQueryUs<Cb2Adapter>(ds, queries));
   }
-}
-
-std::string SectionJson(const RunMetadata& meta,
-                        const std::vector<ResultRow>& rows) {
-  std::ostringstream os;
-  os << "{\n  \"figure\": \"Fig. 8 (a,b,c), Sect. 4.3.2\",\n  \"metadata\": "
-     << MetadataJson(meta) << ",\n  \"rows\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"dataset\": \"%s\", \"struct\": \"%s\", "
-                  "\"n\": %llu, \"us_per_query\": %.4f}",
-                  JsonEscape(rows[i].dataset).c_str(),
-                  JsonEscape(rows[i].structure).c_str(),
-                  static_cast<unsigned long long>(rows[i].n),
-                  rows[i].us_per_query);
-    os << buf << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  os << "  ]\n}";
-  return os.str();
 }
 
 int Main(int argc, char** argv) {
@@ -82,16 +54,16 @@ int Main(int argc, char** argv) {
   std::printf("# %s\n", MetadataJson(meta).c_str());
   const std::vector<size_t> sizes = {ScaledN(50000), ScaledN(100000),
                                      ScaledN(200000), ScaledN(400000)};
-  std::vector<ResultRow> rows;
+  BenchSection section{"Fig. 8 (a,b,c), Sect. 4.3.2"};
+  std::vector<JsonFields>& rows = section.rows;
   RunDataset("2D TIGER/Line", "Fig. 8a", sizes,
              [](size_t n) { return GenerateTigerLike(n, 42); }, &rows);
   RunDataset("3D CUBE", "Fig. 8b", sizes,
              [](size_t n) { return GenerateCube(n, 3, 42); }, &rows);
   RunDataset("3D CLUSTER0.5", "Fig. 8c", sizes,
              [](size_t n) { return GenerateCluster(n, 3, 0.5, 42); }, &rows);
-  if (!UpdateJsonArtifact(json_path, "queries", "point_queries",
-                          SectionJson(meta, rows))) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
+  if (!WriteBenchSection(json_path, "queries", "point_queries", meta,
+                         section)) {
     return 1;
   }
   std::printf("# wrote %s (section point_queries)\n", json_path.c_str());

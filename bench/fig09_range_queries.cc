@@ -12,29 +12,20 @@
 // section of the shared BENCH_queries.json artefact (argv[1] overrides the
 // path).
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "benchlib/json_artifact.h"
 #include "benchlib/measure.h"
-#include "benchlib/run_metadata.h"
 
 namespace phtree::bench {
 namespace {
-
-struct ResultRow {
-  std::string dataset;
-  std::string structure;
-  uint64_t n = 0;
-  double us_per_result = 0;
-};
 
 void Run(const char* name, const char* figure,
          const std::vector<size_t>& sizes,
          const std::function<Dataset(size_t)>& make,
          const std::function<std::vector<QueryBox>(const Dataset&)>& queries,
-         bool kd_small_only, std::vector<ResultRow>* rows) {
+         bool kd_small_only, std::vector<JsonFields>* rows) {
   std::printf("\n## %s (%s)\n", figure, name);
   Table table({"dataset", "struct", "n", "us/result"});
   for (size_t i = 0; i < sizes.size(); ++i) {
@@ -45,7 +36,8 @@ void Run(const char* name, const char* figure,
       table.Cell(std::string(sname));
       table.Cell(static_cast<uint64_t>(ds.n()));
       table.Cell(us);
-      rows->push_back(ResultRow{name, sname, ds.n(), us});
+      rows->push_back({JsonStr("dataset", name), JsonStr("struct", sname),
+                       JsonInt("n", ds.n()), JsonNum("us_per_result", us, 4)});
     };
     row(PhAdapter::kName, MeasureRangeQueryUsPerResult<PhAdapter>(ds, boxes));
     // The paper measured kd-trees on CLUSTER only up to n = 5e6 "because of
@@ -59,31 +51,6 @@ void Run(const char* name, const char* figure,
   }
 }
 
-void AppendRows(const std::vector<ResultRow>& rows, const char* value_key,
-                std::ostringstream* os) {
-  for (size_t i = 0; i < rows.size(); ++i) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"dataset\": \"%s\", \"struct\": \"%s\", "
-                  "\"n\": %llu, \"%s\": %.4f}",
-                  JsonEscape(rows[i].dataset).c_str(),
-                  JsonEscape(rows[i].structure).c_str(),
-                  static_cast<unsigned long long>(rows[i].n), value_key,
-                  rows[i].us_per_result);
-    *os << buf << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-}
-
-std::string SectionJson(const RunMetadata& meta,
-                        const std::vector<ResultRow>& rows) {
-  std::ostringstream os;
-  os << "{\n  \"figure\": \"Fig. 9 (a,b,c), Sect. 4.3.3\",\n  \"metadata\": "
-     << MetadataJson(meta) << ",\n  \"rows\": [\n";
-  AppendRows(rows, "us_per_result", &os);
-  os << "  ]\n}";
-  return os.str();
-}
-
 int Main(int argc, char** argv) {
   const std::string json_path =
       argc > 1 ? argv[1] : std::string("BENCH_queries.json");
@@ -93,7 +60,8 @@ int Main(int argc, char** argv) {
   std::printf("# %s\n", MetadataJson(meta).c_str());
   const std::vector<size_t> sizes = {ScaledN(50000), ScaledN(100000),
                                      ScaledN(200000), ScaledN(400000)};
-  std::vector<ResultRow> rows;
+  BenchSection section{"Fig. 9 (a,b,c), Sect. 4.3.3"};
+  std::vector<JsonFields>& rows = section.rows;
   Run(
       "2D TIGER/Line (1% area)", "Fig. 9a", sizes,
       [](size_t n) { return GenerateTigerLike(n, 42); },
@@ -109,9 +77,8 @@ int Main(int argc, char** argv) {
       [](size_t n) { return GenerateCluster(n, 3, 0.5, 42); },
       [](const Dataset& ds) { return MakeClusterQueries(ds.dim, 50, 7); },
       /*kd_small_only=*/true, &rows);
-  if (!UpdateJsonArtifact(json_path, "queries", "range_queries",
-                          SectionJson(meta, rows))) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
+  if (!WriteBenchSection(json_path, "queries", "range_queries", meta,
+                         section)) {
     return 1;
   }
   std::printf("# wrote %s (section range_queries)\n", json_path.c_str());

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "benchlib/run_metadata.h"
+#include "benchlib/json_artifact.h"
 #include "common/bits.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"

@@ -11,28 +11,19 @@
 //
 // Besides the human-readable table, the run lands as the "table1" section
 // of the shared BENCH_space.json artefact (argv[1] overrides the path),
-// validated by tools/check_bench_space.py in CI.
+// validated by tools/check_bench.py in CI.
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "baseline/array_store.h"
 #include "benchlib/json_artifact.h"
 #include "benchlib/measure.h"
-#include "benchlib/run_metadata.h"
 
 namespace phtree::bench {
 namespace {
 
-struct SpaceRow {
-  std::string dataset;
-  std::string structure;
-  uint64_t n = 0;
-  double bytes_per_entry = 0;
-};
-
-void Run(const char* name, const Dataset& ds, std::vector<SpaceRow>* rows) {
+void Run(const char* name, const Dataset& ds, std::vector<JsonFields>* rows) {
   std::printf("\n## %s, n=%zu\n", name, ds.n());
   Table table({"struct", "bytes/entry"});
   const auto row = [&](const char* sname, uint64_t bytes, size_t entries) {
@@ -40,7 +31,9 @@ void Run(const char* name, const Dataset& ds, std::vector<SpaceRow>* rows) {
         static_cast<double>(bytes) / static_cast<double>(entries);
     table.Cell(std::string(sname));
     table.Cell(bpe);
-    rows->push_back(SpaceRow{name, sname, entries, bpe});
+    rows->push_back({JsonStr("dataset", name), JsonStr("struct", sname),
+                     JsonInt("n", entries),
+                     JsonNum("bytes_per_entry", bpe, 4)});
   };
   // The PH rows consume the arena's measured allocator state (see
   // PhTreeStats::arena_live_bytes): memory_bytes sums the granted slab
@@ -101,26 +94,6 @@ void Run(const char* name, const Dataset& ds, std::vector<SpaceRow>* rows) {
   arena_note("PH(set)", ph_set_stats);
 }
 
-std::string SectionJson(const RunMetadata& meta,
-                        const std::vector<SpaceRow>& rows) {
-  std::ostringstream os;
-  os << "{\n  \"figure\": \"Table 1, Sect. 4.3.5\",\n  \"metadata\": "
-     << MetadataJson(meta) << ",\n  \"rows\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"dataset\": \"%s\", \"struct\": \"%s\", "
-                  "\"n\": %llu, \"bytes_per_entry\": %.4f}",
-                  JsonEscape(rows[i].dataset).c_str(),
-                  JsonEscape(rows[i].structure).c_str(),
-                  static_cast<unsigned long long>(rows[i].n),
-                  rows[i].bytes_per_entry);
-    os << buf << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  os << "  ]\n}";
-  return os.str();
-}
-
 int Main(int argc, char** argv) {
   const std::string json_path =
       argc > 1 ? argv[1] : std::string("BENCH_space.json");
@@ -129,7 +102,8 @@ int Main(int argc, char** argv) {
   const RunMetadata meta = CollectRunMetadata();
   std::printf("# %s\n", MetadataJson(meta).c_str());
   const size_t n = ScaledN(500000);
-  std::vector<SpaceRow> rows;
+  BenchSection section{"Table 1, Sect. 4.3.5"};
+  std::vector<JsonFields>& rows = section.rows;
   {
     const Dataset ds = GenerateTigerLike(n, 42);
     Run("2D TIGER/Line", ds, &rows);
@@ -142,9 +116,7 @@ int Main(int argc, char** argv) {
     const Dataset ds = GenerateCluster(n, 3, 0.5, 42);
     Run("3D CLUSTER0.5", ds, &rows);
   }
-  if (!UpdateJsonArtifact(json_path, "space", "table1",
-                          SectionJson(meta, rows))) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
+  if (!WriteBenchSection(json_path, "space", "table1", meta, section)) {
     return 1;
   }
   std::printf("# wrote %s (section table1)\n", json_path.c_str());

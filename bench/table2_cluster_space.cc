@@ -7,42 +7,15 @@
 //
 // Besides the human-readable table, the run lands as the "table2" section
 // of the shared BENCH_space.json artefact (argv[1] overrides the path),
-// validated by tools/check_bench_space.py in CI.
-#include <sstream>
+// validated by tools/check_bench.py in CI.
 #include <string>
 #include <vector>
 
 #include "benchlib/json_artifact.h"
 #include "benchlib/measure.h"
-#include "benchlib/run_metadata.h"
 
 namespace phtree::bench {
 namespace {
-
-struct ClusterRow {
-  std::string cluster;
-  uint64_t n = 0;
-  double bytes_per_entry = 0;
-};
-
-std::string SectionJson(const RunMetadata& meta,
-                        const std::vector<ClusterRow>& rows) {
-  std::ostringstream os;
-  os << "{\n  \"figure\": \"Table 2, Sect. 4.3.6\",\n  \"metadata\": "
-     << MetadataJson(meta) << ",\n  \"rows\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"dataset\": \"%s\", \"struct\": \"PH\", "
-                  "\"n\": %llu, \"bytes_per_entry\": %.4f}",
-                  JsonEscape(rows[i].cluster).c_str(),
-                  static_cast<unsigned long long>(rows[i].n),
-                  rows[i].bytes_per_entry);
-    os << buf << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  os << "  ]\n}";
-  return os.str();
-}
 
 int Main(int argc, char** argv) {
   const std::string json_path =
@@ -56,7 +29,12 @@ int Main(int argc, char** argv) {
       ScaledN(20000),  ScaledN(100000), ScaledN(200000),
       ScaledN(300000), ScaledN(500000), ScaledN(1000000)};
   Table table({"n", "CL0.4 B/e", "CL0.5 B/e"});
-  std::vector<ClusterRow> rows;
+  BenchSection section{"Table 2, Sect. 4.3.6"};
+  const auto row = [&](const char* cluster, uint64_t entries, double bpe) {
+    section.rows.push_back({JsonStr("dataset", cluster),
+                            JsonStr("struct", "PH"), JsonInt("n", entries),
+                            JsonNum("bytes_per_entry", bpe, 4)});
+  };
   for (const size_t n : sizes) {
     const Dataset d04 = GenerateCluster(n, 3, 0.4, 42);
     const Dataset d05 = GenerateCluster(n, 3, 0.5, 42);
@@ -69,12 +47,10 @@ int Main(int argc, char** argv) {
     table.Cell(static_cast<uint64_t>(n));
     table.Cell(b04);
     table.Cell(b05);
-    rows.push_back(ClusterRow{"3D CLUSTER0.4", r04.unique_entries, b04});
-    rows.push_back(ClusterRow{"3D CLUSTER0.5", r05.unique_entries, b05});
+    row("3D CLUSTER0.4", r04.unique_entries, b04);
+    row("3D CLUSTER0.5", r05.unique_entries, b05);
   }
-  if (!UpdateJsonArtifact(json_path, "space", "table2",
-                          SectionJson(meta, rows))) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
+  if (!WriteBenchSection(json_path, "space", "table2", meta, section)) {
     return 1;
   }
   std::printf("# wrote %s (section table2)\n", json_path.c_str());

@@ -1,164 +1,232 @@
 #include "benchlib/json_artifact.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <thread>
+#include <utility>
+
+#include "benchlib/harness.h"
+
+#ifndef PHTREE_BUILD_TYPE
+#define PHTREE_BUILD_TYPE "unknown"
+#endif
+
+// Configure-time sha of the checkout the binary was built from (top-level
+// CMakeLists.txt). The runtime `git rev-parse` below is preferred — it
+// reflects the checkout the bench actually runs in — but when that fails
+// (bench run outside the repo, or git absent) this keeps the artifact rows
+// attributable to a real commit instead of "unknown".
+#ifndef PHTREE_GIT_SHA
+#define PHTREE_GIT_SHA "unknown"
+#endif
 
 namespace phtree::bench {
 namespace {
 
-/// Index just past the JSON value starting at `start` (object, array,
-/// string, or scalar), skipping braces/brackets inside string literals.
-/// Returns std::string::npos on malformed input.
-size_t SkipValue(const std::string& s, size_t start) {
-  size_t i = start;
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                          s[i] == '\r')) {
-    ++i;
+using Sections = std::vector<std::pair<std::string, std::string>>;
+
+std::string GitShortSha() {
+  FILE* pipe = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
+  if (pipe == nullptr) {
+    return PHTREE_GIT_SHA;
   }
-  if (i >= s.size()) {
-    return std::string::npos;
+  char buf[64] = {0};
+  std::string sha;
+  if (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+    sha = buf;
+    sha.erase(sha.find_last_not_of("\r\n") + 1);
   }
-  if (s[i] == '{' || s[i] == '[') {
-    int depth = 0;
-    bool in_string = false;
-    for (; i < s.size(); ++i) {
-      const char c = s[i];
-      if (in_string) {
-        if (c == '\\') {
-          ++i;  // skip the escaped character
-        } else if (c == '"') {
-          in_string = false;
-        }
-      } else if (c == '"') {
-        in_string = true;
-      } else if (c == '{' || c == '[') {
-        ++depth;
-      } else if (c == '}' || c == ']') {
-        if (--depth == 0) {
-          return i + 1;
-        }
-      }
-    }
-    return std::string::npos;
-  }
-  if (s[i] == '"') {
-    for (++i; i < s.size(); ++i) {
-      if (s[i] == '\\') {
-        ++i;
-      } else if (s[i] == '"') {
-        return i + 1;
-      }
-    }
-    return std::string::npos;
-  }
-  // Scalar: runs until a structural character.
-  while (i < s.size() && s[i] != ',' && s[i] != '}' && s[i] != ']' &&
-         s[i] != '\n') {
-    ++i;
-  }
-  return i;
+  ::pclose(pipe);
+  return sha.empty() ? PHTREE_GIT_SHA : sha;
 }
 
-/// Position of `"key"` as an object key (not inside a string value) at
-/// nesting depth exactly `want_depth` relative to `from`, or npos.
-size_t FindKeyAtDepth(const std::string& s, size_t from, int want_depth,
-                      const std::string& key) {
-  const std::string quoted = "\"" + key + "\"";
-  int depth = 0;
-  bool in_string = false;
-  for (size_t i = from; i < s.size(); ++i) {
-    const char c = s[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
       continue;
     }
-    if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-    } else if (c == '"') {
-      if (depth == want_depth && s.compare(i, quoted.size(), quoted) == 0) {
-        // Must be a key: the next non-space character is ':'.
-        size_t j = i + quoted.size();
-        while (j < s.size() && (s[j] == ' ' || s[j] == '\t')) {
-          ++j;
-        }
-        if (j < s.size() && s[j] == ':') {
-          return i;
-        }
+    if (c == '"' || c == '\\') {
+      out += '\\';
+    }
+    out += c;
+  }
+  return out;
+}
+
+std::string ObjectJson(const JsonFields& fields) {
+  std::string out = "{";
+  for (size_t i = 0; i < fields.size(); ++i) {
+    out += (i > 0 ? ", \"" : "\"") + fields[i].name + "\": " + fields[i].json;
+  }
+  return out + "}";
+}
+
+/// Index just past the JSON value starting at or after `i` (object,
+/// array, string or scalar), skipping brackets inside string literals, or
+/// npos when the value is cut short.
+size_t SkipValue(const std::string& s, size_t i) {
+  int depth = 0;
+  for (i = s.find_first_not_of(" \t\r\n", i); i < s.size(); ++i) {
+    const char c = s[i];
+    if (c == '"') {
+      for (++i; i < s.size() && s[i] != '"'; ++i) {
+        i += s[i] == '\\' ? 1 : 0;
       }
-      in_string = true;
+      if (i < s.size() && depth == 0) {
+        return i + 1;
+      }
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if (depth == 0 &&
+               std::string_view(",}] \t\r\n").find(c) != std::string::npos) {
+      return i;  // end of a scalar
+    } else if ((c == '}' || c == ']') && --depth == 0) {
+      return i + 1;
     }
   }
   return std::string::npos;
 }
 
-std::string FreshArtifact(const std::string& artifact,
-                          const std::string& section,
-                          const std::string& section_body) {
-  std::ostringstream os;
-  os << "{\n\"bench\": \"" << artifact << "\",\n\"sections\": {\n\""
-     << section << "\": " << section_body << "\n}\n}\n";
-  return os.str();
+/// Reads the two outer levels of an artefact in the layout of the header:
+/// the quoted "bench" name and each section's name and verbatim JSON text.
+bool ParseArtifact(const std::string& s, std::string* bench, Sections* out) {
+  size_t i = 0;
+  const auto token = [&](char c) {
+    i = s.find_first_not_of(" \t\r\n", i);
+    return i < s.size() && s[i] == c ? (++i, true) : false;
+  };
+  const auto value = [&](std::string* text) {
+    i = s.find_first_not_of(" \t\r\n", i);
+    const size_t end = SkipValue(s, i);
+    if (end == std::string::npos || end == i) {
+      return false;
+    }
+    *text = s.substr(i, end - i);
+    i = end;
+    return true;
+  };
+  std::string key;
+  if (!token('{') || !value(&key) || key != "\"bench\"" || !token(':') ||
+      !value(bench) || !token(',') || !value(&key) ||
+      key != "\"sections\"" || !token(':') || !token('{')) {
+    return false;
+  }
+  while (!token('}')) {
+    std::string name;
+    std::string body;
+    if ((!out->empty() && !token(',')) || !value(&name) || name[0] != '"' ||
+        !token(':') || !value(&body)) {
+      return false;
+    }
+    out->emplace_back(name.substr(1, name.size() - 2), body);
+  }
+  return token('}') && s.find_first_not_of(" \t\r\n", i) == std::string::npos;
 }
 
 }  // namespace
 
+RunMetadata CollectRunMetadata() {
+  return {std::thread::hardware_concurrency(), PHTREE_BUILD_TYPE,
+          GitShortSha(), BenchScale()};
+}
+
+std::string MetadataJson(const RunMetadata& m) {
+  char scale[32];
+  std::snprintf(scale, sizeof(scale), "%g", m.bench_scale);
+  return ObjectJson({JsonInt("cores", m.cores),
+                     JsonStr("build_type", m.build_type),
+                     JsonStr("git_sha", m.git_sha), {"scale", scale}});
+}
+
+JsonField JsonStr(const std::string& name, const std::string& value) {
+  return {name, '"' + JsonEscape(value) + '"'};
+}
+
+JsonField JsonInt(const std::string& name, uint64_t value) {
+  return {name, std::to_string(value)};
+}
+
+JsonField JsonNum(const std::string& name, double value, int decimals) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
+  return {name, buf};
+}
+
+JsonField JsonBool(const std::string& name, bool value) {
+  return {name, value ? "true" : "false"};
+}
+
+JsonField JsonObj(const std::string& name, const JsonFields& fields) {
+  return {name, ObjectJson(fields)};
+}
+
+bool WriteBenchSection(const std::string& path, const std::string& artifact,
+                       const std::string& name, const RunMetadata& meta,
+                       const BenchSection& section) {
+  std::string body = "{\n  \"figure\": \"" + JsonEscape(section.figure) +
+                     "\",\n  \"metadata\": " + MetadataJson(meta) + ",\n";
+  for (const JsonField& f : section.extra) {
+    body += "  \"" + f.name + "\": " + f.json + ",\n";
+  }
+  body += "  \"rows\": [\n";
+  for (size_t i = 0; i < section.rows.size(); ++i) {
+    body += "    " + ObjectJson(section.rows[i]) +
+            (i + 1 < section.rows.size() ? ",\n" : "\n");
+  }
+  body += "  ]";
+  if (!section.derived.empty()) {
+    body += ",\n  \"derived\": " + ObjectJson(section.derived);
+  }
+  return UpdateJsonArtifact(path, artifact, name, body + "\n}");
+}
+
 bool UpdateJsonArtifact(const std::string& path, const std::string& artifact,
                         const std::string& section,
                         const std::string& section_body) {
-  std::string merged;
-  std::ifstream in(path);
-  if (in) {
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string existing = buf.str();
-    // Only merge into a file this artifact owns; anything else is replaced.
-    const bool ours =
-        existing.find("\"bench\": \"" + artifact + "\"") != std::string::npos;
-    const size_t sections_key =
-        ours ? FindKeyAtDepth(existing, 0, 1, "sections") : std::string::npos;
-    if (sections_key != std::string::npos) {
-      const size_t open = existing.find('{', sections_key);
-      if (open != std::string::npos) {
-        // Relative to `open` the sections object itself contributes depth
-        // 1, so its keys sit at depth exactly 1.
-        const size_t key = FindKeyAtDepth(existing, open, 1, section);
-        if (key != std::string::npos) {
-          // Replace this binary's previous section body.
-          const size_t colon = existing.find(':', key);
-          const size_t end = SkipValue(existing, colon + 1);
-          if (end != std::string::npos) {
-            merged = existing.substr(0, colon + 1) + " " + section_body +
-                     existing.substr(end);
-          }
-        } else {
-          // First run of this binary: prepend the section.
-          const size_t close = SkipValue(existing, open);
-          const bool empty_sections =
-              close != std::string::npos &&
-              existing.find('"', open) >= close - 1;
-          merged = existing.substr(0, open + 1) + "\n\"" + section +
-                   "\": " + section_body + (empty_sections ? "" : ",") +
-                   existing.substr(open + 1);
-        }
-      }
+  Sections sections;
+  std::error_code ec;
+  if (std::filesystem::exists(path, ec) || ec) {
+    std::ifstream in(path);
+    std::ostringstream existing;
+    existing << in.rdbuf();
+    std::string bench;
+    if (!in || !ParseArtifact(existing.str(), &bench, &sections) ||
+        bench != "\"" + artifact + "\"") {
+      std::fprintf(stderr,
+                   "error: %s is not a readable \"%s\" bench artefact; "
+                   "left untouched\n",
+                   path.c_str(), artifact.c_str());
+      return false;
     }
   }
-  if (merged.empty()) {
-    merged = FreshArtifact(artifact, section, section_body);
+  auto it = std::find_if(sections.begin(), sections.end(),
+                         [&](const auto& s) { return s.first == section; });
+  if (it == sections.end()) {  // a first run goes in front
+    it = sections.insert(sections.begin(), {section, ""});
   }
+  it->second = section_body;
   std::ofstream out(path, std::ios::trunc);
+  out << "{\n\"bench\": \"" << artifact << "\",\n\"sections\": {";
+  for (size_t i = 0; i < sections.size(); ++i) {
+    out << (i > 0 ? ",\n\"" : "\n\"") << sections[i].first
+        << "\": " << sections[i].second;
+  }
+  out << "\n}\n}\n";
+  out.close();
   if (!out) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     return false;
   }
-  out << merged;
-  return out.good();
+  return true;
 }
 
 }  // namespace phtree::bench

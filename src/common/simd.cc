@@ -1,8 +1,6 @@
 #include "common/simd.h"
 
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
     !defined(PHTREE_FORCE_SCALAR)
@@ -238,11 +236,6 @@ const SimdOps* ProbeCpu() {
   return &internal::kScalarOps;
 }
 
-bool EnvForcesScalar() {
-  const char* env = std::getenv("PHTREE_FORCE_SCALAR");
-  return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-}
-
 }  // namespace
 
 namespace internal {
@@ -260,13 +253,11 @@ const SimdOps* DetectedOps() {
 
 namespace {
 
-// Runs during static initialisation of this translation unit: honours the
-// environment knob, otherwise installs the best table the CPU supports.
+// Runs during static initialisation of this translation unit: installs the
+// best table the CPU supports.
 const struct StartupDispatch {
   StartupDispatch() {
-    if (!EnvForcesScalar()) {
-      internal::g_active_ops.store(DetectedOps(), std::memory_order_relaxed);
-    }
+    internal::g_active_ops.store(DetectedOps(), std::memory_order_relaxed);
   }
 } g_startup_dispatch;
 
@@ -275,11 +266,6 @@ const struct StartupDispatch {
 void ForceScalar(bool on) {
   internal::g_active_ops.store(on ? &internal::kScalarOps : DetectedOps(),
                                std::memory_order_relaxed);
-}
-
-bool ScalarForced() {
-  return internal::g_active_ops.load(std::memory_order_relaxed) ==
-         &internal::kScalarOps;
 }
 
 bool KernelsUseSimd() {

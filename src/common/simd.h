@@ -6,14 +6,12 @@
 // below, which load the active ops table with one relaxed atomic load, so
 // the per-call overhead is a single indirect call on a batch of work.
 //
-// Forcing the scalar path (three independent mechanisms, strongest first):
+// Forcing the scalar path (two mechanisms, strongest first):
 //   - compile time: -DPHTREE_FORCE_SCALAR=ON (CMake option) compiles the
 //     vector variants out entirely — the build is valid on any CPU;
-//   - environment:  PHTREE_FORCE_SCALAR=1 at process start picks the
-//     scalar table even when the CPU has the vector features;
 //   - runtime:      ForceScalar(true/false) flips the table at any point
 //     (process-wide) — this is what the interleaved A/B benchmarks and the
-//     differential forced-scalar arm use.
+//     differential forced-scalar arm use, through ScopedForceScalar.
 #ifndef PHTREE_COMMON_SIMD_H_
 #define PHTREE_COMMON_SIMD_H_
 
@@ -74,8 +72,8 @@ extern const SimdOps kScalarOps;
 
 /// The active table. Constant-initialised to the scalar table so kernels
 /// are safe during static initialisation; a startup initialiser in simd.cc
-/// upgrades it to the best table the CPU (and PHTREE_FORCE_SCALAR, both
-/// forms) allows. Never null.
+/// upgrades it to the best table the CPU (and a -DPHTREE_FORCE_SCALAR
+/// build) allows. Never null.
 extern std::atomic<const SimdOps*> g_active_ops;
 
 }  // namespace internal
@@ -90,9 +88,6 @@ const SimdOps* DetectedOps();
 /// DetectedOps(). Not a stack — the differential runner and benchmarks
 /// use ScopedForceScalar to save/restore around a region.
 void ForceScalar(bool on);
-
-/// True when the active table is the scalar one (forced or detected).
-bool ScalarForced();
 
 /// True when the active table uses vector/bit-manipulation instructions —
 /// i.e. dispatch found hardware support and nothing forced it off.

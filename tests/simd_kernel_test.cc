@@ -48,7 +48,7 @@ template <typename Body>
 void InBothDispatchModes(const Body& body) {
   {
     simd::ScopedForceScalar force(true);
-    ASSERT_TRUE(simd::ScalarForced());
+    ASSERT_FALSE(simd::KernelsUseSimd());
     body("forced-scalar");
   }
   {
@@ -58,16 +58,15 @@ void InBothDispatchModes(const Body& body) {
 }
 
 TEST(SimdDispatch, KnobRoundTrips) {
-  const bool was = simd::ScalarForced();
+  const bool was_scalar = !simd::KernelsUseSimd();
   simd::ForceScalar(true);
-  EXPECT_TRUE(simd::ScalarForced());
   EXPECT_FALSE(simd::KernelsUseSimd());
   EXPECT_STREQ(simd::ActiveKernelName(), "scalar");
   simd::ForceScalar(false);
-  EXPECT_EQ(simd::ScalarForced(),
-            simd::DetectedOps() == &simd::internal::kScalarOps);
+  EXPECT_EQ(simd::KernelsUseSimd(),
+            simd::DetectedOps() != &simd::internal::kScalarOps);
   EXPECT_STREQ(simd::ActiveKernelName(), simd::DetectedOps()->name);
-  simd::ForceScalar(was);
+  simd::ForceScalar(was_scalar);
 }
 
 TEST(SimdFindFirstStop, ExhaustiveSmallMasksAndAddresses) {

@@ -100,24 +100,32 @@ TEST(ClusterQueries, MatchPaperShape) {
   }
 }
 
+std::string ArtifactPath(const char* name) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  return path;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
 TEST(JsonArtifact, RerunReplacesOwnSectionInsteadOfDuplicating) {
   // Regression: the section splice used the wrong nesting depth when
   // looking for an existing section, so re-running a bench appended a
   // duplicate key instead of replacing its previous run (JSON parsers then
   // silently kept the stale copy).
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "phtree_artifact_test.json")
-          .string();
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
+  const std::string path = ArtifactPath("phtree_artifact_test.json");
   ASSERT_TRUE(UpdateJsonArtifact(path, "t", "alpha", "{\"v\": 1}"));
   ASSERT_TRUE(UpdateJsonArtifact(path, "t", "beta", "{\"v\": 2}"));
   ASSERT_TRUE(UpdateJsonArtifact(path, "t", "alpha", "{\"v\": 3}"));
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string contents = buf.str();
-  std::filesystem::remove(path, ec);
+  const std::string contents = ReadFile(path);
+  std::filesystem::remove(path);
   size_t count = 0;
   for (size_t pos = contents.find("\"alpha\""); pos != std::string::npos;
        pos = contents.find("\"alpha\"", pos + 1)) {
@@ -127,6 +135,66 @@ TEST(JsonArtifact, RerunReplacesOwnSectionInsteadOfDuplicating) {
   EXPECT_NE(contents.find("\"v\": 3"), std::string::npos) << contents;
   EXPECT_EQ(contents.find("\"v\": 1"), std::string::npos) << contents;
   EXPECT_NE(contents.find("\"beta\""), std::string::npos) << contents;
+}
+
+TEST(JsonArtifact, ForeignOrUnparseableFileIsLeftUntouched) {
+  // A bench pointed at another artefact (table1_space BENCH_queries.json)
+  // or at a file that is no artefact must fail and leave it as it was; the
+  // splice used to rewrite it holding only the new section.
+  const std::string path = ArtifactPath("phtree_artifact_foreign.json");
+  for (const std::string& contents :
+       {std::string("{\n\"bench\": \"queries\",\n\"sections\": {\n"
+                    "\"point_queries\": {\"rows\": []}\n}\n}\n"),
+        std::string("{\"bench\": \"space\", \"sections\": {\"table1\": "),
+        std::string("not json"), std::string()}) {
+    std::ofstream(path) << contents;
+    EXPECT_FALSE(UpdateJsonArtifact(path, "space", "table1", "{}"));
+    EXPECT_EQ(ReadFile(path), contents);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(JsonArtifact, SectionWriterLayout) {
+  // Every section has one layout: figure, metadata stamp, extra fields,
+  // one row per line with each value at its own decimals, and "derived"
+  // only when given.
+  const std::string path = ArtifactPath("phtree_artifact_layout.json");
+  BenchSection section{"Fig. 0", {JsonBool("simd_active", true)}};
+  section.rows = {
+      {JsonStr("dataset", "2D \"A\""), JsonInt("n", 7),
+       JsonNum("us_per_op", 1.23456, 4)},
+      {JsonStr("dataset", "B"), JsonInt("n", 8), JsonNum("ops", 2.4, 0)}};
+  ASSERT_TRUE(WriteBenchSection(path, "t", "one",
+                                {4, "Release", "abc1234", 0.02}, section));
+  section.derived = {JsonNum("ratio", 1.0704, 3)};
+  section.rows.pop_back();
+  ASSERT_TRUE(WriteBenchSection(path, "t", "two",
+                                {1, "Release", "abc1234", 1}, section));
+  EXPECT_EQ(ReadFile(path),
+            "{\n\"bench\": \"t\",\n\"sections\": {\n"
+            "\"two\": {\n"
+            "  \"figure\": \"Fig. 0\",\n"
+            "  \"metadata\": {\"cores\": 1, \"build_type\": \"Release\", "
+            "\"git_sha\": \"abc1234\", \"scale\": 1},\n"
+            "  \"simd_active\": true,\n"
+            "  \"rows\": [\n"
+            "    {\"dataset\": \"2D \\\"A\\\"\", \"n\": 7, "
+            "\"us_per_op\": 1.2346}\n"
+            "  ],\n"
+            "  \"derived\": {\"ratio\": 1.070}\n"
+            "},\n"
+            "\"one\": {\n"
+            "  \"figure\": \"Fig. 0\",\n"
+            "  \"metadata\": {\"cores\": 4, \"build_type\": \"Release\", "
+            "\"git_sha\": \"abc1234\", \"scale\": 0.02},\n"
+            "  \"simd_active\": true,\n"
+            "  \"rows\": [\n"
+            "    {\"dataset\": \"2D \\\"A\\\"\", \"n\": 7, "
+            "\"us_per_op\": 1.2346},\n"
+            "    {\"dataset\": \"B\", \"n\": 8, \"ops\": 2}\n"
+            "  ]\n"
+            "}\n}\n}\n");
+  std::filesystem::remove(path);
 }
 
 TEST(Workloads, DeterministicInSeed) {
