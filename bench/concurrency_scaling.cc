@@ -141,17 +141,21 @@ class RwLockTree {
 /// window count every 64th read). Returns the readers' aggregate wall
 /// time; the writer starts before and stops after them, so every read
 /// contends with active mutation. The probes accumulate into `sink` so
-/// the loops cannot be optimised away.
+/// the loops cannot be optimised away. `writer_ops` receives the writer's
+/// completed InsertOrAssign/Erase calls: the readers' rate means little
+/// without the writer's, since a writer that sleeps on a lock leaves its
+/// core to the readers.
 template <typename Tree>
 double ReadersUnderWriterUs(Tree& tree, const std::vector<PhKey>& probes,
                             const std::vector<std::pair<PhKey, PhKey>>& boxes,
                             unsigned readers, size_t reads_per_thread,
-                            std::atomic<size_t>* sink) {
+                            std::atomic<size_t>* sink, uint64_t* writer_ops) {
   std::atomic<bool> stop{false};
   const uint32_t dim = static_cast<uint32_t>(probes.front().size());
-  std::thread writer([&tree, &stop, dim] {
+  std::thread writer([&tree, &stop, dim, writer_ops] {
     Rng rng(7);
-    while (!stop.load(std::memory_order_relaxed)) {
+    uint64_t done = 0;
+    for (; !stop.load(std::memory_order_relaxed); ++done) {
       // Odd low-bit coordinates: disjoint from the encoded CUBE keys'
       // probe set with overwhelming probability, so probe results stay
       // stable while nodes split, merge, and get retired around them.
@@ -165,6 +169,7 @@ double ReadersUnderWriterUs(Tree& tree, const std::vector<PhKey>& probes,
         tree.Erase(key);
       }
     }
+    *writer_ops = done;
   });
   const double us = RunThreads(readers, [&](unsigned t) {
     Rng rng(100 + t);
@@ -308,7 +313,11 @@ int Main(int argc, char** argv) {
   // churning the whole time. "PH(sync)" reads lock-free under an epoch
   // guard; "PH(rwlock)" is the retired shared_mutex design rebuilt inline.
   // A/B runs are interleaved inside the repeat loop so scheduler and
-  // frequency drift hit both arms equally.
+  // frequency drift hit both arms equally. The writer's completed calls of
+  // every run are printed, and those of each arm's best run at the most
+  // readers go to "derived" (not to the rows: a starved writer counts 0).
+  uint64_t rwlock_writer_ops = 0;
+  uint64_t epoch_writer_ops = 0;
   {
     const size_t reads_per_thread = std::max<size_t>(n / 4, 10000);
     RwLockTree rwlock(dim);
@@ -320,14 +329,29 @@ int Main(int argc, char** argv) {
     for (const unsigned t : thread_counts) {
       double rwlock_us = std::numeric_limits<double>::infinity();
       double epoch_us = std::numeric_limits<double>::infinity();
+      std::string rwlock_ops;
+      std::string epoch_ops;
       for (int r = 0; r < kRepeats; ++r) {
-        rwlock_us = std::min(
-            rwlock_us, ReadersUnderWriterUs(rwlock, keys, boxes, t,
-                                            reads_per_thread, &sink));
-        epoch_us = std::min(
-            epoch_us, ReadersUnderWriterUs(sync, keys, boxes, t,
-                                           reads_per_thread, &sink));
+        uint64_t ops = 0;
+        double us = ReadersUnderWriterUs(rwlock, keys, boxes, t,
+                                         reads_per_thread, &sink, &ops);
+        rwlock_ops.append(" ").append(std::to_string(ops));
+        if (us < rwlock_us) {
+          rwlock_us = us;
+          rwlock_writer_ops = ops;
+        }
+        us = ReadersUnderWriterUs(sync, keys, boxes, t, reads_per_thread,
+                                  &sink, &ops);
+        epoch_ops.append(" ").append(std::to_string(ops));
+        if (us < epoch_us) {
+          epoch_us = us;
+          epoch_writer_ops = ops;
+        }
       }
+      std::printf(
+          "# read_under_writer %u readers, writer ops per run: "
+          "PH(rwlock)%s; PH(sync)%s\n",
+          t, rwlock_ops.c_str(), epoch_ops.c_str());
       const double total_reads = static_cast<double>(reads_per_thread) * t;
       rows.push_back(
           {"PH(rwlock)", "read_under_writer", t, 0, total_reads, rwlock_us});
@@ -416,7 +440,9 @@ int Main(int argc, char** argv) {
       JsonNum("insert_overhead_sharded_1t1s_vs_plain_pct", overhead_pct, 1),
       JsonNum("read_speedup_epoch_vs_rwlock_max_readers", read_speedup, 3),
       JsonNum("read_scaling_epoch_max_vs_1", read_scaling, 3),
-      JsonInt("max_reader_threads", max_t)};
+      JsonInt("max_reader_threads", max_t),
+      JsonInt("writer_ops_rwlock_max_readers", rwlock_writer_ops),
+      JsonInt("writer_ops_epoch_max_readers", epoch_writer_ops)};
   if (!WriteBenchSection(json_path, "concurrency", "concurrency_scaling", meta,
                          section)) {
     return 1;

@@ -295,13 +295,14 @@ BENCHMARK(BM_ZOrderInterleave)->Arg(2)->Arg(8)->Arg(16);
 
 // Custom main (instead of benchmark_main) so run metadata lands in the
 // benchmark context: `--benchmark_format=json` artefacts then carry
-// cores/build/sha/scale and stay comparable across machines and revisions.
+// cores/build/sha/scale/thp and stay comparable across machines and revisions.
 int main(int argc, char** argv) {
   const phtree::bench::RunMetadata meta = phtree::bench::CollectRunMetadata();
   benchmark::AddCustomContext("cores", std::to_string(meta.cores));
   benchmark::AddCustomContext("build_type", meta.build_type);
   benchmark::AddCustomContext("git_sha", meta.git_sha);
   benchmark::AddCustomContext("bench_scale", std::to_string(meta.bench_scale));
+  benchmark::AddCustomContext("thp", meta.thp);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;

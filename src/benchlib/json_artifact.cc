@@ -45,6 +45,18 @@ std::string GitShortSha() {
   return sha.empty() ? PHTREE_GIT_SHA : sha;
 }
 
+std::string ThpMode() {
+  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  std::getline(in, line);
+  const size_t open = line.find('[');
+  const size_t close = line.find(']', open);
+  if (!in || open == std::string::npos || close == std::string::npos) {
+    return "unavailable";
+  }
+  return line.substr(open + 1, close - open - 1);
+}
+
 std::string JsonEscape(const std::string& s) {
   std::string out;
   for (const char c : s) {
@@ -136,7 +148,7 @@ bool ParseArtifact(const std::string& s, std::string* bench, Sections* out) {
 
 RunMetadata CollectRunMetadata() {
   return {std::thread::hardware_concurrency(), PHTREE_BUILD_TYPE,
-          GitShortSha(), BenchScale()};
+          GitShortSha(), BenchScale(), ThpMode()};
 }
 
 std::string MetadataJson(const RunMetadata& m) {
@@ -144,7 +156,8 @@ std::string MetadataJson(const RunMetadata& m) {
   std::snprintf(scale, sizeof(scale), "%g", m.bench_scale);
   return ObjectJson({JsonInt("cores", m.cores),
                      JsonStr("build_type", m.build_type),
-                     JsonStr("git_sha", m.git_sha), {"scale", scale}});
+                     JsonStr("git_sha", m.git_sha), {"scale", scale},
+                     JsonStr("thp", m.thp)});
 }
 
 JsonField JsonStr(const std::string& name, const std::string& value) {

@@ -3,7 +3,7 @@
 // BENCH_queries.json), and every artefact has one layout:
 //
 //   {"bench": "<artifact>", "sections": {"<name>": {
-//      "figure": "...", "metadata": {cores, build_type, git_sha, scale},
+//      "figure": "...", "metadata": {cores, build_type, git_sha, scale, thp},
 //      <extra fields>, "rows": [{...}, ...], "derived": {...}}, ...}}
 //
 // Each binary owns its sections and writes each with WriteBenchSection;
@@ -25,15 +25,21 @@ struct RunMetadata {
   std::string build_type;    ///< CMAKE_BUILD_TYPE the binary was built with
   std::string git_sha;       ///< short HEAD sha, "unknown" outside a repo
   double bench_scale = 1.0;  ///< PHTREE_BENCH_SCALE in effect
+  /// The host's transparent-huge-page mode ("always", "madvise", "never"),
+  /// or "unavailable": large trees map their arena chunks with huge pages
+  /// only where it is not "never", so large-n rows depend on it.
+  std::string thp = "unavailable";
 };
 
 /// Gathers the metadata for this process/build. The git sha is read by
 /// running `git rev-parse` once (cwd-based); failures degrade to the
-/// configure-time sha, then "unknown".
+/// configure-time sha, then "unknown". The THP mode is the bracketed word
+/// of /sys/kernel/mm/transparent_hugepage/enabled, which is only read.
 RunMetadata CollectRunMetadata();
 
 /// The stamp as a JSON object string, e.g.
-/// {"cores": 8, "build_type": "Release", "git_sha": "42086b3", "scale": 1}
+/// {"cores": 8, "build_type": "Release", "git_sha": "42086b3", "scale": 1,
+///  "thp": "madvise"}
 std::string MetadataJson(const RunMetadata& m);
 
 /// One named JSON field; `json` is the value's JSON text.

@@ -6,6 +6,10 @@
 #include <iterator>
 #include <new>
 
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#endif
+
 // Free blocks are poisoned under ASan so that any read through a dangling
 // (early-reclaimed) node pointer aborts the test instead of silently
 // reading recycled bytes — the teeth behind the epoch-reclamation canary
@@ -40,6 +44,25 @@ uint64_t* AllocateAligned(uint64_t words) {
 
 void FreeAligned(uint64_t* p) { ::operator delete(p, kLineAlign); }
 
+constexpr std::align_val_t kChunkAlign{SlabWordPool::kChunkBytes};
+
+// A chunk comes from the heap, not from its own mmap: after the first
+// chunk is freed, glibc serves later ones from memory it already holds, so a
+// rebuilt tree reuses its predecessor's pages instead of faulting fresh
+// ones, and LSan sees the chunk like any other allocation.
+uint64_t* AllocateChunk() {
+  void* p = ::operator new(SlabWordPool::kChunkBytes, kChunkAlign,
+                           std::nothrow);
+#ifdef MADV_HUGEPAGE
+  if (p != nullptr) {
+    // Advice only, on the pool's own memory: a host in THP mode `never`
+    // (or a kernel without THP) keeps 4 KiB pages, and nothing changes.
+    (void)madvise(p, SlabWordPool::kChunkBytes, MADV_HUGEPAGE);
+  }
+#endif
+  return static_cast<uint64_t*>(p);
+}
+
 }  // namespace
 
 // ---- SlabWordPool ---------------------------------------------------------
@@ -50,17 +73,29 @@ SlabWordPool::SlabWordPool(uint32_t max_slabs)
 }
 
 SlabWordPool::~SlabWordPool() {
-  // Blocks are never destroyed one by one: every slab and large block goes
-  // back to the system wholesale.
+  // Blocks are never destroyed one by one: every reservation and large
+  // block goes back to the system wholesale.
   const uint64_t count = dir_count_.load(std::memory_order_relaxed);
   for (uint32_t i = 0; i < count; ++i) {
-    uint64_t* base = Entry(i).base.load(std::memory_order_relaxed);
-    if (base != nullptr) {
-      PHTREE_UNPOISON_BLOCK(base, kSlabWords * sizeof(uint64_t));
+    const DirEntry& e = Entry(i);
+    uint64_t* base = e.base.load(std::memory_order_relaxed);
+    if (base != nullptr && e.large_words.load(std::memory_order_relaxed) != 0) {
       FreeAligned(base);
     }
   }
+  for (const Reservation& r : reserved_) {
+    FreeReservation(r);
+  }
   delete[] dir_.load(std::memory_order_relaxed);
+}
+
+void SlabWordPool::FreeReservation(Reservation r) {
+  PHTREE_UNPOISON_BLOCK(r.base, r.slabs * kSlabWords * sizeof(uint64_t));
+  if (r.slabs == 1) {
+    FreeAligned(r.base);
+  } else {
+    ::operator delete(r.base, kChunkAlign);
+  }
 }
 
 uint32_t SlabWordPool::AddEntry(uint64_t* base, uint64_t large_words) {
@@ -120,21 +155,42 @@ void SlabWordPool::ReleaseEntry(uint32_t index) {
 }
 
 bool SlabWordPool::AddSlab() {
-  uint64_t* mem = AllocateAligned(kSlabWords);
-  if (mem == nullptr) {
+  // Entries freed by large blocks are not counted, so near the cap a chunk
+  // is never started that AddEntry could not finish.
+  const bool chunk =
+      slabs_.size() >= kChunkSlabs &&
+      max_slabs_ - dir_count_.load(std::memory_order_relaxed) >= kChunkSlabs;
+  const Reservation r{chunk ? AllocateChunk() : AllocateAligned(kSlabWords),
+                      chunk ? kChunkSlabs : 1};
+  if (r.base == nullptr) {
     return false;
   }
-  const uint32_t index = AddEntry(mem, 0);
-  if (index == kNoEntry) {
-    FreeAligned(mem);
+  // All or nothing: a slab that cannot get its entry releases the whole
+  // reservation, and the entries taken so far go back to the free list.
+  const size_t first = slabs_.size();
+  const auto undo = [&] {
+    for (; slabs_.size() > first; slabs_.pop_back()) {
+      ReleaseEntry(slabs_.back());
+    }
+    FreeReservation(r);
     return false;
+  };
+  for (uint32_t i = 0; i < r.slabs; ++i) {
+    const uint32_t index = AddEntry(r.base + uint64_t{i} * kSlabWords, 0);
+    if (index == kNoEntry) {
+      return undo();
+    }
+    try {
+      slabs_.push_back(index);
+    } catch (...) {
+      ReleaseEntry(index);
+      return undo();
+    }
   }
   try {
-    slabs_.push_back(index);
+    reserved_.push_back(r);
   } catch (...) {
-    ReleaseEntry(index);
-    FreeAligned(mem);
-    return false;
+    return undo();
   }
   return true;
 }

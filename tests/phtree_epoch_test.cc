@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <optional>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -81,6 +82,39 @@ TEST(EpochManager, SynchronizeFullGraceWaitsForGuards) {
   reader.join();
   syncer.join();
   EXPECT_TRUE(synced.load());
+}
+
+TEST(EpochManager, SixtyFifthGuardWaitsForAFreeSlot) {
+  // The blocking fallback: once every slot is taken, Enter yields until one
+  // exits. Reads then stop being wait-free, but no guard is ever lost.
+  EpochManager mgr;
+  std::vector<uint32_t> held;
+  for (uint32_t i = 0; i < EpochManager::kSlots; ++i) {
+    held.push_back(mgr.Enter());
+  }
+  EXPECT_EQ(std::set<uint32_t>(held.begin(), held.end()).size(),
+            EpochManager::kSlots);
+  std::atomic<bool> entered{false};
+  std::thread late([&] {
+    const uint32_t slot = mgr.Enter();
+    entered = true;
+    mgr.Exit(slot);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(entered.load());
+  // The waiting thread holds no slot: all 64 announce the current epoch, so
+  // it advances once, and then no further.
+  EXPECT_TRUE(mgr.TryAdvance());
+  EXPECT_FALSE(mgr.TryAdvance());
+  EXPECT_FALSE(entered.load());
+  mgr.Exit(held.back());
+  held.pop_back();
+  late.join();
+  EXPECT_TRUE(entered.load());
+  for (const uint32_t slot : held) {
+    mgr.Exit(slot);
+  }
+  EXPECT_TRUE(mgr.TryAdvance());
 }
 
 PhKey K(uint64_t a, uint64_t b) { return PhKey{a, b}; }

@@ -165,7 +165,8 @@ TEST(JsonArtifact, SectionWriterLayout) {
        JsonNum("us_per_op", 1.23456, 4)},
       {JsonStr("dataset", "B"), JsonInt("n", 8), JsonNum("ops", 2.4, 0)}};
   ASSERT_TRUE(WriteBenchSection(path, "t", "one",
-                                {4, "Release", "abc1234", 0.02}, section));
+                                {4, "Release", "abc1234", 0.02, "madvise"},
+                                section));
   section.derived = {JsonNum("ratio", 1.0704, 3)};
   section.rows.pop_back();
   ASSERT_TRUE(WriteBenchSection(path, "t", "two",
@@ -175,7 +176,8 @@ TEST(JsonArtifact, SectionWriterLayout) {
             "\"two\": {\n"
             "  \"figure\": \"Fig. 0\",\n"
             "  \"metadata\": {\"cores\": 1, \"build_type\": \"Release\", "
-            "\"git_sha\": \"abc1234\", \"scale\": 1},\n"
+            "\"git_sha\": \"abc1234\", \"scale\": 1, "
+            "\"thp\": \"unavailable\"},\n"
             "  \"simd_active\": true,\n"
             "  \"rows\": [\n"
             "    {\"dataset\": \"2D \\\"A\\\"\", \"n\": 7, "
@@ -186,7 +188,8 @@ TEST(JsonArtifact, SectionWriterLayout) {
             "\"one\": {\n"
             "  \"figure\": \"Fig. 0\",\n"
             "  \"metadata\": {\"cores\": 4, \"build_type\": \"Release\", "
-            "\"git_sha\": \"abc1234\", \"scale\": 0.02},\n"
+            "\"git_sha\": \"abc1234\", \"scale\": 0.02, "
+            "\"thp\": \"madvise\"},\n"
             "  \"simd_active\": true,\n"
             "  \"rows\": [\n"
             "    {\"dataset\": \"2D \\\"A\\\"\", \"n\": 7, "

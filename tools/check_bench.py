@@ -6,7 +6,8 @@
 Every artefact has one layout (src/benchlib/json_artifact.h):
 
     {"bench": "<kind>", "sections": {"<name>": {"figure": ...,
-     "metadata": {cores, build_type, git_sha, scale}, ..., "rows": [...]}}}
+     "metadata": {cores, build_type, git_sha, scale[, thp]}, ...,
+     "rows": [...]}}}
 
 and its "bench" field picks the spec below. Each artefact is checked in
 three steps, and the first violation fails it:
@@ -30,6 +31,9 @@ import json
 import math
 import sys
 
+# Artefacts written since the arena's huge-page chunks also carry "thp", the
+# host's transparent-huge-page mode; it is not required, so older artefacts
+# stay valid.
 METADATA_KEYS = ("cores", "build_type", "git_sha", "scale")
 
 # Ratio gates run only on trustworthy artefacts: near-full-scale runs (tiny
