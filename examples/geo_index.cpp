@@ -39,11 +39,10 @@ int main() {
   }
 
   const auto stats = index.ComputeStats();
-  std::printf("index: %zu entries, %zu nodes (%zu HC / %zu BHC / %zu LHC), "
+  std::printf("index: %zu entries, %zu nodes (%zu BHC / %zu LHC), "
               "%.1f bytes/entry, max depth %zu\n",
-              stats.n_entries, stats.n_nodes, stats.n_hc_nodes,
-              stats.n_bhc_nodes, stats.n_lhc_nodes, stats.BytesPerEntry(),
-              stats.max_depth);
+              stats.n_entries, stats.n_nodes, stats.n_bhc_nodes,
+              stats.n_lhc_nodes, stats.BytesPerEntry(), stats.max_depth);
 
   // Bounding-box queries: a 1x1 degree window around each city.
   for (const auto& city : kCities) {

@@ -154,15 +154,15 @@ void CopyBits(const uint64_t* src, uint64_t src_pos, uint64_t* dst,
 
 // ---- Atomic field access (MVCC publication points) ------------------------
 //
-// Copy-on-write mutations publish a replacement child handle with exactly
-// one atomic store into the live parent's stream while lock-free readers
-// traverse it. These helpers operate on naturally aligned 32-/64-bit fields
-// (pos % 32 == 0 resp. pos % 64 == 0) so the store is a single machine word
-// write: readers observe either the old or the new handle, never a torn
-// mix. All other words of a published node are immutable while it is
-// reachable, so the relaxed word loads above plus these acquire/release
-// field accessors make the whole read path data-race-free under TSan and
-// the C++ memory model.
+// A mutation publishes a replacement child handle (a 32-bit field) or a
+// new payload (a 64-bit field) with exactly one atomic store into the live
+// node's stream while lock-free readers traverse it. These helpers operate
+// on naturally aligned fields (pos % 32 == 0 resp. pos % 64 == 0) so the
+// store is a single machine word write: readers observe either the old or
+// the new value, never a torn mix. All other words of a published node are
+// immutable while it is reachable, so the relaxed word loads above plus
+// these acquire/release field accessors make the whole read path
+// data-race-free under TSan and the C++ memory model.
 
 /// Address of the aligned 32-bit half-word holding stream bits
 /// [pos, pos+32). Stream bit order is MSB-first within each word, so the
@@ -185,12 +185,6 @@ inline uint32_t AcquireLoad32(const uint64_t* words, uint64_t pos) {
 /// Atomically writes the aligned 32-bit field at `pos` (release).
 inline void ReleaseStore32(uint64_t* words, uint64_t pos, uint32_t value) {
   __atomic_store_n(Half32(words, pos), value, __ATOMIC_RELEASE);
-}
-
-/// Atomically reads the aligned 64-bit field at `pos` (acquire).
-inline uint64_t AcquireLoad64(const uint64_t* words, uint64_t pos) {
-  assert((pos & 63) == 0);
-  return __atomic_load_n(&words[pos >> 6], __ATOMIC_ACQUIRE);
 }
 
 /// Atomically writes the aligned 64-bit field at `pos` (release).

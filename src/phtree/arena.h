@@ -145,7 +145,7 @@ class EpochManager {
 /// straddles a cache line, and a larger one starts on a line boundary: the
 /// cursor aligns each block to min(size, kLineWords) words and parks the
 /// skipped granules on the freelists. A block larger than the biggest class
-/// (a huge HC node) gets its own line-aligned allocation and directory
+/// (a huge node) gets its own line-aligned allocation and directory
 /// entry.
 ///
 /// Blocks are named by 32-bit handles: a slab-directory index in the high
@@ -196,7 +196,7 @@ class SlabWordPool {
     if (min_words > kMaxClassWords) {
       // Large blocks grow in kMaxClassWords granules: deterministic (the
       // size tables must not depend on growth history) yet coarse enough
-      // that a giant HC node moves once per 32 KiB of growth, not per
+      // that a giant node moves once per 32 KiB of growth, not per
       // insert.
       return (min_words + kMaxClassWords - 1) / kMaxClassWords *
              kMaxClassWords;

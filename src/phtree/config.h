@@ -1,5 +1,5 @@
 // Per-tree configuration of the PH-tree. Node representation is not
-// configurable: every node uses whichever of HC, LHC and BHC needs the
+// configurable: every node uses whichever of LHC and BHC needs the
 // fewest bits for its current occupancy (paper Sect. 3.2, Node::PickRepr),
 // so a tree's shape is a pure function of its content.
 #ifndef PHTREE_PHTREE_CONFIG_H_

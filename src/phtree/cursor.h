@@ -12,7 +12,7 @@
 //     a' = (((a | ~m_upper) + 1) & m_upper) | m_lower.
 //
 // NodeCursor specializes the walk per node layout:
-//   * HC and BHC nodes (ordinals are addresses) alternate present-bitmap
+//   * BHC nodes (ordinals are addresses) alternate present-bitmap
 //     skips (Node::OrdinalGE) with mask successor jumps, so neither absent
 //     slots nor masked-out address runs are visited one by one — there is
 //     no per-address rejection loop.
@@ -146,7 +146,7 @@ class NodeCursor {
     node_ = node;
     lower_ = mask_lower;
     upper_ = mask_upper;
-    hc_ = node->addr_indexed();  // HC and BHC: ordinals are addresses
+    hc_ = node->is_bhc();  // BHC: ordinals are addresses
     SeekGE(0);
   }
 
@@ -197,7 +197,7 @@ class NodeCursor {
   }
 
  private:
-  /// HC/BHC walk from the mask-valid candidate `candidate` (kInvalidAddr =
+  /// BHC walk from the mask-valid candidate `candidate` (kInvalidAddr =
   /// end): alternates present-bitmap skips with mask successor jumps.
   void HcScan(uint64_t candidate) {
     while (candidate != kInvalidAddr) {
@@ -206,7 +206,7 @@ class NodeCursor {
         break;
       }
       if (WindowAddrValid(present, lower_, upper_)) {
-        ord_ = present;  // HC ordinals are the addresses themselves
+        ord_ = present;  // BHC ordinals are the addresses themselves
         addr_ = present;
         return;
       }

@@ -48,68 +48,34 @@ void Node::WritePostfixRecord(uint64_t record_pos,
 
 // ---- Representation switching ------------------------------------------
 
-// Size comparisons use exact bit counts: any coarser rounding would hide
-// the HC advantage at low dimensionality (k-1 bits per slot at full
-// occupancy), and the switching decision must be a deterministic pure
-// function of the node contents.
+// Exact bit counts: the switching decision must be a deterministic pure
+// function of the node contents, and the layouts differ by as little as a
+// few index bits.
 Node::Regions Node::RegionsFor(Repr repr, uint64_t n_entries,
                               uint64_t n_subs, uint64_t ib) const {
   const uint64_t np = n_entries - n_subs;
-  const uint64_t s = hc_slots();
-  const uint64_t st = stride();
   Regions r;
-  switch (repr) {
-    case Repr::kHc:
-      // Value mode keeps handles in the 64-bit slots, key-only mode by sub
-      // rank at the head (r.subs = 0).
-      r.infix = store_values_ ? s * 64 : n_subs * 32;
-      r.present = r.infix + ib;
-      r.sub_bitmap = r.present + s;
-      r.records = r.sub_bitmap + s;
-      r.end = r.records + s * st;
-      break;
-    case Repr::kBhc:
-      r.infix = np * vb();
-      r.present = r.infix + ib;
-      r.records = r.present + s;
-      r.end = r.records + np * st;
-      break;
-    case Repr::kLhc:
-    default:
-      r.subs = np * vb();
-      r.infix = r.subs + n_subs * 32;
-      r.flags = r.infix + ib;
-      r.addrs = r.flags + n_entries;
-      r.records = r.addrs + n_entries * dim_;
-      r.end = r.records + np * st;
-      break;
-  }
+  r.subs = np * vb();
+  r.infix = r.subs + n_subs * 32;
+  r.index = r.infix + ib;
+  r.addrs = repr == Repr::kLhc ? r.index + n_entries : 0;
+  r.records = r.index + IndexBits(repr, n_entries);
+  r.end = r.records + np * stride();
   return r;
 }
 
-Node::Repr Node::PickRepr(uint64_t n_entries, uint64_t n_subs,
-                          uint64_t ib) const {
-  const bool hc_allowed = dim_ <= kMaxHcDim;
-  Repr best = Repr::kLhc;
-  uint64_t best_bits = RegionsFor(Repr::kLhc, n_entries, n_subs, ib).end;
-  if (hc_allowed && n_subs == 0) {
-    const uint64_t b = RegionsFor(Repr::kBhc, n_entries, 0, ib).end;
-    if (b < best_bits) {
-      best = Repr::kBhc;
-      best_bits = b;
-    }
-  }
-  if (hc_allowed &&
-      RegionsFor(Repr::kHc, n_entries, n_subs, ib).end < best_bits) {
-    best = Repr::kHc;
-  }
-  return best;
+Node::Repr Node::PickRepr(uint64_t n_entries, uint64_t n_subs) const {
+  const bool bhc_legal = n_subs == 0 && dim_ <= kMaxHcDim;
+  return bhc_legal && IndexBits(Repr::kBhc, n_entries) <
+                          IndexBits(Repr::kLhc, n_entries)
+             ? Repr::kBhc
+             : Repr::kLhc;
 }
 
 /// Writes a node's stream into a fresh block: picks the layout for the
 /// node's final occupancy, allocates the block, and emits the entries in
 /// ascending address order, keeping the running entry, postfix and sub
-/// ranks every layout indexes by.
+/// ranks the stream is indexed by.
 class Node::StreamWriter {
  public:
   /// A node of `shape`'s dimensionality, postfix length and value mode
@@ -117,8 +83,7 @@ class Node::StreamWriter {
   /// infix bits per dimension, in the layout PickRepr prescribes.
   StreamWriter(const Node& shape, uint64_t n_entries, uint64_t n_subs,
                uint32_t infix_len)
-      : target_(shape.PickRepr(n_entries, n_subs,
-                               uint64_t{shape.dim_} * infix_len)),
+      : target_(shape.PickRepr(n_entries, n_subs)),
         r_(shape.RegionsFor(target_, n_entries, n_subs,
                             uint64_t{shape.dim_} * infix_len)),
         dim_(shape.dim_),
@@ -146,49 +111,25 @@ class Node::StreamWriter {
     return ref;
   }
 
-  /// Writes the next entry's flags, address and value or handle, and
+  /// Writes the next entry's index bits and its value or handle, and
   /// returns the bit position of its postfix record, which the caller
   /// fills (meaningless for a sub entry).
   uint64_t Emit(uint64_t addr, bool sub, uint64_t payload) {
-    uint64_t record = 0;
-    switch (target_) {
-      case Repr::kLhc:
-        SetBit(out_, r_.flags + idx_, sub ? 1 : 0);
-        WriteBits(out_, r_.addrs + idx_ * dim_, dim_, addr);
-        if (sub) {
-          WriteBits(out_, r_.subs + srank_ * 32, 32, payload);
-        } else {
-          if (store_values_) {
-            WriteBits(out_, prank_ * 64, 64, payload);
-          }
-          record = r_.records + prank_ * stride_;
-        }
-        break;
-      case Repr::kHc:
-        SetBit(out_, r_.present + addr, 1);
-        SetBit(out_, r_.sub_bitmap + addr, sub ? 1 : 0);
-        if (store_values_) {
-          WriteBits(out_, addr * 64, 64, payload);
-        } else if (sub) {
-          WriteBits(out_, r_.subs + srank_ * 32, 32, payload);
-        }
-        record = r_.records + addr * stride_;
-        break;
-      case Repr::kBhc:
-        SetBit(out_, r_.present + addr, 1);
-        if (store_values_) {
-          WriteBits(out_, prank_ * 64, 64, payload);
-        }
-        record = r_.records + prank_ * stride_;
-        break;
-    }
-    if (sub) {
-      ++srank_;
+    if (target_ == Repr::kBhc) {
+      SetBit(out_, r_.index + addr, 1);
     } else {
-      ++prank_;
+      SetBit(out_, r_.index + idx_, sub ? 1 : 0);
+      WriteBits(out_, r_.addrs + idx_ * dim_, dim_, addr);
     }
     ++idx_;
-    return record;
+    if (sub) {
+      WriteBits(out_, r_.subs + srank_++ * 32, 32, payload);
+      return 0;
+    }
+    if (store_values_) {
+      WriteBits(out_, prank_ * 64, 64, payload);
+    }
+    return r_.records + prank_++ * stride_;
   }
 
  private:
@@ -224,7 +165,7 @@ class Node::StreamReader {
       : in_(node.words()),
         r_(node.RegionsFor(node.repr_, node.num_entries_, node.num_subs_,
                            node.infix_bits())),
-        repr_(node.repr_),
+        bhc_(node.is_bhc()),
         dim_(node.dim_),
         stride_(node.stride()),
         slots_(node.hc_slots()),
@@ -236,38 +177,29 @@ class Node::StreamReader {
     if (idx_ == n_) {
       return false;
     }
-    if (repr_ == Repr::kLhc) {
-      e->addr = ReadBits(in_, r_.addrs + idx_ * dim_, dim_);
-      e->sub = GetBit(in_, r_.flags + idx_) != 0;
-    } else {
-      e->addr = FindNextOne(in_, r_.present + next_addr_,
-                            r_.present + slots_) -
-                r_.present;
+    if (bhc_) {
+      e->addr = FindNextOne(in_, r_.index + next_addr_, r_.index + slots_) -
+                r_.index;
       next_addr_ = e->addr + 1;
-      e->sub = repr_ == Repr::kHc && GetBit(in_, r_.sub_bitmap + e->addr);
-    }
-    if (e->sub) {
-      // Value-mode HC keeps a handle in its 64-bit slot, every other
-      // layout by sub rank in 32-bit slots.
-      e->payload = repr_ == Repr::kHc && store_values_
-                       ? ReadBits(in_, e->addr * 64, 64)
-                       : ReadBits(in_, r_.subs + srank_ * 32, 32);
-      ++srank_;
+      e->sub = false;
     } else {
-      // HC indexes values and records by address, LHC and BHC by rank.
-      const uint64_t slot = repr_ == Repr::kHc ? e->addr : prank_;
-      e->payload = store_values_ ? ReadBits(in_, slot * 64, 64) : 0;
-      e->record = r_.records + slot * stride_;
-      ++prank_;
+      e->addr = ReadBits(in_, r_.addrs + idx_ * dim_, dim_);
+      e->sub = GetBit(in_, r_.index + idx_) != 0;
     }
     ++idx_;
+    if (e->sub) {
+      e->payload = ReadBits(in_, r_.subs + srank_++ * 32, 32);
+      return true;
+    }
+    e->payload = store_values_ ? ReadBits(in_, prank_ * 64, 64) : 0;
+    e->record = r_.records + prank_++ * stride_;
     return true;
   }
 
  private:
   const uint64_t* in_;
   Regions r_;
-  Repr repr_;
+  bool bhc_;
   uint32_t dim_;
   uint64_t stride_;
   uint64_t slots_;

@@ -5,16 +5,17 @@
 //   * an entry table keyed by k-bit hypercube addresses, where each entry is
 //     either a postfix (the remaining bits of one key, bit-packed) plus an
 //     optional 64-bit payload, or a 32-bit arena handle of a sub-node.
-// The entry table has three interchangeable representations behind one
+// The entry table has two interchangeable representations behind one
 // ordinal-based accessor surface:
-//   * HC: dense 2^k slot array, O(1) access, O(2^k) space (Sect. 3.2),
 //   * LHC: address-sorted compact table, O(k) binary-search access,
 //     O(entries) space (Sect. 3.2),
-//   * BHC: packed leaf — when every entry is a postfix (no sub-nodes), a
-//     presence bitmap plus a contiguous rank-indexed postfix/payload stream;
-//     O(1) bitmap probe like HC but only `entries` records instead of 2^k.
+//   * BHC: the hypercube layout of a sub-free node — a presence bitmap over
+//     the 2^k addresses; O(1) bitmap probe, but only `entries` records and
+//     payloads, stored by rank, instead of 2^k slots.
 // The node switches automatically to whichever needs fewer bits (the
-// PickRepr switching rule); HC and BHC are never used above kMaxHcDim.
+// PickRepr switching rule); BHC is never used above kMaxHcDim. The paper's
+// dense 2^k-slot HC array is not kept: no measured tree picks it
+// (DESIGN.md §2).
 #ifndef PHTREE_PHTREE_NODE_H_
 #define PHTREE_PHTREE_NODE_H_
 
@@ -42,8 +43,8 @@ inline constexpr NodeHandle kInvalidNodeHandle = ~NodeHandle{0};
 class Node;
 class NodeArena;
 
-/// Neither HC nor BHC (2^k slots, resp. bitmap bits) is used above this
-/// dimensionality: those nodes are always LHC.
+/// BHC (a bitmap of 2^k bits) is not used above this dimensionality: those
+/// nodes are always LHC.
 inline constexpr uint32_t kMaxHcDim = 20;
 
 /// A node's address plus its 32-bit arena handle. Nodes store only handles
@@ -71,7 +72,7 @@ struct NodeEntry {
 class Node {
  public:
   /// Entry-table representation (see file comment).
-  enum class Repr : uint8_t { kLhc = 0, kHc = 1, kBhc = 2 };
+  enum class Repr : uint8_t { kLhc = 0, kBhc = 1 };
 
   /// Sentinel ordinal meaning "no entry".
   static constexpr uint64_t kNoOrdinal = ~uint64_t{0};
@@ -86,10 +87,8 @@ class Node {
   uint32_t infix_len() const { return infix_len_; }
   uint32_t postfix_len() const { return postfix_len_; }
   Repr repr() const { return repr_; }
-  bool is_hc() const { return repr_ == Repr::kHc; }
+  /// True iff the node is BHC, whose ordinals are hypercube addresses.
   bool is_bhc() const { return repr_ == Repr::kBhc; }
-  /// True iff ordinals are hypercube addresses themselves (HC and BHC).
-  bool addr_indexed() const { return repr_ != Repr::kLhc; }
   uint32_t num_entries() const { return num_entries_; }
   uint32_t num_subs() const { return num_subs_; }
   uint32_t num_postfixes() const { return num_entries_ - num_subs_; }
@@ -239,9 +238,8 @@ class Node {
   // A replacement node is published by swinging one child-handle slot in
   // the parent (or the tree root) with a single release store; the
   // matching acquire loads live in OrdinalSub. Every child slot is an
-  // aligned field, so the store cannot tear: a 64-bit slot in value-mode
-  // HC, a 32-bit slot at the stream head (by sub rank) in every other
-  // layout that holds subs.
+  // aligned 32-bit field near the stream head (by sub rank), so the store
+  // cannot tear.
 
   /// Atomically republishes the child handle of sub entry `ord` with
   /// release ordering.
@@ -264,10 +262,10 @@ class Node {
 
   /// Exact bit size `repr` would need for the current occupancy (the
   /// validator re-derives the switching rule from it; exposed for tests).
-  /// Bit precision matters: at k=2 the HC advantage over LHC is a single
-  /// bit per slot, and BHC beats HC by exactly the is_sub bitmap plus the
-  /// absent-slot records. The BHC size is meaningful only for sub-free
-  /// nodes.
+  /// Bit precision matters: the two layouts differ only in their index, so
+  /// a full sub-free k=2 node is BHC by 8 bits (a 4-bit bitmap against 4
+  /// flags and 4 two-bit addresses). The BHC size is meaningful only for
+  /// sub-free nodes.
   uint64_t ReprBits(Repr repr) const {
     return RegionsFor(repr, num_entries_, num_subs_, infix_bits()).end;
   }
@@ -287,32 +285,23 @@ class Node {
   //
   // The whole node is serialised into one bit stream, the words right after
   // the header. vb is the value width: 64 with stored values, 0 in
-  // key-only mode. Sub-node entries cost exactly 32 bits (their arena
-  // handle), except in value-mode HC, where a sub shares its slot's 64
-  // bits with the values.
-  //
-  // LHC (n = num_entries, np = num_postfixes, ns = num_subs):
-  //   [values: np x vb, by postfix rank] [subs: ns x 32, by sub rank]
-  //   [infix: dim*il] [is_sub flags: n]
-  //   [addresses: n x dim, sorted ascending] [postfix records: np x stride]
-  // HC (S = 2^dim slots), value mode:
-  //   [slots: S x 64 — value or zero-extended handle] [infix: dim*il]
-  //   [present bitmap: S] [is_sub bitmap: S]
-  //   [postfix records: S x stride, slot-addressed]
-  // HC, key-only mode:
-  //   [subs: ns x 32, by sub rank among set is_sub bits] [infix: dim*il]
-  //   [present bitmap: S] [is_sub bitmap: S]
-  //   [postfix records: S x stride, slot-addressed]
-  // BHC (sub-free nodes only; ordinals are addresses, like HC):
-  //   [values: np x vb, by presence rank] [infix: dim*il]
-  //   [present bitmap: S] [postfix records: np x stride, by presence rank]
+  // key-only mode. With n = num_entries, np = num_postfixes and
+  // ns = num_subs, both representations share one stream:
+  //   [values: np x vb] [subs: ns x 32] [infix: dim*il] [index]
+  //   [postfix records: np x stride]
+  // and differ only in the index:
+  //   LHC: [is_sub flags: n] [addresses: n x dim, sorted ascending]
+  //   BHC: [present bitmap: 2^dim] (sub-free nodes only; ordinals are
+  //        addresses)
+  // Every value and every postfix record sits at its entry's postfix rank
+  // (PostfixRank), every sub handle at its sub rank.
   //
   // Value slots are 64-bit aligned at offset 0 (single-word reads), and
-  // 32-bit sub slots follow them (or start the stream), so every child
-  // slot is aligned for one atomic store; all other fields use exactly the
-  // bits they need. A stream is written once, entry by entry, into a
-  // zeroed block (StreamWriter), so bits past its end are zero up to the
-  // end of the block.
+  // 32-bit sub slots follow them, so every child slot is aligned for one
+  // atomic store; all other fields use exactly the bits they need. A
+  // stream is written once, entry by entry, into a zeroed block
+  // (StreamWriter), so bits past its end are zero up to the end of the
+  // block.
 
   const uint64_t* words() const {
     return reinterpret_cast<const uint64_t*>(this) + kHeaderWords;
@@ -329,54 +318,40 @@ class Node {
   /// Bits of one value slot.
   uint64_t vb() const { return store_values_ ? 64 : 0; }
 
-  /// Start of the infix region (representation dependent).
+  /// Start of the infix region, after the value and sub slots.
   uint64_t infix_base() const {
-    switch (repr_) {
-      case Repr::kHc:
-        return store_values_ ? hc_slots() * 64 : uint64_t{num_subs_} * 32;
-      case Repr::kBhc:
-        return num_postfixes() * vb();
-      case Repr::kLhc:
-      default:
-        return num_postfixes() * vb() + uint64_t{num_subs_} * 32;
-    }
+    return num_postfixes() * vb() + uint64_t{num_subs_} * 32;
   }
-
-  // LHC region bases.
-  uint64_t lhc_subs_base() const { return num_postfixes() * vb(); }
-  uint64_t lhc_flags_base() const { return infix_base() + infix_bits(); }
-  uint64_t lhc_addrs_base() const { return lhc_flags_base() + num_entries_; }
-  uint64_t lhc_records_base() const {
-    return lhc_addrs_base() + static_cast<uint64_t>(num_entries_) * dim_;
+  /// Start of the index: LHC's is_sub flags, or BHC's present bitmap.
+  uint64_t index_base() const { return infix_base() + infix_bits(); }
+  /// Start of LHC's sorted address table, after the n is_sub flags.
+  uint64_t lhc_addrs_base() const { return index_base() + num_entries_; }
+  /// Start of the postfix records, after the index.
+  uint64_t records_base() const {
+    return index_base() + IndexBits(repr_, num_entries_);
   }
-  // HC region bases.
-  uint64_t hc_present_base() const { return infix_base() + infix_bits(); }
-  uint64_t hc_sub_base() const { return hc_present_base() + hc_slots(); }
-  uint64_t hc_records_base() const { return hc_sub_base() + hc_slots(); }
-  // BHC region bases.
-  uint64_t bhc_present_base() const { return infix_base() + infix_bits(); }
-  uint64_t bhc_records_base() const {
-    return bhc_present_base() + hc_slots();
+  /// Bits of the index of a `repr` stream holding `n_entries` entries, the
+  /// one region in which the layouts differ: a 2^dim-bit bitmap for BHC, an
+  /// is_sub flag and an address per entry for LHC.
+  uint64_t IndexBits(Repr repr, uint64_t n_entries) const {
+    return repr == Repr::kBhc ? hc_slots() : n_entries * (1 + uint64_t{dim_});
   }
 
   /// The representation the switching rule prescribes for a node of this
   /// node's dimensionality, postfix length and value mode holding
-  /// (`n_entries`, `n_subs`) entries over `ib` infix bits: the smallest
-  /// legal one, ties going to LHC, then BHC, then HC. The current
-  /// representation plays no part.
-  Repr PickRepr(uint64_t n_entries, uint64_t n_subs, uint64_t ib) const;
+  /// (`n_entries`, `n_subs`) entries: the smaller legal one, ties going
+  /// to LHC. The current representation plays no part.
+  Repr PickRepr(uint64_t n_entries, uint64_t n_subs) const;
 
   /// Bit offsets of the regions of one representation's stream at one
-  /// occupancy (the layouts above); fields a layout lacks stay 0.
+  /// occupancy (the layouts above); `addrs` stays 0 in BHC.
   struct Regions {
-    uint64_t subs = 0;        ///< 32-bit sub handles (LHC, key-only HC)
+    uint64_t subs = 0;     ///< 32-bit sub handles
     uint64_t infix = 0;
-    uint64_t flags = 0;       ///< LHC is_sub flags
-    uint64_t addrs = 0;       ///< LHC address table
-    uint64_t present = 0;     ///< HC/BHC present bitmap
-    uint64_t sub_bitmap = 0;  ///< HC is_sub bitmap
-    uint64_t records = 0;     ///< postfix records
-    uint64_t end = 0;         ///< the stream length
+    uint64_t index = 0;    ///< LHC is_sub flags, or BHC present bitmap
+    uint64_t addrs = 0;    ///< LHC address table
+    uint64_t records = 0;  ///< postfix records
+    uint64_t end = 0;      ///< the stream length
   };
 
   /// The one computation of the region bases: where each region of a
@@ -394,29 +369,24 @@ class Node {
   /// ranks: the source side of TryEdit.
   class StreamReader;
 
-  /// Number of postfix entries among LHC entries [0, ord).
-  uint64_t LhcPostfixRank(uint64_t ord) const {
-    const uint64_t base = lhc_flags_base();
-    return ord - CountOnesInRange(words(), base, base + ord);
+  /// Number of postfix entries before entry `ord`: the slot of its value
+  /// and of its postfix record. One count over the index serves both
+  /// layouts: BHC counts the present addresses below `ord`, LHC subtracts
+  /// the subs among the entries before it.
+  uint64_t PostfixRank(uint64_t ord) const {
+    const uint64_t base = index_base();
+    const uint64_t ones = CountOnesInRange(words(), base, base + ord);
+    return is_bhc() ? ones : ord - ones;
   }
-  /// Number of present entries among BHC addresses [0, addr).
-  uint64_t BhcRank(uint64_t addr) const {
-    const uint64_t base = bhc_present_base();
-    return CountOnesInRange(words(), base, base + addr);
-  }
-  /// Bit position of the 32-bit handle slot of sub entry `ord` in LHC or
-  /// key-only HC: the entry's sub rank after the np x vb value slots.
+  /// Bit position of the 32-bit handle slot of sub entry `ord`: its sub
+  /// rank after the np x vb value slots.
   uint64_t SubSlotPos(uint64_t ord) const {
-    if (repr_ == Repr::kHc) {
-      const uint64_t base = hc_sub_base();
-      return CountOnesInRange(words(), base, base + ord) * 32;
-    }
-    return lhc_subs_base() + (ord - LhcPostfixRank(ord)) * 32;
+    return num_postfixes() * vb() + (ord - PostfixRank(ord)) * 32;
   }
-
-  /// Bit position of the postfix record of entry `ord` in the current
-  /// representation.
-  uint64_t RecordPos(uint64_t ord) const;
+  /// Bit position of the postfix record of entry `ord`.
+  uint64_t RecordPos(uint64_t ord) const {
+    return records_base() + PostfixRank(ord) * stride();
+  }
 
   /// Stores bits [postfix_len+1, postfix_len+infix_len] of each dimension
   /// of `key` as this node's infix.
@@ -440,8 +410,8 @@ static_assert(sizeof(Node) == Node::kHeaderWords * sizeof(uint64_t),
 //
 // Every query descent calls these several times per visited node (and window
 // scans once or twice per yielded entry), so they live in the header: the
-// representation switch folds into the caller and the bit extraction
-// compiles to straight-line shifts/popcounts instead of cross-TU calls.
+// layout test folds into the caller and the bit extraction compiles to
+// straight-line shifts/popcounts instead of cross-TU calls.
 
 inline void Node::ReadInfixInto(std::span<uint64_t> key) const {
   const uint32_t il = infix_len_;
@@ -479,10 +449,8 @@ inline int Node::MatchInfix(std::span<const uint64_t> key) const {
 }
 
 inline uint64_t Node::FindOrdinal(uint64_t addr) const {
-  if (addr_indexed()) {
-    // HC and BHC both keep the present bitmap right after the infix.
-    const uint64_t base = infix_base() + infix_bits();
-    return GetBit(words(), base + addr) ? addr : kNoOrdinal;
+  if (is_bhc()) {
+    return GetBit(words(), index_base() + addr) ? addr : kNoOrdinal;
   }
   // Binary search over the packed, sorted address table (paper Sect. 3.2:
   // keys are extracted from the bit stream at each search step).
@@ -504,19 +472,12 @@ inline uint64_t Node::FindOrdinal(uint64_t addr) const {
 }
 
 inline bool Node::OrdinalIsSub(uint64_t ord) const {
-  switch (repr_) {
-    case Repr::kBhc:
-      return false;  // BHC nodes are sub-free by construction
-    case Repr::kHc:
-      return GetBit(words(), hc_sub_base() + ord) != 0;
-    case Repr::kLhc:
-    default:
-      return GetBit(words(), lhc_flags_base() + ord) != 0;
-  }
+  // BHC nodes are sub-free by construction; LHC flags each entry.
+  return !is_bhc() && GetBit(words(), index_base() + ord) != 0;
 }
 
 inline uint64_t Node::OrdinalAddr(uint64_t ord) const {
-  if (addr_indexed()) {
+  if (is_bhc()) {
     return ord;
   }
   return ReadBits(words(), lhc_addrs_base() + ord * dim_, dim_);
@@ -527,38 +488,18 @@ inline uint64_t Node::OrdinalPayload(uint64_t ord) const {
   if (!store_values_) {
     return 0;  // key-only mode: postfix entries carry no payload
   }
-  uint64_t slot;
-  switch (repr_) {
-    case Repr::kHc:
-      slot = ord;
-      break;
-    case Repr::kBhc:
-      slot = BhcRank(ord);
-      break;
-    case Repr::kLhc:
-    default:
-      slot = LhcPostfixRank(ord);
-      break;
-  }
-  return ReadBits(words(), slot * 64, 64);
+  return ReadBits(words(), PostfixRank(ord) * 64, 64);
 }
 
 inline NodeHandle Node::OrdinalSub(uint64_t ord) const {
-  assert(OrdinalIsSub(ord));  // implies repr != kBhc
+  assert(OrdinalIsSub(ord));  // implies repr == kLhc
   // Acquire loads pair with PublishSubAt: a reader that observes a
   // republished handle also observes the replacement node's bit stream.
-  if (repr_ == Repr::kHc && store_values_) {
-    return static_cast<NodeHandle>(AcquireLoad64(words(), ord * 64));
-  }
   return static_cast<NodeHandle>(AcquireLoad32(words(), SubSlotPos(ord)));
 }
 
 inline void Node::PublishSubAt(uint64_t ord, NodeHandle child) {
   assert(OrdinalIsSub(ord));
-  if (repr_ == Repr::kHc && store_values_) {
-    ReleaseStore64(words(), ord * 64, child);
-    return;
-  }
   ReleaseStore32(words(), SubSlotPos(ord), static_cast<uint32_t>(child));
 }
 
@@ -567,32 +508,7 @@ inline void Node::PublishPayloadAt(uint64_t ord, uint64_t value) {
   if (!store_values_) {
     return;
   }
-  uint64_t slot;
-  switch (repr_) {
-    case Repr::kHc:
-      slot = ord;
-      break;
-    case Repr::kBhc:
-      slot = BhcRank(ord);
-      break;
-    case Repr::kLhc:
-    default:
-      slot = LhcPostfixRank(ord);
-      break;
-  }
-  ReleaseStore64(words(), slot * 64, value);
-}
-
-inline uint64_t Node::RecordPos(uint64_t ord) const {
-  switch (repr_) {
-    case Repr::kHc:
-      return hc_records_base() + ord * stride();
-    case Repr::kBhc:
-      return bhc_records_base() + BhcRank(ord) * stride();
-    case Repr::kLhc:
-    default:
-      return lhc_records_base() + LhcPostfixRank(ord) * stride();
-  }
+  ReleaseStore64(words(), PostfixRank(ord) * 64, value);
 }
 
 inline void Node::ReadPostfixInto(uint64_t ord, std::span<uint64_t> key) const {
@@ -611,36 +527,12 @@ inline void Node::ReadPostfixInto(uint64_t ord, std::span<uint64_t> key) const {
 inline uint64_t Node::ReadPostfixAndPayload(uint64_t ord,
                                             std::span<uint64_t> key) const {
   assert(!OrdinalIsSub(ord));
-  // One rank/postfix-rank evaluation shared by the record position and the
-  // value slot (ReadPostfixInto + OrdinalPayload would compute it twice).
-  uint64_t slot;
-  switch (repr_) {
-    case Repr::kHc:
-      slot = ord;
-      break;
-    case Repr::kBhc:
-      slot = BhcRank(ord);
-      break;
-    case Repr::kLhc:
-    default:
-      slot = LhcPostfixRank(ord);
-      break;
-  }
+  // One postfix rank shared by the record position and the value slot
+  // (ReadPostfixInto + OrdinalPayload would compute it twice).
+  const uint64_t rank = PostfixRank(ord);
   const uint32_t pl = postfix_len_;
   if (pl != 0) {
-    uint64_t record_pos;
-    switch (repr_) {
-      case Repr::kHc:
-        record_pos = hc_records_base() + ord * stride();
-        break;
-      case Repr::kBhc:
-        record_pos = bhc_records_base() + slot * stride();
-        break;
-      case Repr::kLhc:
-      default:
-        record_pos = lhc_records_base() + slot * stride();
-        break;
-    }
+    const uint64_t record_pos = records_base() + rank * stride();
     for (uint32_t d = 0; d < dim_; ++d) {
       const uint64_t seg =
           ReadBits(words(), record_pos + static_cast<uint64_t>(d) * pl, pl);
@@ -650,7 +542,7 @@ inline uint64_t Node::ReadPostfixAndPayload(uint64_t ord,
   if (!store_values_) {
     return 0;
   }
-  return ReadBits(words(), slot * 64, 64);
+  return ReadBits(words(), rank * 64, 64);
 }
 
 inline int Node::PostfixDivergence(uint64_t ord,
@@ -673,8 +565,8 @@ inline int Node::PostfixDivergence(uint64_t ord,
 }
 
 inline uint64_t Node::OrdinalGE(uint64_t addr) const {
-  if (addr_indexed()) {
-    const uint64_t base = infix_base() + infix_bits();
+  if (is_bhc()) {
+    const uint64_t base = index_base();
     const uint64_t bit = FindNextOne(words(), base + addr, base + hc_slots());
     return bit == kNoBit ? kNoOrdinal : bit - base;
   }
@@ -702,8 +594,8 @@ inline void Node::ReadLhcAddrs(uint64_t ord, uint64_t count,
 }
 
 inline uint64_t Node::NextOrdinal(uint64_t ord) const {
-  if (addr_indexed()) {
-    const uint64_t base = infix_base() + infix_bits();
+  if (is_bhc()) {
+    const uint64_t base = index_base();
     const uint64_t bit =
         FindNextOne(words(), base + ord + 1, base + hc_slots());
     return bit == kNoBit ? kNoOrdinal : bit - base;

@@ -771,10 +771,6 @@ void PhTree::StatsRec(const Node* node, size_t depth,
   ++stats->n_nodes;
   const uint64_t bytes = node->MemoryBytes();
   switch (node->repr()) {
-    case Node::Repr::kHc:
-      ++stats->n_hc_nodes;
-      stats->hc_node_bytes += bytes;
-      break;
     case Node::Repr::kBhc:
       ++stats->n_bhc_nodes;
       stats->bhc_node_bytes += bytes;

@@ -473,10 +473,8 @@ PhTreeStats PhTreeSharded::ComputeStats() const {
     const PhTreeStats s = shard->reader()->ComputeStats();
     total.n_entries += s.n_entries;
     total.n_nodes += s.n_nodes;
-    total.n_hc_nodes += s.n_hc_nodes;
     total.n_lhc_nodes += s.n_lhc_nodes;
     total.n_bhc_nodes += s.n_bhc_nodes;
-    total.hc_node_bytes += s.hc_node_bytes;
     total.lhc_node_bytes += s.lhc_node_bytes;
     total.bhc_node_bytes += s.bhc_node_bytes;
     total.memory_bytes += s.memory_bytes;

@@ -13,13 +13,15 @@ struct PhTreeStats {
   size_t n_entries = 0;
   /// Total number of nodes (paper Table 3).
   size_t n_nodes = 0;
-  /// Nodes currently in HC (hypercube array) representation.
+  /// Always 0: the dense HC layout is retired (DESIGN.md §2). Kept, with
+  /// hc_node_bytes, only because phbench's `node.hc_frac` reads it.
   size_t n_hc_nodes = 0;
   /// Nodes currently in LHC (linearised) representation.
   size_t n_lhc_nodes = 0;
-  /// Nodes currently in BHC (packed-leaf bitmap) representation.
+  /// Nodes currently in BHC (presence bitmap) representation.
   size_t n_bhc_nodes = 0;
-  /// Exact measured bytes per representation; they sum to memory_bytes.
+  /// Exact measured bytes per representation; lhc_node_bytes and
+  /// bhc_node_bytes sum to memory_bytes, and hc_node_bytes is always 0.
   uint64_t hc_node_bytes = 0;
   uint64_t lhc_node_bytes = 0;
   uint64_t bhc_node_bytes = 0;

@@ -36,13 +36,11 @@ struct ValidateState {
   bool deep = false;  // false = structural only
   size_t postfix_entries = 0;
   size_t nodes = 0;
-  size_t hc_nodes = 0;
   size_t lhc_nodes = 0;
   size_t bhc_nodes = 0;
   uint64_t node_bytes = 0;
   // Independently measured bytes per representation; their sum must equal
   // node_bytes and the arena's live-byte meter.
-  uint64_t hc_bytes = 0;
   uint64_t lhc_bytes = 0;
   uint64_t bhc_bytes = 0;
   uint64_t infix_bits = 0;
@@ -105,10 +103,6 @@ void ValidateNode(NodeRef ref, const Node* parent, size_t depth,
   state->max_depth = std::max(state->max_depth, depth + 1);
   state->sum_node_depth += depth + 1;
   switch (node->repr()) {
-    case Node::Repr::kHc:
-      ++state->hc_nodes;
-      state->hc_bytes += node_bytes;
-      break;
     case Node::Repr::kBhc:
       ++state->bhc_nodes;
       state->bhc_bytes += node_bytes;
@@ -248,24 +242,18 @@ void ValidateNode(NodeRef ref, const Node* parent, size_t depth,
 
   // The switching rule, re-derived from the size functions rather than
   // by calling Node::PickRepr, so the check stays independent of it: the
-  // node holds the smallest legal representation, ties going to LHC, then
-  // BHC, then HC. BHC is legal only for sub-free nodes, HC and BHC only up
-  // to kMaxHcDim.
-  const bool hc_allowed = node->dim() <= kMaxHcDim;
+  // node holds the smaller of LHC and BHC, ties going to LHC. BHC is legal
+  // only for sub-free nodes up to kMaxHcDim.
   if (node->is_bhc() && node->num_subs() != 0) {
     state->Fail(ctx.str() + "BHC node holds sub-node entries");
     return;
   }
-  Node::Repr best = Node::Repr::kLhc;
-  uint64_t best_bits = node->ReprBits(Node::Repr::kLhc);
-  const uint64_t bhc_bits = node->ReprBits(Node::Repr::kBhc);
-  if (hc_allowed && node->num_subs() == 0 && bhc_bits < best_bits) {
-    best = Node::Repr::kBhc;
-    best_bits = bhc_bits;
-  }
-  if (hc_allowed && node->ReprBits(Node::Repr::kHc) < best_bits) {
-    best = Node::Repr::kHc;
-  }
+  const bool bhc_legal = node->dim() <= kMaxHcDim && node->num_subs() == 0;
+  const Node::Repr best =
+      bhc_legal && node->ReprBits(Node::Repr::kBhc) <
+                       node->ReprBits(Node::Repr::kLhc)
+          ? Node::Repr::kBhc
+          : Node::Repr::kLhc;
   if (node->repr() != best) {
     state->Fail(ctx.str() + "representation is not the smallest legal one");
   }
@@ -315,22 +303,20 @@ std::string Validate(const PhTree& tree, bool deep) {
        << arena->retired_nodes();
     return os.str();
   }
-  if (state.hc_bytes + state.lhc_bytes + state.bhc_bytes !=
-      state.node_bytes) {
+  if (state.lhc_bytes + state.bhc_bytes != state.node_bytes) {
     std::ostringstream os;
-    os << "per-representation byte sums " << state.hc_bytes << "+"
-       << state.lhc_bytes << "+" << state.bhc_bytes
-       << " != total node bytes " << state.node_bytes;
+    os << "per-representation byte sums " << state.lhc_bytes << "+"
+       << state.bhc_bytes << " != total node bytes " << state.node_bytes;
     return os.str();
   }
   if (arena != nullptr &&
-      arena->LiveBytes() != state.hc_bytes + state.lhc_bytes +
-                               state.bhc_bytes + arena->RetiredBytes()) {
+      arena->LiveBytes() !=
+          state.lhc_bytes + state.bhc_bytes + arena->RetiredBytes()) {
     std::ostringstream os;
     os << "arena live bytes " << arena->LiveBytes()
-       << " != measured HC+LHC+BHC node bytes "
-       << state.hc_bytes + state.lhc_bytes + state.bhc_bytes
-       << " + retired bytes " << arena->RetiredBytes();
+       << " != measured LHC+BHC node bytes "
+       << state.lhc_bytes + state.bhc_bytes << " + retired bytes "
+       << arena->RetiredBytes();
     return os.str();
   }
 
@@ -379,20 +365,19 @@ std::string Validate(const PhTree& tree, bool deep) {
     } else if (stats.n_nodes != state.nodes) {
       os << "stats n_nodes " << stats.n_nodes << " != walked "
          << state.nodes;
-    } else if (stats.n_hc_nodes != state.hc_nodes ||
-               stats.n_lhc_nodes != state.lhc_nodes ||
+    } else if (stats.n_hc_nodes != 0 || stats.hc_node_bytes != 0) {
+      os << "stats report " << stats.n_hc_nodes << " HC nodes of "
+         << stats.hc_node_bytes << " bytes; the layout is retired";
+    } else if (stats.n_lhc_nodes != state.lhc_nodes ||
                stats.n_bhc_nodes != state.bhc_nodes) {
-      os << "stats HC/LHC/BHC split " << stats.n_hc_nodes << "/"
-         << stats.n_lhc_nodes << "/" << stats.n_bhc_nodes << " != walked "
-         << state.hc_nodes << "/" << state.lhc_nodes << "/"
+      os << "stats LHC/BHC split " << stats.n_lhc_nodes << "/"
+         << stats.n_bhc_nodes << " != walked " << state.lhc_nodes << "/"
          << state.bhc_nodes;
-    } else if (stats.hc_node_bytes != state.hc_bytes ||
-               stats.lhc_node_bytes != state.lhc_bytes ||
+    } else if (stats.lhc_node_bytes != state.lhc_bytes ||
                stats.bhc_node_bytes != state.bhc_bytes) {
-      os << "stats per-repr bytes " << stats.hc_node_bytes << "/"
-         << stats.lhc_node_bytes << "/" << stats.bhc_node_bytes
-         << " != walked " << state.hc_bytes << "/" << state.lhc_bytes
-         << "/" << state.bhc_bytes;
+      os << "stats per-repr bytes " << stats.lhc_node_bytes << "/"
+         << stats.bhc_node_bytes << " != walked " << state.lhc_bytes << "/"
+         << state.bhc_bytes;
     } else if (stats.n_postfix_entries != state.postfix_entries) {
       os << "stats n_postfix_entries " << stats.n_postfix_entries
          << " != walked " << state.postfix_entries;

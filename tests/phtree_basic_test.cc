@@ -129,7 +129,7 @@ TEST(PhTreeBasic, StructureIndependentOfInsertionOrder) {
     }
     const PhTreeStats stats = tree.ComputeStats();
     EXPECT_EQ(stats.n_nodes, ref_stats.n_nodes);
-    EXPECT_EQ(stats.n_hc_nodes, ref_stats.n_hc_nodes);
+    EXPECT_EQ(stats.n_bhc_nodes, ref_stats.n_bhc_nodes);
     EXPECT_EQ(stats.memory_bytes, ref_stats.memory_bytes);
     EXPECT_EQ(stats.max_depth, ref_stats.max_depth);
     EXPECT_EQ(ValidatePhTree(tree), "");

@@ -195,11 +195,11 @@ TEST(ZOrderBuilder, HandCases) {
   }
 }
 
-TEST(ZOrderBuilder, KeyOnlyFullNodeWithOneSubIsHc) {
+TEST(ZOrderBuilder, KeyOnlyFullNodeWithOneSubIsLhc) {
   // Every 3D address at bit 1 taken, and address 0 split at bit 0 into a
   // sub-node: 7 postfixes plus one sub under one node at postfix length 1.
-  // Key-only, that node is smaller as HC (2-bit presence/sub bitmaps and
-  // slot-addressed 3-bit records) than as LHC — a real HC node.
+  // Key-only, with its sub handle in a 32-bit slot at the stream head, that
+  // node is LHC: BHC is sub-free.
   std::vector<PhEntry> entries;
   for (uint64_t a = 0; a < 8; ++a) {
     entries.push_back({{(a >> 2 & 1) << 1, (a >> 1 & 1) << 1, (a & 1) << 1},
@@ -207,18 +207,19 @@ TEST(ZOrderBuilder, KeyOnlyFullNodeWithOneSubIsHc) {
   }
   entries.push_back({{0, 0, 1}, 0});
   std::reverse(entries.begin(), entries.end());
-  ExpectBuilderMatchesInsert(entries, 3, false, "key-only HC");
+  ExpectBuilderMatchesInsert(entries, 3, false, "key-only full node");
   PhTreeConfig cfg;
   cfg.store_values = false;
   PhTree built(3, cfg);
   ASSERT_EQ(built.BulkLoad(entries), entries.size());
   const Node* root = built.root();
   ASSERT_EQ(root->num_entries(), 1u);
-  const Node* hc = built.arena()->NodeAt(root->OrdinalSub(root->FirstOrdinal()));
-  EXPECT_TRUE(hc->is_hc());
-  EXPECT_EQ(hc->postfix_len(), 1u);
-  EXPECT_EQ(hc->num_entries(), 8u);
-  EXPECT_EQ(hc->num_subs(), 1u);
+  const Node* full =
+      built.arena()->NodeAt(root->OrdinalSub(root->FirstOrdinal()));
+  EXPECT_EQ(full->repr(), Node::Repr::kLhc);
+  EXPECT_EQ(full->postfix_len(), 1u);
+  EXPECT_EQ(full->num_entries(), 8u);
+  EXPECT_EQ(full->num_subs(), 1u);
 }
 
 TEST(ZOrderBuilder, RejectsDuplicateAndOutOfOrderKeys) {

@@ -113,7 +113,7 @@ TEST(PhTreeSyncConcurrency, MixedChurnStress) {
 }
 
 TEST(PhTreeSyncConcurrency, KeyOnlyDenseGridReads) {
-  // A key-only tree on a dense 3D grid holds HC nodes with subs. Their
+  // A key-only tree on a dense 3D grid holds LHC nodes with subs. Their
   // handles sit in 32-bit slots at the stream head, where a publication
   // store can share a word with the infix that readers load. A fixed fifth
   // of the 16^3 grid stays put while one writer churns the other cells.
@@ -132,9 +132,18 @@ TEST(PhTreeSyncConcurrency, KeyOnlyDenseGridReads) {
   for (const PhKey& key : fixed) {
     ASSERT_TRUE(tree.Insert(key, 0));
   }
-  // Under the smallest-layout rule an HC node always holds a sub: BHC
-  // beats HC on every sub-free node.
-  ASSERT_GT(tree.ComputeStats().n_hc_nodes, 0u);
+  // The root's only child sits at bit level 3 below a 59-bit infix and
+  // holds subs: an LHC node whose sub slots start its stream, right ahead
+  // of the infix.
+  {
+    const PhTree& shard = tree.UnsafeShard(0);
+    const Node* root = shard.root();
+    const Node* top =
+        shard.arena()->NodeAt(root->OrdinalSub(root->FirstOrdinal()));
+    ASSERT_EQ(top->repr(), Node::Repr::kLhc);
+    ASSERT_GT(top->num_subs(), 0u);
+    ASSERT_GT(top->infix_len(), 0u);
+  }
   std::atomic<bool> stop{false};
   std::atomic<bool> failed{false};
   std::atomic<uint64_t> reads{0};

@@ -339,38 +339,54 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Resume mid-node (dense single node) --------------------------------
 
-TEST(TreeCursorResumeTest, ResumesMidNodeInADenseHcNode) {
-  // Key-only 2-D keys below 4: the node at bit level 1 is full, with one
-  // sub-node (at address 0, holding {0,0} and {1,1}) and three postfixes,
-  // an occupancy where HC (48 bits plus the infix) beats LHC (50 plus the
-  // infix). Page size 1 forces a resume inside it and inside its sub-node.
+TEST(TreeCursorResumeTest, ResumesMidNodeInAFullNode) {
+  // Key-only 2-D keys below 4: the node at bit level 1 (the root's only
+  // sub-node) is full. With four postfixes it is BHC; once {1,1} turns
+  // address 0 into a sub-node (holding {0,0} and {1,1}) it is LHC. Page
+  // size 1 forces a resume inside it, in both layouts, and inside its
+  // sub-node.
   PhTreeConfig cfg;
   cfg.store_values = false;
   PhTree tree(2, cfg);
-  Entries expect;
+  const auto full_node = [&tree] {
+    const Node* root = tree.root();
+    return tree.arena()->NodeAt(root->OrdinalSub(root->FirstOrdinal()));
+  };
+  const auto expect_resumed_pages_match_scan = [&tree](size_t n) {
+    Entries expect;
+    for (TreeCursor c(tree); c.Valid(); c.Next()) {
+      expect.emplace_back(PhKey(c.key().begin(), c.key().end()), c.value());
+    }
+    ASSERT_EQ(expect.size(), n);
+    const PhKey lo{0, 0}, hi{3, 3};
+    Entries paged;
+    std::optional<PhKey> token;
+    for (;;) {
+      const WindowPage page = token.has_value()
+                                  ? tree.QueryWindowPage(lo, hi, 1, *token)
+                                  : tree.QueryWindowPage(lo, hi, 1);
+      paged.insert(paged.end(), page.entries.begin(), page.entries.end());
+      if (!page.more) {
+        break;
+      }
+      token = page.token;
+    }
+    EXPECT_EQ(paged, expect);
+  };
   for (const PhKey& key :
-       {PhKey{0, 0}, PhKey{1, 1}, PhKey{0, 2}, PhKey{2, 0}, PhKey{2, 2}}) {
+       {PhKey{0, 0}, PhKey{0, 2}, PhKey{2, 0}, PhKey{2, 2}}) {
     ASSERT_TRUE(tree.Insert(key, 0));
   }
-  ASSERT_EQ(tree.ComputeStats().n_hc_nodes, 1u);
-  for (TreeCursor c(tree); c.Valid(); c.Next()) {
-    expect.emplace_back(PhKey(c.key().begin(), c.key().end()), c.value());
-  }
-  ASSERT_EQ(expect.size(), 5u);
-  const PhKey lo{0, 0}, hi{3, 3};
-  Entries paged;
-  std::optional<PhKey> token;
-  for (;;) {
-    const WindowPage page = token.has_value()
-                                ? tree.QueryWindowPage(lo, hi, 1, *token)
-                                : tree.QueryWindowPage(lo, hi, 1);
-    paged.insert(paged.end(), page.entries.begin(), page.entries.end());
-    if (!page.more) {
-      break;
-    }
-    token = page.token;
-  }
-  EXPECT_EQ(paged, expect);
+  ASSERT_EQ(full_node()->postfix_len(), 1u);
+  ASSERT_EQ(full_node()->num_entries(), 4u);
+  ASSERT_TRUE(full_node()->is_bhc());
+  expect_resumed_pages_match_scan(4);
+
+  ASSERT_TRUE(tree.Insert(PhKey{1, 1}, 0));
+  ASSERT_EQ(full_node()->num_entries(), 4u);
+  ASSERT_EQ(full_node()->num_subs(), 1u);
+  ASSERT_EQ(full_node()->repr(), Node::Repr::kLhc);
+  expect_resumed_pages_match_scan(5);
 }
 
 // ---- Pagination across the concurrent wrappers --------------------------

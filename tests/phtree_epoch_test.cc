@@ -227,15 +227,19 @@ TEST(EpochReclaim, FaultSweepCoversCowAllocationSites) {
   EXPECT_GT(report.injected_failures, 0u);
 }
 
-/// True iff the subtree under `node` holds an HC node with a sub entry.
-bool HasHcNodeWithSub(const PhTree& tree, const Node* node) {
-  if (node->is_hc() && node->num_subs() > 0) {
+/// True iff the subtree under `node` holds an LHC node with a sub entry
+/// and an infix: in key-only mode its 32-bit sub slots start the stream,
+/// right ahead of the infix.
+bool HasLhcNodeWithSubAndInfix(const PhTree& tree, const Node* node) {
+  if (node->repr() == Node::Repr::kLhc && node->num_subs() > 0 &&
+      node->infix_len() > 0) {
     return true;
   }
   for (uint64_t ord = node->FirstOrdinal(); ord != Node::kNoOrdinal;
        ord = node->NextOrdinal(ord)) {
     if (node->OrdinalIsSub(ord) &&
-        HasHcNodeWithSub(tree, tree.arena()->NodeAt(node->OrdinalSub(ord)))) {
+        HasLhcNodeWithSubAndInfix(
+            tree, tree.arena()->NodeAt(node->OrdinalSub(ord)))) {
       return true;
     }
   }
@@ -243,8 +247,7 @@ bool HasHcNodeWithSub(const PhTree& tree, const Node* node) {
 }
 
 /// The keys of a random `fill` share of the cells of the dense grid
-/// [0, 2^(12/dim))^dim (4,096 cells at dim 2, 3, 6), in random order. In
-/// key-only mode such a grid holds HC nodes with subs.
+/// [0, 2^(12/dim))^dim (4,096 cells at dim 2, 3, 6), in random order.
 std::vector<PhKey> DenseGridKeys(uint32_t dim, double fill, Rng& rng) {
   const uint32_t side_bits = 12 / dim;
   std::vector<PhKey> keys;
@@ -281,7 +284,7 @@ TEST(PolicyParity, InPlaceAndCopyOnWriteBuildTheSameTree) {
     return std::pair{injector.site_hits(FaultSite::kArenaNodeAlloc),
                      injector.site_hits(FaultSite::kWordAlloc)};
   };
-  bool saw_key_only_hc_sub = false;
+  bool saw_key_only_lhc_sub = false;
   for (const bool store_values : {true, false}) {
     for (const uint32_t dim : {2u, 3u, 6u}) {
       for (const uint32_t grid_bits : {4u, 8u, 20u, 64u}) {
@@ -324,7 +327,8 @@ TEST(PolicyParity, InPlaceAndCopyOnWriteBuildTheSameTree) {
           ASSERT_FALSE(::testing::Test::HasFailure());
         }
         if (!store_values) {
-          saw_key_only_hc_sub |= HasHcNodeWithSub(plain, plain.root());
+          saw_key_only_lhc_sub |=
+              HasLhcNodeWithSubAndInfix(plain, plain.root());
         }
         for (uint64_t op = 1; op <= 3000; ++op) {
           const uint64_t kind = rng.NextBounded(10);
@@ -369,7 +373,6 @@ TEST(PolicyParity, InPlaceAndCopyOnWriteBuildTheSameTree) {
             const PhTreeStats b = mvcc.ComputeStats();
             ASSERT_EQ(a.n_entries, b.n_entries) << "op " << op;
             ASSERT_EQ(a.n_nodes, b.n_nodes) << "op " << op;
-            ASSERT_EQ(a.n_hc_nodes, b.n_hc_nodes) << "op " << op;
             ASSERT_EQ(a.n_lhc_nodes, b.n_lhc_nodes) << "op " << op;
             ASSERT_EQ(a.n_bhc_nodes, b.n_bhc_nodes) << "op " << op;
             ASSERT_EQ(a.memory_bytes, b.memory_bytes) << "op " << op;
@@ -385,10 +388,10 @@ TEST(PolicyParity, InPlaceAndCopyOnWriteBuildTheSameTree) {
       }
     }
   }
-  // Only a key-only HC node keeps HC child slots of 32 bits: the prefill
-  // must keep producing one holding a sub, or the publication into those
-  // slots goes untested here.
-  EXPECT_TRUE(saw_key_only_hc_sub);
+  // A key-only LHC node with a sub keeps its 32-bit child slots at the
+  // stream head, before its infix: the prefill must keep producing one, or
+  // the publication into those slots goes untested here.
+  EXPECT_TRUE(saw_key_only_lhc_sub);
 }
 
 TEST(EpochReclaim, SyncLoadSwapsUnderLockFreeReaders) {

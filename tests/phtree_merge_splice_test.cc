@@ -107,7 +107,7 @@ TEST(MergeSplice, RandomisedEraseAlwaysMatchesFreshBuild) {
     const auto a = tree.ComputeStats();
     const auto b = fresh.ComputeStats();
     EXPECT_EQ(a.n_nodes, b.n_nodes) << "dim " << dim;
-    EXPECT_EQ(a.n_hc_nodes, b.n_hc_nodes) << "dim " << dim;
+    EXPECT_EQ(a.n_bhc_nodes, b.n_bhc_nodes) << "dim " << dim;
     EXPECT_EQ(a.memory_bytes, b.memory_bytes) << "dim " << dim;
     EXPECT_EQ(a.max_depth, b.max_depth) << "dim " << dim;
     EXPECT_EQ(ValidatePhTree(tree), "");

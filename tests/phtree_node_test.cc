@@ -1,4 +1,4 @@
-// Node-level behaviour: HC/LHC/BHC representation choice and switching
+// Node-level behaviour: LHC/BHC representation choice and switching
 // (paper Sect. 3.2), every edit of each layout (each writes a new block and
 // leaves its source untouched), space bookkeeping, and the paper's space
 // cases (Sect. 3.4).
@@ -23,7 +23,6 @@ namespace {
 PhKey Key2(uint64_t x, uint64_t y) { return PhKey{x, y}; }
 
 constexpr Node::Repr kLhc = Node::Repr::kLhc;
-constexpr Node::Repr kHc = Node::Repr::kHc;
 constexpr Node::Repr kBhc = Node::Repr::kBhc;
 
 /// A standalone node built through its own arena and edited the way the
@@ -140,7 +139,6 @@ void ExpectNodeMatches(Node* node, const NodeModel& model, bool store_values,
   if (subs == 0) {
     best = std::min(best, node->ReprBits(kBhc));
   }
-  best = std::min(best, node->ReprBits(kHc));
   EXPECT_EQ(node->CurrentReprBits(), best);
 }
 
@@ -156,9 +154,8 @@ PhKey PostfixKey(uint32_t dim, uint64_t addr, uint64_t salt) {
 
 TEST(NodeRepresentation, DenseLowDimLeafNodesUseBhc) {
   // k=2: filling all 4 slots of a leaf node must leave LHC (paper: the
-  // bottom node of Fig. 2 "would be stored in HC representation"; our BHC
-  // packed-leaf refinement strictly beats HC on every sub-free node, so the
-  // dense leaf lands there instead).
+  // bottom node of Fig. 2 "would be stored in HC representation"; BHC, the
+  // hypercube layout of a sub-free node, holds it here).
   PhTree tree(2);
   for (uint64_t x = 0; x < 2; ++x) {
     for (uint64_t y = 0; y < 2; ++y) {
@@ -167,19 +164,17 @@ TEST(NodeRepresentation, DenseLowDimLeafNodesUseBhc) {
   }
   const PhTreeStats stats = tree.ComputeStats();
   EXPECT_GE(stats.n_bhc_nodes, 1u);
-  EXPECT_EQ(stats.n_hc_nodes, 0u);
   EXPECT_EQ(ValidatePhTree(tree), "");
 }
 
 TEST(NodeRepresentation, SparseHighDimNodesUseLhc) {
-  // k=16 with 2 entries: HC would need 2^16 slots; must stay LHC.
+  // k=16 with 2 entries: BHC would need a 2^16-bit bitmap; must stay LHC.
   PhTree tree(16);
   PhKey a(16, 123456), b(16, 123456);
   b[15] ^= 1;
   tree.Insert(a, 1);
   tree.Insert(b, 2);
   const PhTreeStats stats = tree.ComputeStats();
-  EXPECT_EQ(stats.n_hc_nodes, 0u);
   EXPECT_EQ(stats.n_lhc_nodes, stats.n_nodes);
 }
 
@@ -211,7 +206,6 @@ TEST(NodeRepresentation, HcNeverUsedAboveMaxDim) {
     tree.InsertOrAssign(key, i);
   }
   const PhTreeStats stats = tree.ComputeStats();
-  EXPECT_EQ(stats.n_hc_nodes, 0u);
   EXPECT_EQ(stats.n_bhc_nodes, 0u);
   EXPECT_EQ(ValidatePhTree(tree), "");
 }
@@ -220,16 +214,13 @@ TEST(NodeSpace, SmallestRepresentationWinsExactly) {
   // Whitebox size check on a standalone node.
   ArenaNode node(2, 0, 3);  // k=2, postfix 3 bits -> stride 6 bits
   PhKey key{0, 0};
-  // 1 entry: LHC (1 payload word + 1 flag + 2 addr + 6 postfix bits) is far
-  // below HC (4 slots x (64+2+6) bits) -> LHC.
+  // The layouts differ only in their index. 1 entry: LHC's flag and 2-bit
+  // address (3 bits) are below BHC's 4-bit bitmap -> LHC.
   node.InsertPostfix(0, key, 0);
-  EXPECT_FALSE(node->is_hc());
   EXPECT_FALSE(node->is_bhc());
-  EXPECT_LT(node->ReprBits(kLhc), node->ReprBits(kHc));
-  // Fill all 4 slots: LHC pays k=2 address bits per entry, HC does not ->
-  // HC is smaller by (k-1) bits per slot (paper Sect. 3.2). The packed leaf
-  // (BHC) drops the empty payload slots and the sub bitmap on top of that,
-  // so a full sub-free node lands in BHC, strictly below both.
+  EXPECT_EQ(node->ReprBits(kBhc) - node->ReprBits(kLhc), 1u);
+  // Fill all 4 slots: LHC pays a flag and k=2 address bits per entry
+  // (12 bits), BHC still 4 bitmap bits -> BHC, 8 bits smaller.
   key = PhKey{1, 0};
   node.InsertPostfix(2, key, 0);
   key = PhKey{0, 1};
@@ -237,9 +228,7 @@ TEST(NodeSpace, SmallestRepresentationWinsExactly) {
   key = PhKey{1, 1};
   node.InsertPostfix(3, key, 0);
   EXPECT_TRUE(node->is_bhc());
-  EXPECT_LT(node->ReprBits(kHc), node->ReprBits(kLhc));
-  EXPECT_LT(node->ReprBits(kBhc), node->ReprBits(kHc));
-  EXPECT_LT(node->ReprBits(kBhc), node->ReprBits(kLhc));
+  EXPECT_EQ(node->ReprBits(kLhc) - node->ReprBits(kBhc), 8u);
 }
 
 TEST(NodeSpace, MemoryScalesWithPostfixLengthNotBitWidth) {
@@ -291,13 +280,47 @@ TEST(NodeSpace, StatsCountsAreConsistent) {
   const PhTreeStats stats = tree.ComputeStats();
   EXPECT_EQ(stats.n_entries, n);
   EXPECT_EQ(stats.n_postfix_entries, n);
-  EXPECT_EQ(stats.n_hc_nodes + stats.n_lhc_nodes + stats.n_bhc_nodes,
-            stats.n_nodes);
-  EXPECT_EQ(stats.hc_node_bytes + stats.lhc_node_bytes + stats.bhc_node_bytes,
-            stats.memory_bytes);
+  EXPECT_EQ(stats.n_lhc_nodes + stats.n_bhc_nodes, stats.n_nodes);
+  EXPECT_EQ(stats.lhc_node_bytes + stats.bhc_node_bytes, stats.memory_bytes);
+  EXPECT_EQ(stats.n_hc_nodes, 0u);
+  EXPECT_EQ(stats.hc_node_bytes, 0u);
   EXPECT_GT(stats.memory_bytes, 0u);
   EXPECT_GE(stats.max_depth, 1u);
   EXPECT_LE(stats.max_depth, 64u);
+}
+
+/// A key-only tree over a seeded random `fill` share of the cells of the
+/// grid [0, 2^side_bits)^dim, inserted in cell order.
+PhTree FilledKeyOnlyGrid(uint32_t dim, uint32_t side_bits, double fill,
+                         uint64_t seed) {
+  PhTree tree(dim, PhTreeConfig{/*store_values=*/false});
+  Rng rng(seed);
+  for (uint64_t cell = 0; cell < (uint64_t{1} << (side_bits * dim));
+       ++cell) {
+    if (rng.NextBool(fill)) {
+      PhKey key(dim);
+      for (uint32_t d = 0; d < dim; ++d) {
+        key[d] = (cell >> (d * side_bits)) & LowMask(side_bits);
+      }
+      EXPECT_TRUE(tree.Insert(key, 0));
+    }
+  }
+  return tree;
+}
+
+TEST(NodeSpace, FilledKeyOnlyGridsKeepTheirBytesWithoutHc) {
+  // Key-only grids a fifth full are where the retired dense HC layout
+  // (DESIGN.md §2) was picked: with it, these two trees held 853 and 806 HC
+  // nodes, every one with a sub. As LHC nodes they take blocks of the same
+  // size, so memory_bytes stays the value recorded with the HC layout.
+  const PhTree grid2d = FilledKeyOnlyGrid(2, 9, 0.2, 20);
+  const PhTree grid3d = FilledKeyOnlyGrid(3, 6, 0.2, 30);
+  EXPECT_EQ(grid2d.size(), 52483u);
+  EXPECT_EQ(grid3d.size(), 52669u);
+  EXPECT_EQ(grid2d.ComputeStats().memory_bytes, 1093856u);
+  EXPECT_EQ(grid3d.ComputeStats().memory_bytes, 799232u);
+  EXPECT_EQ(ValidatePhTreeDeep(grid2d), "");
+  EXPECT_EQ(ValidatePhTreeDeep(grid3d), "");
 }
 
 TEST(NodeRepresentation, BhcPromotionAndDemotionAtSwitchBoundary) {
@@ -313,10 +336,8 @@ TEST(NodeRepresentation, BhcPromotionAndDemotionAtSwitchBoundary) {
     node.InsertPostfix(addrs[i], keys[i], 0);
     const uint64_t lhc = node->ReprBits(kLhc);
     const uint64_t bhc = node->ReprBits(kBhc);
-    const uint64_t hc = node->ReprBits(kHc);
-    EXPECT_EQ(node->is_bhc(), bhc < lhc && bhc <= hc) << "n=" << i + 1;
-    EXPECT_EQ(node->CurrentReprBits(), std::min({lhc, bhc, hc}))
-        << "n=" << i + 1;
+    EXPECT_EQ(node->is_bhc(), bhc < lhc) << "n=" << i + 1;
+    EXPECT_EQ(node->CurrentReprBits(), std::min(lhc, bhc)) << "n=" << i + 1;
   }
   EXPECT_TRUE(node->is_bhc());
   // Demote by deletion: at n=1 LHC is strictly smaller again.
@@ -374,17 +395,16 @@ TEST(NodeRepresentation, TreeChurnAcrossBoundaryStaysValid) {
   ASSERT_EQ(ValidatePhTree(tree), "");
 }
 
-// Under the smallest-layout rule HC is rare: BHC beats it on every sub-free
-// node, and a full value-mode node picks HC over LHC only while
-// 2^k * (k - 1) > subs * (32 + k * postfix_len). The two tests below build
-// such nodes directly and drive every edit of an HC node: postfix and sub
-// inserts and removes, postfix <-> sub swaps, in-node moves and
-// PublishSubAt.
+// A full node crosses between the two layouts: it is BHC while sub-free
+// and LHC once it holds a sub, since BHC has no is_sub flags. The two tests
+// below build such nodes directly and drive every edit on both sides:
+// postfix and sub inserts and removes, postfix <-> sub swaps, in-node
+// moves and PublishSubAt.
 // ArenaNode checks that each edit writes a new block.
 
-TEST(NodeWhitebox, ValueModeHcEdits) {
-  // k=6, postfix_len 1: a full node is HC with 1..8 subs (HC 4608 bits,
-  // LHC 4928 - 38 * subs); sub-free it is BHC.
+TEST(NodeWhitebox, ValueModeFullNodeEdits) {
+  // k=6, postfix_len 1: sub-free, a full node is BHC (a 64-bit bitmap
+  // against 448 LHC flag and address bits); with a sub it is LHC.
   constexpr uint32_t kDim = 6;
   ArenaNode node(kDim, 0, 1);
   NodeModel model;
@@ -396,13 +416,13 @@ TEST(NodeWhitebox, ValueModeHcEdits) {
   ExpectNodeMatches(node.get(), model, true, "64 postfixes");
   ASSERT_TRUE(node->is_bhc());
 
-  // BHC -> HC, copying every payload into its HC slot.
+  // BHC -> LHC: every payload keeps its postfix rank.
   node.ReplaceEntryWithSub(5, NodeHandle{501});
   model.entries[5] = {true, 501, {}};
   ExpectNodeMatches(node.get(), model, true, "first sub");
-  ASSERT_TRUE(node->is_hc());
+  ASSERT_EQ(node->repr(), kLhc);
 
-  // From here on every edit keeps HC.
+  // From here on the node always holds a sub and stays LHC.
   for (const uint64_t a : {9, 13}) {
     node.ReplaceEntryWithSub(a, static_cast<NodeHandle>(500 + a));
     model.entries[a] = {true, 500 + a, {}};
@@ -422,7 +442,7 @@ TEST(NodeWhitebox, ValueModeHcEdits) {
   node.RemoveEntry(13);  // a sub
   model.entries.erase(13);
   ExpectNodeMatches(node.get(), model, true, "removes");
-  ASSERT_TRUE(node->is_hc());
+  ASSERT_EQ(node->repr(), kLhc);
 
   const PhKey moved = PostfixKey(kDim, 20, 3);
   node.Move(30, 20, moved, 3030);  // to a free slot
@@ -432,7 +452,7 @@ TEST(NodeWhitebox, ValueModeHcEdits) {
   node.Move(31, 31, rewritten, 3131);  // in its own slot
   model.entries[31] = {false, 3131, rewritten};
   ExpectNodeMatches(node.get(), model, true, "moves");
-  ASSERT_TRUE(node->is_hc());
+  ASSERT_EQ(node->repr(), kLhc);
 
   const PhKey again = PostfixKey(kDim, 30, 2);
   node.InsertPostfix(30, again, 99);
@@ -440,12 +460,12 @@ TEST(NodeWhitebox, ValueModeHcEdits) {
   node.InsertSub(13, NodeHandle{613});
   model.entries[13] = {true, 613, {}};
   ExpectNodeMatches(node.get(), model, true, "re-inserts");
-  ASSERT_TRUE(node->is_hc());
+  ASSERT_EQ(node->repr(), kLhc);
 }
 
-TEST(NodeWhitebox, KeyOnlyHcEdits) {
-  // Key-only, k=3, postfix_len 1: a node of 7 or 8 entries with 1..5 subs
-  // is HC (sub handles in 32-bit head slots); sub-free it is BHC.
+TEST(NodeWhitebox, KeyOnlyFullNodeEdits) {
+  // Key-only, k=3, postfix_len 1: sub-free, a node of 8 entries is BHC; with
+  // a sub it is LHC, its sub handles in 32-bit slots that start the stream.
   constexpr uint32_t kDim = 3;
   ArenaNode node(kDim, 0, 1, /*store_values=*/false);
   NodeModel model;
@@ -460,7 +480,7 @@ TEST(NodeWhitebox, KeyOnlyHcEdits) {
   node.ReplaceEntryWithSub(2, NodeHandle{302});
   model.entries[2] = {true, 302, {}};
   ExpectNodeMatches(node.get(), model, false, "first sub");
-  ASSERT_TRUE(node->is_hc());
+  ASSERT_EQ(node->repr(), kLhc);
 
   node.ReplaceEntryWithSub(5, NodeHandle{305});
   model.entries[5] = {true, 305, {}};
@@ -489,17 +509,16 @@ TEST(NodeWhitebox, KeyOnlyHcEdits) {
   node.InsertPostfix(6, last, 0);
   model.entries[6] = {false, 0, last};
   ExpectNodeMatches(node.get(), model, false, "postfix insert");
-  ASSERT_TRUE(node->is_hc());
+  ASSERT_EQ(node->repr(), kLhc);
 }
 
 // A seeded random sequence of every edit kind against NodeModel, for
 // k in {2, 3, 6, 63} in both value modes. Addresses come from a pool of at
-// most 64, so small-k nodes fill up and pass through LHC, BHC and HC; a
-// key-only k=3 node and a value-mode k=6 node reach HC when nearly full
-// with a few subs, which the low sub share below makes common.
+// most 64, so small-k nodes fill up and pass between LHC and BHC as they
+// fill, empty, and gain or lose subs.
 TEST(NodeWhitebox, RandomEditsMatchModel) {
   constexpr uint32_t kPostfixLen = 3;
-  bool seen[3] = {false, false, false};
+  bool seen[2] = {false, false};
   for (const uint32_t dim : {2u, 3u, 6u, 63u}) {
     for (const bool store_values : {true, false}) {
       SCOPED_TRACE(testing::Message()
@@ -575,7 +594,6 @@ TEST(NodeWhitebox, RandomEditsMatchModel) {
   }
   EXPECT_TRUE(seen[static_cast<int>(Node::Repr::kLhc)]);
   EXPECT_TRUE(seen[static_cast<int>(Node::Repr::kBhc)]);
-  EXPECT_TRUE(seen[static_cast<int>(Node::Repr::kHc)]);
 }
 
 TEST(NodeWhitebox, InfixRoundTrip) {

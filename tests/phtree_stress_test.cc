@@ -62,7 +62,7 @@ TEST(Stress, InsertionOrderIndependenceAtScale) {
   const auto ss = shuffled.ComputeStats();
   EXPECT_EQ(fs.n_nodes, bs.n_nodes);
   EXPECT_EQ(fs.n_nodes, ss.n_nodes);
-  EXPECT_EQ(fs.n_hc_nodes, bs.n_hc_nodes);
+  EXPECT_EQ(fs.n_bhc_nodes, bs.n_bhc_nodes);
   EXPECT_EQ(fs.memory_bytes, bs.memory_bytes);
   EXPECT_EQ(fs.memory_bytes, ss.memory_bytes);
   EXPECT_EQ(fs.max_depth, ss.max_depth);
@@ -85,7 +85,7 @@ TEST(Stress, EraseInsertRoundTripRestoresExactShape) {
   }
   const auto after = tree.ComputeStats();
   EXPECT_EQ(before.n_nodes, after.n_nodes);
-  EXPECT_EQ(before.n_hc_nodes, after.n_hc_nodes);
+  EXPECT_EQ(before.n_bhc_nodes, after.n_bhc_nodes);
   EXPECT_EQ(before.memory_bytes, after.memory_bytes);
   EXPECT_EQ(before.max_depth, after.max_depth);
 }
