@@ -3,8 +3,12 @@
 // substrates the complexity analysis of Sect. 3.5/3.6 builds on.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchlib/json_artifact.h"
@@ -200,21 +204,113 @@ void BM_WindowQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowQuery);
 
-void BM_Knn(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
-  const Dataset ds = GenerateCube(100000, 3, 3);
-  PhTreeD tree(3);
-  for (size_t i = 0; i < ds.n(); ++i) {
-    tree.Insert(ds.point(i), i);
+/// One kNN workload: a tree, the same points as one flat double array, and
+/// encoded centres. Built once per binary (KnnSetFor), so a short
+/// --benchmark_min_time run stays short.
+struct KnnSet {
+  static constexpr size_t kCenters = 1024;
+
+  KnnSet(Dataset points, bool near_points, double jitter, uint64_t seed)
+      : ds(std::move(points)), tree(ds.dim) {
+    for (size_t i = 0; i < ds.n(); ++i) {
+      tree.Insert(ds.point(i), i);
+    }
+    Rng rng(seed);
+    for (size_t q = 0; q < kCenters; ++q) {
+      const auto p = ds.point(rng.NextBounded(ds.n()));
+      for (uint32_t d = 0; d < ds.dim; ++d) {
+        const double c = near_points ? p[d] + rng.NextDouble(-jitter, jitter)
+                                     : rng.NextDouble();
+        centers.push_back(c);
+        encoded.push_back(SortableDoubleBits(c));
+      }
+    }
   }
-  Rng rng(5);
+
+  std::span<const uint64_t> Center(size_t q) const {
+    return {encoded.data() + (q % kCenters) * ds.dim, ds.dim};
+  }
+
+  Dataset ds;  // ds.coords: the points row-major, the scan's flat array
+  PhTreeD tree;
+  std::vector<double> centers;   // row-major, decoded
+  std::vector<uint64_t> encoded;  // row-major, as the tree stores them
+};
+
+/// The kNN trees by arm. 0: CUBE 3D, 10^5 points, uniform centres. 1:
+/// TIGER-like 2D, 10^6 points, centres within +-0.005 degrees of a stored
+/// point (tiger_serve's kNN). 2-5: CUBE, 2*10^4 points at k = 2, 3, 6 and
+/// 10, centres within +-10^-3 of a stored point, shared with BM_KnnScan.
+const KnnSet& KnnSetFor(int64_t arm) {
+  static std::unique_ptr<KnnSet> sets[6];
+  static constexpr uint32_t kScanDims[4] = {2, 3, 6, 10};
+  std::unique_ptr<KnnSet>& set = sets[arm];
+  if (set == nullptr) {
+    if (arm == 0) {
+      set = std::make_unique<KnnSet>(GenerateCube(100000, 3, 3), false, 0, 5);
+    } else if (arm == 1) {
+      set = std::make_unique<KnnSet>(GenerateTigerLike(1000000, 6), true,
+                                     0.005, 7);
+    } else {
+      set = std::make_unique<KnnSet>(
+          GenerateCube(20000, kScanDims[arm - 2], 8 + arm), true, 1e-3, 9);
+    }
+  }
+  return *set;
+}
+
+/// kNN(n) through the tree: args are (arm, n).
+void BM_Knn(benchmark::State& state) {
+  const KnnSet& set = KnnSetFor(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  size_t q = 0;
   for (auto _ : state) {
-    const std::vector<double> center{rng.NextDouble(), rng.NextDouble(),
-                                     rng.NextDouble()};
-    benchmark::DoNotOptimize(KnnSearchD(tree.tree(), center, k));
+    benchmark::DoNotOptimize(
+        KnnSearch(set.tree.tree(), set.Center(q++), n, KnnMetric::kL2Double));
   }
 }
-BENCHMARK(BM_Knn)->Arg(1)->Arg(10)->Arg(100);
+BENCHMARK(BM_Knn)
+    ->Args({0, 1})
+    ->Args({0, 10})
+    ->Args({0, 100})
+    ->Args({1, 10})
+    ->Args({2, 10})
+    ->Args({3, 10})
+    ->Args({4, 10})
+    ->Args({5, 10});
+
+/// The baseline a kNN must beat: every squared distance over the flat
+/// point array (the tree's arithmetic: per-axis difference of the decoded
+/// doubles, squared and summed in axis order), nth_element, then a sort of
+/// the n best. Args are (arm, n), on BM_Knn's trees' points and centres.
+void BM_KnnScan(benchmark::State& state) {
+  const KnnSet& set = KnnSetFor(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  const uint32_t dim = set.ds.dim;
+  const double* points = set.ds.coords.data();
+  std::vector<std::pair<double, uint32_t>> dist(set.ds.n());
+  size_t q = 0;
+  for (auto _ : state) {
+    const double* c = set.centers.data() + (q++ % KnnSet::kCenters) * dim;
+    for (size_t i = 0; i < dist.size(); ++i) {
+      const double* p = points + i * dim;
+      double sum = 0;
+      for (uint32_t d = 0; d < dim; ++d) {
+        const double delta = c[d] - p[d];
+        sum += delta * delta;
+      }
+      dist[i] = {sum, static_cast<uint32_t>(i)};
+    }
+    std::nth_element(dist.begin(), dist.begin() + (n - 1), dist.end());
+    std::sort(dist.begin(), dist.begin() + n);
+    benchmark::DoNotOptimize(dist.data());
+  }
+}
+BENCHMARK(BM_KnnScan)
+    ->Args({2, 10})
+    ->Args({3, 10})
+    ->Args({4, 10})
+    ->Args({5, 10});
 
 // ---- Arena hot paths ----------------------------------------------------
 // The slab arena's freelist recycling and O(slabs) Clear(). The arena-vs-

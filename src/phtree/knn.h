@@ -1,12 +1,19 @@
 // k-nearest-neighbour search over a PH-tree. The paper lists NN search as a
 // desirable extension whose prototype "indicates that such searches can be
-// performed efficiently" (Sect. 5); this module implements it as best-first
-// search: a priority queue holds nodes (keyed by the minimum distance of
-// their region to the query point) and points (keyed by their exact
-// distance), and results are emitted whenever a point reaches the front —
-// the standard optimal branch-and-bound traversal. The queue may be seeded
-// with the roots of several trees, each at a lower bound on its entries'
-// distance: a sharded tree runs one search over all of its shards.
+// performed efficiently" (Sect. 5); this module implements it as KDTREE 2's
+// best-first branch and bound: a priority queue holds only nodes, keyed by
+// a lower bound on the squared distance of their region to the query
+// point, and a bounded max-heap holds the n best points so far, ordered by
+// (squared distance, z-order). The pruning bound is the heap's top once it
+// holds n points: a node or entry is expanded only while its bound is <=
+// the top's distance (at exactly that distance it may hold a tied point of
+// smaller z-order), a point replaces the top only when it sorts strictly
+// before it, and the search ends when the nearest queued bound exceeds it.
+// The queue may be seeded with the roots of several trees, each at a lower
+// bound on its entries' distance: a sharded tree runs one search over all
+// of its shards. Equal coordinates are exactly 0 apart, infinities
+// included; a coordinate that decodes to NaN has no distance order, and
+// results over such keys are unspecified.
 #ifndef PHTREE_PHTREE_KNN_H_
 #define PHTREE_PHTREE_KNN_H_
 

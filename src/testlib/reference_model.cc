@@ -11,8 +11,11 @@ namespace {
 
 // Mirrors knn.cc's CoordDelta/PointDist2 exactly: same expressions, same
 // accumulation order, so the oracle's dist2 doubles are bit-identical to
-// the trees'.
+// the trees'. Equal coordinates are exactly 0 apart, infinities included.
 double CoordDelta(uint64_t a, uint64_t b, KnnMetric metric) {
+  if (a == b) {
+    return 0.0;
+  }
   if (metric == KnnMetric::kL2Double) {
     return SortableBitsToDouble(a) - SortableBitsToDouble(b);
   }

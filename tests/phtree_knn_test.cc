@@ -1,5 +1,6 @@
 // kNN search (paper Sect. 5 extension): results must match brute force in
-// both supported metrics, on uniform and clustered data.
+// both supported metrics, on uniform and clustered data, and a query's heap
+// allocations must not grow with the tree.
 #include "phtree/knn.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 
 #include "common/rng.h"
 #include "datasets/datasets.h"
+#include "heap_count.h"
 #include "phtree/phtree.h"
 #include "phtree/phtree_d.h"
 
@@ -148,6 +150,43 @@ TEST(Knn, ClusteredDataBestFirstDoesNotMissNeighbours) {
   std::sort(all.begin(), all.end());
   for (size_t i = 0; i < result.size(); ++i) {
     EXPECT_NEAR(result[i].dist2, all[i], 1e-12);
+  }
+}
+
+// A kNN(10) query on a 2D or 3D tree makes 15 heap allocations, whatever
+// the size of the tree: the ten result keys, the result vector and the
+// search's four buffers (the node queue, the flat path keys, the n-best
+// heap and its flat keys). Centres sit next to stored points, as in a
+// served query.
+TEST(Knn, AllocationsDoNotGrowWithTheTree) {
+  constexpr size_t kNeighbours = 10;
+  constexpr uint64_t kAllocsPerQuery = kNeighbours + 5;
+  struct Shape {
+    uint32_t dim;
+    size_t size;
+  };
+  for (const Shape shape : {Shape{2, 1000}, Shape{2, 100000},
+                            Shape{3, 100000}}) {
+    const Dataset ds = GenerateCube(shape.size, shape.dim, 7);
+    PhTreeD tree(shape.dim);
+    for (size_t i = 0; i < ds.n(); ++i) {
+      tree.Insert(ds.point(i), i);
+    }
+    Rng rng(8);
+    PhKey center(shape.dim);
+    for (int q = 0; q < 500; ++q) {
+      const auto p = ds.point(rng.NextBounded(ds.n()));
+      for (uint32_t d = 0; d < shape.dim; ++d) {
+        center[d] = SortableDoubleBits(p[d] + rng.NextDouble(-1e-3, 1e-3));
+      }
+      const uint64_t before = testing_heap::HeapAllocs();
+      const std::vector<KnnResult> res =
+          KnnSearch(tree.tree(), center, kNeighbours, KnnMetric::kL2Double);
+      const uint64_t allocs = testing_heap::HeapAllocs() - before;
+      ASSERT_EQ(res.size(), kNeighbours);
+      ASSERT_EQ(allocs, kAllocsPerQuery)
+          << "dim=" << shape.dim << " size=" << shape.size << " query " << q;
+    }
   }
 }
 
