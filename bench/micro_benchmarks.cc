@@ -12,11 +12,13 @@
 #include <vector>
 
 #include "benchlib/json_artifact.h"
+#include "benchlib/workloads.h"
 #include "common/bits.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "datasets/datasets.h"
 #include "phtree/builder.h"
+#include "phtree/cursor.h"
 #include "phtree/knn.h"
 #include "phtree/phtree.h"
 #include "phtree/phtree_d.h"
@@ -186,24 +188,6 @@ void BM_PhTreeUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_PhTreeUpdate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_WindowQuery(benchmark::State& state) {
-  const Dataset ds = GenerateCube(100000, 3, 3);
-  PhTreeD tree(3);
-  for (size_t i = 0; i < ds.n(); ++i) {
-    tree.Insert(ds.point(i), i);
-  }
-  Rng rng(4);
-  for (auto _ : state) {
-    const double x = rng.NextDouble(0.0, 0.9);
-    const double y = rng.NextDouble(0.0, 0.9);
-    const double z = rng.NextDouble(0.0, 0.9);
-    benchmark::DoNotOptimize(tree.CountWindow(
-        std::vector<double>{x, y, z},
-        std::vector<double>{x + 0.1, y + 0.1, z + 0.1}));
-  }
-}
-BENCHMARK(BM_WindowQuery);
-
 /// One kNN workload: a tree, the same points as one flat double array, and
 /// encoded centres. Built once per binary (KnnSetFor), so a short
 /// --benchmark_min_time run stays short.
@@ -278,6 +262,116 @@ BENCHMARK(BM_Knn)
     ->Args({3, 10})
     ->Args({4, 10})
     ->Args({5, 10});
+
+/// One window workload: row-major encoded boxes over one of KnnSetFor's
+/// trees.
+struct WindowSet {
+  static constexpr size_t kBoxes = 1024;
+
+  const PhTree* tree = nullptr;
+  uint32_t dim = 0;
+  std::vector<uint64_t> lo;  // row-major, encoded
+  std::vector<uint64_t> hi;
+
+  void Add(std::span<const double> box_lo, std::span<const double> box_hi) {
+    for (uint32_t d = 0; d < dim; ++d) {
+      lo.push_back(SortableDoubleBits(box_lo[d]));
+      hi.push_back(SortableDoubleBits(box_hi[d]));
+    }
+  }
+  std::span<const uint64_t> Lo(size_t q) const {
+    return {lo.data() + (q % kBoxes) * dim, dim};
+  }
+  std::span<const uint64_t> Hi(size_t q) const {
+    return {hi.data() + (q % kBoxes) * dim, dim};
+  }
+};
+
+/// The window arms, on KnnSetFor's trees. 0: CUBE 3D, 10^5 points, cubes
+/// of side 0.1. 1: TIGER-like 2D, 10^6 points, +-0.01 degrees around a
+/// stored point (tiger_serve's windows). 2: CUBE 6D, 2*10^4 points, 0.1%
+/// MakeVolumeQueries boxes (cube6d_window's windows).
+const WindowSet& WindowSetFor(int64_t arm) {
+  static std::unique_ptr<WindowSet> sets[3];
+  static constexpr int64_t kTreeArm[3] = {0, 1, 4};
+  std::unique_ptr<WindowSet>& set = sets[arm];
+  if (set == nullptr) {
+    const KnnSet& source = KnnSetFor(kTreeArm[arm]);
+    const Dataset& ds = source.ds;
+    set = std::make_unique<WindowSet>();
+    set->tree = &source.tree.tree();
+    set->dim = ds.dim;
+    if (arm == 2) {
+      for (const auto& box : bench::MakeVolumeQueries(ds, WindowSet::kBoxes,
+                                                      0.001, 13)) {
+        set->Add(box.lo, box.hi);
+      }
+      return *set;
+    }
+    Rng rng(4);
+    for (size_t q = 0; q < WindowSet::kBoxes; ++q) {
+      double lo[3];
+      double hi[3];
+      if (arm == 0) {
+        for (uint32_t d = 0; d < 3; ++d) {
+          lo[d] = rng.NextDouble(0.0, 0.9);
+          hi[d] = lo[d] + 0.1;
+        }
+      } else {
+        const auto c = ds.point(rng.NextBounded(ds.n()));
+        for (uint32_t d = 0; d < 2; ++d) {
+          lo[d] = c[d] - 0.01;
+          hi[d] = c[d] + 0.01;
+        }
+      }
+      set->Add(lo, hi);
+    }
+  }
+  return *set;
+}
+
+/// Window scans: args are (arm, page). Page 0 visits every result through
+/// the visitor QueryWindow; page 8 drains the window in 8-entry
+/// QueryWindowPage pages, each resumed from the last one's token.
+void BM_WindowQuery(benchmark::State& state) {
+  const WindowSet& set = WindowSetFor(state.range(0));
+  const size_t page = static_cast<size_t>(state.range(1));
+  size_t q = 0;
+  uint64_t results = 0;
+  for (auto _ : state) {
+    const auto lo = set.Lo(q);
+    const auto hi = set.Hi(q++);
+    uint64_t sum = 0;
+    if (page == 0) {
+      set.tree->QueryWindow(lo, hi, [&](const PhKey&, uint64_t v) {
+        sum += v;
+        ++results;
+      });
+    } else {
+      WindowPage p = set.tree->QueryWindowPage(lo, hi, page);
+      for (;;) {
+        for (const auto& entry : p.entries) {
+          sum += entry.second;
+        }
+        results += p.entries.size();
+        if (!p.more) {
+          break;
+        }
+        p = set.tree->QueryWindowPage(lo, hi, page, p.token);
+      }
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.counters["results"] = benchmark::Counter(
+      static_cast<double>(results), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_WindowQuery)
+    ->Args({0, 0})
+    ->Args({0, 8})
+    ->Args({1, 0})
+    ->Args({1, 8})
+    ->Args({2, 0})
+    ->Args({2, 8});
 
 /// The baseline a kNN must beat: every squared distance over the flat
 /// point array (the tree's arithmetic: per-axis difference of the decoded

@@ -73,7 +73,7 @@ void TreeCursor::InitWindow(const PhTree& tree, std::span<const uint64_t> min,
   }
 }
 
-bool TreeCursor::PushNode(const Node* node) {
+bool TreeCursor::PushNode(const Node* node, uint64_t start) {
   assert(depth_ < kBitWidth);
   uint64_t lower = 0;
   uint64_t upper = LowMask(dim_);
@@ -87,7 +87,7 @@ bool TreeCursor::PushNode(const Node* node) {
     lower = m.lower;
     upper = m.upper;
   }
-  stack_[depth_].cursor.Bind(node, lower, upper);
+  stack_[depth_].cursor.Bind(node, lower, upper, start);
   ++depth_;
   return true;
 }
@@ -105,16 +105,17 @@ void TreeCursor::SeekPast(const Node* root, const uint64_t* token) {
     key_[d] = token[d];
   }
   const std::span<const uint64_t> tok{token, dim_};
-  while (PushNode(node)) {
-    NodeCursor& cursor = stack_[depth_ - 1].cursor;
+  for (;;) {
     const uint64_t token_addr = HcAddressAt(key_span(), node->postfix_len());
-    cursor.SeekGE(token_addr);
+    if (!PushNode(node, token_addr)) {
+      break;
+    }
+    NodeCursor& cursor = stack_[depth_ - 1].cursor;
     if (!cursor.valid() || cursor.addr() > token_addr) {
       break;  // everything left in this node is strictly after the token
     }
-    const uint64_t ord = cursor.ordinal();
-    if (node->OrdinalIsSub(ord)) {
-      const Node* child = tree_->arena()->NodeAt(node->OrdinalSub(ord));
+    if (cursor.is_sub()) {
+      const Node* child = tree_->arena()->NodeAt(cursor.sub());
       assert(tree_->arena()->Owns(child));
       // key_ equals the token above this region, so after loading the
       // child's infix the comparison is decided by the infix bits alone.
@@ -130,7 +131,7 @@ void TreeCursor::SeekPast(const Node* root, const uint64_t* token) {
       }
       break;  // cmp > 0: the subtree starts after the token — Advance takes it
     }
-    node->ReadPostfixInto(ord, key_span());
+    cursor.ReadPostfix(key_span());
     if (ZOrderCompare(key_span(), tok) <= 0) {
       cursor.Next();  // the token itself (or an entry before it): consumed
     }
@@ -147,13 +148,10 @@ void TreeCursor::Advance() {
       --depth_;
       continue;
     }
-    const Node* node = cursor.node();
-    const uint64_t addr = cursor.addr();
-    const uint64_t ord = cursor.ordinal();
-    cursor.Next();
-    ApplyHcAddress(addr, node->postfix_len(), key_span());
-    if (node->OrdinalIsSub(ord)) {
-      const Node* child = tree_->arena()->NodeAt(node->OrdinalSub(ord));
+    ApplyHcAddress(cursor.addr(), cursor.node()->postfix_len(), key_span());
+    if (cursor.is_sub()) {
+      const Node* child = tree_->arena()->NodeAt(cursor.sub());
+      cursor.Next();
       // Handle provenance: every node the cursor descends into must live
       // in the tree's arena (catches stale handles in debug builds).
       assert(tree_->arena()->Owns(child));
@@ -163,7 +161,8 @@ void TreeCursor::Advance() {
       }
       continue;
     }
-    value_ = node->ReadPostfixAndPayload(ord, key_span());
+    value_ = cursor.ReadPostfix(key_span());
+    cursor.Next();
     if (!bounded_ || KeyInWindow()) {
       valid_ = true;
       return;

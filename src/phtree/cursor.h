@@ -11,14 +11,18 @@
 // and valid addresses are enumerated with the carry-propagation successor
 //     a' = (((a | ~m_upper) + 1) & m_upper) | m_lower.
 //
-// NodeCursor specializes the walk per node layout:
+// NodeCursor decodes each node once per visit and specializes the walk per
+// node layout:
 //   * BHC nodes (ordinals are addresses) alternate present-bitmap
-//     skips (Node::OrdinalGE) with mask successor jumps, so neither absent
-//     slots nor masked-out address runs are visited one by one — there is
-//     no per-address rejection loop.
-//   * LHC nodes walk the sorted ordinal table with the mask filter and, on
-//     populous nodes, binary-search to the next mask-implied lower bound
-//     instead of filtering entry by entry.
+//     skips with mask successor jumps, so neither absent slots nor
+//     masked-out address runs are visited one by one — there is no
+//     per-address rejection loop.
+//   * LHC nodes are decoded in batches of kLhcScanBatch entries
+//     (addresses, is_sub flags, subs before the batch), mask-filtered in
+//     the batch, and, on populous nodes, a batch without a match
+//     binary-searches to the next mask-implied lower bound.
+// Either way the current entry's sub handle, postfix record and payload
+// are read by rank from the cursor's running counts.
 //
 // TreeCursor stacks NodeCursors into a full depth-first scan with window /
 // prefix restriction and suspend/resume: the key of the last delivered
@@ -28,10 +32,12 @@
 #ifndef PHTREE_PHTREE_CURSOR_H_
 #define PHTREE_PHTREE_CURSOR_H_
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 #include "common/bits.h"
 #include "common/simd.h"
@@ -122,32 +128,45 @@ inline void RegionBounds(uint64_t path_word, uint32_t low_bits, uint64_t* lo,
   *hi = *lo | LowMask(low_bits);
 }
 
-/// LHC nodes with fewer entries never binary re-seek, they walk linearly:
-/// below this, a binary search costs more address reads than it skips.
+/// LHC nodes with fewer entries walk linearly: a bind at the mask minimum
+/// starts at ordinal 0, and a batch without a match never escalates to a
+/// binary re-seek. Below this, a binary search costs more address reads
+/// than it skips.
 inline constexpr uint64_t kLhcSeekMinEntries = 16;
 
-/// Entries the LHC walk unpacks and mask-filters per step (through
-/// simd::FindFirstStop — up to two AVX2 lanes' worth). Doubles as the
-/// miss budget: a whole batch of mask-invalid addresses is the signal
-/// that the gap to the successor address is genuinely wide, at which
-/// point LhcScan escalates from linear stepping to a binary re-seek
-/// (dense windows usually stop within the first batch, where a per-miss
-/// binary search would cost more than the walk it replaces).
+/// Entries of an LHC node the cursor decodes at once: addresses, is_sub
+/// flags and the subs before them. simd::FindFirstStop finds the batch's
+/// first stop (up to two AVX2 lanes' worth). Doubles as the miss budget: a
+/// whole batch of mask-invalid addresses is the signal that the gap to the
+/// successor address is genuinely wide, at which point LhcScan escalates
+/// from linear stepping to a binary re-seek (dense windows usually stop
+/// within the first batch, where a per-miss binary search would cost more
+/// than the walk it replaces).
 inline constexpr uint64_t kLhcScanBatch = 8;
 
 /// Enumerates the entries of one node whose addresses intersect a window
-/// mask pair, in ascending address order. Plain-old-data and trivially
+/// mask pair, in ascending address order, and reads the current entry.
+/// Each node is decoded once per visit: Bind reads its regions, each LHC
+/// batch is unpacked once, and the current entry's sub handle, postfix
+/// record and payload are read by rank from running counts, never
+/// recounted from the start of the index. Plain-old-data and trivially
 /// default constructible so stacks of cursors cost nothing to create;
 /// Bind() establishes every field.
 class NodeCursor {
  public:
-  /// Positions on the first masked-in entry of `node` (invalid if none).
-  void Bind(const Node* node, uint64_t mask_lower, uint64_t mask_upper) {
+  /// Positions on the first masked-in entry of `node` with address >=
+  /// `start` (invalid if none).
+  void Bind(const Node* node, uint64_t mask_lower, uint64_t mask_upper,
+            uint64_t start = 0) {
     node_ = node;
+    r_ = node->regions();
     lower_ = mask_lower;
     upper_ = mask_upper;
-    hc_ = node->is_bhc();  // BHC: ordinals are addresses
-    SeekGE(0);
+    n_ = node->num_entries();
+    bhc_ = node->is_bhc();  // BHC: ordinals are addresses
+    counted_ = 0;
+    counted_ones_ = 0;
+    SeekGE(start);
   }
 
   /// Positions on the first entry with no window restriction.
@@ -160,7 +179,56 @@ class NodeCursor {
   /// Ordinal of the current entry, for the Node::Ordinal* accessors.
   uint64_t ordinal() const { return ord_; }
 
-  /// Repositions on the first masked-in entry with address >= `start`.
+  /// True iff the current entry is a sub-node.
+  bool is_sub() const { return !bhc_ && ((flags_ >> (7 - pos_)) & 1) != 0; }
+
+  /// Arena handle of the current entry, which must be a sub-node: one
+  /// acquire load, as Node::OrdinalSub.
+  NodeHandle sub() const {
+    assert(is_sub());
+    return node_->SubAtRank(r_, SubRank());
+  }
+
+  /// Overwrites bits [0, postfix_len) of each dimension of `key` with the
+  /// current entry's postfix record, which must not be a sub-node, and
+  /// returns its payload (0 in key-only mode).
+  uint64_t ReadPostfix(std::span<uint64_t> key) const {
+    assert(!is_sub());
+    return node_->ReadPostfixAtRank(r_, bhc_ ? counted_ones_ : ord_ - SubRank(),
+                                    key);
+  }
+
+  /// Advances to the next masked-in entry.
+  void Next() {
+    assert(valid());
+    if (addr_ >= upper_) {
+      ord_ = Node::kNoOrdinal;  // upper_ is the largest admissible address
+      return;
+    }
+    if (bhc_) {
+      HcScan(WindowSuccessor(addr_, lower_, upper_));
+      return;
+    }
+    // The rest of the decoded batch first, then the batches after it.
+    if (rest_ != 0) {
+      const uint32_t i = static_cast<uint32_t>(std::countr_zero(rest_));
+      rest_ &= static_cast<uint8_t>(rest_ - 1);
+      ord_ += i - pos_;
+      pos_ = static_cast<uint8_t>(i);
+      addr_ = batch_[i];
+      return;
+    }
+    if (batch_[batch_n_ - 1] > upper_) {
+      ord_ = Node::kNoOrdinal;  // table is sorted: nothing admissible remains
+      return;
+    }
+    LhcScan(ord_ - pos_ + batch_n_);
+  }
+
+ private:
+  const uint64_t* words() const { return node_->words(); }
+
+  /// Positions on the first masked-in entry with address >= `start`.
   void SeekGE(uint64_t start) {
     const uint64_t first = WindowSuccessorGE(start, lower_, upper_);
     if (first == kInvalidAddr) {
@@ -171,43 +239,88 @@ class NodeCursor {
       // Fully constrained node (a window one cell wide in every dimension
       // at this level): exactly one admissible address, so one probe
       // decides.
-      addr_ = lower_;
-      ord_ = node_->FindOrdinal(lower_);
+      const uint64_t ord = node_->FindOrdinal(lower_);
+      if (ord == Node::kNoOrdinal) {
+        ord_ = Node::kNoOrdinal;
+      } else if (bhc_) {
+        BhcAt(ord);
+      } else {
+        batch_[0] = lower_;
+        LoadBatch(ord, 1, 0);
+      }
       return;
     }
-    if (hc_) {
+    if (bhc_) {
       HcScan(first);
+    } else if (first == lower_ && (lower_ == 0 || n_ < kLhcSeekMinEntries)) {
+      LhcScan(0);  // nothing before the first batch can be skipped
     } else {
       LhcScan(node_->OrdinalGE(first));
     }
   }
 
-  /// Advances to the next masked-in entry.
-  void Next() {
-    assert(valid());
-    if (hc_) {
-      if (addr_ >= upper_) {
-        ord_ = Node::kNoOrdinal;
-        return;
-      }
-      HcScan(WindowSuccessor(addr_, lower_, upper_));
-    } else {
-      LhcScan(node_->NextOrdinal(ord_));
-    }
+  /// Ones of the index (LHC is_sub flags, BHC present bitmap) before
+  /// index bit `pos`, counted on from the last call: a bound cursor only
+  /// moves forward, so a walk over the node counts each index bit once.
+  uint64_t OnesBefore(uint64_t pos) {
+    assert(pos >= counted_);
+    counted_ones_ +=
+        CountOnesInRange(words(), r_.index + counted_, r_.index + pos);
+    counted_ = pos;
+    return counted_ones_;
   }
 
- private:
+  /// Sub rank of the current LHC entry: counted_ones_ counts the subs up
+  /// to the batch's end, so drop those at and after the current entry.
+  uint64_t SubRank() const {
+    return counted_ones_ -
+           static_cast<uint64_t>(std::popcount(
+               static_cast<uint32_t>(flags_ & (0xFFu >> pos_))));
+  }
+
+  /// Makes the BHC entry `ord` current, with its postfix rank in
+  /// counted_ones_.
+  void BhcAt(uint64_t ord) {
+    ord_ = ord;
+    addr_ = ord;
+    OnesBefore(ord);
+  }
+
+  /// Completes the decode of the LHC batch of `count` entries at ordinal
+  /// `ord`, whose addresses are in batch_: reads its is_sub flags, counts
+  /// the subs up to its end, makes entry `pos` current and marks the
+  /// masked-in entries after it, which Next() then steps through.
+  void LoadBatch(uint64_t ord, uint64_t count, uint64_t pos) {
+    const uint32_t flags = static_cast<uint32_t>(
+        ReadBits(words(), r_.index + ord, static_cast<uint32_t>(count)));
+    flags_ = static_cast<uint8_t>(flags << (kLhcScanBatch - count));
+    counted_ones_ = OnesBefore(ord) + static_cast<uint64_t>(
+                                          std::popcount(flags));
+    counted_ = ord + count;
+    batch_n_ = static_cast<uint8_t>(count);
+    pos_ = static_cast<uint8_t>(pos);
+    uint32_t rest = 0;
+    for (uint64_t i = pos + 1; i < count; ++i) {
+      rest |= static_cast<uint32_t>(WindowAddrValid(batch_[i], lower_, upper_))
+              << i;
+    }
+    rest_ = static_cast<uint8_t>(rest);
+    ord_ = ord + pos;
+    addr_ = batch_[pos];
+  }
+
   /// BHC walk from the mask-valid candidate `candidate` (kInvalidAddr =
   /// end): alternates present-bitmap skips with mask successor jumps.
   void HcScan(uint64_t candidate) {
+    const uint64_t end = r_.index + (uint64_t{1} << node_->dim());
     while (candidate != kInvalidAddr) {
-      const uint64_t present = node_->OrdinalGE(candidate);
-      if (present == Node::kNoOrdinal) {
+      const uint64_t bit = FindNextOne(words(), r_.index + candidate, end);
+      if (bit == kNoBit) {
         break;
       }
+      const uint64_t present = bit - r_.index;
       if (WindowAddrValid(present, lower_, upper_)) {
-        ord_ = present;  // BHC ordinals are the addresses themselves
-        addr_ = present;
+        BhcAt(present);  // BHC ordinals are the addresses themselves
         return;
       }
       candidate = WindowSuccessorGE(present + 1, lower_, upper_);
@@ -215,54 +328,70 @@ class NodeCursor {
     ord_ = Node::kNoOrdinal;
   }
 
-  /// LHC walk from ordinal `ord` (kNoOrdinal = end). Unpacks the sorted
+  /// LHC walk from ordinal `ord` (kNoOrdinal = end). Decodes the sorted
   /// address table in batches of kLhcScanBatch and lets the SIMD kernel
   /// find the first stop — a window-valid address or one past the window —
-  /// instead of filtering entry by entry. A stop-free batch means eight
-  /// consecutive misses, which (on nodes of at least kLhcSeekMinEntries)
-  /// escalates to a binary re-seek at the mask-implied successor.
+  /// instead of filtering entry by entry; Next() then steps through the
+  /// rest of the batch. A stop-free batch means eight consecutive misses,
+  /// which (on nodes of at least kLhcSeekMinEntries) escalates to a binary
+  /// re-seek at the mask-implied successor.
   void LhcScan(uint64_t ord) {
-    const uint64_t n = node_->num_entries();
-    const bool may_seek = n >= kLhcSeekMinEntries;
-    while (ord != Node::kNoOrdinal) {
-      uint64_t count = n - ord;
-      if (count > kLhcScanBatch) {
-        count = kLhcScanBatch;
+    const bool may_seek = n_ >= kLhcSeekMinEntries;
+    const uint32_t dim = node_->dim();
+    while (ord < n_) {
+      const uint64_t count = std::min<uint64_t>(n_ - ord, kLhcScanBatch);
+      const uint64_t base = r_.addrs + ord * dim;
+      for (uint64_t i = 0; i < count; ++i) {
+        batch_[i] = ReadBits(words(), base + i * dim, dim);
       }
-      uint64_t addrs[kLhcScanBatch];
-      node_->ReadLhcAddrs(ord, count, addrs);
-      const size_t stop = simd::FindFirstStop(addrs, count, lower_, upper_);
+      const size_t stop = simd::FindFirstStop(batch_, count, lower_, upper_);
       if (stop < count) {
-        const uint64_t addr = addrs[stop];
-        if (addr > upper_) {
+        if (batch_[stop] > upper_) {
           break;  // table is sorted: nothing admissible remains
         }
-        ord_ = ord + stop;
-        addr_ = addr;
+        LoadBatch(ord, count, stop);
         return;
       }
       // Whole batch mask-invalid (and still below the window top).
       if (may_seek && count == kLhcScanBatch) {
         const uint64_t next =
-            WindowSuccessorGE(addrs[count - 1] + 1, lower_, upper_);
+            WindowSuccessorGE(batch_[count - 1] + 1, lower_, upper_);
         if (next == kInvalidAddr) {
           break;
         }
         ord = node_->OrdinalGE(next);
       } else {
-        ord = ord + count < n ? ord + count : Node::kNoOrdinal;
+        ord += count;
       }
     }
     ord_ = Node::kNoOrdinal;
   }
 
   const Node* node_;
+  Node::Regions r_;
   uint64_t lower_;
   uint64_t upper_;
   uint64_t ord_;
   uint64_t addr_;
-  bool hc_;
+  // Running index count: counted_ones_ ones before index bit counted_. For
+  // LHC that is the end of the batch; for BHC the current address, so
+  // counted_ones_ is the current entry's postfix rank.
+  uint64_t counted_;
+  uint64_t counted_ones_;
+  uint32_t n_;
+  bool bhc_;
+  // The decoded LHC batch: batch_n_ addresses, their is_sub flags (entry i
+  // at bit 7 - i), the current entry's position in it, and the masked-in
+  // entries after it (entry i at bit i).
+  uint8_t batch_n_;
+  uint8_t pos_;
+  uint8_t flags_;
+  uint8_t rest_;
+  uint64_t batch_[kLhcScanBatch];
 };
+
+static_assert(std::is_trivially_default_constructible_v<NodeCursor>,
+              "a TreeCursor's 64 frames must cost nothing to create");
 
 /// One level of a TreeCursor descent: the node cursor positioned inside
 /// that level's node. This is the tree's only traversal stack frame — all
@@ -287,8 +416,8 @@ struct WindowPage {
 /// at every node — the exact order ForEach and the window queries have
 /// always produced). Supports full scans, window scans, prefix-restricted
 /// scans and resumption strictly after a token key. Storage is inline
-/// (~5 KB, no heap): descending one level consumes at least one key bit,
-/// so kBitWidth frames always suffice.
+/// (about 13 KB, no heap): descending one level consumes at least one key
+/// bit, so kBitWidth frames always suffice.
 ///
 /// The tree must outlive the cursor and must not be modified while one is
 /// live (take a fresh cursor with a resume token to scan across mutations).
@@ -337,8 +466,9 @@ class TreeCursor {
   void InitWindow(const PhTree& tree, std::span<const uint64_t> min,
                   std::span<const uint64_t> max, const uint64_t* resume);
   /// Computes the node's masks against the window (key_ already carries
-  /// its path bits) and pushes a bound frame; false if nothing can match.
-  bool PushNode(const Node* node);
+  /// its path bits) and pushes a frame bound at its first masked-in entry
+  /// with address >= `start`; false if nothing can match.
+  bool PushNode(const Node* node, uint64_t start = 0);
   /// Descends along `token`'s address path, leaving every stack cursor
   /// positioned on the first entry of its node not strictly before the
   /// token, then Advance()s to the first strictly-greater match. `root` is

@@ -217,10 +217,9 @@ class Search {
       if (bound > Cutoff()) {
         continue;
       }
-      const uint64_t ord = cursor.ordinal();
       ApplyHcAddress(addr, pl, {key, dim_});
-      if (node->OrdinalIsSub(ord)) {
-        const Node* child = item.arena->NodeAt(node->OrdinalSub(ord));
+      if (cursor.is_sub()) {
+        const Node* child = item.arena->NodeAt(cursor.sub());
         // Handle provenance: every reachable node must live in its tree's
         // arena (catches stale handles after Clear()/moves in debug).
         assert(item.arena->Owns(child));
@@ -229,7 +228,7 @@ class Search {
         std::copy_n(key, dim_, &paths_[slot * dim_]);
         Push({bound, child, item.arena, slot});
       } else {
-        const uint64_t value = node->ReadPostfixAndPayload(ord, {key, dim_});
+        const uint64_t value = cursor.ReadPostfix({key, dim_});
         Offer(PointDist2(center_, {key, dim_}, metric_), value, key);
       }
     }

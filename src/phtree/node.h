@@ -112,11 +112,6 @@ class Node {
 
   bool OrdinalIsSub(uint64_t ord) const;
   uint64_t OrdinalAddr(uint64_t ord) const;
-  /// Unpacks the addresses of the `count` consecutive LHC entries
-  /// [ord, ord+count) into `out` (ascending, since the table is sorted).
-  /// LHC only — the batch feed of the vectorised window filter, which
-  /// wants addresses in a flat uint64 array rather than packed bits.
-  void ReadLhcAddrs(uint64_t ord, uint64_t count, uint64_t* out) const;
   /// Payload of the postfix entry `ord` (0 in key-only mode).
   uint64_t OrdinalPayload(uint64_t ord) const;
   /// Arena handle of the sub-node entry `ord` (which must be a sub entry).
@@ -126,14 +121,45 @@ class Node {
   /// postfix record of entry `ord` (which must be a postfix entry).
   void ReadPostfixInto(uint64_t ord, std::span<uint64_t> key) const;
 
-  /// ReadPostfixInto plus the entry's payload (0 in key-only mode), with a
-  /// single rank computation; the hot yield path of every scan.
-  uint64_t ReadPostfixAndPayload(uint64_t ord, std::span<uint64_t> key) const;
-
   /// Compares the postfix record of `ord` with bits [0, postfix_len) of
   /// `key`. Returns the key-space bit index of the highest differing bit, or
   /// -1 if equal.
   int PostfixDivergence(uint64_t ord, std::span<const uint64_t> key) const;
+
+  // ---- Reads by rank (NodeCursor) ----------------------------------------
+  //
+  // The ordinal accessors above each locate their region and count the
+  // entry's rank. A cursor that visits many entries of one node reads
+  // regions() once, keeps the running ranks itself, and reads each entry
+  // by rank.
+
+  /// Bit offsets of the regions of a stream (the layout below); `addrs`
+  /// is 0 in BHC. Trivially default constructible, like the NodeCursor
+  /// that holds one: RegionsFor sets every field.
+  struct Regions {
+    uint64_t subs;     ///< 32-bit sub handles
+    uint64_t infix;
+    uint64_t index;    ///< LHC is_sub flags, or BHC present bitmap
+    uint64_t addrs;    ///< LHC address table
+    uint64_t records;  ///< postfix records
+    uint64_t end;      ///< the stream length
+  };
+
+  /// Where the regions of this node's stream start.
+  Regions regions() const {
+    return RegionsFor(repr_, num_entries_, num_subs_, infix_bits());
+  }
+
+  /// Arena handle in sub slot `rank` (the rank-th sub entry in address
+  /// order) of this node, whose regions() are `r`. Acquire-loaded, as
+  /// OrdinalSub is.
+  NodeHandle SubAtRank(const Regions& r, uint64_t rank) const;
+
+  /// Overwrites bits [0, postfix_len) of each dimension of `key` with the
+  /// record of the rank-th postfix entry of this node, whose regions() are
+  /// `r`, and returns that entry's payload (0 in key-only mode).
+  uint64_t ReadPostfixAtRank(const Regions& r, uint64_t rank,
+                             std::span<uint64_t> key) const;
 
   // ---- Ordinal iteration (ascending hypercube address) ------------------
 
@@ -275,6 +301,7 @@ class Node {
 
  private:
   friend class NodeArena;
+  friend class NodeCursor;  // decodes the index in batches (cursor.h)
 
   /// An empty LHC node whose stream is its (zero) infix; its block must
   /// hold kHeaderWords + WordsFor(dim * infix_len) zeroed words.
@@ -343,17 +370,6 @@ class Node {
   /// to LHC. The current representation plays no part.
   Repr PickRepr(uint64_t n_entries, uint64_t n_subs) const;
 
-  /// Bit offsets of the regions of one representation's stream at one
-  /// occupancy (the layouts above); `addrs` stays 0 in BHC.
-  struct Regions {
-    uint64_t subs = 0;     ///< 32-bit sub handles
-    uint64_t infix = 0;
-    uint64_t index = 0;    ///< LHC is_sub flags, or BHC present bitmap
-    uint64_t addrs = 0;    ///< LHC address table
-    uint64_t records = 0;  ///< postfix records
-    uint64_t end = 0;      ///< the stream length
-  };
-
   /// The one computation of the region bases: where each region of a
   /// `repr` stream holding `n_entries` entries (`n_subs` of them subs) over
   /// `ib` infix bits starts, for this node's dimensionality, postfix
@@ -408,8 +424,8 @@ static_assert(sizeof(Node) == Node::kHeaderWords * sizeof(uint64_t),
 
 // ---- Read-path accessors, inline -------------------------------------------
 //
-// Every query descent calls these several times per visited node (and window
-// scans once or twice per yielded entry), so they live in the header: the
+// Every query descent calls these several times per visited node (and every
+// enumerating read once per entry, by rank), so they live in the header: the
 // layout test folds into the caller and the bit extraction compiles to
 // straight-line shifts/popcounts instead of cross-TU calls.
 
@@ -524,25 +540,24 @@ inline void Node::ReadPostfixInto(uint64_t ord, std::span<uint64_t> key) const {
   }
 }
 
-inline uint64_t Node::ReadPostfixAndPayload(uint64_t ord,
-                                            std::span<uint64_t> key) const {
-  assert(!OrdinalIsSub(ord));
-  // One postfix rank shared by the record position and the value slot
-  // (ReadPostfixInto + OrdinalPayload would compute it twice).
-  const uint64_t rank = PostfixRank(ord);
+inline NodeHandle Node::SubAtRank(const Regions& r, uint64_t rank) const {
+  assert(rank < num_subs_);
+  return static_cast<NodeHandle>(AcquireLoad32(words(), r.subs + rank * 32));
+}
+
+inline uint64_t Node::ReadPostfixAtRank(const Regions& r, uint64_t rank,
+                                        std::span<uint64_t> key) const {
+  assert(rank < num_postfixes());
   const uint32_t pl = postfix_len_;
   if (pl != 0) {
-    const uint64_t record_pos = records_base() + rank * stride();
+    const uint64_t record_pos = r.records + rank * stride();
     for (uint32_t d = 0; d < dim_; ++d) {
       const uint64_t seg =
           ReadBits(words(), record_pos + static_cast<uint64_t>(d) * pl, pl);
       key[d] = (key[d] & ~LowMask(pl)) | seg;
     }
   }
-  if (!store_values_) {
-    return 0;
-  }
-  return ReadBits(words(), rank * 64, 64);
+  return store_values_ ? ReadBits(words(), rank * 64, 64) : 0;
 }
 
 inline int Node::PostfixDivergence(uint64_t ord,
@@ -582,15 +597,6 @@ inline uint64_t Node::OrdinalGE(uint64_t addr) const {
     }
   }
   return lo < num_entries_ ? lo : kNoOrdinal;
-}
-
-inline void Node::ReadLhcAddrs(uint64_t ord, uint64_t count,
-                               uint64_t* out) const {
-  assert(repr_ == Repr::kLhc && ord + count <= num_entries_);
-  const uint64_t base = lhc_addrs_base() + ord * dim_;
-  for (uint64_t i = 0; i < count; ++i) {
-    out[i] = ReadBits(words(), base + i * dim_, dim_);
-  }
 }
 
 inline uint64_t Node::NextOrdinal(uint64_t ord) const {

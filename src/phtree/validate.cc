@@ -152,10 +152,12 @@ void ValidateNode(NodeRef ref, const Node* parent, size_t depth,
   uint32_t subs = 0;
   uint64_t prev_addr = 0;
   bool first = true;
-  NodeCursor cursor;
-  for (cursor.BindAll(node); cursor.valid(); cursor.Next()) {
-    const uint64_t ord = cursor.ordinal();
-    const uint64_t addr = cursor.addr();
+  // The walk decodes each entry through the ordinal accessors, not
+  // through NodeCursor's batches and running ranks, so the lock-step check
+  // below compares two independent decoders.
+  for (uint64_t ord = node->FirstOrdinal(); ord != Node::kNoOrdinal;
+       ord = node->NextOrdinal(ord)) {
+    const uint64_t addr = node->OrdinalAddr(ord);
     if (!first && addr <= prev_addr) {
       state->Fail(ctx.str() + "addresses not strictly ascending");
       return;

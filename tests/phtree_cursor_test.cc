@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "phtree/arena.h"
 #include "phtree/cursor.h"
 #include "phtree/phtree.h"
 #include "phtree/phtree_sync.h"
@@ -111,6 +112,146 @@ TEST(WindowMaskTest, ComputeWindowMasksMatchesQuadrantIntersection) {
           << "round " << round << " addr " << addr;
     }
   }
+}
+
+// ---- NodeCursor's decode vs the ordinal accessors -------------------------
+
+/// The entry `cursor` stands on reads as the node's ordinal accessors read
+/// it: address, sub flag, child handle, postfix record and payload.
+void ExpectEntryMatchesOrdinals(const NodeCursor& cursor, const Node& node,
+                                const PhKey& background) {
+  const uint64_t ord = cursor.ordinal();
+  ASSERT_EQ(cursor.addr(), node.OrdinalAddr(ord)) << "ord " << ord;
+  ASSERT_EQ(cursor.is_sub(), node.OrdinalIsSub(ord)) << "ord " << ord;
+  if (cursor.is_sub()) {
+    ASSERT_EQ(cursor.sub(), node.OrdinalSub(ord)) << "ord " << ord;
+    return;
+  }
+  PhKey want = background;
+  PhKey got = background;
+  node.ReadPostfixInto(ord, want);
+  ASSERT_EQ(cursor.ReadPostfix(got), node.OrdinalPayload(ord))
+      << "ord " << ord;
+  ASSERT_EQ(got, want) << "ord " << ord;
+}
+
+/// Steps `cursor` to its end, checking every entry; returns the addresses.
+std::vector<uint64_t> DrainChecked(NodeCursor& cursor, const Node& node,
+                                   const PhKey& background) {
+  std::vector<uint64_t> addrs;
+  for (; cursor.valid(); cursor.Next()) {
+    ExpectEntryMatchesOrdinals(cursor, node, background);
+    if (testing::Test::HasFatalFailure()) {
+      return addrs;
+    }
+    addrs.push_back(cursor.addr());
+  }
+  return addrs;
+}
+
+/// The stored addresses >= `start` that the masks admit, ascending.
+std::vector<uint64_t> Admitted(const std::vector<uint64_t>& stored,
+                               uint64_t lower, uint64_t upper,
+                               uint64_t start = 0) {
+  std::vector<uint64_t> out;
+  for (uint64_t a : stored) {
+    if (a >= start && WindowAddrValid(a, lower, upper)) {
+      out.push_back(a);
+    }
+  }
+  return out;
+}
+
+TEST(NodeCursorTest, DecodedEntriesMatchOrdinalAccessors) {
+  // Standalone LHC and BHC nodes of 1-64 entries. Sub patterns: none (the
+  // nodes BHC can hold), a sub at the first and the last slot of every
+  // 8-entry batch, and random subs. Every yielded entry must read as the
+  // ordinal accessors read it, and the yielded addresses must be exactly
+  // the stored ones the masks admit, under BindAll, random masks, masks
+  // with mL == mU, and binds at arbitrary start addresses (the seek
+  // TreeCursor's resume makes at every level of the token's path).
+  NodeArena arena;
+  Rng rng(0xDEC0DE);
+  size_t lhc_nodes = 0;
+  size_t bhc_nodes = 0;
+  for (const uint32_t dim : {2u, 3u, 6u, 10u}) {
+    const uint64_t space = uint64_t{1} << dim;
+    for (const bool store_values : {true, false}) {
+      for (int round = 0; round < 150; ++round) {
+        SCOPED_TRACE("dim " + std::to_string(dim) + " values " +
+                     std::to_string(store_values) + " round " +
+                     std::to_string(round));
+        const uint64_t n =
+            1 + rng.NextBounded(std::min<uint64_t>(64, space));
+        std::vector<uint64_t> stored;
+        for (uint64_t a = 0; a < space && stored.size() < n; ++a) {
+          // Selection sampling: n distinct addresses, ascending.
+          if (rng.NextBounded(space - a) < n - stored.size()) {
+            stored.push_back(a);
+          }
+        }
+        const int pattern = round % 3;
+        const uint32_t postfix_len = rng.NextBounded(41);
+        const uint32_t infix_len = rng.NextBounded(8);
+        PhKey infix_key(dim);
+        for (uint64_t& w : infix_key) {
+          w = rng.NextU64();
+        }
+        std::vector<NodeEntry> entries;
+        std::vector<uint64_t> keys;
+        for (uint64_t i = 0; i < n; ++i) {
+          NodeEntry e;
+          e.addr = stored[i];
+          const uint64_t slot = i % kLhcScanBatch;
+          e.is_sub = pattern == 1 ? slot == 0 || slot == kLhcScanBatch - 1
+                                  : pattern == 2 && rng.NextBool(0.3);
+          e.payload = e.is_sub ? rng.NextU64() & 0xFFFFFFFFu : rng.NextU64();
+          entries.push_back(e);
+          for (uint32_t d = 0; d < dim; ++d) {
+            keys.push_back(rng.NextU64());
+          }
+        }
+        const NodeRef ref =
+            Node::TryBuild(arena, dim, infix_len, postfix_len, store_values,
+                           infix_key, entries, keys.data());
+        ASSERT_TRUE(ref);
+        const Node& node = *ref.ptr;
+        (node.is_bhc() ? bhc_nodes : lhc_nodes) += 1;
+        PhKey background(dim);
+        for (uint64_t& w : background) {
+          w = rng.NextU64();
+        }
+
+        NodeCursor cursor;
+        cursor.BindAll(&node);
+        ASSERT_EQ(DrainChecked(cursor, node, background), stored);
+        for (int trial = 0; trial < 12; ++trial) {
+          SCOPED_TRACE("trial " + std::to_string(trial));
+          uint64_t upper = rng.NextU64() & LowMask(dim);
+          uint64_t lower = rng.NextU64() & upper;
+          if (trial % 4 == 0) {
+            // One admissible address, stored or not.
+            lower = upper = rng.NextBool(0.5)
+                                ? stored[rng.NextBounded(stored.size())]
+                                : rng.NextBounded(space);
+          } else if (trial % 4 == 1) {
+            lower = 0;  // many admissible addresses: long batch walks
+            upper = LowMask(dim) & ~(uint64_t{1} << rng.NextBounded(dim));
+          }
+          cursor.Bind(&node, lower, upper);
+          ASSERT_EQ(DrainChecked(cursor, node, background),
+                    Admitted(stored, lower, upper));
+          const uint64_t start = rng.NextBounded(space + 1);
+          cursor.Bind(&node, lower, upper, start);
+          ASSERT_EQ(DrainChecked(cursor, node, background),
+                    Admitted(stored, lower, upper, start));
+        }
+        arena.DeleteNode(ref);
+      }
+    }
+  }
+  EXPECT_GT(lhc_nodes, 0u);
+  EXPECT_GT(bhc_nodes, 0u);
 }
 
 TEST(ZOrderCompareTest, AgreesWithZOrderLess) {

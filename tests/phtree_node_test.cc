@@ -128,9 +128,7 @@ void ExpectNodeMatches(Node* node, const NodeModel& model, bool store_values,
       EXPECT_EQ(node->OrdinalSub(ord), e.payload) << "addr " << addr;
       continue;
     }
-    PhKey read(e.key.size(), 0);
-    EXPECT_EQ(node->ReadPostfixAndPayload(ord, read),
-              store_values ? e.payload : 0)
+    EXPECT_EQ(node->OrdinalPayload(ord), store_values ? e.payload : 0)
         << "addr " << addr;
     EXPECT_EQ(node->PostfixDivergence(ord, e.key), -1) << "addr " << addr;
   }

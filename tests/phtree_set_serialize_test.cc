@@ -244,6 +244,53 @@ TEST(Serialize, RejectsCorruptStreamsWithTypedErrors) {
   }
 }
 
+TEST(Serialize, RejectsADuplicateKeyBehindValidChecksums) {
+  // The writer frames and checksums whatever it is given, so one key added
+  // twice makes a stream whose only fault is the repeated key (an all-zero
+  // XOR delta).
+  SaveOptions one_per_record;
+  one_per_record.entries_per_record = 1;
+  SnapshotWriter writer(2, /*store_values=*/true, 3, one_per_record);
+  writer.Add(PhKey{1, 2}, 3);
+  writer.Add(PhKey{5, 0}, 4);
+  writer.Add(PhKey{5, 0}, 5);
+  const std::vector<uint8_t> bytes = std::move(writer).Finish();
+  const auto result = DeserializePhTreeOr(bytes);
+  ASSERT_FALSE(result.has_value());
+  EXPECT_EQ(result.error().code(), StatusCode::kRecordCorrupt);
+  EXPECT_NE(result.error().message().find(
+                "record 2 entry 0 duplicates an earlier key"),
+            std::string::npos)
+      << result.error().ToString();
+}
+
+TEST(Serialize, RejectsStrayBytesAfterARecordsLastEntry) {
+  // One byte appended to record 0's payload, inside its frame: the length
+  // field and every CRC are repaired, so the stream frames and verifies,
+  // and only the check that a record ends with its last entry fails.
+  PhTree tree(2);
+  tree.Insert(PhKey{1, 2}, 3);
+  tree.Insert(PhKey{5, 0}, 4);
+  std::vector<uint8_t> bytes = SerializePhTree(tree);
+  const auto layout = DescribeSnapshot(bytes);
+  ASSERT_TRUE(layout.has_value()) << layout.error().ToString();
+  const SnapshotLayout::Record& record = layout->records.at(0);
+  bytes.insert(bytes.begin() + static_cast<long>(record.crc_offset), 0x00);
+  const uint32_t payload_len =
+      static_cast<uint32_t>(record.crc_offset + 1 - record.payload_begin);
+  for (int i = 0; i < 4; ++i) {
+    bytes[record.begin + i] = static_cast<uint8_t>(payload_len >> (8 * i));
+  }
+  ASSERT_TRUE(RepairSnapshotChecksums(&bytes));
+  const auto result = DeserializePhTreeOr(bytes);
+  ASSERT_FALSE(result.has_value());
+  EXPECT_EQ(result.error().code(), StatusCode::kRecordCorrupt);
+  EXPECT_NE(result.error().message().find(
+                "record 0 has 1 stray bytes after its last entry"),
+            std::string::npos)
+      << result.error().ToString();
+}
+
 TEST(Serialize, RoundTripsUnderBothMutationPolicies) {
   // The mutation policy (plain, or MVCC) changes how replaced nodes leave
   // the tree, never what the tree holds: the serialised bytes and the

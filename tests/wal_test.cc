@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_io.h"
 #include "common/crc32c.h"
 #include "common/fault.h"
 #include "common/vfs.h"
@@ -518,6 +519,75 @@ TEST(WalReplay, CrcValidGarbageIsHardError) {
   const auto stats = ReplayWal(bytes, &tree);
   ASSERT_FALSE(stats);
   EXPECT_EQ(stats.error().code(), StatusCode::kRecordCorrupt);
+}
+
+/// A WAL header for `dim` with the u32 at `offset` replaced by `value` and
+/// its CRC repaired, so only the field checks behind the CRC can reject it.
+std::vector<uint8_t> HeaderWithField(uint32_t dim, size_t offset,
+                                     uint32_t value) {
+  std::vector<uint8_t> bytes;
+  EncodeWalHeader(dim, true, &bytes);
+  for (int i = 0; i < 4; ++i) {
+    bytes[offset + i] = static_cast<uint8_t>(value >> (8 * i));
+  }
+  const uint32_t crc = Crc32c(bytes.data(), kWalHeaderLen - 4);
+  for (int i = 0; i < 4; ++i) {
+    bytes[kWalHeaderLen - 4 + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  return bytes;
+}
+
+TEST(WalReplay, UnsupportedVersionBehindAValidHeaderCrc) {
+  const std::vector<uint8_t> bytes = HeaderWithField(2, 4, kWalVersion + 1);
+  PhTree tree(2);
+  const auto stats = ReplayWal(bytes, &tree);
+  ASSERT_FALSE(stats);
+  EXPECT_EQ(stats.error().code(), StatusCode::kUnsupportedVersion);
+  EXPECT_NE(stats.error().message().find(
+                "WAL version " + std::to_string(kWalVersion + 1) +
+                " is not readable by this build"),
+            std::string::npos)
+      << stats.error().ToString();
+}
+
+TEST(WalReplay, OutOfRangeDimensionalityBehindAValidHeaderCrc) {
+  for (const uint32_t dim : {0u, kMaxDims + 1}) {
+    const std::vector<uint8_t> bytes = HeaderWithField(2, 8, dim);
+    PhTree tree(2);
+    const auto stats = ReplayWal(bytes, &tree);
+    ASSERT_FALSE(stats) << dim;
+    EXPECT_EQ(stats.error().code(), StatusCode::kHeaderCorrupt) << dim;
+    const std::string want = "WAL dimensionality " + std::to_string(dim) +
+                             " outside [1, " + std::to_string(kMaxDims) + "]";
+    EXPECT_NE(stats.error().message().find(want), std::string::npos)
+        << stats.error().ToString();
+  }
+}
+
+TEST(WalReplay, PayloadLengthDisagreeingWithOpcodeIsHardError) {
+  // A clear's one-byte payload relabelled as an erase, which needs the
+  // opcode and a key: the frame and its CRC verify, so this is no torn
+  // tail but a record no writer produces.
+  const uint32_t dim = 2;
+  std::vector<uint8_t> bytes;
+  EncodeWalHeader(dim, true, &bytes);
+  WalCommand cmd;
+  cmd.op = WalOp::kClear;
+  const size_t record = bytes.size();
+  EncodeWalRecord(cmd, dim, true, &bytes);
+  const uint8_t erase = static_cast<uint8_t>(WalOp::kErase);
+  bytes[record + 4] = erase;
+  SealFrame(bytes.data() + record, 1);
+  PhTree tree(dim);
+  const auto stats = ReplayWal(bytes, &tree);
+  ASSERT_FALSE(stats);
+  EXPECT_EQ(stats.error().code(), StatusCode::kRecordCorrupt);
+  EXPECT_NE(stats.error().message().find(
+                "WAL record payload is 1 bytes, opcode " +
+                std::to_string(erase) + " needs " +
+                std::to_string(1 + dim * 8)),
+            std::string::npos)
+      << stats.error().ToString();
 }
 
 TEST(WalReplay, ShapeMismatchRejected) {
