@@ -131,8 +131,8 @@ std::vector<JsonFields> RunSimdAblation() {
   }
   {
     // Paper's CLUSTER workload at high k: thin x-slabs sweep many nodes
-    // per query, stressing the 14-wide SubtreeOverlapsWindow test and the
-    // LHC window walk.
+    // per query, stressing the 14-wide window masks (each node's one
+    // region test) and the LHC window walk.
     const Dataset ds = GenerateCluster(ScaledN(100000), 14, 0.5, 42);
     const auto boxes = MakeClusterQueries(ds.dim, 50, 7);
     PhAdapter index = build(ds);

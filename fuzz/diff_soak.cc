@@ -14,7 +14,8 @@
 // --fault_every_n N > 0 turns on random allocation-fault injection (see
 // DiffOptions::fault_every_n): roughly one in N allocation-site hits
 // throws, every bad_alloc is counted and the op retried, and the oracle
-// comparison doubles as a rollback check. Implies --no-concurrent.
+// comparison doubles as a rollback check, on every variant (the sharded
+// ones included).
 //
 // After the variant-matrix soak, a concurrent phase (skipped under
 // --no-concurrent, fault mode, or --readers 0) reruns the stream in

@@ -13,7 +13,6 @@
 #include "kdtree/kdtree1.h"
 #include "kdtree/kdtree2.h"
 #include "phtree/phtree_d.h"
-#include "phtree/sharded.h"
 
 namespace phtree::bench {
 
@@ -71,38 +70,6 @@ class PhSetAdapter {
   }
 
   PhTreeD tree_;
-};
-
-/// Adapter for the lock-striped sharded tree (PhTreeSharded, 8 shards —
-/// the concurrency benchmark's default configuration): double keys encoded
-/// through Sect. 3.3 like PhAdapter, lock-free reads, writers on different
-/// shards in parallel; safe to drive from many threads at once. Uses hash
-/// routing: the benchmarks feed SortableDoubleBits-encoded doubles, whose
-/// shared sign/exponent top bits would send every key to one z-prefix
-/// shard (see sharded.h "Routing modes").
-class PhShardedAdapter {
- public:
-  static constexpr const char* kName = "PH(sharded)";
-  explicit PhShardedAdapter(uint32_t dim, uint32_t num_shards = 8)
-      : tree_(dim, num_shards, ShardRouting::kHash) {}
-  bool Insert(std::span<const double> p, uint64_t v) {
-    return tree_.Insert(EncodeKeyD(p), v);
-  }
-  bool Erase(std::span<const double> p) { return tree_.Erase(EncodeKeyD(p)); }
-  bool Contains(std::span<const double> p) const {
-    return tree_.Contains(EncodeKeyD(p));
-  }
-  size_t CountWindow(std::span<const double> lo,
-                     std::span<const double> hi) const {
-    return tree_.CountWindow(EncodeKeyD(lo), EncodeKeyD(hi));
-  }
-  uint64_t MemoryBytes() const { return tree_.ComputeStats().memory_bytes; }
-  size_t size() const { return tree_.size(); }
-  const PhTreeSharded& tree() const { return tree_; }
-  PhTreeSharded& tree() { return tree_; }
-
- private:
-  PhTreeSharded tree_;
 };
 
 /// Generic adapter for the baselines, which already share this interface.

@@ -45,17 +45,6 @@ bool KeyInBoxScalar(const uint64_t* key, const uint64_t* lo,
   return true;
 }
 
-bool BoxesOverlapScalar(const uint64_t* a_lo, const uint64_t* a_hi,
-                        const uint64_t* b_lo, const uint64_t* b_hi,
-                        size_t dim) {
-  for (size_t d = 0; d < dim; ++d) {
-    if (a_lo[d] > b_hi[d] || b_lo[d] > a_hi[d]) {
-      return false;
-    }
-  }
-  return true;
-}
-
 uint64_t ZSampleScalar(const uint64_t* key, uint32_t dim) {
   const uint32_t levels = 64u / dim;
   uint64_t sample = 0;
@@ -69,7 +58,7 @@ uint64_t ZSampleScalar(const uint64_t* key, uint32_t dim) {
 
 const SimdOps kScalarOps = {
     &FindFirstStopScalar, &CountOnesWordsScalar, &KeyInBoxScalar,
-    &BoxesOverlapScalar,  &ZSampleScalar,        "scalar",
+    &ZSampleScalar,       "scalar",
 };
 
 }  // namespace internal
@@ -164,29 +153,6 @@ __attribute__((target("avx2"))) bool KeyInBoxAvx2(const uint64_t* key,
   return internal::KeyInBoxScalar(key + d, lo + d, hi + d, dim - d);
 }
 
-__attribute__((target("avx2"))) bool BoxesOverlapAvx2(
-    const uint64_t* a_lo, const uint64_t* a_hi, const uint64_t* b_lo,
-    const uint64_t* b_hi, size_t dim) {
-  size_t d = 0;
-  for (; d + 4 <= dim; d += 4) {
-    const __m256i al = FlipSign(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a_lo + d)));
-    const __m256i ah = FlipSign(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a_hi + d)));
-    const __m256i bl = FlipSign(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b_lo + d)));
-    const __m256i bh = FlipSign(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b_hi + d)));
-    const __m256i apart = _mm256_or_si256(_mm256_cmpgt_epi64(al, bh),
-                                          _mm256_cmpgt_epi64(bl, ah));
-    if (_mm256_movemask_pd(_mm256_castsi256_pd(apart)) != 0) {
-      return false;
-    }
-  }
-  return internal::BoxesOverlapScalar(a_lo + d, a_hi + d, b_lo + d, b_hi + d,
-                                      dim - d);
-}
-
 // PDEP scatters the top floor(64/dim) bits of one dimension straight into
 // their interleaved sample positions — one instruction per dimension
 // instead of the scalar twin's levels*dim shift/or steps.
@@ -212,13 +178,13 @@ __attribute__((target("bmi2"))) uint64_t ZSampleBmi2(const uint64_t* key,
 
 const SimdOps kPopcntOps = {
     &internal::FindFirstStopScalar, &CountOnesWordsPopcnt,
-    &internal::KeyInBoxScalar,      &internal::BoxesOverlapScalar,
-    &internal::ZSampleScalar,       "popcnt",
+    &internal::KeyInBoxScalar,      &internal::ZSampleScalar,
+    "popcnt",
 };
 
 const SimdOps kAvx2Ops = {
     &FindFirstStopAvx2, &CountOnesWordsPopcnt, &KeyInBoxAvx2,
-    &BoxesOverlapAvx2,  &ZSampleBmi2,          "avx2",
+    &ZSampleBmi2,       "avx2",
 };
 
 #endif  // PHTREE_SIMD_HAS_HW

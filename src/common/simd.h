@@ -21,9 +21,11 @@
 
 namespace phtree::simd {
 
-/// The dispatch table: one entry per kernel. All implementations of a
-/// kernel are exact drop-ins for each other (verified exhaustively by
-/// simd_kernel_test); only the instruction mix differs.
+/// The dispatch table: one entry per kernel, four in all — the LHC batch
+/// stop search, a word popcount, the window cursor's per-entry box test
+/// and FindBatch's z-sample. All implementations of a kernel are exact
+/// drop-ins for each other (verified exhaustively by simd_kernel_test);
+/// only the instruction mix differs.
 struct SimdOps {
   /// First index i in addrs[0, n) where addrs[i] is a "stop" for the
   /// window [mask_lower, mask_upper]: either addrs[i] > mask_upper (the
@@ -38,11 +40,6 @@ struct SimdOps {
   /// lo[d] <= key[d] <= hi[d] for every d in [0, dim).
   bool (*key_in_box)(const uint64_t* key, const uint64_t* lo,
                      const uint64_t* hi, size_t dim);
-  /// Closed boxes [a_lo, a_hi] and [b_lo, b_hi] intersect:
-  /// a_lo[d] <= b_hi[d] && b_lo[d] <= a_hi[d] for every d in [0, dim).
-  bool (*boxes_overlap)(const uint64_t* a_lo, const uint64_t* a_hi,
-                        const uint64_t* b_lo, const uint64_t* b_hi,
-                        size_t dim);
   /// One-word sample of the key's z-address: the top floor(64/dim) bits of
   /// every dimension, interleaved MSB-first (level 0 of dim 0 is the
   /// sample's most significant bit). Comparing samples orders keys by the
@@ -63,9 +60,6 @@ size_t FindFirstStopScalar(const uint64_t* addrs, size_t n,
 uint64_t CountOnesWordsScalar(const uint64_t* words, size_t n);
 bool KeyInBoxScalar(const uint64_t* key, const uint64_t* lo,
                     const uint64_t* hi, size_t dim);
-bool BoxesOverlapScalar(const uint64_t* a_lo, const uint64_t* a_hi,
-                        const uint64_t* b_lo, const uint64_t* b_hi,
-                        size_t dim);
 uint64_t ZSampleScalar(const uint64_t* key, uint32_t dim);
 
 extern const SimdOps kScalarOps;
@@ -130,13 +124,6 @@ inline bool KeyInBox(const uint64_t* key, const uint64_t* lo,
                      const uint64_t* hi, size_t dim) {
   return internal::g_active_ops.load(std::memory_order_relaxed)
       ->key_in_box(key, lo, hi, dim);
-}
-
-inline bool BoxesOverlap(const uint64_t* a_lo, const uint64_t* a_hi,
-                         const uint64_t* b_lo, const uint64_t* b_hi,
-                         size_t dim) {
-  return internal::g_active_ops.load(std::memory_order_relaxed)
-      ->boxes_overlap(a_lo, a_hi, b_lo, b_hi, dim);
 }
 
 inline uint64_t ZSamplePrefix(const uint64_t* key, uint32_t dim) {

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <exception>
 #include <memory>
 
 namespace phtree {
@@ -66,6 +67,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     std::atomic<size_t> finished{0};
     std::mutex mutex;
     std::condition_variable done_cv;
+    std::exception_ptr error;  // the first exception an index threw
   };
   auto state = std::make_shared<State>();
   const size_t total = n;
@@ -75,7 +77,16 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
       if (i >= total) {
         return;
       }
-      fn(i);
+      // Caught here, because a pool task must not throw; relayed to the
+      // caller once every index has finished.
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard lock(state->mutex);
+        if (state->error == nullptr) {
+          state->error = std::current_exception();
+        }
+      }
       if (state->finished.fetch_add(1, std::memory_order_acq_rel) + 1 ==
           total) {
         std::lock_guard lock(state->mutex);
@@ -95,6 +106,9 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   state->done_cv.wait(lock, [&] {
     return state->finished.load(std::memory_order_acquire) == total;
   });
+  if (state->error != nullptr) {
+    std::rethrow_exception(state->error);
+  }
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -16,9 +16,8 @@
 
 namespace phtree {
 
-/// Fixed pool of `num_threads` workers draining one FIFO of tasks.
-/// Tasks must not throw — an escaping exception terminates the process
-/// (the pool has nobody to rethrow to). All methods are thread-safe.
+/// Fixed pool of `num_threads` workers draining one FIFO of tasks. All
+/// methods are thread-safe.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (clamped to >= 1).
@@ -32,15 +31,21 @@ class ThreadPool {
 
   size_t num_threads() const { return threads_.size(); }
 
-  /// Enqueues one task for asynchronous execution.
+  /// Enqueues one task for asynchronous execution. The task must not
+  /// throw: an escaping exception terminates the process (the pool has
+  /// nobody to rethrow to).
   void Submit(std::function<void()> task);
 
   /// Runs `fn(0) .. fn(n - 1)` across the pool and the calling thread,
   /// returning when every index has finished. Indices are handed out from a
   /// shared atomic counter, so uneven task costs balance automatically; the
   /// caller participates, so ParallelFor(n, fn) with a 1-thread pool still
-  /// uses two lanes. Safe to call from multiple threads at once, but NOT
-  /// from inside a pool task (a task waiting on the pool can deadlock).
+  /// uses two lanes. If calls of `fn` throw, every other index still runs
+  /// and the first exception caught is rethrown to the caller. Safe to call
+  /// from multiple threads at once and from inside `fn` or a pool task: the
+  /// caller drains indices itself and waits only for indices another
+  /// thread is already running, so a nested call completes even when
+  /// every worker is busy.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Process-wide pool sized to std::thread::hardware_concurrency(),

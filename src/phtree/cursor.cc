@@ -87,7 +87,7 @@ bool TreeCursor::PushNode(const Node* node, uint64_t start) {
     lower = m.lower;
     upper = m.upper;
   }
-  stack_[depth_].cursor.Bind(node, lower, upper, start);
+  stack_[depth_].Bind(node, lower, upper, start);
   ++depth_;
   return true;
 }
@@ -110,7 +110,7 @@ void TreeCursor::SeekPast(const Node* root, const uint64_t* token) {
     if (!PushNode(node, token_addr)) {
       break;
     }
-    NodeCursor& cursor = stack_[depth_ - 1].cursor;
+    NodeCursor& cursor = stack_[depth_ - 1];
     if (!cursor.valid() || cursor.addr() > token_addr) {
       break;  // everything left in this node is strictly after the token
     }
@@ -143,7 +143,7 @@ void TreeCursor::SeekPast(const Node* root, const uint64_t* token) {
 void TreeCursor::Advance() {
   valid_ = false;
   while (depth_ > 0) {
-    NodeCursor& cursor = stack_[depth_ - 1].cursor;
+    NodeCursor& cursor = stack_[depth_ - 1];
     if (!cursor.valid()) {
       --depth_;
       continue;
@@ -156,9 +156,7 @@ void TreeCursor::Advance() {
       // in the tree's arena (catches stale handles in debug builds).
       assert(tree_->arena()->Owns(child));
       child->ReadInfixInto(key_span());
-      if (!bounded_ || SubtreeOverlapsWindow(child)) {
-        PushNode(child);
-      }
+      PushNode(child);  // pushes nothing if the child misses the window
       continue;
     }
     value_ = cursor.ReadPostfix(key_span());
@@ -178,29 +176,6 @@ bool TreeCursor::KeyInWindow() const {
   }
   for (uint32_t d = 0; d < dim_; ++d) {
     if (key_[d] < min_[d] || key_[d] > max_[d]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool TreeCursor::SubtreeOverlapsWindow(const Node* child) const {
-  // key_ already carries the child's path bits and infix; the child's region
-  // spans all completions of the bits below its address bit.
-  const uint32_t cpl = child->postfix_len();
-  if (dim_ >= 4) {
-    uint64_t lo[kMaxDims];
-    uint64_t hi[kMaxDims];
-    for (uint32_t d = 0; d < dim_; ++d) {
-      RegionBounds(key_[d], cpl + 1, &lo[d], &hi[d]);
-    }
-    return simd::BoxesOverlap(lo, hi, min_, max_, dim_);
-  }
-  for (uint32_t d = 0; d < dim_; ++d) {
-    uint64_t lo;
-    uint64_t hi;
-    RegionBounds(key_[d], cpl + 1, &lo, &hi);
-    if (lo > max_[d] || hi < min_[d]) {
       return false;
     }
   }

@@ -91,41 +91,52 @@ inline uint64_t WindowSuccessorGE(uint64_t addr, uint64_t mask_lower,
   return w == 0 ? kInvalidAddr : mask_lower + w;
 }
 
-/// The m_lower / m_upper address masks of one node (paper Sect. 3.5).
-struct WindowMasks {
-  uint64_t lower = 0;  // m_L: address bits that must be 1
-  uint64_t upper = 0;  // m_U: address bits that may be 1
-  /// False iff some dimension admits neither half: nothing can match.
-  bool Possible() const { return (lower & ~upper) == 0; }
-};
-
-/// Computes the address masks for a node at `postfix_len` whose region path
-/// bits (everything above the node's address bit) are already in
-/// `path_key`. Bit d of the address splits dimension d's region at the
-/// node's bit position: the lower half is admissible iff it reaches min[d],
-/// the upper half iff max[d] reaches it.
-inline WindowMasks ComputeWindowMasks(std::span<const uint64_t> path_key,
-                                      std::span<const uint64_t> min,
-                                      std::span<const uint64_t> max,
-                                      uint32_t postfix_len) {
-  WindowMasks m;
-  for (size_t d = 0; d < path_key.size(); ++d) {
-    const uint64_t region_base = path_key[d] & ~LowMask(postfix_len + 1);
-    const uint64_t lower_half_max = region_base | LowMask(postfix_len);
-    const uint64_t upper_half_min =
-        region_base | (uint64_t{1} << postfix_len);
-    m.lower = (m.lower << 1) | (min[d] > lower_half_max ? 1u : 0u);
-    m.upper = (m.upper << 1) | (max[d] >= upper_half_min ? 1u : 0u);
-  }
-  return m;
-}
-
 /// The coordinate interval [lo, hi] a node region covers along one
 /// dimension: every completion of the path word's bits above `low_bits`.
 inline void RegionBounds(uint64_t path_word, uint32_t low_bits, uint64_t* lo,
                          uint64_t* hi) {
   *lo = path_word & ~LowMask(low_bits);
   *hi = *lo | LowMask(low_bits);
+}
+
+/// The m_lower / m_upper address masks of one node (paper Sect. 3.5).
+struct WindowMasks {
+  uint64_t lower = 0;  // m_L: address bits that must be 1
+  uint64_t upper = 0;  // m_U: address bits that may be 1
+  /// False iff no address is admissible, which ComputeWindowMasks reports
+  /// exactly when the node's region misses the window: nothing below it
+  /// can match.
+  bool Possible() const { return (lower & ~upper) == 0; }
+};
+
+/// Computes the address masks for a node at `postfix_len` whose region path
+/// bits (everything above the node's address bit) are already in
+/// `path_key`. This is the window descent's one region test: if the
+/// node's region (RegionBounds over postfix_len + 1 low bits) misses
+/// [min[d], max[d]] in some dimension d, the masks are impossible, and
+/// callers do not check overlap first. Otherwise bit d of the address
+/// splits dimension d's region at the node's bit position, and each half
+/// is admissible iff it meets the window: the lower half iff it reaches
+/// min[d] (else m_L's bit is set), the upper half iff max[d] reaches it
+/// (then m_U's bit is set).
+inline WindowMasks ComputeWindowMasks(std::span<const uint64_t> path_key,
+                                      std::span<const uint64_t> min,
+                                      std::span<const uint64_t> max,
+                                      uint32_t postfix_len) {
+  WindowMasks m;
+  for (size_t d = 0; d < path_key.size(); ++d) {
+    uint64_t region_min;
+    uint64_t region_max;
+    RegionBounds(path_key[d], postfix_len + 1, &region_min, &region_max);
+    if (min[d] > region_max || max[d] < region_min) {
+      return {1, 0};  // the region misses the window
+    }
+    const uint64_t lower_half_max = region_min | LowMask(postfix_len);
+    const uint64_t upper_half_min = region_min | (uint64_t{1} << postfix_len);
+    m.lower = (m.lower << 1) | (min[d] > lower_half_max ? 1u : 0u);
+    m.upper = (m.upper << 1) | (max[d] >= upper_half_min ? 1u : 0u);
+  }
+  return m;
 }
 
 /// LHC nodes with fewer entries walk linearly: a bind at the mask minimum
@@ -393,13 +404,6 @@ class NodeCursor {
 static_assert(std::is_trivially_default_constructible_v<NodeCursor>,
               "a TreeCursor's 64 frames must cost nothing to create");
 
-/// One level of a TreeCursor descent: the node cursor positioned inside
-/// that level's node. This is the tree's only traversal stack frame — all
-/// read paths share it.
-struct TraversalFrame {
-  NodeCursor cursor;
-};
-
 /// One page of a paginated window scan (PhTree::QueryWindowPage).
 struct WindowPage {
   std::vector<std::pair<PhKey, uint64_t>> entries;
@@ -467,7 +471,8 @@ class TreeCursor {
                   std::span<const uint64_t> max, const uint64_t* resume);
   /// Computes the node's masks against the window (key_ already carries
   /// its path bits) and pushes a frame bound at its first masked-in entry
-  /// with address >= `start`; false if nothing can match.
+  /// with address >= `start`; false, pushing nothing, if the node's region
+  /// misses the window.
   bool PushNode(const Node* node, uint64_t start = 0);
   /// Descends along `token`'s address path, leaving every stack cursor
   /// positioned on the first entry of its node not strictly before the
@@ -478,7 +483,6 @@ class TreeCursor {
   /// Resumes the stack; sets valid_/key_/value_ on the next match.
   void Advance();
   bool KeyInWindow() const;
-  bool SubtreeOverlapsWindow(const Node* child) const;
 
   std::span<uint64_t> key_span() { return {key_, dim_}; }
 
@@ -493,7 +497,7 @@ class TreeCursor {
   uint64_t key_[kMaxDims];
   uint64_t min_[kMaxDims];
   uint64_t max_[kMaxDims];
-  TraversalFrame stack_[kBitWidth];
+  NodeCursor stack_[kBitWidth];
 };
 
 }  // namespace phtree

@@ -277,7 +277,8 @@ size_t PhTreeSharded::BulkLoad(std::span<const PhEntry> entries) {
     values[s].push_back(e.value);
   }
   std::vector<size_t> inserted(S, 0);
-  std::atomic<bool> out_of_memory{false};
+  // An allocation failure reaches the caller once every shard has finished
+  // (ParallelFor relays it).
   ParallelFor(S, [&](size_t s) {
     if (values[s].empty()) {
       return;
@@ -285,25 +286,16 @@ size_t PhTreeSharded::BulkLoad(std::span<const PhEntry> entries) {
     Shard& shard = *shards_[s];
     std::lock_guard lock(shard.mutex);
     PhTree* tree = shard.writer();
-    // Pool tasks must not throw: an allocation failure is carried out and
-    // rethrown once every shard has finished.
-    try {
-      if (tree->empty()) {
-        inserted[s] = BuildFromRows(tree, keys[s], values[s],
-                                    ZOrderPermutation(keys[s], dim_));
-        return;
-      }
-      for (size_t i = 0; i < values[s].size(); ++i) {
-        const std::span<const uint64_t> key(keys[s].data() + i * dim_, dim_);
-        inserted[s] += tree->Insert(key, values[s][i]) ? 1 : 0;
-      }
-    } catch (const std::bad_alloc&) {
-      out_of_memory.store(true, std::memory_order_relaxed);
+    if (tree->empty()) {
+      inserted[s] = BuildFromRows(tree, keys[s], values[s],
+                                  ZOrderPermutation(keys[s], dim_));
+      return;
+    }
+    for (size_t i = 0; i < values[s].size(); ++i) {
+      const std::span<const uint64_t> key(keys[s].data() + i * dim_, dim_);
+      inserted[s] += tree->Insert(key, values[s][i]) ? 1 : 0;
     }
   });
-  if (out_of_memory.load(std::memory_order_relaxed)) {
-    throw std::bad_alloc();
-  }
   return std::accumulate(inserted.begin(), inserted.end(), size_t{0});
 }
 
@@ -594,24 +586,16 @@ Status PhTreeSharded::Load(const std::string& path,
   for (uint32_t s = 0; s < S; ++s) {
     trees.emplace_back(dim_, cfg);
   }
-  std::atomic<bool> out_of_memory{false};
+  // An allocation failure reaches the caller once every shard has finished
+  // (ParallelFor relays it), leaving the shards untouched.
   ParallelFor(S, [&](size_t s) {
-    // Pool tasks must not throw: an allocation failure is carried out and
-    // rethrown once every shard has finished.
-    try {
-      ZOrderBuilder builder(&trees[s]);
-      const std::span<const uint64_t> rows(keys[s]);
-      for (size_t i = 0; i < values[s].size(); ++i) {
-        builder.Add(rows.subspan(i * dim_, dim_), values[s][i]);
-      }
-      builder.Finish();
-    } catch (const std::bad_alloc&) {
-      out_of_memory.store(true, std::memory_order_relaxed);
+    ZOrderBuilder builder(&trees[s]);
+    const std::span<const uint64_t> rows(keys[s]);
+    for (size_t i = 0; i < values[s].size(); ++i) {
+      builder.Add(rows.subspan(i * dim_, dim_), values[s][i]);
     }
+    builder.Finish();
   });
-  if (out_of_memory.load(std::memory_order_relaxed)) {
-    throw std::bad_alloc();
-  }
   if (options.validate_structure) {
     for (uint32_t s = 0; s < S; ++s) {
       const std::string violation = ValidatePhTree(trees[s]);

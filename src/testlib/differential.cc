@@ -517,10 +517,7 @@ class Runner {
     // on in fault mode — injected failures under retirement must roll back
     // like any other, and this arm proves it on real streams.
     adapters_.push_back(std::make_unique<CowAdapter>(dim));
-    // Fault mode forces the concurrent variants off: PhTreeSharded's
-    // BulkLoad mutates on thread-pool threads where an injected bad_alloc
-    // would terminate the process instead of reaching our handler.
-    if (opts.include_concurrent && !fault_mode_) {
+    if (opts.include_concurrent) {
       // One shard is PhTreeSync: routing-free, pool-free, whole-tree
       // Save/Load.
       adapters_.push_back(

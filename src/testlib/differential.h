@@ -57,12 +57,11 @@ struct DiffOptions {
   /// retried with injection suspended — the commit-or-rollback contract
   /// (phtree.h OpStatus) makes the retry equivalent to a clean first run,
   /// so the oracle comparison doubles as a rollback check. Fault mode
-  /// forces include_concurrent off (sharded bulk loads mutate on pool
-  /// threads where an injected bad_alloc has no handler), decomposes
-  /// kBulkLoad into per-entry inserts (so the newly-inserted count stays
-  /// exact across retries), and suspends injection during snapshot
-  /// round-trips and audits (those paths are covered by the dedicated
-  /// crash-point tests instead).
+  /// keeps every variant, sharded ones included, decomposes kBulkLoad
+  /// into per-entry inserts (so the newly-inserted count stays exact
+  /// across retries, and no faulted mutation runs on a pool thread), and
+  /// suspends injection during snapshot round-trips and audits (those
+  /// paths are covered by the dedicated crash-point tests instead).
   uint64_t fault_seed = 0;
   uint64_t fault_every_n = 0;
 

@@ -73,45 +73,60 @@ TEST(WindowMaskTest, SuccessorGeKnownValues) {
 }
 
 TEST(WindowMaskTest, ComputeWindowMasksMatchesQuadrantIntersection) {
-  // Under the descent invariant (the node's own region intersects the
-  // window in every dimension — the parent established that before
-  // descending), an address is mask-valid iff its quadrant box intersects
-  // the window, checked per dimension with RegionBounds.
-  Rng rng(0xFACADE);
-  for (int round = 0; round < 500; ++round) {
-    const uint32_t dim = 1 + rng.NextBounded(4);
+  // The masks are impossible exactly when the node's region misses the
+  // window, in one dimension or more; otherwise an address is mask-valid
+  // iff its quadrant box meets the window, checked per dimension with
+  // RegionBounds. Window edges are drawn from the region's edges, its
+  // halves' edges, their neighbours and random words, so touching and
+  // just-missing intervals are common.
+  Rng rng(0xBADC0DE);
+  size_t misses = 0;
+  size_t meets = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const uint32_t dim = 1 + rng.NextBounded(6);
     const uint32_t postfix_len = rng.NextBounded(kBitWidth);
     PhKey path(dim), min(dim), max(dim);
+    bool region_meets = true;
     for (uint32_t d = 0; d < dim; ++d) {
       path[d] = rng.NextU64();
-      // min[d] <= region_hi and max[d] >= region_lo: the invariant above.
-      uint64_t region_lo, region_hi;
-      RegionBounds(path[d], postfix_len + 1, &region_lo, &region_hi);
-      min[d] = region_hi == ~uint64_t{0} ? rng.NextU64()
-                                         : rng.NextBounded(region_hi + 1);
-      const uint64_t floor = std::max(min[d], region_lo);
-      max[d] = floor == 0 ? rng.NextU64()
-                          : floor + rng.NextU64() % (uint64_t{0} - floor);
+      uint64_t lo, hi;
+      RegionBounds(path[d], postfix_len + 1, &lo, &hi);
+      const uint64_t lower_half_max = lo | LowMask(postfix_len);
+      const uint64_t edges[] = {lo == 0 ? lo : lo - 1,
+                                lo,
+                                lower_half_max,
+                                lower_half_max + 1,
+                                hi,
+                                hi == ~uint64_t{0} ? hi : hi + 1,
+                                lo | (rng.NextU64() & LowMask(postfix_len + 1)),
+                                rng.NextU64()};
+      min[d] = edges[rng.NextBounded(8)];
+      max[d] = edges[rng.NextBounded(8)];
+      if (min[d] > max[d]) {
+        std::swap(min[d], max[d]);
+      }
+      region_meets = region_meets && min[d] <= hi && max[d] >= lo;
     }
     const WindowMasks masks = ComputeWindowMasks(path, min, max, postfix_len);
+    ASSERT_EQ(masks.Possible(), region_meets) << "round " << round;
+    (region_meets ? meets : misses) += 1;
     for (uint64_t addr = 0; addr < (uint64_t{1} << dim); ++addr) {
-      bool intersects = true;
-      for (uint32_t d = 0; d < dim; ++d) {
+      bool intersects = region_meets;
+      for (uint32_t d = 0; d < dim && intersects; ++d) {
         // Child quadrant of dimension d: the node region's bit
         // `postfix_len` set from the address, lower bits free.
         const uint64_t base = path[d] & ~LowMask(postfix_len + 1);
         const uint64_t bit = (addr >> (dim - 1 - d)) & 1;
         uint64_t lo, hi;
         RegionBounds(base | (bit << postfix_len), postfix_len, &lo, &hi);
-        if (hi < min[d] || lo > max[d]) {
-          intersects = false;
-          break;
-        }
+        intersects = hi >= min[d] && lo <= max[d];
       }
       ASSERT_EQ(WindowAddrValid(addr, masks.lower, masks.upper), intersects)
           << "round " << round << " addr " << addr;
     }
   }
+  EXPECT_GT(misses, 500u);
+  EXPECT_GT(meets, 500u);
 }
 
 // ---- NodeCursor's decode vs the ordinal accessors -------------------------
@@ -464,6 +479,103 @@ TEST_P(TreeCursorTest, ResumeSurvivesEraseOfTheTokenKey) {
   }
   Entries expect(oneshot.begin() + page_size, oneshot.end());
   EXPECT_EQ(rest, expect);
+}
+
+/// True iff a node on `key`'s path down `tree` has a region that misses
+/// the window [lo, hi]: a resume from `key` descends into a subtree that
+/// the window's masks reject.
+bool PathEntersARegionTheWindowMisses(const PhTree& tree, const PhKey& key,
+                                      const PhKey& lo, const PhKey& hi) {
+  for (const Node* node = tree.root(); node != nullptr;) {
+    PhKey with_infix = key;
+    node->ReadInfixInto(with_infix);
+    if (with_infix != key) {
+      return false;  // the key's path leaves the tree above this node
+    }
+    const uint32_t pl = node->postfix_len();
+    for (size_t d = 0; d < key.size(); ++d) {
+      uint64_t region_lo, region_hi;
+      RegionBounds(key[d], pl + 1, &region_lo, &region_hi);
+      if (region_hi < lo[d] || region_lo > hi[d]) {
+        return true;
+      }
+    }
+    const uint64_t ord = node->FindOrdinal(HcAddressAt(key, pl));
+    if (ord == Node::kNoOrdinal || !node->OrdinalIsSub(ord)) {
+      return false;
+    }
+    node = tree.arena()->NodeAt(node->OrdinalSub(ord));
+  }
+  return false;
+}
+
+TEST_P(TreeCursorTest, ResumeFromATokenOutsideTheWindowMatchesBruteForce) {
+  // Tokens outside the window: z-before all of it, z-after all of it, and
+  // inside its z-range on a path through a subtree the window misses.
+  const CursorParam p = GetParam();
+  Rng rng(Seed(0x70CE, p));
+  BuildTree(600, &rng);
+  size_t before = 0;
+  size_t after = 0;
+  size_t missed = 0;
+  for (int q = 0; q < 60; ++q) {
+    PhKey lo(p.dim), hi(p.dim);
+    for (uint32_t d = 0; d < p.dim; ++d) {
+      const uint64_t a = rng.NextU64() & LowMask(p.key_bits);
+      const uint64_t b = rng.NextU64() & LowMask(p.key_bits);
+      lo[d] = std::min(a, b);
+      hi[d] = std::max(a, b);
+    }
+    // One coordinate of the window's z-least (lo) or z-greatest (hi)
+    // corner moved out of the window, then stored and random keys.
+    std::vector<PhKey> tokens;
+    for (uint32_t d = 0; d < p.dim; ++d) {
+      if (lo[d] > 0) {
+        tokens.push_back(lo);
+        --tokens.back()[d];
+      }
+      if (hi[d] < LowMask(p.key_bits)) {
+        tokens.push_back(hi);
+        ++tokens.back()[d];
+      }
+    }
+    for (int i = 0; i < 24; ++i) {
+      PhKey key(p.dim);
+      for (auto& v : key) {
+        v = rng.NextU64() & LowMask(p.key_bits);
+      }
+      tokens.push_back(
+          i % 2 == 0 ? entries_[rng.NextBounded(entries_.size())].first : key);
+    }
+    const Entries window = BruteWindow(lo, hi);
+    for (const PhKey& token : tokens) {
+      bool inside = true;
+      for (uint32_t d = 0; d < p.dim; ++d) {
+        inside = inside && token[d] >= lo[d] && token[d] <= hi[d];
+      }
+      if (inside) {
+        continue;
+      }
+      Entries expect;
+      for (const auto& e : window) {
+        if (ZOrderLess(token, e.first)) {
+          expect.push_back(e);
+        }
+      }
+      ASSERT_EQ(Drain(TreeCursor(*tree_, lo, hi, token)), expect)
+          << "query " << q;
+      if (ZOrderLess(token, lo)) {
+        ++before;
+      } else if (ZOrderLess(hi, token)) {
+        ++after;
+      } else if (PathEntersARegionTheWindowMisses(*tree_, token, lo, hi)) {
+        ++missed;
+      }
+    }
+  }
+  EXPECT_GT(before, 0u);
+  EXPECT_GT(after, 0u);
+  EXPECT_GT(missed, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

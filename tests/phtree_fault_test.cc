@@ -1,16 +1,22 @@
 // Allocation-fault injection: the FaultInjector itself, the Try* status
-// API's commit-or-rollback contract on hand-built shapes, and the bounded
-// tier-1 run of the exhaustive per-site sweep (testlib/fault_sweep). The
-// full 50k-op acceptance sweep is the `fault_sweep_acceptance` ctest in
-// fuzz/.
+// API's commit-or-rollback contract on hand-built shapes, the sharded
+// tree's parallel builds and cross-shard move under a failed allocation,
+// and the bounded tier-1 run of the exhaustive per-site sweep
+// (testlib/fault_sweep). The full 50k-op acceptance sweep is the
+// `fault_sweep_acceptance` ctest in fuzz/.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <new>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
+#include "common/rng.h"
 #include "phtree/phtree.h"
+#include "phtree/sharded.h"
 #include "phtree/validate.h"
 #include "testlib/fault_sweep.h"
 
@@ -219,6 +225,149 @@ TEST(TryApi, BulkLoadIntoNonEmptyTreeKeepsPrefix) {
     }
   }
   EXPECT_EQ(stored + 1, tree.size());
+}
+
+// ---- Sharded trees under a failed allocation ------------------------------
+
+using Entries = std::vector<std::pair<PhKey, uint64_t>>;
+
+/// Every shard's entries, shard by shard.
+std::vector<Entries> ShardContents(const PhTreeSharded& tree) {
+  std::vector<Entries> out(tree.num_shards());
+  for (uint32_t s = 0; s < tree.num_shards(); ++s) {
+    tree.UnsafeShard(s).ForEach(
+        [&](const PhKey& key, uint64_t v) { out[s].emplace_back(key, v); });
+  }
+  return out;
+}
+
+std::vector<PhEntry> RandomEntries(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PhEntry> entries;
+  for (uint64_t i = 0; i < n; ++i) {
+    entries.push_back({{rng.NextU64(), rng.NextU64()}, i});
+  }
+  return entries;
+}
+
+TEST(ShardedFault, BulkLoadFailureReachesTheCallerAndEmptiesOneShard) {
+  constexpr uint32_t kShards = 8;
+  const std::vector<PhEntry> entries = RandomEntries(20000, 91);
+  ScopedInjector inj;
+  // The node allocations of a clean parallel build, counted on a twin.
+  PhTreeSharded twin(2, kShards);
+  const uint64_t before = inj->site_hits(FaultSite::kArenaNodeAlloc);
+  ASSERT_EQ(twin.BulkLoad(entries), entries.size());
+  const uint64_t builds = inj->site_hits(FaultSite::kArenaNodeAlloc) - before;
+
+  // Fail one allocation halfway: the shard building it fails, and which
+  // shard that is depends on scheduling.
+  PhTreeSharded tree(2, kShards);
+  inj->ArmCountdown(FaultSite::kArenaNodeAlloc, builds / 2);
+  EXPECT_THROW(tree.BulkLoad(entries), std::bad_alloc);
+  EXPECT_TRUE(inj->fired());
+  inj->Disarm();
+  std::vector<size_t> routed(kShards, 0);
+  for (const PhEntry& e : entries) {
+    ++routed[tree.ShardOf(e.key)];
+  }
+  size_t failed = 0;
+  size_t built = 0;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    const PhTree& shard = tree.UnsafeShard(s);
+    EXPECT_EQ(ValidatePhTreeDeep(shard), "") << "shard " << s;
+    ASSERT_GT(routed[s], 0u);
+    if (shard.empty()) {
+      ++failed;
+    } else {
+      EXPECT_EQ(shard.size(), routed[s]) << "shard " << s;
+      built += shard.size();
+    }
+  }
+  EXPECT_EQ(failed, 1u);
+  EXPECT_EQ(tree.size(), built);
+  for (const PhEntry& e : entries) {
+    const bool kept = !tree.UnsafeShard(tree.ShardOf(e.key)).empty();
+    ASSERT_EQ(tree.Find(e.key),
+              kept ? std::optional<uint64_t>(e.value) : std::nullopt);
+  }
+}
+
+TEST(ShardedFault, LoadFailureDuringTheRebuildLeavesTheShardsUnchanged) {
+  constexpr uint32_t kShards = 4;
+  PhTreeSharded source(2, kShards);
+  ASSERT_EQ(source.BulkLoad(RandomEntries(5000, 92)), 5000u);
+  const std::string path = testing::TempDir() + "/sharded_fault_load.pht";
+  ASSERT_TRUE(source.Save(path).ok());
+  PhTreeSharded tree(2, kShards);
+  ASSERT_EQ(tree.BulkLoad(RandomEntries(300, 93)), 300u);
+  const std::vector<Entries> contents = ShardContents(tree);
+  std::vector<const PhTree*> shards;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    shards.push_back(&tree.UnsafeShard(s));
+  }
+
+  ScopedInjector inj;
+  PhTreeSharded twin(2, kShards);
+  const uint64_t before = inj->site_hits(FaultSite::kArenaNodeAlloc);
+  ASSERT_TRUE(twin.Load(path).ok());
+  const uint64_t builds = inj->site_hits(FaultSite::kArenaNodeAlloc) - before;
+  inj->ArmCountdown(FaultSite::kArenaNodeAlloc, builds / 2);
+  EXPECT_THROW((void)tree.Load(path), std::bad_alloc);
+  EXPECT_TRUE(inj->fired());
+  inj->Disarm();
+  for (uint32_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(&tree.UnsafeShard(s), shards[s]) << "shard " << s;
+    EXPECT_EQ(ValidatePhTreeDeep(tree.UnsafeShard(s)), "") << "shard " << s;
+  }
+  EXPECT_EQ(ShardContents(tree), contents);
+  std::remove(path.c_str());
+}
+
+TEST(ShardedFault, CrossShardUpdateWhoseEraseFailsChangesNeitherShard) {
+  // Two z-prefix shards split on dimension 0's top bit; the move takes a
+  // key of shard 0 to a free key of shard 1.
+  const std::vector<PhEntry> entries = RandomEntries(400, 94);
+  PhTreeSharded tree(2, 2, ShardRouting::kZPrefix);
+  PhTreeSharded twin(2, 2, ShardRouting::kZPrefix);
+  ASSERT_EQ(tree.BulkLoad(entries), entries.size());
+  ASSERT_EQ(twin.BulkLoad(entries), entries.size());
+  PhKey old_key;
+  tree.UnsafeShard(0).ForEach([&](const PhKey& key, uint64_t) {
+    if (old_key.empty()) {
+      old_key = key;
+    }
+  });
+  ASSERT_FALSE(old_key.empty());
+  const PhKey new_key{old_key[0] | (uint64_t{1} << 63), old_key[1]};
+  ASSERT_EQ(tree.ShardOf(new_key), 1u);
+  ASSERT_FALSE(tree.Find(new_key).has_value());
+  const uint64_t value = *tree.Find(old_key);
+
+  // The allocation hits of the move's two legs, counted on the twin.
+  ScopedInjector inj;
+  const uint64_t start = inj->hits();
+  ASSERT_TRUE(twin.Insert(new_key, value));
+  const uint64_t insert_hits = inj->hits() - start;
+  ASSERT_TRUE(twin.Erase(old_key));
+  const uint64_t erase_hits = inj->hits() - start - insert_hits;
+  ASSERT_GE(erase_hits, 1u);
+
+  // Fail each allocation of the erase leg in turn: the insert is undone.
+  const std::vector<Entries> contents = ShardContents(tree);
+  for (uint64_t j = 0; j < erase_hits; ++j) {
+    inj->ArmGlobalIndex(insert_hits + j);
+    EXPECT_EQ(tree.TryUpdate(old_key, new_key), UpdateOutcome::kNoMem)
+        << "erase hit " << j;
+    EXPECT_TRUE(inj->fired());
+    inj->Disarm();
+    EXPECT_EQ(ShardContents(tree), contents) << "erase hit " << j;
+    for (uint32_t s = 0; s < 2; ++s) {
+      EXPECT_EQ(ValidatePhTreeDeep(tree.UnsafeShard(s)), "") << "shard " << s;
+    }
+  }
+  EXPECT_EQ(tree.TryUpdate(old_key, new_key), UpdateOutcome::kMoved);
+  EXPECT_EQ(ShardContents(tree), ShardContents(twin));
 }
 
 // The bounded tier-1 sweep: every allocation-site index of every mutating

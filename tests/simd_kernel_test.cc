@@ -212,43 +212,6 @@ TEST(SimdKeyInBox, ExhaustiveSmallAndRandomSweep) {
   });
 }
 
-TEST(SimdBoxesOverlap, RandomSweepWithTouchingEdges) {
-  InBothDispatchModes([](const char* mode) {
-    Rng rng(123);
-    for (int round = 0; round < 4000; ++round) {
-      const size_t dim = 1 + rng.NextBounded(16);
-      uint64_t alo[16];
-      uint64_t ahi[16];
-      uint64_t blo[16];
-      uint64_t bhi[16];
-      bool want = true;
-      for (size_t d = 0; d < dim; ++d) {
-        // Small coordinates make touching and just-disjoint intervals
-        // common; full-width values would practically always overlap.
-        uint64_t a = rng.NextBounded(8);
-        uint64_t b = rng.NextBounded(8);
-        if (a > b) {
-          std::swap(a, b);
-        }
-        uint64_t c = rng.NextBounded(8);
-        uint64_t e = rng.NextBounded(8);
-        if (c > e) {
-          std::swap(c, e);
-        }
-        alo[d] = a;
-        ahi[d] = b;
-        blo[d] = c;
-        bhi[d] = e;
-        want = want && a <= e && c <= b;
-      }
-      ASSERT_EQ(simd::BoxesOverlap(alo, ahi, blo, bhi, dim), want)
-          << mode << " round " << round << " dim " << dim;
-      ASSERT_EQ(simd::internal::BoxesOverlapScalar(alo, ahi, blo, bhi, dim),
-                want);
-    }
-  });
-}
-
 // Reference for ZSamplePrefix: one bit at a time, MSB-first per level,
 // dimension 0 first within a level — exactly how the tree's hypercube
 // addresses interleave.

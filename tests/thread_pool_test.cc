@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -93,6 +94,42 @@ TEST(ThreadPool, SingleThreadPoolStillCompletes) {
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], static_cast<int>(i) * 2);
   }
+}
+
+TEST(ThreadPool, ParallelForRelaysAThrowAfterEveryOtherIndexRan) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(64);
+  bool caught = false;
+  try {
+    pool.ParallelFor(hits.size(), [&hits](size_t i) {
+      hits[i].fetch_add(1);
+      if (i == 13) {
+        throw std::runtime_error("index 13");
+      }
+    });
+  } catch (const std::runtime_error& e) {
+    caught = true;
+    EXPECT_STREQ(e.what(), "index 13");
+  }
+  EXPECT_TRUE(caught);
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+  // The pool is still whole: a later call covers every index again.
+  std::atomic<size_t> sum{0};
+  pool.ParallelFor(100, [&sum](size_t i) { sum.fetch_add(i); });
+  EXPECT_EQ(sum.load(), 100u * 99u / 2);
+}
+
+TEST(ThreadPool, ParallelForNestedInsideParallelForCompletes) {
+  // Each outer index runs an inner ParallelFor while the only worker is
+  // busy with the other outer index; each caller drains its own indices.
+  ThreadPool pool(1);
+  std::atomic<int> inner{0};
+  pool.ParallelFor(2, [&pool, &inner](size_t) {
+    pool.ParallelFor(8, [&inner](size_t) { inner.fetch_add(1); });
+  });
+  EXPECT_EQ(inner.load(), 16);
 }
 
 }  // namespace
