@@ -196,13 +196,28 @@ bool SlabWordPool::AddSlab() {
 }
 
 bool SlabWordPool::NextSlab() {
-  const size_t next = slabs_.empty() ? 0 : cur_slab_ + 1;
+  const bool first = slabs_.empty();
+  const size_t next = first ? 0 : cur_slab_ + 1;
   if (next == slabs_.size() && !AddSlab()) {
     return false;
+  }
+  if (!first) {
+    ParkRun(slabs_[cur_slab_], slab_off_, kSlabWords);
   }
   cur_slab_ = next;
   slab_off_ = 0;
   return true;
+}
+
+void SlabWordPool::ParkRun(uint64_t slab, uint64_t from, uint64_t to) {
+  for (uint64_t p = from; p < to;) {
+    const uint64_t piece =
+        p % kLineWords != 0
+            ? std::min(to, (p | (kLineWords - 1)) + 1) - p
+            : std::min(to - p, kMaxClassWords);
+    PushFree(EncodeHandle(slab, p / kGranuleWords), piece);
+    p += piece;
+  }
 }
 
 void SlabWordPool::PushFree(NodeHandle h, uint64_t words) {
@@ -219,22 +234,23 @@ SlabWordPool::Block SlabWordPool::Allocate(uint64_t min_words) {
   if (words > kMaxClassWords) {
     return AllocateLarge(words);
   }
-  const uint32_t cls = ClassFor(words);
+  NodeHandle& head = free_[ClassFor(words)];
   Block b;
-  if (free_[cls] != kInvalidNodeHandle) {
-    b.handle = free_[cls];
+  if (head != kInvalidNodeHandle) {
+    b.handle = head;
     b.words = At(b.handle);
-    free_[cls] = static_cast<NodeHandle>(b.words[words - 1]);
+    head = static_cast<NodeHandle>(b.words[words - 1]);
     free_bytes_ -= words * sizeof(uint64_t);
   } else {
-    // Bump path: align the cursor to the block's class (at most one cache
-    // line) and park the skipped granules on the smaller classes'
-    // freelists. Classes are powers of two and a slab is a power-of-two
-    // multiple of the largest, so an aligned block never straddles a slab.
-    // Cursor state only advances once a slab exists, so a failed growth
-    // leaves the pool consistent.
-    const uint64_t align = std::min(words, kLineWords);
-    uint64_t off = (slab_off_ + align - 1) & ~(align - 1);
+    // Bump path: a block that would touch one line more than its size
+    // needs starts at the next line instead, and the skipped granules (less
+    // than a line) are parked. A block that does not fit moves the cursor
+    // to the next slab, which parks the tail. Cursor state only advances
+    // once a slab exists, so a failed growth leaves the pool consistent.
+    uint64_t off = slab_off_;
+    if (!FitsLines(off, words)) {
+      off = (off + kLineWords - 1) & ~(kLineWords - 1);
+    }
     if (slabs_.empty() || off + words > kSlabWords) {
       if (!NextSlab()) {
         return {};
@@ -242,11 +258,7 @@ SlabWordPool::Block SlabWordPool::Allocate(uint64_t min_words) {
       off = 0;
     }
     const uint64_t slab = slabs_[cur_slab_];
-    for (uint64_t p = slab_off_; p < off;) {
-      const uint64_t piece = p & (~p + 1);  // largest class aligned at p
-      PushFree(EncodeHandle(slab, p / kGranuleWords), piece);
-      p += piece;
-    }
+    ParkRun(slab, slab_off_, off);
     b.handle = EncodeHandle(slab, off / kGranuleWords);
     b.words = At(b.handle);
     slab_off_ = off + words;
@@ -355,7 +367,7 @@ bool SlabWordPool::IsGrantedBlock(NodeHandle h, uint64_t words) const {
   }
   const uint64_t off = uint64_t{HandleGranule(h)} * kGranuleWords;
   return words <= kMaxClassWords && off + words <= kSlabWords &&
-         off % std::min(words, kLineWords) == 0;
+         FitsLines(off, words);
 }
 
 bool SlabWordPool::OnFreelist(NodeHandle h, uint64_t words) const {

@@ -5,10 +5,10 @@
 // (class Node) followed directly by the node's bit-stream words. Resolving a
 // child handle therefore lands on the header and the first stream words in
 // the same 64-byte cache line, and a descent waits on one memory access per
-// level. Blocks come from 64 KiB slabs in power-of-two size classes with
-// per-class freelists. A tree's first 2 MiB of slabs are single
-// allocations; past that, slabs are reserved 32 at a time from one 2 MiB
-// chunk advised for transparent huge pages, so a large tree's descent
+// level. Blocks are whole 16-byte granules of 64 KiB slabs, granted
+// exactly, with one freelist per size. A tree's first 2 MiB of slabs are
+// single allocations; past that, slabs are reserved 32 at a time from one
+// 2 MiB chunk advised for transparent huge pages, so a large tree's descent
 // walks one TLB entry per 2 MiB page instead of one per 4 KiB page.
 // Consequences:
 //   * insert splits / erase splices never pay a malloc round-trip,
@@ -19,7 +19,6 @@
 #define PHTREE_PHTREE_ARENA_H_
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -138,15 +137,20 @@ class EpochManager {
   Slot slots_[kSlots];
 };
 
-/// The block allocator under every node. Blocks are whole 16-byte granules
-/// of 64-byte-aligned 64 KiB slabs, in power-of-two size classes of 2 to
-/// kMaxClassWords words recycled through per-class freelists; a bump
-/// cursor carves fresh blocks. A block of kLineWords words or fewer never
-/// straddles a cache line, and a larger one starts on a line boundary: the
-/// cursor aligns each block to min(size, kLineWords) words and parks the
-/// skipped granules on the freelists. A block larger than the biggest class
-/// (a huge node) gets its own line-aligned allocation and directory
-/// entry.
+/// The block allocator under every node. A block is a whole number of
+/// 16-byte granules of a 64-byte-aligned 64 KiB slab, granted exactly
+/// (GrantWords) up to kMaxClassWords words. A freed block waits on the
+/// freelist of its size, one list per granule count, so it serves the next
+/// request of that same size. A bump cursor carves fresh blocks under one
+/// line rule (FitsLines): a block touches no more 64-byte lines than its
+/// size needs, so a block of up to four granules sits inside one line and a
+/// larger one starts mid-line only where that costs no extra line. The
+/// cursor skips to the next line when a block would break the rule, and to
+/// the next slab when it would not fit; it parks the granules it skips on
+/// the freelists, in pieces that obey the rule. So every granule it has
+/// carved lies in exactly one block, live or free: the deep validator's
+/// granule law. A block larger than kMaxClassWords (a huge node) gets its
+/// own line-aligned allocation and directory entry.
 ///
 /// Blocks are named by 32-bit handles: a slab-directory index in the high
 /// bits and a granule offset in the low kGranuleBits. The directory is
@@ -166,6 +170,9 @@ class EpochManager {
 /// pool frees its recorded reservations, not slabs.
 class SlabWordPool {
  public:
+  /// Plants arena-law violations for the validator's rejection tests.
+  friend class ArenaCorrupter;
+
   /// 64 KiB slabs: large enough that typical nodes never straddle a malloc,
   /// small enough that a mostly-empty tree does not pin megabytes.
   static constexpr uint64_t kSlabWords = 8192;
@@ -180,7 +187,7 @@ class SlabWordPool {
   static_assert(kSlabWords == kGranuleWords << kGranuleBits);
   /// One 64-byte cache line.
   static constexpr uint64_t kLineWords = 8;
-  /// Largest size-class block: half a slab.
+  /// Largest slab block: half a slab.
   static constexpr uint64_t kMaxClassWords = kSlabWords / 2;
   /// Directory capacity: every slab index below this fits the handle, and
   /// the all-ones handle (kInvalidNodeHandle) names no block. 2^20 - 1
@@ -188,21 +195,30 @@ class SlabWordPool {
   static constexpr uint32_t kMaxSlabs =
       (uint32_t{1} << (32 - kGranuleBits)) - 1;
 
-  /// Granted block size: next power of two (at least one granule) up to
+  /// Granted block size: whole granules (at least one) up to
   /// kMaxClassWords, then the next multiple of kMaxClassWords. A pure
   /// function of `min_words`, so a node holding exactly its grant has an
   /// insertion-order-independent size.
   static constexpr uint64_t GrantWords(uint64_t min_words) {
     if (min_words > kMaxClassWords) {
-      // Large blocks grow in kMaxClassWords granules: deterministic (the
-      // size tables must not depend on growth history) yet coarse enough
-      // that a giant node moves once per 32 KiB of growth, not per
-      // insert.
+      // Large blocks round up to a multiple of kMaxClassWords, which keeps
+      // them a pure function of the contents. The rounding saves no moves:
+      // every edit writes a new block (Node::TryEdit), so it only wastes up
+      // to 32 KiB per huge node. It stays until a measured tree holds a
+      // block this large.
       return (min_words + kMaxClassWords - 1) / kMaxClassWords *
              kMaxClassWords;
     }
-    return std::bit_ceil(min_words < kGranuleWords ? kGranuleWords
-                                                   : min_words);
+    return min_words < kGranuleWords
+               ? kGranuleWords
+               : (min_words + kGranuleWords - 1) & ~(kGranuleWords - 1);
+  }
+
+  /// The line rule: a block of `words` words at word offset `off` of a
+  /// line-aligned slab touches no more 64-byte lines than its size needs.
+  static constexpr bool FitsLines(uint64_t off, uint64_t words) {
+    return off % kLineWords + words <=
+           (words + kLineWords - 1) / kLineWords * kLineWords;
   }
 
   /// The handle of granule `granule` of directory entry `slab`, or
@@ -261,13 +277,45 @@ class SlabWordPool {
   bool Owns(const void* p) const;
 
   /// True iff block `h` can hold a granted block of `words` words: inside
-  /// its slab at an offset aligned for its class, or a large block of
+  /// its slab where it obeys the line rule (FitsLines), or a large block of
   /// exactly that size.
   bool IsGrantedBlock(NodeHandle h, uint64_t words) const;
 
-  /// True iff block `h` of `words` words is on its class freelist.
+  /// True iff block `h` of `words` words is on its size's freelist.
   /// Debug/test only: O(freelist length).
   bool OnFreelist(NodeHandle h, uint64_t words) const;
+
+  /// Calls `fn(first_word, words)` once per slab the bump cursor has
+  /// reached, in bump order: each earlier slab whole, the cursor's slab up
+  /// to the cursor. Validation only: O(slabs).
+  template <typename Fn>
+  void ForEachCarvedRun(Fn&& fn) const {
+    for (size_t i = 0; i < slabs_.size() && i <= cur_slab_; ++i) {
+      fn(static_cast<const uint64_t*>(
+             Entry(slabs_[i]).base.load(std::memory_order_relaxed)),
+         i < cur_slab_ ? kSlabWords : slab_off_);
+    }
+  }
+
+  /// Calls `fn(h, words)` for every block on a freelist. The walk stops
+  /// once it has visited FreeListBytes() bytes, so a cycle (a block freed
+  /// twice) shows as repeated blocks instead of hanging it. Validation
+  /// only: O(free blocks + freelists).
+  template <typename Fn>
+  void ForEachFreeBlock(Fn&& fn) const {
+    uint64_t budget = free_bytes_;
+    for (uint32_t cls = 1; cls < kNumClasses; ++cls) {
+      const uint64_t words = cls * kGranuleWords;
+      for (NodeHandle f = free_[cls]; f != kInvalidNodeHandle;
+           f = static_cast<NodeHandle>(At(f)[words - 1])) {
+        if (words * sizeof(uint64_t) > budget) {
+          return;
+        }
+        budget -= words * sizeof(uint64_t);
+        fn(f, words);
+      }
+    }
+  }
 
   /// Total bytes reserved from the system (slabs, including every slab of
   /// a chunk, + large blocks).
@@ -276,7 +324,7 @@ class SlabWordPool {
   }
   /// Bytes currently handed out.
   uint64_t LiveBytes() const { return live_bytes_; }
-  /// Bytes parked in size-class freelists, ready for reuse.
+  /// Bytes parked on the freelists, ready for reuse.
   uint64_t FreeListBytes() const { return free_bytes_; }
 
  private:
@@ -287,11 +335,13 @@ class SlabWordPool {
     std::atomic<uint64_t> large_words{0};  ///< 0 for a slab
   };
 
-  static constexpr uint32_t kNumClasses = 13;  // 2^1 .. 2^12 words
+  /// One freelist per granule count up to kMaxClassWords (list 0 stays
+  /// empty): 2,049 heads, about 8 KiB per pool.
+  static constexpr uint32_t kNumClasses = kMaxClassWords / kGranuleWords + 1;
   static constexpr uint32_t kNoEntry = ~uint32_t{0};
 
   static uint32_t ClassFor(uint64_t words) {
-    return static_cast<uint32_t>(std::bit_width(words - 1));
+    return static_cast<uint32_t>(words / kGranuleWords);
   }
 
   /// One reservation from the system: a single slab or a chunk of
@@ -308,9 +358,14 @@ class SlabWordPool {
   /// Returns `r` to the system (after unpoisoning it).
   static void FreeReservation(Reservation r);
   /// Moves the bump cursor to the start of the next slab, allocating one
-  /// if none is retained. False (cursor unchanged) on failure.
+  /// if none is retained, and parks the tail of the slab it leaves. False
+  /// (cursor unchanged) on failure.
   bool NextSlab();
-  /// Pushes block `h` of `words` words onto its class freelist.
+  /// Parks words [from, to) of directory entry `slab` on the freelists, in
+  /// pieces that obey the line rule: the part before the first line
+  /// boundary, then line-aligned pieces of at most kMaxClassWords.
+  void ParkRun(uint64_t slab, uint64_t from, uint64_t to);
+  /// Pushes block `h` of `words` words onto its size's freelist.
   void PushFree(NodeHandle h, uint64_t words);
   /// Stores a directory entry and returns its index, or kNoEntry at the
   /// cap or if the directory cannot grow.
@@ -327,7 +382,8 @@ class SlabWordPool {
   std::vector<Reservation> reserved_;
   size_t cur_slab_ = 0;    // slabs_ position of the bump cursor
   uint64_t slab_off_ = 0;  // word offset of the bump cursor
-  /// Freelist heads; each free block links the next in its last word.
+  /// Freelist heads by granule count; each free block links the next in
+  /// its last word.
   NodeHandle free_[kNumClasses];
   uint32_t free_entry_ = kNoEntry;  // head of the free directory entries
   uint64_t large_bytes_ = 0;
@@ -411,11 +467,8 @@ class NodeArena {
   /// granted (Node::BlockWords), placed as the pool places such a block.
   bool IsGrantedBlock(NodeRef ref) const;
 
-  /// True iff block `h` of `words` words is free and parked for reuse.
-  /// Debug/test only: O(freelist length).
-  bool OnFreelist(NodeHandle h, uint64_t words) const {
-    return pool_.OnFreelist(h, words);
-  }
+  /// The block pool, for the validator's granule audit and tests.
+  const SlabWordPool& pool() const { return pool_; }
 
   /// Number of nodes currently allocated and not yet deleted.
   size_t live_nodes() const { return live_nodes_; }

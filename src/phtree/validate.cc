@@ -24,8 +24,8 @@ class PhTreeValidator {
 
 namespace {
 
-/// One arena block the deep audit accounts for: a reachable or a retired
-/// node's.
+/// One arena block the deep audit accounts for: a reachable, a retired or
+/// a free one.
 struct BlockSpan {
   uintptr_t addr;
   uint64_t bytes;
@@ -68,18 +68,21 @@ struct ValidateState {
   }
 };
 
-/// Deep-mode block checks of one node: its handle names exactly the block
-/// its contents are granted, and a block of a cache line or less sits
-/// inside one line (a larger one starts on a line boundary).
+/// Deep-mode block checks of one node: the block touches no more 64-byte
+/// lines than its size needs (counted here from its address, apart from
+/// the pool's SlabWordPool::FitsLines), and its handle names exactly the
+/// block its contents are granted.
 std::string CheckBlock(const NodeArena& arena, NodeRef ref) {
+  constexpr uint64_t kLineBytes = SlabWordPool::kLineWords * sizeof(uint64_t);
+  const uintptr_t first = reinterpret_cast<uintptr_t>(ref.ptr);
+  const uint64_t bytes = ref.ptr->MemoryBytes();
+  const uint64_t lines_touched =
+      (first + bytes - 1) / kLineBytes - first / kLineBytes + 1;
+  if (lines_touched != (bytes + kLineBytes - 1) / kLineBytes) {
+    return "node block touches more cache lines than its size needs";
+  }
   if (!arena.IsGrantedBlock(ref)) {
     return "node block is not exactly its grant";
-  }
-  constexpr uint64_t kLineBytes = SlabWordPool::kLineWords * sizeof(uint64_t);
-  const uint64_t line_off = reinterpret_cast<uintptr_t>(ref.ptr) % kLineBytes;
-  const uint64_t bytes = ref.ptr->MemoryBytes();
-  if (bytes <= kLineBytes ? line_off + bytes > kLineBytes : line_off != 0) {
-    return "node block straddles a cache line";
   }
   return std::string();
 }
@@ -323,10 +326,11 @@ std::string Validate(const PhTree& tree, bool deep) {
   }
 
   if (deep && arena != nullptr) {
-    // Block ownership: reachable and retired blocks must be pairwise
-    // disjoint — a block named twice (two parents, or a parent and the
-    // retire queue) overlaps itself — and together they must be exactly
-    // the bytes the allocator counts as handed out.
+    // Block ownership: reachable and retired blocks are exactly the bytes
+    // the allocator counts as handed out, and the freelists hold exactly
+    // the bytes it counts as free. All those blocks must be pairwise
+    // disjoint: a block named twice (two parents, a parent and the retire
+    // queue, a node and a freelist) overlaps itself.
     std::string retired_error;
     arena->ForEachRetired([&](NodeRef ref, uint64_t bytes) {
       if (retired_error.empty()) {
@@ -338,22 +342,76 @@ std::string Validate(const PhTree& tree, bool deep) {
     if (!retired_error.empty()) {
       return "retired " + retired_error;
     }
-    std::sort(state.blocks.begin(), state.blocks.end(),
-              [](const BlockSpan& a, const BlockSpan& b) {
-                return a.addr < b.addr;
-              });
-    uint64_t sum = 0;
-    for (size_t i = 0; i < state.blocks.size(); ++i) {
-      if (i > 0 && state.blocks[i - 1].addr + state.blocks[i - 1].bytes >
-                       state.blocks[i].addr) {
+    uint64_t live_sum = 0;
+    for (const BlockSpan& b : state.blocks) {
+      live_sum += b.bytes;
+    }
+    if (live_sum != arena->LiveBytes()) {
+      std::ostringstream os;
+      os << "reachable + retired block bytes " << live_sum
+         << " != arena live bytes " << arena->LiveBytes();
+      return os.str();
+    }
+    const SlabWordPool& pool = arena->pool();
+    uint64_t free_sum = 0;
+    pool.ForEachFreeBlock([&](NodeHandle h, uint64_t words) {
+      free_sum += words * sizeof(uint64_t);
+      state.blocks.push_back(BlockSpan{reinterpret_cast<uintptr_t>(pool.At(h)),
+                                       words * sizeof(uint64_t)});
+    });
+    if (free_sum != arena->FreeListBytes()) {
+      std::ostringstream os;
+      os << "freelist block bytes " << free_sum
+         << " != arena freelist bytes " << arena->FreeListBytes();
+      return os.str();
+    }
+    const auto by_addr = [](const BlockSpan& a, const BlockSpan& b) {
+      return a.addr < b.addr;
+    };
+    std::sort(state.blocks.begin(), state.blocks.end(), by_addr);
+    for (size_t i = 1; i < state.blocks.size(); ++i) {
+      if (state.blocks[i - 1].addr + state.blocks[i - 1].bytes >
+          state.blocks[i].addr) {
         return "arena blocks overlap: a block is owned twice";
       }
-      sum += state.blocks[i].bytes;
     }
-    if (sum != arena->LiveBytes()) {
+    // The granule law: every granule the bump cursor has carved lies in
+    // exactly one block, reachable, retired or free. The blocks are
+    // disjoint, so it holds iff every slab block lies inside a carved run
+    // and the slab blocks sum to the carved bytes. Blocks above
+    // kMaxClassWords words are large blocks (CheckBlock proved each one its
+    // grant), which the cursor never carves.
+    std::vector<BlockSpan> carved;
+    uint64_t carved_sum = 0;
+    pool.ForEachCarvedRun([&](const uint64_t* run, uint64_t words) {
+      carved.push_back(BlockSpan{reinterpret_cast<uintptr_t>(run),
+                                 words * sizeof(uint64_t)});
+      carved_sum += words * sizeof(uint64_t);
+    });
+    std::sort(carved.begin(), carved.end(), by_addr);
+    constexpr uint64_t kMaxSlabBlockBytes =
+        SlabWordPool::kMaxClassWords * sizeof(uint64_t);
+    uint64_t covered = 0;
+    size_t run = 0;
+    for (const BlockSpan& b : state.blocks) {
+      if (b.bytes > kMaxSlabBlockBytes) {
+        continue;
+      }
+      while (run < carved.size() &&
+             carved[run].addr + carved[run].bytes <= b.addr) {
+        ++run;
+      }
+      if (run == carved.size() || b.addr < carved[run].addr ||
+          b.addr + b.bytes > carved[run].addr + carved[run].bytes) {
+        return "arena block outside the granules the bump cursor carved";
+      }
+      covered += b.bytes;
+    }
+    if (covered != carved_sum) {
       std::ostringstream os;
-      os << "reachable + retired block bytes " << sum
-         << " != arena live bytes " << arena->LiveBytes();
+      os << "leaked granules: the bump cursor carved " << carved_sum
+         << " bytes, but reachable, retired and free blocks cover "
+         << covered;
       return os.str();
     }
   }
@@ -397,9 +455,8 @@ std::string Validate(const PhTree& tree, bool deep) {
          << " != walked " << state.sum_node_depth;
     } else if (arena != nullptr) {
       // Arena accounting cross-checks: the stats snapshot must restate the
-      // arena meters exactly, and the meters must satisfy the slab
-      // conservation law (live + parked-for-reuse never exceeds what was
-      // reserved; the remainder is the unused bump region + block headers).
+      // arena meters exactly (the granule law above ties the meters to the
+      // slabs).
       if (stats.arena_live_bytes != arena->LiveBytes()) {
         os << "stats arena_live_bytes " << stats.arena_live_bytes
            << " != arena " << arena->LiveBytes();
@@ -417,11 +474,6 @@ std::string Validate(const PhTree& tree, bool deep) {
         os << "reachable bytes " << stats.memory_bytes << " + retired "
            << stats.arena_retired_bytes << " != arena live bytes "
            << stats.arena_live_bytes;
-      } else if (arena->SlabBytes() <
-                 arena->LiveBytes() + arena->FreeListBytes()) {
-        os << "arena slab bytes " << arena->SlabBytes()
-           << " < live " << arena->LiveBytes() << " + freelist "
-           << arena->FreeListBytes();
       }
     }
     const std::string msg = os.str();

@@ -34,14 +34,15 @@ std::string ValidatePhTree(const PhTree& tree);
 ///    its enumerated payload, so the enumeration and lookup views of the
 ///    same node bits agree;
 ///  - the block-ownership audit: every reachable and retired node's handle
-///    names exactly the block its contents are granted, a block of 8 words
-///    or fewer sits inside one 64-byte line, and all those blocks are
-///    pairwise disjoint and sum to the arena's live bytes (no block owned
-///    twice);
+///    names exactly the block its contents are granted, and the block
+///    touches no more 64-byte lines than its size needs; those blocks sum
+///    to the arena's live bytes, the freelist blocks to its freelist bytes,
+///    and all of them are pairwise disjoint (no block owned twice);
+///  - the granule law: every granule the pool's bump cursor has carved lies
+///    in exactly one block, reachable, retired or free (no leaked granule);
 ///  - the stats cross-check: ComputeStats() against the walk (node, entry
 ///    and per-representation counts, depths, infix bits, memory bytes) and
-///    the arena meters against PhTreeStats, plus the accounting identity
-///    slab >= live + freelist.
+///    the arena meters against PhTreeStats.
 /// This is the validator the differential runner and the fuzz targets
 /// call; it is O(n * w * k) instead of O(nodes).
 std::string ValidatePhTreeDeep(const PhTree& tree);

@@ -47,22 +47,29 @@ NodeRef BuildEmptyNode(NodeArena& arena, uint32_t dim, uint32_t postfix_len,
 // ---- SlabWordPool ---------------------------------------------------------
 
 TEST(SlabWordPool, GrantWordsIsMonotoneAndClassRounded) {
-  // The smallest block is one 16-byte granule: a bare node header.
+  // The smallest block is one 16-byte granule: a bare node header. Up to
+  // half a slab a grant is the request in whole granules.
   EXPECT_EQ(SlabWordPool::GrantWords(1), 2u);
   EXPECT_EQ(SlabWordPool::GrantWords(2), 2u);
   EXPECT_EQ(SlabWordPool::GrantWords(3), 4u);
-  EXPECT_EQ(SlabWordPool::GrantWords(5), 8u);
+  EXPECT_EQ(SlabWordPool::GrantWords(5), 6u);
+  EXPECT_EQ(SlabWordPool::GrantWords(9), 10u);
+  EXPECT_EQ(SlabWordPool::GrantWords(SlabWordPool::kMaxClassWords - 1),
+            SlabWordPool::kMaxClassWords);
   EXPECT_EQ(SlabWordPool::GrantWords(SlabWordPool::kMaxClassWords),
             SlabWordPool::kMaxClassWords);
-  // Above the largest class: multiples of kMaxClassWords.
+  // Above half a slab: multiples of kMaxClassWords.
   EXPECT_EQ(SlabWordPool::GrantWords(SlabWordPool::kMaxClassWords + 1),
             2 * SlabWordPool::kMaxClassWords);
   uint64_t prev = 0;
-  for (uint64_t w = 1; w < 300; ++w) {
+  for (uint64_t w = 1; w <= SlabWordPool::kMaxClassWords + 300; ++w) {
     const uint64_t g = SlabWordPool::GrantWords(w);
     EXPECT_GE(g, w);
     EXPECT_GE(g, prev);
     EXPECT_EQ(SlabWordPool::GrantWords(g), g);  // a grant is a fixed point
+    if (w <= SlabWordPool::kMaxClassWords) {
+      EXPECT_LT(g - w, SlabWordPool::kGranuleWords) << w;  // exact granules
+    }
     prev = g;
   }
 }
@@ -77,8 +84,8 @@ TEST(SlabWordPool, FreelistRecyclesBlocks) {
   EXPECT_TRUE(pool.OnFreelist(a.handle, 4));
   EXPECT_EQ(pool.LiveBytes(), 0u);
   EXPECT_EQ(pool.FreeListBytes(), 4 * sizeof(uint64_t));
-  // Same class comes back from the freelist: identical block, zeroed, no
-  // new slab.
+  // The same grant (3 words round to 4) comes back from the freelist:
+  // identical block, zeroed, no new slab.
   const uint64_t slab_bytes = pool.SlabBytes();
   const SlabWordPool::Block b = pool.Allocate(3);
   EXPECT_EQ(b.handle, a.handle);
@@ -166,27 +173,52 @@ TEST(SlabWordPool, AllocationPastTheCapFails) {
 }
 
 TEST(SlabWordPool, SmallBlocksNeverStraddleACacheLine) {
+  // A block touches no more 64-byte lines than its size needs: up to four
+  // granules inside one line, a larger one mid-line only where that costs
+  // no extra line. Sizes up to 40 words cross every granule count of the
+  // first five lines; 3,000 blocks fill more than one slab.
+  constexpr uint64_t kLineBytes = SlabWordPool::kLineWords * 8;
   SlabWordPool pool;
   Rng rng(5);
   uint64_t bump_words = 0;
-  for (int i = 0; i < 2000; ++i) {
+  std::set<uint64_t> mid_line_sizes;
+  for (int i = 0; i < 3000; ++i) {
     const uint64_t want = 1 + rng.NextBounded(40);
     const SlabWordPool::Block b = pool.Allocate(want);
     ASSERT_NE(b.words, nullptr);
     const uint64_t words = SlabWordPool::GrantWords(want);
-    const uint64_t line_off =
-        reinterpret_cast<uintptr_t>(b.words) % (SlabWordPool::kLineWords * 8);
-    if (words <= SlabWordPool::kLineWords) {
-      EXPECT_LE(line_off + words * 8, SlabWordPool::kLineWords * 8);
-    } else {
-      EXPECT_EQ(line_off, 0u);
+    const uint64_t first = reinterpret_cast<uintptr_t>(b.words);
+    const uint64_t last = first + words * 8 - 1;
+    EXPECT_EQ(last / kLineBytes - first / kLineBytes + 1,
+              (words * 8 + kLineBytes - 1) / kLineBytes)
+        << words << " words at line offset " << first % kLineBytes;
+    if (words > SlabWordPool::kLineWords && first % kLineBytes != 0) {
+      mid_line_sizes.insert(words);
     }
     EXPECT_TRUE(pool.IsGrantedBlock(b.handle, words));
     bump_words += words;
   }
-  // Alignment padding is parked on the freelists, not lost.
+  // Blocks of 10, 12 and 14 words do start mid-line.
+  EXPECT_TRUE(mid_line_sizes.count(10) && mid_line_sizes.count(12) &&
+              mid_line_sizes.count(14));
+  ASSERT_GT(pool.SlabBytes(), SlabWordPool::kSlabWords * 8);
+  // Line padding and the abandoned slab tail are parked on the freelists,
+  // not lost: live and free blocks cover every carved granule, and only the
+  // current slab's uncarved rest is neither.
   EXPECT_EQ(pool.LiveBytes(), bump_words * sizeof(uint64_t));
-  EXPECT_LE(pool.LiveBytes() + pool.FreeListBytes(), pool.SlabBytes());
+  EXPECT_GT(pool.FreeListBytes(), 0u);
+  uint64_t carved = 0;
+  pool.ForEachCarvedRun([&](const uint64_t*, uint64_t words) {
+    carved += words * 8;
+  });
+  EXPECT_EQ(pool.LiveBytes() + pool.FreeListBytes(), carved);
+  uint64_t free_bytes = 0;
+  pool.ForEachFreeBlock([&](NodeHandle h, uint64_t words) {
+    EXPECT_TRUE(pool.IsGrantedBlock(h, words));
+    EXPECT_TRUE(pool.OnFreelist(h, words));
+    free_bytes += words * 8;
+  });
+  EXPECT_EQ(free_bytes, pool.FreeListBytes());
 }
 
 // ---- Huge-page chunks -----------------------------------------------------
@@ -361,9 +393,9 @@ TEST(NodeArena, RecyclesNodeBlocks) {
   EXPECT_EQ(arena.live_nodes(), 1u);
   arena.DeleteNode(a);
   EXPECT_EQ(arena.live_nodes(), 0u);
-  EXPECT_TRUE(arena.OnFreelist(a.handle, Node::kHeaderWords));
+  EXPECT_TRUE(arena.pool().OnFreelist(a.handle, Node::kHeaderWords));
   // The freed block (and its handle) is reused before any fresh block of
-  // its class.
+  // its size.
   NodeRef b = BuildEmptyNode(arena, 3, 10, false);
   EXPECT_EQ(static_cast<void*>(b.ptr), static_cast<void*>(a.ptr));
   EXPECT_EQ(b.handle, a.handle);
@@ -386,8 +418,8 @@ TEST(NodeArena, OwnsRejectsForeignNodes) {
 
 // ---- Moving nodes ---------------------------------------------------------
 
-// One non-root node N is grown by inserts through every block class a
-// non-root node can occupy — 4 to 64 words (a 2-word block is a bare
+// One non-root node N is grown by inserts through every block size it can
+// occupy — every even word count from 4 to 46 (a 2-word block is a bare
 // header, and no node in a tree is empty) — and shrunk back by erases.
 // Every edit writes N into a new block. After every op N's parent must
 // name N's current block, the deep validator must pass, and the block N
@@ -442,7 +474,7 @@ void GrowAndShrinkOneNode(bool mvcc) {
         });
         EXPECT_TRUE(retired) << "the block N left is not retired";
       } else {
-        EXPECT_TRUE(arena.OnFreelist(prev.handle, prev_words))
+        EXPECT_TRUE(arena.pool().OnFreelist(prev.handle, prev_words))
             << "the block N left is not on its freelist";
       }
     }
@@ -458,7 +490,11 @@ void GrowAndShrinkOneNode(bool mvcc) {
     ASSERT_TRUE(tree.Erase(entry_key(addr)));
     check(addr, "shrink");
   }
-  EXPECT_EQ(classes, (std::set<uint64_t>{4, 8, 16, 32, 64}));
+  std::set<uint64_t> every_even;
+  for (uint64_t words = 4; words <= 46; words += 2) {
+    every_even.insert(words);
+  }
+  EXPECT_EQ(classes, every_even);
 }
 
 TEST(PhTreeArena, NodeMovesThroughEveryBlockClassInPlace) {
@@ -586,8 +622,8 @@ TEST(PhTreeArena, FreelistGrowsOnEraseAndShrinksOnReinsert) {
   for (const auto& key : keys) {
     tree.Insert(key, 1);
   }
-  // Building already trades blocks through the freelists (LHC growth
-  // reallocates across size classes), so the baseline is not zero.
+  // Building already trades blocks through the freelists (every edit
+  // writes its node into a new block), so the baseline is not zero.
   const uint64_t freelist_after_build = tree.arena()->FreeListBytes();
   for (size_t i = 0; i < keys.size() / 2; ++i) {
     tree.Erase(keys[i]);

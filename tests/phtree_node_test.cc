@@ -306,17 +306,35 @@ PhTree FilledKeyOnlyGrid(uint32_t dim, uint32_t side_bits, double fill,
   return tree;
 }
 
+/// Bytes of `node`'s subtree, summed node by node as the 16-byte header
+/// plus the stream's words, rounded up to whole 16-byte granules: the
+/// exact-fit grant, restated apart from SlabWordPool::GrantWords.
+uint64_t GranuleBytes(const PhTree& tree, const Node* node) {
+  const uint64_t stream_bytes = (node->CurrentReprBits() + 63) / 64 * 8;
+  uint64_t bytes = (Node::kHeaderWords * 8 + stream_bytes + 15) / 16 * 16;
+  for (uint64_t ord = node->FirstOrdinal(); ord != Node::kNoOrdinal;
+       ord = node->NextOrdinal(ord)) {
+    if (node->OrdinalIsSub(ord)) {
+      bytes += GranuleBytes(tree, tree.arena()->NodeAt(node->OrdinalSub(ord)));
+    }
+  }
+  return bytes;
+}
+
 TEST(NodeSpace, FilledKeyOnlyGridsKeepTheirBytesWithoutHc) {
   // Key-only grids a fifth full are where the retired dense HC layout
   // (DESIGN.md §2) was picked: with it, these two trees held 853 and 806 HC
-  // nodes, every one with a sub. As LHC nodes they take blocks of the same
-  // size, so memory_bytes stays the value recorded with the HC layout.
+  // nodes, every one with a sub. Their LHC nodes' exact-fit blocks sum to
+  // the pinned bytes (1,093,856 and 799,232 in power-of-two blocks), and
+  // so does an independent node-by-node sum of whole granules.
   const PhTree grid2d = FilledKeyOnlyGrid(2, 9, 0.2, 20);
   const PhTree grid3d = FilledKeyOnlyGrid(3, 6, 0.2, 30);
   EXPECT_EQ(grid2d.size(), 52483u);
   EXPECT_EQ(grid3d.size(), 52669u);
-  EXPECT_EQ(grid2d.ComputeStats().memory_bytes, 1093856u);
-  EXPECT_EQ(grid3d.ComputeStats().memory_bytes, 799232u);
+  EXPECT_EQ(grid2d.ComputeStats().memory_bytes, 1036160u);
+  EXPECT_EQ(grid3d.ComputeStats().memory_bytes, 748000u);
+  EXPECT_EQ(GranuleBytes(grid2d, grid2d.root()), 1036160u);
+  EXPECT_EQ(GranuleBytes(grid3d, grid3d.root()), 748000u);
   EXPECT_EQ(ValidatePhTreeDeep(grid2d), "");
   EXPECT_EQ(ValidatePhTreeDeep(grid3d), "");
 }

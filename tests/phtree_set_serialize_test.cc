@@ -48,8 +48,8 @@ TEST(PhTreeSet, SavesSpaceVsValueTree) {
   EXPECT_EQ(ms.n_nodes, ss.n_nodes);
   EXPECT_EQ(ms.max_depth, ss.max_depth);
   // Close to one 8-byte payload word per entry cheaper. The gap is a bit
-  // under 8: the arena's power-of-two size classes absorb part of the
-  // per-node difference, and the BHC packed leaf already strips empty
+  // under 8: rounding each block to whole 16-byte granules absorbs part of
+  // the per-node difference, and the BHC packed leaf already strips empty
   // payload slots from the value tree.
   EXPECT_LT(ss.BytesPerEntry() + 6.5, ms.BytesPerEntry());
   EXPECT_EQ(ValidatePhTree(set_tree.tree()), "");
